@@ -26,8 +26,8 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .quadrature import QuadratureGrid, disk_grid
-from .specfun import SeriesControl, appell_f1, reg_inc_beta
-from .states import as_disk, as_radius, bergman_basis, laguerre_function, photon_weight, principal_power
+from .specfun import SeriesControl, appell_f1, horner, reg_inc_beta_table
+from .states import as_disk, as_radius, basis_series, bergman_basis, laguerre_function, principal_power
 
 __all__ = [
     "BergmanFunction",
@@ -60,8 +60,9 @@ class BergmanFunction:
 
     Either a finite coefficient vector against the orthonormal monomial
     basis, or a pointwise analytic evaluator on the disk (or both, when a
-    projection has been attached).  Analyticity of an evaluator can be
-    spot-checked with ``check_analytic``.
+    projection has been attached); either is evaluated at a point or over
+    an ndarray of points.  Analyticity of an evaluator can be spot-checked
+    with ``check_analytic``.
     """
 
     B: float
@@ -76,27 +77,18 @@ class BergmanFunction:
         if not 2.0 * self.B > 1.0:
             raise DomainError(f"requires 2B > 1, got B={self.B}")
 
-    def __call__(self, z) -> complex:
+    def __call__(self, z):
+        """Value at a disk point, or at every point of an ndarray of them."""
         z = as_disk(z)
         if self.coefficients is not None:
-            total = 0.0 + 0.0j
-            for j, a in enumerate(self.coefficients):
-                if a != 0.0:
-                    total += a * bergman_basis(j, self.B, z)
-            return total
+            return basis_series(self.coefficients, self.B, z)
+        if isinstance(z, np.ndarray):
+            return np.asarray([self.evaluator(p) for p in z], dtype=complex)
         return self.evaluator(z)
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on an array of disk points (vectorized for coefficients)."""
-        if self.coefficients is not None:
-            out = np.zeros(points.shape, dtype=complex)
-            power = np.ones(points.shape, dtype=complex)
-            for j, a in enumerate(self.coefficients):
-                if a != 0.0:
-                    out += a * math.sqrt((2.0 * self.B - 1.0) * photon_weight(j, self.B)) * power
-                power = power * points
-            return out
-        return np.asarray([self.evaluator(p) for p in points], dtype=complex)
+        """Evaluate on an array of disk points."""
+        return self(np.asarray(points))
 
     def coefficients_or_raise(self) -> np.ndarray:
         if self.coefficients is None:
@@ -110,10 +102,8 @@ class BergmanFunction:
         if grid is None:
             grid = disk_grid(64, 128, self.B)
         vals = self.values(grid.nodes)
-        coeffs = np.empty(j_max + 1, dtype=complex)
-        for j in range(j_max + 1):
-            basis_vals = np.asarray([bergman_basis(j, self.B, z) for z in grid.nodes])
-            coeffs[j] = grid.weights @ (np.conjugate(basis_vals) * vals) / math.pi
+        coeffs = [grid.weights @ (np.conjugate(bergman_basis(j, self.B, grid.nodes)) * vals) / math.pi
+                  for j in range(j_max + 1)]
         return BergmanFunction(self.B, coefficients=coeffs, evaluator=self.evaluator)
 
     def check_analytic(self, n_points: int = 5, step: float = 1e-4,
@@ -133,18 +123,14 @@ class BergmanFunction:
                 )
 
 
-def bargmann_transform(coeffs, z, B: float) -> complex:
+def bargmann_transform(coeffs, z, B: float):
     """Coherent-state (second Bargmann) transform of f = sum c_j laguerre_j.
 
     Linear coefficient map: sends the j-th Laguerre function to the j-th
-    Bergman basis element, so the value is sum_j c_j basis_j(z).
+    Bergman basis element, so the value is sum_j c_j basis_j(z); ``z`` may
+    be an ndarray.
     """
-    z = as_disk(z)
-    total = 0.0 + 0.0j
-    for j, c in enumerate(np.asarray(coeffs, dtype=complex)):
-        if c != 0.0:
-            total += c * bergman_basis(j, B, z)
-    return total
+    return BergmanFunction(B, coefficients=coeffs)(z)
 
 
 def bargmann_inverse(F: BergmanFunction, xi: float, J: int | None = None) -> complex:
@@ -153,65 +139,55 @@ def bargmann_inverse(F: BergmanFunction, xi: float, J: int | None = None) -> com
     Exact two-sided inverse of ``bargmann_transform`` on coefficient
     vectors; requires the coefficient representation.
     """
-    coeffs = F.coefficients_or_raise()
-    top = coeffs.size - 1 if J is None else min(J, coeffs.size - 1)
-    total = 0.0 + 0.0j
-    for j in range(top + 1):
-        if coeffs[j] != 0.0:
-            total += coeffs[j] * laguerre_function(j, F.B, xi)
-    return total
+    coeffs = F.coefficients_or_raise()[:None if J is None else J + 1]
+    return sum((c * laguerre_function(j, F.B, xi) for j, c in enumerate(coeffs) if c != 0.0), 0j)
 
 
 def kernel_series_coefficients(B: float, s: float, x_max: float,
                                ctl: SeriesControl = SeriesControl()) -> np.ndarray:
     """Coefficients c_k of the kernel series sum_k c_k (conj(z) w)^k.
 
-    c_k = I_s(k+1, 2B-1) (2B-1) Gamma(2B+k)/(k! Gamma(2B)).  Truncated when
-    the geometric tail bound on the remaining |coefficient| terms at radius
-    ``x_max`` (the largest |conj(z) w| to be evaluated) falls below
-    ctl.rel_tol of the accumulated coefficient envelope; the
-    incomplete-Beta factors are at most one, so they only help the bound.
+    c_k = I_s(k+1, 2B-1) (2B-1) Gamma(2B+k)/(k! Gamma(2B)).  Truncated at
+    the first k where the geometric tail bound on the remaining
+    |coefficient| terms at radius ``x_max`` (the largest |conj(z) w| to be
+    evaluated) falls below ctl.rel_tol of the accumulated coefficient
+    envelope; the incomplete-Beta factors are at most one, so they only
+    help the bound.  The candidate table doubles until it holds that k.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"needs 0 < s < 1, got s={s}")
     if not 0.0 <= x_max < 1.0:
         raise DomainError(f"needs 0 <= x_max < 1, got {x_max}")
-    two_b = 2.0 * B
-    coeffs = []
-    g = 1.0  # Gamma(2B+k) / (k! Gamma(2B))
-    partial = 0.0
-    for k in range(ctl.max_terms):
-        lam = reg_inc_beta(s, k + 1.0, two_b - 1.0)
-        coeffs.append((two_b - 1.0) * lam * g)
-        partial += abs(coeffs[-1]) * x_max ** k
-        g_next = g * (two_b + k) / (k + 1.0)
-        ratio = x_max * (two_b + k + 1.0) / (k + 2.0)
-        if ratio < 1.0:
-            tail = (two_b - 1.0) * g_next * x_max ** (k + 1) / (1.0 - ratio)
-            if tail <= max(ctl.rel_tol * partial, ctl.abs_tol):
-                return np.asarray(coeffs)
-        g = g_next
-    raise ConvergenceError(
-        f"kernel series needs more than {ctl.max_terms} terms at x_max={x_max}",
-        terms_used=ctl.max_terms,
-    )
+    two_b, n = 2.0 * B, 64
+    while True:
+        n = min(n, ctl.max_terms)
+        k = np.arange(n + 1.0)
+        # (2B-1) Gamma(2B+k) / (k! Gamma(2B)), the coefficients without their I-factor
+        g = (two_b - 1.0) * np.cumprod(np.concatenate(([1.0], (two_b + k[:-1]) / (k[:-1] + 1.0))))
+        coeffs = reg_inc_beta_table(s, n, two_b - 1.0) * g[:-1]
+        envelope = np.cumsum(coeffs * x_max ** k[:-1])
+        ratio = x_max * (two_b + k[1:]) / (k[1:] + 1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tail = g[1:] * x_max ** k[1:] / (1.0 - ratio)
+        done = np.flatnonzero((ratio < 1.0) & (tail <= np.maximum(ctl.rel_tol * envelope, ctl.abs_tol)))
+        if done.size:
+            return coeffs[:done[0] + 1]
+        if n == ctl.max_terms:
+            raise ConvergenceError(f"kernel series needs more than {n} terms at x_max={x_max}",
+                                   terms_used=n)
+        n *= 2
 
 
-def kernel_series(z, w, B: float, s: float, ctl: SeriesControl = SeriesControl()) -> complex:
+def kernel_series(z, w, B: float, s: float, ctl: SeriesControl = SeriesControl()):
     """Kernel of the transferred operator as its eigenvalue series.
 
     sum_k I_s(k+1, 2B-1) conj(basis_k(z)) basis_k(w); Hermitian in (z, w).
+    ``z`` and ``w`` may be broadcasting ndarrays, served by one coefficient
+    table cut for the largest |conj(z) w|.
     """
-    z = as_disk(z)
-    w = as_disk(w)
-    x = z.conjugate() * w
-    coeffs = kernel_series_coefficients(B, s, abs(x), ctl)
-    total = 0.0 + 0.0j
-    power = 1.0 + 0.0j
-    for c in coeffs:
-        total += c * power
-        power *= x
-    return total
+    x = np.conjugate(as_disk(z)) * as_disk(w)
+    coeffs = kernel_series_coefficients(B, s, float(np.max(np.abs(x))), ctl)
+    return horner(coeffs, x)
 
 
 def kernel_closed(z, w, B: float, s: float, ctl: SeriesControl = SeriesControl()) -> complex:
@@ -243,14 +219,7 @@ def _kernel_column(points: np.ndarray, w: complex, B: float, s: float,
                    mode: KernelEvalMode) -> np.ndarray:
     """Kernel values P(z_i, w) for all grid points z_i at a fixed target w."""
     if mode.mode == "series":
-        x = np.conjugate(points) * w
-        coeffs = kernel_series_coefficients(B, s, float(np.max(np.abs(x))), mode.ctl)
-        out = np.zeros(points.shape, dtype=complex)
-        power = np.ones(points.shape, dtype=complex)
-        for c in coeffs:
-            out += c * power
-            power = power * x
-        return out
+        return kernel_series(points, w, B, s, mode.ctl)
     return np.asarray([kernel_closed(z, w, B, s, mode.ctl) for z in points])
 
 
@@ -278,8 +247,7 @@ def transferred_apply(F: BergmanFunction, w, B: float, R,
 
     coarse = evaluate(n_r, n_theta)
     fine = evaluate(2 * n_r, 2 * n_theta)
-    scale = max(abs(fine), 1e-30)
-    if abs(fine - coarse) > refine_tol * max(scale, 1.0):
+    if abs(fine - coarse) > refine_tol * max(abs(fine), 1.0):
         raise AccuracyError(
             f"disk quadrature not converged: refinement moved the value by "
             f"{abs(fine - coarse):.3e} (tol {refine_tol:.1e})"

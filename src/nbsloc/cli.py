@@ -10,7 +10,10 @@ failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,13 +25,23 @@ from .states import LocalizationRadius, ModelParams
 DEFAULTS = {"B": 1.5, "R": 0.6, "m": 0, "j_max": 20, "tol": 1e-10, "seed": 42}
 
 
-def _complex_arg(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a complex number like 0.5+0.3j, got {text!r}"
-        ) from None
+def _checked(convert, valid, expected: str):
+    """argparse type that converts the text and rejects values failing ``valid`` as usage errors."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_complex_arg = _checked(lambda text: complex(text.replace(" ", "")), lambda v: True,
+                        "a complex number like 0.5+0.3j")
+_finite_arg = _checked(float, math.isfinite, "a finite number")
+_count_arg = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,11 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
+        # --B stays a plain float: ModelParams rejects a non-finite B with the
+        # "2B > 1" domain message.
         p.add_argument("--B", type=float, default=DEFAULTS["B"], help="strength parameter, 2B > 1")
-        p.add_argument("--R", type=float, default=DEFAULTS["R"], help="localization radius in (0, 1)")
+        p.add_argument("--R", type=_finite_arg, default=DEFAULTS["R"], help="localization radius in (0, 1)")
         p.add_argument("--m", type=int, default=DEFAULTS["m"], help="level index, 0 <= m <= floor(B - 1/2)")
-        p.add_argument("--j-max", type=int, default=DEFAULTS["j_max"], dest="j_max")
-        p.add_argument("--tol", type=float, default=DEFAULTS["tol"])
+        p.add_argument("--j-max", type=_count_arg, default=DEFAULTS["j_max"], dest="j_max")
+        p.add_argument("--tol", type=_finite_arg, default=DEFAULTS["tol"])
         p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
         p.add_argument("--samples", type=int, default=1_000_000)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -57,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--z", type=_complex_arg, required=True)
     p.add_argument("--w", type=_complex_arg, required=True)
-    p.add_argument("--s", type=float, default=None, help="Beta upper limit; defaults to R^2")
+    p.add_argument("--s", type=_finite_arg, default=None, help="Beta upper limit; defaults to R^2")
 
     p = sub.add_parser("leakage", help="photon-counting bound outside the disk")
     common(p)
@@ -83,41 +98,26 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _render(params: dict, columns: list[str], rows: list[list], fmt: str) -> str:
+    # numpy scalars subclass float but repr as np.float64(...) under numpy 2
+    rows = [[float(v) if isinstance(v, float) else v for v in row] for row in rows]
     if fmt == "json":
         data = [dict(zip(columns, row)) for row in rows]
         return json.dumps({"params": params, "data": data}, indent=2, sort_keys=True) + "\n"
-    lines = [f"# {key} = {value!r}" for key, value in sorted(params.items())]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.writelines(f"# {key} = {value!r}\n" for key, value in sorted(params.items()))
+    writer = csv.writer(out, lineterminator="\n")  # quotes only cells holding , or "
+    writer.writerow(columns)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return out.getvalue()
 
 
 def _params_dict(args, extra: dict | None = None) -> dict:
-    base = {
-        "command": args.command,
-        "B": args.B,
-        "R": args.R,
-        "m": args.m,
-        "j_max": args.j_max,
-        "tol": args.tol,
-        "seed": args.seed,
-    }
-    if extra:
-        base.update(extra)
-    return base
+    keys = ("command", "B", "R", "m", "j_max", "tol", "seed")
+    return {**{key: getattr(args, key) for key in keys}, **(extra or {})}
 
 
 def cmd_eigvals(args) -> int:
-    params = ModelParams(args.B, args.m)
-    radius = LocalizationRadius(args.R)
-    rows = []
-    for j in range(args.j_max + 1):
-        if args.m == 0:
-            lam = locop.disk_eigenvalue(j, args.B, radius)
-        else:
-            lam = locop.landau_eigenvalue(j, params, radius)
-        rows.append([j, float(lam)])
+    rows = locop.SpectralData(args.B, args.R, args.m).table(args.j_max)
     _write(_render(_params_dict(args), ["j", "lambda"], rows, args.format), args.out)
     return 0
 

@@ -21,14 +21,16 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, UnsupportedLevelError
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
-from .specfun import log_beta, log_gamma, reg_inc_beta, sample_beta
+from .specfun import (SeriesControl, inc_beta_steps, log_beta, log_gamma, reg_inc_beta,
+                      reg_inc_beta_table, sample_beta)
 from .states import (
     LocalizationRadius,
     ModelParams,
     as_disk,
     as_radius,
+    basis_series,
+    bergman_basis,
     jacobi,
-    nb_pmf,
     photon_weight,
 )
 
@@ -62,8 +64,10 @@ class SpectralData:
     """Lazily filled eigenvalue table of the localization operator.
 
     Entries are computed on first access and cached; the fill is idempotent,
-    so concurrent first access is harmless.  All eigenvalues lie in [0, 1]
-    and, for m = 0, decrease strictly in j.
+    so concurrent first access is harmless.  For m = 0, ``values`` and
+    ``table`` fill every missing entry from one ``reg_inc_beta_table``; a
+    lone ``eigenvalue(j)`` is ``disk_eigenvalue``.  All eigenvalues lie in
+    [0, 1] and, for m = 0, decrease strictly in j.
     """
 
     B: float
@@ -84,8 +88,16 @@ class SpectralData:
                 self._cache[j] = landau_eigenvalue(j, ModelParams(self.B, self.m), self.R)
         return self._cache[j]
 
+    def values(self, n: int) -> np.ndarray:
+        """Eigenvalues j = 0..n-1 as an array."""
+        missing = [j for j in range(n) if j not in self._cache]
+        if missing and self.m == 0:
+            lam = reg_inc_beta_table(self.R.R * self.R.R, n, 2.0 * self.B - 1.0)
+            self._cache.update((j, float(lam[j])) for j in missing)
+        return np.array([self.eigenvalue(j) for j in range(n)], dtype=float)
+
     def table(self, j_max: int) -> list[tuple[int, float]]:
-        return [(j, self.eigenvalue(j)) for j in range(j_max + 1)]
+        return list(enumerate(self.values(j_max + 1).tolist()))
 
     @property
     def eigenvalues(self) -> tuple[tuple[int, float], ...]:
@@ -129,20 +141,17 @@ def spectral_apply(coeffs, spectrum: SpectralData) -> np.ndarray:
     the squared eigenvalues.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    lam = np.array([spectrum.eigenvalue(j) for j in range(coeffs.size)])
-    return lam * coeffs
+    return spectrum.values(coeffs.size) * coeffs
 
 
 def as_function_of_hamiltonian(n: int, B: float, R) -> float:
     """Spectral function expressing the operator through oscillator eigenvalues.
 
-    n -> I_{R^2}(n, 2B - 1) for n >= 1; evaluated at n = j + 1 it equals
-    ``disk_eigenvalue(j, B, R)`` exactly (same code path).
+    n -> I_{R^2}(n, 2B - 1) for n >= 1, which is ``disk_eigenvalue(n - 1, B, R)``.
     """
     if n < 1:
         raise DomainError(f"oscillator eigenvalues start at 1, got n={n}")
-    R = as_radius(R)
-    return reg_inc_beta(R * R, float(n), 2.0 * B - 1.0)
+    return disk_eigenvalue(n - 1, B, R)
 
 
 def beta_density(j: int, B: float, rho):
@@ -220,31 +229,27 @@ def mc_eigenvalue(j: int, params: ModelParams, R, n_samples: int, seed: int) -> 
     return estimate, std_error
 
 
-def leakage_bound(z0, B: float, R, tail_tol: float = 1e-14, max_terms: int = 200_000) -> float:
+def leakage_bound(z0, B: float, R, tail_tol: float = 1e-14) -> float:
     """Photon-counting bound on the operator's content at a coherence point.
 
     sqrt(sum_j I_{R^2}(j+1, 2B-1)^2 pmf(j)) with the negative binomial law
-    at p = |z0|^2.  Terms are added until the pmf mass reaches 1 - tail_tol
-    and the current pmf value drops below tail_tol; since every I-factor is
-    at most one, the truncation error is at most tail_tol.
+    at p = |z0|^2.  The eigenvalues decrease, so the terms past index n - 1
+    add at most I_{R^2}(n, 2B-1)^2 P(N >= n), with P(N >= n) = I_p(n, 2B)
+    exactly; n doubles until that is at most ``tail_tol``, or raises
+    ConvergenceError past SeriesControl's default max_terms.
     """
     z0 = as_disk(z0)
     R = as_radius(R)
     p = abs(z0) ** 2
-    pmf = (1.0 - p) ** (2.0 * B)
-    cumulative = 0.0
-    acc = 0.0
-    for j in range(max_terms):
-        lam = reg_inc_beta(R * R, j + 1.0, 2.0 * B - 1.0)
-        acc += lam * lam * pmf
-        cumulative += pmf
-        if cumulative >= 1.0 - tail_tol and pmf < tail_tol:
-            return math.sqrt(acc)
-        pmf *= (2.0 * B + j) / (j + 1.0) * p
-    raise ConvergenceError(
-        f"photon-count tail not exhausted after {max_terms} terms at p={p}",
-        terms_used=max_terms,
-    )
+    s, b = R * R, 2.0 * B - 1.0
+    n, max_terms = 32, SeriesControl().max_terms
+    while reg_inc_beta(s, float(n), b) ** 2 * reg_inc_beta(p, float(n), 2.0 * B) > tail_tol:
+        if n >= max_terms:
+            raise ConvergenceError(
+                f"photon-count tail above {tail_tol} after {n} terms at p={p}", terms_used=n)
+        n = min(2 * n, max_terms)
+    lam = reg_inc_beta_table(s, n, b)
+    return math.sqrt(float(lam * lam @ inc_beta_steps(p, n, 2.0 * B)))
 
 
 def localized_overlap(z0, B: float, R, coeffs) -> float:
@@ -256,14 +261,11 @@ def localized_overlap(z0, B: float, R, coeffs) -> float:
     z0 = as_disk(z0)
     R = as_radius(R)
     coeffs = np.asarray(coeffs, dtype=complex)
-    pref = (1.0 - abs(z0) ** 2) ** B
-    total = 0.0 + 0.0j
-    for j, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        lam = reg_inc_beta(R * R, j + 1.0, 2.0 * B - 1.0)
-        total += lam * math.sqrt(photon_weight(j, B)) * z0.conjugate() ** j * c
-    return abs(pref * total)
+    if coeffs.size == 0:
+        return 0.0
+    lam = reg_inc_beta_table(R * R, coeffs.size, 2.0 * B - 1.0)
+    pref = (1.0 - abs(z0) ** 2) ** B / math.sqrt(2.0 * B - 1.0)
+    return abs(pref * basis_series(lam * coeffs, B, z0.conjugate()))
 
 
 def quantization_matrix_element(F, j: int, k: int, B: float, grid=None) -> complex:
@@ -280,9 +282,5 @@ def quantization_matrix_element(F, j: int, k: int, B: float, grid=None) -> compl
         grid = disk_grid(64, 128, B)
     z = grid.nodes
     fvals = np.asarray([F(p) for p in z], dtype=complex)
-    integral = grid.weights @ (np.conjugate(z) ** j * z ** k * fvals)
-    ln_pref = 0.5 * (
-        log_gamma(2.0 * B + j) - log_gamma(j + 1.0)
-        + log_gamma(2.0 * B + k) - log_gamma(k + 1.0)
-    ) - log_gamma(2.0 * B - 1.0)
-    return math.exp(ln_pref) / math.pi * integral
+    # the prefactor is that of conj(basis_j) basis_k: Gamma(2B) / Gamma(2B-1) = 2B - 1
+    return grid.weights @ (np.conjugate(bergman_basis(j, B, z)) * bergman_basis(k, B, z) * fvals) / math.pi

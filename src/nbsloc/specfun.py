@@ -1,7 +1,8 @@
 """Scalar special functions used throughout the package.
 
 Everything here is self-contained: log-gamma ratios, the regularized
-incomplete Beta function (continued fraction), generalized Laguerre and
+incomplete Beta function (continued fraction, and whole tables in its
+first parameter by the downward recurrence), generalized Laguerre and
 Jacobi polynomials (three-term recurrences), the Gauss hypergeometric
 series 2F1, the two-variable double series F1 and F3 (summed over
 anti-diagonals), and Beta random variates built from a Gamma rejection
@@ -34,6 +35,9 @@ __all__ = [
     "gamma_ratio",
     "log_beta",
     "reg_inc_beta",
+    "reg_inc_beta_table",
+    "inc_beta_steps",
+    "horner",
     "laguerre",
     "jacobi",
     "gauss_2f1",
@@ -170,6 +174,42 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
+def inc_beta_steps(x: float, n: int, b: float) -> np.ndarray:
+    """x^a (1-x)^b Gamma(a+b) / (Gamma(a+1) Gamma(b)), a = 0..n-1, each formed in logs.
+
+    The negative binomial law of shape b at x; for a >= 1 also the steps
+    I_x(a, b) - I_x(a+1, b) of the downward recurrence.
+    """
+    if x == 0.0:
+        return (np.arange(n) == 0).astype(float)
+    lgam = np.array([math.lgamma(a + b) - math.lgamma(a + 1.0) for a in range(n)])
+    return np.exp(np.arange(float(n)) * math.log(x) + b * math.log1p(-x) - math.lgamma(b) + lgam)
+
+
+def reg_inc_beta_table(x: float, n: int, b: float) -> np.ndarray:
+    """[I_x(1, b), ..., I_x(n, b)]: ``reg_inc_beta`` at a = n, then the downward recurrence.
+
+    I_x(a, b) = I_x(a+1, b) + x^a (1-x)^b / (a B(a, b)) adds a positive step
+    each time, so it is stable (Gil, Segura & Temme, Numerical Methods for
+    Special Functions, SIAM 2007, ch. 4).
+    """
+    top = reg_inc_beta(x, float(n), b)  # raises DomainError unless n >= 1
+    if x == 0.0 or x == 1.0:
+        return np.full(n, top)
+    table = np.cumsum(np.concatenate(([top], inc_beta_steps(x, n, b)[:0:-1])))[::-1]  # steps a = n-1..1
+    return np.minimum(table, 1.0)  # a CDF; rounding must not push it past one
+
+
+def horner(coeffs, x):
+    """sum_k coeffs[k] x^k by Horner's rule; ``x`` may be a number or an ndarray."""
+    # builtin complex arithmetic for a number, in-place array updates otherwise
+    x, total = (complex(x), 0j) if np.ndim(x) == 0 else (x, np.zeros(np.shape(x), dtype=complex))
+    for c in reversed(np.asarray(coeffs).tolist()):
+        total *= x
+        total += c
+    return total
+
+
 def laguerre(j: int, alpha: float, x):
     """Generalized Laguerre polynomial L_j^(alpha)(x) by three-term recurrence.
 
@@ -249,6 +289,11 @@ def _gauss_theorem_value(a: float, b: float, c: float) -> float:
     return s1 * s2 * s3 * s4 * math.exp(ln_num1 + ln_num2 - ln_den1 - ln_den2)
 
 
+def _stop(*params):
+    """Last surviving index of a product of Pochhammer symbols of ``params``, or None."""
+    return min((s for s in map(_nonpositive_int, params) if s is not None), default=None)
+
+
 def gauss_2f1(a: float, b: float, c: float, z, ctl: SeriesControl = SeriesControl()) -> HypergeomResult:
     """Gauss hypergeometric 2F1(a, b, c; z) on the closed unit disk.
 
@@ -257,13 +302,7 @@ def gauss_2f1(a: float, b: float, c: float, z, ctl: SeriesControl = SeriesContro
     attempted for |z| > 1.
     """
     z = complex(z)
-    a_stop = _nonpositive_int(a)
-    b_stop = _nonpositive_int(b)
-    stop = None
-    if a_stop is not None:
-        stop = a_stop
-    if b_stop is not None:
-        stop = b_stop if stop is None else min(stop, b_stop)
+    stop = _stop(a, b)
     c_pole = _nonpositive_int(c)
     if c_pole is not None and (stop is None or stop > c_pole):
         raise DomainError(f"2F1 undefined: c={c} is a non-positive integer")
@@ -320,17 +359,13 @@ def appell_f1(a: float, b1: float, b2: float, c: float, u, v,
     """
     u = complex(u)
     v = complex(v)
-    a_stop = _nonpositive_int(a)
-    b1_stop = _nonpositive_int(b1)
-    b2_stop = _nonpositive_int(b2)
-    if abs(u) >= 1.0 and a_stop is None and b1_stop is None:
+    if abs(u) >= 1.0 and _stop(a, b1) is None:
         raise DomainError(f"F1 needs |u| < 1 (or a terminating index), got |u|={abs(u)}")
-    if abs(v) >= 1.0 and a_stop is None and b2_stop is None:
+    if abs(v) >= 1.0 and _stop(a, b2) is None:
         raise DomainError(f"F1 needs |v| < 1 (or a terminating index), got |v|={abs(v)}")
-    n_stop = a_stop
-    if b1_stop is not None and b2_stop is not None:
-        joint = b1_stop + b2_stop
-        n_stop = joint if n_stop is None else min(n_stop, joint)
+    b1_stop, b2_stop = _nonpositive_int(b1), _nonpositive_int(b2)
+    joint = None if b1_stop is None or b2_stop is None else b1_stop + b2_stop
+    n_stop = min((t for t in (_nonpositive_int(a), joint) if t is not None), default=None)
     c_pole = _nonpositive_int(c)
     if c_pole is not None and (n_stop is None or n_stop > c_pole):
         raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
@@ -374,10 +409,8 @@ def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v,
     """
     u = complex(u)
     v = complex(v)
-    j_stop_candidates = [s for s in (_nonpositive_int(a), _nonpositive_int(b1)) if s is not None]
-    k_stop_candidates = [s for s in (_nonpositive_int(a2), _nonpositive_int(b2)) if s is not None]
-    j_stop = min(j_stop_candidates) if j_stop_candidates else None
-    k_stop = min(k_stop_candidates) if k_stop_candidates else None
+    j_stop = _stop(a, b1)
+    k_stop = _stop(a2, b2)
     if abs(u) >= 1.0 and j_stop is None:
         raise DomainError(f"F3 needs |u| < 1 (or a terminating j index), got |u|={abs(u)}")
     if abs(v) >= 1.0 and k_stop is None:

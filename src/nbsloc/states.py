@@ -23,7 +23,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError
-from .specfun import gamma_ratio, jacobi, laguerre, log_gamma
+from .specfun import gamma_ratio, horner, jacobi, laguerre, log_gamma
 
 __all__ = [
     "ModelParams",
@@ -34,6 +34,7 @@ __all__ = [
     "cayley_inverse",
     "nbs_wavefunction",
     "bergman_basis",
+    "basis_series",
     "laguerre_function",
     "nbs_expansion",
     "halfplane_kernel",
@@ -54,14 +55,14 @@ def max_landau_index(B: float) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Strength parameter B (with 2B > 1) and level index m, 0 <= m <= floor(B - 1/2)."""
+    """Finite strength parameter B (with 2B > 1) and level index m, 0 <= m <= floor(B - 1/2)."""
 
     B: float
     m: int = 0
 
     def __post_init__(self):
-        if not 2.0 * self.B > 1.0:
-            raise DomainError(f"requires 2B > 1, got B={self.B}")
+        if not (2.0 * self.B > 1.0 and math.isfinite(self.B)):
+            raise DomainError(f"requires finite B with 2B > 1, got B={self.B}")
         if self.m < 0 or self.m != int(self.m):
             raise DomainError(f"level index must be a nonnegative integer, got m={self.m}")
         if self.m > max_landau_index(self.B):
@@ -104,32 +105,30 @@ class LocalizationRadius:
             raise DomainError(f"localization radius needs 0 < R < 1, got R={self.R}")
 
 
-def as_disk(z) -> complex:
-    """Accept a DiskPoint or a bare complex number; validate |z| < 1."""
+def as_disk(z):
+    """Accept a DiskPoint, a complex number or an ndarray of them; validate |z| < 1.
+
+    An ndarray is checked once as a whole and returned as a complex array.
+    """
     if isinstance(z, DiskPoint):
         return z.z
-    z = complex(z)
+    if isinstance(z, np.ndarray):
+        z = z.astype(complex, copy=False)
+        if z.size and not np.max(np.abs(z)) < 1.0:
+            raise DomainError(f"disk points need |z| < 1, got max |z|={np.max(np.abs(z))}")
+        return z
+    z = complex(z)  # not through DiskPoint: evaluators call this once per point
     if not abs(z) < 1.0:
         raise DomainError(f"disk point needs |z| < 1, got |z|={abs(z)}")
     return z
 
 
 def as_halfplane(w) -> complex:
-    if isinstance(w, HalfPlanePoint):
-        return w.w
-    w = complex(w)
-    if not w.imag > 0.0:
-        raise DomainError(f"half-plane point needs Im w > 0, got Im w={w.imag}")
-    return w
+    return w.w if isinstance(w, HalfPlanePoint) else HalfPlanePoint(complex(w)).w
 
 
 def as_radius(R) -> float:
-    if isinstance(R, LocalizationRadius):
-        return R.R
-    R = float(R)
-    if not 0.0 < R < 1.0:
-        raise DomainError(f"localization radius needs 0 < R < 1, got R={R}")
-    return R
+    return R.R if isinstance(R, LocalizationRadius) else LocalizationRadius(float(R)).R
 
 
 def principal_power(base, exponent: float) -> complex:
@@ -166,20 +165,22 @@ def cayley_inverse(z) -> tuple[float, float]:
     return (-2.0 * z.imag / denom, (1.0 - abs(z) ** 2) / denom)
 
 
-def nbs_wavefunction(z, B: float, xi: float) -> complex:
+def nbs_wavefunction(z, B: float, xi):
     """Unit-norm negative binomial state on the half-line, evaluated at xi > 0.
 
     sqrt(2 / Gamma(2B)) xi^(2B - 1/2) ((1 - |z|^2)/(1 - z)^2)^B
-      exp(-((1 + z)/(1 - z)) xi^2 / 2).
+      exp(-((1 + z)/(1 - z)) xi^2 / 2); ``xi`` may be an ndarray.
     """
     z = as_disk(z)
-    if not xi > 0.0:
-        raise DomainError(f"needs xi > 0, got {xi}")
+    xi_arr = np.asarray(xi, dtype=float)
+    if not np.all(xi_arr > 0.0):
+        raise DomainError("negative binomial states are evaluated at xi > 0")
     if not 2.0 * B > 1.0:
         raise DomainError(f"requires 2B > 1, got B={B}")
     base = (1.0 - abs(z) ** 2) / (1.0 - z) ** 2
-    amp = math.sqrt(2.0 / math.exp(log_gamma(2.0 * B))) * xi ** (2.0 * B - 0.5)
-    return amp * principal_power(base, B) * cmath.exp(-0.5 * ((1.0 + z) / (1.0 - z)) * xi * xi)
+    amp = math.sqrt(2.0 / math.exp(log_gamma(2.0 * B))) * xi_arr ** (2.0 * B - 0.5)
+    vals = amp * principal_power(base, B) * np.exp(-0.5 * ((1.0 + z) / (1.0 - z)) * xi_arr * xi_arr)
+    return vals if isinstance(xi, np.ndarray) else complex(vals)
 
 
 def photon_weight(j: int, B: float) -> float:
@@ -191,14 +192,22 @@ def photon_weight(j: int, B: float) -> float:
     return w * (1.0 + eps) if eps else w
 
 
-def bergman_basis(j: int, B: float, z) -> complex:
+def bergman_basis(j: int, B: float, z):
     """j-th element of the orthonormal monomial basis of the weighted Bergman space.
 
     sqrt(2B - 1) sqrt(Gamma(2B + j)/(j! Gamma(2B))) z^j, orthonormal for the
-    inner product (1/pi) int conj(f) g (1 - |z|^2)^(2B - 2) dA.
+    inner product (1/pi) int conj(f) g (1 - |z|^2)^(2B - 2) dA; ``z`` may be
+    an ndarray.
     """
     z = as_disk(z)
     return math.sqrt((2.0 * B - 1.0) * photon_weight(j, B)) * z ** j
+
+
+def basis_series(coeffs, B: float, z):
+    """sum_j coeffs[j] bergman_basis(j, B, z) by Horner's rule; ``z`` may be an ndarray."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    norms = np.sqrt([(2.0 * B - 1.0) * photon_weight(j, B) for j in range(coeffs.size)])
+    return horner(coeffs * norms, as_disk(z))
 
 
 def laguerre_function(j: int, B: float, xi):
@@ -228,10 +237,7 @@ def nbs_expansion(z, B: float, xi: float, J: int) -> complex:
     if J < 0:
         raise DomainError(f"needs J >= 0, got {J}")
     pref = (1.0 - abs(z) ** 2) ** B / math.sqrt(2.0 * B - 1.0)
-    total = 0.0 + 0.0j
-    for j in range(J + 1):
-        total += bergman_basis(j, B, z) * laguerre_function(j, B, xi)
-    return pref * total
+    return pref * basis_series([laguerre_function(j, B, xi) for j in range(J + 1)], B, z)
 
 
 def halfplane_kernel(w, zeta, B: float) -> complex:

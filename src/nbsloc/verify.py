@@ -47,13 +47,6 @@ def _random_disk_point(rng: np.random.Generator, radius: float) -> complex:
     return r * cmath.exp(1j * theta)
 
 
-def _state_values(z: complex, B: float, xi: np.ndarray) -> np.ndarray:
-    """Vectorized disk-state wavefunction over a xi grid."""
-    base = (1.0 - abs(z) ** 2) / (1.0 - z) ** 2
-    amp = math.sqrt(2.0 / math.exp(math.lgamma(2.0 * B))) * xi ** (2.0 * B - 0.5)
-    return amp * base ** B * np.exp(-0.5 * ((1.0 + z) / (1.0 - z)) * xi * xi)
-
-
 # --------------------------------------------------------------------------
 # special functions
 
@@ -201,8 +194,8 @@ def check_state_normalization() -> CheckResult:
         for _ in range(4):
             z = _random_disk_point(rng, 0.7)
             w = _random_disk_point(rng, 0.7)
-            vz = _state_values(z, B, grid.nodes)
-            vw = _state_values(w, B, grid.nodes)
+            vz = states.nbs_wavefunction(z, B, grid.nodes)
+            vw = states.nbs_wavefunction(w, B, grid.nodes)
             norm = float(grid.integrate(np.abs(vz) ** 2).real)
             worst = max(worst, abs(norm - 1.0))
             overlap = complex(grid.integrate(np.conjugate(vz) * vw))
@@ -217,7 +210,7 @@ def check_state_quadrature_coefficients() -> CheckResult:
     B = 1.25
     z = 0.4 + 0.2j
     grid = quadrature.half_line_grid(400, quadrature.suggested_cutoff(10, B))
-    vz = _state_values(z, B, grid.nodes)
+    vz = states.nbs_wavefunction(z, B, grid.nodes)
     rescale = (1.0 - abs(z) ** 2) ** (-B) * math.sqrt(2.0 * B - 1.0)
     worst = 0.0
     for k in range(7):
@@ -234,7 +227,7 @@ def check_resolution_of_identity() -> CheckResult:
     cg = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     grid = quadrature.disk_grid(48, 32, B)
     rho = np.abs(grid.nodes) ** 2
-    basis = np.stack([[states.bergman_basis(j, B, z) for z in grid.nodes] for j in range(7)])
+    basis = np.stack([states.bergman_basis(j, B, grid.nodes) for j in range(7)])
     f_side = (1.0 - rho) ** B / math.sqrt(2.0 * B - 1.0) * (np.conjugate(cf) @ basis)
     g_side = (1.0 - rho) ** B / math.sqrt(2.0 * B - 1.0) * (cg @ np.conjugate(basis))
     measure = (2.0 * B - 1.0) / (math.pi * (1.0 - rho) ** (2.0 * B))
@@ -312,7 +305,7 @@ def check_eigenvalue_norm_identity() -> CheckResult:
     wts = 0.5 * (w_rho * (1.0 - rho) ** (2.0 * B - 2.0))[:, None] * theta.weights[None, :]
     worst = 0.0
     for j in range(9):
-        basis_vals = np.asarray([[states.bergman_basis(j, B, p) for p in row] for row in z])
+        basis_vals = states.bergman_basis(j, B, z)
         norm_sq = float(np.sum(wts * np.abs(basis_vals) ** 2) / math.pi)
         worst = max(worst, abs(norm_sq - locop.disk_eigenvalue(j, B, R)))
     return _result("eigenvalue_norm_identity", worst, 1e-8)
@@ -454,7 +447,7 @@ def check_reproducing_property() -> CheckResult:
         w = 0.4 + 0.25j
         kvals = np.asarray([bergman.kernel_limit(z, w, B) for z in grid.nodes])
         for k in range(6):
-            cvals = np.asarray([states.bergman_basis(k, B, z) for z in grid.nodes])
+            cvals = states.bergman_basis(k, B, grid.nodes)
             got = complex(grid.weights @ (kvals * cvals) / math.pi)
             worst = max(worst, abs(got - states.bergman_basis(k, B, w)))
     return _result("reproducing_property", worst, 1e-7)

@@ -21,7 +21,7 @@ from nbsloc.errors import (
 )
 from nbsloc.locop import SpectralData, disk_eigenvalue, spectral_apply
 from nbsloc.quadrature import disk_grid
-from nbsloc.specfun import SeriesControl
+from nbsloc.specfun import SeriesControl, reg_inc_beta
 from nbsloc.states import LocalizationRadius, bergman_basis, laguerre_function
 
 
@@ -234,3 +234,56 @@ class TestIntertwining:
             direct = bargmann_transform(spectral_apply(c, spec_data), w, B)
             via_kernel = transferred_apply(BergmanFunction(B, coefficients=c), w, B, R)
             assert abs(direct - via_kernel) <= 1e-7 * max(1.0, abs(direct))
+
+
+EPS = np.finfo(float).eps
+
+
+def scalar_basis_sum(coeffs, B, z):
+    """Reference: sum_j c_j bergman_basis(j, B, z), one scalar basis call per term."""
+    terms = [c * bergman_basis(j, B, complex(z)) for j, c in enumerate(coeffs)]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+class TestCoefficientPath:
+    # Horner's rule and the term-by-term reference each round n times per
+    # term: the gap is at most 4 n eps times the sum of |terms|.
+    @pytest.mark.parametrize("B", [0.75, 1.5, 4.5])
+    def test_call_values_and_transform_match_scalar_basis_sum(self, B):
+        rng = np.random.default_rng(31)
+        coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        points = 0.9 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+        F = BergmanFunction(B, coefficients=coeffs)
+        arrays = (F.values(points), F(points), bargmann_transform(coeffs, points, B))
+        for i, z in enumerate(points):
+            want, size = scalar_basis_sum(coeffs, B, z)
+            tol = 4 * coeffs.size * EPS * size
+            assert abs(F(z) - want) <= tol
+            assert abs(bargmann_transform(coeffs, z, B) - want) <= tol
+            for got in arrays:
+                assert abs(got[i] - want) <= tol
+
+    def test_array_outside_disk_rejected_once(self):
+        F = BergmanFunction(1.5, coefficients=[1.0, 2.0])
+        with pytest.raises(DomainError):
+            F.values(np.array([0.1, 0.2j, 1.0]))
+
+    @pytest.mark.parametrize("B, s", [(0.75, 0.36), (1.5, 0.81), (4.5, 0.36)])
+    def test_array_kernel_series_matches_scalar_basis_sum(self, B, s):
+        # Tolerance: the series is cut at 1e-12 of its absolute envelope,
+        # the eigenvalues of the two routes agree to 1e-12 relative here
+        # (R <= 0.9, j <= 400), and rounding adds under 1e-13.
+        rng = np.random.default_rng(47)
+        z = 0.9 * np.sqrt(rng.random(30)) * np.exp(2j * np.pi * rng.random(30))
+        w = complex(0.6, -0.5)
+        # |conj(z) w| <= 0.71: past 600 terms the series is below 1e-60
+        lam = [reg_inc_beta(s, k + 1.0, 2.0 * B - 1.0) for k in range(600)]
+        basis_w = [bergman_basis(k, B, w) for k in range(600)]
+        got = kernel_series(z, w, B, s)
+        assert got.shape == z.shape
+        for zi, value in zip(z, got):
+            terms = [lam[k] * bergman_basis(k, B, complex(zi)).conjugate() * basis_w[k]
+                     for k in range(600)]
+            size = sum(abs(t) for t in terms)
+            assert abs(value - sum(terms)) <= 4e-12 * size
+            assert abs(kernel_series(complex(zi), w, B, s) - sum(terms)) <= 4e-12 * size

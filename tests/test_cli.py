@@ -1,7 +1,11 @@
 import csv
+import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -172,3 +176,59 @@ class TestVerifyCommand:
         assert code == 1
         assert "laguerre_orthonormality" in err
         assert "FAILED" in err
+
+
+ROUND_TRIP_ARGS = {
+    "eigvals": ["--B", "1.7", "--R", "0.8", "--j-max", "12"],
+    "kernel": ["--B", "1.5", "--R", "0.6", "--z", "0.1+0.2j", "--w", "0.3"],
+    "leakage": ["--B", "1.25", "--R", "0.6", "--z", "0.5+0.3j"],
+    "density": ["--B", "2.5", "--m", "1", "--j-max", "2", "--samples", "7"],
+    "mc": ["--B", "1.25", "--R", "0.6", "--j-max", "2", "--samples", "500"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGS))
+def test_csv_round_trips_to_the_json_document(command, capsys):
+    args = [command, *ROUND_TRIP_ARGS[command]]
+    code, text, _ = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0
+    code, doc_text, _ = run_cli(args + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(doc_text)
+    lines = text.splitlines()
+    header = [line for line in lines if line.startswith("# ")]
+    params = dict(line[2:].split(" = ", 1) for line in header)
+    assert params == {key: repr(value) for key, value in doc["params"].items()}
+    columns, *rows = csv.reader(io.StringIO("\n".join(lines[len(header):])))
+    assert len(rows) == len(doc["data"])
+    for row, want in zip(rows, doc["data"]):
+        assert columns == sorted(want, key=columns.index)
+        for name, cell in zip(columns, row):
+            value = want[name]
+            if isinstance(value, bool):
+                assert cell == str(value)
+            elif isinstance(value, float):
+                assert float(cell) == value and cell == repr(value)
+            else:
+                assert cell == str(value)
+
+
+@pytest.mark.parametrize("args", [
+    ["eigvals", "--B", "inf"],
+    ["eigvals", "--B", "-inf"],
+    ["eigvals", "--R", "inf"],
+    ["eigvals", "--R", "nan"],
+    ["eigvals", "--tol", "nan"],
+    ["kernel", "--z", "0.1", "--w", "0.2", "--s", "inf"],
+    ["leakage", "--z", "0.5", "--tol", "inf"],
+    ["eigvals", "--j-max", "-5"],
+])
+def test_bad_numbers_exit_two_without_traceback(args):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "nbsloc", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nbsloc.errors import DomainError, UnsupportedLevelError
+from nbsloc.errors import ConvergenceError, DomainError, UnsupportedLevelError
 from nbsloc.locop import (
     RadialSymbol,
     SpectralData,
@@ -92,6 +92,15 @@ class TestSpectralData:
                 spec = SpectralData(B, LocalizationRadius(R))
                 lam = [spec.eigenvalue(j) for j in range(51)]
                 assert all(b < a for a, b in zip(lam, lam[1:]))
+
+    def test_values_match_per_index_eigenvalues(self):
+        spec = SpectralData(0.8, LocalizationRadius(0.9))
+        got = spec.values(120)
+        want = np.array([disk_eigenvalue(j, 0.8, 0.9) for j in range(120)])
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert spec.eigenvalues == tuple(enumerate(got.tolist()))
+        # entries already computed are kept as they are
+        assert spec.values(200)[:120].tolist() == got.tolist()
 
     def test_higher_level_route(self):
         spec = SpectralData(2.5, LocalizationRadius(0.6), m=1)
@@ -258,6 +267,35 @@ class TestLeakageBound:
         assert got == pytest.approx(
             oracles.leakage_bound_bruteforce(0.49, 1.5, 0.5, reg_inc_beta), abs=1e-12
         )
+
+    @pytest.mark.parametrize("modulus", [0.999, 0.9999])
+    def test_near_boundary_against_scipy(self, modulus):
+        # A stopping rule on the float sum of the pmf cannot reach 1 - 1e-14 here.
+        scipy_special = pytest.importorskip("scipy.special")
+        B, R = 10.5, 0.95
+        z0 = modulus * complex(math.cos(0.7), math.sin(0.7))
+        p = abs(z0) ** 2
+        n = 4096  # lambda_n^2 < 1e-300 here, so the tail past n is nothing
+        j = np.arange(float(n))
+        lam = scipy_special.betainc(j + 1.0, 2.0 * B - 1.0, R * R)
+        log_pmf = (scipy_special.gammaln(2.0 * B + j) - scipy_special.gammaln(j + 1.0)
+                   - scipy_special.gammaln(2.0 * B) + j * math.log(p) + 2.0 * B * math.log1p(-p))
+        assert lam[-1] ** 2 < 1e-300
+        ref = math.sqrt(float(np.sum(lam * lam * np.exp(log_pmf))))
+        # both sides carry 1e-10 relative eigenvalues and 1e-12 relative pmf
+        assert leakage_bound(z0, B, R) == pytest.approx(ref, rel=1e-9)
+
+    def test_tail_bound_holds_for_tolerances(self):
+        B, R, z0 = 1.25, 0.6, 0.95 + 0.2j
+        exact = leakage_bound(z0, B, R, tail_tol=1e-30)
+        for tol in (1e-6, 1e-10, 1e-14):
+            got = leakage_bound(z0, B, R, tail_tol=tol)
+            # 1e-15 allows for rounding in sums of a few hundred terms below one
+            assert -1e-15 <= exact ** 2 - got ** 2 <= tol + 1e-15
+
+    def test_unreachable_tail_raises(self):
+        with pytest.raises(ConvergenceError):
+            leakage_bound(1.0 - 1e-12, 1.5, 1.0 - 1e-9)
 
 
 class TestLocalizedOverlap:

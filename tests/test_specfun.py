@@ -14,7 +14,10 @@ from nbsloc.specfun import (
     jacobi,
     laguerre,
     log_gamma,
+    horner,
+    inc_beta_steps,
     reg_inc_beta,
+    reg_inc_beta_table,
     sample_beta,
 )
 
@@ -342,3 +345,80 @@ class TestSeriesControl:
     def test_converged_flag_contract(self):
         res = gauss_2f1(0.5, 0.7, 1.9, 0.3, SeriesControl(rel_tol=1e-10))
         assert res.converged and res.terms_used > 0
+
+
+def _mp_inc_beta_table(x: float, n: int, b: float) -> np.ndarray:
+    """I_x(a, b), a = 1..n, in 40-digit arithmetic: mpmath at a = n, then exact recurrence steps."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mx, mb = mpmath.mpf(x), mpmath.mpf(b)
+        lam = mpmath.betainc(n, mb, 0, mx, regularized=True)
+        out = [lam]
+        for a in range(n - 1, 0, -1):
+            lam += mx ** a * (1 - mx) ** mb / (a * mpmath.beta(a, mb))
+            out.append(lam)
+        return np.array([float(v) for v in reversed(out)])
+
+
+class TestRegIncBetaTable:
+    # Relative accuracy asked of every entry that float64 represents with
+    # full precision: the per-index route and the table both carry the
+    # log-gamma prefactor error, about 1e-16 * lgamma(a + b) per step, and
+    # the complement route near x = 1 an absolute 1e-16 on values >= 1e-5.
+    RTOL = 1e-10
+    FLOOR = 1e-290
+
+    @pytest.mark.parametrize("B", [0.51, 0.75, 1.5, 5.0, 10.5])
+    @pytest.mark.parametrize("R", [0.1, 0.5, 0.9, 0.95, 0.999])
+    def test_matches_per_index_route_and_mpmath(self, B, R):
+        x, b, n = R * R, 2.0 * B - 1.0, 401
+        table = reg_inc_beta_table(x, n, b)
+        per_index = np.array([reg_inc_beta(x, a, b) for a in range(1, n + 1)])
+        ref = _mp_inc_beta_table(x, n, b)
+        big = ref >= self.FLOOR
+        assert big[0]
+        assert np.all(np.abs(table[big] - ref[big]) <= self.RTOL * ref[big])
+        assert np.all(np.abs(table[big] - per_index[big]) <= 2 * self.RTOL * ref[big])
+        assert np.all(table[~big] <= 2 * self.FLOOR)
+
+    def test_top_entry_is_the_continued_fraction(self):
+        for n in (1, 7, 64):
+            assert reg_inc_beta_table(0.36, n, 2.0)[-1] == reg_inc_beta(0.36, float(n), 2.0)
+
+    def test_decreasing_cdf_values(self):
+        table = reg_inc_beta_table(0.998001, 300, 0.02)
+        assert np.all(np.diff(table) <= 0.0)
+        assert np.all((table >= 0.0) & (table <= 1.0))
+
+    def test_endpoints_and_domain(self):
+        assert np.all(reg_inc_beta_table(0.0, 5, 2.0) == 0.0)
+        assert np.all(reg_inc_beta_table(1.0, 5, 2.0) == 1.0)
+        with pytest.raises(DomainError):
+            reg_inc_beta_table(0.5, 0, 2.0)
+        with pytest.raises(DomainError):
+            reg_inc_beta_table(1.5, 3, 2.0)
+
+
+class TestIncBetaSteps:
+    def test_negative_binomial_law(self):
+        B, p = 1.25, 0.3
+        steps = inc_beta_steps(p, 60, 2.0 * B)
+        want = [oracles.nb_pmf_direct(j, B, p) for j in range(60)]
+        assert np.allclose(steps, want, rtol=1e-13, atol=0.0)
+        assert inc_beta_steps(0.0, 4, 2.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_steps_are_table_differences(self):
+        x, b = 0.49, 3.0
+        table = reg_inc_beta_table(x, 30, b)
+        steps = inc_beta_steps(x, 30, b)[1:]
+        assert np.allclose(table[:-1] - table[1:], steps, rtol=1e-12, atol=0.0)
+
+
+class TestHorner:
+    def test_scalar_and_array_agree_with_powers(self):
+        coeffs = np.array([1.0, -2.0 + 1j, 0.5, 3.0j])
+        x = np.array([0.3 - 0.1j, -0.7 + 0.2j, 0.0])
+        want = np.array([sum(c * p ** k for k, c in enumerate(coeffs)) for p in x])
+        assert np.allclose(horner(coeffs, x), want, rtol=1e-15, atol=1e-15)
+        assert horner(coeffs, complex(x[1])) == pytest.approx(want[1], rel=1e-15)
+        assert horner([], 0.5) == 0.0

@@ -14,6 +14,7 @@ from nbsloc.states import (
     LocalizationRadius,
     ModelParams,
     affine_coherent_state,
+    as_disk,
     bergman_basis,
     cayley_inverse,
     disk_kernel,
@@ -43,6 +44,12 @@ class TestDomainTypes:
         assert "floor(B - 1/2)" in str(err.value)
         with pytest.raises(DomainError):
             ModelParams(2.0, -1)
+
+    def test_infinite_strength_rejected(self):
+        # math.floor(inf) in the level check raised OverflowError before
+        for B in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="2B > 1"):
+                ModelParams(B)
 
     def test_point_types(self):
         DiskPoint(0.5 + 0.2j)
@@ -328,3 +335,31 @@ class TestPhotonWeight:
     def test_principal_power_cut(self):
         with pytest.raises(DomainError):
             principal_power(-1.0, 0.5)
+
+
+class TestArrayArguments:
+    points = np.array([0.0, 0.3 - 0.2j, -0.61 + 0.05j, 0.1 + 0.85j])
+
+    def test_bergman_basis_elementwise(self):
+        for j in (0, 1, 6):
+            got = bergman_basis(j, 1.25, self.points)
+            assert got.shape == self.points.shape
+            assert got.tolist() == [bergman_basis(j, 1.25, complex(z)) for z in self.points]
+        grid = self.points.reshape(2, 2)
+        assert bergman_basis(3, 1.25, grid).shape == (2, 2)
+
+    def test_array_validated_as_a_whole(self):
+        assert as_disk(self.points).dtype == complex
+        assert np.array_equal(as_disk(self.points), self.points)
+        with pytest.raises(DomainError):
+            bergman_basis(2, 1.25, np.append(self.points, 1.0))
+        assert as_disk(np.zeros(0)).size == 0
+
+    def test_nbs_wavefunction_over_xi_grid(self):
+        xi = np.linspace(0.05, 6.0, 25)
+        z, B = 0.4 - 0.3j, 1.25
+        got = nbs_wavefunction(z, B, xi)
+        want = [nbs_wavefunction(z, B, float(x)) for x in xi]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        with pytest.raises(DomainError):
+            nbs_wavefunction(z, B, np.array([1.0, 0.0]))
