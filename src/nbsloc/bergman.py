@@ -208,11 +208,12 @@ def kernel_closed(z, w, B: float, s: float, ctl: SeriesControl = SeriesControl()
     return (2.0 * B - 1.0) ** 2 * s * principal_power(base, -2.0 * B) * f1.value
 
 
-def kernel_limit(z, w, B: float) -> complex:
-    """s -> 1 limit of the kernel: the reproducing kernel (2B-1)(1 - conj(z) w)^(-2B)."""
-    z = as_disk(z)
-    w = as_disk(w)
-    return (2.0 * B - 1.0) * principal_power(1.0 - z.conjugate() * w, -2.0 * B)
+def kernel_limit(z, w, B: float):
+    """s -> 1 limit of the kernel: the reproducing kernel (2B-1)(1 - conj(z) w)^(-2B).
+
+    ``z`` and ``w`` may be broadcasting ndarrays.
+    """
+    return (2.0 * B - 1.0) * principal_power(1.0 - as_disk(z).conjugate() * as_disk(w), -2.0 * B)
 
 
 def _kernel_column(points: np.ndarray, w: complex, B: float, s: float,

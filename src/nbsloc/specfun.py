@@ -5,8 +5,7 @@ incomplete Beta function (continued fraction, and whole tables in its
 first parameter by the downward recurrence), generalized Laguerre and
 Jacobi polynomials (three-term recurrences), the Gauss hypergeometric
 series 2F1, the two-variable double series F1 and F3 (summed over
-anti-diagonals), and Beta random variates built from a Gamma rejection
-sampler.
+anti-diagonals), and Beta random variates from numpy's Beta generator.
 
 Conventions:
   * every Gamma ratio is formed from log-gamma differences, never from
@@ -44,7 +43,6 @@ __all__ = [
     "appell_f1",
     "appell_f3",
     "sample_beta",
-    "set_gamma_ratio_perturbation",
 ]
 
 
@@ -79,21 +77,6 @@ class HypergeomResult:
     converged: bool
 
 
-# Fault-injection hook: multiplies every gamma_ratio by (1 + eps).  Used by
-# the verification suite to prove the orthonormality checks actually bite.
-_GAMMA_RATIO_PERTURBATION = 0.0
-
-
-def set_gamma_ratio_perturbation(eps: float) -> None:
-    """Test hook only: perturb all Gamma ratios by a relative factor eps."""
-    global _GAMMA_RATIO_PERTURBATION
-    _GAMMA_RATIO_PERTURBATION = float(eps)
-
-
-def gamma_ratio_perturbation() -> float:
-    return _GAMMA_RATIO_PERTURBATION
-
-
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     if not x > 0.0:
@@ -103,10 +86,7 @@ def log_gamma(x: float) -> float:
 
 def gamma_ratio(p: float, q: float) -> float:
     """Gamma(p) / Gamma(q) for p, q > 0, via a log-gamma difference."""
-    r = math.exp(log_gamma(p) - log_gamma(q))
-    if _GAMMA_RATIO_PERTURBATION:
-        r *= 1.0 + _GAMMA_RATIO_PERTURBATION
-    return r
+    return math.exp(log_gamma(p) - log_gamma(q))
 
 
 def log_beta(a: float, b: float) -> float:
@@ -446,49 +426,13 @@ def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v,
     )
 
 
-def _standard_gamma(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
-    """n Gamma(shape, 1) variates by the Marsaglia-Tsang rejection sampler.
-
-    Valid for every shape > 0; shapes below one use the boost
-    Gamma(shape) = Gamma(shape + 1) * U^(1/shape).
-    """
-    boosted = shape < 1.0
-    alpha = shape + 1.0 if boosted else shape
-    d = alpha - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n, dtype=float)
-    filled = 0
-    while filled < n:
-        need = n - filled
-        batch = max(int(need * 1.1) + 16, 64)
-        x = rng.standard_normal(batch)
-        t = 1.0 + c * x
-        positive = t > 0.0
-        vcube = t * t * t
-        uni = rng.random(batch)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            log_v = np.where(positive, np.log(np.where(positive, vcube, 1.0)), 0.0)
-            accept = positive & (np.log(uni) < 0.5 * x * x + d * (1.0 - vcube + log_v))
-        drawn = d * vcube[accept]
-        take = min(drawn.size, need)
-        out[filled:filled + take] = drawn[:take]
-        filled += take
-    if boosted:
-        out *= rng.random(n) ** (1.0 / shape)
-    return out
-
-
 def sample_beta(a: float, b: float, n: int, seed: int) -> np.ndarray:
     """n i.i.d. Beta(a, b) variates, reproducible for a fixed seed.
 
-    Built as X / (X + Y) with X ~ Gamma(a), Y ~ Gamma(b) from the rejection
-    sampler above.  The underlying stream is numpy's seeded PCG64.
+    Drawn by numpy's Beta generator on a PCG64 stream seeded with ``seed``.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"sample_beta requires positive shapes, got a={a}, b={b}")
     if n < 1:
         raise DomainError(f"sample_beta requires n >= 1, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = _standard_gamma(rng, a, n)
-    y = _standard_gamma(rng, b, n)
-    return x / (x + y)
+    return np.random.Generator(np.random.PCG64(seed)).beta(a, b, n)

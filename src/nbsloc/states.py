@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .errors import DomainError
 from .specfun import gamma_ratio, horner, jacobi, laguerre, log_gamma
 
@@ -131,9 +130,22 @@ def as_radius(R) -> float:
     return R.R if isinstance(R, LocalizationRadius) else LocalizationRadius(float(R)).R
 
 
-def principal_power(base, exponent: float) -> complex:
-    """base ** exponent on the principal branch, rejecting the branch cut."""
-    b = complex(base)
+def principal_power(base, exponent: float):
+    """base ** exponent on the principal branch, rejecting the branch cut.
+
+    ``base`` may be an ndarray, checked against the cut once as a whole; a
+    single base stays in builtin complex arithmetic.
+    """
+    if type(base) is complex:  # tested first: pointwise evaluators call this once per point
+        b = base
+    elif isinstance(base, np.ndarray):
+        b = base.astype(complex, copy=False)
+        on_cut = (b.imag == 0.0) & (b.real <= 0.0)
+        if np.any(on_cut):
+            raise DomainError(f"principal power undefined on the cut, base={b[on_cut][0]}")
+        return b ** exponent
+    else:
+        b = complex(base)
     if b.imag == 0.0 and b.real <= 0.0:
         raise DomainError(f"principal power undefined on the cut, base={b}")
     return b ** exponent
@@ -178,8 +190,10 @@ def nbs_wavefunction(z, B: float, xi):
     if not 2.0 * B > 1.0:
         raise DomainError(f"requires 2B > 1, got B={B}")
     base = (1.0 - abs(z) ** 2) / (1.0 - z) ** 2
-    amp = math.sqrt(2.0 / math.exp(log_gamma(2.0 * B))) * xi_arr ** (2.0 * B - 0.5)
-    vals = amp * principal_power(base, B) * np.exp(-0.5 * ((1.0 + z) / (1.0 - z)) * xi_arr * xi_arr)
+    # one exponent, because Gamma(2B), xi^(2B - 1/2) and base^B overflow on their own; arg base =
+    # -2 arg(1 - z) lies in (-pi, pi), so B log(base) is the principal power's logarithm
+    log_front = 0.5 * (math.log(2.0) - log_gamma(2.0 * B)) + B * cmath.log(base)
+    vals = np.exp(log_front + (2.0 * B - 0.5) * np.log(xi_arr) - 0.5 * ((1.0 + z) / (1.0 - z)) * xi_arr * xi_arr)
     return vals if isinstance(xi, np.ndarray) else complex(vals)
 
 
@@ -187,9 +201,7 @@ def photon_weight(j: int, B: float) -> float:
     """Gamma(2B + j) / (j! Gamma(2B)), the negative binomial coefficient."""
     if j < 0:
         raise DomainError(f"needs j >= 0, got {j}")
-    w = math.exp(log_gamma(2.0 * B + j) - log_gamma(j + 1.0) - log_gamma(2.0 * B))
-    eps = specfun.gamma_ratio_perturbation()
-    return w * (1.0 + eps) if eps else w
+    return math.exp(log_gamma(2.0 * B + j) - log_gamma(j + 1.0) - log_gamma(2.0 * B))
 
 
 def bergman_basis(j: int, B: float, z):
@@ -253,12 +265,13 @@ def halfplane_kernel(w, zeta, B: float) -> complex:
     return scale ** (-B) * principal_power(phase, B)
 
 
-def disk_kernel(z, w, params: ModelParams) -> complex:
+def disk_kernel(z, w, params: ModelParams):
     """Reproducing kernel of the level-m eigenspace on the weighted disk.
 
     pi (2B - 2m - 1) (1 - z conj(w))^(-2B)
       (|1 - z conj(w)|^2 / ((1 - |z|^2)(1 - |w|^2)))^m
-      P_m^(0, 2(B - m) - 1)(2 (1 - |z|^2)(1 - |w|^2) / |1 - z conj(w)|^2 - 1).
+      P_m^(0, 2(B - m) - 1)(2 (1 - |z|^2)(1 - |w|^2) / |1 - z conj(w)|^2 - 1);
+    ``z`` and ``w`` may be broadcasting ndarrays.
     """
     z = as_disk(z)
     w = as_disk(w)

@@ -445,7 +445,7 @@ def check_reproducing_property() -> CheckResult:
     for B in (1.0, 1.5):
         grid = quadrature.disk_grid(64, 64, B)
         w = 0.4 + 0.25j
-        kvals = np.asarray([bergman.kernel_limit(z, w, B) for z in grid.nodes])
+        kvals = bergman.kernel_limit(grid.nodes, w, B)
         for k in range(6):
             cvals = states.bergman_basis(k, B, grid.nodes)
             got = complex(grid.weights @ (kvals * cvals) / math.pi)

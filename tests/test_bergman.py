@@ -155,6 +155,18 @@ class TestKernelLimit:
             assert abs(val.imag) <= 1e-12
             assert val.real >= 2.0 * 1.25 - 1.0
 
+    def test_array_points_match_scalar(self):
+        z = np.array([0.0, 0.3 + 0.4j, -0.7j, 0.55 - 0.1j])
+        w = 0.4 + 0.25j
+        got = kernel_limit(z, w, 1.25)
+        assert np.allclose(got, [kernel_limit(complex(p), w, 1.25) for p in z], rtol=1e-14, atol=0.0)
+        assert type(kernel_limit(complex(z[1]), w, 1.25)) is complex
+        gram = kernel_limit(z[:, None], z[None, :], 1.25)
+        assert gram.shape == (4, 4)
+        assert np.allclose(gram, gram.conj().T, rtol=1e-14, atol=0.0)
+        with pytest.raises(DomainError):
+            kernel_limit(np.append(z, 1.0), w, 1.25)
+
     def test_reproducing_property(self):
         for B in (1.0, 1.5):
             grid = disk_grid(64, 64, B)

@@ -165,14 +165,15 @@ class TestVerifyCommand:
         schema_path = pathlib.Path(__file__).resolve().parent.parent / "docs" / "verify_report.schema.json"
         jsonschema.validate(json.loads(out.read_text()), json.loads(schema_path.read_text()))
 
-    def test_injected_fault_fails_with_exit_one(self, capsys):
-        from nbsloc import specfun
+    def test_injected_fault_fails_with_exit_one(self, capsys, monkeypatch):
+        from nbsloc import states
 
-        specfun.set_gamma_ratio_perturbation(1e-3)
+        exact = states.gamma_ratio  # the name laguerre_function reads
+        monkeypatch.setattr(states, "gamma_ratio", lambda p, q: exact(p, q) * (1.0 + 1e-3))
         try:
             code, _, err = run_cli(["verify"], capsys)
         finally:
-            specfun.set_gamma_ratio_perturbation(0.0)
+            monkeypatch.undo()
         assert code == 1
         assert "laguerre_orthonormality" in err
         assert "FAILED" in err

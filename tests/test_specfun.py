@@ -314,13 +314,20 @@ class TestSampleBeta:
         got = float(np.mean(draws <= 0.36))
         sigma = math.sqrt(want * (1.0 - want) / n)
         assert abs(got - want) <= 4.0 * sigma
+        # both shapes below one
+        draws = sample_beta(0.4, 0.7, n, 14)
+        for x in (0.01, 0.3, 0.9, 0.999):
+            want = reg_inc_beta(x, 0.4, 0.7)
+            got = float(np.mean(draws <= x))
+            sigma = math.sqrt(want * (1.0 - want) / n)
+            assert abs(got - want) <= 4.0 * sigma
 
     def test_small_shape_boost_path(self):
         n = 400_000
         draws = sample_beta(0.4, 0.7, n, 14)
         want = 0.4 / 1.1
         sigma = math.sqrt(want * (1.0 - want) / n)  # conservative scale
-        assert abs(float(np.mean(draws))) - want <= 4.0 * sigma
+        assert abs(float(np.mean(draws)) - want) <= 4.0 * sigma
         assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
 
     def test_deterministic(self):

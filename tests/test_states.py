@@ -137,6 +137,14 @@ class TestNbsWavefunction:
             assert nbs_wavefunction(0.0j, B, xi) == pytest.approx(want, rel=1e-13)
             assert laguerre_function(0, B, xi) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("z, B, xi, want", [
+        (0.1, 90.0, 13.0, 0.37157295788394774),  # Gamma(180) and 13^179.5 overflow
+        (0.9, 400.0, 4.6, 1.7098890489673593e-33),  # and so does base^B = 19^400
+    ])
+    def test_large_strength_formed_in_logs(self, z, B, xi, want):
+        # want: the same closed form in 40-digit mpmath at the same double inputs
+        assert nbs_wavefunction(z, B, xi) == pytest.approx(want, rel=1e-11)
+
     def test_unit_norm(self):
         B = 1.25
         z = 0.3 + 0.4j
@@ -354,6 +362,23 @@ class TestArrayArguments:
         with pytest.raises(DomainError):
             bergman_basis(2, 1.25, np.append(self.points, 1.0))
         assert as_disk(np.zeros(0)).size == 0
+
+    def test_principal_power_elementwise(self):
+        bases = 1.0 - 0.9 * self.points
+        got = principal_power(bases, -2.5)
+        want = [principal_power(complex(b), -2.5) for b in bases]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        assert type(principal_power(complex(bases[1]), -2.5)) is complex
+        with pytest.raises(DomainError):
+            principal_power(np.append(bases, -0.5), -2.5)
+
+    def test_disk_kernel_elementwise(self):
+        params = ModelParams(2.5, 1)
+        w = -0.2 + 0.35j
+        got = disk_kernel(self.points, w, params)
+        want = [disk_kernel(complex(z), w, params) for z in self.points]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        assert type(disk_kernel(complex(self.points[1]), w, params)) is complex
 
     def test_nbs_wavefunction_over_xi_grid(self):
         xi = np.linspace(0.05, 6.0, 25)
