@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, UnsupportedLevelError
+from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
 from .specfun import (SeriesControl, inc_beta_steps, log_beta, log_gamma, reg_inc_beta,
                       reg_inc_beta_table, sample_beta)
@@ -49,6 +49,8 @@ __all__ = [
     "localized_overlap",
     "quantization_matrix_element",
 ]
+
+LANDAU_REFINE_TOL = 1e-10  # relative agreement landau_eigenvalue's refinement must reach
 
 
 def disk_eigenvalue(j: int, B: float, R) -> float:
@@ -203,11 +205,23 @@ def landau_eigenvalue(j: int, params: ModelParams, R, n_nodes: int = 320) -> flo
     """Level-m eigenvalue: mass of the level-m density on [0, R^2].
 
     Gauss-Legendre on [0, R^2]; the weight factor is smooth there because
-    its singularity sits at rho = 1, outside the interval.
+    its singularity sits at rho = 1, outside the interval.  The same rule on
+    each half of [0, R^2] gives the refined value, returned unless the two
+    differ by more than LANDAU_REFINE_TOL relatively (AccuracyError).
     """
     R = as_radius(R)
-    nodes, weights = mapped_legendre(n_nodes, 0.0, R * R)
-    return float(weights @ landau_density(j, params, nodes))
+
+    def mass(lo: float, hi: float) -> float:
+        nodes, weights = mapped_legendre(n_nodes, lo, hi)
+        return float(weights @ landau_density(j, params, nodes))
+
+    # halves, not a 2 n_nodes rule: that rule's dense build needs 4x the peak memory
+    s = R * R
+    coarse, fine = mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)
+    if abs(fine - coarse) > LANDAU_REFINE_TOL * abs(fine):
+        raise AccuracyError(f"level-m eigenvalue not converged: refinement moved {fine:.6e} "
+                            f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")
+    return fine
 
 
 def mc_eigenvalue(j: int, params: ModelParams, R, n_samples: int, seed: int) -> tuple[float, float]:

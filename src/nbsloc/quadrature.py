@@ -11,12 +11,13 @@ Three families cover every integral in the package:
   * ``disk_grid``        -- the tensor product of the radial rule with a
     uniform (spectrally accurate) angular rule for weighted disk integrals.
 
-Grids are immutable after construction and integration is a dot product,
-so everything here is safe to share across threads.
+The 1-D rules are memoized by (kind, n, exponent); rule and grid arrays are
+read-only and integration is a dot product, so all of it is thread-safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import DomainError
 
 GRID_KINDS = ("half_line", "radial_jacobi", "angular", "disk_tensor")
+RULE_CACHE_SIZE = 64  # rules kept per builder; a 600-node rule takes 10 kB
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,10 @@ class QuadratureGrid:
             raise DomainError("nodes and weights must have matching shapes")
         if not np.all(self.weights > 0.0):
             raise DomainError("quadrature weights must be strictly positive")
+        for name in ("nodes", "weights"):  # read-only views; the caller's arrays keep their flags
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def integrate(self, f) -> complex:
         """Apply the rule to a callable or to precomputed node values."""
@@ -61,9 +67,17 @@ def mapped_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarra
         raise DomainError(f"need at least 2 nodes, got {n}")
     if not hi > lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre rule on [-1, 1], built once per n; read-only arrays."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def suggested_cutoff(max_degree: int, B: float) -> float:
@@ -79,13 +93,14 @@ def half_line_grid(n: int, cutoff: float) -> QuadratureGrid:
     return QuadratureGrid(nodes, weights, "half_line")
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule on [-1, 1] for the weight (1-x)^alpha (1+x)^beta.
 
     Golub-Welsch: eigen-decompose the symmetric tridiagonal matrix of
     three-term recurrence coefficients; nodes are the eigenvalues and the
     weights come from the first eigenvector components.  Exact for
-    polynomials of degree <= 2n - 1.
+    polynomials of degree <= 2n - 1.  Memoized; the arrays are read-only.
     """
     if n < 2:
         raise DomainError(f"need at least 2 nodes, got {n}")
@@ -108,6 +123,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     nodes, vecs = np.linalg.eigh(jac)
     log_mu0 = (ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0)
     weights = math.exp(log_mu0) * vecs[0, :] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

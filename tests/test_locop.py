@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nbsloc.errors import ConvergenceError, DomainError, UnsupportedLevelError
+from nbsloc.errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from nbsloc.locop import (
     RadialSymbol,
     SpectralData,
@@ -222,6 +222,19 @@ class TestLandauEigenvalue:
         for j in range(6):
             val = landau_eigenvalue(j, ModelParams(2.5, 1), 0.7)
             assert -1e-12 <= val <= 1.0 + 1e-12
+
+    def test_unresolved_rule_raises(self):
+        # near the rim at B = 0.6 the 320-node rule is 2e-9 off the exact
+        # value, and the refinement moves it by as much
+        with pytest.raises(AccuracyError):
+            landau_eigenvalue(0, ModelParams(0.6, 0), 0.9999)
+
+    def test_refined_value_relative_accuracy(self):
+        for B in (0.6, 0.75, 1.5, 4.5, 10.5):
+            for R in (0.3, 0.6, 0.9):
+                for j in (0, 3, 10, 40):
+                    got = landau_eigenvalue(j, ModelParams(B, 0), R)
+                    assert got == pytest.approx(disk_eigenvalue(j, B, R), rel=1e-11)
 
 
 class TestMcEigenvalue:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nbsloc import quadrature
 from nbsloc.errors import DomainError
 from nbsloc.quadrature import (
+    QuadratureGrid,
     disk_grid,
     fd_eigen_residual,
     gauss_jacobi,
@@ -63,6 +65,64 @@ class TestGaussJacobi:
         _, weights = gauss_jacobi(12, alpha, beta)
         want = 2.0 ** (alpha + beta + 1.0) * math.exp(log_beta(alpha + 1.0, beta + 1.0))
         assert float(np.sum(weights)) == pytest.approx(want, rel=1e-13)
+
+
+class TestRuleCache:
+    def test_cached_rules_equal_fresh_builds(self):
+        for n, alpha, beta in ((5, 0.0, 0.0), (64, -0.5, 0.0), (33, 1.7, -0.3)):
+            cached = gauss_jacobi(n, alpha, beta)
+            fresh = gauss_jacobi.__wrapped__(n, alpha, beta)
+            assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
+        for n in (2, 40, 320):
+            x, w = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(quadrature._leggauss(n)[0], x)
+            assert np.array_equal(quadrature._leggauss(n)[1], w)
+            nodes, weights = mapped_legendre(n, 0.25, 0.81)
+            half = 0.5 * (0.81 - 0.25)
+            assert np.array_equal(nodes, 0.25 + half * (x + 1.0))
+            assert np.array_equal(weights, half * w)
+
+    def test_repeated_call_shares_read_only_arrays(self):
+        first = gauss_jacobi(24, 0.5, 0.0)
+        again = gauss_jacobi(24, 0.5, 0.0)
+        assert again is first
+        for rule in (again, quadrature._leggauss(24)):
+            for arr in rule:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_invalid_calls_raise_every_time(self):
+        before = gauss_jacobi.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                gauss_jacobi(8, -1.0, 0.0)
+            with pytest.raises(DomainError):
+                gauss_jacobi(1, 0.0, 0.0)
+            with pytest.raises(DomainError):
+                mapped_legendre(1, 0.0, 1.0)
+        assert gauss_jacobi.cache_info().currsize == before
+
+    def test_caches_are_bounded(self):
+        for cached in (gauss_jacobi, quadrature._leggauss):
+            assert cached.cache_info().maxsize == quadrature.RULE_CACHE_SIZE  # None if unbounded
+
+
+class TestQuadratureGridFrozen:
+    def test_arrays_read_only_and_caller_arrays_untouched(self):
+        nodes, weights = np.linspace(0.1, 0.9, 5), np.full(5, 0.2)
+        grid = QuadratureGrid(nodes, weights, "half_line")
+        with pytest.raises(ValueError):
+            grid.nodes[0] = 0.5
+        with pytest.raises(ValueError):
+            grid.weights *= 2.0
+        assert nodes.flags.writeable and weights.flags.writeable
+        assert np.array_equal(grid.weights, weights)
+
+    def test_built_grids_read_only(self):
+        for grid in (half_line_grid(16, 5.0), radial_jacobi_grid(16, 1.5), disk_grid(8, 8, 1.5)):
+            with pytest.raises(ValueError):
+                grid.weights[0] = 1.0
 
 
 class TestRadialJacobiGrid:
