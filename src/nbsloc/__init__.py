@@ -66,7 +66,6 @@ from .locop import (
 )
 from .bergman import (
     BergmanFunction,
-    KernelEvalMode,
     bargmann_inverse,
     bargmann_transform,
     kernel_closed,

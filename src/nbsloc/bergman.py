@@ -4,8 +4,9 @@ The coherent-state transform sends the j-th Laguerre function to the j-th
 orthonormal monomial of the weighted Bergman space, so conjugating the
 localization operator by it yields an integral operator whose kernel has
 three equivalent descriptions implemented here: the eigenvalue series,
-a closed form through the first Appell double series, and the s -> 1
-limit, which is the reproducing kernel of the space itself.
+which applies the operator, and two independent checks of it, a closed
+form through the first Appell double series and the s -> 1 limit, the
+reproducing kernel of the space itself.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
@@ -27,11 +28,10 @@ from .errors import (
 )
 from .quadrature import QuadratureGrid, disk_grid
 from .specfun import SeriesControl, appell_f1, horner, reg_inc_beta_table
-from .states import as_disk, as_radius, basis_series, bergman_basis, laguerre_function, principal_power
+from .states import as_disk, as_radius, basis_series, bergman_basis, check_strength, laguerre_function, principal_power
 
 __all__ = [
     "BergmanFunction",
-    "KernelEvalMode",
     "bargmann_transform",
     "bargmann_inverse",
     "kernel_series",
@@ -40,18 +40,6 @@ __all__ = [
     "kernel_limit",
     "transferred_apply",
 ]
-
-
-@dataclass(frozen=True)
-class KernelEvalMode:
-    """How ``transferred_apply`` evaluates the kernel on the grid."""
-
-    mode: str = "series"
-    ctl: SeriesControl = SeriesControl()
-
-    def __post_init__(self):
-        if self.mode not in ("series", "closed_form"):
-            raise DomainError(f"mode must be 'series' or 'closed_form', got {self.mode!r}")
 
 
 @dataclass
@@ -74,8 +62,7 @@ class BergmanFunction:
             raise DomainError("provide coefficients or an evaluator")
         if self.coefficients is not None:
             self.coefficients = np.asarray(self.coefficients, dtype=complex)
-        if not 2.0 * self.B > 1.0:
-            raise DomainError(f"requires 2B > 1, got B={self.B}")
+        check_strength(self.B)
 
     def __call__(self, z):
         """Value at a disk point, or at every point of an ndarray of them."""
@@ -199,6 +186,7 @@ def kernel_closed(z, w, B: float, s: float, ctl: SeriesControl = SeriesControl()
     """
     z = as_disk(z)
     w = as_disk(w)
+    check_strength(B)
     if not 0.0 < s < 1.0:
         raise DomainError(f"needs 0 < s < 1, got s={s}")
     x = z.conjugate() * w
@@ -213,28 +201,20 @@ def kernel_limit(z, w, B: float):
 
     ``z`` and ``w`` may be broadcasting ndarrays.
     """
+    check_strength(B)
     return (2.0 * B - 1.0) * principal_power(1.0 - as_disk(z).conjugate() * as_disk(w), -2.0 * B)
 
 
-def _kernel_column(points: np.ndarray, w: complex, B: float, s: float,
-                   mode: KernelEvalMode) -> np.ndarray:
-    """Kernel values P(z_i, w) for all grid points z_i at a fixed target w."""
-    if mode.mode == "series":
-        return kernel_series(points, w, B, s, mode.ctl)
-    return np.asarray([kernel_closed(z, w, B, s, mode.ctl) for z in points])
-
-
-def transferred_apply(F: BergmanFunction, w, B: float, R,
-                      mode: KernelEvalMode = KernelEvalMode(),
-                      n_r: int = 64, n_theta: int = 128,
+def transferred_apply(F: BergmanFunction, w, B: float, R, n_r: int = 64, n_theta: int = 128,
                       refine_tol: float = 1e-8) -> complex:
     """Apply the transferred localization operator to F at the point w.
 
     (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2, by
-    disk quadrature.  The result is recomputed on a doubled grid; if the
-    two values disagree beyond ``refine_tol`` (relatively) an AccuracyError
-    is raised, otherwise the refined value is returned.  On the basis
-    elements this reproduces the eigenvalue action.
+    disk quadrature of the series kernel ``kernel_series`` (the closed form
+    ``kernel_closed`` is its independent check).  The result is recomputed
+    on a doubled grid; if the two values disagree beyond ``refine_tol``
+    (relatively) an AccuracyError is raised, otherwise the refined value is
+    returned.  On the basis elements this reproduces the eigenvalue action.
     """
     w = as_disk(w)
     R = as_radius(R)
@@ -242,9 +222,7 @@ def transferred_apply(F: BergmanFunction, w, B: float, R,
 
     def evaluate(nr: int, nt: int) -> complex:
         grid = disk_grid(nr, nt, B)
-        kernel_vals = _kernel_column(grid.nodes, w, B, s, mode)
-        fvals = F.values(grid.nodes)
-        return complex(grid.weights @ (kernel_vals * fvals) / math.pi)
+        return complex(grid.weights @ (kernel_series(grid.nodes, w, B, s) * F.values(grid.nodes)) / math.pi)
 
     coarse = evaluate(n_r, n_theta)
     fine = evaluate(2 * n_r, 2 * n_theta)

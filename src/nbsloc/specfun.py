@@ -4,8 +4,9 @@ Everything here is self-contained: log-gamma ratios, the regularized
 incomplete Beta function (continued fraction, and whole tables in its
 first parameter by the downward recurrence), generalized Laguerre and
 Jacobi polynomials (three-term recurrences), the Gauss hypergeometric
-series 2F1, the two-variable double series F1 and F3 (summed over
-anti-diagonals), and Beta random variates from numpy's Beta generator.
+series 2F1, the two-variable double series F1 and F3 (both summed by
+one anti-diagonal driver), and Beta random variates from numpy's Beta
+generator.
 
 Conventions:
   * every Gamma ratio is formed from log-gamma differences, never from
@@ -319,13 +320,39 @@ def gauss_2f1(a: float, b: float, c: float, z, ctl: SeriesControl = SeriesContro
     )
 
 
-def _block_sum(row: list, col: list, weight: complex, n: int) -> complex:
-    # math.fsum makes each anti-diagonal block exact, hence invariant under
-    # swapping the two summation indices.
-    products = [row[j] * col[n - j] for j in range(n + 1)]
-    re = math.fsum(p.real for p in products)
-    im = math.fsum(p.imag for p in products)
-    return weight * complex(re, im)
+def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, u: complex,
+                       v: complex, n_stop, ctl: SeriesControl) -> HypergeomResult:
+    """sum front_{j+k} row_j col_k over anti-diagonals j + k = n, up to ``n_stop`` unless it is None.
+
+    row_j = prod (row_params)_j u^j / j!, col_k likewise in v, front_n = prod (front_num)_n / prod (front_den)_n.
+    """
+    row = [complex(1.0)]
+    col = [complex(1.0)]
+    front = 1.0
+    total = complex(1.0)
+    terms = 1
+    small = 0
+    for n in range(1, ctl.max_terms + 1):
+        if n_stop is not None and n > n_stop:
+            # returning here also avoids the 0/0 front update when n_stop == -c
+            return HypergeomResult(total, terms, True)
+        row.append(row[-1] * math.prod([p + n - 1.0 for p in row_params]) / n * u)
+        col.append(col[-1] * math.prod([p + n - 1.0 for p in col_params]) / n * v)
+        front = front * math.prod([p + n - 1.0 for p in front_num]) / math.prod([p + n - 1.0 for p in front_den])
+        # math.fsum makes each block exact, hence invariant under swapping the two summation indices
+        products = [row[j] * col[n - j] for j in range(n + 1)]
+        block = front * complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
+        total += block
+        terms += n + 1
+        if abs(block) <= max(ctl.rel_tol * abs(total), ctl.abs_tol):
+            small += 1
+            if small >= 3:
+                return HypergeomResult(total, terms, True)
+        else:
+            small = 0
+    raise ConvergenceError(
+        f"{name} did not converge within {ctl.max_terms} anti-diagonals", terms_used=terms
+    )
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, u, v,
@@ -349,35 +376,7 @@ def appell_f1(a: float, b1: float, b2: float, c: float, u, v,
     c_pole = _nonpositive_int(c)
     if c_pole is not None and (n_stop is None or n_stop > c_pole):
         raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
-
-    row = [complex(1.0)]  # (b1)_j u^j / j!
-    col = [complex(1.0)]  # (b2)_k v^k / k!
-    front = 1.0           # (a)_n / (c)_n
-    total = complex(1.0)
-    terms = 1
-    small = 0
-    for n in range(1, ctl.max_terms + 1):
-        if n_stop is not None and n > n_stop:
-            # all remaining anti-diagonals vanish; returning here also avoids
-            # the 0/0 front update when n_stop == -c
-            return HypergeomResult(total, terms, True)
-        row.append(row[-1] * (b1 + n - 1.0) / n * u)
-        col.append(col[-1] * (b2 + n - 1.0) / n * v)
-        front = front * (a + n - 1.0) / (c + n - 1.0)
-        block = _block_sum(row, col, front, n)
-        total += block
-        terms += n + 1
-        if front == 0.0:
-            return HypergeomResult(total, terms, True)  # (a)_n terminated everything
-        if abs(block) <= max(ctl.rel_tol * abs(total), ctl.abs_tol):
-            small += 1
-            if small >= 3:
-                return HypergeomResult(total, terms, True)
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"F1 did not converge within {ctl.max_terms} anti-diagonals", terms_used=terms
-    )
+    return _anti_diagonal_sum("F1", (b1,), (b2,), (a,), (c,), u, v, n_stop, ctl)
 
 
 def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v,
@@ -395,35 +394,11 @@ def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v,
         raise DomainError(f"F3 needs |u| < 1 (or a terminating j index), got |u|={abs(u)}")
     if abs(v) >= 1.0 and k_stop is None:
         raise DomainError(f"F3 needs |v| < 1 (or a terminating k index), got |v|={abs(v)}")
+    n_stop = None if j_stop is None or k_stop is None else j_stop + k_stop
     c_pole = _nonpositive_int(c)
-    if c_pole is not None:
-        if j_stop is None or k_stop is None or j_stop + k_stop > c_pole:
-            raise DomainError(f"F3 undefined: c={c} is a non-positive integer")
-
-    row = [complex(1.0)]  # (a)_j (b1)_j u^j / j!
-    col = [complex(1.0)]  # (a2)_k (b2)_k v^k / k!
-    inv_front = 1.0       # 1 / (c)_n
-    total = complex(1.0)
-    terms = 1
-    small = 0
-    for n in range(1, ctl.max_terms + 1):
-        row.append(row[-1] * (a + n - 1.0) * (b1 + n - 1.0) / n * u)
-        col.append(col[-1] * (a2 + n - 1.0) * (b2 + n - 1.0) / n * v)
-        inv_front = inv_front / (c + n - 1.0)
-        block = _block_sum(row, col, inv_front, n)
-        total += block
-        terms += n + 1
-        if j_stop is not None and k_stop is not None and n >= j_stop + k_stop:
-            return HypergeomResult(total, terms, True)
-        if abs(block) <= max(ctl.rel_tol * abs(total), ctl.abs_tol):
-            small += 1
-            if small >= 3:
-                return HypergeomResult(total, terms, True)
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"F3 did not converge within {ctl.max_terms} anti-diagonals", terms_used=terms
-    )
+    if c_pole is not None and (n_stop is None or n_stop > c_pole):
+        raise DomainError(f"F3 undefined: c={c} is a non-positive integer")
+    return _anti_diagonal_sum("F3", (a, b1), (a2, b2), (), (c,), u, v, n_stop, ctl)
 
 
 def sample_beta(a: float, b: float, n: int, seed: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .specfun import gamma_ratio, horner, jacobi, laguerre, log_gamma
 
 __all__ = [
     "ModelParams",
+    "check_strength",
     "DiskPoint",
     "HalfPlanePoint",
     "LocalizationRadius",
@@ -47,6 +48,12 @@ __all__ = [
 ]
 
 
+def check_strength(B: float) -> None:
+    """Raise DomainError unless the strength parameter B is finite with 2B > 1."""
+    if not (2.0 * B > 1.0 and math.isfinite(B)):
+        raise DomainError(f"requires finite B with 2B > 1, got B={B}")
+
+
 def max_landau_index(B: float) -> int:
     """Largest admissible level index, floor(B - 1/2)."""
     return math.floor(B - 0.5)
@@ -60,8 +67,7 @@ class ModelParams:
     m: int = 0
 
     def __post_init__(self):
-        if not (2.0 * self.B > 1.0 and math.isfinite(self.B)):
-            raise DomainError(f"requires finite B with 2B > 1, got B={self.B}")
+        check_strength(self.B)
         if self.m < 0 or self.m != int(self.m):
             raise DomainError(f"level index must be a nonnegative integer, got m={self.m}")
         if self.m > max_landau_index(self.B):
@@ -161,8 +167,7 @@ def affine_coherent_state(x: float, y: float, B: float, xi: float) -> complex:
         raise DomainError(f"affine label needs y > 0, got {y}")
     if not xi > 0.0:
         raise DomainError(f"needs xi > 0, got {xi}")
-    if not 2.0 * B > 1.0:
-        raise DomainError(f"requires 2B > 1, got B={B}")
+    check_strength(B)
     return (xi * y) ** B / math.sqrt(2.0 * B) * cmath.exp(-0.5 * xi * (y - 1j * x))
 
 
@@ -187,8 +192,7 @@ def nbs_wavefunction(z, B: float, xi):
     xi_arr = np.asarray(xi, dtype=float)
     if not np.all(xi_arr > 0.0):
         raise DomainError("negative binomial states are evaluated at xi > 0")
-    if not 2.0 * B > 1.0:
-        raise DomainError(f"requires 2B > 1, got B={B}")
+    check_strength(B)
     base = (1.0 - abs(z) ** 2) / (1.0 - z) ** 2
     # one exponent, because Gamma(2B), xi^(2B - 1/2) and base^B overflow on their own; arg base =
     # -2 arg(1 - z) lies in (-pi, pi), so B log(base) is the principal power's logarithm
@@ -201,6 +205,7 @@ def photon_weight(j: int, B: float) -> float:
     """Gamma(2B + j) / (j! Gamma(2B)), the negative binomial coefficient."""
     if j < 0:
         raise DomainError(f"needs j >= 0, got {j}")
+    check_strength(B)
     return math.exp(log_gamma(2.0 * B + j) - log_gamma(j + 1.0) - log_gamma(2.0 * B))
 
 
@@ -229,8 +234,7 @@ def laguerre_function(j: int, B: float, xi):
     """
     if j < 0:
         raise DomainError(f"needs j >= 0, got {j}")
-    if not 2.0 * B > 1.0:
-        raise DomainError(f"requires 2B > 1, got B={B}")
+    check_strength(B)
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr <= 0.0):
         raise DomainError("Laguerre functions are defined for xi > 0")

@@ -115,6 +115,24 @@ def appell_f1_rowwise(a, b1, b2, c, u, v, rows: int = 300) -> complex:
     return total
 
 
+def appell_f3_rowwise(a, a2, b1, b2, c, u, v, rows: int = 300) -> complex:
+    """Brute-force F3 summed row by row (a different order than the package)."""
+    total = 0.0 + 0.0j
+    row_head = 1.0 + 0.0j
+    for j in range(rows):
+        term = row_head
+        total += term
+        for k in range(rows):
+            term = term * (a2 + k) * (b2 + k) / ((k + 1.0) * (c + j + k)) * v
+            total += term
+            if abs(term) < 1e-20:
+                break
+        row_head = row_head * (a + j) * (b1 + j) / ((j + 1.0) * (c + j)) * u
+        if abs(row_head) < 1e-20:
+            break
+    return total
+
+
 def nb_pmf_direct(j: int, B: float, p: float) -> float:
     """Negative binomial pmf from a plain product, no log-gamma route."""
     coeff = 1.0

@@ -5,7 +5,6 @@ import pytest
 
 from nbsloc.bergman import (
     BergmanFunction,
-    KernelEvalMode,
     bargmann_inverse,
     bargmann_transform,
     kernel_closed,
@@ -214,17 +213,6 @@ class TestTransferredApply:
         separate = (transferred_apply(BergmanFunction(B, a), w, B, R)
                     + 2.0 * transferred_apply(BergmanFunction(B, b), w, B, R))
         assert combined == pytest.approx(separate, rel=1e-9)
-
-    def test_closed_form_mode(self):
-        # terminating strength keeps the Appell evaluation cheap
-        B, R = 1.5, 0.6
-        w = 0.25 + 0.15j
-        coeffs = np.array([0.0, 1.0], dtype=complex)
-        got = transferred_apply(BergmanFunction(B, coeffs), w, B, R,
-                                mode=KernelEvalMode("closed_form"),
-                                n_r=24, n_theta=32)
-        want = disk_eigenvalue(1, B, R) * bergman_basis(1, B, w)
-        assert abs(got - want) <= 1e-7
 
     def test_insufficient_grid_detected(self):
         B, R = 1.5, 0.6

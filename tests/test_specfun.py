@@ -293,6 +293,40 @@ class TestAppellF3:
         with pytest.raises(DomainError):
             appell_f3(0.5, 0.5, 0.5, 0.5, 2.0, 1.1, 0.2)
 
+    def test_rowwise_oracle_complex(self):
+        u, v = 0.3 + 0.1j, -0.2 + 0.05j
+        got = appell_f3(0.7, -1.3, 0.9, 1.6, 2.4, u, v).value
+        want = oracles.appell_f3_rowwise(0.7, -1.3, 0.9, 1.6, 2.4, u, v)
+        assert got == pytest.approx(want, rel=1e-11)
+
+    @staticmethod
+    def _terminating(b1, b2, c, u, v):
+        # F3(-1, -2; b1, b2; c; u, v): the six terms j <= 1, k <= 2
+        c2, c3 = c * (c + 1.0), c * (c + 1.0) * (c + 2.0)
+        return (1.0 - b1 * u / c - 2.0 * b2 * v / c + b2 * (b2 + 1.0) * v * v / c2
+                + 2.0 * b1 * b2 * u * v / c2 - b1 * b2 * (b2 + 1.0) * u * v * v / c3)
+
+    def test_doubly_terminating_polynomial(self):
+        # both indices terminate, so |u|, |v| > 1 is fine
+        b1, b2, c, u, v = 0.7, 1.3, 2.5, 1.5, -2.0
+        res = appell_f3(-1.0, -2.0, b1, b2, c, u, v)
+        assert res.converged
+        assert res.value == pytest.approx(self._terminating(b1, b2, c, u, v), rel=1e-14)
+
+    def test_c_pole_beyond_last_anti_diagonal(self):
+        # the last nonzero anti-diagonal is 3, so (c)_n never vanishes for c = -3
+        b1, b2, u, v = 0.7, 1.3, 0.4, 0.3
+        res = appell_f3(-1.0, -2.0, b1, b2, -3.0, u, v)
+        assert math.isfinite(abs(res.value))
+        assert res.value == pytest.approx(self._terminating(b1, b2, -3.0, u, v), rel=1e-14)
+        with pytest.raises(DomainError):
+            appell_f3(-1.0, -2.0, b1, b2, -2.0, u, v)
+
+    def test_convergence_error(self):
+        with pytest.raises(ConvergenceError) as err:
+            appell_f3(0.5, 0.5, 0.5, 0.5, 2.0, 0.95, 0.9, SeriesControl(max_terms=5))
+        assert err.value.terms_used > 0
+
 
 class TestSampleBeta:
     def test_uniform_law(self):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit
 from nbsloc.errors import DomainError
+from nbsloc.locop import beta_density
 from nbsloc.quadrature import half_line_grid, suggested_cutoff
 from nbsloc.states import (
     DiskPoint,
@@ -15,6 +17,7 @@ from nbsloc.states import (
     ModelParams,
     affine_coherent_state,
     as_disk,
+    basis_series,
     bergman_basis,
     cayley_inverse,
     disk_kernel,
@@ -50,6 +53,27 @@ class TestDomainTypes:
         for B in (math.inf, math.nan):
             with pytest.raises(DomainError, match="2B > 1"):
                 ModelParams(B)
+
+    @pytest.mark.parametrize("B", [math.inf, math.nan, 0.4])
+    def test_strength_rule_everywhere(self, B):
+        # each of these returned a value (0.0, 0j, nan or a negative density) or a bare ValueError
+        calls = [
+            lambda: laguerre_function(0, B, 1.0),
+            lambda: affine_coherent_state(0.1, 1.0, B, 1.0),
+            lambda: nbs_wavefunction(0.3, B, 1.0),
+            lambda: bergman_basis(1, B, 0.3),
+            lambda: basis_series([1.0], B, 0.3),
+            lambda: photon_weight(1, B),
+            lambda: nb_pmf(1, B, 0.3),
+            lambda: beta_density(1, B, 0.3),
+            lambda: BergmanFunction(B, [1.0])(0.3),
+            lambda: kernel_limit(0.3, 0.2, B),
+            lambda: kernel_closed(0.3, 0.2, B, 0.5),
+            lambda: ModelParams(B),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="2B > 1"):
+                call()
 
     def test_point_types(self):
         DiskPoint(0.5 + 0.2j)
