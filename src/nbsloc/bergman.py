@@ -6,7 +6,8 @@ localization operator by it yields an integral operator whose kernel has
 three equivalent descriptions implemented here: the eigenvalue series,
 which applies the operator, and two independent checks of it, a closed
 form through the first Appell double series and the s -> 1 limit, the
-reproducing kernel of the space itself.
+reproducing kernel of the space itself.  Disk integrals use the polar
+rule, summed angle first by one FFT of F per radius.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
@@ -20,13 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    AccuracyError,
-    ConvergenceError,
-    DomainError,
-    UnsupportedRepresentationError,
-)
-from .quadrature import QuadratureGrid, disk_grid
+from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedRepresentationError
+from .quadrature import angular_grid, radial_jacobi_grid
 from .specfun import SeriesControl, appell_f1, horner, reg_inc_beta_table
 from .states import as_disk, as_radius, basis_series, bergman_basis, check_strength, laguerre_function, principal_power
 
@@ -41,21 +37,23 @@ __all__ = [
     "transferred_apply",
 ]
 
+PROJECT_REFINE_TOL = 1e-10  # agreement of project's last two angular rules, relative to |F|
+PROJECT_THETAS = tuple(128 << i for i in range(6))  # project's angular rules, 128 to 4096 nodes
+
 
 @dataclass
 class BergmanFunction:
     """Element of the weighted Bergman space.
 
-    Either a finite coefficient vector against the orthonormal monomial
-    basis, or a pointwise analytic evaluator on the disk (or both, when a
-    projection has been attached); either is evaluated at a point or over
-    an ndarray of points.  Analyticity of an evaluator can be spot-checked
-    with ``check_analytic``.
+    Either a finite coefficient vector against the orthonormal monomial basis, or an
+    analytic evaluator on the disk (or both, when a projection has been attached),
+    evaluated at a point or over an ndarray of points, which an evaluator receives
+    whole (a scalar return is broadcast).  ``check_analytic`` spot-checks analyticity.
     """
 
     B: float
     coefficients: np.ndarray | None = None
-    evaluator: Callable[[complex], complex] | None = None
+    evaluator: Callable | None = None
 
     def __post_init__(self):
         if self.coefficients is None and self.evaluator is None:
@@ -70,7 +68,7 @@ class BergmanFunction:
         if self.coefficients is not None:
             return basis_series(self.coefficients, self.B, z)
         if isinstance(z, np.ndarray):
-            return np.asarray([self.evaluator(p) for p in z], dtype=complex)
+            return np.broadcast_to(self.evaluator(z), z.shape).astype(complex)
         return self.evaluator(z)
 
     def values(self, points: np.ndarray) -> np.ndarray:
@@ -84,30 +82,34 @@ class BergmanFunction:
             )
         return self.coefficients
 
-    def project(self, j_max: int, grid: QuadratureGrid | None = None) -> "BergmanFunction":
-        """Disk-quadrature projection onto the first j_max + 1 basis elements."""
-        if grid is None:
-            grid = disk_grid(64, 128, self.B)
-        vals = self.values(grid.nodes)
-        coeffs = [grid.weights @ (np.conjugate(bergman_basis(j, self.B, grid.nodes)) * vals) / math.pi
-                  for j in range(j_max + 1)]
-        return BergmanFunction(self.B, coefficients=coeffs, evaluator=self.evaluator)
+    def project(self, j_max: int) -> "BergmanFunction":
+        """Disk-quadrature projection onto the first j_max + 1 basis elements.
+
+        c_j = sum_i W_i basis_j(r_i) a_j(r_i) from F's angular Fourier coefficients a_j (exact in r
+        for analytic F), doubling n_theta through PROJECT_THETAS until two coefficient vectors agree
+        to PROJECT_REFINE_TOL times F's norm; else, as for a pole just outside, AccuracyError.
+        """
+        n_r, last = max(64, j_max // 2 + 1), None
+        for n_theta in PROJECT_THETAS:
+            radial, r, a = _angular_coefficients(self, self.B, n_r, n_theta, max(n_theta, j_max + 1))
+            coeffs = np.array([radial.weights @ (bergman_basis(j, self.B, r) * a[:, j]) for j in range(j_max + 1)])
+            norm = math.sqrt(radial.weights @ np.sum(np.abs(a[:, :n_theta]) ** 2, axis=1))  # Parseval
+            delta = math.inf if last is None else float(np.max(np.abs(coeffs - last), initial=0.0))
+            if delta <= PROJECT_REFINE_TOL * norm:
+                return BergmanFunction(self.B, coefficients=coeffs, evaluator=self.evaluator)
+            last = coeffs
+        raise AccuracyError(f"projection not converged at {n_theta} angular nodes: moved {delta:.3e}, |F| {norm:.3e}")
 
     def check_analytic(self, n_points: int = 5, step: float = 1e-4,
                        tol: float = 1e-6, seed: int = 20260808) -> None:
         """Cauchy-Riemann finite-difference spot check at random interior points."""
-        rng = np.random.Generator(np.random.PCG64(seed))
-        for _ in range(n_points):
-            r = 0.7 * math.sqrt(rng.random())
-            theta = 2.0 * math.pi * rng.random()
-            z = r * complex(math.cos(theta), math.sin(theta))
-            dx = (self(z + step) - self(z - step)) / (2.0 * step)
-            dy = (self(z + 1j * step) - self(z - 1j * step)) / (2.0 * step)
-            scale = max(1.0, abs(dx), abs(dy))
-            if abs(dx + 1j * dy) > tol * scale:
-                raise DomainError(
-                    f"Cauchy-Riemann residual {abs(dx + 1j * dy):.3e} at z={z:.4f}; not analytic"
-                )
+        u = np.random.Generator(np.random.PCG64(seed)).random((n_points, 2))
+        z = 0.7 * np.sqrt(u[:, 0]) * np.exp(2j * math.pi * u[:, 1])
+        dx, dy = ((self(z + h) - self(z - h)) / (2.0 * step) for h in (step, 1j * step))
+        residual = np.abs(dx + 1j * dy)
+        bad = np.flatnonzero(residual > tol * np.maximum(1.0, np.maximum(abs(dx), abs(dy))))
+        if bad.size:
+            raise DomainError(f"Cauchy-Riemann residual {residual[bad[0]]:.3e} at z={z[bad[0]]:.4f}; not analytic")
 
 
 def bargmann_transform(coeffs, z, B: float):
@@ -141,6 +143,7 @@ def kernel_series_coefficients(B: float, s: float, x_max: float,
     envelope; the incomplete-Beta factors are at most one, so they only
     help the bound.  The candidate table doubles until it holds that k.
     """
+    check_strength(B)
     if not 0.0 < s < 1.0:
         raise DomainError(f"needs 0 < s < 1, got s={s}")
     if not 0.0 <= x_max < 1.0:
@@ -205,30 +208,40 @@ def kernel_limit(z, w, B: float):
     return (2.0 * B - 1.0) * principal_power(1.0 - as_disk(z).conjugate() * as_disk(w), -2.0 * B)
 
 
+def _angular_coefficients(F: BergmanFunction, B: float, n_r: int, n_theta: int, n_k: int):
+    """Radial rule, r_i and a[i, k] = mean_m exp(-i k theta_m) F(r_i exp(i theta_m)), k < n_k.
+
+    With theta_m = 2 pi (m + 1/2) / n_theta, a[i, k] is FFT bin k mod n_theta times exp(-i pi k / n_theta)
+    / n_theta, for k past n_theta too.  The polar rule's (1/pi) int conj(z)^k F(z) (1-|z|^2)^(2B-2) dA
+    is then sum_i W_i r_i^k a[i, k].
+    """
+    radial = radial_jacobi_grid(n_r, B)
+    r, k = np.sqrt(radial.nodes), np.arange(n_k)
+    spectrum = np.fft.fft(F.values(r[:, None] * np.exp(1j * angular_grid(n_theta).nodes)), axis=1)
+    return radial, r, spectrum[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
+
+
 def transferred_apply(F: BergmanFunction, w, B: float, R, n_r: int = 64, n_theta: int = 128,
                       refine_tol: float = 1e-8) -> complex:
     """Apply the transferred localization operator to F at the point w.
 
-    (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2, by
-    disk quadrature of the series kernel ``kernel_series`` (the closed form
-    ``kernel_closed`` is its independent check).  The result is recomputed
-    on a doubled grid; if the two values disagree beyond ``refine_tol``
-    (relatively) an AccuracyError is raised, otherwise the refined value is
-    returned.  On the basis elements this reproduces the eigenvalue action.
+    (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2 on the
+    polar rule, kernel series sum_k c_k (conj(z) w)^k (cut for the fine rule)
+    summed angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i).  The result
+    is recomputed on a doubled rule; if the two values disagree beyond
+    ``refine_tol`` (relatively) an AccuracyError is raised, otherwise the
+    refined value is returned, which on basis elements is the eigenvalue action.
     """
-    w = as_disk(w)
-    R = as_radius(R)
-    s = R * R
+    w, R = as_disk(w), as_radius(R)
+    c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(radial_jacobi_grid(2 * n_r, B).nodes)) * abs(w))
+    k = np.arange(c.size)
 
     def evaluate(nr: int, nt: int) -> complex:
-        grid = disk_grid(nr, nt, B)
-        return complex(grid.weights @ (kernel_series(grid.nodes, w, B, s) * F.values(grid.nodes)) / math.pi)
+        radial, r, a = _angular_coefficients(F, B, nr, nt, c.size)
+        return complex(radial.weights @ ((r[:, None] ** k * a) @ (c * w ** k)))
 
-    coarse = evaluate(n_r, n_theta)
-    fine = evaluate(2 * n_r, 2 * n_theta)
-    if abs(fine - coarse) > refine_tol * max(abs(fine), 1.0):
-        raise AccuracyError(
-            f"disk quadrature not converged: refinement moved the value by "
-            f"{abs(fine - coarse):.3e} (tol {refine_tol:.1e})"
-        )
+    coarse, fine = evaluate(n_r, n_theta), evaluate(2 * n_r, 2 * n_theta)
+    if not abs(fine - coarse) <= refine_tol * max(abs(fine), 1.0):  # a NaN refuses too
+        raise AccuracyError(f"disk quadrature not converged: refinement moved the value by "
+                            f"{abs(fine - coarse):.3e} (tol {refine_tol:.1e})")
     return fine

@@ -23,16 +23,8 @@ from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLev
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
 from .specfun import (SeriesControl, inc_beta_steps, log_beta, log_gamma, reg_inc_beta,
                       reg_inc_beta_table, sample_beta)
-from .states import (
-    LocalizationRadius,
-    ModelParams,
-    as_disk,
-    as_radius,
-    basis_series,
-    bergman_basis,
-    jacobi,
-    photon_weight,
-)
+from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
+                     check_strength, jacobi, photon_weight)
 
 __all__ = [
     "SpectralData",
@@ -57,6 +49,7 @@ def disk_eigenvalue(j: int, B: float, R) -> float:
     """Eigenvalue of the disk-indicator localization operator: I_{R^2}(j+1, 2B-1)."""
     if j < 0:
         raise DomainError(f"needs j >= 0, got {j}")
+    check_strength(B)
     R = as_radius(R)
     return reg_inc_beta(R * R, j + 1.0, 2.0 * B - 1.0)
 
@@ -254,6 +247,7 @@ def leakage_bound(z0, B: float, R, tail_tol: float = 1e-14) -> float:
     """
     z0 = as_disk(z0)
     R = as_radius(R)
+    check_strength(B)
     p = abs(z0) ** 2
     s, b = R * R, 2.0 * B - 1.0
     n, max_terms = 32, SeriesControl().max_terms
@@ -287,14 +281,13 @@ def quantization_matrix_element(F, j: int, k: int, B: float, grid=None) -> compl
 
     (pi Gamma(2B-1))^(-1) sqrt(Gamma(2B+j) Gamma(2B+k) / (j! k!))
       int_D conj(z)^j z^k (1-|z|^2)^(2B-2) F(z) dA(z)
-    by disk quadrature.  For radial F the off-diagonal entries vanish and
-    the diagonal reproduces ``radial_eigenvalue``.
+    by disk quadrature, F called once on all nodes.  For radial F the
+    off-diagonal entries vanish and the diagonal reproduces ``radial_eigenvalue``.
     """
     if j < 0 or k < 0:
         raise DomainError("matrix element indices must be nonnegative")
     if grid is None:
         grid = disk_grid(64, 128, B)
     z = grid.nodes
-    fvals = np.asarray([F(p) for p in z], dtype=complex)
     # the prefactor is that of conj(basis_j) basis_k: Gamma(2B) / Gamma(2B-1) = 2B - 1
-    return grid.weights @ (np.conjugate(bergman_basis(j, B, z)) * bergman_basis(k, B, z) * fvals) / math.pi
+    return grid.weights @ (np.conjugate(bergman_basis(j, B, z)) * bergman_basis(k, B, z) * F(z)) / math.pi

@@ -135,8 +135,8 @@ def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
     <= 2n - 1.  Requires B > 1/2; on (1/2, 1) the endpoint singularity is
     integrable and handled by the Jacobi weight itself.
     """
-    if not B > 0.5:
-        raise DomainError(f"radial weight integrable only for B > 1/2, got B={B}")
+    if not 0.5 < B < math.inf:
+        raise DomainError(f"radial weight integrable only for finite B > 1/2, got B={B}")
     return _jacobi_grid_01(n, 2.0 * B - 2.0)
 
 

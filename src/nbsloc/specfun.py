@@ -139,8 +139,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     Monotone nondecreasing in x with values in [0, 1].
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
     if x < 0.0 or x > 1.0:
         raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
     if x == 0.0:

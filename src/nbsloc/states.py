@@ -122,10 +122,7 @@ def as_disk(z):
         if z.size and not np.max(np.abs(z)) < 1.0:
             raise DomainError(f"disk points need |z| < 1, got max |z|={np.max(np.abs(z))}")
         return z
-    z = complex(z)  # not through DiskPoint: evaluators call this once per point
-    if not abs(z) < 1.0:
-        raise DomainError(f"disk point needs |z| < 1, got |z|={abs(z)}")
-    return z
+    return DiskPoint(complex(z)).z
 
 
 def as_halfplane(w) -> complex:
@@ -142,16 +139,13 @@ def principal_power(base, exponent: float):
     ``base`` may be an ndarray, checked against the cut once as a whole; a
     single base stays in builtin complex arithmetic.
     """
-    if type(base) is complex:  # tested first: pointwise evaluators call this once per point
-        b = base
-    elif isinstance(base, np.ndarray):
+    if isinstance(base, np.ndarray):
         b = base.astype(complex, copy=False)
         on_cut = (b.imag == 0.0) & (b.real <= 0.0)
         if np.any(on_cut):
             raise DomainError(f"principal power undefined on the cut, base={b[on_cut][0]}")
         return b ** exponent
-    else:
-        b = complex(base)
+    b = complex(base)
     if b.imag == 0.0 and b.real <= 0.0:
         raise DomainError(f"principal power undefined on the cut, base={b}")
     return b ** exponent

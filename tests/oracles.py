@@ -147,3 +147,10 @@ def leakage_bound_bruteforce(p: float, B: float, R: float, reg_inc_beta, terms: 
     for j in range(terms):
         total += reg_inc_beta(R * R, j + 1.0, 2.0 * B - 1.0) ** 2 * nb_pmf_direct(j, B, p)
     return math.sqrt(total)
+
+
+def dense_disk_apply(F, w: complex, B: float, s: float, n_r: int, n_theta: int,
+                     kernel_series, disk_grid) -> complex:
+    """Transferred operator on the n_r x n_theta disk rule, one dense kernel series per node."""
+    grid = disk_grid(n_r, n_theta, B)
+    return complex(grid.weights @ (kernel_series(grid.nodes, w, B, s) * F(grid.nodes)) / math.pi)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from nbsloc.bergman import (
     BergmanFunction,
     bargmann_inverse,
@@ -46,6 +47,51 @@ class TestBergmanFunction:
         projected = pointwise.project(5)
         assert np.allclose(projected.coefficients[:4], coeffs, atol=1e-10)
         assert np.allclose(projected.coefficients[4:], 0.0, atol=1e-10)
+
+    def test_projection_refines_near_the_rim(self):
+        # the 64 x 128 rule alone misses these coefficients by 1.5e-3: its angular rule aliases
+        B, w0 = 4.5, 0.88j
+        F = BergmanFunction(B, evaluator=lambda z: kernel_limit(w0, z, B))
+        want = np.conj([bergman_basis(j, B, w0) for j in range(11)])
+        assert np.max(np.abs(F.project(10).coefficients - want)) <= 1e-10
+
+    def test_projection_refuses_pole_at_the_rim(self):
+        B = 1.5
+        F = BergmanFunction(B, evaluator=lambda z: kernel_limit(0.9999, z, B))
+        with pytest.raises(AccuracyError):
+            F.project(10)
+
+    def test_scalar_evaluator_is_broadcast(self):
+        B, calls = 1.5, []
+
+        def constant(z):
+            calls.append(z)
+            return 2.0 - 1.0j
+
+        F = BergmanFunction(B, evaluator=constant)
+        points = np.array([[0.1, 0.2j, -0.3], [0.5 + 0.1j, 0.0, -0.4j]])
+        vals = F.values(points)
+        assert len(calls) == 1 and calls[0].shape == points.shape
+        assert vals.shape == points.shape and vals.dtype == complex
+        assert np.all(vals == 2.0 - 1.0j)
+        want = np.zeros(4, dtype=complex)
+        want[0] = (2.0 - 1.0j) / math.sqrt(2.0 * B - 1.0)  # constant = c_0 e_0 with e_0 = sqrt(2B-1)
+        assert np.allclose(F.project(3).coefficients, want, rtol=0.0, atol=1e-14)
+
+    def test_angular_coefficients_match_direct_sum(self):
+        # odd n_theta, and bins past n_theta read aliased, sign-flipped FFT entries
+        from nbsloc.bergman import _angular_coefficients
+
+        B, n_r, n_theta, n_k = 1.5, 5, 7, 30
+        F = BergmanFunction(B, evaluator=lambda z: 1.0 / (1.3 - z) + z.conjugate() ** 2)
+        radial, r, a = _angular_coefficients(F, B, n_r, n_theta, n_k)
+        assert np.allclose(r * r, radial.nodes, rtol=1e-15, atol=0.0)
+        theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        for i in range(n_r):
+            values = F.values(r[i] * np.exp(1j * theta))
+            for k in range(n_k):
+                want = np.mean(np.exp(-1j * k * theta) * values)
+                assert abs(a[i, k] - want) <= 1e-14 * np.max(np.abs(values))
 
     def test_analyticity_spot_check(self):
         analytic = BergmanFunction(1.5, evaluator=lambda z: z ** 3 / (1.0 - 0.5 * z))
@@ -113,6 +159,10 @@ class TestKernelSeries:
     def test_series_exhaustion_raises(self):
         with pytest.raises(ConvergenceError):
             kernel_series(0.9, 0.9, 1.5, 0.5, SeriesControl(max_terms=3))
+
+    def test_non_finite_strength_rejected(self):
+        with pytest.raises(DomainError):
+            kernel_series(0.3, 0.2, math.inf, 0.5)
 
 
 class TestKernelClosed:
@@ -214,6 +264,15 @@ class TestTransferredApply:
                     + 2.0 * transferred_apply(BergmanFunction(B, b), w, B, R))
         assert combined == pytest.approx(separate, rel=1e-9)
 
+    def test_non_finite_strength_rejected(self):
+        with pytest.raises(DomainError):
+            transferred_apply(BergmanFunction(1.5, [1.0]), 0.3, math.inf, 0.6)
+
+    def test_non_finite_values_refused(self):
+        F = BergmanFunction(1.5, evaluator=lambda z: np.where(abs(z) > 0.99, np.nan, 1.0))
+        with pytest.raises(AccuracyError):
+            transferred_apply(F, 0.3, 1.5, 0.6)
+
     def test_insufficient_grid_detected(self):
         B, R = 1.5, 0.6
         with pytest.raises(AccuracyError):
@@ -221,6 +280,22 @@ class TestTransferredApply:
                 BergmanFunction(B, np.array([0.0, 0.0, 0.0, 0.0, 1.0], dtype=complex)),
                 0.5 + 0.3j, B, R, n_r=2, n_theta=3, refine_tol=1e-14,
             )
+
+    @pytest.mark.parametrize("B", [0.75, 1.5, 4.5, 10.0])
+    @pytest.mark.parametrize("w, n_r, n_theta", [
+        (0.3 + 0.2j, 64, 128),
+        (0.9 * np.exp(2.1j), 64, 128),
+        (-0.6 + 0.62j, 12, 7),  # odd n_theta; the kernel series is longer than both rules
+    ])
+    def test_matches_dense_disk_rule_sum(self, B, w, n_r, n_theta):
+        # The value is the fine rule's, whatever the refinement check decides
+        # (an infinite refine_tol), so the rule itself is compared.
+        rng = np.random.default_rng(64)
+        F = BergmanFunction(B, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        R = 0.7
+        got = transferred_apply(F, w, B, R, n_r, n_theta, refine_tol=math.inf)
+        want = oracles.dense_disk_apply(F, w, B, R * R, 2 * n_r, 2 * n_theta, kernel_series, disk_grid)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestIntertwining:

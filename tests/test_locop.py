@@ -75,6 +75,10 @@ class TestDiskEigenvalue:
     def test_accepts_wrapper_type(self):
         assert disk_eigenvalue(2, 1.5, LocalizationRadius(0.6)) == disk_eigenvalue(2, 1.5, 0.6)
 
+    def test_non_finite_strength_rejected(self):
+        with pytest.raises(DomainError):
+            disk_eigenvalue(1, math.inf, 0.5)
+
 
 class TestSpectralData:
     def test_lazy_table(self):
@@ -310,6 +314,10 @@ class TestLeakageBound:
         with pytest.raises(ConvergenceError):
             leakage_bound(1.0 - 1e-12, 1.5, 1.0 - 1e-9)
 
+    def test_non_finite_strength_rejected(self):
+        with pytest.raises(DomainError):
+            leakage_bound(0.3, math.inf, 0.5)
+
 
 class TestLocalizedOverlap:
     def test_single_mode_reduction(self):
@@ -368,6 +376,18 @@ class TestMatrixElements:
                     assert abs(got.imag) <= 1e-12
                 else:
                     assert abs(got) <= 1e-12
+
+    def test_symbol_evaluated_once_on_the_nodes(self):
+        B, grid, calls = 1.5, disk_grid(16, 24, 1.5), []
+
+        def constant(z):
+            calls.append(z)
+            return 1.0
+
+        for j, k in ((2, 2), (2, 3)):
+            got = quantization_matrix_element(constant, j, k, B, grid)
+            assert abs(got - (j == k)) <= 1e-13
+        assert [z.shape for z in calls] == [grid.nodes.shape] * 2
 
     def test_angular_symbol_couples_modes(self):
         B = 1.5

@@ -162,6 +162,8 @@ class TestRadialJacobiGrid:
             radial_jacobi_grid(10, 0.5)
         with pytest.raises(DomainError):
             radial_jacobi_grid(1, 1.5)
+        with pytest.raises(DomainError):
+            radial_jacobi_grid(10, math.inf)
 
 
 class TestDiskGrid:

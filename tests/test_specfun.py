@@ -69,6 +69,11 @@ class TestRegIncBeta:
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 1.0, -2.0)
 
+    @pytest.mark.parametrize("a, b", [(math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0), (2.0, math.nan)])
+    def test_non_finite_parameters_rejected(self, a, b):
+        with pytest.raises(DomainError):
+            reg_inc_beta(0.5, a, b)
+
     @given(
         x=st.floats(0.0, 1.0),
         a=st.floats(0.05, 30.0),
