@@ -23,8 +23,10 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedRepresentationError
 from .quadrature import angular_grid, radial_jacobi_grid
-from .specfun import SeriesControl, appell_f1, horner, reg_inc_beta_table
-from .states import as_disk, as_radius, basis_series, bergman_basis, check_strength, laguerre_function, principal_power
+from .specfun import SeriesControl, appell_f1, horner, log_nb_weights, reg_inc_beta_table
+# bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
+from .states import (as_disk, as_radius, basis_norms, basis_series, bergman_basis,  # noqa: F401
+                     check_strength, laguerre_function, principal_power)
 
 __all__ = [
     "BergmanFunction",
@@ -89,10 +91,13 @@ class BergmanFunction:
         for analytic F), doubling n_theta through PROJECT_THETAS until two coefficient vectors agree
         to PROJECT_REFINE_TOL times F's norm; else, as for a pole just outside, AccuracyError.
         """
+        if j_max < 0:
+            raise DomainError(f"needs j_max >= 0, got {j_max}")
         n_r, last = max(64, j_max // 2 + 1), None
+        norms, j = basis_norms(j_max + 1, self.B), np.arange(j_max + 1)
         for n_theta in PROJECT_THETAS:
             radial, r, a = _angular_coefficients(self, self.B, n_r, n_theta, max(n_theta, j_max + 1))
-            coeffs = np.array([radial.weights @ (bergman_basis(j, self.B, r) * a[:, j]) for j in range(j_max + 1)])
+            coeffs = norms * (radial.weights @ (r[:, None] ** j * a[:, :j_max + 1]))
             norm = math.sqrt(radial.weights @ np.sum(np.abs(a[:, :n_theta]) ** 2, axis=1))  # Parseval
             delta = math.inf if last is None else float(np.max(np.abs(coeffs - last), initial=0.0))
             if delta <= PROJECT_REFINE_TOL * norm:
@@ -128,6 +133,8 @@ def bargmann_inverse(F: BergmanFunction, xi: float, J: int | None = None) -> com
     Exact two-sided inverse of ``bargmann_transform`` on coefficient
     vectors; requires the coefficient representation.
     """
+    if J is not None and J < 0:
+        raise DomainError(f"needs J >= 0, got {J}")
     coeffs = F.coefficients_or_raise()[:None if J is None else J + 1]
     return sum((c * laguerre_function(j, F.B, xi) for j, c in enumerate(coeffs) if c != 0.0), 0j)
 
@@ -153,7 +160,7 @@ def kernel_series_coefficients(B: float, s: float, x_max: float,
         n = min(n, ctl.max_terms)
         k = np.arange(n + 1.0)
         # (2B-1) Gamma(2B+k) / (k! Gamma(2B)), the coefficients without their I-factor
-        g = (two_b - 1.0) * np.cumprod(np.concatenate(([1.0], (two_b + k[:-1]) / (k[:-1] + 1.0))))
+        g = np.exp(math.log(two_b - 1.0) + log_nb_weights(n + 1, two_b))
         coeffs = reg_inc_beta_table(s, n, two_b - 1.0) * g[:-1]
         envelope = np.cumsum(coeffs * x_max ** k[:-1])
         ratio = x_max * (two_b + k[1:]) / (k[1:] + 1.0)

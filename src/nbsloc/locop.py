@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
-from .specfun import (SeriesControl, inc_beta_steps, log_beta, log_gamma, reg_inc_beta,
+from .specfun import (SeriesControl, inc_beta_steps, log_beta, log_nb_weights, reg_inc_beta,
                       reg_inc_beta_table, sample_beta)
 from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
-                     check_strength, jacobi, photon_weight)
+                     check_strength, jacobi)
 
 __all__ = [
     "SpectralData",
@@ -149,10 +149,16 @@ def as_function_of_hamiltonian(n: int, B: float, R) -> float:
     return disk_eigenvalue(n - 1, B, R)
 
 
+def _log_density_shape(rho: np.ndarray, a: int, b: float) -> np.ndarray:
+    """log(rho^a (1 - rho)^b) on 0 <= rho < 1; -inf where rho = 0 < a."""
+    with np.errstate(divide="ignore"):
+        return (a * np.log(rho) if a else 0.0) + b * np.log1p(-rho)
+
+
 def beta_density(j: int, B: float, rho):
     """Density of the Beta(j+1, 2B-1) law behind the eigenvalues.
 
-    Gamma(2B+j) / (Gamma(2B-1) j!) (1 - rho)^(2B-2) rho^j on [0, 1);
+    Gamma(2B+j) / (Gamma(2B-1) j!) (1 - rho)^(2B-2) rho^j on [0, 1), formed in logs;
     ``rho`` may be an ndarray.
     """
     if j < 0:
@@ -160,8 +166,9 @@ def beta_density(j: int, B: float, rho):
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0.0) or np.any(rho_arr >= 1.0):
         raise DomainError("density defined on 0 <= rho < 1")
-    norm = (2.0 * B - 1.0) * photon_weight(j, B)
-    vals = norm * (1.0 - rho_arr) ** (2.0 * B - 2.0) * rho_arr ** j
+    check_strength(B)
+    ln_norm = math.log(2.0 * B - 1.0) + log_nb_weights(j + 1, 2.0 * B)[j]
+    vals = np.exp(ln_norm + _log_density_shape(rho_arr, j, 2.0 * B - 2.0))
     return vals if isinstance(rho, np.ndarray) else float(vals)
 
 
@@ -170,8 +177,8 @@ def landau_density(j: int, params: ModelParams, rho):
 
     (2B-2m-1) ((m^j)! / (mvj)!) (Gamma(2B-2m+mvj)/Gamma(2B-2m+m^j))
       (1-rho)^(2B-2m-2) rho^|m-j| [P_{m^j}^(|m-j|, 2(B-m)-1)(1 - 2 rho)]^2
-    with m^j = min(m, j), mvj = max(m, j).  Needs m < B - 1/2 strictly,
-    otherwise the weight is not normalizable.
+    with m^j = min(m, j), mvj = max(m, j), all but the squared polynomial formed
+    in logs.  Needs m < B - 1/2 strictly, otherwise the weight is not normalizable.
     """
     if j < 0:
         raise DomainError(f"needs j >= 0, got {j}")
@@ -184,13 +191,10 @@ def landau_density(j: int, params: ModelParams, rho):
     if np.any(rho_arr < 0.0) or np.any(rho_arr >= 1.0):
         raise DomainError("density defined on 0 <= rho < 1")
     lo, hi = min(m, j), max(m, j)
-    ln_norm = (
-        math.log(2.0 * B - 2.0 * m - 1.0)
-        + log_gamma(lo + 1.0) - log_gamma(hi + 1.0)
-        + log_gamma(2.0 * B - 2.0 * m + hi) - log_gamma(2.0 * B - 2.0 * m + lo)
-    )
-    poly = jacobi(lo, float(abs(m - j)), 2.0 * (B - m) - 1.0, 1.0 - 2.0 * rho_arr)
-    vals = math.exp(ln_norm) * (1.0 - rho_arr) ** (2.0 * B - 2.0 * m - 2.0) * rho_arr ** abs(m - j) * poly * poly
+    log_w = log_nb_weights(hi + 1, 2.0 * B - 2.0 * m)
+    ln_norm = math.log(2.0 * B - 2.0 * m - 1.0) + log_w[hi] - log_w[lo]
+    poly = jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, 1.0 - 2.0 * rho_arr)
+    vals = np.exp(ln_norm + _log_density_shape(rho_arr, hi - lo, 2.0 * B - 2.0 * m - 2.0)) * poly * poly
     return vals if isinstance(rho, np.ndarray) else float(vals)
 
 
@@ -268,6 +272,7 @@ def localized_overlap(z0, B: float, R, coeffs) -> float:
     """
     z0 = as_disk(z0)
     R = as_radius(R)
+    check_strength(B)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.size == 0:
         return 0.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import gamma_ratio, horner, jacobi, laguerre, log_gamma
+from .specfun import gamma_ratio, horner, inc_beta_steps, jacobi, laguerre, log_gamma, log_nb_weights
 
 __all__ = [
     "ModelParams",
@@ -200,7 +200,13 @@ def photon_weight(j: int, B: float) -> float:
     if j < 0:
         raise DomainError(f"needs j >= 0, got {j}")
     check_strength(B)
-    return math.exp(log_gamma(2.0 * B + j) - log_gamma(j + 1.0) - log_gamma(2.0 * B))
+    return math.exp(log_nb_weights(j + 1, 2.0 * B)[j])
+
+
+def basis_norms(n: int, B: float) -> np.ndarray:
+    """sqrt((2B - 1) Gamma(2B + j)/(j! Gamma(2B))), j = 0..n-1: the factors of z^j in the basis."""
+    check_strength(B)
+    return np.exp(0.5 * (math.log(2.0 * B - 1.0) + log_nb_weights(n, 2.0 * B)))
 
 
 def bergman_basis(j: int, B: float, z):
@@ -211,14 +217,15 @@ def bergman_basis(j: int, B: float, z):
     an ndarray.
     """
     z = as_disk(z)
-    return math.sqrt((2.0 * B - 1.0) * photon_weight(j, B)) * z ** j
+    if j < 0:
+        raise DomainError(f"needs j >= 0, got {j}")
+    return float(basis_norms(j + 1, B)[j]) * z ** j
 
 
 def basis_series(coeffs, B: float, z):
     """sum_j coeffs[j] bergman_basis(j, B, z) by Horner's rule; ``z`` may be an ndarray."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    norms = np.sqrt([(2.0 * B - 1.0) * photon_weight(j, B) for j in range(coeffs.size)])
-    return horner(coeffs * norms, as_disk(z))
+    return horner(coeffs * basis_norms(coeffs.size, B), as_disk(z))
 
 
 def laguerre_function(j: int, B: float, xi):
@@ -258,6 +265,7 @@ def halfplane_kernel(w, zeta, B: float) -> complex:
     """
     w = as_halfplane(w)
     zeta = as_halfplane(zeta)
+    check_strength(B)
     scale = abs(w - zeta.conjugate()) ** 2 / (4.0 * w.imag * zeta.imag)
     phase = (zeta - w.conjugate()) / (w - zeta.conjugate())
     return scale ** (-B) * principal_power(phase, B)
@@ -287,7 +295,8 @@ def nb_pmf(j: int, B: float, p: float) -> float:
         raise DomainError(f"needs j >= 0, got {j}")
     if not 0.0 <= p < 1.0:
         raise DomainError(f"needs 0 <= p < 1, got p={p}")
-    return photon_weight(j, B) * p ** j * (1.0 - p) ** (2.0 * B)
+    check_strength(B)
+    return float(inc_beta_steps(p, j + 1, 2.0 * B)[j])
 
 
 def halfplane_landau_level(B: float, m: int) -> float:

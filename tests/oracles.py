@@ -2,8 +2,9 @@
 
 Each routine here deliberately avoids the implementation path it is used
 to check: integrals come from adaptive Simpson, Laguerre values from the
-generating-function power series, Jacobi values from an exact rational
-finite sum, and long series from brute-force partial sums.
+generating-function power series, Jacobi values and negative binomial
+weights from exact rational arithmetic, and long series from brute-force
+partial sums.
 """
 
 from __future__ import annotations
@@ -131,6 +132,21 @@ def appell_f3_rowwise(a, a2, b1, b2, c, u, v, rows: int = 300) -> complex:
         if abs(row_head) < 1e-20:
             break
     return total
+
+
+def nb_weights_exact(a_max: int, b: float) -> list[float]:
+    """Gamma(b+a) / (a! Gamma(b)), a = 0..a_max, each the exact rational prod_{i<=a} (b+i-1)/i rounded once.
+
+    b is taken exactly, as Fraction(b); numerator and denominator stay integers, and
+    int / int true division rounds the quotient correctly.
+    """
+    b = Fraction(b)
+    num, den, out = 1, 1, [1.0]
+    for i in range(1, a_max + 1):
+        num *= b.numerator + (i - 1) * b.denominator
+        den *= i * b.denominator
+        out.append(num / den)
+    return out
 
 
 def nb_pmf_direct(j: int, B: float, p: float) -> float:

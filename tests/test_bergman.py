@@ -48,6 +48,11 @@ class TestBergmanFunction:
         assert np.allclose(projected.coefficients[:4], coeffs, atol=1e-10)
         assert np.allclose(projected.coefficients[4:], 0.0, atol=1e-10)
 
+    def test_projection_rejects_negative_index(self):
+        # used to return a function with no coefficients
+        with pytest.raises(DomainError, match="j_max >= 0"):
+            BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(-3)
+
     def test_projection_refines_near_the_rim(self):
         # the 64 x 128 rule alone misses these coefficients by 1.5e-3: its angular rule aliases
         B, w0 = 4.5, 0.88j
@@ -140,6 +145,12 @@ class TestBargmannTransform:
         F = BergmanFunction(1.5, evaluator=lambda z: 1.0 + 0j)
         with pytest.raises(UnsupportedRepresentationError):
             bargmann_inverse(F, 1.0, 3)
+
+    def test_inverse_rejects_negative_truncation(self):
+        # J = -3 used to slice off the last two coefficients and sum the first four
+        F = BergmanFunction(1.5, coefficients=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        with pytest.raises(DomainError, match="J >= 0"):
+            bargmann_inverse(F, 1.3, J=-3)
 
 
 class TestKernelSeries:

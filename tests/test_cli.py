@@ -124,6 +124,15 @@ class TestDensity:
         for j, vals in per_j.items():
             assert sum(vals) / 400 == pytest.approx(1.0, abs=0.05)
 
+    def test_large_strength_rows_are_finite(self, capsys):
+        # the density norm alone overflows at j = 673; this exited 1 with an OverflowError
+        code, out, err = run_cli(["density", "--B", "200", "--j-max", "673", "--samples", "2"], capsys)
+        assert code == 0 and err == ""
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 674 * 2
+        assert all(math.isfinite(float(dens)) for _, _, dens in rows)
+        assert rows[-1][:2] == ["673", "0.5"] and 0.0 < float(rows[-1][2]) < 1e-14
+
 
 class TestMc:
     def test_estimates_close(self, capsys):

@@ -21,7 +21,7 @@ from nbsloc.locop import (
     spectral_apply,
 )
 from nbsloc.quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
-from nbsloc.specfun import reg_inc_beta
+from nbsloc.specfun import jacobi, reg_inc_beta
 from nbsloc.states import LocalizationRadius, ModelParams, photon_weight
 
 
@@ -166,6 +166,14 @@ class TestBetaDensity:
         mass = weights @ beta_density(j, B, nodes)
         assert mass == pytest.approx(disk_eigenvalue(j, B, R), abs=1e-12)
 
+    def test_large_strength_formed_in_logs(self):
+        # the norm Gamma(2B+j) / (Gamma(2B-1) j!) alone overflows here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            b = mpmath.mpf(400)
+            want = float((b - 1) * mpmath.binomial(b + 672, 673) * mpmath.mpf(0.5) ** (b - 2 + 673))
+        assert beta_density(673, 200.0, 0.5) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             beta_density(0, 1.5, 1.0)
@@ -176,6 +184,20 @@ class TestLandauDensity:
         assert landau_density(3, ModelParams(1.5, 0), 0.4) == pytest.approx(
             beta_density(3, 1.5, 0.4), abs=1e-12
         )
+
+    @pytest.mark.parametrize("B, m", [(0.51, 0), (1.51, 0), (1.51, 1), (3.65, 1), (3.65, 2),
+                                      (10.1, 2), (50.5, 0), (51.3, 1)])
+    def test_norm_matches_exact_rationals(self, B, m):
+        # (2B-2m-1) w_hi / w_lo, w the negative binomial weights of shape 2B - 2m; at rho = 7/8
+        # both powers stay representable up to j = 2000 and 1 - rho is exact.  The polynomial is
+        # the package's own, so its cancellation near a root does not mask or mimic a norm error.
+        b, rho = 2.0 * B - 2.0 * m, 0.875
+        w = oracles.nb_weights_exact(2000, b)
+        for j in range(0, 2001, 7):
+            lo, hi = min(m, j), max(m, j)
+            poly = jacobi(lo, float(hi - lo), b - 1.0, 1.0 - 2.0 * rho)
+            want = (b - 1.0) * (w[hi] / w[lo]) * (1.0 - rho) ** (b - 2.0) * rho ** (hi - lo) * poly * poly
+            assert landau_density(j, ModelParams(B, m), rho) == pytest.approx(want, rel=1.5e-12, abs=0.0)
 
     def test_normalization(self):
         params = ModelParams(2.5, 1)
@@ -336,6 +358,11 @@ class TestLocalizedOverlap:
 
     def test_zero_function(self):
         assert localized_overlap(0.5j, 1.25, 0.6, np.zeros(4)) == 0.0
+
+    @pytest.mark.parametrize("B", [math.nan, 0.4])
+    def test_strength_checked_before_empty_coefficients(self, B):
+        with pytest.raises(DomainError, match="2B > 1"):
+            localized_overlap(0.3, B, 0.5, [])
 
     def test_dominated_by_bound(self):
         B, R = 1.25, 0.6

@@ -14,6 +14,7 @@ from nbsloc.specfun import (
     jacobi,
     laguerre,
     log_gamma,
+    log_nb_weights,
     horner,
     inc_beta_steps,
     reg_inc_beta,
@@ -443,6 +444,24 @@ class TestRegIncBetaTable:
             reg_inc_beta_table(0.5, 0, 2.0)
         with pytest.raises(DomainError):
             reg_inc_beta_table(1.5, 3, 2.0)
+
+
+# b = 2B - 2m for the basis norms, pmfs and densities, b = 2B - 1 for the Beta steps
+WEIGHT_SHAPES = (0.3, 1.02, 1.5, 2.6, 7.3, 20.2, 41.0, 100.6, 101.0)
+
+
+class TestLogNbWeights:
+    @pytest.mark.parametrize("b", WEIGHT_SHAPES)
+    def test_matches_exact_rationals(self, b):
+        want = np.array(oracles.nb_weights_exact(2000, b))
+        assert np.allclose(np.exp(log_nb_weights(2001, b)), want, rtol=1.5e-12, atol=0.0)
+
+    def test_short_tables_and_domain(self):
+        assert log_nb_weights(0, 2.0).size == 0
+        assert log_nb_weights(1, 2.0).tolist() == [0.0]
+        for b in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                log_nb_weights(3, b)
 
 
 class TestIncBetaSteps:

@@ -67,6 +67,7 @@ class TestDomainTypes:
             lambda: nb_pmf(1, B, 0.3),
             lambda: beta_density(1, B, 0.3),
             lambda: BergmanFunction(B, [1.0])(0.3),
+            lambda: halfplane_kernel(1j, 2j, B),
             lambda: kernel_limit(0.3, 0.2, B),
             lambda: kernel_closed(0.3, 0.2, B, 0.5),
             lambda: ModelParams(B),
@@ -337,6 +338,14 @@ class TestNbPmf:
                 oracles.nb_pmf_direct(j, 1.3, 0.45), rel=1e-12
             )
 
+    def test_large_strength_formed_in_logs(self):
+        # the weight Gamma(2B+j)/(j! Gamma(2B)) alone overflows here (about 1e500)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            b, p = mpmath.mpf(400), mpmath.mpf(0.9)
+            want = float(mpmath.binomial(b + 2999, 3000) * p ** 3000 * (1 - p) ** b)
+        assert nb_pmf(3000, 200.0, 0.9) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             nb_pmf(0, 1.5, 1.0)
@@ -363,6 +372,12 @@ class TestPhotonWeight:
         # stays finite via log-gamma even where Gamma itself overflows
         w = photon_weight(400, 2.0)
         assert math.isfinite(w) and w > 0.0
+
+    @pytest.mark.parametrize("B", [0.51, 1.3, 3.65, 10.1, 50.3, 50.5])
+    def test_matches_exact_rationals(self, B):
+        want = oracles.nb_weights_exact(2000, 2.0 * B)
+        for j in range(0, 2001, 3):
+            assert photon_weight(j, B) == pytest.approx(want[j], rel=1.5e-12, abs=0.0)
 
     def test_principal_power_cut(self):
         with pytest.raises(DomainError):
