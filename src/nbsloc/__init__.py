@@ -17,7 +17,6 @@ from .errors import (
 )
 from .specfun import (
     HypergeomResult,
-    SeriesControl,
     appell_f1,
     appell_f3,
     gauss_2f1,

@@ -9,6 +9,12 @@ form through the first Appell double series and the s -> 1 limit, the
 reproducing kernel of the space itself.  Disk integrals use the polar
 rule, summed angle first by one FFT of F per radius.
 
+Accuracy is a fixed contract, not an argument: the kernel series is cut
+where its tail falls below specfun's SERIES_REL_TOL, and
+``transferred_apply`` and ``BergmanFunction.project`` compare each value
+with a refined rule and raise AccuracyError past TRANSFER_REFINE_TOL and
+PROJECT_REFINE_TOL.
+
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
 """
@@ -23,7 +29,8 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedRepresentationError
 from .quadrature import angular_grid, radial_jacobi_grid
-from .specfun import SeriesControl, appell_f1, horner, log_nb_weights, reg_inc_beta_table
+from .specfun import (SERIES_ABS_TOL, SERIES_MAX_TERMS, SERIES_REL_TOL, appell_f1, check_index, horner,
+                      log_nb_weights, reg_inc_beta_table)
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
 from .states import (as_disk, as_radius, basis_norms, basis_series, bergman_basis,  # noqa: F401
                      check_strength, laguerre_function, principal_power)
@@ -41,6 +48,7 @@ __all__ = [
 
 PROJECT_REFINE_TOL = 1e-10  # agreement of project's last two angular rules, relative to |F|
 PROJECT_THETAS = tuple(128 << i for i in range(6))  # project's angular rules, 128 to 4096 nodes
+TRANSFER_REFINE_TOL = 1e-8  # agreement of transferred_apply's two rules, relative to max(|value|, 1)
 
 
 @dataclass
@@ -91,8 +99,7 @@ class BergmanFunction:
         for analytic F), doubling n_theta through PROJECT_THETAS until two coefficient vectors agree
         to PROJECT_REFINE_TOL times F's norm; else, as for a pole just outside, AccuracyError.
         """
-        if j_max < 0:
-            raise DomainError(f"needs j_max >= 0, got {j_max}")
+        j_max = check_index("j_max", j_max)
         n_r, last = max(64, j_max // 2 + 1), None
         norms, j = basis_norms(j_max + 1, self.B), np.arange(j_max + 1)
         for n_theta in PROJECT_THETAS:
@@ -133,22 +140,20 @@ def bargmann_inverse(F: BergmanFunction, xi: float, J: int | None = None) -> com
     Exact two-sided inverse of ``bargmann_transform`` on coefficient
     vectors; requires the coefficient representation.
     """
-    if J is not None and J < 0:
-        raise DomainError(f"needs J >= 0, got {J}")
-    coeffs = F.coefficients_or_raise()[:None if J is None else J + 1]
+    coeffs = F.coefficients_or_raise()[:None if J is None else check_index("J", J) + 1]
     return sum((c * laguerre_function(j, F.B, xi) for j, c in enumerate(coeffs) if c != 0.0), 0j)
 
 
-def kernel_series_coefficients(B: float, s: float, x_max: float,
-                               ctl: SeriesControl = SeriesControl()) -> np.ndarray:
+def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     """Coefficients c_k of the kernel series sum_k c_k (conj(z) w)^k.
 
     c_k = I_s(k+1, 2B-1) (2B-1) Gamma(2B+k)/(k! Gamma(2B)).  Truncated at
     the first k where the geometric tail bound on the remaining
     |coefficient| terms at radius ``x_max`` (the largest |conj(z) w| to be
-    evaluated) falls below ctl.rel_tol of the accumulated coefficient
+    evaluated) falls below SERIES_REL_TOL of the accumulated coefficient
     envelope; the incomplete-Beta factors are at most one, so they only
-    help the bound.  The candidate table doubles until it holds that k.
+    help the bound.  The candidate table doubles until it holds that k, or
+    raises ConvergenceError past SERIES_MAX_TERMS.
     """
     check_strength(B)
     if not 0.0 < s < 1.0:
@@ -157,7 +162,7 @@ def kernel_series_coefficients(B: float, s: float, x_max: float,
         raise DomainError(f"needs 0 <= x_max < 1, got {x_max}")
     two_b, n = 2.0 * B, 64
     while True:
-        n = min(n, ctl.max_terms)
+        n = min(n, SERIES_MAX_TERMS)
         k = np.arange(n + 1.0)
         # (2B-1) Gamma(2B+k) / (k! Gamma(2B)), the coefficients without their I-factor
         g = np.exp(math.log(two_b - 1.0) + log_nb_weights(n + 1, two_b))
@@ -166,16 +171,16 @@ def kernel_series_coefficients(B: float, s: float, x_max: float,
         ratio = x_max * (two_b + k[1:]) / (k[1:] + 1.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tail = g[1:] * x_max ** k[1:] / (1.0 - ratio)
-        done = np.flatnonzero((ratio < 1.0) & (tail <= np.maximum(ctl.rel_tol * envelope, ctl.abs_tol)))
+        done = np.flatnonzero((ratio < 1.0) & (tail <= np.maximum(SERIES_REL_TOL * envelope, SERIES_ABS_TOL)))
         if done.size:
             return coeffs[:done[0] + 1]
-        if n == ctl.max_terms:
+        if n == SERIES_MAX_TERMS:
             raise ConvergenceError(f"kernel series needs more than {n} terms at x_max={x_max}",
                                    terms_used=n)
         n *= 2
 
 
-def kernel_series(z, w, B: float, s: float, ctl: SeriesControl = SeriesControl()):
+def kernel_series(z, w, B: float, s: float):
     """Kernel of the transferred operator as its eigenvalue series.
 
     sum_k I_s(k+1, 2B-1) conj(basis_k(z)) basis_k(w); Hermitian in (z, w).
@@ -183,11 +188,11 @@ def kernel_series(z, w, B: float, s: float, ctl: SeriesControl = SeriesControl()
     table cut for the largest |conj(z) w|.
     """
     x = np.conjugate(as_disk(z)) * as_disk(w)
-    coeffs = kernel_series_coefficients(B, s, float(np.max(np.abs(x))), ctl)
+    coeffs = kernel_series_coefficients(B, s, float(np.max(np.abs(x))))
     return horner(coeffs, x)
 
 
-def kernel_closed(z, w, B: float, s: float, ctl: SeriesControl = SeriesControl()) -> complex:
+def kernel_closed(z, w, B: float, s: float) -> complex:
     """Closed form of the kernel through the first Appell double series.
 
     (2B-1)^2 s (1 - s conj(z) w)^(-2B)
@@ -202,7 +207,7 @@ def kernel_closed(z, w, B: float, s: float, ctl: SeriesControl = SeriesControl()
     x = z.conjugate() * w
     base = 1.0 - s * x
     second = s * (1.0 - x) / base
-    f1 = appell_f1(2.0 - 2.0 * B, 1.0 - 2.0 * B, 2.0 * B, 2.0, s, second, ctl)
+    f1 = appell_f1(2.0 - 2.0 * B, 1.0 - 2.0 * B, 2.0 * B, 2.0, s, second)
     return (2.0 * B - 1.0) ** 2 * s * principal_power(base, -2.0 * B) * f1.value
 
 
@@ -228,16 +233,16 @@ def _angular_coefficients(F: BergmanFunction, B: float, n_r: int, n_theta: int, 
     return radial, r, spectrum[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
 
 
-def transferred_apply(F: BergmanFunction, w, B: float, R, n_r: int = 64, n_theta: int = 128,
-                      refine_tol: float = 1e-8) -> complex:
+def transferred_apply(F: BergmanFunction, w, B: float, R, n_r: int = 64, n_theta: int = 128) -> complex:
     """Apply the transferred localization operator to F at the point w.
 
     (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2 on the
     polar rule, kernel series sum_k c_k (conj(z) w)^k (cut for the fine rule)
     summed angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i).  The result
-    is recomputed on a doubled rule; if the two values disagree beyond
-    ``refine_tol`` (relatively) an AccuracyError is raised, otherwise the
-    refined value is returned, which on basis elements is the eigenvalue action.
+    is recomputed on a doubled rule; if the two values differ by more than
+    TRANSFER_REFINE_TOL times max(|fine|, 1), or either is NaN, AccuracyError
+    is raised, otherwise the refined value is returned, which on basis
+    elements is the eigenvalue action.
     """
     w, R = as_disk(w), as_radius(R)
     c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(radial_jacobi_grid(2 * n_r, B).nodes)) * abs(w))
@@ -248,7 +253,7 @@ def transferred_apply(F: BergmanFunction, w, B: float, R, n_r: int = 64, n_theta
         return complex(radial.weights @ ((r[:, None] ** k * a) @ (c * w ** k)))
 
     coarse, fine = evaluate(n_r, n_theta), evaluate(2 * n_r, 2 * n_theta)
-    if not abs(fine - coarse) <= refine_tol * max(abs(fine), 1.0):  # a NaN refuses too
-        raise AccuracyError(f"disk quadrature not converged: refinement moved the value by "
-                            f"{abs(fine - coarse):.3e} (tol {refine_tol:.1e})")
+    if not abs(fine - coarse) <= TRANSFER_REFINE_TOL * max(abs(fine), 1.0):  # a NaN refuses too
+        raise AccuracyError(f"disk quadrature did not converge: refinement moved the value by "
+                            f"{abs(fine - coarse):.3e} (tol {TRANSFER_REFINE_TOL:.1e})")
     return fine

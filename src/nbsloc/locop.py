@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
-from .specfun import (SeriesControl, inc_beta_steps, log_beta, log_nb_weights, reg_inc_beta,
+from .specfun import (SERIES_MAX_TERMS, check_index, inc_beta_steps, log_beta, log_nb_weights, reg_inc_beta,
                       reg_inc_beta_table, sample_beta)
 from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
                      check_strength, jacobi)
@@ -47,8 +47,7 @@ LANDAU_REFINE_TOL = 1e-10  # relative agreement landau_eigenvalue's refinement m
 
 def disk_eigenvalue(j: int, B: float, R) -> float:
     """Eigenvalue of the disk-indicator localization operator: I_{R^2}(j+1, 2B-1)."""
-    if j < 0:
-        raise DomainError(f"needs j >= 0, got {j}")
+    j = check_index("j", j)
     check_strength(B)
     R = as_radius(R)
     return reg_inc_beta(R * R, j + 1.0, 2.0 * B - 1.0)
@@ -118,8 +117,7 @@ def radial_eigenvalue(F: RadialSymbol, j: int, B: float, n_nodes: int = 160) -> 
     weighted radial rule.  Discontinuous symbols converge slowly here; the
     disk indicator has the exact closed form ``disk_eigenvalue``.
     """
-    if j < 0:
-        raise DomainError(f"needs j >= 0, got {j}")
+    j = check_index("j", j)
     grid = radial_jacobi_grid(n_nodes, B)
     fvals = np.asarray([F.func(r) for r in grid.nodes], dtype=float)
     if np.any(np.abs(fvals) > F.bound * (1.0 + 1e-12) + 1e-300):
@@ -146,7 +144,7 @@ def as_function_of_hamiltonian(n: int, B: float, R) -> float:
     """
     if n < 1:
         raise DomainError(f"oscillator eigenvalues start at 1, got n={n}")
-    return disk_eigenvalue(n - 1, B, R)
+    return disk_eigenvalue(check_index("n", n) - 1, B, R)
 
 
 def _log_density_shape(rho: np.ndarray, a: int, b: float) -> np.ndarray:
@@ -161,8 +159,7 @@ def beta_density(j: int, B: float, rho):
     Gamma(2B+j) / (Gamma(2B-1) j!) (1 - rho)^(2B-2) rho^j on [0, 1), formed in logs;
     ``rho`` may be an ndarray.
     """
-    if j < 0:
-        raise DomainError(f"needs j >= 0, got {j}")
+    j = check_index("j", j)
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0.0) or np.any(rho_arr >= 1.0):
         raise DomainError("density defined on 0 <= rho < 1")
@@ -180,8 +177,7 @@ def landau_density(j: int, params: ModelParams, rho):
     with m^j = min(m, j), mvj = max(m, j), all but the squared polynomial formed
     in logs.  Needs m < B - 1/2 strictly, otherwise the weight is not normalizable.
     """
-    if j < 0:
-        raise DomainError(f"needs j >= 0, got {j}")
+    j = check_index("j", j)
     B, m = params.B, params.m
     if not 2.0 * (B - m) - 1.0 > 0.0:
         raise DomainError(
@@ -216,7 +212,7 @@ def landau_eigenvalue(j: int, params: ModelParams, R, n_nodes: int = 320) -> flo
     s = R * R
     coarse, fine = mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)
     if abs(fine - coarse) > LANDAU_REFINE_TOL * abs(fine):
-        raise AccuracyError(f"level-m eigenvalue not converged: refinement moved {fine:.6e} "
+        raise AccuracyError(f"level-m eigenvalue did not converge: refinement moved {fine:.6e} "
                             f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")
     return fine
 
@@ -247,19 +243,19 @@ def leakage_bound(z0, B: float, R, tail_tol: float = 1e-14) -> float:
     at p = |z0|^2.  The eigenvalues decrease, so the terms past index n - 1
     add at most I_{R^2}(n, 2B-1)^2 P(N >= n), with P(N >= n) = I_p(n, 2B)
     exactly; n doubles until that is at most ``tail_tol``, or raises
-    ConvergenceError past SeriesControl's default max_terms.
+    ConvergenceError past SERIES_MAX_TERMS.
     """
     z0 = as_disk(z0)
     R = as_radius(R)
     check_strength(B)
     p = abs(z0) ** 2
     s, b = R * R, 2.0 * B - 1.0
-    n, max_terms = 32, SeriesControl().max_terms
+    n = 32
     while reg_inc_beta(s, float(n), b) ** 2 * reg_inc_beta(p, float(n), 2.0 * B) > tail_tol:
-        if n >= max_terms:
+        if n >= SERIES_MAX_TERMS:
             raise ConvergenceError(
                 f"photon-count tail above {tail_tol} after {n} terms at p={p}", terms_used=n)
-        n = min(2 * n, max_terms)
+        n = min(2 * n, SERIES_MAX_TERMS)
     lam = reg_inc_beta_table(s, n, b)
     return math.sqrt(float(lam * lam @ inc_beta_steps(p, n, 2.0 * B)))
 
@@ -289,8 +285,7 @@ def quantization_matrix_element(F, j: int, k: int, B: float, grid=None) -> compl
     by disk quadrature, F called once on all nodes.  For radial F the
     off-diagonal entries vanish and the diagonal reproduces ``radial_eigenvalue``.
     """
-    if j < 0 or k < 0:
-        raise DomainError("matrix element indices must be nonnegative")
+    j, k = check_index("j", j), check_index("k", k)
     if grid is None:
         grid = disk_grid(64, 128, B)
     z = grid.nodes

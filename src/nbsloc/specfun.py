@@ -14,10 +14,13 @@ Conventions:
     large parameters do not overflow; the weights Gamma(b+a)/(a! Gamma(b))
     behind every basis norm, pmf, density and kernel coefficient come from
     one table, ``log_nb_weights``, a compensated cumulative sum;
-  * double series are summed over anti-diagonals j + k = n, declaring
-    convergence only after three consecutive anti-diagonal blocks fall
-    below tolerance; a non-convergent evaluation raises, it never
-    returns a truncated value;
+  * accuracy is fixed, not a parameter: a series term counts as small
+    below SERIES_REL_TOL of the sum (SERIES_ABS_TOL near zero), and past
+    SERIES_MAX_TERMS the series raises ConvergenceError, it never returns
+    a truncated value; double series are summed over anti-diagonals
+    j + k = n, declaring convergence only after three consecutive blocks
+    are small;
+  * every index argument passes ``check_index``: integral and >= 0;
   * randomness comes from numpy's PCG64 generator (128-bit state),
     seeded explicitly, so every sampling call is reproducible.
 """
@@ -32,8 +35,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "SeriesControl",
     "HypergeomResult",
+    "check_index",
     "log_gamma",
     "gamma_ratio",
     "log_beta",
@@ -51,35 +54,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Convergence policy for every infinite series in the package.
-
-    rel_tol   -- relative size below which a term/block counts as converged
-    abs_tol   -- absolute underflow guard (protects sums near zero)
-    max_terms -- cap per summation index before giving up
-    """
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
-            raise DomainError("abs_tol must be nonnegative")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
+SERIES_REL_TOL = 1e-12  # relative size below which a term or block counts as converged
+SERIES_ABS_TOL = 1e-300  # absolute underflow guard, for sums near zero
+SERIES_MAX_TERMS = 100_000  # cap per summation index; past it a series raises ConvergenceError
 
 
 @dataclass(frozen=True)
 class HypergeomResult:
-    """Value of a hypergeometric evaluation plus its convergence record."""
+    """Value of a hypergeometric evaluation and the number of terms summed."""
 
     value: complex
     terms_used: int
-    converged: bool
+
+
+def check_index(name: str, value) -> int:
+    """int(value) for an integral value >= 0 (an np.int64 or 3.0 too); DomainError otherwise."""
+    try:
+        ok = value >= 0 and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"needs {name} >= 0 and integral, got {name}={value}")
+    return int(value)
 
 
 def log_gamma(x: float) -> float:
@@ -218,8 +214,7 @@ def laguerre(j: int, alpha: float, x):
 
     ``x`` may be a float or an ndarray.
     """
-    if j < 0:
-        raise DomainError(f"laguerre requires j >= 0, got {j}")
+    j = check_index("j", j)
     if not alpha > -1.0:
         raise DomainError(f"laguerre requires alpha > -1, got {alpha}")
     ones = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
@@ -239,8 +234,7 @@ def jacobi(k: int, alpha: float, beta: float, x):
 
     ``x`` may be a float or an ndarray.
     """
-    if k < 0:
-        raise DomainError(f"jacobi requires k >= 0, got {k}")
+    k = check_index("k", k)
     if not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"jacobi requires alpha, beta > -1, got {alpha}, {beta}")
     ones = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
@@ -297,7 +291,7 @@ def _stop(*params):
     return min((s for s in map(_nonpositive_int, params) if s is not None), default=None)
 
 
-def gauss_2f1(a: float, b: float, c: float, z, ctl: SeriesControl = SeriesControl()) -> HypergeomResult:
+def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
     """Gauss hypergeometric 2F1(a, b, c; z) on the closed unit disk.
 
     At z = 1 with Re(c - a - b) > 0 the Gauss theorem value is returned
@@ -313,7 +307,7 @@ def gauss_2f1(a: float, b: float, c: float, z, ctl: SeriesControl = SeriesContro
         raise DomainError(f"2F1 series restricted to |z| <= 1, got |z|={abs(z)}")
     if z == 1.0:
         if c - a - b > 0.0:
-            return HypergeomResult(complex(_gauss_theorem_value(a, b, c)), 0, True)
+            return HypergeomResult(complex(_gauss_theorem_value(a, b, c)), 0)
         if stop is None:
             raise ConvergenceError(
                 f"2F1 divergent at z=1 with c-a-b={c - a - b}", terms_used=0
@@ -321,29 +315,29 @@ def gauss_2f1(a: float, b: float, c: float, z, ctl: SeriesControl = SeriesContro
     term = complex(1.0)
     total = complex(1.0)
     small = 0
-    for k in range(ctl.max_terms):
+    for k in range(SERIES_MAX_TERMS):
         if stop is not None and k >= stop:
             # every later term carries a vanished Pochhammer factor; returning
             # here also avoids the 0/0 recurrence step when stop == -c
-            return HypergeomResult(total, k + 1, True)
+            return HypergeomResult(total, k + 1)
         term = term * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
         if term == 0.0:
-            return HypergeomResult(total, k + 1, True)
-        if abs(term) <= max(ctl.rel_tol * abs(total), ctl.abs_tol):
+            return HypergeomResult(total, k + 1)
+        if abs(term) <= max(SERIES_REL_TOL * abs(total), SERIES_ABS_TOL):
             small += 1
             if small >= 2:
-                return HypergeomResult(total, k + 1, True)
+                return HypergeomResult(total, k + 1)
         else:
             small = 0
     raise ConvergenceError(
-        f"2F1 did not converge within {ctl.max_terms} terms at z={z}",
-        terms_used=ctl.max_terms,
+        f"2F1 did not converge within {SERIES_MAX_TERMS} terms at z={z}",
+        terms_used=SERIES_MAX_TERMS,
     )
 
 
 def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, u: complex,
-                       v: complex, n_stop, ctl: SeriesControl) -> HypergeomResult:
+                       v: complex, n_stop) -> HypergeomResult:
     """sum front_{j+k} row_j col_k over anti-diagonals j + k = n, up to ``n_stop`` unless it is None.
 
     row_j = prod (row_params)_j u^j / j!, col_k likewise in v, front_n = prod (front_num)_n / prod (front_den)_n.
@@ -354,10 +348,10 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
     total = complex(1.0)
     terms = 1
     small = 0
-    for n in range(1, ctl.max_terms + 1):
+    for n in range(1, SERIES_MAX_TERMS + 1):
         if n_stop is not None and n > n_stop:
             # returning here also avoids the 0/0 front update when n_stop == -c
-            return HypergeomResult(total, terms, True)
+            return HypergeomResult(total, terms)
         row.append(row[-1] * math.prod([p + n - 1.0 for p in row_params]) / n * u)
         col.append(col[-1] * math.prod([p + n - 1.0 for p in col_params]) / n * v)
         front = front * math.prod([p + n - 1.0 for p in front_num]) / math.prod([p + n - 1.0 for p in front_den])
@@ -366,19 +360,18 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
         block = front * complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
         total += block
         terms += n + 1
-        if abs(block) <= max(ctl.rel_tol * abs(total), ctl.abs_tol):
+        if abs(block) <= max(SERIES_REL_TOL * abs(total), SERIES_ABS_TOL):
             small += 1
             if small >= 3:
-                return HypergeomResult(total, terms, True)
+                return HypergeomResult(total, terms)
         else:
             small = 0
     raise ConvergenceError(
-        f"{name} did not converge within {ctl.max_terms} anti-diagonals", terms_used=terms
+        f"{name} did not converge within {SERIES_MAX_TERMS} anti-diagonals", terms_used=terms
     )
 
 
-def appell_f1(a: float, b1: float, b2: float, c: float, u, v,
-              ctl: SeriesControl = SeriesControl()) -> HypergeomResult:
+def appell_f1(a: float, b1: float, b2: float, c: float, u, v) -> HypergeomResult:
     """First Appell double series F1(a; b1, b2; c; u, v).
 
     Sum of (a)_{j+k} (b1)_j (b2)_k / (j! k! (c)_{j+k}) u^j v^k over
@@ -398,11 +391,10 @@ def appell_f1(a: float, b1: float, b2: float, c: float, u, v,
     c_pole = _nonpositive_int(c)
     if c_pole is not None and (n_stop is None or n_stop > c_pole):
         raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
-    return _anti_diagonal_sum("F1", (b1,), (b2,), (a,), (c,), u, v, n_stop, ctl)
+    return _anti_diagonal_sum("F1", (b1,), (b2,), (a,), (c,), u, v, n_stop)
 
 
-def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v,
-              ctl: SeriesControl = SeriesControl()) -> HypergeomResult:
+def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v) -> HypergeomResult:
     """Third Appell double series F3(a, a2; b1, b2; c; u, v).
 
     Sum of (a)_j (a2)_k (b1)_j (b2)_k / (j! k! (c)_{j+k}) u^j v^k, with the
@@ -420,7 +412,7 @@ def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v,
     c_pole = _nonpositive_int(c)
     if c_pole is not None and (n_stop is None or n_stop > c_pole):
         raise DomainError(f"F3 undefined: c={c} is a non-positive integer")
-    return _anti_diagonal_sum("F3", (a, b1), (a2, b2), (), (c,), u, v, n_stop, ctl)
+    return _anti_diagonal_sum("F3", (a, b1), (a2, b2), (), (c,), u, v, n_stop)
 
 
 def sample_beta(a: float, b: float, n: int, seed: int) -> np.ndarray:

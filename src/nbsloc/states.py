@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import gamma_ratio, horner, inc_beta_steps, jacobi, laguerre, log_gamma, log_nb_weights
+from .specfun import (check_index, gamma_ratio, horner, inc_beta_steps, jacobi, laguerre, log_gamma,
+                      log_nb_weights)
 
 __all__ = [
     "ModelParams",
@@ -68,8 +69,7 @@ class ModelParams:
 
     def __post_init__(self):
         check_strength(self.B)
-        if self.m < 0 or self.m != int(self.m):
-            raise DomainError(f"level index must be a nonnegative integer, got m={self.m}")
+        check_index("m", self.m)
         if self.m > max_landau_index(self.B):
             raise DomainError(
                 f"inadmissible level: m={self.m} violates m <= floor(B - 1/2) = "
@@ -197,8 +197,7 @@ def nbs_wavefunction(z, B: float, xi):
 
 def photon_weight(j: int, B: float) -> float:
     """Gamma(2B + j) / (j! Gamma(2B)), the negative binomial coefficient."""
-    if j < 0:
-        raise DomainError(f"needs j >= 0, got {j}")
+    j = check_index("j", j)
     check_strength(B)
     return math.exp(log_nb_weights(j + 1, 2.0 * B)[j])
 
@@ -217,8 +216,7 @@ def bergman_basis(j: int, B: float, z):
     an ndarray.
     """
     z = as_disk(z)
-    if j < 0:
-        raise DomainError(f"needs j >= 0, got {j}")
+    j = check_index("j", j)
     return float(basis_norms(j + 1, B)[j]) * z ** j
 
 
@@ -233,8 +231,7 @@ def laguerre_function(j: int, B: float, xi):
 
     (2 j! / Gamma(2B + j))^(1/2) xi^(2B - 1/2) exp(-xi^2/2) L_j^(2B-1)(xi^2).
     """
-    if j < 0:
-        raise DomainError(f"needs j >= 0, got {j}")
+    j = check_index("j", j)
     check_strength(B)
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr <= 0.0):
@@ -251,8 +248,7 @@ def nbs_expansion(z, B: float, xi: float, J: int) -> complex:
     converges to ``nbs_wavefunction`` as J grows, with geometric tail |z|^J.
     """
     z = as_disk(z)
-    if J < 0:
-        raise DomainError(f"needs J >= 0, got {J}")
+    J = check_index("J", J)
     pref = (1.0 - abs(z) ** 2) ** B / math.sqrt(2.0 * B - 1.0)
     return pref * basis_series([laguerre_function(j, B, xi) for j in range(J + 1)], B, z)
 
@@ -291,8 +287,7 @@ def disk_kernel(z, w, params: ModelParams):
 
 def nb_pmf(j: int, B: float, p: float) -> float:
     """Negative binomial photon-count law: Gamma(2B+j)/(j! Gamma(2B)) p^j (1-p)^(2B)."""
-    if j < 0:
-        raise DomainError(f"needs j >= 0, got {j}")
+    j = check_index("j", j)
     if not 0.0 <= p < 1.0:
         raise DomainError(f"needs 0 <= p < 1, got p={p}")
     check_strength(B)

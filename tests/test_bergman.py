@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from nbsloc import bergman
 from nbsloc.bergman import (
     BergmanFunction,
     bargmann_inverse,
@@ -21,7 +22,7 @@ from nbsloc.errors import (
 )
 from nbsloc.locop import SpectralData, disk_eigenvalue, spectral_apply
 from nbsloc.quadrature import disk_grid
-from nbsloc.specfun import SeriesControl, reg_inc_beta
+from nbsloc.specfun import reg_inc_beta
 from nbsloc.states import LocalizationRadius, bergman_basis, laguerre_function
 
 
@@ -167,9 +168,10 @@ class TestKernelSeries:
             kernel_series(w, z, B, s).conjugate(), rel=1e-12
         )
 
-    def test_series_exhaustion_raises(self):
+    def test_series_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(bergman, "SERIES_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError):
-            kernel_series(0.9, 0.9, 1.5, 0.5, SeriesControl(max_terms=3))
+            kernel_series(0.9, 0.9, 1.5, 0.5)
 
     def test_non_finite_strength_rejected(self):
         with pytest.raises(DomainError):
@@ -284,12 +286,13 @@ class TestTransferredApply:
         with pytest.raises(AccuracyError):
             transferred_apply(F, 0.3, 1.5, 0.6)
 
-    def test_insufficient_grid_detected(self):
+    def test_insufficient_grid_detected(self, monkeypatch):
         B, R = 1.5, 0.6
+        monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", 1e-14)
         with pytest.raises(AccuracyError):
             transferred_apply(
                 BergmanFunction(B, np.array([0.0, 0.0, 0.0, 0.0, 1.0], dtype=complex)),
-                0.5 + 0.3j, B, R, n_r=2, n_theta=3, refine_tol=1e-14,
+                0.5 + 0.3j, B, R, n_r=2, n_theta=3,
             )
 
     @pytest.mark.parametrize("B", [0.75, 1.5, 4.5, 10.0])
@@ -298,13 +301,14 @@ class TestTransferredApply:
         (0.9 * np.exp(2.1j), 64, 128),
         (-0.6 + 0.62j, 12, 7),  # odd n_theta; the kernel series is longer than both rules
     ])
-    def test_matches_dense_disk_rule_sum(self, B, w, n_r, n_theta):
+    def test_matches_dense_disk_rule_sum(self, B, w, n_r, n_theta, monkeypatch):
         # The value is the fine rule's, whatever the refinement check decides
-        # (an infinite refine_tol), so the rule itself is compared.
+        # (an infinite TRANSFER_REFINE_TOL), so the rule itself is compared.
+        monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", math.inf)
         rng = np.random.default_rng(64)
         F = BergmanFunction(B, rng.standard_normal(8) + 1j * rng.standard_normal(8))
         R = 0.7
-        got = transferred_apply(F, w, B, R, n_r, n_theta, refine_tol=math.inf)
+        got = transferred_apply(F, w, B, R, n_r, n_theta)
         want = oracles.dense_disk_apply(F, w, B, R * R, 2 * n_r, 2 * n_theta, kernel_series, disk_grid)
         assert abs(got - want) <= 1e-13 * abs(want)
 

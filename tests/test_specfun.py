@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from nbsloc import specfun
 from nbsloc.errors import ConvergenceError, DomainError
 from nbsloc.specfun import (
-    SeriesControl,
     appell_f1,
     appell_f3,
+    check_index,
     gauss_2f1,
     jacobi,
     laguerre,
@@ -170,7 +171,6 @@ class TestGauss2F1:
         # terminating and non-terminating strengths alike
         for B in (0.75, 1.0, 1.5, 2.5, 4.0):
             res = gauss_2f1(2.0 - 2.0 * B, 1.0, 2.0, 1.0)
-            assert res.converged
             assert res.value.real == pytest.approx(1.0 / (2.0 * B - 1.0), abs=1e-12)
 
     def test_derived_closed_form(self):
@@ -258,7 +258,10 @@ class TestAppellF1:
     def test_termination_allows_large_argument(self):
         # b1 = -1 terminates the u index, so |u| > 1 is fine
         got = appell_f1(0.5, -1.0, 0.7, 2.0, 3.0, 0.2)
-        assert got.converged
+        # j <= 1: F1 = 2F1(a, b2; c; v) + b1 u (a/c) 2F1(a+1, b2; c+1; v)
+        hyp2f1 = pytest.importorskip("scipy.special").hyp2f1
+        want = hyp2f1(0.5, 0.7, 2.0, 0.2) - 3.0 * 0.5 / 2.0 * hyp2f1(1.5, 0.7, 3.0, 0.2)
+        assert got.value == pytest.approx(want, rel=1e-12)
 
     def test_whole_termination_at_c_pole(self):
         # a == c == -1: only anti-diagonals n <= 1 survive, with unit ratios
@@ -266,13 +269,14 @@ class TestAppellF1:
         res = appell_f1(-1.0, b1, b2, -1.0, u, v)
         assert res.value == pytest.approx(1.0 + b1 * u + b2 * v, rel=1e-14)
 
-    def test_domain_and_convergence_errors(self):
+    def test_domain_and_convergence_errors(self, monkeypatch):
         with pytest.raises(DomainError):
             appell_f1(0.5, 0.5, 0.5, 2.0, 1.2, 0.1)
         with pytest.raises(DomainError):
             appell_f1(0.5, 0.5, 0.5, -1.0, 0.1, 0.1)
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError) as err:
-            appell_f1(0.5, 0.5, 0.5, 2.0, 0.95, 0.9, SeriesControl(max_terms=5))
+            appell_f1(0.5, 0.5, 0.5, 2.0, 0.95, 0.9)
         assert err.value.terms_used > 0
 
 
@@ -316,7 +320,6 @@ class TestAppellF3:
         # both indices terminate, so |u|, |v| > 1 is fine
         b1, b2, c, u, v = 0.7, 1.3, 2.5, 1.5, -2.0
         res = appell_f3(-1.0, -2.0, b1, b2, c, u, v)
-        assert res.converged
         assert res.value == pytest.approx(self._terminating(b1, b2, c, u, v), rel=1e-14)
 
     def test_c_pole_beyond_last_anti_diagonal(self):
@@ -328,9 +331,10 @@ class TestAppellF3:
         with pytest.raises(DomainError):
             appell_f3(-1.0, -2.0, b1, b2, -2.0, u, v)
 
-    def test_convergence_error(self):
+    def test_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError) as err:
-            appell_f3(0.5, 0.5, 0.5, 0.5, 2.0, 0.95, 0.9, SeriesControl(max_terms=5))
+            appell_f3(0.5, 0.5, 0.5, 0.5, 2.0, 0.95, 0.9)
         assert err.value.terms_used > 0
 
 
@@ -383,15 +387,27 @@ class TestSampleBeta:
 
 
 class TestSeriesControl:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)
+    """The fixed series accuracy: module constants, read at call time."""
 
-    def test_converged_flag_contract(self):
-        res = gauss_2f1(0.5, 0.7, 1.9, 0.3, SeriesControl(rel_tol=1e-10))
-        assert res.converged and res.terms_used > 0
+    def test_converged_flag_contract(self, monkeypatch):
+        default = gauss_2f1(0.5, 0.7, 1.9, 0.3)
+        monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-10)
+        res = gauss_2f1(0.5, 0.7, 1.9, 0.3)
+        assert res.terms_used > 0
+        assert res.terms_used < default.terms_used
+        assert res.value == pytest.approx(default.value, rel=1e-9)
+
+
+class TestCheckIndex:
+    def test_integral_values_accepted(self):
+        for value in (0, 3, 3.0, np.int64(3), np.float64(2.0)):
+            got = check_index("j", value)
+            assert got == int(value) and type(got) is int
+
+    @pytest.mark.parametrize("value", [-1, 1.5, -0.5, math.nan, math.inf, "3", None, 1j])
+    def test_others_raise_domain_error(self, value):
+        with pytest.raises(DomainError, match="needs j >= 0"):
+            check_index("j", value)
 
 
 def _mp_inc_beta_table(x: float, n: int, b: float) -> np.ndarray:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit
+from nbsloc.bergman import BergmanFunction, bargmann_inverse, kernel_closed, kernel_limit
 from nbsloc.errors import DomainError
-from nbsloc.locop import beta_density
+from nbsloc.locop import (RadialSymbol, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
+                          landau_density, landau_eigenvalue, quantization_matrix_element, radial_eigenvalue)
+from nbsloc.specfun import jacobi, laguerre
 from nbsloc.quadrature import half_line_grid, suggested_cutoff
 from nbsloc.states import (
     DiskPoint,
@@ -34,6 +36,28 @@ from nbsloc.states import (
 )
 
 disk_points = st.complex_numbers(max_magnitude=0.85, allow_nan=False, allow_infinity=False)
+
+# every entry point that takes an index, called with that index
+INDEX_CALLS = {
+    "laguerre": lambda j: laguerre(j, 0.5, 1.0),
+    "jacobi": lambda j: jacobi(j, 0.5, 0.5, 0.3),
+    "ModelParams": lambda j: ModelParams(4.5, j),
+    "photon_weight": lambda j: photon_weight(j, 1.5),
+    "bergman_basis": lambda j: bergman_basis(j, 1.5, 0.3),
+    "laguerre_function": lambda j: laguerre_function(j, 1.5, 1.0),
+    "nbs_expansion": lambda j: nbs_expansion(0.3, 1.5, 1.0, j),
+    "nb_pmf": lambda j: nb_pmf(j, 1.5, 0.4),
+    "disk_eigenvalue": lambda j: disk_eigenvalue(j, 1.5, 0.6),
+    "radial_eigenvalue": lambda j: radial_eigenvalue(RadialSymbol(lambda r: r, 1.0), j, 1.5),
+    "as_function_of_hamiltonian": lambda j: as_function_of_hamiltonian(j + 1, 1.5, 0.6),
+    "beta_density": lambda j: beta_density(j, 1.5, 0.3),
+    "landau_density": lambda j: landau_density(j, ModelParams(2.5, 1), 0.3),
+    "landau_eigenvalue": lambda j: landau_eigenvalue(j, ModelParams(2.5, 1), 0.6),
+    "quantization_matrix_element_j": lambda j: quantization_matrix_element(lambda z: 1.0, j, 0, 1.5),
+    "quantization_matrix_element_k": lambda j: quantization_matrix_element(lambda z: 1.0, 0, j, 1.5),
+    "bargmann_inverse": lambda j: bargmann_inverse(BergmanFunction(1.5, [1.0, 0.5]), 1.0, j),
+    "project": lambda j: BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(j).coefficients,
+}
 
 
 class TestDomainTypes:
@@ -75,6 +99,14 @@ class TestDomainTypes:
         for call in calls:
             with pytest.raises(DomainError, match="2B > 1"):
                 call()
+
+    @pytest.mark.parametrize("name", list(INDEX_CALLS))
+    def test_index_rule_everywhere(self, name):
+        # 1.5 gave a value (disk_eigenvalue, as_function_of_hamiltonian, radial_eigenvalue) or a TypeError
+        call = INDEX_CALLS[name]
+        with pytest.raises(DomainError, match=">= 0"):
+            call(1.5)
+        assert call(np.int64(3)) == pytest.approx(call(3), rel=0, abs=0)
 
     def test_point_types(self):
         DiskPoint(0.5 + 0.2j)
