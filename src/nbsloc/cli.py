@@ -5,12 +5,18 @@ to stdout or --out as CSV (parameter header in '#' comment lines) or JSON
 (top-level "params" object plus "data" array); identical configurations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage or domain error.
+
+The argparse tree is built once per process, on the first ``main`` call
+(``build_parser`` is memoized); each call parses into a fresh namespace.
+JSON documents are filled in from one row template per call and are
+exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -44,6 +50,7 @@ _finite_arg = _checked(float, math.isfinite, "a finite number")
 _count_arg = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbsloc",
@@ -97,17 +104,38 @@ def _write(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+def _json_cell(value) -> str:
+    """One cell as json.dumps writes it; finite floats (numpy's too) and ints by their repr."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)  # str, bool, None, NaN and +-inf
+
+
 def _render(params: dict, columns: list[str], rows: list[list], fmt: str) -> str:
-    # numpy scalars subclass float but repr as np.float64(...) under numpy 2
-    rows = [[float(v) if isinstance(v, float) else v for v in row] for row in rows]
+    """The document: JSON exactly as json.dumps({"params": params, "data": [one dict per row]},
+    indent=2, sort_keys=True) plus a newline, or CSV.  Each row holds one cell per column."""
     if fmt == "json":
-        data = [dict(zip(columns, row)) for row in rows]
-        return json.dumps({"params": params, "data": data}, indent=2, sort_keys=True) + "\n"
+        # indent=2 would run json's pure-Python encoder over every row; one row template,
+        # its keys sorted and encoded once, gives the same bytes.  A repeated column name
+        # keeps its last cell, as dict(zip(columns, row)) does.
+        index = {name: i for i, name in enumerate(columns)}
+        keys = sorted(index)
+        picks = [index[key] for key in keys]
+        fields = ",\n".join("      " + json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+        template = f"    {{\n{fields}\n    }}" if keys else "    {}"
+        cells = tuple(map(_json_cell, [row[i] for row in rows for i in picks]))
+        body = ",\n".join([template] * len(rows)) % cells
+        data = f"[\n{body}\n  ]" if rows else "[]"
+        params_text = json.dumps(params, indent=2, sort_keys=True).replace("\n", "\n  ")
+        return f'{{\n  "data": {data},\n  "params": {params_text}\n}}\n'
     out = io.StringIO()
     out.writelines(f"# {key} = {value!r}\n" for key, value in sorted(params.items()))
     writer = csv.writer(out, lineterminator="\n")  # quotes only cells holding , or "
     writer.writerow(columns)
-    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    # numpy scalars subclass float but repr as np.float64(...) under numpy 2
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
     return out.getvalue()
 
 
@@ -160,8 +188,7 @@ def cmd_density(args) -> int:
     n_points = args.samples if 2 <= args.samples <= 10_000 else 101
     rho = np.linspace(0.0, 1.0, n_points + 1)[:-1]
     rows = []
-    for j in range(args.j_max + 1):
-        vals = locop.landau_density(j, params, rho)
+    for j, vals in enumerate(locop.landau_density_table(args.j_max, params, rho)):
         rows.extend([j, float(r), float(v)] for r, v in zip(rho, vals))
     extra = {"rho_points": n_points}
     _write(_render(_params_dict(args, extra), ["j", "rho", "density"], rows, args.format), args.out)

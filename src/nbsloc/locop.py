@@ -35,6 +35,7 @@ __all__ = [
     "as_function_of_hamiltonian",
     "beta_density",
     "landau_density",
+    "landau_density_table",
     "landau_eigenvalue",
     "mc_eigenvalue",
     "leakage_bound",
@@ -177,7 +178,21 @@ def landau_density(j: int, params: ModelParams, rho):
     with m^j = min(m, j), mvj = max(m, j), all but the squared polynomial formed
     in logs.  Needs m < B - 1/2 strictly, otherwise the weight is not normalizable.
     """
-    j = check_index("j", j)
+    (vals,) = _level_densities([check_index("j", j)], params, rho)
+    return vals if isinstance(rho, np.ndarray) else float(vals)
+
+
+def landau_density_table(j_max: int, params: ModelParams, rho) -> np.ndarray:
+    """Rows ``landau_density(j, params, rho)``, j = 0..j_max, bit for bit, in O(j_max) work."""
+    return np.array(_level_densities(range(check_index("j_max", j_max) + 1), params, rho))
+
+
+def _level_densities(js, params: ModelParams, rho) -> list[np.ndarray]:
+    """The level-m densities at the nondecreasing indices ``js``, from one weight table.
+
+    ``log_nb_weights`` is a sequential cumulative sum, so a prefix of the long
+    table equals, bit for bit, the short table a single index would build.
+    """
     B, m = params.B, params.m
     if not 2.0 * (B - m) - 1.0 > 0.0:
         raise DomainError(
@@ -186,12 +201,15 @@ def landau_density(j: int, params: ModelParams, rho):
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0.0) or np.any(rho_arr >= 1.0):
         raise DomainError("density defined on 0 <= rho < 1")
-    lo, hi = min(m, j), max(m, j)
-    log_w = log_nb_weights(hi + 1, 2.0 * B - 2.0 * m)
-    ln_norm = math.log(2.0 * B - 2.0 * m - 1.0) + log_w[hi] - log_w[lo]
-    poly = jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, 1.0 - 2.0 * rho_arr)
-    vals = np.exp(ln_norm + _log_density_shape(rho_arr, hi - lo, 2.0 * B - 2.0 * m - 2.0)) * poly * poly
-    return vals if isinstance(rho, np.ndarray) else float(vals)
+    log_w = log_nb_weights(max(m, js[-1]) + 1, 2.0 * B - 2.0 * m)
+    out = []
+    for j in js:
+        lo, hi = min(m, j), max(m, j)
+        ln_norm = math.log(2.0 * B - 2.0 * m - 1.0) + log_w[hi] - log_w[lo]
+        poly = jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, 1.0 - 2.0 * rho_arr)
+        shape = _log_density_shape(rho_arr, hi - lo, 2.0 * B - 2.0 * m - 2.0)
+        out.append(np.exp(ln_norm + shape) * poly * poly)
+    return out
 
 
 def landau_eigenvalue(j: int, params: ModelParams, R, n_nodes: int = 320) -> float:

@@ -147,10 +147,7 @@ def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 500) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             return h
-    raise ConvergenceError(
-        f"incomplete Beta continued fraction stalled at a={a}, b={b}, x={x}",
-        terms_used=max_iter,
-    )
+    raise ConvergenceError("incomplete Beta continued fraction stalled", terms_used=max_iter)
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -169,9 +166,13 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     ln_front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
     front = math.exp(ln_front)
     # Continued fraction converges fastest on the side where x is small.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+    try:
+        if x < (a + 1.0) / (a + b + 2.0):
+            return front * _beta_cont_frac(a, b, x) / a
+        return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+    except ConvergenceError as exc:  # name the caller's arguments, not the complement route's
+        raise ConvergenceError(f"incomplete Beta I_x(a, b) did not converge within {exc.terms_used} "
+                               f"iterations at a={a}, b={b}, x={x}", terms_used=exc.terms_used) from None
 
 
 def inc_beta_steps(x: float, n: int, b: float) -> np.ndarray:

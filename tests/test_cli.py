@@ -7,16 +7,26 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nbsloc import cli
-from nbsloc.locop import disk_eigenvalue, leakage_bound
+from nbsloc.locop import disk_eigenvalue, landau_density, leakage_bound
+from nbsloc.states import ModelParams
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(args):
+    """``python -m nbsloc ARGS`` in a new interpreter; stdout as bytes."""
+    return subprocess.run([sys.executable, "-m", "nbsloc", *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
 
 
 def parse_csv(text):
@@ -123,6 +133,16 @@ class TestDensity:
         # left Riemann sum on the uniform grid is a crude mass check
         for j, vals in per_j.items():
             assert sum(vals) / 400 == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("B, m", [(1.5, 0), (2.5, 1)])
+    def test_rows_are_the_single_index_densities_bit_for_bit(self, B, m, capsys):
+        code, out, _ = run_cli(["density", "--B", str(B), "--m", str(m), "--j-max", "300",
+                                "--samples", "5", "--format", "json"], capsys)
+        assert code == 0
+        got = np.array([row["density"] for row in json.loads(out)["data"]]).reshape(301, 5)
+        rho = np.linspace(0.0, 1.0, 6)[:-1]
+        want = np.array([landau_density(j, ModelParams(B, m), rho) for j in range(301)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_large_strength_rows_are_finite(self, capsys):
         # the density norm alone overflows at j = 673; this exited 1 with an OverflowError
@@ -235,10 +255,70 @@ def test_csv_round_trips_to_the_json_document(command, capsys):
     ["eigvals", "--j-max", "-5"],
 ])
 def test_bad_numbers_exit_two_without_traceback(args):
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "nbsloc", *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    proc = run_fresh(args)
     assert proc.returncode == 2
-    assert "error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    assert b"error:" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("command, fmt", [(command, "json") for command in sorted(ROUND_TRIP_ARGS)]
+                         + [("density", "csv"), ("kernel", "csv")])
+def test_in_process_stdout_is_the_fresh_process_stdout(command, fmt, capsys):
+    args = [command, *ROUND_TRIP_ARGS[command], "--format", fmt]
+    cli.main(["eigvals", "--B", "2.5", "--m", "1", "--format", "json"])  # a parser already in use
+    capsys.readouterr()
+    code, out, _ = run_cli(args, capsys)
+    proc = run_fresh(args)
+    assert (code, out.encode()) == (proc.returncode, proc.stdout)
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_omitted_option_takes_its_default_again(self, capsys):
+        base = ["kernel", "--B", "1", "--R", "0.5", "--z", "0", "--w", "0.3", "--format", "json"]
+        code, out, _ = run_cli(base + ["--s", "0.5"], capsys)
+        assert code == 0 and json.loads(out)["data"][0]["note"] == ""
+        code, out, _ = run_cli(base, capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["data"][0]["note"] == "s defaulted to R^2"
+        assert doc["params"]["s"] == 0.25
+
+    def test_usage_error_leaves_no_trace(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eigvals", "--B", "1.7", "--j-max", "-5", "--format", "json"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        args = ["eigvals", "--B", "1.7", "--format", "json"]
+        code, out, _ = run_cli(args, capsys)
+        assert (code, out.encode()) == (0, run_fresh(args).stdout)
+
+
+def _reference_json(params, columns, rows):
+    doc = {"params": params, "data": [dict(zip(columns, row)) for row in rows]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+DETAIL = 'max |I - 1| = 2.2e-16 over "x, y" pairs\\tail,\nline two: \u00e9\u03bb \U0001d49c %s %d'
+RENDER_CASES = {
+    "empty rows": (["j", "lambda"], []),
+    "one row": (["j", "lambda"], [[0, 0.5]]),
+    "non-finite floats": (["v", "w"], [[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 1.7976931348623157e308]]),
+    "numpy floats": (["x", "y"], [[np.float64(0.1), np.float64(np.nan)], [np.float64(-np.inf), np.float64(2.0)]]),
+    "bools and None": (["ok", "missing", "n"], [[True, None, 0], [False, None, -(10 ** 30)]]),
+    "strings": (["name", "detail"], [["a,b", DETAIL], ['"quoted"', ""], ["back\\slash", "tab\there"]]),
+    "unsorted columns": (["zeta", "Alpha", "_x", "10", "9", "a b", 'q"uote', "per%cent"],
+                         [[1, 2.5, "s", None, True, -1.0, 3, 4.0], [0, 0.0, "", 1e-300, False, 7, 8, 9]]),
+    "repeated column": (["a", "b", "a"], [[1, 2, 3]]),
+    "no columns": ([], [[], []]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_json_document_is_json_dumps_indent_2(case):
+    columns, rows = RENDER_CASES[case]
+    params = {"command": "eigvals", "B": 1.5, "R": np.float64(0.6), "m": 0, "note": DETAIL, "j_max": 20}
+    assert cli._render(params, columns, rows, "json") == _reference_json(params, columns, rows)
+    assert cli._render({}, columns, rows, "json") == _reference_json({}, columns, rows)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,12 @@ class TestRegIncBeta:
     def test_non_finite_parameters_rejected(self, a, b):
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, a, b)
+
+    # I_0.36(4, 2e200) takes the complement route, the continued fraction of I_0.64(2e200, 4)
+    @pytest.mark.parametrize("x, a, b", [(0.36, 4.0, 2e200), (0.64, 2e200, 4.0)])
+    def test_refusal_names_the_callers_arguments(self, x, a, b):
+        with pytest.raises(ConvergenceError, match=re.escape(f"at a={a}, b={b}, x={x}")):
+            reg_inc_beta(x, a, b)
 
     @given(
         x=st.floats(0.0, 1.0),
