@@ -7,7 +7,10 @@ three equivalent descriptions implemented here: the eigenvalue series,
 which applies the operator, and two independent checks of it, a closed
 form through the first Appell double series and the s -> 1 limit, the
 reproducing kernel of the space itself.  Disk integrals use the polar
-rule, summed angle first by one FFT of F per radius.
+rule, summed angle first over F's angular Fourier coefficients on it:
+a coefficient function folds its coefficients into them exactly, an
+evaluator is sampled and takes one FFT per radius, and both give the same
+discrete sum.
 
 Accuracy is a fixed contract, not an argument: the kernel series is cut
 where its tail falls below specfun's SERIES_REL_TOL, and
@@ -28,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedRepresentationError
-from .quadrature import angular_grid, radial_jacobi_grid
+from .quadrature import QuadratureGrid, angular_grid, radial_jacobi_grid
 from .specfun import (SERIES_ABS_TOL, SERIES_MAX_TERMS, SERIES_REL_TOL, appell_f1, check_index, horner,
                       log_nb_weights, reg_inc_beta_table)
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
@@ -100,10 +103,10 @@ class BergmanFunction:
         to PROJECT_REFINE_TOL times F's norm; else, as for a pole just outside, AccuracyError.
         """
         j_max = check_index("j_max", j_max)
-        n_r, last = max(64, j_max // 2 + 1), None
-        norms, j = basis_norms(j_max + 1, self.B), np.arange(j_max + 1)
+        radial, last = radial_jacobi_grid(max(64, j_max // 2 + 1), self.B), None
+        r, norms, j = np.sqrt(radial.nodes), basis_norms(j_max + 1, self.B), np.arange(j_max + 1)
         for n_theta in PROJECT_THETAS:
-            radial, r, a = _angular_coefficients(self, self.B, n_r, n_theta, max(n_theta, j_max + 1))
+            a = _angular_coefficients(self, r, n_theta, max(n_theta, j_max + 1))
             coeffs = norms * (radial.weights @ (r[:, None] ** j * a[:, :j_max + 1]))
             norm = math.sqrt(radial.weights @ np.sum(np.abs(a[:, :n_theta]) ** 2, axis=1))  # Parseval
             delta = math.inf if last is None else float(np.max(np.abs(coeffs - last), initial=0.0))
@@ -220,17 +223,33 @@ def kernel_limit(z, w, B: float):
     return (2.0 * B - 1.0) * principal_power(1.0 - as_disk(z).conjugate() * as_disk(w), -2.0 * B)
 
 
-def _angular_coefficients(F: BergmanFunction, B: float, n_r: int, n_theta: int, n_k: int):
-    """Radial rule, r_i and a[i, k] = mean_m exp(-i k theta_m) F(r_i exp(i theta_m)), k < n_k.
+def _angular_coefficients(F: BergmanFunction, r: np.ndarray, n_theta: int, n_k: int) -> np.ndarray:
+    """a[i, k] = mean_m exp(-i k theta_m) F(r_i exp(i theta_m)), k < n_k, from one FFT of F per radius.
 
     With theta_m = 2 pi (m + 1/2) / n_theta, a[i, k] is FFT bin k mod n_theta times exp(-i pi k / n_theta)
-    / n_theta, for k past n_theta too.  The polar rule's (1/pi) int conj(z)^k F(z) (1-|z|^2)^(2B-2) dA
-    is then sum_i W_i r_i^k a[i, k].
+    / n_theta, for k past n_theta too.  On the polar rule with radial weights W_i,
+    (1/pi) int conj(z)^k F(z) (1-|z|^2)^(2B-2) dA is then sum_i W_i r_i^k a[i, k].
     """
-    radial = radial_jacobi_grid(n_r, B)
-    r, k = np.sqrt(radial.nodes), np.arange(n_k)
+    k = np.arange(n_k)
     spectrum = np.fft.fft(F.values(r[:, None] * np.exp(1j * angular_grid(n_theta).nodes)), axis=1)
-    return radial, r, spectrum[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
+    return spectrum[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
+
+
+def _folded_sum(g: np.ndarray, h: np.ndarray, radial: QuadratureGrid, n_theta: int) -> complex:
+    """sum_i W_i sum_k h_k r_i^k a_k(r_i) for F = sum_j g_j z^j on n_theta midpoint angles, sampling no F.
+
+    The midpoint rule's angular coefficients of a polynomial are exact alias sums,
+    a_k(r) = sum_{j = k mod n_theta} (-1)^((k-j)/n_theta) g_j r^j, so only the pairs j = k (mod n_theta)
+    contribute, each with the radial moment sum_i W_i r_i^(j+k): at most
+    len(g) * ceil(len(h) / n_theta) pairs.
+    """
+    j = np.arange(g.size)[:, None]
+    k = j % n_theta + n_theta * np.arange(-(-h.size // n_theta))
+    pair = k < h.size
+    j, k = np.broadcast_to(j, k.shape)[pair], k[pair]
+    sign = 1 - 2 * ((k - j) // n_theta % 2)
+    moments = radial.weights @ np.sqrt(radial.nodes)[:, None] ** (j + k)
+    return complex(np.sum(sign * g[j] * h[k] * moments))
 
 
 def transferred_apply(F: BergmanFunction, w, B: float, R, n_r: int = 64, n_theta: int = 128) -> complex:
@@ -238,21 +257,29 @@ def transferred_apply(F: BergmanFunction, w, B: float, R, n_r: int = 64, n_theta
 
     (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2 on the
     polar rule, kernel series sum_k c_k (conj(z) w)^k (cut for the fine rule)
-    summed angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i).  The result
-    is recomputed on a doubled rule; if the two values differ by more than
-    TRANSFER_REFINE_TOL times max(|fine|, 1), or either is NaN, AccuracyError
-    is raised, otherwise the refined value is returned, which on basis
-    elements is the eigenvalue action.
+    summed angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i), where a_k(r)
+    are F's angular Fourier coefficients on the midpoint rule.  A coefficient
+    function folds its coefficients into a_k(r) exactly, in closed form; an
+    evaluator is sampled and takes one FFT per radius.  Both give the same
+    discrete sum.  The result is recomputed on a doubled rule; if the two
+    values differ by more than TRANSFER_REFINE_TOL times max(|fine|, 1), or
+    either is NaN, AccuracyError is raised, otherwise the refined value is
+    returned, which on basis elements is the eigenvalue action.
     """
     w, R = as_disk(w), as_radius(R)
-    c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(radial_jacobi_grid(2 * n_r, B).nodes)) * abs(w))
+    fine_radial = radial_jacobi_grid(2 * n_r, B)
+    c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(fine_radial.nodes)) * abs(w))
     k = np.arange(c.size)
+    h = c * w ** k
+    g = None if F.coefficients is None else F.coefficients * basis_norms(F.coefficients.size, F.B)
 
-    def evaluate(nr: int, nt: int) -> complex:
-        radial, r, a = _angular_coefficients(F, B, nr, nt, c.size)
-        return complex(radial.weights @ ((r[:, None] ** k * a) @ (c * w ** k)))
+    def evaluate(radial: QuadratureGrid, nt: int) -> complex:
+        if g is not None:
+            return _folded_sum(g, h, radial, nt)
+        r = np.sqrt(radial.nodes)
+        return complex(radial.weights @ ((r[:, None] ** k * _angular_coefficients(F, r, nt, c.size)) @ h))
 
-    coarse, fine = evaluate(n_r, n_theta), evaluate(2 * n_r, 2 * n_theta)
+    coarse, fine = evaluate(radial_jacobi_grid(n_r, B), n_theta), evaluate(fine_radial, 2 * n_theta)
     if not abs(fine - coarse) <= TRANSFER_REFINE_TOL * max(abs(fine), 1.0):  # a NaN refuses too
         raise AccuracyError(f"disk quadrature did not converge: refinement moved the value by "
                             f"{abs(fine - coarse):.3e} (tol {TRANSFER_REFINE_TOL:.1e})")

@@ -27,6 +27,7 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -342,6 +343,7 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
     """sum front_{j+k} row_j col_k over anti-diagonals j + k = n, up to ``n_stop`` unless it is None.
 
     row_j = prod (row_params)_j u^j / j!, col_k likewise in v, front_n = prod (front_num)_n / prod (front_den)_n.
+    A block whose products leave the float range raises ConvergenceError.
     """
     row = [complex(1.0)]
     col = [complex(1.0)]
@@ -358,7 +360,12 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
         front = front * math.prod([p + n - 1.0 for p in front_num]) / math.prod([p + n - 1.0 for p in front_den])
         # math.fsum makes each block exact, hence invariant under swapping the two summation indices
         products = [row[j] * col[n - j] for j in range(n + 1)]
-        block = front * complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
+        try:
+            block = front * complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
+        except (OverflowError, ValueError):  # F3's rows grow like j! u^j: partial sums overflow, or inf - inf
+            block = complex(math.nan)
+        if not cmath.isfinite(block):
+            raise ConvergenceError(f"{name} terms left the float range at anti-diagonal {n}", terms_used=terms)
         total += block
         terms += n + 1
         if abs(block) <= max(SERIES_REL_TOL * abs(total), SERIES_ABS_TOL):

@@ -21,9 +21,9 @@ from nbsloc.errors import (
     UnsupportedRepresentationError,
 )
 from nbsloc.locop import SpectralData, disk_eigenvalue, spectral_apply
-from nbsloc.quadrature import disk_grid
-from nbsloc.specfun import reg_inc_beta
-from nbsloc.states import LocalizationRadius, bergman_basis, laguerre_function
+from nbsloc.quadrature import disk_grid, radial_jacobi_grid
+from nbsloc.specfun import reg_inc_beta, reg_inc_beta_table
+from nbsloc.states import LocalizationRadius, basis_norms, basis_series, bergman_basis, laguerre_function
 
 
 class TestBergmanFunction:
@@ -90,8 +90,8 @@ class TestBergmanFunction:
 
         B, n_r, n_theta, n_k = 1.5, 5, 7, 30
         F = BergmanFunction(B, evaluator=lambda z: 1.0 / (1.3 - z) + z.conjugate() ** 2)
-        radial, r, a = _angular_coefficients(F, B, n_r, n_theta, n_k)
-        assert np.allclose(r * r, radial.nodes, rtol=1e-15, atol=0.0)
+        r = np.sqrt(radial_jacobi_grid(n_r, B).nodes)
+        a = _angular_coefficients(F, r, n_theta, n_k)
         theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
         for i in range(n_r):
             values = F.values(r[i] * np.exp(1j * theta))
@@ -311,6 +311,70 @@ class TestTransferredApply:
         got = transferred_apply(F, w, B, R, n_r, n_theta)
         want = oracles.dense_disk_apply(F, w, B, R * R, 2 * n_r, 2 * n_theta, kernel_series, disk_grid)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("B", [0.51, 0.75, 1.5, 4.5, 10.0])
+    @pytest.mark.parametrize("w, n_r, n_theta, d", [
+        (0.3 + 0.2j, 64, 128, 8),
+        (0.9 * np.exp(2.1j), 64, 128, 12),
+        # 20 coefficients on 14 fine angles alias, and the kernel series is longer than both rules
+        (-0.6 + 0.62j, 12, 7, 20),
+    ])
+    def test_coefficient_route_matches_evaluator_route(self, B, w, n_r, n_theta, d, monkeypatch):
+        # Coefficients fold into a_k(r) in closed form; the same F as an evaluator is sampled and
+        # takes one FFT per radius.  Both form the same discrete sum, compared on the fine rule.
+        monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", math.inf)
+        rng = np.random.default_rng(65)
+        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        got = transferred_apply(BergmanFunction(B, c), w, B, 0.7, n_r, n_theta)
+        sampled = BergmanFunction(B, evaluator=lambda z: basis_series(c, B, z))
+        want = transferred_apply(sampled, w, B, 0.7, n_r, n_theta)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("n_theta, d, n_k", [(7, 20, 40), (8, 3, 30), (128, 12, 442)])
+    def test_folded_sum_matches_sampled_sum(self, n_theta, d, n_k):
+        # the coarse rule's own sum, odd n_theta included: alias pairs against one FFT per radius
+        from nbsloc.bergman import _angular_coefficients, _folded_sum
+
+        B, rng = 1.5, np.random.default_rng(67)
+        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        h = (rng.standard_normal(n_k) + 1j * rng.standard_normal(n_k)) * 0.9 ** np.arange(n_k)
+        radial = radial_jacobi_grid(12, B)
+        r = np.sqrt(radial.nodes)
+        sampled = BergmanFunction(B, evaluator=lambda z: basis_series(c, B, z))
+        a = _angular_coefficients(sampled, r, n_theta, n_k)
+        want = radial.weights @ ((r[:, None] ** np.arange(n_k) * a) @ h)
+        got = _folded_sum(c * basis_norms(d, B), h, radial, n_theta)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_large_strength_refusals(self, j):
+        # At B = 20, w = -0.85+0.1j the coarse and fine rules disagree (by 1.1e-2 on e_0, 2.2e-1
+        # on e_3), so both routes refuse, although lambda_j e_j(w) is well-defined
+        B, c = 20.0, np.zeros(j + 1)
+        c[j] = 1.0
+        for F in (BergmanFunction(B, c), BergmanFunction(B, evaluator=lambda z: basis_series(c, B, z))):
+            with pytest.raises(AccuracyError):
+                transferred_apply(F, -0.85 + 0.1j, B, 0.8)
+
+    def test_certify_or_refuse_sweep(self):
+        # Seeded random coefficient functions over the domain: each apply either meets the exact
+        # eigen-action sum_j I_{R^2}(j+1, 2B-1) c_j e_j(w) to 1e-8 of max(|value|, 1) or refuses.
+        rng = np.random.default_rng(20261018)
+        for B in (0.51, 0.6, 0.75, 1.0, 2.5, 5.3, 10.0, 20.0, 40.0):
+            certified = 0
+            for _ in range(25):
+                d = int(rng.integers(1, 16))
+                c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                w = 0.95 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random())
+                R = rng.uniform(0.05, 0.99)
+                want = basis_series(reg_inc_beta_table(R * R, d, 2.0 * B - 1.0) * c, B, w)
+                try:
+                    got = transferred_apply(BergmanFunction(B, c), w, B, R)
+                except (AccuracyError, ConvergenceError):
+                    continue
+                assert abs(got - want) <= 1e-8 * max(abs(want), 1.0), (B, d, w, R)
+                certified += 1
+            assert certified >= 20, (B, certified)  # refusals stay the exception, not the answer
 
 
 class TestIntertwining:

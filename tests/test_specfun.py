@@ -338,6 +338,17 @@ class TestAppellF3:
         with pytest.raises(DomainError):
             appell_f3(-1.0, -2.0, b1, b2, -2.0, u, v)
 
+    def test_large_arguments_match_oracle_or_refuse(self):
+        # row and column products grow like j! u^j while the front 1/(c)_n falls like 1/n!, and the
+        # sum needs about 450 anti-diagonals: past about 170 a plain product overflows.  A value
+        # may leave a geometric tail of about SERIES_REL_TOL / (1 - u) = 2e-11 behind.
+        args = (0.5, 0.5, 0.5, 0.5, 2.0, 0.95, 0.9)
+        try:
+            got = appell_f3(*args).value
+        except ConvergenceError:
+            return
+        assert got == pytest.approx(oracles.appell_f3_rowwise(*args, rows=1000), rel=1e-10)
+
     def test_convergence_error(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError) as err:
