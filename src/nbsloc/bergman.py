@@ -12,11 +12,12 @@ a coefficient function folds its coefficients into them exactly, an
 evaluator is sampled and takes one FFT per radius, and both give the same
 discrete sum.
 
-Accuracy is a fixed contract, not an argument: the kernel series is cut
-where its tail falls below specfun's SERIES_REL_TOL, and
-``transferred_apply`` and ``BergmanFunction.project`` compare each value
-with a refined rule and raise AccuracyError past TRANSFER_REFINE_TOL and
-PROJECT_REFINE_TOL.
+Accuracy and rule sizes are a fixed contract, not arguments: the kernel
+series is cut where its tail falls below specfun's SERIES_REL_TOL;
+``transferred_apply`` and ``BergmanFunction.project`` start from
+quadrature's DISK_RULE, compare each value with a refined rule and raise
+AccuracyError past TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL; and
+``BergmanFunction.check_analytic`` reads the ANALYTIC_* constants.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedRepresentationError
-from .quadrature import QuadratureGrid, angular_grid, radial_jacobi_grid
+from .quadrature import DISK_RULE, QuadratureGrid, angular_grid, radial_jacobi_grid
 from .specfun import (SERIES_ABS_TOL, SERIES_MAX_TERMS, SERIES_REL_TOL, appell_f1, check_index, horner,
                       log_nb_weights, reg_inc_beta_table)
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
@@ -50,8 +51,12 @@ __all__ = [
 ]
 
 PROJECT_REFINE_TOL = 1e-10  # agreement of project's last two angular rules, relative to |F|
-PROJECT_THETAS = tuple(128 << i for i in range(6))  # project's angular rules, 128 to 4096 nodes
+PROJECT_RULES = 6  # project's angular rules: DISK_RULE's angle count doubled up to 5 times, 128 to 4096
 TRANSFER_REFINE_TOL = 1e-8  # agreement of transferred_apply's two rules, relative to max(|value|, 1)
+ANALYTIC_POINTS = 5  # check_analytic's random interior points
+ANALYTIC_STEP = 1e-4  # its central-difference step
+ANALYTIC_TOL = 1e-6  # its Cauchy-Riemann residual bound, relative to max(1, |derivative|)
+ANALYTIC_SEED = 20260808  # its PCG64 seed, so the check is reproducible
 
 
 @dataclass
@@ -99,13 +104,15 @@ class BergmanFunction:
         """Disk-quadrature projection onto the first j_max + 1 basis elements.
 
         c_j = sum_i W_i basis_j(r_i) a_j(r_i) from F's angular Fourier coefficients a_j (exact in r
-        for analytic F), doubling n_theta through PROJECT_THETAS until two coefficient vectors agree
-        to PROJECT_REFINE_TOL times F's norm; else, as for a pole just outside, AccuracyError.
+        for analytic F), at least DISK_RULE's radii, doubling n_theta from its angles through
+        PROJECT_RULES rules until two coefficient vectors agree to PROJECT_REFINE_TOL times F's norm;
+        else, as for a pole just outside, AccuracyError.
         """
         j_max = check_index("j_max", j_max)
-        radial, last = radial_jacobi_grid(max(64, j_max // 2 + 1), self.B), None
+        n_r, n_theta0 = DISK_RULE
+        radial, last = radial_jacobi_grid(max(n_r, j_max // 2 + 1), self.B), None
         r, norms, j = np.sqrt(radial.nodes), basis_norms(j_max + 1, self.B), np.arange(j_max + 1)
-        for n_theta in PROJECT_THETAS:
+        for n_theta in (n_theta0 << i for i in range(PROJECT_RULES)):
             a = _angular_coefficients(self, r, n_theta, max(n_theta, j_max + 1))
             coeffs = norms * (radial.weights @ (r[:, None] ** j * a[:, :j_max + 1]))
             norm = math.sqrt(radial.weights @ np.sum(np.abs(a[:, :n_theta]) ** 2, axis=1))  # Parseval
@@ -115,14 +122,13 @@ class BergmanFunction:
             last = coeffs
         raise AccuracyError(f"projection not converged at {n_theta} angular nodes: moved {delta:.3e}, |F| {norm:.3e}")
 
-    def check_analytic(self, n_points: int = 5, step: float = 1e-4,
-                       tol: float = 1e-6, seed: int = 20260808) -> None:
-        """Cauchy-Riemann finite-difference spot check at random interior points."""
-        u = np.random.Generator(np.random.PCG64(seed)).random((n_points, 2))
+    def check_analytic(self) -> None:
+        """Cauchy-Riemann finite-difference spot check at ANALYTIC_POINTS random interior points."""
+        u = np.random.Generator(np.random.PCG64(ANALYTIC_SEED)).random((ANALYTIC_POINTS, 2))
         z = 0.7 * np.sqrt(u[:, 0]) * np.exp(2j * math.pi * u[:, 1])
-        dx, dy = ((self(z + h) - self(z - h)) / (2.0 * step) for h in (step, 1j * step))
+        dx, dy = ((self(z + h) - self(z - h)) / (2.0 * ANALYTIC_STEP) for h in (ANALYTIC_STEP, 1j * ANALYTIC_STEP))
         residual = np.abs(dx + 1j * dy)
-        bad = np.flatnonzero(residual > tol * np.maximum(1.0, np.maximum(abs(dx), abs(dy))))
+        bad = np.flatnonzero(residual > ANALYTIC_TOL * np.maximum(1.0, np.maximum(abs(dx), abs(dy))))
         if bad.size:
             raise DomainError(f"Cauchy-Riemann residual {residual[bad[0]]:.3e} at z={z[bad[0]]:.4f}; not analytic")
 
@@ -252,21 +258,23 @@ def _folded_sum(g: np.ndarray, h: np.ndarray, radial: QuadratureGrid, n_theta: i
     return complex(np.sum(sign * g[j] * h[k] * moments))
 
 
-def transferred_apply(F: BergmanFunction, w, B: float, R, n_r: int = 64, n_theta: int = 128) -> complex:
+def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     """Apply the transferred localization operator to F at the point w.
 
     (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2 on the
-    polar rule, kernel series sum_k c_k (conj(z) w)^k (cut for the fine rule)
-    summed angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i), where a_k(r)
-    are F's angular Fourier coefficients on the midpoint rule.  A coefficient
-    function folds its coefficients into a_k(r) exactly, in closed form; an
-    evaluator is sampled and takes one FFT per radius.  Both give the same
-    discrete sum.  The result is recomputed on a doubled rule; if the two
-    values differ by more than TRANSFER_REFINE_TOL times max(|fine|, 1), or
-    either is NaN, AccuracyError is raised, otherwise the refined value is
-    returned, which on basis elements is the eigenvalue action.
+    polar rule DISK_RULE, kernel series sum_k c_k (conj(z) w)^k (cut for the
+    fine rule) summed angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i),
+    where a_k(r) are F's angular Fourier coefficients on the midpoint rule.
+    A coefficient function folds its coefficients into a_k(r) exactly, in
+    closed form; an evaluator is sampled and takes one FFT per radius.  Both
+    give the same discrete sum.  The result is recomputed on the rule with
+    twice the radii and angles; if the two values differ by more than
+    TRANSFER_REFINE_TOL times max(|fine|, 1), or either is NaN, AccuracyError
+    is raised, otherwise the refined value is returned, which on basis
+    elements is the eigenvalue action.
     """
     w, R = as_disk(w), as_radius(R)
+    n_r, n_theta = DISK_RULE
     fine_radial = radial_jacobi_grid(2 * n_r, B)
     c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(fine_radial.nodes)) * abs(w))
     k = np.arange(c.size)

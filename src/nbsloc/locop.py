@@ -8,7 +8,8 @@ I_{R^2}(j + 1, 2B - 1), which is simultaneously the CDF of a Beta random
 variable (giving Monte-Carlo cross-checks) and a function of the
 pseudo-harmonic oscillator through its eigenvalue j + 1.  The module also
 carries the generalized level-m densities and eigenvalues, and the
-photon-counting bound on the operator's content outside the disk.
+photon-counting bound on the operator's content outside the disk.  Rule
+sizes are module constants (RADIAL_NODES, LANDAU_NODES, DISK_RULE), not arguments.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
-from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
+from .quadrature import DISK_RULE, disk_grid, mapped_legendre, radial_jacobi_grid
 from .specfun import (SERIES_MAX_TERMS, check_index, inc_beta_steps, log_beta, log_nb_weights, reg_inc_beta,
                       reg_inc_beta_table, sample_beta)
 from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 LANDAU_REFINE_TOL = 1e-10  # relative agreement landau_eigenvalue's refinement must reach
+LANDAU_NODES = 320  # landau_eigenvalue's Gauss-Legendre rule on [0, R^2] and on each half
+RADIAL_NODES = 160  # radial_eigenvalue's Gauss-Jacobi rule
 
 
 def disk_eigenvalue(j: int, B: float, R) -> float:
@@ -85,6 +88,7 @@ class SpectralData:
 
     def values(self, n: int) -> np.ndarray:
         """Eigenvalues j = 0..n-1 as an array."""
+        n = check_index("n", n)
         missing = [j for j in range(n) if j not in self._cache]
         if missing and self.m == 0:
             lam = reg_inc_beta_table(self.R.R * self.R.R, n, 2.0 * self.B - 1.0)
@@ -92,7 +96,7 @@ class SpectralData:
         return np.array([self.eigenvalue(j) for j in range(n)], dtype=float)
 
     def table(self, j_max: int) -> list[tuple[int, float]]:
-        return list(enumerate(self.values(j_max + 1).tolist()))
+        return list(enumerate(self.values(check_index("j_max", j_max) + 1).tolist()))
 
     @property
     def eigenvalues(self) -> tuple[tuple[int, float], ...]:
@@ -111,15 +115,16 @@ class RadialSymbol:
             raise DomainError(f"symbol bound must be finite and nonnegative, got {self.bound}")
 
 
-def radial_eigenvalue(F: RadialSymbol, j: int, B: float, n_nodes: int = 160) -> float:
+def radial_eigenvalue(F: RadialSymbol, j: int, B: float) -> float:
     """Eigenvalue of the quantized radial symbol F.
 
     (1 / B(j+1, 2B-1)) int_0^1 rho^j (1 - rho)^(2B-2) F(rho) drho, by the
-    weighted radial rule.  Discontinuous symbols converge slowly here; the
-    disk indicator has the exact closed form ``disk_eigenvalue``.
+    weighted radial rule of RADIAL_NODES nodes.  Discontinuous symbols
+    converge slowly here; the disk indicator has the exact closed form
+    ``disk_eigenvalue``.
     """
     j = check_index("j", j)
-    grid = radial_jacobi_grid(n_nodes, B)
+    grid = radial_jacobi_grid(RADIAL_NODES, B)
     fvals = np.asarray([F.func(r) for r in grid.nodes], dtype=float)
     if np.any(np.abs(fvals) > F.bound * (1.0 + 1e-12) + 1e-300):
         raise DomainError("symbol exceeds its declared bound on the integration nodes")
@@ -212,21 +217,22 @@ def _level_densities(js, params: ModelParams, rho) -> list[np.ndarray]:
     return out
 
 
-def landau_eigenvalue(j: int, params: ModelParams, R, n_nodes: int = 320) -> float:
+def landau_eigenvalue(j: int, params: ModelParams, R) -> float:
     """Level-m eigenvalue: mass of the level-m density on [0, R^2].
 
-    Gauss-Legendre on [0, R^2]; the weight factor is smooth there because
-    its singularity sits at rho = 1, outside the interval.  The same rule on
-    each half of [0, R^2] gives the refined value, returned unless the two
-    differ by more than LANDAU_REFINE_TOL relatively (AccuracyError).
+    Gauss-Legendre with LANDAU_NODES nodes on [0, R^2]; the weight factor
+    is smooth there because its singularity sits at rho = 1, outside the
+    interval.  The same rule on each half of [0, R^2] gives the refined
+    value, returned unless the two differ by more than LANDAU_REFINE_TOL
+    relatively (AccuracyError).
     """
     R = as_radius(R)
 
     def mass(lo: float, hi: float) -> float:
-        nodes, weights = mapped_legendre(n_nodes, lo, hi)
+        nodes, weights = mapped_legendre(LANDAU_NODES, lo, hi)
         return float(weights @ landau_density(j, params, nodes))
 
-    # halves, not a 2 n_nodes rule: that rule's dense build needs 4x the peak memory
+    # halves, not a rule of twice the nodes: that rule's dense build needs 4x the peak memory
     s = R * R
     coarse, fine = mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)
     if abs(fine - coarse) > LANDAU_REFINE_TOL * abs(fine):
@@ -241,6 +247,7 @@ def mc_eigenvalue(j: int, params: ModelParams, R, n_samples: int, seed: int) -> 
     Returns (estimate, standard error).  Only the lowest level has a Beta
     sampling route; higher levels are certified by quadrature instead.
     """
+    j = check_index("j", j)
     if params.m != 0:
         raise UnsupportedLevelError(
             f"sampling route exists only for m = 0, got m={params.m}; use landau_eigenvalue"
@@ -250,8 +257,7 @@ def mc_eigenvalue(j: int, params: ModelParams, R, n_samples: int, seed: int) -> 
     R = as_radius(R)
     draws = sample_beta(j + 1.0, 2.0 * params.B - 1.0, n_samples, seed)
     estimate = float(np.mean(draws <= R * R))
-    std_error = math.sqrt(estimate * (1.0 - estimate) / n_samples)
-    return estimate, std_error
+    return estimate, math.sqrt(estimate * (1.0 - estimate) / n_samples)
 
 
 def leakage_bound(z0, B: float, R, tail_tol: float = 1e-14) -> float:
@@ -261,10 +267,11 @@ def leakage_bound(z0, B: float, R, tail_tol: float = 1e-14) -> float:
     at p = |z0|^2.  The eigenvalues decrease, so the terms past index n - 1
     add at most I_{R^2}(n, 2B-1)^2 P(N >= n), with P(N >= n) = I_p(n, 2B)
     exactly; n doubles until that is at most ``tail_tol``, or raises
-    ConvergenceError past SERIES_MAX_TERMS.
+    ConvergenceError past SERIES_MAX_TERMS; ``tail_tol`` must be >= 0.
     """
-    z0 = as_disk(z0)
-    R = as_radius(R)
+    if not tail_tol >= 0.0:  # a NaN would end the doubling at once, a negative one never
+        raise DomainError(f"needs tail_tol >= 0, got {tail_tol}")
+    z0, R = as_disk(z0), as_radius(R)
     check_strength(B)
     p = abs(z0) ** 2
     s, b = R * R, 2.0 * B - 1.0
@@ -284,8 +291,7 @@ def localized_overlap(z0, B: float, R, coeffs) -> float:
     Closed form |sum_j lambda_j (1-|z0|^2)^B sqrt(Gamma(2B+j)/(j! Gamma(2B)))
     conj(z0)^j c_j|; bounded by ``leakage_bound`` times the norm of f.
     """
-    z0 = as_disk(z0)
-    R = as_radius(R)
+    z0, R = as_disk(z0), as_radius(R)
     check_strength(B)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.size == 0:
@@ -300,12 +306,13 @@ def quantization_matrix_element(F, j: int, k: int, B: float, grid=None) -> compl
 
     (pi Gamma(2B-1))^(-1) sqrt(Gamma(2B+j) Gamma(2B+k) / (j! k!))
       int_D conj(z)^j z^k (1-|z|^2)^(2B-2) F(z) dA(z)
-    by disk quadrature, F called once on all nodes.  For radial F the
-    off-diagonal entries vanish and the diagonal reproduces ``radial_eigenvalue``.
+    by disk quadrature on ``grid``, DISK_RULE by default, F called once on
+    all nodes.  For radial F the off-diagonal entries vanish and the
+    diagonal reproduces ``radial_eigenvalue``.
     """
     j, k = check_index("j", j), check_index("k", k)
     if grid is None:
-        grid = disk_grid(64, 128, B)
+        grid = disk_grid(*DISK_RULE, B)
     z = grid.nodes
     # the prefactor is that of conj(basis_j) basis_k: Gamma(2B) / Gamma(2B-1) = 2B - 1
     return grid.weights @ (np.conjugate(bergman_basis(j, B, z)) * bergman_basis(k, B, z) * F(z)) / math.pi

@@ -11,8 +11,9 @@ Three families cover every integral in the package:
   * ``disk_grid``        -- the tensor product of the radial rule with a
     uniform (spectrally accurate) angular rule for weighted disk integrals.
 
-The 1-D rules are memoized by (kind, n, exponent); rule and grid arrays are
+The 1-D rules are memoized by size and exponents; rule and grid arrays are
 read-only and integration is a dot product, so all of it is thread-safe.
+Fixed rule sizes are module constants, DISK_RULE and RESIDUAL_*, not arguments.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import numpy as np
 
 from .errors import DomainError
 
-GRID_KINDS = ("half_line", "radial_jacobi", "angular", "disk_tensor")
+DISK_RULE = (64, 128)  # (radii, angles) of the polar rule every disk integral starts from
+RESIDUAL_STEP = 1e-3  # hamiltonian_residual's finite-difference step
+RESIDUAL_WINDOW = (0.5, 8.0)  # hamiltonian_residual's interval, away from the x = 0 singularity
 RULE_CACHE_SIZE = 64  # rules kept per builder; a 600-node rule takes 10 kB
 
 
@@ -33,19 +36,16 @@ RULE_CACHE_SIZE = 64  # rules kept per builder; a 600-node rule takes 10 kB
 class QuadratureGrid:
     """Nodes and strictly positive weights for one integration rule.
 
-    For the one-dimensional kinds ``nodes`` is a float array strictly inside
-    the open integration domain; for ``disk_tensor`` it is a complex array of
+    For a one-dimensional rule ``nodes`` is a float array strictly inside
+    the open integration domain; for a ``disk_grid`` it is a complex array of
     points strictly inside the unit disk and the weights absorb both the
     radial weight function and the angular step.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in GRID_KINDS:
-            raise DomainError(f"unknown grid kind {self.kind!r}")
         if self.nodes.shape != self.weights.shape:
             raise DomainError("nodes and weights must have matching shapes")
         if not np.all(self.weights > 0.0):
@@ -90,7 +90,7 @@ def half_line_grid(n: int, cutoff: float) -> QuadratureGrid:
     if cutoff <= 0.0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
     nodes, weights = mapped_legendre(n, 0.0, cutoff)
-    return QuadratureGrid(nodes, weights, "half_line")
+    return QuadratureGrid(nodes, weights)
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
@@ -107,11 +107,10 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     if not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"Jacobi weight needs alpha, beta > -1, got {alpha}, {beta}")
     ab = alpha + beta
-    i = np.arange(n, dtype=float)
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)
     with np.errstate(invalid="ignore"):
-        ii = i[1:]
+        ii = np.arange(1.0, n)
         diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * ii + ab) * (2.0 * ii + ab + 2.0))
     off = np.empty(n - 1)
     off[0] = math.sqrt(4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0)))
@@ -137,15 +136,9 @@ def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
     """
     if not 0.5 < B < math.inf:
         raise DomainError(f"radial weight integrable only for finite B > 1/2, got B={B}")
-    return _jacobi_grid_01(n, 2.0 * B - 2.0)
-
-
-def _jacobi_grid_01(n: int, exponent: float) -> QuadratureGrid:
-    """Gauss-Jacobi rule on [0, 1] for the weight (1 - rho)^exponent."""
+    exponent = 2.0 * B - 2.0
     x, w = gauss_jacobi(n, exponent, 0.0)
-    rho = 0.5 * (x + 1.0)
-    scaled = w * 0.5 ** (exponent + 1.0)
-    return QuadratureGrid(rho, scaled, "radial_jacobi")
+    return QuadratureGrid(0.5 * (x + 1.0), w * 0.5 ** (exponent + 1.0))
 
 
 def angular_grid(n: int) -> QuadratureGrid:
@@ -154,7 +147,7 @@ def angular_grid(n: int) -> QuadratureGrid:
         raise DomainError(f"need at least 2 angular nodes, got {n}")
     theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
     weights = np.full(n, 2.0 * math.pi / n)
-    return QuadratureGrid(theta, weights, "angular")
+    return QuadratureGrid(theta, weights)
 
 
 def disk_grid(n_r: int, n_theta: int, B: float) -> QuadratureGrid:
@@ -163,12 +156,11 @@ def disk_grid(n_r: int, n_theta: int, B: float) -> QuadratureGrid:
     dA is the plane Lebesgue measure; in polar squared-radius coordinates it
     contributes the factor 1/2 drho dtheta that is folded into the weights.
     """
-    radial = radial_jacobi_grid(n_r, B)
-    angular = angular_grid(n_theta)
+    radial, angular = radial_jacobi_grid(n_r, B), angular_grid(n_theta)
     r = np.sqrt(radial.nodes)
     z = r[:, None] * np.exp(1j * angular.nodes)[None, :]
     w = 0.5 * radial.weights[:, None] * angular.weights[None, :]
-    return QuadratureGrid(z.ravel(), w.ravel(), "disk_tensor")
+    return QuadratureGrid(z.ravel(), w.ravel())
 
 
 def fd_eigen_residual(values: np.ndarray, xs: np.ndarray, B: float, eigenvalue: float) -> float:
@@ -182,34 +174,22 @@ def fd_eigen_residual(values: np.ndarray, xs: np.ndarray, B: float, eigenvalue: 
     """
     h = xs[1] - xs[0]
     second = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
-    x_in = xs[1:-1]
-    v_in = values[1:-1]
+    x_in, v_in = xs[1:-1], values[1:-1]
     strength = (2.0 * B - 1.0) ** 2 - 0.25
     applied = 0.25 * (-second + x_in * x_in * v_in + strength * v_in / (x_in * x_in)) + (1.0 - B) * v_in
     target = eigenvalue * v_in
-    denom = np.linalg.norm(target)
-    if denom == 0.0:
-        return float(np.linalg.norm(applied - target))
-    return float(np.linalg.norm(applied - target) / denom)
+    residual, denom = float(np.linalg.norm(applied - target)), float(np.linalg.norm(target))
+    return residual / denom if denom else residual
 
 
-def hamiltonian_residual(j: int, B: float, grid_step: float = 1e-3,
-                         window: tuple[float, float] = (0.5, 8.0)) -> float:
+def hamiltonian_residual(j: int, B: float) -> float:
     """Finite-difference check that the j-th Laguerre function has eigenvalue j + 1.
 
-    Returns the relative L2 residual over ``window``, which must stay away
-    from the x = 0 singularity of the potential.
+    Returns the relative L2 residual over RESIDUAL_WINDOW, sampled every
+    RESIDUAL_STEP.
     """
     from .states import laguerre_function
 
-    lo, hi = window
-    if lo <= 0.0:
-        raise DomainError(f"window must avoid the origin, got {window}")
-    if not hi > lo:
-        raise DomainError(f"empty window {window}")
-    if grid_step > 1e-3:
-        raise DomainError(f"grid_step must be <= 1e-3 for a trustworthy residual, got {grid_step}")
-    count = int(round((hi - lo) / grid_step)) + 1
-    xs = lo + grid_step * np.arange(count)
-    values = laguerre_function(j, B, xs)
-    return fd_eigen_residual(values, xs, B, float(j + 1))
+    (lo, hi), step = RESIDUAL_WINDOW, RESIDUAL_STEP
+    xs = lo + step * np.arange(round((hi - lo) / step) + 1)
+    return fd_eigen_residual(laguerre_function(j, B, xs), xs, B, float(j + 1))

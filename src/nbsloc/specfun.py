@@ -58,6 +58,7 @@ __all__ = [
 SERIES_REL_TOL = 1e-12  # relative size below which a term or block counts as converged
 SERIES_ABS_TOL = 1e-300  # absolute underflow guard, for sums near zero
 SERIES_MAX_TERMS = 100_000  # cap per summation index; past it a series raises ConvergenceError
+INC_BETA_MAX_ITER = 500  # incomplete Beta continued-fraction steps before ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def log_nb_weights(n: int, b: float) -> np.ndarray:
     return s
 
 
-def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 500) -> float:
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete Beta, by the modified Lentz method."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -125,7 +126,7 @@ def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 500) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, INC_BETA_MAX_ITER + 1):
         m2 = 2 * m
         num = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + num * d
@@ -148,7 +149,7 @@ def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 500) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             return h
-    raise ConvergenceError("incomplete Beta continued fraction stalled", terms_used=max_iter)
+    raise ConvergenceError("incomplete Beta continued fraction stalled", terms_used=INC_BETA_MAX_ITER)
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

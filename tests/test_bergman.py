@@ -289,10 +289,11 @@ class TestTransferredApply:
     def test_insufficient_grid_detected(self, monkeypatch):
         B, R = 1.5, 0.6
         monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", 1e-14)
+        monkeypatch.setattr(bergman, "DISK_RULE", (2, 3))
         with pytest.raises(AccuracyError):
             transferred_apply(
                 BergmanFunction(B, np.array([0.0, 0.0, 0.0, 0.0, 1.0], dtype=complex)),
-                0.5 + 0.3j, B, R, n_r=2, n_theta=3,
+                0.5 + 0.3j, B, R,
             )
 
     @pytest.mark.parametrize("B", [0.75, 1.5, 4.5, 10.0])
@@ -305,10 +306,11 @@ class TestTransferredApply:
         # The value is the fine rule's, whatever the refinement check decides
         # (an infinite TRANSFER_REFINE_TOL), so the rule itself is compared.
         monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", math.inf)
+        monkeypatch.setattr(bergman, "DISK_RULE", (n_r, n_theta))
         rng = np.random.default_rng(64)
         F = BergmanFunction(B, rng.standard_normal(8) + 1j * rng.standard_normal(8))
         R = 0.7
-        got = transferred_apply(F, w, B, R, n_r, n_theta)
+        got = transferred_apply(F, w, B, R)
         want = oracles.dense_disk_apply(F, w, B, R * R, 2 * n_r, 2 * n_theta, kernel_series, disk_grid)
         assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -323,11 +325,12 @@ class TestTransferredApply:
         # Coefficients fold into a_k(r) in closed form; the same F as an evaluator is sampled and
         # takes one FFT per radius.  Both form the same discrete sum, compared on the fine rule.
         monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", math.inf)
+        monkeypatch.setattr(bergman, "DISK_RULE", (n_r, n_theta))
         rng = np.random.default_rng(65)
         c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        got = transferred_apply(BergmanFunction(B, c), w, B, 0.7, n_r, n_theta)
+        got = transferred_apply(BergmanFunction(B, c), w, B, 0.7)
         sampled = BergmanFunction(B, evaluator=lambda z: basis_series(c, B, z))
-        want = transferred_apply(sampled, w, B, 0.7, n_r, n_theta)
+        want = transferred_apply(sampled, w, B, 0.7)
         assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("n_theta, d, n_k", [(7, 20, 40), (8, 3, 30), (128, 12, 442)])

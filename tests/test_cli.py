@@ -252,6 +252,7 @@ def test_csv_round_trips_to_the_json_document(command, capsys):
     ["eigvals", "--tol", "nan"],
     ["kernel", "--z", "0.1", "--w", "0.2", "--s", "inf"],
     ["leakage", "--z", "0.5", "--tol", "inf"],
+    ["leakage", "--z", "0.5", "--tol", "-1"],
     ["eigvals", "--j-max", "-5"],
 ])
 def test_bad_numbers_exit_two_without_traceback(args):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from nbsloc import locop
 from nbsloc.errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from nbsloc.locop import (
     RadialSymbol,
@@ -39,11 +40,13 @@ class TestRadialEigenvalue:
                 (j + 1.0) / (j + 2.0 * B), abs=1e-12
             )
 
-    def test_indicator_converges_to_disk_eigenvalue(self):
+    def test_indicator_converges_to_disk_eigenvalue(self, monkeypatch):
         j, B, R = 1, 1.25, 0.6
         ind = RadialSymbol(lambda r: 1.0 if r < R * R else 0.0, bound=1.0)
-        coarse = abs(radial_eigenvalue(ind, j, B, n_nodes=200) - disk_eigenvalue(j, B, R))
-        fine = abs(radial_eigenvalue(ind, j, B, n_nodes=3200) - disk_eigenvalue(j, B, R))
+        monkeypatch.setattr(locop, "RADIAL_NODES", 200)
+        coarse = abs(radial_eigenvalue(ind, j, B) - disk_eigenvalue(j, B, R))
+        monkeypatch.setattr(locop, "RADIAL_NODES", 3200)
+        fine = abs(radial_eigenvalue(ind, j, B) - disk_eigenvalue(j, B, R))
         assert fine < coarse
         assert fine < 5e-4
 
@@ -109,6 +112,13 @@ class TestSpectralData:
     def test_higher_level_route(self):
         spec = SpectralData(2.5, LocalizationRadius(0.6), m=1)
         assert 0.0 <= spec.eigenvalue(2) <= 1.0
+
+    def test_negative_sizes_rejected(self):
+        # table(-2) returned []
+        spec = SpectralData(1.5, LocalizationRadius(0.6))
+        for call in (lambda: spec.table(-2), lambda: spec.values(-1)):
+            with pytest.raises(DomainError, match=">= 0"):
+                call()
 
 
 class TestSpectralApply:
@@ -223,8 +233,9 @@ class TestLandauEigenvalue:
             got = landau_eigenvalue(j, ModelParams(B, 0), R)
             assert got == pytest.approx(disk_eigenvalue(j, B, R), abs=1e-10)
 
-    def test_full_disk_mass(self):
-        got = landau_eigenvalue(1, ModelParams(2.5, 1), 0.999, n_nodes=600)
+    def test_full_disk_mass(self, monkeypatch):
+        monkeypatch.setattr(locop, "LANDAU_NODES", 600)
+        got = landau_eigenvalue(1, ModelParams(2.5, 1), 0.999)
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_independent_formula_path(self):
@@ -339,6 +350,12 @@ class TestLeakageBound:
     def test_non_finite_strength_rejected(self):
         with pytest.raises(DomainError):
             leakage_bound(0.3, math.inf, 0.5)
+
+    @pytest.mark.parametrize("tail_tol", [math.nan, -1.0])
+    def test_tail_tolerance_checked(self, tail_tol):
+        # NaN returned the 32-term truncation; a negative one ran to SERIES_MAX_TERMS before it raised
+        with pytest.raises(DomainError, match="tail_tol"):
+            leakage_bound(0.99, 1.5, 0.9, tail_tol=tail_tol)
 
 
 class TestLocalizedOverlap:

@@ -111,7 +111,7 @@ class TestRuleCache:
 class TestQuadratureGridFrozen:
     def test_arrays_read_only_and_caller_arrays_untouched(self):
         nodes, weights = np.linspace(0.1, 0.9, 5), np.full(5, 0.2)
-        grid = QuadratureGrid(nodes, weights, "half_line")
+        grid = QuadratureGrid(nodes, weights)
         with pytest.raises(ValueError):
             grid.nodes[0] = 0.5
         with pytest.raises(ValueError):
@@ -203,9 +203,3 @@ class TestHamiltonianResidual:
     def test_zero_function(self):
         xs = np.linspace(0.5, 8.0, 1001)
         assert fd_eigen_residual(np.zeros_like(xs), xs, 1.5, 4.0) == 0.0
-
-    def test_window_domain(self):
-        with pytest.raises(DomainError):
-            hamiltonian_residual(0, 1.5, window=(0.0, 8.0))
-        with pytest.raises(DomainError):
-            hamiltonian_residual(0, 1.5, grid_step=0.01)

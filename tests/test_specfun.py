@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,16 @@ from nbsloc.specfun import (
     reg_inc_beta_table,
     sample_beta,
 )
+
+# Integer shapes up to these, where I_x(a, b) is an exact binomial tail
+EXACT_A = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 133, 144)
+EXACT_B = (1, 2, 3, 5, 8, 13, 21, 34, 47, 55)
+
+
+def _binomial_tail(a: int, b: int, k: int) -> Fraction:
+    """I_x(a, b) at x = k/16 for integer a, b >= 1: P(Binomial(a+b-1, x) >= a), exactly."""
+    n = a + b - 1
+    return Fraction(sum(math.comb(n, i) * k ** i * (16 - k) ** (n - i) for i in range(a, n + 1)), 16 ** n)
 
 
 class TestLogGamma:
@@ -82,6 +94,12 @@ class TestRegIncBeta:
     def test_refusal_names_the_callers_arguments(self, x, a, b):
         with pytest.raises(ConvergenceError, match=re.escape(f"at a={a}, b={b}, x={x}")):
             reg_inc_beta(x, a, b)
+
+    def test_exact_binomial_tails(self):
+        # worst relative error over every a <= 144, b <= 55, x = k/16: 3.3e-13 (a = 133, b = 8, x = 15/16)
+        for a, b, k in itertools.product(EXACT_A, EXACT_B, range(1, 16)):
+            want = _binomial_tail(a, b, k)
+            assert abs(Fraction(reg_inc_beta(k / 16, float(a), float(b))) - want) <= 1e-12 * want
 
     @given(
         x=st.floats(0.0, 1.0),
@@ -461,6 +479,14 @@ class TestRegIncBetaTable:
         assert np.all(np.abs(table[big] - ref[big]) <= self.RTOL * ref[big])
         assert np.all(np.abs(table[big] - per_index[big]) <= 2 * self.RTOL * ref[big])
         assert np.all(table[~big] <= 2 * self.FLOOR)
+
+    def test_exact_binomial_tails(self):
+        # worst relative error over every a <= 144, b <= 55, x = k/16: 2.6e-13 (a = 144, b = 47, x = 2/16)
+        for b, k in itertools.product(EXACT_B, range(1, 16)):
+            table = reg_inc_beta_table(k / 16, 144, float(b))
+            for a in range(1, 145):
+                want = _binomial_tail(a, b, k)
+                assert abs(Fraction(float(table[a - 1])) - want) <= 1e-12 * want
 
     def test_top_entry_is_the_continued_fraction(self):
         for n in (1, 7, 64):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from nbsloc.bergman import BergmanFunction, bargmann_inverse, kernel_closed, kernel_limit
 from nbsloc.errors import DomainError
-from nbsloc.locop import (RadialSymbol, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
-                          landau_density, landau_eigenvalue, quantization_matrix_element, radial_eigenvalue)
+from nbsloc.locop import (RadialSymbol, SpectralData, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
+                          landau_density, landau_eigenvalue, mc_eigenvalue, quantization_matrix_element,
+                          radial_eigenvalue)
 from nbsloc.specfun import jacobi, laguerre
 from nbsloc.quadrature import half_line_grid, suggested_cutoff
 from nbsloc.states import (
@@ -53,6 +54,9 @@ INDEX_CALLS = {
     "beta_density": lambda j: beta_density(j, 1.5, 0.3),
     "landau_density": lambda j: landau_density(j, ModelParams(2.5, 1), 0.3),
     "landau_eigenvalue": lambda j: landau_eigenvalue(j, ModelParams(2.5, 1), 0.6),
+    "mc_eigenvalue": lambda j: mc_eigenvalue(j, ModelParams(1.5), 0.6, 1000, 1),
+    "values": lambda j: SpectralData(1.5, 0.6).values(j),
+    "table": lambda j: SpectralData(1.5, 0.6).table(j),
     "quantization_matrix_element_j": lambda j: quantization_matrix_element(lambda z: 1.0, j, 0, 1.5),
     "quantization_matrix_element_k": lambda j: quantization_matrix_element(lambda z: 1.0, 0, j, 1.5),
     "bargmann_inverse": lambda j: bargmann_inverse(BergmanFunction(1.5, [1.0, 0.5]), 1.0, j),
@@ -102,7 +106,8 @@ class TestDomainTypes:
 
     @pytest.mark.parametrize("name", list(INDEX_CALLS))
     def test_index_rule_everywhere(self, name):
-        # 1.5 gave a value (disk_eigenvalue, as_function_of_hamiltonian, radial_eigenvalue) or a TypeError
+        # 1.5 gave a value (disk_eigenvalue, as_function_of_hamiltonian, radial_eigenvalue, mc_eigenvalue)
+        # or a TypeError (SpectralData.values and table)
         call = INDEX_CALLS[name]
         with pytest.raises(DomainError, match=">= 0"):
             call(1.5)
