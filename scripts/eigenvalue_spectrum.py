@@ -2,8 +2,8 @@
 """Sweep the localization spectrum over the strength and radius parameters.
 
 Writes a long-format CSV (B, R, j, lambda, mc_estimate, mc_sigmas) comparing
-the closed-form eigenvalues with Monte-Carlo estimates, handy for plotting
-eigenvalue decay profiles.
+the closed-form eigenvalues, the table that ``nbsloc eigvals`` prints, with
+Monte-Carlo estimates, handy for plotting eigenvalue decay profiles.
 
 Usage:
     python scripts/eigenvalue_spectrum.py [--j-max 30] [--samples 200000] [--out spectrum.csv]
@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from nbsloc.locop import disk_eigenvalue, mc_eigenvalue  # noqa: E402
+from nbsloc.locop import SpectralData, mc_eigenvalue  # noqa: E402
 from nbsloc.states import ModelParams  # noqa: E402
 
 
@@ -27,12 +27,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
+    if args.j_max < 0:
+        parser.error(f"--j-max must be >= 0, got {args.j_max}")
 
     lines = ["B,R,j,lambda,mc_estimate,mc_sigmas"]
     for B in (0.75, 1.0, 1.5, 2.5):
         for R in (0.3, 0.6, 0.9):
-            for j in range(args.j_max + 1):
-                lam = disk_eigenvalue(j, B, R)
+            for j, lam in enumerate(SpectralData(B, R).values(args.j_max + 1).tolist()):
                 est, _ = mc_eigenvalue(j, ModelParams(B), R, args.samples, args.seed + j)
                 sigma = math.sqrt(max(lam * (1.0 - lam), 1e-300) / args.samples)
                 lines.append(f"{B!r},{R!r},{j},{lam!r},{est!r},{abs(est - lam) / sigma:.3f}")

@@ -32,9 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedRepresentationError
-from .quadrature import DISK_RULE, QuadratureGrid, angular_grid, radial_jacobi_grid
-from .specfun import (SERIES_ABS_TOL, SERIES_MAX_TERMS, SERIES_REL_TOL, appell_f1, check_index, horner,
-                      log_nb_weights, reg_inc_beta_table)
+from . import quadrature, specfun
+from .quadrature import QuadratureGrid, angular_grid, radial_jacobi_grid
+from .specfun import appell_f1, check_index, horner, log_nb_weights, reg_inc_beta_table
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
 from .states import (as_disk, as_radius, basis_norms, basis_series, bergman_basis,  # noqa: F401
                      check_strength, laguerre_function, principal_power)
@@ -109,7 +109,7 @@ class BergmanFunction:
         else, as for a pole just outside, AccuracyError.
         """
         j_max = check_index("j_max", j_max)
-        n_r, n_theta0 = DISK_RULE
+        n_r, n_theta0 = quadrature.DISK_RULE
         radial, last = radial_jacobi_grid(max(n_r, j_max // 2 + 1), self.B), None
         r, norms, j = np.sqrt(radial.nodes), basis_norms(j_max + 1, self.B), np.arange(j_max + 1)
         for n_theta in (n_theta0 << i for i in range(PROJECT_RULES)):
@@ -171,7 +171,7 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
         raise DomainError(f"needs 0 <= x_max < 1, got {x_max}")
     two_b, n = 2.0 * B, 64
     while True:
-        n = min(n, SERIES_MAX_TERMS)
+        n = min(n, specfun.SERIES_MAX_TERMS)
         k = np.arange(n + 1.0)
         # (2B-1) Gamma(2B+k) / (k! Gamma(2B)), the coefficients without their I-factor
         g = np.exp(math.log(two_b - 1.0) + log_nb_weights(n + 1, two_b))
@@ -180,10 +180,11 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
         ratio = x_max * (two_b + k[1:]) / (k[1:] + 1.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tail = g[1:] * x_max ** k[1:] / (1.0 - ratio)
-        done = np.flatnonzero((ratio < 1.0) & (tail <= np.maximum(SERIES_REL_TOL * envelope, SERIES_ABS_TOL)))
+        cut = np.maximum(specfun.SERIES_REL_TOL * envelope, specfun.SERIES_ABS_TOL)
+        done = np.flatnonzero((ratio < 1.0) & (tail <= cut))
         if done.size:
             return coeffs[:done[0] + 1]
-        if n == SERIES_MAX_TERMS:
+        if n == specfun.SERIES_MAX_TERMS:
             raise ConvergenceError(f"kernel series needs more than {n} terms at x_max={x_max}",
                                    terms_used=n)
         n *= 2
@@ -274,7 +275,7 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     elements is the eigenvalue action.
     """
     w, R = as_disk(w), as_radius(R)
-    n_r, n_theta = DISK_RULE
+    n_r, n_theta = quadrature.DISK_RULE
     fine_radial = radial_jacobi_grid(2 * n_r, B)
     c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(fine_radial.nodes)) * abs(w))
     k = np.arange(c.size)

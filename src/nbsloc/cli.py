@@ -174,10 +174,11 @@ def cmd_kernel(args) -> int:
 def cmd_leakage(args) -> int:
     ModelParams(args.B, args.m)
     radius = LocalizationRadius(args.R)
-    bound = locop.leakage_bound(args.z, args.B, radius, tail_tol=min(args.tol, 1e-14))
-    columns = ["bound", "p"]
+    tail_tol = min(args.tol, 1e-14)  # --tol can only tighten the bound; the params record the value used
+    bound = locop.leakage_bound(args.z, args.B, radius, tail_tol=tail_tol)
     rows = [[float(bound), float(abs(args.z) ** 2)]]
-    _write(_render(_params_dict(args, {"z": repr(args.z)}), columns, rows, args.format), args.out)
+    extra = {"tail_tol": tail_tol, "z": repr(args.z)}
+    _write(_render(_params_dict(args, extra), ["bound", "p"], rows, args.format), args.out)
     return 0
 
 
@@ -198,11 +199,9 @@ def cmd_density(args) -> int:
 def cmd_mc(args) -> int:
     params = ModelParams(args.B, args.m)
     radius = LocalizationRadius(args.R)
-    rows = []
-    for j in range(args.j_max + 1):
-        est, se = locop.mc_eigenvalue(j, params, radius, args.samples, args.seed + j)
-        exact = locop.disk_eigenvalue(j, args.B, radius)
-        rows.append([j, float(est), float(se), float(exact), float(abs(est - exact))])
+    exact = locop.SpectralData(args.B, radius).values(args.j_max + 1).tolist()  # the eigvals table
+    draws = [locop.mc_eigenvalue(j, params, radius, args.samples, args.seed + j) for j in range(len(exact))]
+    rows = [[j, est, se, lam, abs(est - lam)] for j, ((est, se), lam) in enumerate(zip(draws, exact))]
     columns = ["j", "estimate", "std_error", "exact", "abs_error"]
     extra = {"samples": args.samples}
     _write(_render(_params_dict(args, extra), columns, rows, args.format), args.out)

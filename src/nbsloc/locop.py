@@ -21,9 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
-from .quadrature import DISK_RULE, disk_grid, mapped_legendre, radial_jacobi_grid
-from .specfun import (SERIES_MAX_TERMS, check_index, inc_beta_steps, log_beta, log_nb_weights, reg_inc_beta,
-                      reg_inc_beta_table, sample_beta)
+from . import quadrature, specfun
+from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
+from .specfun import (check_index, inc_beta_steps, log_beta, log_nb_weights, reg_inc_beta, reg_inc_beta_table,
+                      sample_beta)
 from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
                      check_strength, jacobi)
 
@@ -59,48 +60,46 @@ def disk_eigenvalue(j: int, B: float, R) -> float:
 
 @dataclass
 class SpectralData:
-    """Lazily filled eigenvalue table of the localization operator.
+    """Eigenvalue table of the localization operator, grown on demand.
 
-    Entries are computed on first access and cached; the fill is idempotent,
-    so concurrent first access is harmless.  For m = 0, ``values`` and
-    ``table`` fill every missing entry from one ``reg_inc_beta_table``; a
-    lone ``eigenvalue(j)`` is ``disk_eigenvalue``.  All eigenvalues lie in
-    [0, 1] and, for m = 0, decrease strictly in j.
+    ``values(n)`` appends the missing entries to one read-only array and never
+    changes an entry handed out: for m = 0 from one ``reg_inc_beta_table`` at
+    the new top index, for m > 0 from one ``landau_eigenvalue`` per index.
+    ``eigenvalue(j)`` is ``values(j + 1)[j]``, on a fresh instance ``disk_eigenvalue(j)``.
+    All eigenvalues lie in [0, 1] and, for m = 0, decrease strictly in j.
+    Growth takes no lock: threads may share an instance only once it is grown.
     """
 
     B: float
     R: LocalizationRadius
     m: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ModelParams(self.B, self.m)
         if not isinstance(self.R, LocalizationRadius):
             self.R = LocalizationRadius(float(self.R))
+        self._values = np.empty(0)
+        self._values.flags.writeable = False
 
     def eigenvalue(self, j: int) -> float:
-        if j not in self._cache:
-            if self.m == 0:
-                self._cache[j] = disk_eigenvalue(j, self.B, self.R)
-            else:
-                self._cache[j] = landau_eigenvalue(j, ModelParams(self.B, self.m), self.R)
-        return self._cache[j]
+        return float(self.values(check_index("j", j) + 1)[-1])
 
     def values(self, n: int) -> np.ndarray:
-        """Eigenvalues j = 0..n-1 as an array."""
+        """Eigenvalues j = 0..n-1 as a read-only array."""
         n = check_index("n", n)
-        missing = [j for j in range(n) if j not in self._cache]
-        if missing and self.m == 0:
-            lam = reg_inc_beta_table(self.R.R * self.R.R, n, 2.0 * self.B - 1.0)
-            self._cache.update((j, float(lam[j])) for j in missing)
-        return np.array([self.eigenvalue(j) for j in range(n)], dtype=float)
+        have = self._values.size
+        if n > have:
+            if self.m == 0:
+                new = reg_inc_beta_table(self.R.R * self.R.R, n, 2.0 * self.B - 1.0)[have:]
+            else:
+                new = [landau_eigenvalue(j, ModelParams(self.B, self.m), self.R) for j in range(have, n)]
+            self._values = np.concatenate((self._values, new))
+            self._values.flags.writeable = False
+        return self._values[:n]
 
     def table(self, j_max: int) -> list[tuple[int, float]]:
         return list(enumerate(self.values(check_index("j_max", j_max) + 1).tolist()))
-
-    @property
-    def eigenvalues(self) -> tuple[tuple[int, float], ...]:
-        return tuple(sorted(self._cache.items()))
 
 
 @dataclass(frozen=True)
@@ -224,7 +223,7 @@ def landau_eigenvalue(j: int, params: ModelParams, R) -> float:
     is smooth there because its singularity sits at rho = 1, outside the
     interval.  The same rule on each half of [0, R^2] gives the refined
     value, returned unless the two differ by more than LANDAU_REFINE_TOL
-    relatively (AccuracyError).
+    relatively or either is not finite (AccuracyError).
     """
     R = as_radius(R)
 
@@ -234,8 +233,9 @@ def landau_eigenvalue(j: int, params: ModelParams, R) -> float:
 
     # halves, not a rule of twice the nodes: that rule's dense build needs 4x the peak memory
     s = R * R
-    coarse, fine = mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)
-    if abs(fine - coarse) > LANDAU_REFINE_TOL * abs(fine):
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite mass, refused below
+        coarse, fine = mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)
+    if not abs(fine - coarse) <= LANDAU_REFINE_TOL * abs(fine) < math.inf:  # false for NaN or inf
         raise AccuracyError(f"level-m eigenvalue did not converge: refinement moved {fine:.6e} "
                             f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")
     return fine
@@ -277,10 +277,10 @@ def leakage_bound(z0, B: float, R, tail_tol: float = 1e-14) -> float:
     s, b = R * R, 2.0 * B - 1.0
     n = 32
     while reg_inc_beta(s, float(n), b) ** 2 * reg_inc_beta(p, float(n), 2.0 * B) > tail_tol:
-        if n >= SERIES_MAX_TERMS:
+        if n >= specfun.SERIES_MAX_TERMS:
             raise ConvergenceError(
                 f"photon-count tail above {tail_tol} after {n} terms at p={p}", terms_used=n)
-        n = min(2 * n, SERIES_MAX_TERMS)
+        n = min(2 * n, specfun.SERIES_MAX_TERMS)
     lam = reg_inc_beta_table(s, n, b)
     return math.sqrt(float(lam * lam @ inc_beta_steps(p, n, 2.0 * B)))
 
@@ -312,7 +312,7 @@ def quantization_matrix_element(F, j: int, k: int, B: float, grid=None) -> compl
     """
     j, k = check_index("j", j), check_index("k", k)
     if grid is None:
-        grid = disk_grid(*DISK_RULE, B)
+        grid = disk_grid(*quadrature.DISK_RULE, B)
     z = grid.nodes
     # the prefactor is that of conj(basis_j) basis_k: Gamma(2B) / Gamma(2B-1) = 2B - 1
     return grid.weights @ (np.conjugate(bergman_basis(j, B, z)) * bergman_basis(k, B, z) * F(z)) / math.pi

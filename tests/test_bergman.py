@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nbsloc import bergman
+from nbsloc import bergman, locop, quadrature, specfun
 from nbsloc.bergman import (
     BergmanFunction,
     bargmann_inverse,
@@ -12,6 +12,7 @@ from nbsloc.bergman import (
     kernel_closed,
     kernel_limit,
     kernel_series,
+    kernel_series_coefficients,
     transferred_apply,
 )
 from nbsloc.errors import (
@@ -169,7 +170,7 @@ class TestKernelSeries:
         )
 
     def test_series_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setattr(bergman, "SERIES_MAX_TERMS", 3)
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError):
             kernel_series(0.9, 0.9, 1.5, 0.5)
 
@@ -289,7 +290,7 @@ class TestTransferredApply:
     def test_insufficient_grid_detected(self, monkeypatch):
         B, R = 1.5, 0.6
         monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", 1e-14)
-        monkeypatch.setattr(bergman, "DISK_RULE", (2, 3))
+        monkeypatch.setattr(quadrature, "DISK_RULE", (2, 3))
         with pytest.raises(AccuracyError):
             transferred_apply(
                 BergmanFunction(B, np.array([0.0, 0.0, 0.0, 0.0, 1.0], dtype=complex)),
@@ -306,7 +307,7 @@ class TestTransferredApply:
         # The value is the fine rule's, whatever the refinement check decides
         # (an infinite TRANSFER_REFINE_TOL), so the rule itself is compared.
         monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", math.inf)
-        monkeypatch.setattr(bergman, "DISK_RULE", (n_r, n_theta))
+        monkeypatch.setattr(quadrature, "DISK_RULE", (n_r, n_theta))
         rng = np.random.default_rng(64)
         F = BergmanFunction(B, rng.standard_normal(8) + 1j * rng.standard_normal(8))
         R = 0.7
@@ -325,7 +326,7 @@ class TestTransferredApply:
         # Coefficients fold into a_k(r) in closed form; the same F as an evaluator is sampled and
         # takes one FFT per radius.  Both form the same discrete sum, compared on the fine rule.
         monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", math.inf)
-        monkeypatch.setattr(bergman, "DISK_RULE", (n_r, n_theta))
+        monkeypatch.setattr(quadrature, "DISK_RULE", (n_r, n_theta))
         rng = np.random.default_rng(65)
         c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         got = transferred_apply(BergmanFunction(B, c), w, B, 0.7)
@@ -444,3 +445,28 @@ class TestCoefficientPath:
             size = sum(abs(t) for t in terms)
             assert abs(value - sum(terms)) <= 4e-12 * size
             assert abs(kernel_series(complex(zi), w, B, s) - sum(terms)) <= 4e-12 * size
+
+
+class TestAccuracyConstantsHaveOneHome:
+    """Patching a constant where it is defined reaches every function that reads it."""
+
+    def test_series_constants_reach_kernel_series_and_leakage_bound(self, monkeypatch):
+        B, s, x_max = 1.5, 0.5, 0.81
+        full = kernel_series_coefficients(B, s, x_max)
+        monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-4)
+        assert kernel_series_coefficients(B, s, x_max).size < full.size
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError):
+            kernel_series_coefficients(B, s, x_max)
+        with pytest.raises(ConvergenceError):
+            locop.leakage_bound(0.99, B, 0.9)
+
+    def test_disk_rule_reaches_transfer_and_matrix_elements(self, monkeypatch):
+        # a 2-radius rule is exact only up to degree 3 in |z|^2, so |z|^10 is off on it
+        B, F = 1.5, BergmanFunction(1.5, [0.0, 0.0, 0.0, 0.0, 1.0])
+        want = transferred_apply(F, 0.5 + 0.3j, B, 0.6)
+        assert abs(locop.quantization_matrix_element(lambda z: 1.0, 5, 5, B) - 1.0) <= 1e-12
+        monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", math.inf)
+        monkeypatch.setattr(quadrature, "DISK_RULE", (2, 3))
+        assert abs(transferred_apply(F, 0.5 + 0.3j, B, 0.6) - want) > 1e-6 * abs(want)
+        assert abs(locop.quantization_matrix_element(lambda z: 1.0, 5, 5, B) - 1.0) > 1e-6

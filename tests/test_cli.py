@@ -119,6 +119,24 @@ class TestLeakage:
             leakage_bound(0.7, 1.5, 0.5), rel=1e-12)
         assert doc["data"][0]["p"] == pytest.approx(0.49)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_params_record_the_tail_tolerance_used(self, fmt, capsys):
+        # --tol only tightens the 1e-14 tail bound; the document showed only "tol"
+        bounds = {}
+        for tol, used in (("1e-2", 1e-14), ("1e-10", 1e-14), ("1e-20", 1e-20)):
+            code, out, _ = run_cli(["leakage", "--z", "0.99", "--B", "1.5", "--R", "0.9",
+                                    "--tol", tol, "--format", fmt], capsys)
+            assert code == 0
+            if fmt == "json":
+                doc = json.loads(out)
+                assert doc["params"]["tail_tol"] == used and doc["params"]["tol"] == float(tol)
+                bounds[tol] = doc["data"][0]["bound"]
+            else:
+                params, header, rows = parse_csv(out)
+                assert params["tail_tol"] == repr(used) and header == ["bound", "p"]
+                bounds[tol] = float(rows[0][0])
+        assert bounds["1e-2"] == bounds["1e-10"] == bounds["1e-20"] == leakage_bound(0.99, 1.5, 0.9)
+
 
 class TestDensity:
     def test_rows_parse_and_normalize_roughly(self, capsys):
@@ -175,6 +193,17 @@ class TestMc:
                  "--samples", "20000", "--seed", "7", "--out", str(path)], capsys)
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+    @pytest.mark.parametrize("B, R, j_max", [("1.5", "0.6", "20"), ("0.51", "0.9", "40")])
+    def test_exact_column_is_the_eigvals_table(self, B, R, j_max, capsys):
+        # each row ran its own continued fraction, 18 of 21 rows off the table at B = 1.5
+        args = ["--B", B, "--R", R, "--j-max", j_max, "--format", "json"]
+        _, mc, _ = run_cli(["mc", *args, "--samples", "1000"], capsys)
+        _, eigvals, _ = run_cli(["eigvals", *args], capsys)
+        exact = [row["exact"] for row in json.loads(mc)["data"]]
+        assert exact == [row["lambda"] for row in json.loads(eigvals)["data"]]
+        assert len(exact) == int(j_max) + 1
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,12 +87,11 @@ class TestDiskEigenvalue:
 class TestSpectralData:
     def test_lazy_table(self):
         spec = SpectralData(1.5, LocalizationRadius(0.6))
-        assert spec.eigenvalues == ()
         lam3 = spec.eigenvalue(3)
-        assert spec.eigenvalues == ((3, lam3),)
         table = spec.table(5)
         assert [j for j, _ in table] == list(range(6))
         assert all(0.0 <= v <= 1.0 for _, v in table)
+        assert table[3] == (3, lam3)
 
     def test_monotone_decreasing(self):
         for B in (0.8, 1.0, 1.5, 3.0):
@@ -105,13 +105,44 @@ class TestSpectralData:
         got = spec.values(120)
         want = np.array([disk_eigenvalue(j, 0.8, 0.9) for j in range(120)])
         assert np.all(np.abs(got - want) <= 1e-12 * want)
-        assert spec.eigenvalues == tuple(enumerate(got.tolist()))
         # entries already computed are kept as they are
         assert spec.values(200)[:120].tolist() == got.tolist()
 
     def test_higher_level_route(self):
         spec = SpectralData(2.5, LocalizationRadius(0.6), m=1)
         assert 0.0 <= spec.eigenvalue(2) <= 1.0
+
+    def test_values_read_only_and_prefix_kept_as_it_grows(self):
+        spec = SpectralData(1.5, LocalizationRadius(0.6))
+        first = spec.values(10)
+        kept = first.tolist()
+        for n in (0, 4, 10, 30, 300):
+            got = spec.values(n)
+            assert got.shape == (n,) and not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[:1] = 0.5
+            assert got[:10].tolist() == kept[:n]
+        assert first.tolist() == kept
+
+    @pytest.mark.parametrize("B, R, m", [(1.5, 0.6, 0), (0.51, 0.9, 0), (2.5, 0.6, 1)])
+    def test_eigenvalue_is_the_values_entry(self, B, R, m):
+        grown = SpectralData(B, LocalizationRadius(R), m)
+        grown.values(12)
+        for j in (0, 5, 11, 20):
+            fresh = SpectralData(B, LocalizationRadius(R), m)
+            lam = fresh.eigenvalue(j)
+            assert lam == fresh.values(j + 1)[j] == SpectralData(B, R, m).values(j + 1)[j]
+            assert grown.eigenvalue(j) == grown.values(j + 1)[j]
+            if m == 0:
+                # a fresh table's top entry is the continued fraction at that index
+                assert lam == disk_eigenvalue(j, B, R)
+
+    def test_table_is_no_part_of_equality_or_repr(self):
+        spec = SpectralData(1.5, LocalizationRadius(0.6))
+        text = repr(spec)
+        spec.values(40)
+        assert spec == SpectralData(1.5, LocalizationRadius(0.6))
+        assert repr(spec) == text and "values" not in text
 
     def test_negative_sizes_rejected(self):
         # table(-2) returned []
@@ -265,6 +296,14 @@ class TestLandauEigenvalue:
         # value, and the refinement moves it by as much
         with pytest.raises(AccuracyError):
             landau_eigenvalue(0, ModelParams(0.6, 0), 0.9999)
+
+    def test_overflowing_density_refused_without_warnings(self):
+        # the Jacobi recurrence meets inf - inf on 503 of the 2,001 nodes; this returned
+        # nan after RuntimeWarnings, since the refinement test was false for NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError, match="nan"):
+                landau_eigenvalue(1500, ModelParams(2000.5, 1500), 0.9)
 
     def test_refined_value_relative_accuracy(self):
         for B in (0.6, 0.75, 1.5, 4.5, 10.5):
