@@ -13,10 +13,12 @@ evaluator is sampled and takes one FFT per radius, and both give the same
 discrete sum.
 
 Accuracy and rule sizes are a fixed contract, not arguments: the kernel
-series is cut where its tail falls below specfun's SERIES_REL_TOL;
-``transferred_apply`` and ``BergmanFunction.project`` start from
-quadrature's DISK_RULE, compare each value with a refined rule and raise
-AccuracyError past TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL; and
+series is cut where its tail falls below specfun's SERIES_REL_TOL, from a
+coefficient table memoized per (B, s, size); ``transferred_apply`` starts
+from quadrature's DISK_RULE and ``BergmanFunction.project`` from its
+angles, on the fewest radii exact for the coefficients it returns; both
+compare each value with a refined rule and raise AccuracyError past
+TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL; and
 ``BergmanFunction.check_analytic`` reads the ANALYTIC_* constants.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
@@ -25,6 +27,7 @@ operator that localizes on the disk of radius R corresponds to s = R^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -103,16 +106,16 @@ class BergmanFunction:
     def project(self, j_max: int) -> "BergmanFunction":
         """Disk-quadrature projection onto the first j_max + 1 basis elements.
 
-        c_j = sum_i W_i basis_j(r_i) a_j(r_i) from F's angular Fourier coefficients a_j (exact in r
-        for analytic F), at least DISK_RULE's radii, doubling n_theta from its angles through
-        PROJECT_RULES rules until two coefficient vectors agree to PROJECT_REFINE_TOL times F's norm;
-        else, as for a pole just outside, AccuracyError.
+        c_j = sum_i W_i basis_j(r_i) a_j(r_i) from F's angular Fourier coefficients a_j.  For analytic
+        F, r^j a_j(r) has degree j in rho = r^2, so max(2, j_max // 2 + 1) Gauss-Jacobi radii, the fewest
+        exact for every j <= j_max, suffice; n_theta doubles from DISK_RULE's angles through
+        PROJECT_RULES rules until two coefficient vectors agree to PROJECT_REFINE_TOL times F's norm
+        on the rule; else, as for a pole just outside, AccuracyError.
         """
         j_max = check_index("j_max", j_max)
-        n_r, n_theta0 = quadrature.DISK_RULE
-        radial, last = radial_jacobi_grid(max(n_r, j_max // 2 + 1), self.B), None
+        radial, last = radial_jacobi_grid(max(2, j_max // 2 + 1), self.B), None
         r, norms, j = np.sqrt(radial.nodes), basis_norms(j_max + 1, self.B), np.arange(j_max + 1)
-        for n_theta in (n_theta0 << i for i in range(PROJECT_RULES)):
+        for n_theta in (quadrature.DISK_RULE[1] << i for i in range(PROJECT_RULES)):
             a = _angular_coefficients(self, r, n_theta, max(n_theta, j_max + 1))
             coeffs = norms * (radial.weights @ (r[:, None] ** j * a[:, :j_max + 1]))
             norm = math.sqrt(radial.weights @ np.sum(np.abs(a[:, :n_theta]) ** 2, axis=1))  # Parseval
@@ -153,6 +156,20 @@ def bargmann_inverse(F: BergmanFunction, xi: float, J: int | None = None) -> com
     return sum((c * laguerre_function(j, F.B, xi) for j, c in enumerate(coeffs) if c != 0.0), 0j)
 
 
+# A session walks about four sizes per (B, s), n = 64 to 512.  Worst case 16 x 1.6 MB, at n = SERIES_MAX_TERMS.
+@functools.lru_cache(maxsize=16)
+def _kernel_table(B: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """g_k = (2B-1) Gamma(2B+k) / (k! Gamma(2B)) for k <= n, and g_k I_s(k+1, 2B-1) for k < n.
+
+    The kernel coefficients before their cut, built once per (B, s, n); read-only arrays.
+    """
+    two_b = 2.0 * B
+    g = np.exp(math.log(two_b - 1.0) + log_nb_weights(n + 1, two_b))
+    coeffs = reg_inc_beta_table(s, n, two_b - 1.0) * g[:-1]
+    g.flags.writeable = coeffs.flags.writeable = False
+    return g, coeffs
+
+
 def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     """Coefficients c_k of the kernel series sum_k c_k (conj(z) w)^k.
 
@@ -162,7 +179,8 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     evaluated) falls below SERIES_REL_TOL of the accumulated coefficient
     envelope; the incomplete-Beta factors are at most one, so they only
     help the bound.  The candidate table doubles until it holds that k, or
-    raises ConvergenceError past SERIES_MAX_TERMS.
+    raises ConvergenceError past SERIES_MAX_TERMS.  The tables are memoized
+    by (B, s, n) and the result is a read-only view of one.
     """
     check_strength(B)
     if not 0.0 < s < 1.0:
@@ -173,9 +191,7 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     while True:
         n = min(n, specfun.SERIES_MAX_TERMS)
         k = np.arange(n + 1.0)
-        # (2B-1) Gamma(2B+k) / (k! Gamma(2B)), the coefficients without their I-factor
-        g = np.exp(math.log(two_b - 1.0) + log_nb_weights(n + 1, two_b))
-        coeffs = reg_inc_beta_table(s, n, two_b - 1.0) * g[:-1]
+        g, coeffs = _kernel_table(B, s, n)
         envelope = np.cumsum(coeffs * x_max ** k[:-1])
         ratio = x_max * (two_b + k[1:]) / (k[1:] + 1.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

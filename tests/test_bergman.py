@@ -56,17 +56,50 @@ class TestBergmanFunction:
             BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(-3)
 
     def test_projection_refines_near_the_rim(self):
-        # the 64 x 128 rule alone misses these coefficients by 1.5e-3: its angular rule aliases
+        # the first rule, 6 radii x 128 angles, alone misses these coefficients by 2.2e-7: its angles alias
         B, w0 = 4.5, 0.88j
         F = BergmanFunction(B, evaluator=lambda z: kernel_limit(w0, z, B))
         want = np.conj([bergman_basis(j, B, w0) for j in range(11)])
         assert np.max(np.abs(F.project(10).coefficients - want)) <= 1e-10
 
     def test_projection_refuses_pole_at_the_rim(self):
-        B = 1.5
-        F = BergmanFunction(B, evaluator=lambda z: kernel_limit(0.9999, z, B))
+        # six radii resolve j <= 10 of a pole at 0.9999; j <= 100 still moves past 4,096 angles
+        B, w0 = 1.5, 0.9999
+        F = BergmanFunction(B, evaluator=lambda z: kernel_limit(w0, z, B))
+        want = np.conj([bergman_basis(j, B, w0) for j in range(11)])
+        assert np.max(np.abs(F.project(10).coefficients - want)) <= 1e-12
         with pytest.raises(AccuracyError):
-            F.project(10)
+            F.project(100)
+
+    @pytest.mark.parametrize("j_max", [0, 3, 10])
+    def test_projection_exact_near_the_rim_at_large_strength(self, j_max):
+        # a rule with radii out to r = 0.9996 weighs F's norm on it far above c_0 = 6.245, hiding c_0's error
+        B, w0 = 20.0, -0.9666267387823954 + 0.08082541599590305j
+        F = BergmanFunction(B, evaluator=lambda z: kernel_limit(w0, z, B))
+        want = np.conj([bergman_basis(j, B, w0) for j in range(j_max + 1)])
+        got = F.project(j_max).coefficients
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_projection_samples_its_degree_exact_radial_rule(self):
+        # c_j has degree j in rho = r^2, so j_max // 2 + 1 Gauss-Jacobi radii are exact for j <= j_max
+        B, shapes = 1.5, []
+
+        def recorded(z):
+            shapes.append(z.shape)
+            return 1.0 / (1.5 - z)
+
+        BergmanFunction(B, evaluator=recorded).project(10)
+        assert shapes and all(shape[0] == 6 for shape in shapes)
+
+    @pytest.mark.parametrize("B, tol", [(0.51, 1e-13), (0.75, 1e-13), (1.5, 1e-13), (4.5, 1e-13),
+                                        (10.0, 1e-11), (20.0, 1e-9)])
+    def test_projection_round_trips_polynomials(self, B, tol):
+        # B = 20 is the loosest: Golub-Welsch weights at 21 radii are 5.7e-10 off in relative terms
+        rng = np.random.default_rng(41)
+        for deg in range(41):
+            coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            got = BergmanFunction(B, evaluator=BergmanFunction(B, coeffs)).project(deg).coefficients
+            assert np.max(np.abs(got - coeffs)) <= tol * np.max(np.abs(coeffs))
 
     def test_scalar_evaluator_is_broadcast(self):
         B, calls = 1.5, []
@@ -296,6 +329,38 @@ class TestTransferredApply:
                 BergmanFunction(B, np.array([0.0, 0.0, 0.0, 0.0, 1.0], dtype=complex)),
                 0.5 + 0.3j, B, R,
             )
+
+    def test_kernel_table_built_once_per_strength_and_radius(self, monkeypatch):
+        B, R, sizes = 2.5, 0.7, []
+
+        def counted(x, n, b):
+            sizes.append(n)
+            return reg_inc_beta_table(x, n, b)
+
+        bergman._kernel_table.cache_clear()
+        monkeypatch.setattr(bergman, "reg_inc_beta_table", counted)
+        F = BergmanFunction(B, [0.5, 1.0 - 1.0j, 0.25j])
+        first = transferred_apply(F, 0.6 + 0.2j, B, R)
+        built = list(sizes)
+        second = transferred_apply(F, -0.2 - 0.6j, B, R)  # the same |w|, so the same cut
+        assert len(built) >= 2 and sizes == built
+        assert first != second
+
+    def test_kernel_tables_are_read_only_and_rebuilt_bit_for_bit(self):
+        B, R, w = 1.5, 0.8, 0.45 - 0.5j
+        F = BergmanFunction(B, [0.5, 1.0 - 1.0j, 0.25j])
+        coeffs, value = kernel_series_coefficients(B, R * R, 0.9), transferred_apply(F, w, B, R)
+        g, table = bergman._kernel_table(B, R * R, 64)
+        for array in (g, table, coeffs):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        bergman._kernel_table.cache_clear()
+        assert np.array_equal(kernel_series_coefficients(B, R * R, 0.9), coeffs)
+        assert transferred_apply(F, w, B, R) == value
+        # the table is the one formula: (2B-1) w_k(2B) times I_s(k+1, 2B-1)
+        weights = np.exp(math.log(2.0 * B - 1.0) + specfun.log_nb_weights(65, 2.0 * B))
+        assert np.array_equal(g, weights)
+        assert np.array_equal(table, reg_inc_beta_table(R * R, 64, 2.0 * B - 1.0) * weights[:-1])
 
     @pytest.mark.parametrize("B", [0.75, 1.5, 4.5, 10.0])
     @pytest.mark.parametrize("w, n_r, n_theta", [
