@@ -28,8 +28,6 @@ from . import __version__, bergman, locop, verify
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .states import LocalizationRadius, ModelParams
 
-DEFAULTS = {"B": 1.5, "R": 0.6, "m": 0, "j_max": 20, "tol": 1e-10, "seed": 42}
-
 
 def _checked(convert, valid, expected: str):
     """argparse type that converts the text and rejects values failing ``valid`` as usage errors."""
@@ -48,6 +46,15 @@ _complex_arg = _checked(lambda text: complex(text.replace(" ", "")), lambda v: T
                         "a complex number like 0.5+0.3j")
 _finite_arg = _checked(float, math.isfinite, "a finite number")
 _count_arg = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_grid_arg = _checked(int, lambda v: 2 <= v <= 10_000, "an integer in 2..10000")
+
+# add_argument specs of the flags several subcommands read (the table is COMMANDS, below).
+# --B stays a plain float: ModelParams rejects a non-finite B with the "2B > 1" domain message.
+_B = {"type": float, "default": 1.5, "help": "strength parameter, 2B > 1"}
+_R = {"type": _finite_arg, "default": 0.6, "help": "localization radius in (0, 1)"}
+_M = {"type": int, "default": 0, "help": "level index, 0 <= m <= floor(B - 1/2)"}
+_J_MAX = {"type": _count_arg, "default": 20}
+_POINT = {"type": _complex_arg, "required": True, "help": "point of the unit disk"}
 
 
 @functools.cache
@@ -58,41 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        # --B stays a plain float: ModelParams rejects a non-finite B with the
-        # "2B > 1" domain message.
-        p.add_argument("--B", type=float, default=DEFAULTS["B"], help="strength parameter, 2B > 1")
-        p.add_argument("--R", type=_finite_arg, default=DEFAULTS["R"], help="localization radius in (0, 1)")
-        p.add_argument("--m", type=int, default=DEFAULTS["m"], help="level index, 0 <= m <= floor(B - 1/2)")
-        p.add_argument("--j-max", type=_count_arg, default=DEFAULTS["j_max"], dest="j_max")
-        p.add_argument("--tol", type=_finite_arg, default=DEFAULTS["tol"])
-        p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        p.add_argument("--samples", type=int, default=1_000_000)
+    for command, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for dest, spec in flags.items():
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **spec)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("eigvals", help="eigenvalue table (j, lambda_j)")
-    common(p)
-
-    p = sub.add_parser("kernel", help="transferred kernel at one point pair")
-    common(p)
-    p.add_argument("--z", type=_complex_arg, required=True)
-    p.add_argument("--w", type=_complex_arg, required=True)
-    p.add_argument("--s", type=_finite_arg, default=None, help="Beta upper limit; defaults to R^2")
-
-    p = sub.add_parser("leakage", help="photon-counting bound outside the disk")
-    common(p)
-    p.add_argument("--z", type=_complex_arg, required=True, help="coherence point z0")
-
-    p = sub.add_parser("density", help="eigenvalue densities on a rho grid")
-    common(p)
-
-    p = sub.add_parser("mc", help="Monte-Carlo eigenvalue estimates vs the closed form")
-    common(p)
-
-    p = sub.add_parser("verify", help="run the full verification suite")
-    common(p)
     return parser
 
 
@@ -140,8 +118,9 @@ def _render(params: dict, columns: list[str], rows: list[list], fmt: str) -> str
 
 
 def _params_dict(args, extra: dict | None = None) -> dict:
-    keys = ("command", "B", "R", "m", "j_max", "tol", "seed")
-    return {**{key: getattr(args, key) for key in keys}, **(extra or {})}
+    """The parsed flags, bar --format and --out, then the command's computed values."""
+    flags = {key: value for key, value in vars(args).items() if key not in ("format", "out")}
+    return {**flags, **(extra or {})}
 
 
 def cmd_eigvals(args) -> int:
@@ -151,7 +130,7 @@ def cmd_eigvals(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    ModelParams(args.B, args.m)
+    ModelParams(args.B)
     radius = LocalizationRadius(args.R)
     s = args.s
     note = ""
@@ -172,7 +151,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_leakage(args) -> int:
-    ModelParams(args.B, args.m)
+    ModelParams(args.B)
     radius = LocalizationRadius(args.R)
     tail_tol = min(args.tol, 1e-14)  # --tol can only tighten the bound; the params record the value used
     bound = locop.leakage_bound(args.z, args.B, radius, tail_tol=tail_tol)
@@ -184,27 +163,22 @@ def cmd_leakage(args) -> int:
 
 def cmd_density(args) -> int:
     params = ModelParams(args.B, args.m)
-    # --samples doubles as the rho-grid size here; the Monte-Carlo default
-    # of one million is clamped to a plot-friendly grid.
-    n_points = args.samples if 2 <= args.samples <= 10_000 else 101
-    rho = np.linspace(0.0, 1.0, n_points + 1)[:-1]
+    rho = np.linspace(0.0, 1.0, args.samples + 1)[:-1]
     rows = []
     for j, vals in enumerate(locop.landau_density_table(args.j_max, params, rho)):
         rows.extend([j, float(r), float(v)] for r, v in zip(rho, vals))
-    extra = {"rho_points": n_points}
-    _write(_render(_params_dict(args, extra), ["j", "rho", "density"], rows, args.format), args.out)
+    _write(_render(_params_dict(args), ["j", "rho", "density"], rows, args.format), args.out)
     return 0
 
 
 def cmd_mc(args) -> int:
-    params = ModelParams(args.B, args.m)
+    params = ModelParams(args.B)
     radius = LocalizationRadius(args.R)
     exact = locop.SpectralData(args.B, radius).values(args.j_max + 1).tolist()  # the eigvals table
     draws = [locop.mc_eigenvalue(j, params, radius, args.samples, args.seed + j) for j in range(len(exact))]
     rows = [[j, est, se, lam, abs(est - lam)] for j, ((est, se), lam) in enumerate(zip(draws, exact))]
     columns = ["j", "estimate", "std_error", "exact", "abs_error"]
-    extra = {"samples": args.samples}
-    _write(_render(_params_dict(args, extra), columns, rows, args.format), args.out)
+    _write(_render(_params_dict(args), columns, rows, args.format), args.out)
     return 0
 
 
@@ -224,13 +198,25 @@ def cmd_verify(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "eigvals": cmd_eigvals,
-    "kernel": cmd_kernel,
-    "leakage": cmd_leakage,
-    "density": cmd_density,
-    "mc": cmd_mc,
-    "verify": cmd_verify,
+# Each subcommand's handler, help and the flags it reads, by dest; every one also takes --format
+# and --out.  A document's params echo exactly these flags, so they never claim a value the
+# command did not read.
+COMMANDS = {
+    "eigvals": (cmd_eigvals, "eigenvalue table (j, lambda_j)", {
+        "B": _B, "R": _R, "m": _M, "j_max": _J_MAX}),
+    "kernel": (cmd_kernel, "transferred kernel at one point pair", {
+        "B": _B, "R": _R, "z": _POINT, "w": _POINT,
+        "s": {"type": _finite_arg, "default": None, "help": "Beta upper limit; defaults to R^2"}}),
+    "leakage": (cmd_leakage, "photon-counting bound outside the disk", {
+        "B": _B, "R": _R, "z": {**_POINT, "help": "coherence point z0"},
+        "tol": {"type": _finite_arg, "default": 1e-10, "help": "tail bound, used as min(tol, 1e-14)"}}),
+    "density": (cmd_density, "eigenvalue densities on a rho grid", {
+        "B": _B, "m": _M, "j_max": _J_MAX,
+        "samples": {"type": _grid_arg, "default": 101, "help": "rho grid points, 2..10000"}}),
+    "mc": (cmd_mc, "Monte-Carlo eigenvalue estimates vs the closed form", {
+        "B": _B, "R": _R, "j_max": _J_MAX, "seed": {"type": int, "default": 42},
+        "samples": {"type": int, "default": 1_000_000, "help": "Beta draws per index"}}),
+    "verify": (cmd_verify, "run the full verification suite", {}),
 }
 
 
@@ -238,8 +224,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except (DomainError, ConvergenceError, AccuracyError, ValueError) as exc:
+        return COMMANDS[args.command][0](args)
+    except (DomainError, ConvergenceError, AccuracyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """Scalar special functions used throughout the package.
 
-Everything here is self-contained: log-gamma ratios, the table of log
+Everything here is self-contained: log-gamma and log-Beta, the table of log
 negative binomial weights log(Gamma(b+a)/(a! Gamma(b))), the regularized
 incomplete Beta function (continued fraction, and whole tables in its
 first parameter by the downward recurrence), generalized Laguerre and
@@ -39,7 +39,6 @@ __all__ = [
     "HypergeomResult",
     "check_index",
     "log_gamma",
-    "gamma_ratio",
     "log_beta",
     "log_nb_weights",
     "reg_inc_beta",
@@ -85,11 +84,6 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def gamma_ratio(p: float, q: float) -> float:
-    """Gamma(p) / Gamma(q) for p, q > 0, via a log-gamma difference."""
-    return math.exp(log_gamma(p) - log_gamma(q))
 
 
 def log_beta(a: float, b: float) -> float:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import (check_index, gamma_ratio, horner, inc_beta_steps, jacobi, laguerre, log_gamma,
-                      log_nb_weights)
+from .specfun import check_index, horner, inc_beta_steps, jacobi, log_gamma, log_nb_weights
 
 __all__ = [
     "ModelParams",
@@ -229,16 +228,35 @@ def basis_series(coeffs, B: float, z):
 def laguerre_function(j: int, B: float, xi):
     """Orthonormal Laguerre function on the half-line; ``xi`` may be an ndarray.
 
-    (2 j! / Gamma(2B + j))^(1/2) xi^(2B - 1/2) exp(-xi^2/2) L_j^(2B-1)(xi^2).
+    phi_j = (2 j! / Gamma(2B + j))^(1/2) xi^(2B - 1/2) exp(-xi^2/2) L_j^(2B-1)(xi^2), by the
+    normalized recurrence c_k phi_{k+1} = (2k + 2B - xi^2) phi_k - c_{k-1} phi_{k-1} with
+    c_k = sqrt((k+1)(k+2B)), run on phi_k / phi_0 with phi_0 kept as its log: neither the
+    norm nor exp(-xi^2/2) is formed alone, as both leave the float range at large j, B or xi.
+    Once a bound on the scaled values passes 1e100, each point's last two values are divided
+    by the power of two just above the larger, which is exact, so a point's value does not
+    depend on the other points of the array.  A number xi stays in builtin float arithmetic.
     """
     j = check_index("j", j)
     check_strength(B)
     xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr <= 0.0):
+    if not np.all(xi_arr > 0.0):
         raise DomainError("Laguerre functions are defined for xi > 0")
-    norm = math.sqrt(2.0 * gamma_ratio(j + 1.0, 2.0 * B + j))
-    vals = norm * xi_arr ** (2.0 * B - 0.5) * np.exp(-0.5 * xi_arr * xi_arr) * laguerre(j, 2.0 * B - 1.0, xi_arr * xi_arr)
-    return vals if isinstance(xi, np.ndarray) else float(vals)
+    scalar = not isinstance(xi, np.ndarray)
+    x, log, exp, frexp, ldexp = ((float(xi), math.log, math.exp, math.frexp, math.ldexp) if scalar
+                                 else (xi_arr, np.log, np.exp, np.frexp, np.ldexp))
+    b2, x2 = 2.0 * B, x * x
+    x2_max = x2 if scalar else float(np.max(x2, initial=0.0))
+    prev, cur, c_prev, bound, shift = 0.0, 1.0, 0.0, 1.0, 0  # bound >= |prev|, |cur| everywhere
+    for k in range(j):
+        c = math.sqrt((k + 1) * (k + b2))
+        bound *= (max(2 * k + b2, x2_max) + c_prev) / c  # |2k + 2B - xi^2| <= max(2k + 2B, xi^2)
+        prev, cur, c_prev = cur, ((2 * k + b2 - x2) * cur - c_prev * prev) / c, c
+        if bound > 1e100:
+            e = frexp(max(abs(prev), abs(cur)) if scalar else np.maximum(abs(prev), abs(cur)))[1]
+            prev, cur, shift, bound = ldexp(prev, -e), ldexp(cur, -e), shift + e, 1.0
+    log_phi0 = 0.5 * (math.log(2.0) - math.lgamma(b2)) + (b2 - 0.5) * log(x) - 0.5 * x2
+    mantissa, e = frexp(cur)
+    return mantissa * exp(log_phi0 + (e + shift) * math.log(2.0))
 
 
 def nbs_expansion(z, B: float, xi: float, J: int) -> complex:

@@ -226,8 +226,8 @@ class TestVerifyCommand:
     def test_injected_fault_fails_with_exit_one(self, capsys, monkeypatch):
         from nbsloc import states
 
-        exact = states.gamma_ratio  # the name laguerre_function reads
-        monkeypatch.setattr(states, "gamma_ratio", lambda p, q: exact(p, q) * (1.0 + 1e-3))
+        exact = states.laguerre_function  # the name verify reads
+        monkeypatch.setattr(states, "laguerre_function", lambda j, B, xi: exact(j, B, xi) * (1.0 + 1e-3))
         try:
             code, _, err = run_cli(["verify"], capsys)
         finally:
@@ -278,7 +278,7 @@ def test_csv_round_trips_to_the_json_document(command, capsys):
     ["eigvals", "--B", "-inf"],
     ["eigvals", "--R", "inf"],
     ["eigvals", "--R", "nan"],
-    ["eigvals", "--tol", "nan"],
+    ["leakage", "--z", "0.5", "--tol", "nan"],
     ["kernel", "--z", "0.1", "--w", "0.2", "--s", "inf"],
     ["leakage", "--z", "0.5", "--tol", "inf"],
     ["leakage", "--z", "0.5", "--tol", "-1"],
@@ -290,6 +290,49 @@ def test_bad_numbers_exit_two_without_traceback(args):
     assert b"error:" in proc.stderr
     assert b"Traceback" not in proc.stderr
     assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("args", [
+    ["kernel", "--z", "0.3", "--w", "0.2", "--B", "2.5", "--m", "1"],
+    ["leakage", "--z", "0.5", "--B", "2.5", "--m", "1"],
+    ["density", "--R", "5"],
+    ["density", "--samples", "1"],
+    ["density", "--samples", "10001"],
+    ["verify", "--B", "7"],
+    ["eigvals", "--tol", "1e-3"],
+])
+def test_flags_a_command_does_not_read_exit_two(args):
+    # each of these exited 0 with params claiming the value
+    proc = run_fresh(args)
+    assert proc.returncode == 2
+    assert b"error:" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("target", ["missing/report.csv", "."])
+def test_unwritable_out_exits_two_without_traceback(target, tmp_path):
+    # open() raised through main: a traceback and exit 1, the code of a failed verify check
+    proc = run_fresh(["eigvals", "--j-max", "2", "--out", str(tmp_path / target)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error:")
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGS))
+def test_params_are_exactly_the_flags_the_command_reads(command, capsys):
+    # every command echoed B, R, m, j_max, tol and seed, whether it read them or not
+    argv = [command, *ROUND_TRIP_ARGS[command], "--format", "json"]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    flags = set(parsed) - {"command", "format", "out"}
+    assert flags == set(cli.COMMANDS[command][2])
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    params = json.loads(out)["params"]
+    computed = {"kernel": {"s", "z", "w"}, "leakage": {"tail_tol", "z"}}.get(command, set())
+    assert set(params) == flags | computed | {"command"}
+    assert {key: params[key] for key in flags - computed} == {key: parsed[key] for key in flags - computed}
 
 
 @pytest.mark.parametrize("command, fmt", [(command, "json") for command in sorted(ROUND_TRIP_ARGS)]

@@ -279,6 +279,30 @@ class TestLaguerreFunction:
         with pytest.raises(DomainError):
             laguerre_function(-1, 1.2, 1.0)
 
+    def test_nan_point_rejected(self):
+        # nan passed the xi > 0 check and came back as nan
+        with pytest.raises(DomainError):
+            laguerre_function(3, 1.2, np.array([1.0, math.nan]))
+
+    @pytest.mark.parametrize("j, B, xi", [(500, 20.0, 41.0463), (1000, 50.0, 58.3267), (2000, 50.0, 81.4985)])
+    def test_large_index_and_strength_match_mpmath(self, j, B, xi):
+        # the norm and exp(-xi^2/2) were formed apart: nan here, and a norm of 0 at B = 50, j = 2000
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            b, x = mpmath.mpf(B), mpmath.mpf(xi)
+            want = float(mpmath.sqrt(2 * mpmath.factorial(j) / mpmath.gamma(2 * b + j))
+                         * x ** (2 * b - mpmath.mpf(0.5)) * mpmath.exp(-x * x / 2)
+                         * mpmath.laguerre(j, 2 * b - 1, x * x))
+        assert laguerre_function(j, B, xi) == pytest.approx(want, abs=1e-12)
+        assert laguerre_function(j, B, np.array([xi, 1.0]))[0] == pytest.approx(want, abs=1e-12)
+
+    def test_point_values_do_not_depend_on_the_other_points(self):
+        xi = np.linspace(0.05, 90.0, 101)
+        for j, B in ((2000, 50.0), (300, 0.51)):
+            whole = laguerre_function(j, B, xi)
+            parts = np.concatenate([laguerre_function(j, B, xi[i:i + 4]) for i in range(0, xi.size, 4)])
+            assert np.array_equal(whole, parts)
+
 
 class TestNbsExpansion:
     def test_center_any_truncation(self):

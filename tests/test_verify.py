@@ -20,16 +20,16 @@ class TestCheckRegistry:
 
 
 class TestFaultInjection:
-    def test_perturbed_gamma_ratio_fails_orthonormality(self, monkeypatch):
+    def test_perturbed_laguerre_function_fails_orthonormality(self, monkeypatch):
         clean = verify.run_check("laguerre_orthonormality")
         assert clean.passed
-        exact = states.gamma_ratio  # the name laguerre_function reads
-        monkeypatch.setattr(states, "gamma_ratio", lambda p, q: exact(p, q) * (1.0 + 1e-3))
+        exact = states.laguerre_function  # the name verify reads
+        monkeypatch.setattr(states, "laguerre_function", lambda j, B, xi: exact(j, B, xi) * (1.0 + 1e-3))
         try:
             broken = verify.run_check("laguerre_orthonormality")
         finally:
             monkeypatch.undo()
         assert not broken.passed
         assert broken.max_error > 1e-4
-        # and the undo really restores the exact ratio
+        # and the undo really restores the exact function
         assert verify.run_check("laguerre_orthonormality").passed
