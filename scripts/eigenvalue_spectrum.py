@@ -21,7 +21,7 @@ from nbsloc.states import ModelParams  # noqa: E402
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--j-max", type=int, default=30)
     parser.add_argument("--samples", type=int, default=200_000)
     parser.add_argument("--seed", type=int, default=42)

@@ -20,7 +20,7 @@ from nbsloc.bergman import kernel_closed, kernel_limit, kernel_series  # noqa: E
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--zw", type=float, default=0.3,
                         help="value of conj(z) w (realized as z = sqrt(zw), w = sqrt(zw))")
     parser.add_argument("--out", default=None)

@@ -146,14 +146,13 @@ def bargmann_transform(coeffs, z, B: float):
     return BergmanFunction(B, coefficients=coeffs)(z)
 
 
-def bargmann_inverse(F: BergmanFunction, xi: float, J: int | None = None) -> complex:
-    """Inverse transform back to the half-line, truncated at index J.
+def bargmann_inverse(F: BergmanFunction, xi: float) -> complex:
+    """Inverse transform back to the half-line, sum_j c_j laguerre_j(xi) over every coefficient.
 
     Exact two-sided inverse of ``bargmann_transform`` on coefficient
     vectors; requires the coefficient representation.
     """
-    coeffs = F.coefficients_or_raise()[:None if J is None else check_index("J", J) + 1]
-    return sum((c * laguerre_function(j, F.B, xi) for j, c in enumerate(coeffs) if c != 0.0), 0j)
+    return sum((c * laguerre_function(j, F.B, xi) for j, c in enumerate(F.coefficients_or_raise()) if c != 0.0), 0j)
 
 
 # A session walks about four sizes per (B, s), n = 64 to 512.  Worst case 16 x 1.6 MB, at n = SERIES_MAX_TERMS.

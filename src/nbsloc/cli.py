@@ -57,16 +57,27 @@ _J_MAX = {"type": _count_arg, "default": 20}
 _POINT = {"type": _complex_arg, "required": True, "help": "point of the unit disk"}
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports a flag it does not take itself, under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbsloc",
         description="Localization-operator numerics over negative binomial states.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, (_, help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for dest, spec in flags.items():
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, **spec)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -131,20 +142,13 @@ def cmd_eigvals(args) -> int:
 
 def cmd_kernel(args) -> int:
     ModelParams(args.B)
-    radius = LocalizationRadius(args.R)
-    s = args.s
-    note = ""
-    if s is None:
-        s = radius.R ** 2
-        note = "s defaulted to R^2"
+    s = LocalizationRadius(args.R).R ** 2
     series = bergman.kernel_series(args.z, args.w, args.B, s)
     closed = bergman.kernel_closed(args.z, args.w, args.B, s)
     limit = bergman.kernel_limit(args.z, args.w, args.B)
     rel = abs(series - closed) / max(abs(series), 1e-300)
-    columns = ["series_re", "series_im", "closed_re", "closed_im",
-               "rel_discrepancy", "limit_re", "limit_im", "note"]
-    rows = [[series.real, series.imag, closed.real, closed.imag,
-             float(rel), limit.real, limit.imag, note]]
+    columns = ["series_re", "series_im", "closed_re", "closed_im", "rel_discrepancy", "limit_re", "limit_im"]
+    rows = [[series.real, series.imag, closed.real, closed.imag, float(rel), limit.real, limit.imag]]
     extra = {"s": s, "z": repr(args.z), "w": repr(args.w)}
     _write(_render(_params_dict(args, extra), columns, rows, args.format), args.out)
     return 0
@@ -152,12 +156,9 @@ def cmd_kernel(args) -> int:
 
 def cmd_leakage(args) -> int:
     ModelParams(args.B)
-    radius = LocalizationRadius(args.R)
-    tail_tol = min(args.tol, 1e-14)  # --tol can only tighten the bound; the params record the value used
-    bound = locop.leakage_bound(args.z, args.B, radius, tail_tol=tail_tol)
+    bound = locop.leakage_bound(args.z, args.B, LocalizationRadius(args.R))
     rows = [[float(bound), float(abs(args.z) ** 2)]]
-    extra = {"tail_tol": tail_tol, "z": repr(args.z)}
-    _write(_render(_params_dict(args, extra), ["bound", "p"], rows, args.format), args.out)
+    _write(_render(_params_dict(args, {"z": repr(args.z)}), ["bound", "p"], rows, args.format), args.out)
     return 0
 
 
@@ -205,11 +206,9 @@ COMMANDS = {
     "eigvals": (cmd_eigvals, "eigenvalue table (j, lambda_j)", {
         "B": _B, "R": _R, "m": _M, "j_max": _J_MAX}),
     "kernel": (cmd_kernel, "transferred kernel at one point pair", {
-        "B": _B, "R": _R, "z": _POINT, "w": _POINT,
-        "s": {"type": _finite_arg, "default": None, "help": "Beta upper limit; defaults to R^2"}}),
+        "B": _B, "R": _R, "z": _POINT, "w": _POINT}),
     "leakage": (cmd_leakage, "photon-counting bound outside the disk", {
-        "B": _B, "R": _R, "z": {**_POINT, "help": "coherence point z0"},
-        "tol": {"type": _finite_arg, "default": 1e-10, "help": "tail bound, used as min(tol, 1e-14)"}}),
+        "B": _B, "R": _R, "z": {**_POINT, "help": "coherence point z0"}}),
     "density": (cmd_density, "eigenvalue densities on a rho grid", {
         "B": _B, "m": _M, "j_max": _J_MAX,
         "samples": {"type": _grid_arg, "default": 101, "help": "rho grid points, 2..10000"}}),

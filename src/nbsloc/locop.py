@@ -15,6 +15,7 @@ sizes are module constants (RADIAL_NODES, LANDAU_NODES, DISK_RULE), not argument
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,8 +24,8 @@ import numpy as np
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from . import quadrature, specfun
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
-from .specfun import (check_index, inc_beta_steps, log_beta, log_nb_weights, reg_inc_beta, reg_inc_beta_table,
-                      sample_beta)
+from .specfun import (check_index, inc_beta_steps, log_beta, log_inc_beta_steps, log_nb_weights, reg_inc_beta,
+                      reg_inc_beta_table, sample_beta)
 from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
                      check_strength, jacobi)
 
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 LANDAU_REFINE_TOL = 1e-10  # relative agreement landau_eigenvalue's refinement must reach
+LEAKAGE_TAIL_TOL = 1e-14  # bound on the photon-count tail leakage_bound neglects
 LANDAU_NODES = 320  # landau_eigenvalue's Gauss-Legendre rule on [0, R^2] and on each half
 RADIAL_NODES = 160  # radial_eigenvalue's Gauss-Jacobi rule
 
@@ -260,29 +262,36 @@ def mc_eigenvalue(j: int, params: ModelParams, R, n_samples: int, seed: int) -> 
     return estimate, math.sqrt(estimate * (1.0 - estimate) / n_samples)
 
 
-def leakage_bound(z0, B: float, R, tail_tol: float = 1e-14) -> float:
+def leakage_bound(z0, B: float, R) -> float:
     """Photon-counting bound on the operator's content at a coherence point.
 
     sqrt(sum_j I_{R^2}(j+1, 2B-1)^2 pmf(j)) with the negative binomial law
     at p = |z0|^2.  The eigenvalues decrease, so the terms past index n - 1
     add at most I_{R^2}(n, 2B-1)^2 P(N >= n), with P(N >= n) = I_p(n, 2B)
-    exactly; n doubles until that is at most ``tail_tol``, or raises
-    ConvergenceError past SERIES_MAX_TERMS; ``tail_tol`` must be >= 0.
+    exactly; n doubles until that is at most LEAKAGE_TAIL_TOL, or raises
+    ConvergenceError past SERIES_MAX_TERMS.  A sum below the normal range,
+    whose terms underflow, is summed from the logs of its terms.
     """
-    if not tail_tol >= 0.0:  # a NaN would end the doubling at once, a negative one never
-        raise DomainError(f"needs tail_tol >= 0, got {tail_tol}")
     z0, R = as_disk(z0), as_radius(R)
     check_strength(B)
     p = abs(z0) ** 2
     s, b = R * R, 2.0 * B - 1.0
     n = 32
-    while reg_inc_beta(s, float(n), b) ** 2 * reg_inc_beta(p, float(n), 2.0 * B) > tail_tol:
+    while reg_inc_beta(s, float(n), b) ** 2 * reg_inc_beta(p, float(n), 2.0 * B) > LEAKAGE_TAIL_TOL:
         if n >= specfun.SERIES_MAX_TERMS:
             raise ConvergenceError(
-                f"photon-count tail above {tail_tol} after {n} terms at p={p}", terms_used=n)
+                f"photon-count tail above {LEAKAGE_TAIL_TOL} after {n} terms at p={p}", terms_used=n)
         n = min(2 * n, specfun.SERIES_MAX_TERMS)
     lam = reg_inc_beta_table(s, n, b)
-    return math.sqrt(float(lam * lam @ inc_beta_steps(p, n, 2.0 * B)))
+    total = float(lam * lam @ inc_beta_steps(p, n, 2.0 * B))
+    if total >= sys.float_info.min:
+        return math.sqrt(total)
+    with np.errstate(divide="ignore"):  # log(0) = -inf where an eigenvalue underflows
+        terms = 2.0 * np.log(lam) + log_inc_beta_steps(p, n, 2.0 * B)
+    top = terms.max()
+    if top == -math.inf:
+        return 0.0
+    return math.exp(0.5 * (top + math.log(np.exp(terms - top).sum())))
 
 
 def localized_overlap(z0, B: float, R, coeffs) -> float:

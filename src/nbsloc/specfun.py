@@ -43,6 +43,7 @@ __all__ = [
     "log_nb_weights",
     "reg_inc_beta",
     "reg_inc_beta_table",
+    "log_inc_beta_steps",
     "inc_beta_steps",
     "horner",
     "laguerre",
@@ -171,15 +172,20 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
                                f"iterations at a={a}, b={b}, x={x}", terms_used=exc.terms_used) from None
 
 
+def log_inc_beta_steps(x: float, n: int, b: float) -> np.ndarray:
+    """log(x^a (1-x)^b Gamma(a+b) / (Gamma(a+1) Gamma(b))), a = 0..n-1; -inf for a >= 1 at x = 0."""
+    if x == 0.0:
+        return np.where(np.arange(n) == 0, 0.0, -np.inf)
+    return log_nb_weights(n, b) + np.arange(float(n)) * math.log(x) + b * math.log1p(-x)
+
+
 def inc_beta_steps(x: float, n: int, b: float) -> np.ndarray:
     """x^a (1-x)^b Gamma(a+b) / (Gamma(a+1) Gamma(b)), a = 0..n-1, each formed in logs.
 
     The negative binomial law of shape b at x; for a >= 1 also the steps
     I_x(a, b) - I_x(a+1, b) of the downward recurrence.
     """
-    if x == 0.0:
-        return (np.arange(n) == 0).astype(float)
-    return np.exp(log_nb_weights(n, b) + np.arange(float(n)) * math.log(x) + b * math.log1p(-x))
+    return np.exp(log_inc_beta_steps(x, n, b))
 
 
 def reg_inc_beta_table(x: float, n: int, b: float) -> np.ndarray:

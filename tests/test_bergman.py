@@ -162,7 +162,7 @@ class TestBargmannTransform:
             coeffs[k] = 1.0
             F = BergmanFunction(B, coefficients=coeffs)
             for xi in (0.4, 1.3):
-                assert bargmann_inverse(F, xi, k) == pytest.approx(
+                assert bargmann_inverse(F, xi) == pytest.approx(
                     laguerre_function(k, B, xi), rel=1e-13
                 )
 
@@ -179,13 +179,7 @@ class TestBargmannTransform:
     def test_inverse_needs_coefficients(self):
         F = BergmanFunction(1.5, evaluator=lambda z: 1.0 + 0j)
         with pytest.raises(UnsupportedRepresentationError):
-            bargmann_inverse(F, 1.0, 3)
-
-    def test_inverse_rejects_negative_truncation(self):
-        # J = -3 used to slice off the last two coefficients and sum the first four
-        F = BergmanFunction(1.5, coefficients=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        with pytest.raises(DomainError, match="J >= 0"):
-            bargmann_inverse(F, 1.3, J=-3)
+            bargmann_inverse(F, 1.0)
 
 
 class TestKernelSeries:

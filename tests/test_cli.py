@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,8 @@ from nbsloc import cli
 from nbsloc.locop import disk_eigenvalue, landau_density, leakage_bound
 from nbsloc.states import ModelParams
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run_cli(args, capsys):
@@ -86,7 +88,7 @@ class TestEigvals:
 
 
 class TestKernel:
-    def test_default_s_note_and_value(self, capsys):
+    def test_s_is_r_squared(self, capsys):
         code, out, _ = run_cli(
             ["kernel", "--B", "1", "--R", "0.5", "--z", "0", "--w", "0.3", "--format", "json"],
             capsys)
@@ -94,7 +96,7 @@ class TestKernel:
         doc = json.loads(out)
         rec = doc["data"][0]
         assert doc["params"]["s"] == 0.25
-        assert rec["note"] == "s defaulted to R^2"
+        assert "note" not in rec
         assert rec["closed_re"] == pytest.approx(0.25, rel=1e-10)
         assert rec["rel_discrepancy"] <= 1e-8
 
@@ -121,21 +123,18 @@ class TestLeakage:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_params_record_the_tail_tolerance_used(self, fmt, capsys):
-        # --tol only tightens the 1e-14 tail bound; the document showed only "tol"
-        bounds = {}
-        for tol, used in (("1e-2", 1e-14), ("1e-10", 1e-14), ("1e-20", 1e-20)):
-            code, out, _ = run_cli(["leakage", "--z", "0.99", "--B", "1.5", "--R", "0.9",
-                                    "--tol", tol, "--format", fmt], capsys)
-            assert code == 0
-            if fmt == "json":
-                doc = json.loads(out)
-                assert doc["params"]["tail_tol"] == used and doc["params"]["tol"] == float(tol)
-                bounds[tol] = doc["data"][0]["bound"]
-            else:
-                params, header, rows = parse_csv(out)
-                assert params["tail_tol"] == repr(used) and header == ["bound", "p"]
-                bounds[tol] = float(rows[0][0])
-        assert bounds["1e-2"] == bounds["1e-10"] == bounds["1e-20"] == leakage_bound(0.99, 1.5, 0.9)
+        # the tail bound is the fixed locop.LEAKAGE_TAIL_TOL, so no tolerance is a param
+        code, out, _ = run_cli(["leakage", "--z", "0.99", "--B", "1.5", "--R", "0.9", "--format", fmt], capsys)
+        assert code == 0
+        if fmt == "json":
+            doc = json.loads(out)
+            params, bound = doc["params"], doc["data"][0]["bound"]
+        else:
+            params, header, rows = parse_csv(out)
+            assert header == ["bound", "p"]
+            bound = float(rows[0][0])
+        assert not {"tol", "tail_tol"} & set(params)
+        assert bound == leakage_bound(0.99, 1.5, 0.9)
 
 
 class TestDensity:
@@ -220,7 +219,7 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         code, _, _ = run_cli(["verify", "--format", "json", "--out", str(out)], capsys)
         assert code == 0
-        schema_path = pathlib.Path(__file__).resolve().parent.parent / "docs" / "verify_report.schema.json"
+        schema_path = ROOT / "docs" / "verify_report.schema.json"
         jsonschema.validate(json.loads(out.read_text()), json.loads(schema_path.read_text()))
 
     def test_injected_fault_fails_with_exit_one(self, capsys, monkeypatch):
@@ -278,10 +277,6 @@ def test_csv_round_trips_to_the_json_document(command, capsys):
     ["eigvals", "--B", "-inf"],
     ["eigvals", "--R", "inf"],
     ["eigvals", "--R", "nan"],
-    ["leakage", "--z", "0.5", "--tol", "nan"],
-    ["kernel", "--z", "0.1", "--w", "0.2", "--s", "inf"],
-    ["leakage", "--z", "0.5", "--tol", "inf"],
-    ["leakage", "--z", "0.5", "--tol", "-1"],
     ["eigvals", "--j-max", "-5"],
 ])
 def test_bad_numbers_exit_two_without_traceback(args):
@@ -300,14 +295,65 @@ def test_bad_numbers_exit_two_without_traceback(args):
     ["density", "--samples", "10001"],
     ["verify", "--B", "7"],
     ["eigvals", "--tol", "1e-3"],
+    ["kernel", "--z", "0.3", "--w", "0.2", "--s", "0.5"],
+    ["leakage", "--z", "0.5", "--tol", "1e-20"],
+    ["eigvals", "--j", "3"],
+    ["leakage", "--z", "0.5", "--t", "1e-3"],
 ])
 def test_flags_a_command_does_not_read_exit_two(args):
-    # each of these exited 0 with params claiming the value
+    # each of these exited 0; the first ones with params claiming the value, the last four
+    # through the removed `kernel --s` and `leakage --tol`, two of them abbreviated
     proc = run_fresh(args)
     assert proc.returncode == 2
     assert b"error:" in proc.stderr
     assert b"Traceback" not in proc.stderr
     assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGS))
+def test_unknown_flag_is_reported_under_the_subcommand_usage(command, capsys):
+    # the top-level parser reported it, under "usage: nbsloc [-h] [--version] {eigvals,...}"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *ROUND_TRIP_ARGS[command], "--no-such-flag", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: nbsloc {command} ")
+    assert err.endswith(f"nbsloc {command}: error: unrecognized arguments: --no-such-flag 1\n")
+
+
+def test_no_flag_is_accepted_abbreviated(capsys):
+    # argparse took any unambiguous prefix: "eigvals --j 3" set --j-max
+    def accepted(argv, prefix):
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code == 0 or f"unrecognized arguments: {prefix}" not in capsys.readouterr().err
+        return True
+
+    spellings = [(["--version"[:cut], "verify"], "--version"[:cut]) for cut in range(3, len("--version"))]
+    for command, (_, _, flags) in cli.COMMANDS.items():
+        for flag in ["--" + dest.replace("_", "-") for dest in flags] + ["--format", "--out", "--help"]:
+            spellings += [([command, *ROUND_TRIP_ARGS[command], flag[:cut], "0"], flag[:cut])
+                          for cut in range(3, len(flag))]
+    assert len(spellings) > 60
+    assert [argv for argv, prefix in spellings if accepted(argv, prefix)] == []
+
+
+def test_readme_flag_table_is_the_parser():
+    # each row's first code span lists the flags with their defaults, a required flag as its name in capitals
+    table = re.search(r"^\| command \| flags \(defaults\) \|\n\|[-|]+\|\n((?:\|.*\n)+)",
+                      (ROOT / "README.md").read_text(), re.M).group(1)
+    rows = {}
+    for line in table.splitlines():
+        command, cell = (part.strip() for part in line.strip("|").split("|"))
+        span = re.match(r"`([^`]*)`", cell)
+        tokens = span.group(1).split() if span else []
+        rows[command] = dict(zip(tokens[::2], tokens[1::2]))
+    want = {}
+    for command, (_, _, flags) in cli.COMMANDS.items():
+        want[command] = {"--" + dest.replace("_", "-"): dest.upper() if spec.get("required") else str(spec["default"])
+                         for dest, spec in flags.items()}
+    assert rows == want
 
 
 @pytest.mark.parametrize("target", ["missing/report.csv", "."])
@@ -330,7 +376,7 @@ def test_params_are_exactly_the_flags_the_command_reads(command, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     params = json.loads(out)["params"]
-    computed = {"kernel": {"s", "z", "w"}, "leakage": {"tail_tol", "z"}}.get(command, set())
+    computed = {"kernel": {"s", "z", "w"}, "leakage": {"z"}}.get(command, set())
     assert set(params) == flags | computed | {"command"}
     assert {key: params[key] for key in flags - computed} == {key: parsed[key] for key in flags - computed}
 
@@ -351,13 +397,13 @@ class TestParserReuse:
         assert cli.build_parser() is cli.build_parser()
 
     def test_omitted_option_takes_its_default_again(self, capsys):
-        base = ["kernel", "--B", "1", "--R", "0.5", "--z", "0", "--w", "0.3", "--format", "json"]
-        code, out, _ = run_cli(base + ["--s", "0.5"], capsys)
-        assert code == 0 and json.loads(out)["data"][0]["note"] == ""
+        base = ["eigvals", "--B", "1", "--R", "0.5", "--format", "json"]
+        code, out, _ = run_cli(base + ["--j-max", "3"], capsys)
+        assert code == 0 and len(json.loads(out)["data"]) == 4
         code, out, _ = run_cli(base, capsys)
         doc = json.loads(out)
-        assert code == 0 and doc["data"][0]["note"] == "s defaulted to R^2"
-        assert doc["params"]["s"] == 0.25
+        assert code == 0 and len(doc["data"]) == 21
+        assert doc["params"]["j_max"] == 20
 
     def test_usage_error_leaves_no_trace(self, capsys):
         with pytest.raises(SystemExit) as exc:

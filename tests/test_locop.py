@@ -374,11 +374,13 @@ class TestLeakageBound:
         # both sides carry 1e-10 relative eigenvalues and 1e-12 relative pmf
         assert leakage_bound(z0, B, R) == pytest.approx(ref, rel=1e-9)
 
-    def test_tail_bound_holds_for_tolerances(self):
+    def test_tail_bound_holds_for_tolerances(self, monkeypatch):
         B, R, z0 = 1.25, 0.6, 0.95 + 0.2j
-        exact = leakage_bound(z0, B, R, tail_tol=1e-30)
+        monkeypatch.setattr(locop, "LEAKAGE_TAIL_TOL", 1e-30)
+        exact = leakage_bound(z0, B, R)
         for tol in (1e-6, 1e-10, 1e-14):
-            got = leakage_bound(z0, B, R, tail_tol=tol)
+            monkeypatch.setattr(locop, "LEAKAGE_TAIL_TOL", tol)
+            got = leakage_bound(z0, B, R)
             # 1e-15 allows for rounding in sums of a few hundred terms below one
             assert -1e-15 <= exact ** 2 - got ** 2 <= tol + 1e-15
 
@@ -390,11 +392,23 @@ class TestLeakageBound:
         with pytest.raises(DomainError):
             leakage_bound(0.3, math.inf, 0.5)
 
-    @pytest.mark.parametrize("tail_tol", [math.nan, -1.0])
-    def test_tail_tolerance_checked(self, tail_tol):
-        # NaN returned the 32-term truncation; a negative one ran to SERIES_MAX_TERMS before it raised
-        with pytest.raises(DomainError, match="tail_tol"):
-            leakage_bound(0.99, 1.5, 0.9, tail_tol=tail_tol)
+    def test_center_below_the_normal_range(self):
+        # at z0 = 0 the bound is lambda_0 = 1 - (1 - s)^(2B - 1) = 2s - s^2 at B = 1.5
+        assert leakage_bound(0.0, 1.5, 1e-100) == pytest.approx(2e-200, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("z0, B, R", [(0.5, 1.5, 1e-100), (0.99999999, 40.0, 0.999)])
+    def test_sum_below_the_normal_range(self, z0, B, R):
+        # the squared eigenvalues, or the pmf, underflowed and the bound read 0.0
+        scipy_special = pytest.importorskip("scipy.special")
+        p, j = abs(z0) ** 2, np.arange(200_000.0)
+        with np.errstate(divide="ignore"):
+            log_lam = np.log(scipy_special.betainc(j + 1.0, 2.0 * B - 1.0, R * R))
+        log_pmf = (scipy_special.gammaln(2.0 * B + j) - scipy_special.gammaln(j + 1.0)
+                   - scipy_special.gammaln(2.0 * B) + j * math.log(p) + 2.0 * B * math.log1p(-p))
+        ref = math.exp(0.5 * scipy_special.logsumexp(2.0 * log_lam + log_pmf))
+        got = leakage_bound(z0, B, R)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert got >= localized_overlap(z0, B, R, [1.0])
 
 
 class TestLocalizedOverlap:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nbsloc.bergman import BergmanFunction, bargmann_inverse, kernel_closed, kernel_limit
+from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit
 from nbsloc.errors import DomainError
 from nbsloc.locop import (RadialSymbol, SpectralData, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
                           landau_density, landau_eigenvalue, mc_eigenvalue, quantization_matrix_element,
@@ -59,7 +59,6 @@ INDEX_CALLS = {
     "table": lambda j: SpectralData(1.5, 0.6).table(j),
     "quantization_matrix_element_j": lambda j: quantization_matrix_element(lambda z: 1.0, j, 0, 1.5),
     "quantization_matrix_element_k": lambda j: quantization_matrix_element(lambda z: 1.0, 0, j, 1.5),
-    "bargmann_inverse": lambda j: bargmann_inverse(BergmanFunction(1.5, [1.0, 0.5]), 1.0, j),
     "project": lambda j: BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(j).coefficients,
 }
 
