@@ -6,13 +6,14 @@ Three families cover every integral in the package:
     products of Laguerre functions (their Gaussian decay makes a truncated
     interval certifiably accurate once the cutoff is large enough);
   * ``radial_jacobi_grid`` -- Gauss-Jacobi on [0, 1] with the endpoint weight
-    (1 - rho)^(2B - 2) absorbed into the weights, built by Golub-Welsch so
-    that B in (1/2, 1) (an integrable singularity) needs no special casing;
+    (1 - rho)^(2B - 2) absorbed into the weights, so that B in (1/2, 1) (an
+    integrable singularity) needs no special casing;
   * ``disk_grid``        -- the tensor product of the radial rule with a
     uniform (spectrally accurate) angular rule for weighted disk integrals.
 
-The 1-D rules are memoized by size and exponents; rule and grid arrays are
-read-only and integration is a dot product, so all of it is thread-safe.
+Every Gauss rule is a memoized ``gauss_jacobi`` rule (Legendre: alpha = beta = 0);
+rule and grid arrays are read-only and integration is a dot product, so all
+of it is thread-safe.
 Fixed rule sizes are module constants, DISK_RULE and RESIDUAL_*, not arguments.
 """
 
@@ -29,7 +30,7 @@ from .errors import DomainError
 DISK_RULE = (64, 128)  # (radii, angles) of the polar rule every disk integral starts from
 RESIDUAL_STEP = 1e-3  # hamiltonian_residual's finite-difference step
 RESIDUAL_WINDOW = (0.5, 8.0)  # hamiltonian_residual's interval, away from the x = 0 singularity
-RULE_CACHE_SIZE = 64  # rules kept per builder; a 600-node rule takes 10 kB
+RULE_CACHE_SIZE = 64  # Gauss rules kept; a 600-node rule takes 10 kB
 
 
 @dataclass(frozen=True)
@@ -62,22 +63,12 @@ class QuadratureGrid:
 
 
 def mapped_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    if n < 2:
-        raise DomainError(f"need at least 2 nodes, got {n}")
+    """Gauss-Legendre nodes and weights mapped to [lo, hi]: ``gauss_jacobi(n, 0.0, 0.0)`` moved affinely."""
     if not hi > lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
-    x, w = _leggauss(n)
+    x, w = gauss_jacobi(n, 0.0, 0.0)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
-
-
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Gauss-Legendre rule on [-1, 1], built once per n; read-only arrays."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
 
 
 def suggested_cutoff(max_degree: int, B: float) -> float:
@@ -97,31 +88,52 @@ def half_line_grid(n: int, cutoff: float) -> QuadratureGrid:
 def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule on [-1, 1] for the weight (1-x)^alpha (1+x)^beta.
 
-    Golub-Welsch: eigen-decompose the symmetric tridiagonal matrix of
-    three-term recurrence coefficients; nodes are the eigenvalues and the
-    weights come from the first eigenvector components.  Exact for
-    polynomials of degree <= 2n - 1.  Memoized; the arrays are read-only.
+    Nodes are the Jacobi matrix's eigenvalues.  One run of the orthonormal recurrence q_0 = 1, ...,
+    q_n at every node gives a Newton step -q_n / q_n' and the sums of q_k^2 and q_k q_k' over k < n,
+    hence the Christoffel weight mu_0 / sum_k q_k^2 at the stepped node to first order: accurate
+    relative to itself, where Golub-Welsch eigenvector weights are off by eps times the largest.
+    Once a bound on the recurrence passes 1e100, each node's values are divided by the power of two
+    just above its larger last value, which is exact.  Exact for polynomials of degree <= 2n - 1.
+    Memoized; the arrays are read-only.
     """
     if n < 2:
         raise DomainError(f"need at least 2 nodes, got {n}")
     if not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"Jacobi weight needs alpha, beta > -1, got {alpha}, {beta}")
     ab = alpha + beta
+    # mu_0 = 2^(ab+1) B(alpha+1, beta+1), alpha's integer part m taken out of the log-gammas, where it would
+    # cancel; 2^(ab+1) comes first, so that past ab = 1023 OverflowError precedes the m-term product
+    f, m = math.modf(alpha)
+    mu0 = 2.0 ** (ab + 1.0) * math.exp(math.lgamma(f + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(f + beta + 2.0)
+                                       + np.log1p(-(beta + 1.0) / (f + beta + 2.0 + np.arange(m))).sum())
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)
-    with np.errstate(invalid="ignore"):
-        ii = np.arange(1.0, n)
-        diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * ii + ab) * (2.0 * ii + ab + 2.0))
+    ii = np.arange(1.0, n)
+    diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * ii + ab) * (2.0 * ii + ab + 2.0))
     off = np.empty(n - 1)
     off[0] = math.sqrt(4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0)))
     if n > 2:
         k = np.arange(2.0, n)
         s = 2.0 * k + ab
         off[1:] = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0)))
-    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    nodes, vecs = np.linalg.eigh(jac)
-    log_mu0 = (ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0)
-    weights = math.exp(log_mu0) * vecs[0, :] ** 2
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    q_prev, q, dq_prev, dq = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    sum_qq, sum_qdq, shift = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+    c_prev, bound = 0.0, 1.0  # bound >= |q_prev|, |q| on [-1, 1]
+    for a, c in zip(diag.tolist(), off.tolist() + [1.0]):  # q_n is left unnormalized: only q_n / q_n' is used
+        sum_qq += q * q
+        sum_qdq += q * dq
+        t = x - a
+        q_prev, q, dq_prev, dq = q, (t * q - c_prev * q_prev) / c, dq, (q + t * dq - c_prev * dq_prev) / c
+        bound *= (1.0 + abs(a) + c_prev) / c
+        c_prev = c
+        if bound > 1e100:
+            e = np.frexp(np.maximum(abs(q_prev), abs(q)))[1]
+            q_prev, q, dq_prev, dq = (np.ldexp(v, -e) for v in (q_prev, q, dq_prev, dq))
+            sum_qq, sum_qdq, shift, bound = np.ldexp(sum_qq, -2 * e), np.ldexp(sum_qdq, -2 * e), shift + e, 1.0
+    step = -q / dq
+    nodes = x + step
+    weights = np.ldexp(mu0 / (sum_qq + 2.0 * step * sum_qdq), -2 * shift)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

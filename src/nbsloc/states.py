@@ -41,8 +41,6 @@ __all__ = [
     "disk_kernel",
     "nb_pmf",
     "photon_weight",
-    "halfplane_landau_level",
-    "disk_landau_level",
     "max_landau_index",
     "principal_power",
 ]
@@ -311,14 +309,3 @@ def nb_pmf(j: int, B: float, p: float) -> float:
     check_strength(B)
     return float(inc_beta_steps(p, j + 1, 2.0 * B)[j])
 
-
-def halfplane_landau_level(B: float, m: int) -> float:
-    """m-th discrete level of the weighted half-plane Laplacian: (B - m)(1 - B + m)."""
-    ModelParams(B, m)  # admissibility check
-    return (B - m) * (1.0 - B + m)
-
-
-def disk_landau_level(B: float, m: int) -> float:
-    """m-th discrete level of the weighted disk Laplacian: 4 m (2B - m - 1)."""
-    ModelParams(B, m)
-    return 4.0 * m * (2.0 * B - m - 1.0)

@@ -131,7 +131,7 @@ def check_appell_reductions() -> CheckResult:
 def check_radial_rule() -> CheckResult:
     """Weighted moments against Beta values, plus error decay under doubling."""
     worst = 0.0
-    for B in (0.75, 1.0, 1.5, 3.0):
+    for B in (0.75, 1.0, 1.5, 3.0, 20.0, 50.0):
         grid = quadrature.radial_jacobi_grid(40, B)
         for j in range(0, 20, 3):
             got = float(grid.integrate(grid.nodes ** j))

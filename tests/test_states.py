@@ -24,9 +24,7 @@ from nbsloc.states import (
     bergman_basis,
     cayley_inverse,
     disk_kernel,
-    disk_landau_level,
     halfplane_kernel,
-    halfplane_landau_level,
     laguerre_function,
     max_landau_index,
     nb_pmf,
@@ -411,20 +409,6 @@ class TestNbPmf:
             nb_pmf(0, 1.5, 1.0)
         with pytest.raises(DomainError):
             nb_pmf(-1, 1.5, 0.2)
-
-
-class TestLandauLevels:
-    def test_formulas(self):
-        assert halfplane_landau_level(2.5, 0) == pytest.approx(2.5 * (1.0 - 2.5))
-        assert halfplane_landau_level(2.5, 1) == pytest.approx(1.5 * (-0.5))
-        assert disk_landau_level(2.5, 0) == 0.0
-        assert disk_landau_level(2.5, 2) == pytest.approx(8.0 * (5.0 - 3.0))
-
-    def test_admissibility(self):
-        with pytest.raises(DomainError):
-            halfplane_landau_level(1.2, 1)
-        with pytest.raises(DomainError):
-            disk_landau_level(1.2, 1)
 
 
 class TestPhotonWeight:
