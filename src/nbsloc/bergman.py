@@ -13,13 +13,21 @@ evaluator is sampled and takes one FFT per radius, and both give the same
 discrete sum.
 
 Accuracy and rule sizes are a fixed contract, not arguments: the kernel
-series is cut where its tail falls below specfun's SERIES_REL_TOL, from a
-coefficient table memoized per (B, s, size); ``transferred_apply`` starts
-from quadrature's DISK_RULE and ``BergmanFunction.project`` from its
-angles, on the fewest radii exact for the coefficients it returns; both
-compare each value with a refined rule and raise AccuracyError past
-TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL; and
-``BergmanFunction.check_analytic`` reads the ANALYTIC_* constants.
+series is cut where its tail falls below specfun's SERIES_REL_TOL;
+``transferred_apply`` starts from quadrature's DISK_RULE and
+``BergmanFunction.project`` from its angles, on the fewest radii exact for
+the coefficients it returns; both compare each value with a refined rule
+and raise AccuracyError past TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL;
+and ``BergmanFunction.check_analytic`` reads the ANALYTIC_* constants.
+
+Everything that does not depend on the point or the function is built once,
+as read-only arrays in bounded LRU caches: here the kernel coefficient table
+with the cut's x-independent arrays, by (B, s, n), 16 tables, and the fold
+plan of a coefficient function, by (len(g), size, n_theta), 128 plans; from
+quadrature the grids, by (n, B) and n, and the radial moment tables, by
+(n, B, size), RULE_CACHE_SIZE each; from states the basis norms, by (n, B),
+NORMS_CACHE_SIZE.  So ``transferred_apply`` on a coefficient function is,
+past the cut, a gather and a dot product.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
@@ -36,7 +44,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedRepresentationError
 from . import quadrature, specfun
-from .quadrature import QuadratureGrid, angular_grid, radial_jacobi_grid
+from .quadrature import angular_grid, radial_jacobi_grid
 from .specfun import appell_f1, check_index, horner, log_nb_weights, reg_inc_beta_table
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
 from .states import (as_disk, as_radius, basis_norms, basis_series, bergman_basis,  # noqa: F401
@@ -155,18 +163,21 @@ def bargmann_inverse(F: BergmanFunction, xi: float) -> complex:
     return sum((c * laguerre_function(j, F.B, xi) for j, c in enumerate(F.coefficients_or_raise()) if c != 0.0), 0j)
 
 
-# A session walks about four sizes per (B, s), n = 64 to 512.  Worst case 16 x 1.6 MB, at n = SERIES_MAX_TERMS.
+# A session walks about four sizes per (B, s), n = 64 to 512.  Worst case 16 x 4 MB, at n = SERIES_MAX_TERMS.
 @functools.lru_cache(maxsize=16)
-def _kernel_table(B: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """g_k = (2B-1) Gamma(2B+k) / (k! Gamma(2B)) for k <= n, and g_k I_s(k+1, 2B-1) for k < n.
+def _kernel_table(B: float, s: float, n: int) -> tuple[np.ndarray, ...]:
+    """g_k = (2B-1) Gamma(2B+k) / (k! Gamma(2B)) for k <= n, g_k I_s(k+1, 2B-1) for k < n, and the cut's
+    x-independent arrays: k for k <= n, then 2B + k and k + 1 for 1 <= k <= n.
 
     The kernel coefficients before their cut, built once per (B, s, n); read-only arrays.
     """
     two_b = 2.0 * B
+    k = np.arange(n + 1.0)
     g = np.exp(math.log(two_b - 1.0) + log_nb_weights(n + 1, two_b))
-    coeffs = reg_inc_beta_table(s, n, two_b - 1.0) * g[:-1]
-    g.flags.writeable = coeffs.flags.writeable = False
-    return g, coeffs
+    table = (g, reg_inc_beta_table(s, n, two_b - 1.0) * g[:-1], k, two_b + k[1:], k[1:] + 1.0)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
@@ -186,15 +197,15 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
         raise DomainError(f"needs 0 < s < 1, got s={s}")
     if not 0.0 <= x_max < 1.0:
         raise DomainError(f"needs 0 <= x_max < 1, got {x_max}")
-    two_b, n = 2.0 * B, 64
+    n = 64
     while True:
         n = min(n, specfun.SERIES_MAX_TERMS)
-        k = np.arange(n + 1.0)
-        g, coeffs = _kernel_table(B, s, n)
-        envelope = np.cumsum(coeffs * x_max ** k[:-1])
-        ratio = x_max * (two_b + k[1:]) / (k[1:] + 1.0)
+        g, coeffs, k, two_b_k, k_1 = _kernel_table(B, s, n)
+        powers = x_max ** k
+        envelope = np.cumsum(coeffs * powers[:-1])
+        ratio = x_max * two_b_k / k_1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tail = g[1:] * x_max ** k[1:] / (1.0 - ratio)
+            tail = g[1:] * powers[1:] / (1.0 - ratio)
         cut = np.maximum(specfun.SERIES_REL_TOL * envelope, specfun.SERIES_ABS_TOL)
         done = np.flatnonzero((ratio < 1.0) & (tail <= cut))
         if done.size:
@@ -257,21 +268,38 @@ def _angular_coefficients(F: BergmanFunction, r: np.ndarray, n_theta: int, n_k: 
     return spectrum[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
 
 
-def _folded_sum(g: np.ndarray, h: np.ndarray, radial: QuadratureGrid, n_theta: int) -> complex:
-    """sum_i W_i sum_k h_k r_i^k a_k(r_i) for F = sum_j g_j z^j on n_theta midpoint angles, sampling no F.
+# A session meets about 4 sizes x 9 coefficient lengths x 2 rules; a plan holds len(g) * size / n_theta pairs.
+@functools.lru_cache(maxsize=128)
+def _fold_plan(d: int, size: int, n_theta: int) -> tuple[np.ndarray, ...]:
+    """The pairs j < d, k < size with j = k (mod n_theta), in increasing k: j, k, j + k and (-1)^((k-j)/n_theta).
+
+    Built once per (d, size, n_theta); read-only arrays.  The pairs with k < m are the prefix up to
+    ``np.searchsorted(k, m)``, so one plan serves every length m <= size.
+    """
+    j = np.arange(d)[:, None]
+    k = j % n_theta + n_theta * np.arange(-(-size // n_theta))
+    pair = k < size
+    j, k = np.broadcast_to(j, k.shape)[pair], k[pair]
+    order = np.argsort(k, kind="stable")
+    j, k = j[order], k[order]
+    plan = (j, k, j + k, 1 - 2 * ((k - j) // n_theta % 2))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _folded_sum(g: np.ndarray, h: np.ndarray, n_r: int, B: float, n_theta: int) -> complex:
+    """sum_i W_i sum_k h_k r_i^k a_k(r_i) for F = sum_j g_j z^j on the n_r x n_theta polar rule, sampling no F.
 
     The midpoint rule's angular coefficients of a polynomial are exact alias sums,
     a_k(r) = sum_{j = k mod n_theta} (-1)^((k-j)/n_theta) g_j r^j, so only the pairs j = k (mod n_theta)
-    contribute, each with the radial moment sum_i W_i r_i^(j+k): at most
-    len(g) * ceil(len(h) / n_theta) pairs.
+    contribute, each with the radial moment sum_i W_i r_i^(j+k): at most len(g) * ceil(len(h) / n_theta)
+    pairs, gathered from the memoized plan and moment table for the next powers of two.
     """
-    j = np.arange(g.size)[:, None]
-    k = j % n_theta + n_theta * np.arange(-(-h.size // n_theta))
-    pair = k < h.size
-    j, k = np.broadcast_to(j, k.shape)[pair], k[pair]
-    sign = 1 - 2 * ((k - j) // n_theta % 2)
-    moments = radial.weights @ np.sqrt(radial.nodes)[:, None] ** (j + k)
-    return complex(np.sum(sign * g[j] * h[k] * moments))
+    j, k, jk, sign = _fold_plan(g.size, 1 << (h.size - 1).bit_length(), n_theta)
+    moments = quadrature.radial_moments(n_r, B, 1 << (g.size + h.size - 2).bit_length())
+    m = np.searchsorted(k, h.size)
+    return complex(np.sum(sign[:m] * g[j[:m]] * h[k[:m]] * moments[jk[:m]]))
 
 
 def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
@@ -291,19 +319,19 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     """
     w, R = as_disk(w), as_radius(R)
     n_r, n_theta = quadrature.DISK_RULE
-    fine_radial = radial_jacobi_grid(2 * n_r, B)
-    c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(fine_radial.nodes)) * abs(w))
+    c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(radial_jacobi_grid(2 * n_r, B).nodes)) * abs(w))
     k = np.arange(c.size)
     h = c * w ** k
     g = None if F.coefficients is None else F.coefficients * basis_norms(F.coefficients.size, F.B)
 
-    def evaluate(radial: QuadratureGrid, nt: int) -> complex:
+    def evaluate(n: int, nt: int) -> complex:
         if g is not None:
-            return _folded_sum(g, h, radial, nt)
+            return _folded_sum(g, h, n, B, nt)
+        radial = radial_jacobi_grid(n, B)
         r = np.sqrt(radial.nodes)
         return complex(radial.weights @ ((r[:, None] ** k * _angular_coefficients(F, r, nt, c.size)) @ h))
 
-    coarse, fine = evaluate(radial_jacobi_grid(n_r, B), n_theta), evaluate(fine_radial, 2 * n_theta)
+    coarse, fine = evaluate(n_r, n_theta), evaluate(2 * n_r, 2 * n_theta)
     if not abs(fine - coarse) <= TRANSFER_REFINE_TOL * max(abs(fine), 1.0):  # a NaN refuses too
         raise AccuracyError(f"disk quadrature did not converge: refinement moved the value by "
                             f"{abs(fine - coarse):.3e} (tol {TRANSFER_REFINE_TOL:.1e})")

@@ -11,9 +11,17 @@ Three families cover every integral in the package:
   * ``disk_grid``        -- the tensor product of the radial rule with a
     uniform (spectrally accurate) angular rule for weighted disk integrals.
 
-Every Gauss rule is a memoized ``gauss_jacobi`` rule (Legendre: alpha = beta = 0);
-rule and grid arrays are read-only and integration is a dot product, so all
-of it is thread-safe.
+Every Gauss rule is a ``gauss_jacobi`` rule (Legendre: alpha = beta = 0).
+Values derived from a rule are built once and shared, each in an LRU cache of
+RULE_CACHE_SIZE entries:
+
+  * ``gauss_jacobi(n, alpha, beta)`` -- the rule on [-1, 1];
+  * ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each;
+  * ``radial_moments(n, B, size)`` -- sum_i W_i r_i^p, p < size (a power of
+    two), on the radii r_i = sqrt(rho_i) of ``radial_jacobi_grid(n, B)``.
+
+Rule, grid and moment arrays are read-only and integration is a dot product,
+so all of it is thread-safe; a call that raises caches nothing.
 Fixed rule sizes are module constants, DISK_RULE and RESIDUAL_*, not arguments.
 """
 
@@ -30,7 +38,8 @@ from .errors import DomainError
 DISK_RULE = (64, 128)  # (radii, angles) of the polar rule every disk integral starts from
 RESIDUAL_STEP = 1e-3  # hamiltonian_residual's finite-difference step
 RESIDUAL_WINDOW = (0.5, 8.0)  # hamiltonian_residual's interval, away from the x = 0 singularity
-RULE_CACHE_SIZE = 64  # Gauss rules kept; a 600-node rule takes 10 kB
+RULE_CACHE_SIZE = 64  # entries kept by each rule, grid and moment cache; a 600-node rule takes 10 kB
+RADIAL_MAX_B = 512.0  # past it the radial rule's Jacobi mass 2^(2B-1) / (2B-1) leaves the double range
 
 
 @dataclass(frozen=True)
@@ -101,11 +110,14 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     if not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"Jacobi weight needs alpha, beta > -1, got {alpha}, {beta}")
     ab = alpha + beta
-    # mu_0 = 2^(ab+1) B(alpha+1, beta+1), alpha's integer part m taken out of the log-gammas, where it would
-    # cancel; 2^(ab+1) comes first, so that past ab = 1023 OverflowError precedes the m-term product
+    # mu_0 = 2^(ab+1) B(alpha+1, beta+1), alpha's integer part m taken out of the log-gammas, where it would cancel
     f, m = math.modf(alpha)
-    mu0 = 2.0 ** (ab + 1.0) * math.exp(math.lgamma(f + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(f + beta + 2.0)
-                                       + np.log1p(-(beta + 1.0) / (f + beta + 2.0 + np.arange(m))).sum())
+    mu0 = math.inf if not ab < 1023.0 else 2.0 ** (ab + 1.0) * math.exp(
+        math.lgamma(f + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(f + beta + 2.0)
+        + np.log1p(-(beta + 1.0) / (f + beta + 2.0 + np.arange(m))).sum())
+    if mu0 == math.inf:
+        raise DomainError(f"the rule's mass 2^(alpha+beta+1) B(alpha+1, beta+1) is past the double range, "
+                          f"as for every alpha + beta >= 1023; got alpha={alpha}, beta={beta}")
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)
     ii = np.arange(1.0, n)
@@ -138,23 +150,46 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
     """Rule for integrals over rho in [0, 1] against the weight (1 - rho)^(2B - 2).
 
     The weight is absorbed: ``grid.integrate(f)`` returns
     int_0^1 f(rho) (1-rho)^(2B-2) drho, exactly for polynomial f of degree
-    <= 2n - 1.  Requires B > 1/2; on (1/2, 1) the endpoint singularity is
-    integrable and handled by the Jacobi weight itself.
+    <= 2n - 1.  Requires 1/2 < B < RADIAL_MAX_B; on (1/2, 1) the endpoint
+    singularity is integrable and handled by the Jacobi weight itself, and
+    past RADIAL_MAX_B the rule on [-1, 1] has weights beyond the double range.
+    Memoized by (n, B).
     """
-    if not 0.5 < B < math.inf:
-        raise DomainError(f"radial weight integrable only for finite B > 1/2, got B={B}")
+    if not 0.5 < B < RADIAL_MAX_B:
+        raise DomainError(f"radial rule needs 1/2 < B < {RADIAL_MAX_B:g} (an integrable weight, and "
+                          f"Jacobi weights within the double range), got B={B}")
     exponent = 2.0 * B - 2.0
     x, w = gauss_jacobi(n, exponent, 0.0)
     return QuadratureGrid(0.5 * (x + 1.0), w * 0.5 ** (exponent + 1.0))
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def radial_moments(n: int, B: float, size: int) -> np.ndarray:
+    """M_p = sum_i W_i r_i^p for p < size, on the radii r_i = sqrt(rho_i) of ``radial_jacobi_grid(n, B)``.
+
+    ``size`` is a power of two, so that a few tables serve every length.  Memoized by (n, B, size);
+    the array is read-only.
+    """
+    if not (size >= 1 and size & (size - 1) == 0):
+        raise DomainError(f"moment table size must be a power of two, got {size}")
+    grid = radial_jacobi_grid(n, B)
+    r, step = np.sqrt(grid.nodes)[:, None], min(size, 64)
+    # r^p = r^(p - b) r^b with b = p mod 64, to 1.5 ulp: n (size/64 + 64) powers, not n size
+    powers = (r ** np.arange(0, size, step))[:, :, None] * r[:, :, None] ** np.arange(step)
+    moments = grid.weights @ powers.reshape(r.size, size)
+    moments.flags.writeable = False
+    return moments
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def angular_grid(n: int) -> QuadratureGrid:
-    """Uniform midpoint rule on (0, 2 pi); spectrally accurate for trigonometric integrands."""
+    """Uniform midpoint rule on (0, 2 pi); spectrally accurate for trigonometric integrands.  Memoized by n."""
     if n < 2:
         raise DomainError(f"need at least 2 angular nodes, got {n}")
     theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n

@@ -16,6 +16,7 @@ is asserted at runtime.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ __all__ = [
     "max_landau_index",
     "principal_power",
 ]
+
+NORMS_CACHE_SIZE = 64  # basis_norms tables kept
 
 
 def check_strength(B: float) -> None:
@@ -199,10 +202,16 @@ def photon_weight(j: int, B: float) -> float:
     return math.exp(log_nb_weights(j + 1, 2.0 * B)[j])
 
 
+@functools.lru_cache(maxsize=NORMS_CACHE_SIZE)
 def basis_norms(n: int, B: float) -> np.ndarray:
-    """sqrt((2B - 1) Gamma(2B + j)/(j! Gamma(2B))), j = 0..n-1: the factors of z^j in the basis."""
+    """sqrt((2B - 1) Gamma(2B + j)/(j! Gamma(2B))), j = 0..n-1: the factors of z^j in the basis.
+
+    Memoized by (n, B); the array is read-only.
+    """
     check_strength(B)
-    return np.exp(0.5 * (math.log(2.0 * B - 1.0) + log_nb_weights(n, 2.0 * B)))
+    norms = np.exp(0.5 * (math.log(2.0 * B - 1.0) + log_nb_weights(n, 2.0 * B)))
+    norms.flags.writeable = False
+    return norms
 
 
 def bergman_basis(j: int, B: float, z):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 60) -> float:
     """Classic adaptive Simpson with Richardson correction."""
@@ -170,3 +172,28 @@ def dense_disk_apply(F, w: complex, B: float, s: float, n_r: int, n_theta: int,
     """Transferred operator on the n_r x n_theta disk rule, one dense kernel series per node."""
     grid = disk_grid(n_r, n_theta, B)
     return complex(grid.weights @ (kernel_series(grid.nodes, w, B, s) * F(grid.nodes)) / math.pi)
+
+
+def kernel_series_coefficients_unmemoized(B: float, s: float, x_max: float, specfun):
+    """The kernel series' coefficient cut with every array rebuilt per call, from ``specfun``'s tables.
+
+    The same expressions and the same walk n = 64, 128, ... as the memoized cut; None where that one
+    raises ConvergenceError.
+    """
+    two_b, n = 2.0 * B, 64
+    while True:
+        n = min(n, specfun.SERIES_MAX_TERMS)
+        k = np.arange(n + 1.0)
+        g = np.exp(math.log(two_b - 1.0) + specfun.log_nb_weights(n + 1, two_b))
+        coeffs = specfun.reg_inc_beta_table(s, n, two_b - 1.0) * g[:-1]
+        envelope = np.cumsum(coeffs * x_max ** k[:-1])
+        ratio = x_max * (two_b + k[1:]) / (k[1:] + 1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tail = g[1:] * x_max ** k[1:] / (1.0 - ratio)
+        cut = np.maximum(specfun.SERIES_REL_TOL * envelope, specfun.SERIES_ABS_TOL)
+        done = np.flatnonzero((ratio < 1.0) & (tail <= cut))
+        if done.size:
+            return coeffs[:done[0] + 1]
+        if n == specfun.SERIES_MAX_TERMS:
+            return None
+        n *= 2

@@ -51,6 +51,12 @@ class TestBergmanFunction:
         assert np.allclose(projected.coefficients[:4], coeffs, atol=1e-10)
         assert np.allclose(projected.coefficients[4:], 0.0, atol=1e-10)
 
+    def test_projection_past_the_radial_rule_refused(self):
+        # its rule's Jacobi mass leaves the double range; it used to end in a bare OverflowError
+        for _ in range(2):
+            with pytest.raises(DomainError, match="512"):
+                BergmanFunction(600.0, coefficients=[1.0]).project(4)
+
     def test_projection_rejects_negative_index(self):
         # used to return a function with no coefficients
         with pytest.raises(DomainError, match="j_max >= 0"):
@@ -356,7 +362,7 @@ class TestTransferredApply:
         B, R, w = 1.5, 0.8, 0.45 - 0.5j
         F = BergmanFunction(B, [0.5, 1.0 - 1.0j, 0.25j])
         coeffs, value = kernel_series_coefficients(B, R * R, 0.9), transferred_apply(F, w, B, R)
-        g, table = bergman._kernel_table(B, R * R, 64)
+        g, table, *_ = bergman._kernel_table(B, R * R, 64)
         for array in (g, table, coeffs):
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -418,8 +424,39 @@ class TestTransferredApply:
         sampled = BergmanFunction(B, evaluator=lambda z: basis_series(c, B, z))
         a = _angular_coefficients(sampled, r, n_theta, n_k)
         want = radial.weights @ ((r[:, None] ** np.arange(n_k) * a) @ h)
-        got = _folded_sum(c * basis_norms(d, B), h, radial, n_theta)
+        got = _folded_sum(c * basis_norms(d, B), h, 12, B, n_theta)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("d, size, n_theta", [(8, 64, 128), (12, 512, 128), (20, 64, 7), (3, 32, 8), (1, 1, 2)])
+    def test_fold_plan_is_every_alias_pair_in_increasing_k(self, d, size, n_theta):
+        j, k, jk, sign = bergman._fold_plan(d, size, n_theta)
+        assert bergman._fold_plan(d, size, n_theta)[0] is j
+        for array in (j, k, jk, sign):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        for m in range(1, size + 1):  # every length the plan serves is a prefix of it
+            cut = np.searchsorted(k, m)
+            want = sorted((kk, jj, 1 - 2 * ((kk - jj) // n_theta % 2))
+                          for jj in range(d) for kk in range(m) if (kk - jj) % n_theta == 0)
+            assert list(zip(k[:cut].tolist(), j[:cut].tolist(), sign[:cut].tolist())) == want
+        assert np.array_equal(jk, j + k)
+
+    def test_fold_plan_cache_is_bounded(self):
+        assert bergman._fold_plan.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("B", [0.51, 1.5, 4.5, 20.0])
+    @pytest.mark.parametrize("s", [0.09, 0.49, 0.81])
+    def test_coefficient_cut_equals_the_unmemoized_expression(self, B, s):
+        # 0.999 walks the table sizes up to 8192 at B = 20
+        for x_max in (0.0, 0.1, 0.55, 0.81, 0.9, 0.97, 0.999):
+            want = oracles.kernel_series_coefficients_unmemoized(B, s, x_max, specfun)
+            try:
+                got = kernel_series_coefficients(B, s, x_max)
+            except ConvergenceError:
+                got = None
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("j", [0, 3])
     def test_large_strength_refusals(self, j):

@@ -41,6 +41,13 @@ class TestRadialEigenvalue:
                 (j + 1.0) / (j + 2.0 * B), abs=1e-12
             )
 
+    def test_strength_past_the_radial_rule_refused(self):
+        # its rule's Jacobi mass leaves the double range; it used to end in a bare OverflowError
+        one = RadialSymbol(lambda r: 1.0, bound=1.0)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="512"):
+                radial_eigenvalue(one, 0, 600.0)
+
     def test_indicator_converges_to_disk_eigenvalue(self, monkeypatch):
         j, B, R = 1, 1.25, 0.6
         ind = RadialSymbol(lambda r: 1.0 if r < R * R else 0.0, bound=1.0)

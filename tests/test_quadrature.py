@@ -9,6 +9,7 @@ from nbsloc import quadrature
 from nbsloc.errors import DomainError
 from nbsloc.quadrature import (
     QuadratureGrid,
+    angular_grid,
     disk_grid,
     fd_eigen_residual,
     gauss_jacobi,
@@ -16,6 +17,7 @@ from nbsloc.quadrature import (
     hamiltonian_residual,
     mapped_legendre,
     radial_jacobi_grid,
+    radial_moments,
     suggested_cutoff,
 )
 from nbsloc.specfun import log_beta, reg_inc_beta
@@ -138,6 +140,66 @@ class TestRuleCache:
     def test_cache_is_bounded(self):
         assert gauss_jacobi.cache_info().maxsize == quadrature.RULE_CACHE_SIZE  # None if unbounded
 
+    def test_mass_past_the_double_range_refused_every_time(self):
+        # 2^(alpha+beta+1) overflows past alpha + beta = 1023; it used to end in a bare OverflowError
+        before = gauss_jacobi.cache_info().currsize
+        for _ in range(2):
+            for alpha, beta in ((1198.0, 0.0), (600.0, 600.0), (1022.9, -0.99)):
+                with pytest.raises(DomainError, match="1023"):
+                    gauss_jacobi(40, alpha, beta)
+        assert gauss_jacobi.cache_info().currsize == before
+
+
+class TestDerivedRuleCaches:
+    """The grids and moment tables: built once, shared, read-only, bounded, and never a cached failure."""
+
+    def test_repeated_calls_share_read_only_grids(self):
+        for build, args in ((radial_jacobi_grid, (24, 1.5)), (angular_grid, (24,))):
+            first = build(*args)
+            assert build(*args) is first
+            for array in (first.nodes, first.weights):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_cached_grids_equal_fresh_builds(self):
+        for n, B in ((6, 0.51), (64, 1.5), (128, 20.0)):
+            cached, fresh = radial_jacobi_grid(n, B), radial_jacobi_grid.__wrapped__(n, B)
+            assert np.array_equal(cached.nodes, fresh.nodes) and np.array_equal(cached.weights, fresh.weights)
+        cached, fresh = angular_grid(128), angular_grid.__wrapped__(128)
+        assert np.array_equal(cached.nodes, fresh.nodes) and np.array_equal(cached.weights, fresh.weights)
+
+    def test_repeated_call_shares_a_read_only_moment_table(self):
+        first = radial_moments(12, 1.5, 64)
+        assert radial_moments(12, 1.5, 64) is first
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    @pytest.mark.parametrize("n, B, size", [(64, 1.5, 512), (128, 0.75, 512), (12, 20.0, 64), (128, 4.5, 1024)])
+    def test_moments_match_the_rules_direct_sum(self, n, B, size):
+        grid = radial_jacobi_grid(n, B)
+        r = np.sqrt(grid.nodes)
+        got = radial_moments(n, B, size)
+        assert got.shape == (size,)
+        for p in range(size):
+            want = math.fsum(grid.weights * r ** p)
+            assert abs(got[p] - want) <= 1e-15 * want
+
+    def test_invalid_calls_raise_every_time(self):
+        caches = (radial_jacobi_grid, angular_grid, radial_moments)
+        before = [cache.cache_info().currsize for cache in caches]
+        for _ in range(2):
+            for bad in (lambda: radial_jacobi_grid(10, 0.5), lambda: radial_jacobi_grid(1, 1.5),
+                        lambda: angular_grid(1), lambda: radial_moments(12, 1.5, 48),
+                        lambda: radial_moments(12, 1.5, 0), lambda: radial_moments(12, 0.5, 64),
+                        lambda: radial_moments(1, 1.5, 64)):
+                with pytest.raises(DomainError):
+                    bad()
+        assert [cache.cache_info().currsize for cache in caches] == before
+
+    def test_caches_are_bounded(self):
+        for cache in (radial_jacobi_grid, angular_grid, radial_moments):
+            assert cache.cache_info().maxsize == quadrature.RULE_CACHE_SIZE  # None if unbounded
+
 
 class TestQuadratureGridFrozen:
     def test_arrays_read_only_and_caller_arrays_untouched(self):
@@ -205,6 +267,19 @@ class TestRadialJacobiGrid:
             radial_jacobi_grid(1, 1.5)
         with pytest.raises(DomainError):
             radial_jacobi_grid(10, math.inf)
+
+    def test_largest_strength_below_the_limit_builds(self):
+        grid = radial_jacobi_grid(40, 511.75)
+        assert abs(math.fsum(grid.weights) * (2.0 * 511.75 - 1.0) - 1.0) <= 1e-13  # B(1, 2B-1)
+
+    @pytest.mark.parametrize("B", [512.0, 513.0, 600.0, 1e4])
+    def test_strength_past_the_limit_refused_every_time(self, B):
+        # the Jacobi rule's mass 2^(2B-1) / (2B-1) leaves the double range; it used to end in a bare OverflowError
+        before = radial_jacobi_grid.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(DomainError, match="512"):
+                radial_jacobi_grid(40, B)
+        assert radial_jacobi_grid.cache_info().currsize == before
 
 
 class TestDiskGrid:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from nbsloc import states
 from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit
 from nbsloc.errors import DomainError
 from nbsloc.locop import (RadialSymbol, SpectralData, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
@@ -20,6 +21,7 @@ from nbsloc.states import (
     ModelParams,
     affine_coherent_state,
     as_disk,
+    basis_norms,
     basis_series,
     bergman_basis,
     cayley_inverse,
@@ -256,6 +258,32 @@ class TestBergmanBasis:
         total = sum(abs(bergman_basis(j, B, z)) ** 2 for j in range(130))
         want = (2.0 * B - 1.0) * (1.0 - z * z) ** (-2.0 * B)
         assert total == pytest.approx(want, rel=1e-12)
+
+
+class TestBasisNorms:
+    def test_repeated_call_shares_a_read_only_array(self):
+        first = basis_norms(12, 1.5)
+        assert basis_norms(12, 1.5) is first
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    def test_cached_norms_equal_fresh_builds_and_exact_weights(self):
+        for n, B in ((1, 0.51), (12, 1.5), (300, 20.0)):
+            assert np.array_equal(basis_norms(n, B), basis_norms.__wrapped__(n, B))
+        want = oracles.nb_weights_exact(40, 3.0)
+        got = basis_norms(41, 1.5)
+        assert np.max(np.abs(got ** 2 / (2.0 * np.asarray(want)) - 1.0)) <= 1e-14
+
+    def test_invalid_strength_raises_every_time(self):
+        before = basis_norms.cache_info().currsize
+        for _ in range(2):
+            for B in (0.5, math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    basis_norms(4, B)
+        assert basis_norms.cache_info().currsize == before
+
+    def test_cache_is_bounded(self):
+        assert basis_norms.cache_info().maxsize == states.NORMS_CACHE_SIZE  # None if unbounded
 
 
 class TestLaguerreFunction:
