@@ -233,7 +233,8 @@ def landau_eigenvalue(j: int, params: ModelParams, R) -> float:
         nodes, weights = mapped_legendre(LANDAU_NODES, lo, hi)
         return float(weights @ landau_density(j, params, nodes))
 
-    # halves, not a rule of twice the nodes: that rule's dense build needs 4x the peak memory
+    # halves, not a rule of twice the nodes: both reuse the one cached LANDAU_NODES rule, where a doubled
+    # rule would be a second build, about 2.5x the cost, from a LANDAU_NODES-square eigenproblem
     s = R * R
     with np.errstate(all="ignore"):  # an overflow leaves a non-finite mass, refused below
         coarse, fine = mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)

@@ -11,7 +11,9 @@ Three families cover every integral in the package:
   * ``disk_grid``        -- the tensor product of the radial rule with a
     uniform (spectrally accurate) angular rule for weighted disk integrals.
 
-Every Gauss rule is a ``gauss_jacobi`` rule (Legendre: alpha = beta = 0).
+Every Gauss rule is a ``gauss_jacobi`` rule (Legendre: alpha = beta = 0).  A symmetric weight
+(alpha = beta, every Legendre rule) takes its nodes from an eigenproblem of half the size and
+mirrors exactly; any other weight from the whole Jacobi matrix.
 Values derived from a rule are built once and shared, each in an LRU cache of
 RULE_CACHE_SIZE entries:
 
@@ -97,10 +99,14 @@ def half_line_grid(n: int, cutoff: float) -> QuadratureGrid:
 def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule on [-1, 1] for the weight (1-x)^alpha (1+x)^beta.
 
-    Nodes are the Jacobi matrix's eigenvalues.  One run of the orthonormal recurrence q_0 = 1, ...,
-    q_n at every node gives a Newton step -q_n / q_n' and the sums of q_k^2 and q_k q_k' over k < n,
-    hence the Christoffel weight mu_0 / sum_k q_k^2 at the stepped node to first order: accurate
-    relative to itself, where Golub-Welsch eigenvector weights are off by eps times the largest.
+    Nodes are the Jacobi matrix's eigenvalues.  For alpha == beta its diagonal is zero: ordered by
+    even and odd index it is [[0, C], [C^T, 0]], so the positive nodes are the square roots of the
+    eigenvalues of the floor(n/2)-square tridiagonal C^T C (odd n adds the node 0), and the rule is
+    built at the nonnegative nodes and mirrored, exactly symmetric.  One run of the orthonormal
+    recurrence q_0 = 1, ..., q_n at every node gives a Newton step -q_n / q_n' and the sums of q_k^2
+    and q_k q_k' over k < n, hence the Christoffel weight mu_0 / sum_k q_k^2 at the stepped node to
+    first order: accurate relative to itself, where Golub-Welsch eigenvector weights are off by eps
+    times the largest.
     Once a bound on the recurrence passes 1e100, each node's values are divided by the power of two
     just above its larger last value, which is exact.  Exact for polynomials of degree <= 2n - 1.
     Memoized; the arrays are read-only.
@@ -128,9 +134,26 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
         k = np.arange(2.0, n)
         s = 2.0 * k + ab
         off[1:] = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0)))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    q_prev, q, dq_prev, dq = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
-    sum_qq, sum_qdq, shift = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+    if alpha == beta:  # C[i, i] = off[2i], C[i, i-1] = off[2i-1]; C^T C has diagonal off[2i]^2 + off[2i+1]^2
+        ext = np.append(off, 0.0)
+        even, odd = ext[0:n - n % 2:2], ext[1:n - n % 2:2]
+        cross = odd[:-1] * even[1:]
+        lam = np.linalg.eigvalsh(np.diag(even * even + odd * odd) + np.diag(cross, 1) + np.diag(cross, -1))
+        half, half_w = _christoffel(np.concatenate((np.zeros(n % 2), np.sqrt(lam))), diag, off, mu0)
+        nodes = np.concatenate((-half[::-1][:n // 2], half))
+        weights = np.concatenate((half_w[::-1][:n // 2], half_w))
+    else:
+        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        nodes, weights = _christoffel(x, diag, off, mu0)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _christoffel(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step from the eigenvalues x, and the Christoffel weight at each stepped node."""
+    m = x.size
+    q_prev, q, dq_prev, dq = np.zeros(m), np.ones(m), np.zeros(m), np.zeros(m)
+    sum_qq, sum_qdq, shift = np.zeros(m), np.zeros(m), np.zeros(m, dtype=int)
     c_prev, bound = 0.0, 1.0  # bound >= |q_prev|, |q| on [-1, 1]
     for a, c in zip(diag.tolist(), off.tolist() + [1.0]):  # q_n is left unnormalized: only q_n / q_n' is used
         sum_qq += q * q
@@ -144,10 +167,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
             q_prev, q, dq_prev, dq = (np.ldexp(v, -e) for v in (q_prev, q, dq_prev, dq))
             sum_qq, sum_qdq, shift, bound = np.ldexp(sum_qq, -2 * e), np.ldexp(sum_qdq, -2 * e), shift + e, 1.0
     step = -q / dq
-    nodes = x + step
-    weights = np.ldexp(mu0 / (sum_qq + 2.0 * step * sum_qdq), -2 * shift)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return x + step, np.ldexp(mu0 / (sum_qq + 2.0 * step * sum_qdq), -2 * shift)
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)

@@ -17,9 +17,12 @@ Conventions:
   * accuracy is fixed, not a parameter: a series term counts as small
     below SERIES_REL_TOL of the sum (SERIES_ABS_TOL near zero), and past
     SERIES_MAX_TERMS the series raises ConvergenceError, it never returns
-    a truncated value; double series are summed over anti-diagonals
-    j + k = n, declaring convergence only after three consecutive blocks
-    are small;
+    a truncated value, and a term or sum past the float range raises it
+    too; 2F1 is summed in array blocks (a cumulative product of the term
+    ratios, then a cumulative sum, in blocks of 64 terms doubling to
+    4,096), stopping at the same term as a sum taken one term at a time;
+    double series are summed over anti-diagonals j + k = n, declaring
+    convergence only after three consecutive blocks are small;
   * every index argument passes ``check_index``: integral and >= 0;
   * randomness comes from numpy's PCG64 generator (128-bit state),
     seeded explicitly, so every sampling call is reproducible.
@@ -299,7 +302,9 @@ def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
 
     At z = 1 with Re(c - a - b) > 0 the Gauss theorem value is returned
     directly instead of summing the series.  No analytic continuation is
-    attempted for |z| > 1.
+    attempted for |z| > 1.  The sum stops at the Pochhammer index, at a term
+    that is exactly zero, or after two consecutive terms at most
+    max(SERIES_REL_TOL |sum|, SERIES_ABS_TOL).
     """
     z = complex(z)
     stop = _stop(a, b)
@@ -315,24 +320,28 @@ def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
             raise ConvergenceError(
                 f"2F1 divergent at z=1 with c-a-b={c - a - b}", terms_used=0
             )
-    term = complex(1.0)
-    total = complex(1.0)
-    small = 0
-    for k in range(SERIES_MAX_TERMS):
-        if stop is not None and k >= stop:
-            # every later term carries a vanished Pochhammer factor; returning
-            # here also avoids the 0/0 recurrence step when stop == -c
-            return HypergeomResult(total, k + 1)
-        term = term * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if term == 0.0:
-            return HypergeomResult(total, k + 1)
-        if abs(term) <= max(SERIES_REL_TOL * abs(total), SERIES_ABS_TOL):
-            small += 1
-            if small >= 2:
-                return HypergeomResult(total, k + 1)
-        else:
-            small = 0
+    term, total, small, k0, size = complex(1.0), complex(1.0), False, 0, 64
+    # every later term carries a vanished Pochhammer factor; ending there also avoids the 0/0 ratio when stop == -c
+    end = SERIES_MAX_TERMS if stop is None else min(stop, SERIES_MAX_TERMS)
+    while k0 < end:
+        k = np.arange(k0, min(k0 + size, end), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.cumprod(np.concatenate(([term], (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)))[1:]
+            sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+            smalls = np.abs(terms) <= np.maximum(SERIES_REL_TOL * np.abs(sums), SERIES_ABS_TOL)
+        bad = ~(np.isfinite(terms) & np.isfinite(sums))
+        done = (terms == 0.0) | (smalls & np.concatenate(([small], smalls[:-1])))
+        hit = np.flatnonzero(bad | done)
+        if hit.size:
+            i = int(hit[0])
+            if bad[i]:
+                raise ConvergenceError(f"2F1 terms left the float range at term {k0 + i + 1} at z={z}",
+                                       terms_used=k0 + i + 1)
+            return HypergeomResult(complex(sums[i]), k0 + i + 1)
+        term, total, small = terms[-1], sums[-1], bool(smalls[-1])
+        k0, size = k0 + k.size, min(2 * size, 4096)
+    if stop is not None and stop < SERIES_MAX_TERMS:
+        return HypergeomResult(complex(total), stop + 1)
     raise ConvergenceError(
         f"2F1 did not converge within {SERIES_MAX_TERMS} terms at z={z}",
         terms_used=SERIES_MAX_TERMS,

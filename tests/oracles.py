@@ -197,3 +197,78 @@ def kernel_series_coefficients_unmemoized(B: float, s: float, x_max: float, spec
         if n == specfun.SERIES_MAX_TERMS:
             return None
         n *= 2
+
+
+def gauss_jacobi_dense(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule from the eigenvalues of the whole n-square Jacobi matrix, symmetric weight or not.
+
+    The nodes are eigenvalues of the dense tridiagonal matrix; one run of the orthonormal recurrence at
+    every node gives a Newton step and the Christoffel weight, rescaled by powers of two on the way.
+    """
+    ab = alpha + beta
+    f, m = math.modf(alpha)
+    mu0 = 2.0 ** (ab + 1.0) * math.exp(math.lgamma(f + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(f + beta + 2.0)
+                                       + np.log1p(-(beta + 1.0) / (f + beta + 2.0 + np.arange(m))).sum())
+    i = np.arange(1.0, n)
+    diag = np.concatenate(([(beta - alpha) / (ab + 2.0)],
+                           (beta * beta - alpha * alpha) / ((2.0 * i + ab) * (2.0 * i + ab + 2.0))))
+    k = np.arange(2.0, n)
+    s = 2.0 * k + ab
+    off = np.concatenate(([math.sqrt(4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0)))],
+                          np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0)))))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    q_prev, q, dq_prev, dq = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    sum_qq, sum_qdq, shift = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+    c_prev = 0.0
+    for a, c in zip(diag.tolist(), off.tolist() + [1.0]):
+        sum_qq += q * q
+        sum_qdq += q * dq
+        t = x - a
+        q_prev, q, dq_prev, dq = q, (t * q - c_prev * q_prev) / c, dq, (q + t * dq - c_prev * dq_prev) / c
+        c_prev = c
+        e = np.frexp(np.maximum(abs(q_prev), abs(q)))[1]  # every step: exact, and simpler than a growth bound
+        q_prev, q, dq_prev, dq = (np.ldexp(v, -e) for v in (q_prev, q, dq_prev, dq))
+        sum_qq, sum_qdq, shift = np.ldexp(sum_qq, -2 * e), np.ldexp(sum_qdq, -2 * e), shift + e
+    step = -q / dq
+    return x + step, np.ldexp(mu0 / (sum_qq + 2.0 * step * sum_qdq), -2 * shift)
+
+
+def gauss_2f1_sequential(a: float, b: float, c: float, z: complex, specfun):
+    """2F1(a, b, c; z) for |z| <= 1, z != 1, summed one term at a time with ``specfun``'s stopping rule.
+
+    The same rule as the package: stop at the Pochhammer index, at an exactly zero term, or after two
+    consecutive terms at most max(SERIES_REL_TOL |sum|, SERIES_ABS_TOL).  Returns (value, terms used,
+    sum of the terms' moduli), or None where no stop is met within SERIES_MAX_TERMS terms.
+    """
+    stop = specfun._stop(a, b)
+    term, total, small, size = complex(1.0), complex(1.0), 0, 1.0
+    for k in range(specfun.SERIES_MAX_TERMS):
+        if stop is not None and k >= stop:
+            return total, k + 1, size
+        term = term * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        total += term
+        size += abs(term)
+        if term == 0.0:
+            return total, k + 1, size
+        if abs(term) <= max(specfun.SERIES_REL_TOL * abs(total), specfun.SERIES_ABS_TOL):
+            small += 1
+            if small >= 2:
+                return total, k + 1, size
+        else:
+            small = 0
+    return None
+
+
+def hypergeometric_partial_sum_exact(a: float, b: float, c: float, z: float, terms: int) -> float:
+    """1 + sum_{k=1}^{terms} (a)_k (b)_k / ((c)_k k!) z^k for real a, b, c, z, in fixed point with 400 fraction bits.
+
+    Every float is a dyadic rational, so each term ratio is a ratio of integers; one floor division per
+    term loses at most 2^-400, far below double rounding.
+    """
+    (an, ad), (bn, bd), (cn, cd), (zn, zd) = (Fraction(v).as_integer_ratio() for v in (a, b, c, z))
+    one = 1 << 400
+    term, total = one, one
+    for k in range(terms):
+        term = term * ((an + k * ad) * (bn + k * bd) * cd * zn) // (ad * bd * (cn + k * cd) * (k + 1) * zd)
+        total += term
+    return float(Fraction(total, one))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from nbsloc import quadrature
 from nbsloc.errors import DomainError
 from nbsloc.quadrature import (
@@ -56,18 +57,45 @@ class TestGaussJacobi:
         n=st.integers(3, 40),
         alpha=st.floats(-0.9, 4.0),
         beta=st.floats(-0.9, 4.0),
+        symmetric=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_weights_positive_nodes_interior(self, n, alpha, beta):
-        nodes, weights = gauss_jacobi(n, alpha, beta)
+    def test_weights_positive_nodes_interior(self, n, alpha, beta, symmetric):
+        nodes, weights = gauss_jacobi(n, alpha, alpha if symmetric else beta)
         assert np.all(weights > 0.0)
         assert np.all(nodes > -1.0) and np.all(nodes < 1.0)
+        assert np.all(np.diff(nodes) > 0.0)
 
-    def test_legendre_weights_match_mpmath(self):
-        # numpy's leggauss is 5.7e-10 off here; the true rule is symmetric, so half the roots suffice
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 40, 41, 320, 600, 601])
+    def test_symmetric_rule_is_mirrored_exactly(self, n, alpha):
+        # from the half-size solve; the whole-matrix build left n = 600 weights 2.1e-13 apart from their mirror
+        x, w = gauss_jacobi(n, alpha, alpha)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 40, 41, 600, 601])
+    def test_symmetric_rule_matches_the_whole_matrix_build(self, n, alpha):
+        x, w = gauss_jacobi(n, alpha, alpha)
+        want_x, want_w = oracles.gauss_jacobi_dense(n, alpha, alpha)
+        assert np.max(np.abs(x - want_x)) <= 1e-15
+        assert np.max(np.abs(w / want_w - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n, alpha, beta", [(64, 0.5, 0.0), (128, 2.0, 0.0), (33, 1.7, -0.3), (600, 39.0, 0.0)])
+    def test_asymmetric_rule_is_the_whole_matrix_build(self, n, alpha, beta):
+        x, w = gauss_jacobi(n, alpha, beta)
+        want_x, want_w = oracles.gauss_jacobi_dense(n, alpha, beta)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
+    @pytest.mark.parametrize("n, every", [(400, 1), (600, 6)])
+    def test_legendre_weights_match_mpmath(self, n, every):
+        # numpy's leggauss is 5.7e-10 off at n = 400; the rule is mirrored exactly, so the nonnegative nodes
+        # suffice, every one at n = 400 and every sixth (the smallest and largest included) at n = 600
         mpmath = pytest.importorskip("mpmath")
-        n = 400
         x, w = gauss_jacobi(n, 0.0, 0.0)
+        picked = np.unique(np.r_[np.arange(n // 2, n, every), n - 1])
         with mpmath.workdps(24):
             coef = [(mpmath.mpf(2 * k + 1) / (k + 1), mpmath.mpf(k) / (k + 1)) for k in range(1, n)]
 
@@ -77,14 +105,13 @@ class TestGaussJacobi:
                     p_prev, p = p, a * t * p - b * p_prev
                 return p, p_prev
 
-            half = []
-            for node in x[n // 2:]:
+            want = []
+            for node in x[picked]:
                 t = mpmath.mpf(node)
                 p, p_prev = legendre_pair(t)
                 t -= p * (t * t - 1) / (n * (t * p - p_prev))  # Newton, with (1 - t^2) P_n' = n (P_{n-1} - t P_n)
-                half.append(float(2 * (1 - t * t) / (n * legendre_pair(t)[1]) ** 2))
-        want = np.array(half[::-1] + half)
-        assert np.max(np.abs(w / want - 1.0)) <= 1e-12
+                want.append(float(2 * (1 - t * t) / (n * legendre_pair(t)[1]) ** 2))
+        assert np.max(np.abs(w[picked] / np.array(want) - 1.0)) <= 1e-12
 
     def test_total_mass(self):
         alpha, beta = 1.3, -0.4
@@ -243,10 +270,11 @@ class TestRadialJacobiGrid:
             want = math.exp(log_beta(j + 1.0, 2.0 * B - 1.0))
             assert grid.integrate(grid.nodes ** j) == pytest.approx(want, rel=1e-13)
 
-    @pytest.mark.parametrize("B", [0.51, 1.5, 20.0, 40.0, 50.0])
+    @pytest.mark.parametrize("B", [0.51, 1.0, 1.5, 20.0, 40.0, 50.0])
     @pytest.mark.parametrize("n", [21, 31, 100, 600])
     def test_moments_relative_to_exact_beta_values(self, n, B):
-        # at large B the weights span hundreds of decades (down to 1e-186 at B = 50, n = 600)
+        # B = 1 is the symmetric Legendre rule (alpha = beta = 0); at large B the weights span
+        # hundreds of decades (down to 1e-186 at B = 50, n = 600)
         grid = radial_jacobi_grid(n, B)
         b = Fraction(2.0 * B - 1.0)
         for j in range(42):

@@ -236,6 +236,71 @@ class TestGauss2F1:
         want = 1.0 + b * z + b * (b + 1.0) / 2.0 * z * z
         assert res.value.real == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("z", [0.99, 0.6 + 0.7j, -0.98])
+    def test_overflowing_terms_refused_at_once(self, z):
+        # the terms pass the float range within a few hundred; the sum used to run on inf and nan to the cap
+        with pytest.raises(ConvergenceError, match="left the float range at term") as err:
+            gauss_2f1(300.0, 300.0, 0.5, z)
+        assert 0 < err.value.terms_used < 1000
+
+
+def _block_cases():
+    """(a, b, c, z): a seeded grid with real and complex z, terminating series, c-pole cases, approach points."""
+    rng = np.random.default_rng(19)
+    cases = [(0.3, 1.2, 2.5, 0.0), (-2.0, 1.0, -3.0, 0.7), (-2.0, 0.8, -2.0, 0.5), (-5.0, 1.3, -7.0, 0.4 + 0.3j),
+             (-3.0, 2.5, -3.0, -0.9j), (0.0, 1.5, -4.0, 0.5)]
+    cases += [(-0.5, 1.0, 2.0, 1.0 - 10.0 ** -k) for k in range(2, 6)]
+    for i in range(160):
+        a, b, c = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.1, 4.0)
+        if i % 4 == 0:
+            a = -float(rng.integers(0, 25))
+        z = rng.uniform(0.0, 0.999) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        cases.append((float(a), float(b), float(c), complex(z.real, 0.0) if i % 3 == 0 else complex(z)))
+    return cases
+
+
+class TestGauss2F1Blocks:
+    """The block sum against the loop that sums one term at a time, with the same stopping rule."""
+
+    @pytest.mark.parametrize("a, b, c, z", _block_cases())
+    def test_matches_the_sequential_sum(self, a, b, c, z):
+        got = gauss_2f1(a, b, c, z)
+        want, terms_used, size = oracles.gauss_2f1_sequential(a, b, c, z, specfun)
+        assert got.terms_used == terms_used
+        # relative to the sum of the terms' moduli: where terms cancel, both sums carry rounding of that size
+        assert abs(got.value - want) <= 1e-14 * size
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_approach_points_sum_their_terms_exactly(self, k):
+        z = 1.0 - 10.0 ** -k
+        got = gauss_2f1(-0.5, 1.0, 2.0, z)
+        want = oracles.hypergeometric_partial_sum_exact(-0.5, 1.0, 2.0, z, got.terms_used)
+        assert abs(got.value.real / want - 1.0) <= 1e-13 and got.value.imag == 0.0
+
+    @pytest.mark.xfail(strict=True, reason="the stopping rule bounds the last terms, not the tail: near z = 1 "
+                                           "2F1 stops 1.8e-8 short of its value (ROADMAP, correctness)")
+    def test_approach_point_meets_the_series_tolerance(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = 1.0 - 1e-5
+        with mpmath.workdps(30):
+            want = float(mpmath.hyp2f1(-0.5, 1, 2, mpmath.mpf(z)))
+        assert abs(gauss_2f1(-0.5, 1.0, 2.0, z).value.real / want - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("cap", [40, 64, 100, 200])
+    @pytest.mark.parametrize("a, b, c, z", [(0.5, 0.5, 1.5, 0.999), (-99.0, 0.5, 1.5, -0.5), (-100.0, 0.5, 1.5, -0.5),
+                                            (-150.0, 0.5, 1.5, -0.5), (0.5, 0.7, 1.9, 0.3)])
+    def test_term_cap_read_at_call_time(self, monkeypatch, cap, a, b, c, z):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", cap)
+        want = oracles.gauss_2f1_sequential(a, b, c, z, specfun)
+        if want is None:
+            with pytest.raises(ConvergenceError, match=f"within {cap} terms") as err:
+                gauss_2f1(a, b, c, z)
+            assert err.value.terms_used == cap
+        else:
+            got = gauss_2f1(a, b, c, z)
+            assert got.terms_used == want[1] <= cap
+            assert abs(got.value - want[0]) <= 1e-14 * want[2]
+
 
 class TestAppellF1:
     def test_at_origin(self):
