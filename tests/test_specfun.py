@@ -278,7 +278,7 @@ class TestGauss2F1Blocks:
         assert abs(got.value.real / want - 1.0) <= 1e-13 and got.value.imag == 0.0
 
     @pytest.mark.xfail(strict=True, reason="the stopping rule bounds the last terms, not the tail: near z = 1 "
-                                           "2F1 stops 1.8e-8 short of its value (ROADMAP, correctness)")
+                                           "2F1 stops 1.8e-8 short of its value (ROADMAP item 2)")
     def test_approach_point_meets_the_series_tolerance(self):
         mpmath = pytest.importorskip("mpmath")
         z = 1.0 - 1e-5
