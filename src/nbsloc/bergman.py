@@ -17,8 +17,7 @@ series is cut where its tail falls below specfun's SERIES_REL_TOL;
 ``transferred_apply`` starts from quadrature's DISK_RULE and
 ``BergmanFunction.project`` from its angles, on the fewest radii exact for
 the coefficients it returns; both compare each value with a refined rule
-and raise AccuracyError past TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL;
-and ``BergmanFunction.check_analytic`` reads the ANALYTIC_* constants.
+and raise AccuracyError past TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL.
 
 Everything that does not depend on the point or the function is built once,
 as read-only arrays in bounded LRU caches: here the kernel coefficient table
@@ -64,10 +63,6 @@ __all__ = [
 PROJECT_REFINE_TOL = 1e-10  # agreement of project's last two angular rules, relative to |F|
 PROJECT_RULES = 6  # project's angular rules: DISK_RULE's angle count doubled up to 5 times, 128 to 4096
 TRANSFER_REFINE_TOL = 1e-8  # agreement of transferred_apply's two rules, relative to max(|value|, 1)
-ANALYTIC_POINTS = 5  # check_analytic's random interior points
-ANALYTIC_STEP = 1e-4  # its central-difference step
-ANALYTIC_TOL = 1e-6  # its Cauchy-Riemann residual bound, relative to max(1, |derivative|)
-ANALYTIC_SEED = 20260808  # its PCG64 seed, so the check is reproducible
 
 
 @dataclass
@@ -77,7 +72,7 @@ class BergmanFunction:
     Either a finite coefficient vector against the orthonormal monomial basis, or an
     analytic evaluator on the disk (or both, when a projection has been attached),
     evaluated at a point or over an ndarray of points, which an evaluator receives
-    whole (a scalar return is broadcast).  ``check_analytic`` spot-checks analyticity.
+    whole (a scalar return is broadcast).
     """
 
     B: float
@@ -133,16 +128,6 @@ class BergmanFunction:
             last = coeffs
         raise AccuracyError(f"projection not converged at {n_theta} angular nodes: moved {delta:.3e}, |F| {norm:.3e}")
 
-    def check_analytic(self) -> None:
-        """Cauchy-Riemann finite-difference spot check at ANALYTIC_POINTS random interior points."""
-        u = np.random.Generator(np.random.PCG64(ANALYTIC_SEED)).random((ANALYTIC_POINTS, 2))
-        z = 0.7 * np.sqrt(u[:, 0]) * np.exp(2j * math.pi * u[:, 1])
-        dx, dy = ((self(z + h) - self(z - h)) / (2.0 * ANALYTIC_STEP) for h in (ANALYTIC_STEP, 1j * ANALYTIC_STEP))
-        residual = np.abs(dx + 1j * dy)
-        bad = np.flatnonzero(residual > ANALYTIC_TOL * np.maximum(1.0, np.maximum(abs(dx), abs(dy))))
-        if bad.size:
-            raise DomainError(f"Cauchy-Riemann residual {residual[bad[0]]:.3e} at z={z[bad[0]]:.4f}; not analytic")
-
 
 def bargmann_transform(coeffs, z, B: float):
     """Coherent-state (second Bargmann) transform of f = sum c_j laguerre_j.
@@ -160,7 +145,8 @@ def bargmann_inverse(F: BergmanFunction, xi: float) -> complex:
     Exact two-sided inverse of ``bargmann_transform`` on coefficient
     vectors; requires the coefficient representation.
     """
-    return sum((c * laguerre_function(j, F.B, xi) for j, c in enumerate(F.coefficients_or_raise()) if c != 0.0), 0j)
+    coefficients = F.coefficients_or_raise()
+    return coefficients @ laguerre_function(range(coefficients.size), F.B, xi)
 
 
 # A session walks about four sizes per (B, s), n = 64 to 512.  Worst case 16 x 4 MB, at n = SERIES_MAX_TERMS.

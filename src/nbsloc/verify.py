@@ -179,7 +179,7 @@ def check_laguerre_orthonormality() -> CheckResult:
     worst = 0.0
     for B in (0.8, 1.5, 3.0):
         grid = quadrature.half_line_grid(500, quadrature.suggested_cutoff(20, B))
-        table = np.stack([states.laguerre_function(j, B, grid.nodes) for j in range(21)])
+        table = states.laguerre_function(range(21), B, grid.nodes)
         gram = (table * grid.weights) @ table.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(21)))))
     return _result("laguerre_orthonormality", worst, 1e-8)
@@ -213,8 +213,8 @@ def check_state_quadrature_coefficients() -> CheckResult:
     vz = states.nbs_wavefunction(z, B, grid.nodes)
     rescale = (1.0 - abs(z) ** 2) ** (-B) * math.sqrt(2.0 * B - 1.0)
     worst = 0.0
-    for k in range(7):
-        got = complex(grid.integrate(states.laguerre_function(k, B, grid.nodes) * vz)) * rescale
+    for k, phi in enumerate(states.laguerre_function(range(7), B, grid.nodes)):
+        got = complex(grid.integrate(phi * vz)) * rescale
         worst = max(worst, abs(got - states.bergman_basis(k, B, z)))
     return _result("state_quadrature_coefficients", worst, 1e-8)
 

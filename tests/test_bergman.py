@@ -151,13 +151,6 @@ class TestBergmanFunction:
                 want = np.mean(np.exp(-1j * k * theta) * values)
                 assert abs(a[i, k] - want) <= 1e-14 * np.max(np.abs(values))
 
-    def test_analyticity_spot_check(self):
-        analytic = BergmanFunction(1.5, evaluator=lambda z: z ** 3 / (1.0 - 0.5 * z))
-        analytic.check_analytic()
-        not_analytic = BergmanFunction(1.5, evaluator=lambda z: z.conjugate())
-        with pytest.raises(DomainError):
-            not_analytic.check_analytic()
-
 
 class TestBargmannTransform:
     def test_basis_correspondence(self):
@@ -193,6 +186,21 @@ class TestBargmannTransform:
         F = BergmanFunction(B, coefficients=coeffs)
         projected = BergmanFunction(B, evaluator=F).project(7)
         assert np.allclose(projected.coefficients, coeffs, atol=1e-9)
+
+    def test_inverse_is_one_laguerre_table(self, monkeypatch):
+        calls = []
+        exact = bergman.laguerre_function
+        monkeypatch.setattr(bergman, "laguerre_function", lambda j, B, xi: calls.append(j) or exact(j, B, xi))
+        coeffs = np.array([1.0, 0.0, 2.0 - 1.0j, 0.5j])
+        got = bargmann_inverse(BergmanFunction(1.25, coefficients=coeffs), 0.9)
+        assert calls == [range(4)]
+        want = sum(c * exact(j, 1.25, 0.9) for j, c in enumerate(coeffs))
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_inverse_at_infinity_rejected(self):
+        # inf passed the xi > 0 check and came back as nan+nanj
+        with pytest.raises(DomainError):
+            bargmann_inverse(BergmanFunction(1.2, coefficients=[1.0, 2.0]), math.inf)
 
     def test_inverse_needs_coefficients(self):
         F = BergmanFunction(1.5, evaluator=lambda z: 1.0 + 0j)

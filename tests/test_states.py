@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nbsloc import states
+from nbsloc import states, verify
 from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit
 from nbsloc.errors import DomainError
 from nbsloc.locop import (RadialSymbol, SpectralData, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
@@ -244,6 +244,15 @@ class TestNbsWavefunction:
                 * principal_power(1.0 - z.conjugate() * w, -2.0 * B)
             assert got == pytest.approx(want, abs=1e-10)
 
+    def test_infinite_point_rejected(self):
+        # inf passed the xi > 0 check and came back as nan+nanj
+        with pytest.raises(DomainError):
+            nbs_wavefunction(0.3, 1.2, math.inf)
+        with pytest.raises(DomainError):
+            nbs_wavefunction(0.3, 1.2, np.array([1.0, math.inf]))
+        with pytest.raises(DomainError):
+            nbs_expansion(0.3, 1.2, math.inf, 5)
+
 
 class TestBergmanBasis:
     def test_constant_element(self):
@@ -309,6 +318,12 @@ class TestLaguerreFunction:
         with pytest.raises(DomainError):
             laguerre_function(3, 1.2, np.array([1.0, math.nan]))
 
+    def test_infinite_point_rejected(self):
+        # inf passed the xi > 0 check and came back as nan
+        for xi in (math.inf, np.array([1.0, math.inf])):
+            with pytest.raises(DomainError):
+                laguerre_function(3, 1.2, xi)
+
     @pytest.mark.parametrize("j, B, xi", [(500, 20.0, 41.0463), (1000, 50.0, 58.3267), (2000, 50.0, 81.4985)])
     def test_large_index_and_strength_match_mpmath(self, j, B, xi):
         # the norm and exp(-xi^2/2) were formed apart: nan here, and a norm of 0 at B = 50, j = 2000
@@ -321,12 +336,59 @@ class TestLaguerreFunction:
         assert laguerre_function(j, B, xi) == pytest.approx(want, abs=1e-12)
         assert laguerre_function(j, B, np.array([xi, 1.0]))[0] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("B", [0.51, 0.8, 3.0, 20.0])
+    def test_small_points_meet_the_stated_tolerance(self, B):
+        # the docstring's 1e-11 absolute for j <= 2000, B <= 50; small xi at large j loses the most
+        # relative accuracy (5.7e-12 absolute, 2.9e-10 relative at j = 2000, B = 3, xi = 0.1)
+        mpmath = pytest.importorskip("mpmath")
+        xi = np.array([0.05, 0.1, 0.5, 1.0])
+        for j in (500, 1000, 2000):
+            with mpmath.workdps(40):
+                b = mpmath.mpf(B)
+                norm = mpmath.sqrt(2 * mpmath.factorial(j) / mpmath.gamma(2 * b + j))
+                want = [float(norm * x ** (2 * b - mpmath.mpf(0.5)) * mpmath.exp(-x * x / 2)
+                              * mpmath.laguerre(j, 2 * b - 1, x * x)) for x in map(mpmath.mpf, xi)]
+            assert np.max(np.abs(laguerre_function(j, B, xi) - want)) <= 1e-11
+
     def test_point_values_do_not_depend_on_the_other_points(self):
         xi = np.linspace(0.05, 90.0, 101)
         for j, B in ((2000, 50.0), (300, 0.51)):
             whole = laguerre_function(j, B, xi)
             parts = np.concatenate([laguerre_function(j, B, xi[i:i + 4]) for i in range(0, xi.size, 4)])
             assert np.array_equal(whole, parts)
+
+    @pytest.mark.parametrize("B", [0.51, 1.5, 50.0])
+    @pytest.mark.parametrize("indices", [range(0, 21), range(5, 40, 3), range(1990, 2001)])
+    def test_range_rows_equal_their_index_calls(self, indices, B):
+        # one pass up to max(indices); at j ~ 2000 it rescales by powers of two on the way
+        xi = np.linspace(0.05, 90.0, 37)
+        rows = laguerre_function(indices, B, xi)
+        assert np.array_equal(rows, np.stack([laguerre_function(j, B, xi) for j in indices]))
+
+    def test_range_at_a_number_gives_one_value_per_index(self):
+        rows = laguerre_function(range(2, 9, 2), 1.5, 1.3)
+        assert rows.shape == (4,)
+        for row, j in zip(rows, range(2, 9, 2)):
+            assert row == pytest.approx(laguerre_function(j, 1.5, 1.3), rel=1e-14)
+
+    def test_empty_range(self):
+        assert laguerre_function(range(0), 1.5, np.ones((2, 3))).shape == (0, 2, 3)
+        assert laguerre_function(range(4, 4), 1.5, 1.0).shape == (0,)
+
+    def test_range_checks_each_index(self):
+        assert laguerre_function(range(0, 3), 1.5, 1.0).shape == (3,)
+        with pytest.raises(DomainError):
+            laguerre_function(range(-1, 3), 1.5, 1.0)
+
+    def test_tables_take_one_call(self, monkeypatch):
+        calls = []
+        exact = states.laguerre_function  # the name nbs_expansion and verify read
+        monkeypatch.setattr(states, "laguerre_function", lambda j, B, xi: calls.append(j) or exact(j, B, xi))
+        nbs_expansion(0.5, 1.25, 1.7, 40)
+        assert calls == [range(41)]
+        calls.clear()
+        assert verify.run_check("laguerre_orthonormality").passed
+        assert calls == [range(21)] * 3  # one table per strength
 
 
 class TestNbsExpansion:
