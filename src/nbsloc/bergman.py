@@ -6,27 +6,24 @@ localization operator by it yields an integral operator whose kernel has
 three equivalent descriptions implemented here: the eigenvalue series,
 which applies the operator, and two independent checks of it, a closed
 form through the first Appell double series and the s -> 1 limit, the
-reproducing kernel of the space itself.  Disk integrals use the polar
-rule, summed angle first over F's angular Fourier coefficients on it:
-a coefficient function folds its coefficients into them exactly, an
-evaluator is sampled and takes one FFT per radius, and both give the same
-discrete sum.
+reproducing kernel of the space itself.  The operator is diagonal in the
+monomials, z^j -> I_s(j+1, 2B-1) z^j, so on a coefficient function it is
+one eigenvalue table; an evaluator is integrated against the kernel series
+on the polar rule, summed angle first over F's angular Fourier
+coefficients, which one FFT per radius of the sampled F gives.
 
 Accuracy and rule sizes are a fixed contract, not arguments: the kernel
 series is cut where its tail falls below specfun's SERIES_REL_TOL;
-``transferred_apply`` starts from quadrature's DISK_RULE and
+``transferred_apply`` on an evaluator starts from quadrature's DISK_RULE and
 ``BergmanFunction.project`` from its angles, on the fewest radii exact for
 the coefficients it returns; both compare each value with a refined rule
 and raise AccuracyError past TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL.
 
 Everything that does not depend on the point or the function is built once,
 as read-only arrays in bounded LRU caches: here the kernel coefficient table
-with the cut's x-independent arrays, by (B, s, n), 16 tables, and the fold
-plan of a coefficient function, by (len(g), size, n_theta), 128 plans; from
-quadrature the grids, by (n, B) and n, and the radial moment tables, by
-(n, B, size), RULE_CACHE_SIZE each; from states the basis norms, by (n, B),
-NORMS_CACHE_SIZE.  So ``transferred_apply`` on a coefficient function is,
-past the cut, a gather and a dot product.
+with the cut's x-independent arrays, by (B, s, n), 16 tables; from
+quadrature the grids, by (n, B) and n, RULE_CACHE_SIZE each; from states
+the basis norms, by (n, B), NORMS_CACHE_SIZE.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
@@ -34,6 +31,7 @@ operator that localizes on the disk of radius R corresponds to s = R^2.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -84,6 +82,8 @@ class BergmanFunction:
             raise DomainError("provide coefficients or an evaluator")
         if self.coefficients is not None:
             self.coefficients = np.asarray(self.coefficients, dtype=complex)
+            if not all(map(cmath.isfinite, self.coefficients.tolist())):  # cheaper than a numpy reduction here
+                raise DomainError("coefficients must be finite")
         check_strength(self.B)
 
     def __call__(self, z):
@@ -254,65 +254,33 @@ def _angular_coefficients(F: BergmanFunction, r: np.ndarray, n_theta: int, n_k: 
     return spectrum[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
 
 
-# A session meets about 4 sizes x 9 coefficient lengths x 2 rules; a plan holds len(g) * size / n_theta pairs.
-@functools.lru_cache(maxsize=128)
-def _fold_plan(d: int, size: int, n_theta: int) -> tuple[np.ndarray, ...]:
-    """The pairs j < d, k < size with j = k (mod n_theta), in increasing k: j, k, j + k and (-1)^((k-j)/n_theta).
-
-    Built once per (d, size, n_theta); read-only arrays.  The pairs with k < m are the prefix up to
-    ``np.searchsorted(k, m)``, so one plan serves every length m <= size.
-    """
-    j = np.arange(d)[:, None]
-    k = j % n_theta + n_theta * np.arange(-(-size // n_theta))
-    pair = k < size
-    j, k = np.broadcast_to(j, k.shape)[pair], k[pair]
-    order = np.argsort(k, kind="stable")
-    j, k = j[order], k[order]
-    plan = (j, k, j + k, 1 - 2 * ((k - j) // n_theta % 2))
-    for array in plan:
-        array.flags.writeable = False
-    return plan
-
-
-def _folded_sum(g: np.ndarray, h: np.ndarray, n_r: int, B: float, n_theta: int) -> complex:
-    """sum_i W_i sum_k h_k r_i^k a_k(r_i) for F = sum_j g_j z^j on the n_r x n_theta polar rule, sampling no F.
-
-    The midpoint rule's angular coefficients of a polynomial are exact alias sums,
-    a_k(r) = sum_{j = k mod n_theta} (-1)^((k-j)/n_theta) g_j r^j, so only the pairs j = k (mod n_theta)
-    contribute, each with the radial moment sum_i W_i r_i^(j+k): at most len(g) * ceil(len(h) / n_theta)
-    pairs, gathered from the memoized plan and moment table for the next powers of two.
-    """
-    j, k, jk, sign = _fold_plan(g.size, 1 << (h.size - 1).bit_length(), n_theta)
-    moments = quadrature.radial_moments(n_r, B, 1 << (g.size + h.size - 2).bit_length())
-    m = np.searchsorted(k, h.size)
-    return complex(np.sum(sign[:m] * g[j[:m]] * h[k[:m]] * moments[jk[:m]]))
-
-
 def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     """Apply the transferred localization operator to F at the point w.
 
-    (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2 on the
-    polar rule DISK_RULE, kernel series sum_k c_k (conj(z) w)^k (cut for the
-    fine rule) summed angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i),
-    where a_k(r) are F's angular Fourier coefficients on the midpoint rule.
-    A coefficient function folds its coefficients into a_k(r) exactly, in
-    closed form; an evaluator is sampled and takes one FFT per radius.  Both
-    give the same discrete sum.  The result is recomputed on the rule with
-    twice the radii and angles; if the two values differ by more than
-    TRANSFER_REFINE_TOL times max(|fine|, 1), or either is NaN, AccuracyError
-    is raised, otherwise the refined value is returned, which on basis
-    elements is the eigenvalue action.
+    (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2.  The
+    operator sends z^j to I_s(j+1, 2B-1) z^j, so a coefficient function
+    F = sum_j f_j basis_j at strength F.B returns sum_j I_s(j+1, 2B-1) f_j
+    basis_j(w), from one eigenvalue table and Horner's rule: no quadrature
+    and no AccuracyError.  An evaluator is integrated on the polar rule DISK_RULE,
+    the kernel series sum_k c_k (conj(z) w)^k (cut for the fine rule) summed
+    angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i), where a_k(r) are F's
+    angular Fourier coefficients on the midpoint rule, from one FFT per
+    radius of the sampled F.  That value is recomputed on the rule with
+    twice the radii and angles; if the two differ by more than
+    TRANSFER_REFINE_TOL times max(|fine|, 1), or either is NaN,
+    AccuracyError is raised, otherwise the refined value is returned.
     """
     w, R = as_disk(w), as_radius(R)
+    check_strength(B)
+    if F.coefficients is not None:
+        f = F.coefficients
+        return basis_series(reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j
     n_r, n_theta = quadrature.DISK_RULE
     c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(radial_jacobi_grid(2 * n_r, B).nodes)) * abs(w))
     k = np.arange(c.size)
     h = c * w ** k
-    g = None if F.coefficients is None else F.coefficients * basis_norms(F.coefficients.size, F.B)
 
     def evaluate(n: int, nt: int) -> complex:
-        if g is not None:
-            return _folded_sum(g, h, n, B, nt)
         radial = radial_jacobi_grid(n, B)
         r = np.sqrt(radial.nodes)
         return complex(radial.weights @ ((r[:, None] ** k * _angular_coefficients(F, r, nt, c.size)) @ h))

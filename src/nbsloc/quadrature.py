@@ -18,11 +18,9 @@ Values derived from a rule are built once and shared, each in an LRU cache of
 RULE_CACHE_SIZE entries:
 
   * ``gauss_jacobi(n, alpha, beta)`` -- the rule on [-1, 1];
-  * ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each;
-  * ``radial_moments(n, B, size)`` -- sum_i W_i r_i^p, p < size (a power of
-    two), on the radii r_i = sqrt(rho_i) of ``radial_jacobi_grid(n, B)``.
+  * ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each.
 
-Rule, grid and moment arrays are read-only and integration is a dot product,
+Rule and grid arrays are read-only and integration is a dot product,
 so all of it is thread-safe; a call that raises caches nothing.
 Fixed rule sizes are module constants, DISK_RULE and RESIDUAL_*, not arguments.
 """
@@ -40,7 +38,7 @@ from .errors import DomainError
 DISK_RULE = (64, 128)  # (radii, angles) of the polar rule every disk integral starts from
 RESIDUAL_STEP = 1e-3  # hamiltonian_residual's finite-difference step
 RESIDUAL_WINDOW = (0.5, 8.0)  # hamiltonian_residual's interval, away from the x = 0 singularity
-RULE_CACHE_SIZE = 64  # entries kept by each rule, grid and moment cache; a 600-node rule takes 10 kB
+RULE_CACHE_SIZE = 64  # entries kept by each rule and grid cache; a 600-node rule takes 10 kB
 RADIAL_MAX_B = 512.0  # past it the radial rule's Jacobi mass 2^(2B-1) / (2B-1) leaves the double range
 
 
@@ -187,24 +185,6 @@ def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
     exponent = 2.0 * B - 2.0
     x, w = gauss_jacobi(n, exponent, 0.0)
     return QuadratureGrid(0.5 * (x + 1.0), w * 0.5 ** (exponent + 1.0))
-
-
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
-def radial_moments(n: int, B: float, size: int) -> np.ndarray:
-    """M_p = sum_i W_i r_i^p for p < size, on the radii r_i = sqrt(rho_i) of ``radial_jacobi_grid(n, B)``.
-
-    ``size`` is a power of two, so that a few tables serve every length.  Memoized by (n, B, size);
-    the array is read-only.
-    """
-    if not (size >= 1 and size & (size - 1) == 0):
-        raise DomainError(f"moment table size must be a power of two, got {size}")
-    grid = radial_jacobi_grid(n, B)
-    r, step = np.sqrt(grid.nodes)[:, None], min(size, 64)
-    # r^p = r^(p - b) r^b with b = p mod 64, to 1.5 ulp: n (size/64 + 64) powers, not n size
-    powers = (r ** np.arange(0, size, step))[:, :, None] * r[:, :, None] ** np.arange(step)
-    moments = grid.weights @ powers.reshape(r.size, size)
-    moments.flags.writeable = False
-    return moments
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)

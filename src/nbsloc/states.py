@@ -245,6 +245,7 @@ def laguerre_function(j: int | range, B: float, xi):
     depend on the other points of the array.  A range of indices takes one pass up to its
     largest and returns a row per index, shape (len(j), *xi.shape), each equal bit for bit to
     its own call.  A number xi runs as a 0-d array; with an int j it returns a float.
+    Past xi = 1e154, where xi^2 overflows, it returns 0, the underflowed value.
     Accurate to 1e-11 absolute for j <= 2000 and B <= 50.
     """
     rows = dict.fromkeys(check_index("j", k) for k in (j if isinstance(j, range) else (j,)))
@@ -252,6 +253,7 @@ def laguerre_function(j: int | range, B: float, xi):
     x = np.asarray(xi, dtype=float)
     if not np.all((x > 0.0) & (x < math.inf)):
         raise DomainError("Laguerre functions are defined for 0 < xi < inf")
+    x = np.minimum(x, 1e154)  # xi^2 stays finite; the value has underflowed to 0 long before
     b2, x2, top = 2.0 * B, x * x, max(rows, default=0)
     x2_max = float(np.max(x2, initial=0.0))
     log_phi0 = 0.5 * (math.log(2.0) - math.lgamma(b2)) + (b2 - 0.5) * np.log(x) - 0.5 * x2

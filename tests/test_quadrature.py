@@ -18,7 +18,6 @@ from nbsloc.quadrature import (
     hamiltonian_residual,
     mapped_legendre,
     radial_jacobi_grid,
-    radial_moments,
     suggested_cutoff,
 )
 from nbsloc.specfun import log_beta, reg_inc_beta
@@ -178,7 +177,7 @@ class TestRuleCache:
 
 
 class TestDerivedRuleCaches:
-    """The grids and moment tables: built once, shared, read-only, bounded, and never a cached failure."""
+    """The grids: built once, shared, read-only, bounded, and never a cached failure."""
 
     def test_repeated_calls_share_read_only_grids(self):
         for build, args in ((radial_jacobi_grid, (24, 1.5)), (angular_grid, (24,))):
@@ -195,36 +194,18 @@ class TestDerivedRuleCaches:
         cached, fresh = angular_grid(128), angular_grid.__wrapped__(128)
         assert np.array_equal(cached.nodes, fresh.nodes) and np.array_equal(cached.weights, fresh.weights)
 
-    def test_repeated_call_shares_a_read_only_moment_table(self):
-        first = radial_moments(12, 1.5, 64)
-        assert radial_moments(12, 1.5, 64) is first
-        with pytest.raises(ValueError):
-            first[0] = 0.0
-
-    @pytest.mark.parametrize("n, B, size", [(64, 1.5, 512), (128, 0.75, 512), (12, 20.0, 64), (128, 4.5, 1024)])
-    def test_moments_match_the_rules_direct_sum(self, n, B, size):
-        grid = radial_jacobi_grid(n, B)
-        r = np.sqrt(grid.nodes)
-        got = radial_moments(n, B, size)
-        assert got.shape == (size,)
-        for p in range(size):
-            want = math.fsum(grid.weights * r ** p)
-            assert abs(got[p] - want) <= 1e-15 * want
-
     def test_invalid_calls_raise_every_time(self):
-        caches = (radial_jacobi_grid, angular_grid, radial_moments)
+        caches = (radial_jacobi_grid, angular_grid)
         before = [cache.cache_info().currsize for cache in caches]
         for _ in range(2):
             for bad in (lambda: radial_jacobi_grid(10, 0.5), lambda: radial_jacobi_grid(1, 1.5),
-                        lambda: angular_grid(1), lambda: radial_moments(12, 1.5, 48),
-                        lambda: radial_moments(12, 1.5, 0), lambda: radial_moments(12, 0.5, 64),
-                        lambda: radial_moments(1, 1.5, 64)):
+                        lambda: angular_grid(1)):
                 with pytest.raises(DomainError):
                     bad()
         assert [cache.cache_info().currsize for cache in caches] == before
 
     def test_caches_are_bounded(self):
-        for cache in (radial_jacobi_grid, angular_grid, radial_moments):
+        for cache in (radial_jacobi_grid, angular_grid):
             assert cache.cache_info().maxsize == quadrature.RULE_CACHE_SIZE  # None if unbounded
 
 

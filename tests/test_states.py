@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +324,14 @@ class TestLaguerreFunction:
         for xi in (math.inf, np.array([1.0, math.inf])):
             with pytest.raises(DomainError):
                 laguerre_function(3, 1.2, xi)
+
+    @pytest.mark.parametrize("xi", [1e155, 1e200, sys.float_info.max])
+    def test_point_whose_square_overflows_gives_zero(self, xi):
+        # xi^2 = inf made the recurrence inf - inf: nan with a RuntimeWarning; exp(-xi^2/2) underflows
+        assert laguerre_function(3, 1.2, xi) == 0.0
+        got = laguerre_function(3, 1.2, np.array([2.0, xi]))
+        assert got[0] == laguerre_function(3, 1.2, 2.0) and got[1] == 0.0
+        assert np.all(laguerre_function(range(5), 1.2, np.array([xi, 1.0]))[:, 0] == 0.0)
 
     @pytest.mark.parametrize("j, B, xi", [(500, 20.0, 41.0463), (1000, 50.0, 58.3267), (2000, 50.0, 81.4985)])
     def test_large_index_and_strength_match_mpmath(self, j, B, xi):
