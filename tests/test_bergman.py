@@ -405,6 +405,31 @@ class TestTransferredApply:
         want = oracles.dense_disk_apply(F, w, B, R * R, 2 * n_r, 2 * n_theta, kernel_series, disk_grid)
         assert abs(got - want) <= 1e-13 * abs(want)
 
+    @pytest.mark.parametrize("B", [0.51, 0.75, 1.5, 4.5, 10.0])
+    @pytest.mark.parametrize("w, n_r, n_theta, d", [
+        (0.3 + 0.2j, 64, 128, 8),
+        (0.9 * np.exp(2.1j), 64, 128, 12),
+        # 20 coefficients on 14 fine angles alias, and the kernel series is longer than both rules
+        (-0.6 + 0.62j, 12, 7, 20),
+    ])
+    def test_coefficient_route_matches_evaluator_route(self, B, w, n_r, n_theta, d, monkeypatch):
+        # Coefficients take the eigenvalue table, whatever the rule; the same F as an evaluator is
+        # sampled and integrated on it.  Where the rule resolves F the two agree, and where it
+        # aliases the evaluator route refuses rather than return the aliased sum.
+        monkeypatch.setattr(quadrature, "DISK_RULE", (n_r, n_theta))
+        rng = np.random.default_rng(65)
+        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        R = 0.7
+        got = transferred_apply(BergmanFunction(B, c), w, B, R)
+        exact = sum(c[j] * disk_eigenvalue(j, B, R) * bergman_basis(j, B, w) for j in range(d))
+        assert abs(got - exact) <= 1e-13 * abs(exact)
+        sampled = BergmanFunction(B, evaluator=lambda z: basis_series(c, B, z))
+        if n_theta > d:
+            assert abs(transferred_apply(sampled, w, B, R) - got) <= 1e-13 * abs(got)
+        else:
+            with pytest.raises(AccuracyError):
+                transferred_apply(sampled, w, B, R)
+
     @pytest.mark.parametrize("B", [0.51, 1.5, 4.5, 20.0])
     @pytest.mark.parametrize("s", [0.09, 0.49, 0.81])
     def test_coefficient_cut_equals_the_unmemoized_expression(self, B, s):

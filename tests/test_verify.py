@@ -1,6 +1,6 @@
 import pytest
 
-from nbsloc import states, verify
+from nbsloc import bergman, states, verify
 from nbsloc.errors import DomainError
 
 
@@ -33,3 +33,20 @@ class TestFaultInjection:
         assert broken.max_error > 1e-4
         # and the undo really restores the exact function
         assert verify.run_check("laguerre_orthonormality").passed
+
+    @pytest.mark.parametrize("name", ["transfer_spectral_action", "intertwining"])
+    def test_transfer_checks_do_not_call_transferred_apply(self, name, monkeypatch):
+        # the checks integrate the kernel series themselves, so they still hold the apply to account
+        def refuse(*args):
+            raise AssertionError("transferred_apply called")
+
+        monkeypatch.setattr(bergman, "transferred_apply", refuse)
+        result = verify.run_check(name)
+        assert result.passed and result.max_error <= 1e-13
+
+    @pytest.mark.parametrize("name", ["transfer_spectral_action", "intertwining"])
+    def test_perturbed_kernel_series_fails_transfer_checks(self, name, monkeypatch):
+        exact = bergman.kernel_series  # the name verify reads
+        monkeypatch.setattr(bergman, "kernel_series", lambda z, w, B, s: exact(z, w, B, s) * (1.0 + 1e-3))
+        broken = verify.run_check(name)
+        assert not broken.passed and broken.max_error > 1e-5
