@@ -21,9 +21,11 @@ and raise AccuracyError past TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL.
 
 Everything that does not depend on the point or the function is built once,
 as read-only arrays in bounded LRU caches: here the kernel coefficient table
-with the cut's x-independent arrays, by (B, s, n), 16 tables; from
-quadrature the grids, by (n, B) and n, RULE_CACHE_SIZE each; from states
-the basis norms, by (n, B), NORMS_CACHE_SIZE.
+with the cut's x-independent arrays, by (B, s, n), and the eigenvalue table
+I_s(j+1, 2B-1), j < n, of a coefficient apply, by (s, n, 2B-1), 16 tables
+each; from quadrature the grids, by (n, B) and n, and the angular rule's
+phasors, by n, RULE_CACHE_SIZE each; from states the basis norms, by (n, B),
+NORMS_CACHE_SIZE.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedRepresentationError
 from . import quadrature, specfun
-from .quadrature import angular_grid, radial_jacobi_grid
+from .quadrature import angular_phasors, radial_jacobi_grid
 from .specfun import appell_f1, check_index, horner, log_nb_weights, reg_inc_beta_table
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
 from .states import (as_disk, as_radius, basis_norms, basis_series, bergman_basis,  # noqa: F401
@@ -117,11 +119,12 @@ class BergmanFunction:
         """
         j_max = check_index("j_max", j_max)
         radial, last = radial_jacobi_grid(max(2, j_max // 2 + 1), self.B), None
-        r, norms, j = np.sqrt(radial.nodes), basis_norms(j_max + 1, self.B), np.arange(j_max + 1)
+        r = np.sqrt(radial.nodes)[:, None]
+        norms, r_j = basis_norms(j_max + 1, self.B), r ** np.arange(j_max + 1)
         for n_theta in (quadrature.DISK_RULE[1] << i for i in range(PROJECT_RULES)):
-            a = _angular_coefficients(self, r, n_theta, max(n_theta, j_max + 1))
-            coeffs = norms * (radial.weights @ (r[:, None] ** j * a[:, :j_max + 1]))
-            norm = math.sqrt(radial.weights @ np.sum(np.abs(a[:, :n_theta]) ** 2, axis=1))  # Parseval
+            values = self.values(r * angular_phasors(n_theta))
+            coeffs = norms * (radial.weights @ (r_j * _angular_coefficients(values, j_max + 1)))
+            norm = math.sqrt(radial.weights @ np.mean(np.abs(values) ** 2, axis=1))  # Parseval: sum_k |a_k|^2
             delta = math.inf if last is None else float(np.max(np.abs(coeffs - last), initial=0.0))
             if delta <= PROJECT_REFINE_TOL * norm:
                 return BergmanFunction(self.B, coefficients=coeffs, evaluator=self.evaluator)
@@ -147,6 +150,15 @@ def bargmann_inverse(F: BergmanFunction, xi: float) -> complex:
     """
     coefficients = F.coefficients_or_raise()
     return coefficients @ laguerre_function(range(coefficients.size), F.B, xi)
+
+
+# A session applies about nine coefficient counts at one (B, s); worst case 16 x 0.8 MB, at n = 100,000.
+@functools.lru_cache(maxsize=16)
+def _eigenvalue_table(s: float, n: int, b: float) -> np.ndarray:
+    """``reg_inc_beta_table(s, n, b)``, the eigenvalues I_s(j+1, b), j < n, built once per (s, n, b); read-only."""
+    table = reg_inc_beta_table(s, n, b)
+    table.flags.writeable = False
+    return table
 
 
 # A session walks about four sizes per (B, s), n = 64 to 512.  Worst case 16 x 4 MB, at n = SERIES_MAX_TERMS.
@@ -242,16 +254,17 @@ def kernel_limit(z, w, B: float):
     return (2.0 * B - 1.0) * principal_power(1.0 - as_disk(z).conjugate() * as_disk(w), -2.0 * B)
 
 
-def _angular_coefficients(F: BergmanFunction, r: np.ndarray, n_theta: int, n_k: int) -> np.ndarray:
-    """a[i, k] = mean_m exp(-i k theta_m) F(r_i exp(i theta_m)), k < n_k, from one FFT of F per radius.
+def _angular_coefficients(values: np.ndarray, n_k: int) -> np.ndarray:
+    """a[i, k] = mean_m exp(-i k theta_m) values[i, m], k < n_k, from one FFT per row.
 
-    With theta_m = 2 pi (m + 1/2) / n_theta, a[i, k] is FFT bin k mod n_theta times exp(-i pi k / n_theta)
-    / n_theta, for k past n_theta too.  On the polar rule with radial weights W_i,
-    (1/pi) int conj(z)^k F(z) (1-|z|^2)^(2B-2) dA is then sum_i W_i r_i^k a[i, k].
+    values[i, m] = F(r_i exp(i theta_m)) samples F on the polar rule's ring i, at the n_theta nodes
+    theta_m = 2 pi (m + 1/2) / n_theta of ``angular_grid``; a[i, k] is FFT bin k mod n_theta times
+    exp(-i pi k / n_theta) / n_theta, for k past n_theta too, and only those bins are read.  On the
+    polar rule with radial weights W_i, (1/pi) int conj(z)^k F(z) (1-|z|^2)^(2B-2) dA is then
+    sum_i W_i r_i^k a[i, k].
     """
-    k = np.arange(n_k)
-    spectrum = np.fft.fft(F.values(r[:, None] * np.exp(1j * angular_grid(n_theta).nodes)), axis=1)
-    return spectrum[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
+    n_theta, k = values.shape[1], np.arange(n_k)
+    return np.fft.fft(values, axis=1)[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
 
 
 def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
@@ -260,8 +273,8 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2.  The
     operator sends z^j to I_s(j+1, 2B-1) z^j, so a coefficient function
     F = sum_j f_j basis_j at strength F.B returns sum_j I_s(j+1, 2B-1) f_j
-    basis_j(w), from one eigenvalue table and Horner's rule: no quadrature
-    and no AccuracyError.  An evaluator is integrated on the polar rule DISK_RULE,
+    basis_j(w), from one eigenvalue table, cached by (s, n, 2B-1), and Horner's
+    rule: no quadrature and no AccuracyError.  An evaluator is integrated on the polar rule DISK_RULE,
     the kernel series sum_k c_k (conj(z) w)^k (cut for the fine rule) summed
     angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i), where a_k(r) are F's
     angular Fourier coefficients on the midpoint rule, from one FFT per
@@ -274,7 +287,7 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     check_strength(B)
     if F.coefficients is not None:
         f = F.coefficients
-        return basis_series(reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j
+        return basis_series(_eigenvalue_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j
     n_r, n_theta = quadrature.DISK_RULE
     c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(radial_jacobi_grid(2 * n_r, B).nodes)) * abs(w))
     k = np.arange(c.size)
@@ -282,8 +295,9 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
 
     def evaluate(n: int, nt: int) -> complex:
         radial = radial_jacobi_grid(n, B)
-        r = np.sqrt(radial.nodes)
-        return complex(radial.weights @ ((r[:, None] ** k * _angular_coefficients(F, r, nt, c.size)) @ h))
+        r = np.sqrt(radial.nodes)[:, None]
+        a = _angular_coefficients(F.values(r * angular_phasors(nt)), c.size)
+        return complex(radial.weights @ ((r ** k * a) @ h))
 
     coarse, fine = evaluate(n_r, n_theta), evaluate(2 * n_r, 2 * n_theta)
     if not abs(fine - coarse) <= TRANSFER_REFINE_TOL * max(abs(fine), 1.0):  # a NaN refuses too

@@ -225,19 +225,16 @@ def landau_eigenvalue(j: int, params: ModelParams, R) -> float:
     is smooth there because its singularity sits at rho = 1, outside the
     interval.  The same rule on each half of [0, R^2] gives the refined
     value, returned unless the two differ by more than LANDAU_REFINE_TOL
-    relatively or either is not finite (AccuracyError).
+    relatively or either is not finite (AccuracyError).  The density is
+    evaluated once, on the nodes of all three rules.
     """
     R = as_radius(R)
-
-    def mass(lo: float, hi: float) -> float:
-        nodes, weights = mapped_legendre(LANDAU_NODES, lo, hi)
-        return float(weights @ landau_density(j, params, nodes))
-
-    # halves, not a rule of twice the nodes: both reuse the one cached LANDAU_NODES rule, where a doubled
-    # rule would be a second build, about 2.5x the cost, from a LANDAU_NODES-square eigenproblem
     s = R * R
+    rules = [mapped_legendre(LANDAU_NODES, lo, hi) for lo, hi in ((0.0, s), (0.0, 0.5 * s), (0.5 * s, s))]
     with np.errstate(all="ignore"):  # an overflow leaves a non-finite mass, refused below
-        coarse, fine = mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)
+        density = landau_density(j, params, np.concatenate([nodes for nodes, _ in rules])).reshape(3, -1)
+        coarse, low, high = (float(weights @ part) for (_, weights), part in zip(rules, density))
+        fine = low + high
     if not abs(fine - coarse) <= LANDAU_REFINE_TOL * abs(fine) < math.inf:  # false for NaN or inf
         raise AccuracyError(f"level-m eigenvalue did not converge: refinement moved {fine:.6e} "
                             f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")

@@ -18,9 +18,10 @@ Values derived from a rule are built once and shared, each in an LRU cache of
 RULE_CACHE_SIZE entries:
 
   * ``gauss_jacobi(n, alpha, beta)`` -- the rule on [-1, 1];
-  * ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each.
+  * ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each;
+  * ``angular_phasors(n)`` -- the angular rule's points exp(i theta_m) on the unit circle.
 
-Rule and grid arrays are read-only and integration is a dot product,
+Rule, grid and phasor arrays are read-only and integration is a dot product,
 so all of it is thread-safe; a call that raises caches nothing.
 Fixed rule sizes are module constants, DISK_RULE and RESIDUAL_*, not arguments.
 """
@@ -197,6 +198,17 @@ def angular_grid(n: int) -> QuadratureGrid:
     return QuadratureGrid(theta, weights)
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def angular_phasors(n: int) -> np.ndarray:
+    """exp(i theta_m) at the nodes theta_m of ``angular_grid(n)``: the rule's points on the unit circle.
+
+    Memoized by n; the array is read-only.
+    """
+    phasors = np.exp(1j * angular_grid(n).nodes)
+    phasors.flags.writeable = False
+    return phasors
+
+
 def disk_grid(n_r: int, n_theta: int, B: float) -> QuadratureGrid:
     """Tensor rule for int_D f(z) (1 - |z|^2)^(2B - 2) dA(z).
 
@@ -204,8 +216,7 @@ def disk_grid(n_r: int, n_theta: int, B: float) -> QuadratureGrid:
     contributes the factor 1/2 drho dtheta that is folded into the weights.
     """
     radial, angular = radial_jacobi_grid(n_r, B), angular_grid(n_theta)
-    r = np.sqrt(radial.nodes)
-    z = r[:, None] * np.exp(1j * angular.nodes)[None, :]
+    z = np.sqrt(radial.nodes)[:, None] * angular_phasors(n_theta)
     w = 0.5 * radial.weights[:, None] * angular.weights[None, :]
     return QuadratureGrid(z.ravel(), w.ravel())
 

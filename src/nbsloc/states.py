@@ -182,12 +182,16 @@ def nbs_wavefunction(z, B: float, xi):
 
     sqrt(2 / Gamma(2B)) xi^(2B - 1/2) ((1 - |z|^2)/(1 - z)^2)^B
       exp(-((1 + z)/(1 - z)) xi^2 / 2); ``xi`` may be an ndarray.
+    Past xi = 1e140 it returns 0, the underflowed value: xi is capped there, where ((1 + z)/(1 - z)) xi^2
+    stays finite, as |(1 + z)/(1 - z)| < 2e16 for |z| < 1, and its real part, at least 5e-17 xi^2, has
+    sent the exponential below the smallest float long before.
     """
     z = as_disk(z)
     xi_arr = np.asarray(xi, dtype=float)
     if not np.all((xi_arr > 0.0) & (xi_arr < math.inf)):
         raise DomainError("negative binomial states are evaluated at 0 < xi < inf")
     check_strength(B)
+    xi_arr = np.minimum(xi_arr, 1e140)
     base = (1.0 - abs(z) ** 2) / (1.0 - z) ** 2
     # one exponent, because Gamma(2B), xi^(2B - 1/2) and base^B overflow on their own; arg base =
     # -2 arg(1 - z) lies in (-pi, pi), so B log(base) is the principal power's logarithm

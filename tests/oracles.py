@@ -272,3 +272,38 @@ def hypergeometric_partial_sum_exact(a: float, b: float, c: float, z: float, ter
         term = term * ((an + k * ad) * (bn + k * bd) * cd * zn) // (ad * bd * (cn + k * cd) * (k + 1) * zd)
         total += term
     return float(Fraction(total, one))
+
+
+def project_all_bins(F, j_max: int, bergman, quadrature):
+    """``F.project(j_max)``'s coefficients with every FFT bin phase-shifted and F's norm from the bins.
+
+    The same radial rule, refinement walk and tolerance as ``project``, with the angles' phasors
+    rebuilt per rule and all n_theta bins kept; None where no two rules agree.
+    """
+    radial, last = quadrature.radial_jacobi_grid(max(2, j_max // 2 + 1), F.B), None
+    r, j = np.sqrt(radial.nodes), np.arange(j_max + 1)
+    norms = np.exp(0.5 * (math.log(2.0 * F.B - 1.0) + bergman.log_nb_weights(j_max + 1, 2.0 * F.B)))
+    for n_theta in (quadrature.DISK_RULE[1] << i for i in range(bergman.PROJECT_RULES)):
+        k = np.arange(max(n_theta, j_max + 1))
+        theta = 2.0 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
+        spectrum = np.fft.fft(F.values(r[:, None] * np.exp(1j * theta)), axis=1)
+        a = spectrum[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
+        coeffs = norms * (radial.weights @ (r[:, None] ** j * a[:, :j_max + 1]))
+        norm = math.sqrt(radial.weights @ np.sum(np.abs(a[:, :n_theta]) ** 2, axis=1))
+        if last is not None and np.max(np.abs(coeffs - last), initial=0.0) <= bergman.PROJECT_REFINE_TOL * norm:
+            return coeffs
+        last = coeffs
+    return None
+
+
+def landau_eigenvalue_three_pass(j: int, params, R: float, locop, quadrature):
+    """``landau_eigenvalue`` with the level density evaluated apart on the rule and on each half.
+
+    Returns (coarse, fine) masses, without the refinement test.
+    """
+    def mass(lo: float, hi: float) -> float:
+        nodes, weights = quadrature.mapped_legendre(locop.LANDAU_NODES, lo, hi)
+        return float(weights @ locop.landau_density(j, params, nodes))
+
+    s = R * R
+    return mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)

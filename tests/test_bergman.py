@@ -142,6 +142,30 @@ class TestBergmanFunction:
         want[0] = (2.0 - 1.0j) / math.sqrt(2.0 * B - 1.0)  # constant = c_0 e_0 with e_0 = sqrt(2B-1)
         assert np.allclose(F.project(3).coefficients, want, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("B, w0, j_max", [
+        (1.5, 0.5 + 0.2j, 10),
+        (4.5, 0.88j, 10),  # settles on the third rule
+        (0.75, -0.3 + 0.0j, 3),
+        (20.0, -0.9666267387823954 + 0.08082541599590305j, 10),
+        (1.25, 0.4 - 0.1j, 140),  # more coefficients than the first rule's 128 angles: aliased bins
+        (1.5, 0.9999 + 0.0j, 100),  # refused
+    ])
+    def test_projection_is_the_all_bins_formula(self, B, w0, j_max):
+        # project reads only bins j <= j_max and F's norm from its samples; the coefficients stay bit for bit
+        F = BergmanFunction(B, evaluator=lambda z: kernel_limit(w0, z, B))
+        want = oracles.project_all_bins(F, j_max, bergman, quadrature)
+        if want is None:
+            with pytest.raises(AccuracyError):
+                F.project(j_max)
+        else:
+            assert np.array_equal(F.project(j_max).coefficients, want)
+
+    def test_angular_phasors_are_the_rule_on_the_unit_circle(self):
+        for n in (7, 128, 4096):
+            phasors = quadrature.angular_phasors(n)
+            assert phasors is quadrature.angular_phasors(n) and not phasors.flags.writeable
+            assert np.array_equal(phasors, np.exp(1j * quadrature.angular_grid(n).nodes))
+
     def test_angular_coefficients_match_direct_sum(self):
         # odd n_theta, and bins past n_theta read aliased, sign-flipped FFT entries
         from nbsloc.bergman import _angular_coefficients
@@ -149,8 +173,8 @@ class TestBergmanFunction:
         B, n_r, n_theta, n_k = 1.5, 5, 7, 30
         F = BergmanFunction(B, evaluator=lambda z: 1.0 / (1.3 - z) + z.conjugate() ** 2)
         r = np.sqrt(radial_jacobi_grid(n_r, B).nodes)
-        a = _angular_coefficients(F, r, n_theta, n_k)
         theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        a = _angular_coefficients(F.values(r[:, None] * np.exp(1j * theta)), n_k)
         for i in range(n_r):
             values = F.values(r[i] * np.exp(1j * theta))
             for k in range(n_k):
@@ -353,6 +377,21 @@ class TestTransferredApply:
         monkeypatch.setattr(quadrature, "DISK_RULE", (2, 3))
         with pytest.raises(AccuracyError):
             transferred_apply(BergmanFunction(B, evaluator=lambda z: bergman_basis(4, B, z)), 0.5 + 0.3j, B, R)
+
+    def test_coefficient_apply_is_the_uncached_table_expression(self):
+        # bit for bit basis_series(reg_inc_beta_table(R^2, n, 2B - 1) * f, B, w), whatever was cached before
+        rng = np.random.default_rng(22)
+        calls = [(B, R, n) for B in (0.51, 1.5, 20.0) for R in (0.3, 0.81) for n in (1, 4, 12, 17)]
+        calls += [(1.5, 0.3, n) for n in range(1, 40)]  # more keys than the cache keeps
+        cases = [(B, R, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                  complex(*rng.uniform(-0.6, 0.6, 2))) for B, R, n in calls]
+        bergman._eigenvalue_table.cache_clear()
+        for order in (cases, cases[::-1], cases[::3] + cases, cases):
+            for B, R, f, w in order:
+                want = basis_series(reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f, B, w)
+                assert transferred_apply(BergmanFunction(B, f), w, B, R) == want
+        table = bergman._eigenvalue_table(0.09, 12, 2.0)
+        assert table is bergman._eigenvalue_table(0.09, 12, 2.0) and not table.flags.writeable
 
     def test_kernel_table_built_once_per_strength_and_radius(self, monkeypatch):
         B, R, sizes = 2.5, 0.7, []

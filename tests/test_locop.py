@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nbsloc import locop
+from nbsloc import locop, quadrature
 from nbsloc.errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from nbsloc.locop import (
     RadialSymbol,
@@ -22,7 +22,7 @@ from nbsloc.locop import (
     radial_eigenvalue,
     spectral_apply,
 )
-from nbsloc.quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
+from nbsloc.quadrature import disk_grid, gauss_jacobi, mapped_legendre, radial_jacobi_grid
 from nbsloc.specfun import jacobi, reg_inc_beta
 from nbsloc.states import LocalizationRadius, ModelParams, photon_weight
 
@@ -311,6 +311,24 @@ class TestLandauEigenvalue:
             warnings.simplefilter("error")
             with pytest.raises(AccuracyError, match="nan"):
                 landau_eigenvalue(1500, ModelParams(2000.5, 1500), 0.9)
+
+    @pytest.mark.parametrize("B, m", [(0.6, 0), (1.5, 0), (2.5, 1), (4.5, 3), (10.5, 4)])
+    def test_one_density_pass_matches_three(self, B, m):
+        # the density is evaluated once on the 3 x LANDAU_NODES nodes, not once per rule
+        params = ModelParams(B, m)
+        for R in (0.3, 0.7, 0.95):
+            for j in (0, 1, 5, 10, 40):
+                coarse, fine = oracles.landau_eigenvalue_three_pass(j, params, R, locop, quadrature)
+                assert abs(coarse - fine) <= locop.LANDAU_REFINE_TOL * abs(fine)
+                assert abs(landau_eigenvalue(j, params, R) - fine) <= 1e-15 * abs(fine)
+
+    def test_table_loop_builds_no_rule_after_its_first_call(self):
+        params, R = ModelParams(4.5, 2), LocalizationRadius(0.6)
+        landau_eigenvalue(0, params, R)
+        before = gauss_jacobi.cache_info().misses
+        values = [landau_eigenvalue(j, params, R) for j in range(11)]
+        assert gauss_jacobi.cache_info().misses == before
+        assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_refined_value_relative_accuracy(self):
         for B in (0.6, 0.75, 1.5, 4.5, 10.5):

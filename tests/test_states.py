@@ -254,6 +254,14 @@ class TestNbsWavefunction:
         with pytest.raises(DomainError):
             nbs_expansion(0.3, 1.2, math.inf, 5)
 
+    @pytest.mark.parametrize("z", [0.3, 1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53, 0.6 - 0.79j])
+    @pytest.mark.parametrize("xi", [1e141, 1e155, 1e200, sys.float_info.max])
+    def test_point_whose_square_overflows_gives_zero(self, z, xi):
+        # ((1 + z)/(1 - z)) xi^2 overflowed with a RuntimeWarning; exp of its real part underflows
+        assert nbs_wavefunction(z, 1.2, xi) == 0.0
+        got = nbs_wavefunction(z, 1.2, np.array([0.5, xi]))
+        assert got[0] == nbs_wavefunction(z, 1.2, 0.5) and got[1] == 0.0
+
 
 class TestBergmanBasis:
     def test_constant_element(self):
