@@ -160,12 +160,6 @@ class TestBergmanFunction:
         else:
             assert np.array_equal(F.project(j_max).coefficients, want)
 
-    def test_angular_phasors_are_the_rule_on_the_unit_circle(self):
-        for n in (7, 128, 4096):
-            phasors = quadrature.angular_phasors(n)
-            assert phasors is quadrature.angular_phasors(n) and not phasors.flags.writeable
-            assert np.array_equal(phasors, np.exp(1j * quadrature.angular_grid(n).nodes))
-
     def test_angular_coefficients_match_direct_sum(self):
         # odd n_theta, and bins past n_theta read aliased, sign-flipped FFT entries
         from nbsloc.bergman import _angular_coefficients
