@@ -3,29 +3,26 @@
 The coherent-state transform sends the j-th Laguerre function to the j-th
 orthonormal monomial of the weighted Bergman space, so conjugating the
 localization operator by it yields an integral operator whose kernel has
-three equivalent descriptions implemented here: the eigenvalue series,
-which applies the operator, and two independent checks of it, a closed
-form through the first Appell double series and the s -> 1 limit, the
-reproducing kernel of the space itself.  The operator is diagonal in the
-monomials, z^j -> I_s(j+1, 2B-1) z^j, so on a coefficient function it is
-one eigenvalue table; an evaluator is integrated against the kernel series
-on the polar rule, summed angle first over F's angular Fourier
-coefficients, which one FFT per radius of the sampled F gives.
+three equivalent descriptions implemented here: the eigenvalue series and
+two independent checks of it, a closed form through the first Appell double
+series and the s -> 1 limit, the reproducing kernel of the space itself.
+The operator is diagonal in the monomials, z^j -> I_s(j+1, 2B-1) z^j, so
+``transferred_apply`` applies it to a coefficient function through one
+eigenvalue table and refuses a function held only as an evaluator, which
+``BergmanFunction.project`` turns into coefficients.
 
 Accuracy and rule sizes are a fixed contract, not arguments: the kernel
 series is cut where its tail falls below specfun's SERIES_REL_TOL;
-``transferred_apply`` on an evaluator starts from quadrature's DISK_RULE and
-``BergmanFunction.project`` from its angles, on the fewest radii exact for
-the coefficients it returns; both compare each value with a refined rule
-and raise AccuracyError past TRANSFER_REFINE_TOL and PROJECT_REFINE_TOL.
+``BergmanFunction.project`` starts from quadrature's DISK_RULE angles, on the
+fewest radii exact for the coefficients it returns, compares them with a
+refined rule and raises AccuracyError past PROJECT_REFINE_TOL.
 
 Everything that does not depend on the point or the function is built once,
-as read-only arrays in bounded LRU caches: here the kernel coefficient table
-with the cut's x-independent arrays, by (B, s, n), and the eigenvalue table
-I_s(j+1, 2B-1), j < n, of a coefficient apply, by (s, n, 2B-1), 16 tables
-each; from quadrature the grids, by (n, B) and n, and the angular rule's
-phasors, by n, RULE_CACHE_SIZE each; from states the basis norms, by (n, B),
-NORMS_CACHE_SIZE.
+as read-only arrays in bounded LRU caches: here the kernel coefficient table,
+by (B, s, n), and the eigenvalue table I_s(j+1, 2B-1), j < n, of a coefficient
+apply, by (s, n, 2B-1), 16 tables each; from quadrature the grids, by (n, B)
+and n, and the angular rule's phasors, by n, RULE_CACHE_SIZE each; from states
+the basis norms, by (n, B), NORMS_CACHE_SIZE.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
@@ -62,7 +59,6 @@ __all__ = [
 
 PROJECT_REFINE_TOL = 1e-10  # agreement of project's last two angular rules, relative to |F|
 PROJECT_RULES = 6  # project's angular rules: DISK_RULE's angle count doubled up to 5 times, 128 to 4096
-TRANSFER_REFINE_TOL = 1e-8  # agreement of transferred_apply's two rules, relative to max(|value|, 1)
 
 
 @dataclass
@@ -161,18 +157,16 @@ def _eigenvalue_table(s: float, n: int, b: float) -> np.ndarray:
     return table
 
 
-# A session walks about four sizes per (B, s), n = 64 to 512.  Worst case 16 x 4 MB, at n = SERIES_MAX_TERMS.
+# Each kernel_series call walks n = 64, 128, ... at its (B, s), about four sizes up to 512.
+# Worst case 16 x 1.6 MB, at n = SERIES_MAX_TERMS.
 @functools.lru_cache(maxsize=16)
-def _kernel_table(B: float, s: float, n: int) -> tuple[np.ndarray, ...]:
-    """g_k = (2B-1) Gamma(2B+k) / (k! Gamma(2B)) for k <= n, g_k I_s(k+1, 2B-1) for k < n, and the cut's
-    x-independent arrays: k for k <= n, then 2B + k and k + 1 for 1 <= k <= n.
+def _kernel_table(B: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """g_k = (2B-1) Gamma(2B+k) / (k! Gamma(2B)) for k <= n, and g_k I_s(k+1, 2B-1) for k < n.
 
     The kernel coefficients before their cut, built once per (B, s, n); read-only arrays.
     """
-    two_b = 2.0 * B
-    k = np.arange(n + 1.0)
-    g = np.exp(math.log(two_b - 1.0) + log_nb_weights(n + 1, two_b))
-    table = (g, reg_inc_beta_table(s, n, two_b - 1.0) * g[:-1], k, two_b + k[1:], k[1:] + 1.0)
+    g = np.exp(math.log(2.0 * B - 1.0) + log_nb_weights(n + 1, 2.0 * B))
+    table = (g, reg_inc_beta_table(s, n, 2.0 * B - 1.0) * g[:-1])
     for array in table:
         array.flags.writeable = False
     return table
@@ -198,10 +192,11 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     n = 64
     while True:
         n = min(n, specfun.SERIES_MAX_TERMS)
-        g, coeffs, k, two_b_k, k_1 = _kernel_table(B, s, n)
+        g, coeffs = _kernel_table(B, s, n)
+        k = np.arange(n + 1.0)
         powers = x_max ** k
         envelope = np.cumsum(coeffs * powers[:-1])
-        ratio = x_max * two_b_k / k_1
+        ratio = x_max * (2.0 * B + k[1:]) / (k[1:] + 1.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tail = g[1:] * powers[1:] / (1.0 - ratio)
         cut = np.maximum(specfun.SERIES_REL_TOL * envelope, specfun.SERIES_ABS_TOL)
@@ -222,7 +217,7 @@ def kernel_series(z, w, B: float, s: float):
     table cut for the largest |conj(z) w|.
     """
     x = np.conjugate(as_disk(z)) * as_disk(w)
-    coeffs = kernel_series_coefficients(B, s, float(np.max(np.abs(x))))
+    coeffs = kernel_series_coefficients(B, s, float(np.max(np.abs(x), initial=0.0)))
     return horner(coeffs, x)
 
 
@@ -274,33 +269,11 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     operator sends z^j to I_s(j+1, 2B-1) z^j, so a coefficient function
     F = sum_j f_j basis_j at strength F.B returns sum_j I_s(j+1, 2B-1) f_j
     basis_j(w), from one eigenvalue table, cached by (s, n, 2B-1), and Horner's
-    rule: no quadrature and no AccuracyError.  An evaluator is integrated on the polar rule DISK_RULE,
-    the kernel series sum_k c_k (conj(z) w)^k (cut for the fine rule) summed
-    angle first: sum_i W_i sum_k c_k r_i^k w^k a_k(r_i), where a_k(r) are F's
-    angular Fourier coefficients on the midpoint rule, from one FFT per
-    radius of the sampled F.  That value is recomputed on the rule with
-    twice the radii and angles; if the two differ by more than
-    TRANSFER_REFINE_TOL times max(|fine|, 1), or either is NaN,
-    AccuracyError is raised, otherwise the refined value is returned.
+    rule: no quadrature and no AccuracyError.  A function held only as an
+    evaluator raises UnsupportedRepresentationError; ``F.project(j_max)`` gives
+    its coefficients.
     """
     w, R = as_disk(w), as_radius(R)
     check_strength(B)
-    if F.coefficients is not None:
-        f = F.coefficients
-        return basis_series(_eigenvalue_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j
-    n_r, n_theta = quadrature.DISK_RULE
-    c = kernel_series_coefficients(B, R * R, math.sqrt(np.max(radial_jacobi_grid(2 * n_r, B).nodes)) * abs(w))
-    k = np.arange(c.size)
-    h = c * w ** k
-
-    def evaluate(n: int, nt: int) -> complex:
-        radial = radial_jacobi_grid(n, B)
-        r = np.sqrt(radial.nodes)[:, None]
-        a = _angular_coefficients(F.values(r * angular_phasors(nt)), c.size)
-        return complex(radial.weights @ ((r ** k * a) @ h))
-
-    coarse, fine = evaluate(n_r, n_theta), evaluate(2 * n_r, 2 * n_theta)
-    if not abs(fine - coarse) <= TRANSFER_REFINE_TOL * max(abs(fine), 1.0):  # a NaN refuses too
-        raise AccuracyError(f"disk quadrature did not converge: refinement moved the value by "
-                            f"{abs(fine - coarse):.3e} (tol {TRANSFER_REFINE_TOL:.1e})")
-    return fine
+    f = F.coefficients_or_raise()
+    return basis_series(_eigenvalue_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j

@@ -252,6 +252,7 @@ def mc_eigenvalue(j: int, params: ModelParams, R, n_samples: int, seed: int) -> 
         raise UnsupportedLevelError(
             f"sampling route exists only for m = 0, got m={params.m}; use landau_eigenvalue"
         )
+    n_samples = check_index("n_samples", n_samples)
     if n_samples < 100:
         raise DomainError(f"needs n_samples >= 100, got {n_samples}")
     R = as_radius(R)

@@ -157,7 +157,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
     if x == 0.0:
         return 0.0
@@ -440,6 +440,7 @@ def sample_beta(a: float, b: float, n: int, seed: int) -> np.ndarray:
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"sample_beta requires positive shapes, got a={a}, b={b}")
+    n = check_index("n", n)
     if n < 1:
         raise DomainError(f"sample_beta requires n >= 1, got {n}")
     return np.random.Generator(np.random.PCG64(seed)).beta(a, b, n)

@@ -167,13 +167,6 @@ def leakage_bound_bruteforce(p: float, B: float, R: float, reg_inc_beta, terms: 
     return math.sqrt(total)
 
 
-def dense_disk_apply(F, w: complex, B: float, s: float, n_r: int, n_theta: int,
-                     kernel_series, disk_grid) -> complex:
-    """Transferred operator on the n_r x n_theta disk rule, one dense kernel series per node."""
-    grid = disk_grid(n_r, n_theta, B)
-    return complex(grid.weights @ (kernel_series(grid.nodes, w, B, s) * F(grid.nodes)) / math.pi)
-
-
 def kernel_series_coefficients_unmemoized(B: float, s: float, x_max: float, specfun):
     """The kernel series' coefficient cut with every array rebuilt per call, from ``specfun``'s tables.
 

@@ -255,6 +255,13 @@ class TestKernelSeries:
         with pytest.raises(DomainError):
             kernel_series(0.3, 0.2, math.inf, 0.5)
 
+    def test_empty_array_gives_empty_result(self):
+        # as kernel_limit does: no points, no largest |conj(z) w| to cut the series at
+        z = np.array([], dtype=complex)
+        for args in ((z, 0.3), (0.3, z)):
+            got = kernel_series(*args, 1.5, 0.5)
+            assert got.shape == (0,) and got.dtype == complex
+
 
 class TestKernelClosed:
     def test_center_unit_strength(self):
@@ -361,16 +368,12 @@ class TestTransferredApply:
             transferred_apply(BergmanFunction(1.5, [1.0]), 0.3, math.inf, 0.6)
 
     def test_non_finite_values_refused(self):
+        # an evaluator is never sampled by the apply, so its NaNs near the rim cannot reach a value
         F = BergmanFunction(1.5, evaluator=lambda z: np.where(abs(z) > 0.99, np.nan, 1.0))
-        with pytest.raises(AccuracyError):
+        with pytest.raises(UnsupportedRepresentationError):
             transferred_apply(F, 0.3, 1.5, 0.6)
-
-    def test_insufficient_grid_detected(self, monkeypatch):
-        B, R = 1.5, 0.6
-        monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", 1e-14)
-        monkeypatch.setattr(quadrature, "DISK_RULE", (2, 3))
         with pytest.raises(AccuracyError):
-            transferred_apply(BergmanFunction(B, evaluator=lambda z: bergman_basis(4, B, z)), 0.5 + 0.3j, B, R)
+            BergmanFunction(1.5, evaluator=lambda z: np.nan).project(4)
 
     def test_coefficient_apply_is_the_uncached_table_expression(self):
         # bit for bit basis_series(reg_inc_beta_table(R^2, n, 2B - 1) * f, B, w), whatever was cached before
@@ -396,18 +399,18 @@ class TestTransferredApply:
 
         bergman._kernel_table.cache_clear()
         monkeypatch.setattr(bergman, "reg_inc_beta_table", counted)
-        F = BergmanFunction(B, evaluator=lambda z: basis_series([0.5, 1.0 - 1.0j, 0.25j], B, z))
-        first = transferred_apply(F, 0.6 + 0.2j, B, R)
+        z = 0.95 * np.exp(2j * np.pi * np.arange(8) / 8)
+        first = kernel_series(z, 0.6 + 0.2j, B, R * R)
         built = list(sizes)
-        second = transferred_apply(F, -0.2 - 0.6j, B, R)  # the same |w|, so the same cut
+        second = kernel_series(z, -0.2 - 0.6j, B, R * R)  # the same |w|, so the same cut
         assert len(built) >= 2 and sizes == built
-        assert first != second
+        assert not np.array_equal(first, second)
 
     def test_kernel_tables_are_read_only_and_rebuilt_bit_for_bit(self):
         B, R, w = 1.5, 0.8, 0.45 - 0.5j
         F = BergmanFunction(B, [0.5, 1.0 - 1.0j, 0.25j])
         coeffs, value = kernel_series_coefficients(B, R * R, 0.9), transferred_apply(F, w, B, R)
-        g, table, *_ = bergman._kernel_table(B, R * R, 64)
+        g, table = bergman._kernel_table(B, R * R, 64)
         for array in (g, table, coeffs):
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -419,36 +422,16 @@ class TestTransferredApply:
         assert np.array_equal(g, weights)
         assert np.array_equal(table, reg_inc_beta_table(R * R, 64, 2.0 * B - 1.0) * weights[:-1])
 
-    @pytest.mark.parametrize("B", [0.75, 1.5, 4.5, 10.0])
-    @pytest.mark.parametrize("w, n_r, n_theta", [
-        (0.3 + 0.2j, 64, 128),
-        (0.9 * np.exp(2.1j), 64, 128),
-        (-0.6 + 0.62j, 12, 7),  # odd n_theta; the kernel series is longer than both rules
-    ])
-    def test_matches_dense_disk_rule_sum(self, B, w, n_r, n_theta, monkeypatch):
-        # The value is the fine rule's, whatever the refinement check decides
-        # (an infinite TRANSFER_REFINE_TOL), so the rule itself is compared.
-        monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", math.inf)
-        monkeypatch.setattr(quadrature, "DISK_RULE", (n_r, n_theta))
-        rng = np.random.default_rng(64)
-        c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        F = BergmanFunction(B, evaluator=lambda z: basis_series(c, B, z))
-        R = 0.7
-        got = transferred_apply(F, w, B, R)
-        want = oracles.dense_disk_apply(F, w, B, R * R, 2 * n_r, 2 * n_theta, kernel_series, disk_grid)
-        assert abs(got - want) <= 1e-13 * abs(want)
-
     @pytest.mark.parametrize("B", [0.51, 0.75, 1.5, 4.5, 10.0])
     @pytest.mark.parametrize("w, n_r, n_theta, d", [
         (0.3 + 0.2j, 64, 128, 8),
         (0.9 * np.exp(2.1j), 64, 128, 12),
-        # 20 coefficients on 14 fine angles alias, and the kernel series is longer than both rules
+        # 20 coefficients on 7 and 14 angles alias, so project refines past them
         (-0.6 + 0.62j, 12, 7, 20),
     ])
     def test_coefficient_route_matches_evaluator_route(self, B, w, n_r, n_theta, d, monkeypatch):
         # Coefficients take the eigenvalue table, whatever the rule; the same F as an evaluator is
-        # sampled and integrated on it.  Where the rule resolves F the two agree, and where it
-        # aliases the evaluator route refuses rather than return the aliased sum.
+        # projected, starting from the rule's angles, and the projection's apply agrees.
         monkeypatch.setattr(quadrature, "DISK_RULE", (n_r, n_theta))
         rng = np.random.default_rng(65)
         c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -457,11 +440,7 @@ class TestTransferredApply:
         exact = sum(c[j] * disk_eigenvalue(j, B, R) * bergman_basis(j, B, w) for j in range(d))
         assert abs(got - exact) <= 1e-13 * abs(exact)
         sampled = BergmanFunction(B, evaluator=lambda z: basis_series(c, B, z))
-        if n_theta > d:
-            assert abs(transferred_apply(sampled, w, B, R) - got) <= 1e-13 * abs(got)
-        else:
-            with pytest.raises(AccuracyError):
-                transferred_apply(sampled, w, B, R)
+        assert abs(transferred_apply(sampled.project(d - 1), w, B, R) - got) <= 1e-13 * abs(got)
 
     @pytest.mark.parametrize("B", [0.51, 1.5, 4.5, 20.0])
     @pytest.mark.parametrize("s", [0.09, 0.49, 0.81])
@@ -478,12 +457,13 @@ class TestTransferredApply:
                 assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("j", [0, 3])
-    def test_large_strength_refusals(self, j):
-        # At B = 20, w = -0.85+0.1j the coarse and fine rules disagree (by 1.1e-2 on e_0, 2.2e-1
-        # on e_3), so the evaluator route refuses
-        B = 20.0
-        with pytest.raises(AccuracyError):
-            transferred_apply(BergmanFunction(B, evaluator=lambda z: bergman_basis(j, B, z)), -0.85 + 0.1j, B, 0.8)
+    def test_large_strength_projected_evaluator(self, j):
+        # near the rim at large strength, e_j's projection applies as e_j does
+        B, R, w, c = 20.0, 0.8, -0.85 + 0.1j, np.zeros(j + 1)
+        c[j] = 1.0
+        want = transferred_apply(BergmanFunction(B, c), w, B, R)
+        F = BergmanFunction(B, evaluator=lambda z: bergman_basis(j, B, z))
+        assert abs(transferred_apply(F.project(j), w, B, R) - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("j", [0, 3])
     def test_large_strength_coefficient_apply_is_the_eigen_action(self, j):
@@ -589,12 +569,9 @@ class TestAccuracyConstantsHaveOneHome:
         with pytest.raises(ConvergenceError):
             locop.leakage_bound(0.99, B, 0.9)
 
-    def test_disk_rule_reaches_transfer_and_matrix_elements(self, monkeypatch):
+    def test_disk_rule_reaches_matrix_elements(self, monkeypatch):
         # a 2-radius rule is exact only up to degree 3 in |z|^2, so |z|^10 is off on it
-        B, F = 1.5, BergmanFunction(1.5, evaluator=lambda z: bergman_basis(4, 1.5, z))
-        want = transferred_apply(F, 0.5 + 0.3j, B, 0.6)
+        B = 1.5
         assert abs(locop.quantization_matrix_element(lambda z: 1.0, 5, 5, B) - 1.0) <= 1e-12
-        monkeypatch.setattr(bergman, "TRANSFER_REFINE_TOL", math.inf)
         monkeypatch.setattr(quadrature, "DISK_RULE", (2, 3))
-        assert abs(transferred_apply(F, 0.5 + 0.3j, B, 0.6) - want) > 1e-6 * abs(want)
         assert abs(locop.quantization_matrix_element(lambda z: 1.0, 5, 5, B) - 1.0) > 1e-6

@@ -79,6 +79,8 @@ class TestRegIncBeta:
             reg_inc_beta(-0.1, 1.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_beta(1.1, 1.0, 1.0)
+        with pytest.raises(DomainError):  # at once, not after INC_BETA_MAX_ITER steps
+            reg_inc_beta(math.nan, 1.0, 2.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ from nbsloc.errors import DomainError
 from nbsloc.locop import (RadialSymbol, SpectralData, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
                           landau_density, landau_eigenvalue, mc_eigenvalue, quantization_matrix_element,
                           radial_eigenvalue)
-from nbsloc.specfun import jacobi, laguerre
+from nbsloc.specfun import jacobi, laguerre, sample_beta
 from nbsloc.quadrature import half_line_grid, suggested_cutoff
 from nbsloc.states import (
     DiskPoint,
@@ -39,7 +39,7 @@ from nbsloc.states import (
 
 disk_points = st.complex_numbers(max_magnitude=0.85, allow_nan=False, allow_infinity=False)
 
-# every entry point that takes an index, called with that index
+# every entry point that takes an index or a sample size, called with it
 INDEX_CALLS = {
     "laguerre": lambda j: laguerre(j, 0.5, 1.0),
     "jacobi": lambda j: jacobi(j, 0.5, 0.5, 0.3),
@@ -56,6 +56,8 @@ INDEX_CALLS = {
     "landau_density": lambda j: landau_density(j, ModelParams(2.5, 1), 0.3),
     "landau_eigenvalue": lambda j: landau_eigenvalue(j, ModelParams(2.5, 1), 0.6),
     "mc_eigenvalue": lambda j: mc_eigenvalue(j, ModelParams(1.5), 0.6, 1000, 1),
+    "mc_eigenvalue_n_samples": lambda n: mc_eigenvalue(0, ModelParams(1.5), 0.6, 147 + n, 1),
+    "sample_beta": lambda n: sample_beta(1.0, 2.0, 997 + n, 1),
     "values": lambda j: SpectralData(1.5, 0.6).values(j),
     "table": lambda j: SpectralData(1.5, 0.6).table(j),
     "quantization_matrix_element_j": lambda j: quantization_matrix_element(lambda z: 1.0, j, 0, 1.5),
