@@ -167,6 +167,22 @@ def leakage_bound_bruteforce(p: float, B: float, R: float, reg_inc_beta, terms: 
     return math.sqrt(total)
 
 
+def dense_disk_apply(F, w: complex, B: float, R: float, n_r: int = 64, n_theta: int = 160) -> complex:
+    """Transferred operator as the reproducing kernel's integral over |z| < R, on a dense polar rule.
+
+    ((2B-1)/pi) int_{|z|<R} (1 - w conj(z))^(-2B) F(z) (1 - |z|^2)^(2B-2) dA(z), with n_r Gauss-Legendre
+    nodes in t = |z|^2 on [0, R^2] and n_theta midpoint angles: no incomplete Beta function and no
+    kernel series.
+    """
+    x, wx = np.polynomial.legendre.leggauss(n_r)
+    s = R * R
+    t, wt = 0.5 * s * (x + 1.0), 0.5 * s * wx
+    z = np.sqrt(t)[:, None] * np.exp(2j * np.pi * (np.arange(n_theta) + 0.5) / n_theta)
+    kernel = (2.0 * B - 1.0) * (1.0 - w * np.conjugate(z)) ** (-2.0 * B)
+    weights = (wt * (1.0 - t) ** (2.0 * B - 2.0))[:, None] / n_theta  # dA / pi = dt dtheta / (2 pi), 2 pi / n_theta per angle
+    return complex(np.sum(weights * kernel * F(z)))
+
+
 def kernel_series_coefficients_unmemoized(B: float, s: float, x_max: float, specfun):
     """The kernel series' coefficient cut with every array rebuilt per call, from ``specfun``'s tables.
 

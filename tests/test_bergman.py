@@ -422,6 +422,23 @@ class TestTransferredApply:
         assert np.array_equal(g, weights)
         assert np.array_equal(table, reg_inc_beta_table(R * R, 64, 2.0 * B - 1.0) * weights[:-1])
 
+    @pytest.mark.parametrize("B", [0.75, 1.5, 4.5, 10.0])
+    @pytest.mark.parametrize("w, n_r, n_theta", [
+        (0.3 + 0.2j, 64, 128),
+        (0.9 * np.exp(2.1j), 64, 128),
+        (-0.6 + 0.62j, 12, 7),  # odd n_theta, and 7 angles alias the kernel's modes past 7 at |w| R = 0.6
+    ])
+    def test_matches_dense_disk_rule_sum(self, B, w, n_r, n_theta, monkeypatch):
+        # The operator's definition, the reproducing kernel integrated against F over |z| < R, summed
+        # on a dense rule; the coefficient apply reads no disk rule, so DISK_RULE cannot move it.
+        monkeypatch.setattr(quadrature, "DISK_RULE", (n_r, n_theta))
+        rng = np.random.default_rng(64)
+        F = BergmanFunction(B, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        R = 0.7
+        got = transferred_apply(F, w, B, R)
+        want = oracles.dense_disk_apply(F, w, B, R)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
     @pytest.mark.parametrize("B", [0.51, 0.75, 1.5, 4.5, 10.0])
     @pytest.mark.parametrize("w, n_r, n_theta, d", [
         (0.3 + 0.2j, 64, 128, 8),
