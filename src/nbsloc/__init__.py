@@ -32,7 +32,6 @@ from .quadrature import (
     half_line_grid,
     hamiltonian_residual,
     radial_jacobi_grid,
-    suggested_cutoff,
 )
 from .states import (
     DiskPoint,

@@ -111,7 +111,7 @@ class BergmanFunction:
         F, r^j a_j(r) has degree j in rho = r^2, so max(2, j_max // 2 + 1) Gauss-Jacobi radii, the fewest
         exact for every j <= j_max, suffice; n_theta doubles from DISK_RULE's angles through
         PROJECT_RULES rules until two coefficient vectors agree to PROJECT_REFINE_TOL times F's norm
-        on the rule; else, as for a pole just outside, AccuracyError.
+        on the rule; else, as for a pole just outside, AccuracyError, at once where that norm is not finite.
         """
         j_max = check_index("j_max", j_max)
         radial, last = radial_jacobi_grid(max(2, j_max // 2 + 1), self.B), None
@@ -121,6 +121,8 @@ class BergmanFunction:
             values = self.values(r * angular_phasors(n_theta))
             coeffs = norms * (radial.weights @ (r_j * _angular_coefficients(values, j_max + 1)))
             norm = math.sqrt(radial.weights @ np.mean(np.abs(values) ** 2, axis=1))  # Parseval: sum_k |a_k|^2
+            if not math.isfinite(norm):
+                raise AccuracyError(f"F is not finite on the {n_theta}-angle rule: |F| {norm}")
             delta = math.inf if last is None else float(np.max(np.abs(coeffs - last), initial=0.0))
             if delta <= PROJECT_REFINE_TOL * norm:
                 return BergmanFunction(self.B, coefficients=coeffs, evaluator=self.evaluator)

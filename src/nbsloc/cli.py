@@ -52,7 +52,7 @@ _grid_arg = _checked(int, lambda v: 2 <= v <= 10_000, "an integer in 2..10000")
 # --B stays a plain float: ModelParams rejects a non-finite B with the "2B > 1" domain message.
 _B = {"type": float, "default": 1.5, "help": "strength parameter, 2B > 1"}
 _R = {"type": _finite_arg, "default": 0.6, "help": "localization radius in (0, 1)"}
-_M = {"type": int, "default": 0, "help": "level index, 0 <= m <= floor(B - 1/2)"}
+_M = {"type": int, "default": 0, "help": "level index, 0 <= m < B - 1/2"}
 _J_MAX = {"type": _count_arg, "default": 20}
 _POINT = {"type": _complex_arg, "required": True, "help": "point of the unit disk"}
 

@@ -182,7 +182,7 @@ def landau_density(j: int, params: ModelParams, rho):
     (2B-2m-1) ((m^j)! / (mvj)!) (Gamma(2B-2m+mvj)/Gamma(2B-2m+m^j))
       (1-rho)^(2B-2m-2) rho^|m-j| [P_{m^j}^(|m-j|, 2(B-m)-1)(1 - 2 rho)]^2
     with m^j = min(m, j), mvj = max(m, j), all but the squared polynomial formed
-    in logs.  Needs m < B - 1/2 strictly, otherwise the weight is not normalizable.
+    in logs; ``ModelParams`` holds m < B - 1/2, where the weight is normalizable.
     """
     (vals,) = _level_densities([check_index("j", j)], params, rho)
     return vals if isinstance(rho, np.ndarray) else float(vals)
@@ -200,10 +200,6 @@ def _level_densities(js, params: ModelParams, rho) -> list[np.ndarray]:
     table equals, bit for bit, the short table a single index would build.
     """
     B, m = params.B, params.m
-    if not 2.0 * (B - m) - 1.0 > 0.0:
-        raise DomainError(
-            f"level density degenerates at m = B - 1/2: need m < B - 1/2, got B={B}, m={m}"
-        )
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0.0) or np.any(rho_arr >= 1.0):
         raise DomainError("density defined on 0 <= rho < 1")

@@ -2,23 +2,22 @@
 
 Three families cover every integral in the package:
 
-  * ``half_line_grid``   -- Gauss-Legendre mapped to [0, cutoff] for inner
-    products of Laguerre functions (their Gaussian decay makes a truncated
-    interval certifiably accurate once the cutoff is large enough);
+  * ``half_line_grid``   -- generalized Gauss-Laguerre in u = xi^2 for half-line inner
+    products, exact for every product of two Laguerre functions of low enough degree;
   * ``radial_jacobi_grid`` -- Gauss-Jacobi on [0, 1] with the endpoint weight
     (1 - rho)^(2B - 2) absorbed into the weights, so that B in (1/2, 1) (an
     integrable singularity) needs no special casing;
   * ``disk_grid``        -- the tensor product of the radial rule with a
     uniform (spectrally accurate) angular rule for weighted disk integrals.
 
-Every Gauss rule is a ``gauss_jacobi`` rule (Legendre: alpha = beta = 0).  A symmetric weight
-(alpha = beta, every Legendre rule) takes its nodes from an eigenproblem of half the size and
-mirrors exactly; any other weight from the whole Jacobi matrix.
+Every Gauss rule has its weights from ``_christoffel``.  A symmetric Jacobi weight (alpha = beta,
+every Legendre rule) takes its nodes from an eigenproblem of half the size and mirrors exactly;
+any other weight, and the Laguerre rule, from the whole Jacobi matrix.
 Values derived from a rule are built once and shared, each in an LRU cache of
 RULE_CACHE_SIZE entries:
 
   * ``gauss_jacobi(n, alpha, beta)`` -- the rule on [-1, 1];
-  * ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each;
+  * ``half_line_grid(n, B)``, ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each;
   * ``angular_phasors(n)`` -- the angular rule's points exp(i theta_m) on the unit circle.
 
 Rule, grid and phasor arrays are read-only and integration is a dot product,
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import DomainError
 
 DISK_RULE = (64, 128)  # (radii, angles) of the polar rule every disk integral starts from
-RESIDUAL_STEP = 1e-3  # hamiltonian_residual's finite-difference step
+RESIDUAL_NODES = 64  # Chebyshev points of hamiltonian_residual's differentiation matrix
 RESIDUAL_WINDOW = (0.5, 8.0)  # hamiltonian_residual's interval, away from the x = 0 singularity
 RULE_CACHE_SIZE = 64  # entries kept by each rule and grid cache; a 600-node rule takes 10 kB
 RADIAL_MAX_B = 512.0  # past it the radial rule's Jacobi mass 2^(2B-1) / (2B-1) leaves the double range
@@ -81,17 +80,26 @@ def mapped_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarra
     return lo + half * (x + 1.0), half * w
 
 
-def suggested_cutoff(max_degree: int, B: float) -> float:
-    """Truncation point beyond which Laguerre functions up to ``max_degree`` decay below 1e-16."""
-    return math.sqrt(2.0 * (4.0 * max_degree + 8.0 * B)) + 10.0
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def half_line_grid(n: int, B: float) -> QuadratureGrid:
+    """Gauss rule for int_0^inf f(xi) dxi, exact for f = xi^(4B-1) exp(-xi^2) p(xi^2), deg p <= 2n - 1.
 
-
-def half_line_grid(n: int, cutoff: float) -> QuadratureGrid:
-    """Gauss-Legendre rule on [0, cutoff] for half-line inner products."""
-    if cutoff <= 0.0:
-        raise DomainError(f"cutoff must be positive, got {cutoff}")
-    nodes, weights = mapped_legendre(n, 0.0, cutoff)
-    return QuadratureGrid(nodes, weights)
+    In u = xi^2 that is int_0^inf u^(2B-1) exp(-u) p(u) du / 2: Gauss-Laguerre with alpha = 2B - 1 (diagonal
+    2k + alpha + 1, off-diagonal sqrt(k (k + alpha))) at xi_i = sqrt(u_i), its unit-mass weights w_i times
+    exp(u_i) u_i^(-(2B - 1/2)) Gamma(2B) / 2, in logs.  phi_j phi_k is exact from ceil((j + k + 1) / 2)
+    nodes.  DomainError where a w_i or a weight leaves the double range (from about 200 nodes at B = 1.5).
+    """
+    if not (n >= 1 and 2.0 * B > 1.0 and math.isfinite(B)):
+        raise DomainError(f"needs n >= 1 nodes and a finite B with 2B > 1, got n={n}, B={B}")
+    alpha, k = 2.0 * B - 1.0, np.arange(n)
+    diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    u, w = _christoffel(x, diag, off, 1.0, float(x[-1]))
+    with np.errstate(divide="ignore", over="ignore"):
+        weights = np.exp(np.log(w) + u - (alpha + 0.5) * np.log(u) + (math.lgamma(alpha + 1.0) - math.log(2.0)))
+    if not (np.all(np.isfinite(weights)) and np.min(w) >= np.finfo(float).tiny and np.min(weights) > 0.0):
+        raise DomainError(f"the {n}-node half-line rule at B={B} has weights past the double range")
+    return QuadratureGrid(np.sqrt(u), weights)
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
@@ -138,28 +146,29 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
         even, odd = ext[0:n - n % 2:2], ext[1:n - n % 2:2]
         cross = odd[:-1] * even[1:]
         lam = np.linalg.eigvalsh(np.diag(even * even + odd * odd) + np.diag(cross, 1) + np.diag(cross, -1))
-        half, half_w = _christoffel(np.concatenate((np.zeros(n % 2), np.sqrt(lam))), diag, off, mu0)
+        half, half_w = _christoffel(np.concatenate((np.zeros(n % 2), np.sqrt(lam))), diag, off, mu0, 1.0)
         nodes = np.concatenate((-half[::-1][:n // 2], half))
         weights = np.concatenate((half_w[::-1][:n // 2], half_w))
     else:
         x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        nodes, weights = _christoffel(x, diag, off, mu0)
+        nodes, weights = _christoffel(x, diag, off, mu0, 1.0)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _christoffel(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Newton step from the eigenvalues x, and the Christoffel weight at each stepped node."""
+def _christoffel(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mu0: float,
+                 reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step from the eigenvalues x, |x| <= reach, and the Christoffel weight at each stepped node."""
     m = x.size
     q_prev, q, dq_prev, dq = np.zeros(m), np.ones(m), np.zeros(m), np.zeros(m)
     sum_qq, sum_qdq, shift = np.zeros(m), np.zeros(m), np.zeros(m, dtype=int)
-    c_prev, bound = 0.0, 1.0  # bound >= |q_prev|, |q| on [-1, 1]
+    c_prev, bound = 0.0, 1.0  # bound >= |q_prev|, |q| for |x| <= reach
     for a, c in zip(diag.tolist(), off.tolist() + [1.0]):  # q_n is left unnormalized: only q_n / q_n' is used
         sum_qq += q * q
         sum_qdq += q * dq
         t = x - a
         q_prev, q, dq_prev, dq = q, (t * q - c_prev * q_prev) / c, dq, (q + t * dq - c_prev * dq_prev) / c
-        bound *= (1.0 + abs(a) + c_prev) / c
+        bound *= (reach + abs(a) + c_prev) / c
         c_prev = c
         if bound > 1e100:
             e = np.frexp(np.maximum(abs(q_prev), abs(q)))[1]
@@ -221,33 +230,19 @@ def disk_grid(n_r: int, n_theta: int, B: float) -> QuadratureGrid:
     return QuadratureGrid(z.ravel(), w.ravel())
 
 
-def fd_eigen_residual(values: np.ndarray, xs: np.ndarray, B: float, eigenvalue: float) -> float:
-    """Relative L2 residual of (H - eigenvalue) applied to sampled values.
-
-    H is the pseudo-harmonic oscillator
-        H = (1/4) (-d^2/dx^2 + x^2 + ((2B-1)^2 - 1/4) / x^2) + (1 - B),
-    normalized so that its Laguerre eigenfunctions carry eigenvalues j + 1.
-    The second derivative is the central difference on the uniform grid xs.
-    Identically zero input has residual zero by convention.
-    """
-    h = xs[1] - xs[0]
-    second = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
-    x_in, v_in = xs[1:-1], values[1:-1]
-    strength = (2.0 * B - 1.0) ** 2 - 0.25
-    applied = 0.25 * (-second + x_in * x_in * v_in + strength * v_in / (x_in * x_in)) + (1.0 - B) * v_in
-    target = eigenvalue * v_in
-    residual, denom = float(np.linalg.norm(applied - target)), float(np.linalg.norm(target))
-    return residual / denom if denom else residual
-
-
 def hamiltonian_residual(j: int, B: float) -> float:
-    """Finite-difference check that the j-th Laguerre function has eigenvalue j + 1.
+    """|(H - j - 1) phi_j| / |(j + 1) phi_j|, H = (1/4) (-d^2/dx^2 + x^2 + ((2B-1)^2 - 1/4) / x^2) + (1 - B).
 
-    Returns the relative L2 residual over RESIDUAL_WINDOW, sampled every
-    RESIDUAL_STEP.
+    H is the pseudo-harmonic oscillator; phi_j at the RESIDUAL_NODES Chebyshev points cos(k pi / N) mapped to
+    RESIDUAL_WINDOW, differentiated by their matrix D (Trefethen, Spectral Methods in MATLAB, ch. 6).
     """
     from .states import laguerre_function
 
-    (lo, hi), step = RESIDUAL_WINDOW, RESIDUAL_STEP
-    xs = lo + step * np.arange(round((hi - lo) / step) + 1)
-    return fd_eigen_residual(laguerre_function(j, B, xs), xs, B, float(j + 1))
+    (lo, hi), k = RESIDUAL_WINDOW, np.arange(RESIDUAL_NODES)
+    x, c = np.cos(math.pi * k / k[-1]), np.where((k == 0) | (k == k[-1]), 2.0, 1.0) * (-1.0) ** k
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(k.size))
+    d = (d - np.diag(d.sum(axis=1))) * (2.0 / (hi - lo))
+    xs = lo + 0.5 * (hi - lo) * (x + 1.0)
+    phi, lam = laguerre_function(j, B, xs), j + 1.0
+    applied = 0.25 * ((xs * xs + ((2.0 * B - 1.0) ** 2 - 0.25) / (xs * xs)) * phi - d @ (d @ phi)) + (1.0 - B) * phi
+    return float(np.linalg.norm(applied - lam * phi) / np.linalg.norm(lam * phi))

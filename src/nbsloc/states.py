@@ -57,13 +57,13 @@ def check_strength(B: float) -> None:
 
 
 def max_landau_index(B: float) -> int:
-    """Largest admissible level index, floor(B - 1/2)."""
-    return math.floor(B - 0.5)
+    """Largest admissible level index, ceil(B - 1/2) - 1: the largest m < B - 1/2."""
+    return math.ceil(B - 0.5) - 1
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Finite strength parameter B (with 2B > 1) and level index m, 0 <= m <= floor(B - 1/2)."""
+    """Finite strength B (2B > 1) and level index m, 0 <= m < B - 1/2, where the level weight is integrable."""
 
     B: float
     m: int = 0
@@ -72,10 +72,8 @@ class ModelParams:
         check_strength(self.B)
         check_index("m", self.m)
         if self.m > max_landau_index(self.B):
-            raise DomainError(
-                f"inadmissible level: m={self.m} violates m <= floor(B - 1/2) = "
-                f"{max_landau_index(self.B)} for B={self.B}"
-            )
+            raise DomainError(f"inadmissible level: m={self.m} violates m < B - 1/2, m <= "
+                              f"{max_landau_index(self.B)} at B={self.B}")
 
 
 @dataclass(frozen=True)

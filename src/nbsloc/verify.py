@@ -162,12 +162,14 @@ def check_disk_rule_delta() -> CheckResult:
 
 
 def check_oscillator_residual() -> CheckResult:
-    """Finite-difference eigen-residual of the Laguerre functions."""
+    """Chebyshev eigen-residual of the Laguerre functions.  Budget: the 64-point interpolant is off by
+    rho^-63 ~ 1e-14 (rho = 1.67, the ellipse through the branch point xi = 0); |D| has row sums up to
+    N^2 2 / (hi - lo) = 1.1e3, so rounding in D^2 / 4 is eps (1.1e3)^2 / 4 ~ 6e-11.  Tolerance 1e-10."""
     worst = 0.0
     for B, js in ((1.5, range(6)), (0.8, (0, 3))):
         for j in js:
             worst = max(worst, quadrature.hamiltonian_residual(j, B))
-    return _result("oscillator_eigen_residual", worst, 1e-3)
+    return _result("oscillator_eigen_residual", worst, 1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -175,48 +177,55 @@ def check_oscillator_residual() -> CheckResult:
 
 
 def check_laguerre_orthonormality() -> CheckResult:
-    """Gram matrix of the first 21 Laguerre functions, three strengths."""
+    """Gram matrix of the first 21 Laguerre functions, three strengths.  Budget: 21 nodes are exact for
+    phi_j phi_k, j, k <= 20; each entry sums 21 terms whose moduli add to at most 1, of values good to
+    about 20 eps: 61 eps ~ 1.4e-14.  Tolerance 1e-12."""
     worst = 0.0
     for B in (0.8, 1.5, 3.0):
-        grid = quadrature.half_line_grid(500, quadrature.suggested_cutoff(20, B))
+        grid = quadrature.half_line_grid(21, B)
         table = states.laguerre_function(range(21), B, grid.nodes)
         gram = (table * grid.weights) @ table.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(21)))))
-    return _result("laguerre_orthonormality", worst, 1e-8)
+    return _result("laguerre_orthonormality", worst, 1e-12)
 
 
 def check_state_normalization() -> CheckResult:
-    """Unit norms and the closed-form pairwise overlap of the disk states."""
+    """Unit norms and the closed-form pairwise overlap of the disk states.
+
+    conj(v_z) v_w is a constant times xi^(4B-1) exp(-e xi^2), e = (conj(c_z) + c_w) / 2, c_z = (1 + z)/(1 - z);
+    on the 100-node rule scaled by s = Re e only exp(-i tau u), tau = Im e / s, is not exact.  Budget: its Gauss
+    remainder sqrt(2) tau^(2n) n! Gamma(n + 2B) / ((2n)! Gamma(2B)) is 6e-15 at the worst draw (tau = 1.57,
+    B = 2); rounding adds about 100 eps.  Tolerance 1e-12."""
     worst = 0.0
     rng = _rng(303)
     for B in (0.8, 1.25, 2.0):
-        grid = quadrature.half_line_grid(600, quadrature.suggested_cutoff(40, B))
+        grid = quadrature.half_line_grid(100, B)
         for _ in range(4):
-            z = _random_disk_point(rng, 0.7)
-            w = _random_disk_point(rng, 0.7)
-            vz = states.nbs_wavefunction(z, B, grid.nodes)
-            vw = states.nbs_wavefunction(w, B, grid.nodes)
-            norm = float(grid.integrate(np.abs(vz) ** 2).real)
-            worst = max(worst, abs(norm - 1.0))
-            overlap = complex(grid.integrate(np.conjugate(vz) * vw))
-            want = ((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)) ** B \
-                * states.principal_power(1.0 - z.conjugate() * w, -2.0 * B)
-            worst = max(worst, abs(overlap - want))
-    return _result("state_normalization_overlap", worst, 1e-10)
+            z, w = _random_disk_point(rng, 0.7), _random_disk_point(rng, 0.7)
+            re_z, re_w = (((1.0 + v) / (1.0 - v)).real for v in (z, w))
+            for v, s in ((z, re_z), (w, 0.5 * (re_z + re_w))):  # the norm of v_z, then the overlap
+                xi, weights = grid.nodes / math.sqrt(s), grid.weights / math.sqrt(s)
+                got = weights @ (np.conjugate(states.nbs_wavefunction(z, B, xi)) * states.nbs_wavefunction(v, B, xi))
+                want = ((1.0 - abs(z) ** 2) * (1.0 - abs(v) ** 2)) ** B \
+                    * states.principal_power(1.0 - z.conjugate() * v, -2.0 * B)
+                worst = max(worst, abs(got - want))
+    return _result("state_normalization_overlap", worst, 1e-12)
 
 
 def check_state_quadrature_coefficients() -> CheckResult:
-    """Half-line quadrature route to the number-state coefficients."""
-    B = 1.25
-    z = 0.4 + 0.2j
-    grid = quadrature.half_line_grid(400, quadrature.suggested_cutoff(10, B))
-    vz = states.nbs_wavefunction(z, B, grid.nodes)
+    """Half-line quadrature route to the number-state coefficients.  Budget: phi_k v_z is exp(-i tau u),
+    tau = 1/3, times what the 20-node rule scaled by s = (1 + Re c_z) / 2 integrates exactly: a Gauss remainder
+    below 1e-28; rounding, 40 eps times the rescale 1.5, ~ 1e-14.  Tolerance 1e-12."""
+    B, z = 1.25, 0.4 + 0.2j
+    grid, root = quadrature.half_line_grid(20, B), math.sqrt(0.5 * (1.0 + ((1.0 + z) / (1.0 - z)).real))
+    xi, weights = grid.nodes / root, grid.weights / root
+    vz = states.nbs_wavefunction(z, B, xi)
     rescale = (1.0 - abs(z) ** 2) ** (-B) * math.sqrt(2.0 * B - 1.0)
     worst = 0.0
-    for k, phi in enumerate(states.laguerre_function(range(7), B, grid.nodes)):
-        got = complex(grid.integrate(phi * vz)) * rescale
+    for k, phi in enumerate(states.laguerre_function(range(7), B, xi)):
+        got = complex(weights @ (phi * vz)) * rescale
         worst = max(worst, abs(got - states.bergman_basis(k, B, z)))
-    return _result("state_quadrature_coefficients", worst, 1e-8)
+    return _result("state_quadrature_coefficients", worst, 1e-12)
 
 
 def check_resolution_of_identity() -> CheckResult:

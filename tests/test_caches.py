@@ -21,6 +21,7 @@ EXAMPLES = {
     "bergman._eigenvalue_table": (0.49, 12, 2.0),
     "bergman._kernel_table": (1.5, 0.49, 64),
     "quadrature.gauss_jacobi": (9, 1.0, 0.0),
+    "quadrature.half_line_grid": (9, 1.5),
     "quadrature.radial_jacobi_grid": (9, 1.5),
     "quadrature.angular_grid": (16,),
     "quadrature.angular_phasors": (16,),

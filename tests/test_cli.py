@@ -74,7 +74,7 @@ class TestEigvals:
     def test_inadmissible_level_exit_code(self, capsys):
         code, _, err = run_cli(["eigvals", "--B", "1.5", "--m", "2"], capsys)
         assert code == 2
-        assert "floor(B - 1/2)" in err
+        assert "m < B - 1/2" in err
 
     def test_bad_radius_exit_code(self, capsys):
         code, _, err = run_cli(["eigvals", "--R", "1.5"], capsys)

@@ -6,49 +6,53 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nbsloc import quadrature
+from nbsloc import quadrature, states
 from nbsloc.errors import DomainError
 from nbsloc.quadrature import (
     QuadratureGrid,
     angular_grid,
     disk_grid,
-    fd_eigen_residual,
     gauss_jacobi,
     half_line_grid,
     hamiltonian_residual,
     mapped_legendre,
     radial_jacobi_grid,
-    suggested_cutoff,
 )
 from nbsloc.specfun import log_beta, reg_inc_beta
 from nbsloc.states import bergman_basis, laguerre_function
 
 
 class TestHalfLineGrid:
-    def test_gaussian_integral(self):
-        grid = half_line_grid(200, 10.0)
-        got = grid.integrate(lambda x: np.exp(-x * x))
-        assert got == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
-
-    def test_exponential_moment(self):
-        grid = half_line_grid(300, 60.0)
-        got = grid.integrate(lambda x: x * np.exp(-x))
-        assert got == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("B", [0.51, 0.8, 1.25, 3.0, 20.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 21, 60])
+    def test_moments_to_the_declared_degree(self, n, B):
+        # int_0^inf xi^(4B-1+2k) exp(-xi^2) dxi = Gamma(2B+k)/2 for k <= 2n - 1; each term over its value, in logs
+        grid = half_line_grid(n, B)
+        log_xi = np.log(grid.nodes)
+        for k in range(2 * n):
+            terms = np.exp((4.0 * B - 1.0 + 2.0 * k) * log_xi - grid.nodes ** 2 - math.lgamma(2.0 * B + k))
+            assert grid.weights @ terms == pytest.approx(0.5, rel=1e-12)
 
     def test_small_gram(self):
+        # phi_j phi_k with j, k <= 1 has degree 2 in xi^2: two nodes are exact
         B = 1.25
-        grid = half_line_grid(300, suggested_cutoff(1, B))
+        grid = half_line_grid(2, B)
         f0 = laguerre_function(0, B, grid.nodes)
         f1 = laguerre_function(1, B, grid.nodes)
-        assert grid.integrate(f0 * f0) == pytest.approx(1.0, abs=1e-10)
-        assert grid.integrate(f1 * f1) == pytest.approx(1.0, abs=1e-10)
-        assert grid.integrate(f0 * f1) == pytest.approx(0.0, abs=1e-10)
+        assert grid.integrate(f0 * f0) == pytest.approx(1.0, abs=1e-14)
+        assert grid.integrate(f1 * f1) == pytest.approx(1.0, abs=1e-14)
+        assert grid.integrate(f0 * f1) == pytest.approx(0.0, abs=1e-14)
 
-    def test_domain(self):
+    @pytest.mark.parametrize("n, B", [(0, 1.5), (10, 0.5), (10, -1.0), (10, math.inf), (10, math.nan)])
+    def test_domain(self, n, B):
         with pytest.raises(DomainError):
-            half_line_grid(1, 10.0)
-        with pytest.raises(DomainError):
-            half_line_grid(10, -1.0)
+            half_line_grid(n, B)
+
+    @pytest.mark.parametrize("n, B", [(200, 1.5), (300, 50.0)])
+    def test_weights_past_the_double_range_refused(self, n, B):
+        # the outermost unit-mass Christoffel weights underflow
+        with pytest.raises(DomainError, match="double range"):
+            half_line_grid(n, B)
 
 
 class TestGaussJacobi:
@@ -221,7 +225,7 @@ class TestQuadratureGridFrozen:
         assert np.array_equal(grid.weights, weights)
 
     def test_built_grids_read_only(self):
-        for grid in (half_line_grid(16, 5.0), radial_jacobi_grid(16, 1.5), disk_grid(8, 8, 1.5)):
+        for grid in (half_line_grid(16, 1.5), radial_jacobi_grid(16, 1.5), disk_grid(8, 8, 1.5)):
             with pytest.raises(ValueError):
                 grid.weights[0] = 1.0
 
@@ -320,11 +324,13 @@ class TestDiskGrid:
 
 class TestHamiltonianResidual:
     def test_ground_state(self):
-        assert hamiltonian_residual(0, 1.5) <= 1e-4
+        assert hamiltonian_residual(0, 1.5) <= 1e-10
 
     def test_excited_small_strength(self):
-        assert hamiltonian_residual(3, 0.8) <= 1e-3
+        assert hamiltonian_residual(3, 0.8) <= 1e-10
 
-    def test_zero_function(self):
-        xs = np.linspace(0.5, 8.0, 1001)
-        assert fd_eigen_residual(np.zeros_like(xs), xs, 1.5, 4.0) == 0.0
+    def test_wrong_strength_shows(self, monkeypatch):
+        # phi_3 at B + 1e-6 is not an eigenfunction of the oscillator at B
+        exact = states.laguerre_function
+        monkeypatch.setattr(states, "laguerre_function", lambda j, B, xi: exact(j, B + 1e-6, xi))
+        assert hamiltonian_residual(3, 1.5) > 1e-7

@@ -14,7 +14,7 @@ from nbsloc.locop import (RadialSymbol, SpectralData, as_function_of_hamiltonian
                           landau_density, landau_eigenvalue, mc_eigenvalue, quantization_matrix_element,
                           radial_eigenvalue)
 from nbsloc.specfun import jacobi, laguerre, sample_beta
-from nbsloc.quadrature import half_line_grid, suggested_cutoff
+from nbsloc.quadrature import half_line_grid
 from nbsloc.states import (
     DiskPoint,
     HalfPlanePoint,
@@ -68,13 +68,15 @@ INDEX_CALLS = {
 
 class TestDomainTypes:
     def test_model_params(self):
-        ModelParams(1.5, 1)
+        ModelParams(1.5, 0)
+        ModelParams(1.6, 1)
         ModelParams(0.51, 0)
         with pytest.raises(DomainError):
             ModelParams(0.5, 0)
-        with pytest.raises(DomainError) as err:
-            ModelParams(1.5, 2)
-        assert "floor(B - 1/2)" in str(err.value)
+        for B, m in ((1.5, 1), (1.5, 2), (2.5, 2)):  # m >= B - 1/2; at equality the level weight degenerates
+            with pytest.raises(DomainError) as err:
+                ModelParams(B, m)
+            assert "m < B - 1/2" in str(err.value)
         with pytest.raises(DomainError):
             ModelParams(2.0, -1)
 
@@ -128,7 +130,9 @@ class TestDomainTypes:
                 LocalizationRadius(bad)
 
     def test_max_landau_index(self):
-        assert max_landau_index(1.5) == 1
+        assert max_landau_index(1.5) == 0
+        assert max_landau_index(1.6) == 1
+        assert max_landau_index(0.51) == 0
         assert max_landau_index(0.9) == 0
         assert max_landau_index(3.2) == 2
 
@@ -210,11 +214,13 @@ class TestNbsWavefunction:
         assert nbs_wavefunction(z, B, xi) == pytest.approx(want, rel=1e-11)
 
     def test_unit_norm(self):
+        # |v_z|^2 is xi^(4B-1) exp(-Re c xi^2) times a constant, c = (1 + z)/(1 - z): exact on the rule scaled by Re c
         B = 1.25
         z = 0.3 + 0.4j
-        grid = half_line_grid(500, suggested_cutoff(30, B))
-        values = np.asarray([nbs_wavefunction(z, B, xi) for xi in grid.nodes])
-        assert grid.integrate(np.abs(values) ** 2) == pytest.approx(1.0, abs=1e-10)
+        root = math.sqrt(((1.0 + z) / (1.0 - z)).real)
+        grid = half_line_grid(4, B)
+        values = np.asarray([nbs_wavefunction(z, B, xi / root) for xi in grid.nodes])
+        assert grid.integrate(np.abs(values) ** 2) / root == pytest.approx(1.0, abs=1e-14)
 
     def test_two_path_construction(self):
         # group route: modified affine state at the Cayley preimage; agrees with
@@ -234,15 +240,17 @@ class TestNbsWavefunction:
             assert via_group == pytest.approx(nbs_wavefunction(z, B, xi), rel=1e-11)
 
     def test_overlap_closed_form(self):
+        # the rule scaled by the real part of the product's Gaussian exponent (conj(c_z) + c_w) / 2
         B = 1.1
         rng = np.random.default_rng(32)
-        grid = half_line_grid(600, suggested_cutoff(40, B))
+        grid = half_line_grid(100, B)
         for _ in range(4):
             z = complex(*rng.uniform(-0.55, 0.55, 2))
             w = complex(*rng.uniform(-0.55, 0.55, 2))
-            vz = np.asarray([nbs_wavefunction(z, B, xi) for xi in grid.nodes])
-            vw = np.asarray([nbs_wavefunction(w, B, xi) for xi in grid.nodes])
-            got = grid.integrate(np.conjugate(vz) * vw)
+            root = math.sqrt(0.5 * (((1.0 + z) / (1.0 - z)).real + ((1.0 + w) / (1.0 - w)).real))
+            vz = np.asarray([nbs_wavefunction(z, B, xi / root) for xi in grid.nodes])
+            vw = np.asarray([nbs_wavefunction(w, B, xi / root) for xi in grid.nodes])
+            got = grid.integrate(np.conjugate(vz) * vw) / root
             want = ((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)) ** B \
                 * principal_power(1.0 - z.conjugate() * w, -2.0 * B)
             assert got == pytest.approx(want, abs=1e-10)
@@ -309,10 +317,10 @@ class TestBasisNorms:
 class TestLaguerreFunction:
     def test_orthonormal_small(self):
         for B in (0.8, 1.5, 3.0):
-            grid = half_line_grid(400, suggested_cutoff(8, B))
+            grid = half_line_grid(9, B)  # exact: phi_j phi_k, j, k <= 8, has degree 16 in xi^2
             table = np.stack([laguerre_function(j, B, grid.nodes) for j in range(9)])
             gram = (table * grid.weights) @ table.T
-            assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
+            assert np.max(np.abs(gram - np.eye(9))) <= 1e-13
 
     def test_positive_near_origin(self):
         for j in range(6):

@@ -20,17 +20,19 @@ class TestCheckRegistry:
 
 
 class TestFaultInjection:
-    def test_perturbed_laguerre_function_fails_orthonormality(self, monkeypatch):
+    @pytest.mark.parametrize("delta", [1e-3, 1e-9])
+    def test_perturbed_laguerre_function_fails_orthonormality(self, delta, monkeypatch):
+        # a factor 1 + delta moves the Gram diagonal by 2 delta; at 1e-9 that was under the old 1e-8 gate
         clean = verify.run_check("laguerre_orthonormality")
         assert clean.passed
         exact = states.laguerre_function  # the name verify reads
-        monkeypatch.setattr(states, "laguerre_function", lambda j, B, xi: exact(j, B, xi) * (1.0 + 1e-3))
+        monkeypatch.setattr(states, "laguerre_function", lambda j, B, xi: exact(j, B, xi) * (1.0 + delta))
         try:
             broken = verify.run_check("laguerre_orthonormality")
         finally:
             monkeypatch.undo()
         assert not broken.passed
-        assert broken.max_error > 1e-4
+        assert broken.max_error > delta
         # and the undo really restores the exact function
         assert verify.run_check("laguerre_orthonormality").passed
 
