@@ -24,8 +24,8 @@ import numpy as np
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from . import quadrature, specfun
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
-from .specfun import (check_index, inc_beta_steps, log_beta, log_inc_beta_steps, log_nb_weights, reg_inc_beta,
-                      reg_inc_beta_table, sample_beta)
+from .specfun import (check_index, check_indices, inc_beta_steps, log_beta, log_inc_beta_steps, log_nb_weights,
+                      reg_inc_beta, reg_inc_beta_table, sample_beta)
 from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
                      check_strength, jacobi)
 
@@ -116,21 +116,25 @@ class RadialSymbol:
             raise DomainError(f"symbol bound must be finite and nonnegative, got {self.bound}")
 
 
-def radial_eigenvalue(F: RadialSymbol, j: int, B: float) -> float:
+def radial_eigenvalue(F: RadialSymbol, j: int | range, B: float):
     """Eigenvalue of the quantized radial symbol F.
 
     (1 / B(j+1, 2B-1)) int_0^1 rho^j (1 - rho)^(2B-2) F(rho) drho, by the
-    weighted radial rule of RADIAL_NODES nodes.  Discontinuous symbols
-    converge slowly here; the disk indicator has the exact closed form
-    ``disk_eigenvalue``.
+    weighted radial rule of RADIAL_NODES nodes, ``F.func`` called once per
+    node.  ``j`` may be a range: an array with an eigenvalue per index.  Each
+    integral is summed over the nodes in a fixed order, so the same call gives
+    the same bits.  Discontinuous symbols converge slowly here; the disk
+    indicator has the exact closed form ``disk_eigenvalue``.
     """
-    j = check_index("j", j)
+    js = check_indices("j", j)
     grid = radial_jacobi_grid(RADIAL_NODES, B)
     fvals = np.asarray([F.func(r) for r in grid.nodes], dtype=float)
     if np.any(np.abs(fvals) > F.bound * (1.0 + 1e-12) + 1e-300):
         raise DomainError("symbol exceeds its declared bound on the integration nodes")
-    integral = grid.weights @ (grid.nodes ** j * fvals)
-    return float(integral * math.exp(-log_beta(j + 1.0, 2.0 * B - 1.0)))
+    powers = np.array([grid.nodes ** k for k in js]).reshape(len(js), grid.nodes.size)
+    integrals = (powers * (grid.weights * fvals)).sum(axis=1)
+    values = integrals * np.array([math.exp(-log_beta(k + 1.0, 2.0 * B - 1.0)) for k in js])
+    return values if isinstance(j, range) else float(values[0])
 
 
 def spectral_apply(coeffs, spectrum: SpectralData) -> np.ndarray:
@@ -305,18 +309,28 @@ def localized_overlap(z0, B: float, R, coeffs) -> float:
     return abs(pref * basis_series(lam * coeffs, B, z0.conjugate()))
 
 
-def quantization_matrix_element(F, j: int, k: int, B: float, grid=None) -> complex:
+def quantization_matrix_element(F, j: int | range, k: int | range, B: float, grid=None):
     """Matrix element of the quantized (not necessarily radial) symbol F.
 
     (pi Gamma(2B-1))^(-1) sqrt(Gamma(2B+j) Gamma(2B+k) / (j! k!))
       int_D conj(z)^j z^k (1-|z|^2)^(2B-2) F(z) dA(z)
     by disk quadrature on ``grid``, DISK_RULE by default, F called once on
-    all nodes.  For radial F the off-diagonal entries vanish and the
-    diagonal reproduces ``radial_eigenvalue``.
+    all nodes.  ``j`` and ``k`` may be ranges: the block of shape
+    (len(j), len(k)), from one ``bergman_basis`` table spanning both; two ints
+    give a complex scalar.  Each entry is summed over the nodes in a fixed
+    order (no matrix product, whose last bits depend on operand layout), so
+    the same call gives the same bits.  For radial F the off-diagonal entries
+    vanish and the diagonal reproduces ``radial_eigenvalue``.
     """
-    j, k = check_index("j", j), check_index("k", k)
+    js, ks = check_indices("j", j), check_indices("k", k)
     if grid is None:
         grid = disk_grid(*quadrature.DISK_RULE, B)
     z = grid.nodes
+    lo = min(js + ks, default=0)  # the table's rows run from lo to the largest index of either range
     # the prefactor is that of conj(basis_j) basis_k: Gamma(2B) / Gamma(2B-1) = 2B - 1
-    return grid.weights @ (np.conjugate(bergman_basis(j, B, z)) * bergman_basis(k, B, z) * F(z)) / math.pi
+    table = bergman_basis(range(lo, max(js + ks, default=lo - 1) + 1), B, z)
+    right = table[[i - lo for i in ks]] * (grid.weights * F(z) / math.pi)
+    block = np.empty((len(js), len(ks)), dtype=complex)
+    for row, left in zip(block, np.conjugate(table[[i - lo for i in js]])):
+        row[:] = (left * right).sum(axis=1)
+    return block[tuple(slice(None) if isinstance(idx, range) else 0 for idx in (j, k))]

@@ -41,6 +41,7 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "HypergeomResult",
     "check_index",
+    "check_indices",
     "log_gamma",
     "log_beta",
     "log_nb_weights",
@@ -81,6 +82,11 @@ def check_index(name: str, value) -> int:
     if not ok:
         raise DomainError(f"needs {name} >= 0 and integral, got {name}={value}")
     return int(value)
+
+
+def check_indices(name: str, value) -> list[int]:
+    """``check_index`` of every index of a range, or of one index, as a list."""
+    return [check_index(name, k) for k in (value if isinstance(value, range) else (value,))]
 
 
 def log_gamma(x: float) -> float:
@@ -215,24 +221,30 @@ def horner(coeffs, x):
     return total
 
 
-def laguerre(j: int, alpha: float, x):
+def laguerre(j: int | range, alpha: float, x):
     """Generalized Laguerre polynomial L_j^(alpha)(x) by three-term recurrence.
 
-    ``x`` may be a float or an ndarray.
+    ``x`` may be a float or an ndarray, and ``j`` a range: one pass up to its largest index
+    returns a row per index, shape (len(j), *np.shape(x)), each equal bit for bit to its own call.
     """
-    j = check_index("j", j)
+    rows = dict.fromkeys(check_indices("j", j))
     if not alpha > -1.0:
         raise DomainError(f"laguerre requires alpha > -1, got {alpha}")
     ones = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    p_prev = ones
-    if j == 0:
-        return p_prev
-    p_cur = (1.0 + alpha) * ones - x
-    for k in range(1, j):
-        p_prev, p_cur = p_cur, (
-            (2.0 * k + 1.0 + alpha - x) * p_cur - (k + alpha) * p_prev
-        ) / (k + 1.0)
-    return p_cur
+    top = max(rows, default=0)
+    p_prev, p_cur = ones, (1.0 + alpha) * ones - x  # L_k and L_(k+1) at the top of step k
+    for k in range(top + 1):
+        if k in rows:
+            rows[k] = p_prev
+        if k + 1 < top:  # L_(k+2), never past the largest index
+            p_prev, p_cur = p_cur, (
+                (2.0 * k + 3.0 + alpha - x) * p_cur - (k + 1.0 + alpha) * p_prev
+            ) / (k + 2.0)
+        else:
+            p_prev = p_cur
+    if isinstance(j, range):
+        return np.array(list(rows.values())).reshape(len(rows), *np.shape(x))
+    return rows[top]
 
 
 def jacobi(k: int, alpha: float, beta: float, x):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import check_index, horner, inc_beta_steps, jacobi, log_gamma, log_nb_weights
+from .specfun import check_index, check_indices, horner, inc_beta_steps, jacobi, log_gamma, log_nb_weights
 
 __all__ = [
     "ModelParams",
@@ -217,16 +217,20 @@ def basis_norms(n: int, B: float) -> np.ndarray:
     return norms
 
 
-def bergman_basis(j: int, B: float, z):
+def bergman_basis(j: int | range, B: float, z):
     """j-th element of the orthonormal monomial basis of the weighted Bergman space.
 
     sqrt(2B - 1) sqrt(Gamma(2B + j)/(j! Gamma(2B))) z^j, orthonormal for the
     inner product (1/pi) int conj(f) g (1 - |z|^2)^(2B - 2) dA; ``z`` may be
-    an ndarray.
+    an ndarray, and ``j`` a range: a row per index, shape (len(j), *np.shape(z)),
+    each equal bit for bit to its own call, from one norm table.
     """
     z = as_disk(z)
-    j = check_index("j", j)
-    return float(basis_norms(j + 1, B)[j]) * z ** j
+    rows = check_indices("j", j)
+    norms = basis_norms(max(rows, default=0) + 1, B)
+    if isinstance(j, range):
+        return np.array([float(norms[k]) * z ** k for k in rows], dtype=complex).reshape(len(rows), *np.shape(z))
+    return float(norms[j]) * z ** j
 
 
 def basis_series(coeffs, B: float, z):
@@ -250,7 +254,7 @@ def laguerre_function(j: int | range, B: float, xi):
     Past xi = 1e154, where xi^2 overflows, it returns 0, the underflowed value.
     Accurate to 1e-11 absolute for j <= 2000 and B <= 50.
     """
-    rows = dict.fromkeys(check_index("j", k) for k in (j if isinstance(j, range) else (j,)))
+    rows = dict.fromkeys(check_indices("j", j))
     check_strength(B)
     x = np.asarray(xi, dtype=float)
     if not np.all((x > 0.0) & (x < math.inf)):

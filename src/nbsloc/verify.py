@@ -64,15 +64,23 @@ def check_incbeta_reflection() -> CheckResult:
 
 
 def check_laguerre_generating_function() -> CheckResult:
-    """Partial sums of t^j L_j^(alpha)(x) against (1-t)^(-alpha-1) exp(-t x/(1-t))."""
+    """Partial sums of t^j L_j^(alpha)(x) against (1-t)^(-alpha-1) exp(-t x/(1-t)), one table per (alpha, x).
+
+    Budget, relative to the closed form: the tail past j = 60 is below 1e-22 (Szego's bound
+    |L_j^(alpha)(x)| <= binom(j + alpha, j) e^(x/2), twice that for alpha < 0, at t^61 <= 0.4^61).  The
+    recurrence leaves L_j off by at most 4 (j + 1) eps max_(k <= j) |L_k|, and the 61-term sum adds
+    61 eps sum t^j |L_j|; over the grid these weighted sums reach 11 and 5.2 times the closed form (alpha = -1/2,
+    x = 2, t = 0.4), so (4 * 11 + 62 * 5.2) eps ~ 8e-14.  Tolerance 1e-13.
+    """
     worst = 0.0
     for alpha in (-0.5, 0.0, 1.5, 3.0):
         for x in (0.5, 2.0):
+            table = specfun.laguerre(range(61), alpha, x).tolist()
             for t in (0.1, 0.4):
-                partial = sum(t ** j * specfun.laguerre(j, alpha, x) for j in range(61))
+                partial = sum(t ** j * value for j, value in enumerate(table))
                 closed = (1.0 - t) ** (-alpha - 1.0) * math.exp(-t * x / (1.0 - t))
                 worst = max(worst, abs(partial - closed) / abs(closed))
-    return _result("laguerre_generating_function", worst, 1e-9)
+    return _result("laguerre_generating_function", worst, 1e-13)
 
 
 def check_gauss_theorem() -> CheckResult:
@@ -149,16 +157,19 @@ def check_radial_rule() -> CheckResult:
 
 
 def check_disk_rule_delta() -> CheckResult:
-    """Angular orthogonality: the quantized constant symbol is the identity matrix."""
+    """Angular orthogonality: the quantized constant symbol is the identity matrix, as one 13 x 13 block.
+
+    Budget: conj(z)^j z^k is r^(j+k) e^(i (k-j) theta); the 64 midpoint angles sum e^(i m theta) to zero for
+    0 < |m| < 64 and the 48 radii integrate rho^j, j <= 12, exactly, so only rounding is left.  By
+    Cauchy-Schwarz an entry's terms have moduli adding to at most 1.  Against that: the basis norms
+    (8 eps), the powers z^k (20 eps), node rounding carried through rho^j and the phases (24 eps), the rule's
+    weights (5 eps), the products (4 eps) and the 3072-term pairwise sum (13 eps): 74 eps ~ 1.7e-14.
+    Tolerance 1e-13.
+    """
     B = 1.5
-    grid = quadrature.disk_grid(48, 64, B)
-    worst = 0.0
-    for j in range(13):
-        for k in range(13):
-            got = locop.quantization_matrix_element(lambda z: 1.0, j, k, B, grid)
-            want = 1.0 if j == k else 0.0
-            worst = max(worst, abs(got - want))
-    return _result("disk_rule_delta_structure", worst, 1e-12)
+    block = locop.quantization_matrix_element(lambda z: 1.0, range(13), range(13), B,
+                                              quadrature.disk_grid(48, 64, B))
+    return _result("disk_rule_delta_structure", float(np.max(np.abs(block - np.eye(13)))), 1e-13)
 
 
 def check_oscillator_residual() -> CheckResult:
@@ -236,7 +247,7 @@ def check_resolution_of_identity() -> CheckResult:
     cg = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     grid = quadrature.disk_grid(48, 32, B)
     rho = np.abs(grid.nodes) ** 2
-    basis = np.stack([states.bergman_basis(j, B, grid.nodes) for j in range(7)])
+    basis = states.bergman_basis(range(7), B, grid.nodes)
     f_side = (1.0 - rho) ** B / math.sqrt(2.0 * B - 1.0) * (np.conjugate(cf) @ basis)
     g_side = (1.0 - rho) ** B / math.sqrt(2.0 * B - 1.0) * (cg @ np.conjugate(basis))
     measure = (2.0 * B - 1.0) / (math.pi * (1.0 - rho) ** (2.0 * B))
@@ -321,27 +332,35 @@ def check_eigenvalue_norm_identity() -> CheckResult:
 
 
 def check_matrix_elements() -> CheckResult:
-    """Radial symbols quantize to diagonal matrices matching the eigenvalue rule."""
+    """Radial symbols quantize to diagonal matrices matching the eigenvalue rule: a 9 x 9 block, 9 eigenvalues.
+
+    Budget: F = 1/(1 + rho) has its pole at rho = -1, on the Bernstein ellipse of radius 3 + sqrt(8) = 5.8 about
+    [0, 1], so the 48 radii are off by about 5.8^-96 ~ 1e-73 and the 160 nodes of ``radial_eigenvalue`` by less;
+    the 48 angles sum the off-diagonal phases, 0 < |k - j| < 48, to zero.  Rounding: 74 eps in the block, as in
+    ``disk_rule_delta_structure``; in an eigenvalue, 20 eps from the 160 positive terms and 42 eps from
+    exp(-log B(j + 1, 2B - 1)), a difference of log-gammas up to 14: 136 eps ~ 3e-14.  Tolerance 1e-13.
+    """
     B = 1.25
-    grid = quadrature.disk_grid(48, 48, B)
     symbol = lambda z: 1.0 / (1.0 + abs(z) ** 2)
     radial = locop.RadialSymbol(lambda r: 1.0 / (1.0 + r), bound=1.0)
-    worst = 0.0
-    for j in range(9):
-        for k in range(9):
-            got = locop.quantization_matrix_element(symbol, j, k, B, grid)
-            want = locop.radial_eigenvalue(radial, j, B) if j == k else 0.0
-            worst = max(worst, abs(got - want))
-    return _result("matrix_elements_radial_diagonal", worst, 1e-10)
+    block = locop.quantization_matrix_element(symbol, range(9), range(9), B, quadrature.disk_grid(48, 48, B))
+    want = np.diag(locop.radial_eigenvalue(radial, range(9), B))
+    return _result("matrix_elements_radial_diagonal", float(np.max(np.abs(block - want))), 1e-13)
 
 
 def check_densities() -> CheckResult:
-    """Level densities normalize and reduce to the Beta density at m = 0."""
+    """Level densities normalize and reduce to the Beta density at m = 0.
+
+    With 2B an integer, the level-m density (1 - rho)^(2B-2m-2) rho^|m-j| P_min(m,j)^2 is a polynomial of
+    degree 2B - 2 - m + j <= 6 here, integrated exactly by 4 Gauss-Legendre nodes.  Budget: each value is formed
+    in logs from a shape term up to 14 in size (30 eps) and a squared Jacobi polynomial (10 eps), at nodes good
+    to 6 eps through rho^6; a mass sums four positive terms adding to 1, and the reduction compares densities
+    up to 2.1: 2.1 * 46 eps ~ 2.1e-14.  Tolerance 1e-13.
+    """
     worst = 0.0
+    nodes, wts = quadrature.mapped_legendre(4, 0.0, 1.0)  # strictly interior, so [0, 1]'s endpoints are safe
     for B, m in ((1.5, 0), (2.5, 1), (3.0, 2)):
         params = ModelParams(B, m)
-        # Gauss nodes are strictly interior, so the [0, 1] endpoints are safe
-        nodes, wts = quadrature.mapped_legendre(400, 0.0, 1.0)
         for j in (0, 1, 4):
             mass = float(wts @ locop.landau_density(j, params, nodes))
             worst = max(worst, abs(mass - 1.0))
@@ -350,7 +369,7 @@ def check_densities() -> CheckResult:
         locop.landau_density(3, ModelParams(1.5, 0), rho) - locop.beta_density(3, 1.5, rho)
     ))
     worst = max(worst, float(reduction))
-    return _result("probabilistic_densities", worst, 1e-9)
+    return _result("probabilistic_densities", worst, 1e-13)
 
 
 def mc_comparison_draws(rng: np.random.Generator, count: int) -> list[tuple[int, float, float]]:

@@ -316,3 +316,25 @@ def landau_eigenvalue_three_pass(j: int, params, R: float, locop, quadrature):
 
     s = R * R
     return mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)
+
+
+def quantization_matrix_element_pointwise(F, j: int, k: int, B: float, grid, states) -> complex:
+    """One matrix element by the per-element formula, conj(basis_j) basis_k F at the nodes times the weights.
+
+    The terms are summed exactly (``math.fsum``), free of the rounding of a library reduction.
+    """
+    z = grid.nodes
+    terms = grid.weights * (np.conjugate(states.bergman_basis(j, B, z)) * states.bergman_basis(k, B, z) * F(z))
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)) / math.pi
+
+
+def radial_eigenvalue_pointwise(F, j: int, B: float, nodes: int, quadrature) -> float:
+    """One radial-symbol eigenvalue by the per-element formula: ``F.func`` at each node of the radial rule.
+
+    The terms are summed exactly (``math.fsum``), free of the rounding of a library reduction.
+    """
+    grid = quadrature.radial_jacobi_grid(nodes, B)
+    fvals = np.asarray([F.func(r) for r in grid.nodes], dtype=float)
+    b = 2.0 * B - 1.0
+    return math.fsum(grid.weights * grid.nodes ** j * fvals) \
+        * math.exp(-(math.lgamma(j + 1.0) + math.lgamma(b) - math.lgamma(j + 1.0 + b)))

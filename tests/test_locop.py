@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nbsloc import locop, quadrature
+from nbsloc import locop, quadrature, states
 from nbsloc.errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from nbsloc.locop import (
     RadialSymbol,
@@ -57,6 +57,23 @@ class TestRadialEigenvalue:
         fine = abs(radial_eigenvalue(ind, j, B) - disk_eigenvalue(j, B, R))
         assert fine < coarse
         assert fine < 5e-4
+
+    @pytest.mark.parametrize("func, B", [(lambda r: 1.0 / (1.0 + r), 1.25), (lambda r: r, 0.8),
+                                         (lambda r: math.cos(5.0 * r), 3.0)])
+    def test_range_table_matches_the_pointwise_formula(self, func, B):
+        symbol, indices = RadialSymbol(func, bound=1.0), range(30)
+        table = radial_eigenvalue(symbol, indices, B)
+        want = np.array([oracles.radial_eigenvalue_pointwise(symbol, j, B, locop.RADIAL_NODES, quadrature)
+                         for j in indices])
+        assert table.shape == (30,)
+        assert np.max(np.abs(table - want)) <= 1e-15 * np.max(np.abs(want))
+        assert table.tolist() == [radial_eigenvalue(symbol, j, B) for j in indices]
+
+    def test_range_calls_the_symbol_once_per_node(self):
+        calls = []
+        symbol = RadialSymbol(lambda r: calls.append(r) or 1.0, bound=1.0)
+        assert radial_eigenvalue(symbol, range(9), 1.25) == pytest.approx(np.ones(9), abs=1e-13)
+        assert len(calls) == locop.RADIAL_NODES
 
     def test_unbounded_symbol_rejected(self):
         with pytest.raises(DomainError):
@@ -484,20 +501,62 @@ class TestLocalizedOverlap:
         assert got == pytest.approx(bound, rel=1e-6)
 
 
+# (symbol, B, disk rule or None for DISK_RULE, number of indices)
+BLOCK_CASES = [
+    (lambda z: 1.0, 1.5, (48, 64), 13),
+    (lambda z: 1.0 / (1.0 + abs(z) ** 2), 1.25, (48, 48), 9),
+    (lambda z: z, 1.5, (32, 48), 6),
+    (lambda z: np.exp(1j * z.real) * (1.0 + z * z), 0.8, (24, 30), 8),
+    (lambda z: np.cos(3.0 * z.imag), 1.5, None, 12),
+]
+
+
 class TestMatrixElements:
     def test_radial_symbol_diagonal(self):
         B = 1.25
         grid = disk_grid(48, 48, B)
         symbol = lambda z: 1.0 / (1.0 + abs(z) ** 2)
         radial = RadialSymbol(lambda r: 1.0 / (1.0 + r), bound=1.0)
-        for j in range(9):
-            for k in range(9):
-                got = quantization_matrix_element(symbol, j, k, B, grid)
-                if j == k:
-                    assert got.real == pytest.approx(radial_eigenvalue(radial, j, B), abs=1e-10)
-                    assert abs(got.imag) <= 1e-12
-                else:
-                    assert abs(got) <= 1e-12
+        block = quantization_matrix_element(symbol, range(9), range(9), B, grid)
+        diagonal = np.diagonal(block)
+        assert diagonal.real == pytest.approx(radial_eigenvalue(radial, range(9), B), abs=1e-13)
+        assert np.max(np.abs(diagonal.imag)) <= 1e-13
+        assert np.max(np.abs(block - np.diag(diagonal))) <= 1e-13
+
+    @pytest.mark.parametrize("symbol, B, rule, n", BLOCK_CASES)
+    def test_block_matches_the_pointwise_formula(self, symbol, B, rule, n):
+        grid = disk_grid(*(rule or quadrature.DISK_RULE), B)
+        block = quantization_matrix_element(symbol, range(n), range(n), B, grid)
+        want = np.array([[oracles.quantization_matrix_element_pointwise(symbol, j, k, B, grid, states)
+                          for k in range(n)] for j in range(n)])
+        assert block.shape == (n, n)
+        assert np.max(np.abs(block - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_block_entries_are_their_own_calls(self):
+        B, grid = 0.8, disk_grid(24, 30, 0.8)
+        symbol = BLOCK_CASES[3][0]
+        rows, cols = range(2, 7), range(5, -1, -2)
+        block = quantization_matrix_element(symbol, rows, cols, B, grid)
+        assert block.shape == (5, 3)
+        assert np.array_equal(block, [[quantization_matrix_element(symbol, j, k, B, grid) for k in cols] for j in rows])
+        assert np.array_equal(quantization_matrix_element(symbol, 4, cols, B, grid), block[2])
+        assert np.array_equal(quantization_matrix_element(symbol, rows, 3, B, grid), block[:, 1])
+        assert isinstance(quantization_matrix_element(symbol, 4, 3, B, grid), np.complex128)
+        assert quantization_matrix_element(symbol, range(0), cols, B, grid).shape == (0, 3)
+
+    def test_block_repeats_bit_for_bit(self):
+        # each entry is a sum over the node axis in a fixed order, so neither other allocations nor the
+        # addresses of the grid's arrays move its last bits, as they can a BLAS product's
+        symbol, B, rule, n = BLOCK_CASES[1]
+        grid = disk_grid(*rule, B)
+        first = quantization_matrix_element(symbol, range(n), range(n), B, grid)
+        held = [np.full(size, 0.5 + 0.5j) for size in (1, 3, 17, 129, 4099)]
+        again = quantization_matrix_element(symbol, range(n), range(n), B, grid)
+        # the same grid at addresses one element off
+        nodes, weights = np.empty(grid.nodes.size + 1, complex)[1:], np.empty(grid.weights.size + 1)[1:]
+        nodes[:], weights[:] = grid.nodes, grid.weights
+        moved = quantization_matrix_element(symbol, range(n), range(n), B, quadrature.QuadratureGrid(nodes, weights))
+        assert first.tobytes() == again.tobytes() == moved.tobytes()
 
     def test_symbol_evaluated_once_on_the_nodes(self):
         B, grid, calls = 1.5, disk_grid(16, 24, 1.5), []
@@ -509,7 +568,9 @@ class TestMatrixElements:
         for j, k in ((2, 2), (2, 3)):
             got = quantization_matrix_element(constant, j, k, B, grid)
             assert abs(got - (j == k)) <= 1e-13
-        assert [z.shape for z in calls] == [grid.nodes.shape] * 2
+        block = quantization_matrix_element(constant, range(6), range(6), B, grid)
+        assert np.max(np.abs(block - np.eye(6))) <= 1e-13
+        assert [z.shape for z in calls] == [grid.nodes.shape] * 3
 
     def test_angular_symbol_couples_modes(self):
         B = 1.5

@@ -143,10 +143,20 @@ class TestLaguerre:
     def test_generating_function_grid(self):
         for alpha in (-0.5, 0.0, 1.5, 3.0):
             for x in (0.5, 2.0):
+                table = laguerre(range(61), alpha, x)
                 for t in (0.1, 0.4):
-                    partial = sum(t ** j * laguerre(j, alpha, x) for j in range(61))
+                    partial = sum(t ** j * value for j, value in enumerate(table.tolist()))
                     closed = (1.0 - t) ** (-alpha - 1.0) * math.exp(-t * x / (1.0 - t))
-                    assert partial == pytest.approx(closed, rel=1e-9)
+                    assert partial == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("indices", [range(0, 61), range(0, 1), range(1, 2), range(7, 40, 4), range(30, 2, -3)])
+    @pytest.mark.parametrize("x", [0.5, 2.0, np.linspace(0.01, 60.0, 23), np.array([[0.3, 7.0], [19.0, 0.0]])])
+    def test_range_rows_equal_their_index_calls(self, indices, x):
+        for alpha in (-0.5, 0.0, 3.0, 40.0):
+            rows = laguerre(indices, alpha, x)
+            assert rows.shape == (len(indices), *np.shape(x))
+            for row, j in zip(rows, indices):
+                assert np.array_equal(row, laguerre(j, alpha, x))
 
     def test_vectorized(self):
         xs = np.linspace(0.1, 4.0, 7)

@@ -64,6 +64,9 @@ INDEX_CALLS = {
     "quantization_matrix_element_k": lambda j: quantization_matrix_element(lambda z: 1.0, 0, j, 1.5),
     "project": lambda j: BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(j).coefficients,
 }
+# the INDEX_CALLS entries that also take a range of indices: an array with an entry per index
+RANGE_INDEX_CALLS = ("laguerre", "bergman_basis", "laguerre_function", "radial_eigenvalue",
+                     "quantization_matrix_element_j", "quantization_matrix_element_k")
 
 
 class TestDomainTypes:
@@ -116,6 +119,17 @@ class TestDomainTypes:
         with pytest.raises(DomainError, match=">= 0"):
             call(1.5)
         assert call(np.int64(3)) == pytest.approx(call(3), rel=0, abs=0)
+
+    @pytest.mark.parametrize("name", RANGE_INDEX_CALLS)
+    def test_index_rule_for_every_index_of_a_range(self, name):
+        call = INDEX_CALLS[name]
+        for indices in (range(-1, 3), range(2, -2, -1)):
+            with pytest.raises(DomainError, match=">= 0"):
+                call(indices)
+        empty = call(range(0))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        indices = range(5, 0, -2)
+        assert np.array_equal(call(indices), [call(j) for j in indices])
 
     def test_point_types(self):
         DiskPoint(0.5 + 0.2j)
@@ -286,6 +300,16 @@ class TestBergmanBasis:
         total = sum(abs(bergman_basis(j, B, z)) ** 2 for j in range(130))
         want = (2.0 * B - 1.0) * (1.0 - z * z) ** (-2.0 * B)
         assert total == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("B", [0.51, 1.5, 20.0])
+    @pytest.mark.parametrize("indices", [range(0, 13), range(40, 3, -9), range(290, 300)])
+    def test_range_rows_equal_their_index_calls(self, indices, B):
+        # one norm table up to the largest index; its prefix is each shorter table bit for bit
+        z = np.array([[0.3 + 0.4j, -0.95j], [0.0, 0.7 - 0.1j]])
+        rows = bergman_basis(indices, B, z)
+        assert rows.shape == (len(indices), 2, 2)
+        assert np.array_equal(rows, np.stack([bergman_basis(j, B, z) for j in indices]))
+        assert np.array_equal(bergman_basis(indices, B, 0.3 + 0.4j), [bergman_basis(j, B, 0.3 + 0.4j) for j in indices])
 
 
 class TestBasisNorms:

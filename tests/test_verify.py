@@ -1,7 +1,38 @@
+import sys
+
 import pytest
 
-from nbsloc import bergman, states, verify
+from nbsloc import bergman, locop, specfun, states, verify
 from nbsloc.errors import DomainError
+
+# the highest tolerance each check may gate at; a budget may lower one, never raise it
+TOLERANCE_CEILINGS = {
+    "incbeta_reflection": 1e-12,
+    "laguerre_generating_function": 1e-13,
+    "gauss_theorem": 1e-10,
+    "appell_f1_reductions": 1e-9,
+    "radial_rule_beta_integrals": 1e-13,
+    "disk_rule_delta_structure": 1e-13,
+    "oscillator_eigen_residual": 1e-10,
+    "laguerre_orthonormality": 1e-12,
+    "state_normalization_overlap": 1e-12,
+    "state_quadrature_coefficients": 1e-12,
+    "resolution_of_identity": 1e-8,
+    "expansion_convergence": 1e-8,
+    "halfplane_kernel_bounds": 1e-12,
+    "spectrum_bounds_monotone": 1e-12,
+    "eigenvalue_norm_identity": 1e-8,
+    "matrix_elements_radial_diagonal": 1e-13,
+    "probabilistic_densities": 1e-13,
+    "mc_spectrum": 4.0,
+    "leakage_inequality": 1e-10,
+    "kernel_series_closed_equivalence": 1e-8,
+    "kernel_limit_monotone": 1e-2,
+    "kernel_positivity": 1e-10,
+    "reproducing_property": 1e-7,
+    "transfer_spectral_action": 1e-7,
+    "intertwining": 1e-7,
+}
 
 
 class TestCheckRegistry:
@@ -19,7 +50,32 @@ class TestCheckRegistry:
             assert verify.run_check(name).name == name
 
 
+class TestToleranceCeilings:
+    def test_no_check_gates_above_its_ceiling(self):
+        results = verify.run_all()
+        assert [result.name for result in results] == list(TOLERANCE_CEILINGS)
+        for result in results:
+            assert result.passed and result.tolerance <= TOLERANCE_CEILINGS[result.name], result
+
+
 class TestFaultInjection:
+    @pytest.mark.parametrize("home, name, check", [
+        (specfun, "laguerre", "laguerre_generating_function"),
+        (states, "bergman_basis", "disk_rule_delta_structure"),
+        (locop, "landau_density", "probabilistic_densities"),
+        (specfun, "reg_inc_beta_table", "leakage_inequality"),
+        (locop, "disk_eigenvalue", "spectrum_bounds_monotone"),
+    ])
+    def test_relative_error_of_1e_9_fails_a_check(self, home, name, check, monkeypatch):
+        # the function times 1 + 1e-9, in every nbsloc module that holds it: where verify and the library read it
+        assert verify.run_check(check).passed
+        exact = getattr(home, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("nbsloc.")]:
+            if getattr(module, name, None) is exact:
+                monkeypatch.setattr(module, name, lambda *args: exact(*args) * (1.0 + 1e-9))
+        broken = verify.run_check(check)
+        assert not broken.passed and broken.max_error > 1e-10
+
     @pytest.mark.parametrize("delta", [1e-3, 1e-9])
     def test_perturbed_laguerre_function_fails_orthonormality(self, delta, monkeypatch):
         # a factor 1 + delta moves the Gram diagonal by 2 delta; at 1e-9 that was under the old 1e-8 gate
