@@ -17,12 +17,9 @@ series is cut where its tail falls below specfun's SERIES_REL_TOL;
 fewest radii exact for the coefficients it returns, compares them with a
 refined rule and raises AccuracyError past PROJECT_REFINE_TOL.
 
-Everything that does not depend on the point or the function is built once,
-as read-only arrays in bounded LRU caches: here the kernel coefficient table,
-by (B, s, n), and the eigenvalue table I_s(j+1, 2B-1), j < n, of a coefficient
-apply, by (s, n, 2B-1), 16 tables each; from quadrature the grids, by (n, B)
-and n, and the angular rule's phasors, by n, RULE_CACHE_SIZE each; from states
-the basis norms, by (n, B), NORMS_CACHE_SIZE.
+Everything that does not depend on the point or the function is read from
+bounded LRU caches of read-only arrays: specfun's eigenvalue table, the grids
+and angular phasors of quadrature, and the basis norms of states.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
@@ -31,7 +28,6 @@ operator that localizes on the disk of radius R corresponds to s = R^2.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -150,30 +146,6 @@ def bargmann_inverse(F: BergmanFunction, xi: float) -> complex:
     return coefficients @ laguerre_function(range(coefficients.size), F.B, xi)
 
 
-# A session applies about nine coefficient counts at one (B, s); worst case 16 x 0.8 MB, at n = 100,000.
-@functools.lru_cache(maxsize=16)
-def _eigenvalue_table(s: float, n: int, b: float) -> np.ndarray:
-    """``reg_inc_beta_table(s, n, b)``, the eigenvalues I_s(j+1, b), j < n, built once per (s, n, b); read-only."""
-    table = reg_inc_beta_table(s, n, b)
-    table.flags.writeable = False
-    return table
-
-
-# Each kernel_series call walks n = 64, 128, ... at its (B, s), about four sizes up to 512.
-# Worst case 16 x 1.6 MB, at n = SERIES_MAX_TERMS.
-@functools.lru_cache(maxsize=16)
-def _kernel_table(B: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """g_k = (2B-1) Gamma(2B+k) / (k! Gamma(2B)) for k <= n, and g_k I_s(k+1, 2B-1) for k < n.
-
-    The kernel coefficients before their cut, built once per (B, s, n); read-only arrays.
-    """
-    g = np.exp(math.log(2.0 * B - 1.0) + log_nb_weights(n + 1, 2.0 * B))
-    table = (g, reg_inc_beta_table(s, n, 2.0 * B - 1.0) * g[:-1])
-    for array in table:
-        array.flags.writeable = False
-    return table
-
-
 def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     """Coefficients c_k of the kernel series sum_k c_k (conj(z) w)^k.
 
@@ -182,9 +154,8 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     |coefficient| terms at radius ``x_max`` (the largest |conj(z) w| to be
     evaluated) falls below SERIES_REL_TOL of the accumulated coefficient
     envelope; the incomplete-Beta factors are at most one, so they only
-    help the bound.  The candidate table doubles until it holds that k, or
-    raises ConvergenceError past SERIES_MAX_TERMS.  The tables are memoized
-    by (B, s, n) and the result is a read-only view of one.
+    help the bound.  The candidate table, ``reg_inc_beta_table`` times the weights,
+    doubles until it holds that k, or raises ConvergenceError past SERIES_MAX_TERMS.
     """
     check_strength(B)
     if not 0.0 < s < 1.0:
@@ -194,7 +165,8 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     n = 64
     while True:
         n = min(n, specfun.SERIES_MAX_TERMS)
-        g, coeffs = _kernel_table(B, s, n)
+        g = np.exp(math.log(2.0 * B - 1.0) + log_nb_weights(n + 1, 2.0 * B))
+        coeffs = reg_inc_beta_table(s, n, 2.0 * B - 1.0) * g[:-1]
         k = np.arange(n + 1.0)
         powers = x_max ** k
         envelope = np.cumsum(coeffs * powers[:-1])
@@ -270,7 +242,7 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2.  The
     operator sends z^j to I_s(j+1, 2B-1) z^j, so a coefficient function
     F = sum_j f_j basis_j at strength F.B returns sum_j I_s(j+1, 2B-1) f_j
-    basis_j(w), from one eigenvalue table, cached by (s, n, 2B-1), and Horner's
+    basis_j(w), from the shared eigenvalue table ``reg_inc_beta_table`` and Horner's
     rule: no quadrature and no AccuracyError.  A function held only as an
     evaluator raises UnsupportedRepresentationError; ``F.project(j_max)`` gives
     its coefficients.
@@ -278,4 +250,4 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     w, R = as_disk(w), as_radius(R)
     check_strength(B)
     f = F.coefficients_or_raise()
-    return basis_series(_eigenvalue_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j
+    return basis_series(reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j

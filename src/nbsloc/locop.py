@@ -53,23 +53,22 @@ RADIAL_NODES = 160  # radial_eigenvalue's Gauss-Jacobi rule
 
 
 def disk_eigenvalue(j: int, B: float, R) -> float:
-    """Eigenvalue of the disk-indicator localization operator: I_{R^2}(j+1, 2B-1)."""
+    """Eigenvalue of the disk-indicator localization operator: I_{R^2}(j+1, 2B-1), a ``reg_inc_beta_table`` entry."""
     j = check_index("j", j)
     check_strength(B)
     R = as_radius(R)
-    return reg_inc_beta(R * R, j + 1.0, 2.0 * B - 1.0)
+    return float(reg_inc_beta_table(R * R, j + 1, 2.0 * B - 1.0)[j])
 
 
 @dataclass
 class SpectralData:
-    """Eigenvalue table of the localization operator, grown on demand.
+    """Eigenvalue table of the localization operator, as a read-only array.
 
-    ``values(n)`` appends the missing entries to one read-only array and never
-    changes an entry handed out: for m = 0 from one ``reg_inc_beta_table`` at
-    the new top index, for m > 0 from one ``landau_eigenvalue`` per index.
-    ``eigenvalue(j)`` is ``values(j + 1)[j]``, on a fresh instance ``disk_eigenvalue(j)``.
-    All eigenvalues lie in [0, 1] and, for m = 0, decrease strictly in j.
-    Growth takes no lock: threads may share an instance only once it is grown.
+    For m = 0 ``values(n)`` is a view of the shared ``reg_inc_beta_table``, so entry j is
+    ``disk_eigenvalue(j)`` bit for bit, whatever was asked before.  For m > 0 it appends one
+    ``landau_eigenvalue`` per missing index to the instance's own array and never changes an
+    entry handed out; that growth takes no lock, so threads may share an instance only once it is
+    grown.  All eigenvalues lie in [0, 1] and, for m = 0, decrease strictly in j.
     """
 
     B: float
@@ -84,18 +83,13 @@ class SpectralData:
         self._values = np.empty(0)
         self._values.flags.writeable = False
 
-    def eigenvalue(self, j: int) -> float:
-        return float(self.values(check_index("j", j) + 1)[-1])
-
     def values(self, n: int) -> np.ndarray:
         """Eigenvalues j = 0..n-1 as a read-only array."""
         n = check_index("n", n)
-        have = self._values.size
-        if n > have:
-            if self.m == 0:
-                new = reg_inc_beta_table(self.R.R * self.R.R, n, 2.0 * self.B - 1.0)[have:]
-            else:
-                new = [landau_eigenvalue(j, ModelParams(self.B, self.m), self.R) for j in range(have, n)]
+        if self.m == 0:
+            return reg_inc_beta_table(self.R.R * self.R.R, max(n, 1), 2.0 * self.B - 1.0)[:n]
+        if n > self._values.size:
+            new = [landau_eigenvalue(j, ModelParams(self.B, self.m), self.R) for j in range(self._values.size, n)]
             self._values = np.concatenate((self._values, new))
             self._values.flags.writeable = False
         return self._values[:n]

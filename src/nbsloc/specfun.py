@@ -31,6 +31,7 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,9 +97,24 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _stirling_correction(x: float) -> float:
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2 for x >= 10, to 1e-15 (DLMF 5.11.1, six terms)."""
+    y = 1.0 / (x * x)  # the terms B_2k / (2k (2k-1) x^(2k-1)), k = 1..6, by Horner's rule in 1/x^2
+    return (1 / 12 + y * (-1 / 360 + y * (1 / 1260 + y * (-1 / 1680 + y * (1 / 1188 + y * (-691 / 360360)))))) / x
+
+
 def log_beta(a: float, b: float) -> float:
-    """log B(a, b) for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    """log B(a, b) for a, b > 0; past max(a, b) = 10 no two large log-gamma values cancel.
+
+    There log Gamma(big + small) - log Gamma(big) comes from Stirling's series as (big - 1/2)
+    log1p(small/big) + small log(big + small) - small + the corrections' difference (DiDonato & Morris).
+    """
+    small, big = (a, b) if a <= b else (b, a)
+    if not big >= 10.0:  # NaN too: log_gamma refuses it
+        return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    rise = ((big - 0.5) * math.log1p(small / big) + small * math.log(big + small) - small
+            + _stirling_correction(big + small) - _stirling_correction(big))
+    return log_gamma(small) - rise
 
 
 def log_nb_weights(n: int, b: float) -> np.ndarray:
@@ -198,17 +214,35 @@ def inc_beta_steps(x: float, n: int, b: float) -> np.ndarray:
 
 
 def reg_inc_beta_table(x: float, n: int, b: float) -> np.ndarray:
-    """[I_x(1, b), ..., I_x(n, b)]: ``reg_inc_beta`` at a = n, then the downward recurrence.
+    """[I_x(1, b), ..., I_x(n, b)], n >= 1: a read-only view of one table cached by (x, size, b).
 
-    I_x(a, b) = I_x(a+1, b) + x^a (1-x)^b / (a B(a, b)) adds a positive step
-    each time, so it is stable (Gil, Segura & Temme, Numerical Methods for
-    Special Functions, SIAM 2007, ch. 4).
+    size = max(512, the least power of two >= n).  Entries a <= 512 recur down from ``reg_inc_beta`` at
+    a = 512, entries 2^(k-1) < a <= 2^k from it at a = 2^k, by I_x(a, b) = I_x(a+1, b) + x^a (1-x)^b /
+    (a B(a, b)), stable as its steps are positive (Gil, Segura & Temme, SIAM 2007, ch. 4).  So an entry
+    depends on (x, a, b) alone: a prefix of a long table is the short table bit for bit.
     """
-    top = reg_inc_beta(x, float(n), b)  # raises DomainError unless n >= 1
-    if x == 0.0 or x == 1.0:
-        return np.full(n, top)
-    table = np.cumsum(np.concatenate(([top], inc_beta_steps(x, n, b)[:0:-1])))[::-1]  # steps a = n-1..1
-    return np.minimum(table, 1.0)  # a CDF; rounding must not push it past one
+    n = check_index("n", n)
+    if n < 1:
+        raise DomainError(f"reg_inc_beta_table requires n >= 1, got n={n}")
+    return _inc_beta_blocks(x, max(512, 1 << (n - 1).bit_length()), b)[:n]
+
+
+# Every eigenvalue route reads it; worst case 16 x 1 MB, at 131,072 entries, unless one index asks for more.
+@functools.lru_cache(maxsize=16)
+def _inc_beta_blocks(x: float, size: int, b: float) -> np.ndarray:
+    """I_x(a, b), a = 1..size, for a power of two size >= 512: the table of ``reg_inc_beta_table``."""
+    if not 0.0 < x < 1.0:  # reg_inc_beta refuses x and b outside the domain, and is 0 or 1 at the ends
+        table = np.full(size, reg_inc_beta(x, float(size), b))
+    else:
+        table = inc_beta_steps(x, size + 1, b)[1:]  # the steps I_x(a, b) - I_x(a+1, b), a = 1..size
+        tops = [512 << k for k in range((size // 512).bit_length())]
+        for lo, top in zip([0, *tops], tops):
+            table[top - 1] = reg_inc_beta(x, float(top), b)
+            block = table[lo:top][::-1]
+            np.add.accumulate(block, out=block)
+        np.minimum(table, 1.0, out=table)  # a CDF; rounding must not push it past one
+    table.flags.writeable = False
+    return table
 
 
 def horner(coeffs, x):

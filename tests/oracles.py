@@ -184,9 +184,9 @@ def dense_disk_apply(F, w: complex, B: float, R: float, n_r: int = 64, n_theta: 
 
 
 def kernel_series_coefficients_unmemoized(B: float, s: float, x_max: float, specfun):
-    """The kernel series' coefficient cut with every array rebuilt per call, from ``specfun``'s tables.
+    """The kernel series' coefficient cut written out, from ``specfun``'s tables.
 
-    The same expressions and the same walk n = 64, 128, ... as the memoized cut; None where that one
+    The same expressions and the same walk n = 64, 128, ... as the library's cut; None where that one
     raises ConvergenceError.
     """
     two_b, n = 2.0 * B, 64
@@ -328,13 +328,12 @@ def quantization_matrix_element_pointwise(F, j: int, k: int, B: float, grid, sta
     return complex(math.fsum(terms.real), math.fsum(terms.imag)) / math.pi
 
 
-def radial_eigenvalue_pointwise(F, j: int, B: float, nodes: int, quadrature) -> float:
+def radial_eigenvalue_pointwise(F, j: int, B: float, nodes: int, quadrature, specfun) -> float:
     """One radial-symbol eigenvalue by the per-element formula: ``F.func`` at each node of the radial rule.
 
-    The terms are summed exactly (``math.fsum``), free of the rounding of a library reduction.
+    The terms are summed exactly (``math.fsum``), free of the rounding of a library reduction; what is
+    checked is that node sum, so the normalization 1 / B(j+1, 2B-1) is the library's ``log_beta``.
     """
     grid = quadrature.radial_jacobi_grid(nodes, B)
     fvals = np.asarray([F.func(r) for r in grid.nodes], dtype=float)
-    b = 2.0 * B - 1.0
-    return math.fsum(grid.weights * grid.nodes ** j * fvals) \
-        * math.exp(-(math.lgamma(j + 1.0) + math.lgamma(b) - math.lgamma(j + 1.0 + b)))
+    return math.fsum(grid.weights * grid.nodes ** j * fvals) * math.exp(-specfun.log_beta(j + 1.0, 2.0 * B - 1.0))

@@ -380,49 +380,41 @@ class TestTransferredApply:
     def test_coefficient_apply_is_the_uncached_table_expression(self):
         # bit for bit basis_series(reg_inc_beta_table(R^2, n, 2B - 1) * f, B, w), whatever was cached before
         rng = np.random.default_rng(22)
-        calls = [(B, R, n) for B in (0.51, 1.5, 20.0) for R in (0.3, 0.81) for n in (1, 4, 12, 17)]
-        calls += [(1.5, 0.3, n) for n in range(1, 40)]  # more keys than the cache keeps
+        calls = [(B, R, n) for B in (0.51, 1.5, 20.0) for R in (0.3, 0.81) for n in (1, 4, 12, 17, 600)]
+        calls += [(1.5, 0.3 + 0.02 * i, 5) for i in range(20)]  # more keys than the cache keeps
         cases = [(B, R, rng.standard_normal(n) + 1j * rng.standard_normal(n),
                   complex(*rng.uniform(-0.6, 0.6, 2))) for B, R, n in calls]
-        bergman._eigenvalue_table.cache_clear()
+        specfun._inc_beta_blocks.cache_clear()
         for order in (cases, cases[::-1], cases[::3] + cases, cases):
             for B, R, f, w in order:
                 want = basis_series(reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f, B, w)
                 assert transferred_apply(BergmanFunction(B, f), w, B, R) == want
-        table = bergman._eigenvalue_table(0.09, 12, 2.0)
-        assert table is bergman._eigenvalue_table(0.09, 12, 2.0) and not table.flags.writeable
 
-    def test_kernel_table_built_once_per_strength_and_radius(self, monkeypatch):
-        B, R, sizes = 2.5, 0.7, []
-
-        def counted(x, n, b):
-            sizes.append(n)
-            return reg_inc_beta_table(x, n, b)
-
-        bergman._kernel_table.cache_clear()
-        monkeypatch.setattr(bergman, "reg_inc_beta_table", counted)
+    def test_kernel_table_built_once_per_strength_and_radius(self):
+        B, R, cache = 2.5, 0.7, specfun._inc_beta_blocks
+        cache.cache_clear()
         z = 0.95 * np.exp(2j * np.pi * np.arange(8) / 8)
         first = kernel_series(z, 0.6 + 0.2j, B, R * R)
-        built = list(sizes)
+        built = cache.cache_info()
         second = kernel_series(z, -0.2 - 0.6j, B, R * R)  # the same |w|, so the same cut
-        assert len(built) >= 2 and sizes == built
+        # the walk n = 64, 128, ... reads one 512-entry table, built by the first call only
+        assert built.misses == 1 and built.hits >= 1
+        assert cache.cache_info().misses == 1 and cache.cache_info().hits == 2 * built.hits + 1
         assert not np.array_equal(first, second)
 
     def test_kernel_tables_are_read_only_and_rebuilt_bit_for_bit(self):
         B, R, w = 1.5, 0.8, 0.45 - 0.5j
         F = BergmanFunction(B, [0.5, 1.0 - 1.0j, 0.25j])
         coeffs, value = kernel_series_coefficients(B, R * R, 0.9), transferred_apply(F, w, B, R)
-        g, table = bergman._kernel_table(B, R * R, 64)
-        for array in (g, table, coeffs):
-            with pytest.raises(ValueError):
-                array[0] = 1.0
-        bergman._kernel_table.cache_clear()
+        table = reg_inc_beta_table(R * R, 64, 2.0 * B - 1.0)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        specfun._inc_beta_blocks.cache_clear()
         assert np.array_equal(kernel_series_coefficients(B, R * R, 0.9), coeffs)
         assert transferred_apply(F, w, B, R) == value
-        # the table is the one formula: (2B-1) w_k(2B) times I_s(k+1, 2B-1)
-        weights = np.exp(math.log(2.0 * B - 1.0) + specfun.log_nb_weights(65, 2.0 * B))
-        assert np.array_equal(g, weights)
-        assert np.array_equal(table, reg_inc_beta_table(R * R, 64, 2.0 * B - 1.0) * weights[:-1])
+        # the coefficients are the one formula: (2B-1) w_k(2B) times I_s(k+1, 2B-1)
+        weights = np.exp(math.log(2.0 * B - 1.0) + specfun.log_nb_weights(coeffs.size, 2.0 * B))
+        assert np.array_equal(coeffs, reg_inc_beta_table(R * R, coeffs.size, 2.0 * B - 1.0) * weights)
 
     @pytest.mark.parametrize("B", [0.75, 1.5, 4.5, 10.0])
     @pytest.mark.parametrize("w, n_r, n_theta", [

@@ -14,17 +14,17 @@ from pathlib import Path
 import numpy as np
 
 import nbsloc
+from nbsloc import bergman, locop, specfun
 from nbsloc.quadrature import QuadratureGrid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLES = {
-    "bergman._eigenvalue_table": (0.49, 12, 2.0),
-    "bergman._kernel_table": (1.5, 0.49, 64),
     "quadrature.gauss_jacobi": (9, 1.0, 0.0),
     "quadrature.half_line_grid": (9, 1.5),
     "quadrature.radial_jacobi_grid": (9, 1.5),
     "quadrature.angular_grid": (16,),
     "quadrature.angular_phasors": (16,),
+    "specfun._inc_beta_blocks": (0.49, 512, 2.0),
     "states.basis_norms": (12, 1.5),
 }
 
@@ -72,3 +72,27 @@ def test_every_cache_is_bounded_read_only_and_documented():
         assert arrays, name
         assert not any(array.flags.writeable for array in arrays), name
         assert cache(*EXAMPLES[name]) is value, name
+
+
+def test_every_eigenvalue_route_reads_the_one_table():
+    # each route reads lambda_j = I_{R^2}(j+1, 2B-1) from the one cached table, so all agree bit for bit
+    B, R = 1.5, 0.7
+    f = np.linspace(1.0, 2.0, 20) + 0.5j
+    routes = [
+        lambda: locop.SpectralData(B, R).values(40),
+        lambda: locop.disk_eigenvalue(3, B, R),
+        lambda: bergman.transferred_apply(bergman.BergmanFunction(B, f), 0.3 + 0.1j, B, R),
+        lambda: bergman.kernel_series(0.5, 0.6j, B, R * R),
+        lambda: locop.leakage_bound(0.4 + 0.2j, B, R),
+        lambda: locop.localized_overlap(0.4 + 0.2j, B, R, f),
+        lambda: locop.SpectralData(B, R).values(600),  # a second size: 1,024 entries
+        lambda: locop.disk_eigenvalue(700, B, R),
+    ]
+    cache = specfun._inc_beta_blocks
+    cache.cache_clear()
+    for route in routes:
+        before = cache.cache_info()
+        route()
+        after = cache.cache_info()
+        assert after.hits + after.misses > before.hits + before.misses, route
+    assert cache.cache_info().misses == 2 and cache.cache_info().currsize == 2

@@ -56,6 +56,14 @@ class TestEigvals:
         for j, got in enumerate(values):
             assert got == pytest.approx(0.25 ** (j + 1), abs=1e-12)
 
+    def test_rows_do_not_depend_on_j_max(self):
+        # lambda_0 at B = 1.5, R = 0.9 printed as 0.9638999999999998 at --j-max 10 and as 0.9639 at 300
+        runs = [run_fresh(["eigvals", "--B", "1.5", "--R", "0.9", "--j-max", j_max]) for j_max in ("10", "300")]
+        assert [run.returncode for run in runs] == [0, 0]
+        short, long = ([line for line in run.stdout.decode().splitlines() if not line.startswith("#")]
+                       for run in runs)
+        assert len(short) == 12 and long[:12] == short and short[1] == "0,0.9639"
+
     def test_json_structure(self, capsys):
         code, out, _ = run_cli(
             ["eigvals", "--B", "1.5", "--j-max", "2", "--format", "json"], capsys)

@@ -17,6 +17,7 @@ from nbsloc.specfun import (
     gauss_2f1,
     jacobi,
     laguerre,
+    log_beta,
     log_gamma,
     log_nb_weights,
     horner,
@@ -50,6 +51,21 @@ class TestLogGamma:
             log_gamma(0.0)
         with pytest.raises(DomainError):
             log_gamma(-1.3)
+
+
+class TestLogBeta:
+    @pytest.mark.parametrize("a, b", [(1e4, 0.5), (1e6, 40.0), (0.5, 1e4), (512.0, 0.02), (10.0, 3.0), (9.5, 2.0)])
+    def test_matches_mpmath(self, a, b):
+        # lgamma(a) + lgamma(b) - lgamma(a + b) was 1.5e-11 off at (1e4, 0.5) and 2.8e-9 off at (1e6, 40)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.beta(a, b)))
+        assert abs(log_beta(a, b) - want) <= 1e-12
+
+    def test_domain(self):
+        for a, b in ((0.0, 20.0), (20.0, -1.0), (math.nan, 20.0), (20.0, math.nan)):
+            with pytest.raises(DomainError):
+                log_beta(a, b)
 
 
 class TestRegIncBeta:
@@ -538,10 +554,11 @@ def _mp_inc_beta_table(x: float, n: int, b: float) -> np.ndarray:
 
 class TestRegIncBetaTable:
     # Relative accuracy asked of every entry that float64 represents with
-    # full precision: the per-index route and the table both carry the
-    # log-gamma prefactor error, about 1e-16 * lgamma(a + b) per step, and
-    # the complement route near x = 1 an absolute 1e-16 on values >= 1e-5.
-    RTOL = 1e-10
+    # full precision: the per-index route and each block top carry the
+    # rounding of reg_inc_beta's prefactor, whose log_beta cancels no large
+    # log-gamma values; measured at most 1.9e-13 for the table and 5.6e-13
+    # per index here (3.9e-11 and 8.4e-11 with lgamma differences in log_beta).
+    RTOL = 1e-12
     FLOOR = 1e-290
 
     @pytest.mark.parametrize("B", [0.51, 0.75, 1.5, 5.0, 10.5])
@@ -565,9 +582,24 @@ class TestRegIncBetaTable:
                 want = _binomial_tail(a, b, k)
                 assert abs(Fraction(float(table[a - 1])) - want) <= 1e-12 * want
 
-    def test_top_entry_is_the_continued_fraction(self):
-        for n in (1, 7, 64):
-            assert reg_inc_beta_table(0.36, n, 2.0)[-1] == reg_inc_beta(0.36, float(n), 2.0)
+    @pytest.mark.parametrize("x, b", [(0.36, 2.0), (0.999, 2.5), (0.998001, 0.02)])
+    def test_block_tops_are_the_continued_fraction_and_prefixes_the_short_table(self, x, b):
+        specfun._inc_beta_blocks.cache_clear()
+        long = reg_inc_beta_table(x, 4096, b)
+        for top in (512, 1024, 2048, 4096):
+            assert long[top - 1] == reg_inc_beta(x, float(top), b)
+        for n in (1, 7, 64, 511, 512, 513, 1500, 2048):
+            specfun._inc_beta_blocks.cache_clear()  # each table built anew at its own size
+            assert reg_inc_beta_table(x, n, b).tolist() == long[:n].tolist()
+
+    @pytest.mark.parametrize("B, R", [(50.0, 0.999), (0.51, 0.9), (1.5, 0.99), (20.0, 0.99), (20.0, 0.9)])
+    def test_whole_table_sums_to_the_photon_count_mean(self, B, R):
+        # lambda_j = I_{R^2}(j+1, 2B-1) = P(N > j) for N negative binomial of shape 2B-1 at R^2, so the
+        # table sums to E N = (2B-1) R^2 / (1-R^2), across every block seam; worst 1.1e-14 at (50, 0.999)
+        x, b = R * R, 2.0 * B - 1.0
+        table, mean = reg_inc_beta_table(x, 1 << 17, b), b * x / (1.0 - x)
+        assert table[-1] / (1.0 - x) <= 1e-20 * mean  # bounds the neglected tail
+        assert abs(math.fsum(table.tolist()) - mean) <= 2e-14 * mean
 
     def test_decreasing_cdf_values(self):
         table = reg_inc_beta_table(0.998001, 300, 0.02)
@@ -577,10 +609,15 @@ class TestRegIncBetaTable:
     def test_endpoints_and_domain(self):
         assert np.all(reg_inc_beta_table(0.0, 5, 2.0) == 0.0)
         assert np.all(reg_inc_beta_table(1.0, 5, 2.0) == 1.0)
-        with pytest.raises(DomainError):
-            reg_inc_beta_table(0.5, 0, 2.0)
-        with pytest.raises(DomainError):
-            reg_inc_beta_table(1.5, 3, 2.0)
+        for x, n, b in ((0.5, 0, 2.0), (1.5, 3, 2.0), (math.nan, 3, 2.0), (0.5, 3, 0.0), (0.5, 1.5, 2.0)):
+            with pytest.raises(DomainError):
+                reg_inc_beta_table(x, n, b)
+
+    def test_views_of_one_read_only_table(self):
+        short, long = reg_inc_beta_table(0.49, 12, 2.0), reg_inc_beta_table(0.49, 400, 2.0)
+        assert np.shares_memory(short, long) and not short.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            long[0] = 0.5
 
 
 # b = 2B - 2m for the basis norms, pmfs and densities, b = 2B - 1 for the Beta steps
