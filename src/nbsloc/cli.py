@@ -8,8 +8,13 @@ failure, 2 usage or domain error.
 
 The argparse tree is built once per process, on the first ``main`` call
 (``build_parser`` is memoized); each call parses into a fresh namespace.
-JSON documents are filled in from one row template per call and are
-exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
+An argv whose first word names a subcommand goes straight to that
+subcommand's parser, the one the top-level parser would delegate it to,
+into ``Namespace(command=...)``; any other argv (``--help``, ``--version``,
+none, an unknown command) takes the top-level parse.  JSON documents are
+filled in from one row template per call, with every cell encoded by one
+call of json's C encoder, and are exactly ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, **spec)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.commands = sub.choices  # each subcommand's parser by name, for main's dispatch
     return parser
 
 
@@ -91,15 +97,6 @@ def _write(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-
-
-def _json_cell(value) -> str:
-    """One cell as json.dumps writes it; finite floats (numpy's too) and ints by their repr."""
-    if type(value) is int:
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)  # str, bool, None, NaN and +-inf
 
 
 def _render(params: dict, columns: list[str], rows: list[list], fmt: str) -> str:
@@ -114,8 +111,11 @@ def _render(params: dict, columns: list[str], rows: list[list], fmt: str) -> str
         picks = [index[key] for key in keys]
         fields = ",\n".join("      " + json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
         template = f"    {{\n{fields}\n    }}" if keys else "    {}"
-        cells = tuple(map(_json_cell, [row[i] for row in rows for i in picks]))
-        body = ",\n".join([template] * len(rows)) % cells
+        cells = [row[i] for row in rows for i in picks]
+        # json's C encoder writes each cell as indent=2 does (float.__repr__, NaN, true, null,
+        # ASCII-escaped strings, so no newline inside one); the newline separator splits them.
+        texts = json.JSONEncoder(separators=("\n", ":")).encode(cells)[1:-1].split("\n") if cells else []
+        body = ",\n".join([template] * len(rows)) % tuple(texts)
         data = f"[\n{body}\n  ]" if rows else "[]"
         params_text = json.dumps(params, indent=2, sort_keys=True).replace("\n", "\n  ")
         return f'{{\n  "data": {data},\n  "params": {params_text}\n}}\n'
@@ -221,7 +221,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:  # the subcommand's parser, which the top-level parse delegates to
+        args = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command][0](args)
     except (DomainError, ConvergenceError, AccuracyError, ValueError, OSError) as exc:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from . import quadrature, specfun
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
-from .specfun import (check_index, check_indices, inc_beta_steps, log_beta, log_inc_beta_steps, log_nb_weights,
+from .specfun import (check_index, check_indices, log_beta, log_inc_beta_steps, log_nb_weights,
                       reg_inc_beta, reg_inc_beta_table, sample_beta)
 from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
                      check_strength, jacobi)
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 LANDAU_REFINE_TOL = 1e-10  # relative agreement landau_eigenvalue's refinement must reach
-LEAKAGE_TAIL_TOL = 1e-14  # bound on the photon-count tail leakage_bound neglects
+LEAKAGE_TAIL_TOL = 1e-14  # bound on the photon-count tail leakage_bound neglects, relative to the sum
 LANDAU_NODES = 320  # landau_eigenvalue's Gauss-Legendre rule on [0, R^2] and on each half
 RADIAL_NODES = 160  # radial_eigenvalue's Gauss-Jacobi rule
 
@@ -255,36 +255,67 @@ def mc_eigenvalue(j: int, params: ModelParams, R, n_samples: int, seed: int) -> 
     return estimate, math.sqrt(estimate * (1.0 - estimate) / n_samples)
 
 
+def _log_tail_bound(lam, log_pmf, tail_p: float, s: float, p: float, B: float) -> float:
+    """log of a bound on sum_{j >= n} lambda_j^2 pmf_j, n = len(lam) >= 2: the smaller of two bounds.
+
+    The eigenvalues decrease, so the tail is at most lambda_{n-1}^2 P(N >= n), P(N >= n) = tail_p.
+    They are also the survival function of the negative binomial law of shape 2B - 1 at s, whose
+    ratios lambda_j / lambda_{j-1} fall for 2B - 1 >= 1 (a log-concave law) and rise to s below
+    (log-convex): for j >= n they are at most rho = max(lambda_{n-1} / lambda_{n-2}, s).  The pmf
+    ratios p (2B + j - 1) / j fall in j, so with q = rho^2 p (2B + n - 1) / n < 1 the tail is at most
+    the geometric series lambda_{n-1}^2 pmf_{n-1} q / (1 - q).  At p = 0, or where lambda_{n-1}
+    rounds to zero (and every later eigenvalue with it), the tail is zero: -inf.
+    """
+    n, last = len(lam), float(lam[-1])
+    if last == 0.0 or p == 0.0:
+        return -math.inf
+    bounds = [math.log(tail_p)] if tail_p > 0.0 else []  # a P(N >= n) that underflows bounds nothing
+    rho = max(last / float(lam[-2]), s)
+    q = rho * rho * p * (2.0 * B + n - 1.0) / n
+    if q < 1.0:
+        bounds.append(float(log_pmf[-1]) + (math.log(q) - math.log1p(-q) if q > 0.0 else -math.inf))
+    return 2.0 * math.log(last) + min(bounds, default=math.inf)
+
+
 def leakage_bound(z0, B: float, R) -> float:
     """Photon-counting bound on the operator's content at a coherence point.
 
     sqrt(sum_j I_{R^2}(j+1, 2B-1)^2 pmf(j)) with the negative binomial law
-    at p = |z0|^2.  The eigenvalues decrease, so the terms past index n - 1
-    add at most I_{R^2}(n, 2B-1)^2 P(N >= n), with P(N >= n) = I_p(n, 2B)
-    exactly; n doubles until that is at most LEAKAGE_TAIL_TOL, or raises
-    ConvergenceError past SERIES_MAX_TERMS.  A sum below the normal range,
-    whose terms underflow, is summed from the logs of its terms.
+    at p = |z0|^2, summed over j < n.  n doubles from 32 until the terms
+    past index n - 1 are at most LEAKAGE_TAIL_TOL times the sum, or raises
+    ConvergenceError past SERIES_MAX_TERMS.  The eigenvalues decrease, so
+    those terms add at most I_{R^2}(n, 2B-1)^2 P(N >= n), with P(N >= n) =
+    I_p(n, 2B) exactly: n first doubles until that is at most
+    LEAKAGE_TAIL_TOL, which needs no sum, then until the smaller of it and
+    a geometric bound (``_log_tail_bound``) is at most LEAKAGE_TAIL_TOL
+    times the sum.  A sum below the normal range, whose terms underflow, is
+    summed from the logs of its terms; the comparison is made in logs.
     """
     z0, R = as_disk(z0), as_radius(R)
     check_strength(B)
     p = abs(z0) ** 2
     s, b = R * R, 2.0 * B - 1.0
     n = 32
-    while reg_inc_beta(s, float(n), b) ** 2 * reg_inc_beta(p, float(n), 2.0 * B) > LEAKAGE_TAIL_TOL:
+    while True:
+        tail_p = reg_inc_beta(p, float(n), 2.0 * B)
+        if reg_inc_beta(s, float(n), b) ** 2 * tail_p <= LEAKAGE_TAIL_TOL:
+            lam = reg_inc_beta_table(s, n, b)
+            log_pmf = log_inc_beta_steps(p, n, 2.0 * B)
+            total = float(lam * lam @ np.exp(log_pmf))
+            if total >= sys.float_info.min:
+                log_total, bound = math.log(total), math.sqrt(total)
+            else:
+                with np.errstate(divide="ignore"):  # log(0) = -inf where an eigenvalue underflows
+                    terms = 2.0 * np.log(lam) + log_pmf
+                top = terms.max()
+                log_total = top + math.log(np.exp(terms - top).sum()) if top > -math.inf else -math.inf
+                bound = math.exp(0.5 * log_total)
+            if _log_tail_bound(lam, log_pmf, tail_p, s, p, B) <= math.log(LEAKAGE_TAIL_TOL) + log_total:
+                return bound
         if n >= specfun.SERIES_MAX_TERMS:
-            raise ConvergenceError(
-                f"photon-count tail above {LEAKAGE_TAIL_TOL} after {n} terms at p={p}", terms_used=n)
+            raise ConvergenceError(f"photon-count tail above {LEAKAGE_TAIL_TOL} of the sum after {n} terms "
+                                   f"at p={p}", terms_used=n)
         n = min(2 * n, specfun.SERIES_MAX_TERMS)
-    lam = reg_inc_beta_table(s, n, b)
-    total = float(lam * lam @ inc_beta_steps(p, n, 2.0 * B))
-    if total >= sys.float_info.min:
-        return math.sqrt(total)
-    with np.errstate(divide="ignore"):  # log(0) = -inf where an eigenvalue underflows
-        terms = 2.0 * np.log(lam) + log_inc_beta_steps(p, n, 2.0 * B)
-    top = terms.max()
-    if top == -math.inf:
-        return 0.0
-    return math.exp(0.5 * (top + math.log(np.exp(terms - top).sum())))
 
 
 def localized_overlap(z0, B: float, R, coeffs) -> float:

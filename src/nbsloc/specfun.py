@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ SERIES_REL_TOL = 1e-12  # relative size below which a term or block counts as co
 SERIES_ABS_TOL = 1e-300  # absolute underflow guard, for sums near zero
 SERIES_MAX_TERMS = 100_000  # cap per summation index; past it a series raises ConvergenceError
 INC_BETA_MAX_ITER = 500  # incomplete Beta continued-fraction steps before ConvergenceError
+
+_REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 @dataclass(frozen=True)
@@ -394,6 +397,14 @@ def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
     )
 
 
+def _rising_step(params):
+    """n -> prod (p + n - 1) over ``params``, the ratio (p)_n / (p)_(n-1) of their Pochhammer products."""
+    if len(params) == 1:
+        (p,) = params
+        return lambda n: p + n - 1.0  # exactly what math.prod([p + n - 1.0]) returns
+    return lambda n: math.prod([p + n - 1.0 for p in params])
+
+
 def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, u: complex,
                        v: complex, n_stop) -> HypergeomResult:
     """sum front_{j+k} row_j col_k over anti-diagonals j + k = n, up to ``n_stop`` unless it is None.
@@ -401,6 +412,7 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
     row_j = prod (row_params)_j u^j / j!, col_k likewise in v, front_n = prod (front_num)_n / prod (front_den)_n.
     A block whose products leave the float range raises ConvergenceError.
     """
+    row_step, col_step, num_step, den_step = map(_rising_step, (row_params, col_params, front_num, front_den))
     row = [complex(1.0)]
     col = [complex(1.0)]
     front = 1.0
@@ -411,13 +423,14 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
         if n_stop is not None and n > n_stop:
             # returning here also avoids the 0/0 front update when n_stop == -c
             return HypergeomResult(total, terms)
-        row.append(row[-1] * math.prod([p + n - 1.0 for p in row_params]) / n * u)
-        col.append(col[-1] * math.prod([p + n - 1.0 for p in col_params]) / n * v)
-        front = front * math.prod([p + n - 1.0 for p in front_num]) / math.prod([p + n - 1.0 for p in front_den])
-        # math.fsum makes each block exact, hence invariant under swapping the two summation indices
-        products = [row[j] * col[n - j] for j in range(n + 1)]
+        row.append(row[-1] * row_step(n) / n * u)
+        col.append(col[-1] * col_step(n) / n * v)
+        front = front * num_step(n) / den_step(n)
+        # the products row_j col_(n-j), j = 0..n, and their real and imaginary parts, each by one C-level
+        # map; math.fsum makes each block exact, hence invariant under swapping the two summation indices
+        products = list(map(operator.mul, row, reversed(col)))
         try:
-            block = front * complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
+            block = front * complex(math.fsum(map(_REAL, products)), math.fsum(map(_IMAG, products)))
         except (OverflowError, ValueError):  # F3's rows grow like j! u^j: partial sums overflow, or inf - inf
             block = complex(math.nan)
         if not cmath.isfinite(block):

@@ -4,11 +4,14 @@ Each routine here deliberately avoids the implementation path it is used
 to check: integrals come from adaptive Simpson, Laguerre values from the
 generating-function power series, Jacobi values and negative binomial
 weights from exact rational arithmetic, and long series from brute-force
-partial sums.
+partial sums.  Where a routine pins a rewrite bit for bit, it keeps the
+package's earlier scalar loop (the F1/F3 anti-diagonal driver, 2F1 term by
+term).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -136,6 +139,44 @@ def appell_f3_rowwise(a, a2, b1, b2, c, u, v, rows: int = 300) -> complex:
     return total
 
 
+def anti_diagonal_sum_loop(specfun, name, row_params, col_params, front_num, front_den, u, v, n_stop):
+    """``specfun._anti_diagonal_sum`` as one list comprehension and two generator sums per anti-diagonal.
+
+    The same operations in the same order as the package's C-level maps, so the value, ``terms_used``
+    and each ConvergenceError (message and ``terms_used``) must come out the same bit for bit.
+    """
+    row = [complex(1.0)]
+    col = [complex(1.0)]
+    front = 1.0
+    total = complex(1.0)
+    terms = 1
+    small = 0
+    for n in range(1, specfun.SERIES_MAX_TERMS + 1):
+        if n_stop is not None and n > n_stop:
+            return specfun.HypergeomResult(total, terms)
+        row.append(row[-1] * math.prod([p + n - 1.0 for p in row_params]) / n * u)
+        col.append(col[-1] * math.prod([p + n - 1.0 for p in col_params]) / n * v)
+        front = front * math.prod([p + n - 1.0 for p in front_num]) / math.prod([p + n - 1.0 for p in front_den])
+        products = [row[j] * col[n - j] for j in range(n + 1)]
+        try:
+            block = front * complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
+        except (OverflowError, ValueError):
+            block = complex(math.nan)
+        if not cmath.isfinite(block):
+            raise specfun.ConvergenceError(f"{name} terms left the float range at anti-diagonal {n}",
+                                           terms_used=terms)
+        total += block
+        terms += n + 1
+        if abs(block) <= max(specfun.SERIES_REL_TOL * abs(total), specfun.SERIES_ABS_TOL):
+            small += 1
+            if small >= 3:
+                return specfun.HypergeomResult(total, terms)
+        else:
+            small = 0
+    raise specfun.ConvergenceError(
+        f"{name} did not converge within {specfun.SERIES_MAX_TERMS} anti-diagonals", terms_used=terms)
+
+
 def nb_weights_exact(a_max: int, b: float) -> list[float]:
     """Gamma(b+a) / (a! Gamma(b)), a = 0..a_max, each the exact rational prod_{i<=a} (b+i-1)/i rounded once.
 
@@ -165,6 +206,35 @@ def leakage_bound_bruteforce(p: float, B: float, R: float, reg_inc_beta, terms: 
     for j in range(terms):
         total += reg_inc_beta(R * R, j + 1.0, 2.0 * B - 1.0) ** 2 * nb_pmf_direct(j, B, p)
     return math.sqrt(total)
+
+
+def leakage_bound_mpmath(p: float, B: float, R: float, n: int, dps: int = 50):
+    """The leakage bound sqrt(sum_j t_j^2), t_j = I_{R^2}(j+1, 2B-1) sqrt(pmf_j), j < n, in ``dps`` digits.
+
+    mpmath's incomplete Beta at the top index, then the exact downward recurrence I_s(a, b) =
+    I_s(a+1, b) + s^a (1-s)^b / (a B(a, b)), its steps by their ratio; the pmf by its term ratio.  s is the double R * R, as the
+    package forms it.  Returns the bound and the unit vector t / |t| (the extremal direction at a
+    positive real z0), as floats, after checking that the tail past n is below 1e-30 of the sum.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s, b, q, shape = mpmath.mpf(R * R), 2 * mpmath.mpf(B) - 1, mpmath.mpf(p), 2 * mpmath.mpf(B)
+        lam = [mpmath.betainc(n, b, 0, s, regularized=True)]
+        step = s ** (n - 1) * (1 - s) ** b / ((n - 1) * mpmath.beta(n - 1, b))  # the step at a = n - 1
+        for a in range(n - 1, 0, -1):
+            lam.append(lam[-1] + step)
+            step *= a / (s * (a + b - 1))  # the step at a - 1 over the step at a, exactly
+        lam.reverse()
+        pmf = [(1 - q) ** shape]
+        for j in range(n - 1):
+            pmf.append(pmf[-1] * q * (shape + j) / (j + 1))
+        t = [lam_j * mpmath.sqrt(pmf_j) for lam_j, pmf_j in zip(lam, pmf)]
+        total = mpmath.fsum(t_j ** 2 for t_j in t)
+        tail = lam[-1] ** 2 * mpmath.betainc(n, shape, 0, q, regularized=True)
+        assert tail <= mpmath.mpf("1e-30") * total
+        bound = mpmath.sqrt(total)
+        return float(bound), np.array([float(t_j / bound) for t_j in t])
 
 
 def dense_disk_apply(F, w: complex, B: float, R: float, n_r: int = 64, n_theta: int = 160) -> complex:

@@ -400,6 +400,43 @@ def test_in_process_stdout_is_the_fresh_process_stdout(command, fmt, capsys):
     assert (code, out.encode()) == (proc.returncode, proc.stdout)
 
 
+DISPATCH_ARGV = {
+    **{f"{command} run": [command, *args, "--format", "json"] for command, args in ROUND_TRIP_ARGS.items()},
+    **{f"{command} --help": [command, "--help"] for command in ROUND_TRIP_ARGS},
+    "--version": ["--version"],
+    "no argv": [],
+    "unknown command": ["nope", "--B", "2"],
+    "top-level flag after a command": ["eigvals", "--version"],
+    "unknown flag": ["leakage", "--z", "0.5", "--no-such-flag"],
+    "bad value": ["density", "--samples", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISPATCH_ARGV))
+def test_dispatch_is_the_top_level_parse(case, capsys, monkeypatch):
+    # main hands an argv that starts with a command straight to that command's parser
+    argv = DISPATCH_ARGV[case]
+    monkeypatch.setenv("COLUMNS", "80")  # help text is wrapped to the terminal width, in both processes
+    seen = []
+    for command, (handler, help_text, flags) in cli.COMMANDS.items():
+        def record(args, handler=handler):
+            seen.append(args)
+            return handler(args)
+        monkeypatch.setitem(cli.COMMANDS, command, (record, help_text, flags))
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    proc = run_fresh(argv)
+    assert (code, out.encode(), err.encode()) == (proc.returncode, proc.stdout, proc.stderr)
+    if case.endswith(" run"):
+        assert code == 0 and seen == [cli.build_parser().parse_args(argv)]
+    else:
+        assert code == (0 if case.endswith("--help") or case == "--version" else 2) and seen == []
+
+
 class TestParserReuse:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 import warnings
 
@@ -431,6 +433,41 @@ class TestLeakageBound:
         ref = math.sqrt(float(np.sum(lam * lam * np.exp(log_pmf))))
         # both sides carry 1e-10 relative eigenvalues and 1e-12 relative pmf
         assert leakage_bound(z0, B, R) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("z0, B, R, n", [
+        (math.sqrt(0.99), 150.0, 0.9, 8192),  # returned 7.534e-126, 1.8% below the sum, with an absolute tail rule
+        (0.5 + 0.3j, 1.25, 0.6, 512),
+    ])
+    def test_bound_meets_mpmath_and_is_attained(self, z0, B, R, n):
+        pytest.importorskip("mpmath")
+        want, direction = oracles.leakage_bound_mpmath(abs(z0) ** 2, B, R, n)
+        got = leakage_bound(z0, B, R)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # c_j = t_j e^(i j arg z0) makes every term of the overlap real and positive: it is the bound itself
+        c = direction * np.exp(1j * cmath.phase(z0) * np.arange(n))
+        overlap = localized_overlap(z0, B, R, c)
+        assert overlap <= got * (1.0 + 1e-12)
+        assert overlap == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("B", [0.51, 0.75, 1.0, 1.5, 5.0, 40.0])
+    def test_log_tail_bound_holds(self, B):
+        # sum_{j >= n} lambda_j^2 pmf_j over 2^17 terms never exceeds the bound, which at 2B - 1 = 1
+        # (lambda_j = s^(j+1)) and p near 1 is nearly attained
+        size, slack = 1 << 17, []
+        for R, p in itertools.product((0.3, 0.9, 0.99), (0.5, 0.99, 0.9999)):
+            lam = specfun.reg_inc_beta_table(R * R, size, 2.0 * B - 1.0)
+            log_pmf = specfun.log_inc_beta_steps(p, size, 2.0 * B)
+            with np.errstate(divide="ignore"):
+                terms = 2.0 * np.log(lam) + log_pmf
+            for n in (32, 256, 2048):
+                top = terms[n:].max()
+                tail = top + math.log(np.exp(terms[n:] - top).sum()) if top > -math.inf else -math.inf
+                bound = locop._log_tail_bound(lam[:n], log_pmf[:n], reg_inc_beta(p, float(n), 2.0 * B),
+                                              R * R, p, B)
+                assert bound >= tail - 1e-9, (R, p, n)
+                slack.append(bound - tail)
+        if B == 1.0:
+            assert min(slack) < 1e-3
 
     def test_tail_bound_holds_for_tolerances(self, monkeypatch):
         B, R, z0 = 1.25, 0.6, 0.95 + 0.2j

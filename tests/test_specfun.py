@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -465,6 +466,75 @@ class TestAppellF3:
         with pytest.raises(ConvergenceError) as err:
             appell_f3(0.5, 0.5, 0.5, 0.5, 2.0, 0.95, 0.9)
         assert err.value.terms_used > 0
+
+
+def _outcome(call):
+    """(value bits, terms_used) of a result, or (type, message, terms_used) of the error it raised."""
+    try:
+        res = call()
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "terms_used", None)
+    return res.value.real.hex(), res.value.imag.hex(), res.terms_used
+
+
+class TestAntiDiagonalDriver:
+    """appell_f1 and appell_f3 equal, bit for bit, what they gave when each anti-diagonal ran as Python loops."""
+
+    @staticmethod
+    def _pairs(monkeypatch, function, cases):
+        got = [_outcome(lambda: function(*args)) for args in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_anti_diagonal_sum", functools.partial(oracles.anti_diagonal_sum_loop, specfun))
+            want = [_outcome(lambda: function(*args)) for args in cases]
+        return got, want
+
+    @staticmethod
+    def _point(rng, radius):
+        return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+
+    def test_f1_draws(self, monkeypatch):
+        rng = np.random.default_rng(2701)
+        cases = []
+        for _ in range(60):
+            a, b1, b2 = rng.uniform(-4.0, 4.0, 3)
+            cases.append((a, b1, b2, rng.uniform(0.3, 5.0), self._point(rng, 0.65), self._point(rng, 0.65)))
+        for _ in range(20):  # the kernel's parameters: (2 - 2B; 1 - 2B, 2B; 2; s, s x)
+            B, s = rng.uniform(0.51, 6.0), rng.uniform(0.05, 0.95)
+            cases.append((2.0 - 2.0 * B, 1.0 - 2.0 * B, 2.0 * B, 2.0, s, s * self._point(rng, 0.6)))
+        for _ in range(20):  # terminating indices (n_stop), where |u| or |v| may pass 1
+            a, b1, b2 = (float(-rng.integers(0, 6)) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+                         for _ in range(3))
+            cases.append((a, b1, b2, rng.uniform(0.5, 4.0), self._point(rng, 1.5), self._point(rng, 0.6)))
+        # a c pole beyond the last anti-diagonal, and the whole termination at the pole itself
+        cases += [(-2.0, 0.7, 1.1, -3.0, 0.3 + 0.1j, 0.2), (-1.0, 0.7, 1.1, -1.0, 0.3, 0.2),
+                  (0.5, -1.0, -2.0, -4.0, 2.5, -1.5j)]
+        got, want = self._pairs(monkeypatch, appell_f1, cases)
+        assert got == want
+        kinds = [item[0] if item[0].endswith("Error") else "value" for item in got]
+        assert kinds.count("value") >= 90 and "DomainError" in kinds
+
+    def test_f3_draws_and_overflowing_rows(self, monkeypatch):
+        rng = np.random.default_rng(2702)
+        cases = []
+        for _ in range(40):
+            a, a2, b1, b2 = rng.uniform(-3.0, 3.0, 4)
+            cases.append((a, a2, b1, b2, rng.uniform(0.3, 5.0), self._point(rng, 0.6), self._point(rng, 0.6)))
+        for _ in range(6):  # rows that grow like j! u^j past the float range
+            u, v = rng.uniform(0.9, 0.97, 2)
+            cases.append((*rng.uniform(0.4, 0.6, 4), 2.0, u, v))
+        cases += [(0.5, 0.5, 0.5, 0.5, 2.0, 0.95, 0.9),  # overflows near anti-diagonal 170
+                  (-1.0, -2.0, 0.7, 1.3, 2.5, 1.5, -2.0),  # doubly terminating, |u|, |v| > 1
+                  (-1.0, -2.0, 0.7, 1.3, -3.0, 0.4, 0.3)]  # a c pole beyond the last anti-diagonal
+        got, want = self._pairs(monkeypatch, appell_f3, cases)
+        assert got == want
+        assert any(item[0] == "ConvergenceError" and "float range" in item[1] for item in got)
+
+    def test_convergence_errors(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 7)
+        cases = [(appell_f1, (0.5, 0.5, 0.5, 2.0, 0.95, 0.9)), (appell_f3, (0.5, 0.5, 0.5, 0.5, 2.0, 0.95, 0.9))]
+        for function, args in cases:
+            got, want = self._pairs(monkeypatch, function, [args])
+            assert got == want and got[0][0] == "ConvergenceError" and "within 7 anti-diagonals" in got[0][1]
 
 
 class TestSampleBeta:
