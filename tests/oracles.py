@@ -212,9 +212,10 @@ def leakage_bound_mpmath(p: float, B: float, R: float, n: int, dps: int = 50):
     """The leakage bound sqrt(sum_j t_j^2), t_j = I_{R^2}(j+1, 2B-1) sqrt(pmf_j), j < n, in ``dps`` digits.
 
     mpmath's incomplete Beta at the top index, then the exact downward recurrence I_s(a, b) =
-    I_s(a+1, b) + s^a (1-s)^b / (a B(a, b)), its steps by their ratio; the pmf by its term ratio.  s is the double R * R, as the
-    package forms it.  Returns the bound and the unit vector t / |t| (the extremal direction at a
-    positive real z0), as floats, after checking that the tail past n is below 1e-30 of the sum.
+    I_s(a+1, b) + s^a (1-s)^b / (a B(a, b)), its steps by their ratio; the pmf by its term ratio.
+    s is the double R * R, as the package forms it.  Returns the bound and the unit vector t / |t|
+    (the extremal direction at a positive real z0), as floats, after checking that the tail past n
+    is below 1e-30 of the sum.
     """
     import mpmath
 

@@ -469,7 +469,7 @@ class TestAppellF3:
 
 
 def _outcome(call):
-    """(value bits, terms_used) of a result, or (type, message, terms_used) of the error it raised."""
+    """(real bits, imaginary bits, terms_used) of a result, or (type, message, terms_used) of the error it raised."""
     try:
         res = call()
     except (ConvergenceError, DomainError) as exc:
