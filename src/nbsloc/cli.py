@@ -59,7 +59,8 @@ _B = {"type": float, "default": 1.5, "help": "strength parameter, 2B > 1"}
 _R = {"type": _finite_arg, "default": 0.6, "help": "localization radius in (0, 1)"}
 _M = {"type": int, "default": 0, "help": "level index, 0 <= m < B - 1/2"}
 _J_MAX = {"type": _count_arg, "default": 20}
-_POINT = {"type": _complex_arg, "required": True, "help": "point of the unit disk"}
+_POINT = {"type": _complex_arg, "required": True,
+          "help": "point of the unit disk; a leading minus needs the = form, as in --w=-0.3+0.4j"}
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -165,9 +166,8 @@ def cmd_leakage(args) -> int:
 def cmd_density(args) -> int:
     params = ModelParams(args.B, args.m)
     rho = np.linspace(0.0, 1.0, args.samples + 1)[:-1]
-    rows = []
-    for j, vals in enumerate(locop.landau_density_table(args.j_max, params, rho)):
-        rows.extend([j, float(r), float(v)] for r, v in zip(rho, vals))
+    densities = locop.landau_density(range(args.j_max + 1), params, rho)
+    rows = [[j, r, v] for j, vals in enumerate(densities.tolist()) for r, v in zip(rho.tolist(), vals)]
     _write(_render(_params_dict(args), ["j", "rho", "density"], rows, args.format), args.out)
     return 0
 
@@ -208,7 +208,7 @@ COMMANDS = {
     "kernel": (cmd_kernel, "transferred kernel at one point pair", {
         "B": _B, "R": _R, "z": _POINT, "w": _POINT}),
     "leakage": (cmd_leakage, "photon-counting bound outside the disk", {
-        "B": _B, "R": _R, "z": {**_POINT, "help": "coherence point z0"}}),
+        "B": _B, "R": _R, "z": {**_POINT, "help": "coherence point z0; a leading minus needs --z=-0.5+0.3j"}}),
     "density": (cmd_density, "eigenvalue densities on a rho grid", {
         "B": _B, "m": _M, "j_max": _J_MAX,
         "samples": {"type": _grid_arg, "default": 101, "help": "rho grid points, 2..10000"}}),

@@ -8,15 +8,17 @@ I_{R^2}(j + 1, 2B - 1), which is simultaneously the CDF of a Beta random
 variable (giving Monte-Carlo cross-checks) and a function of the
 pseudo-harmonic oscillator through its eigenvalue j + 1.  The module also
 carries the generalized level-m densities and eigenvalues, and the
-photon-counting bound on the operator's content outside the disk.  Rule
-sizes are module constants (RADIAL_NODES, LANDAU_NODES, DISK_RULE), not arguments.
+photon-counting bound on the operator's content outside the disk.  The
+radial and level-m quantities take an index or a range of indices; no call
+keeps state but the shared read-only rules and tables.  Rule sizes are
+module constants (RADIAL_NODES, LANDAU_NODES, DISK_RULE), not arguments.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,7 +40,6 @@ __all__ = [
     "as_function_of_hamiltonian",
     "beta_density",
     "landau_density",
-    "landau_density_table",
     "landau_eigenvalue",
     "mc_eigenvalue",
     "leakage_bound",
@@ -64,35 +65,27 @@ def disk_eigenvalue(j: int, B: float, R) -> float:
 class SpectralData:
     """Eigenvalue table of the localization operator, as a read-only array.
 
-    For m = 0 ``values(n)`` is a view of the shared ``reg_inc_beta_table``, so entry j is
-    ``disk_eigenvalue(j)`` bit for bit, whatever was asked before.  For m > 0 it appends one
-    ``landau_eigenvalue`` per missing index to the instance's own array and never changes an
-    entry handed out; that growth takes no lock, so threads may share an instance only once it is
-    grown.  All eigenvalues lie in [0, 1] and, for m = 0, decrease strictly in j.
+    The instance holds only B, R and m.  For m = 0 ``values(n)`` is a view of the shared
+    ``reg_inc_beta_table``, so entry j is ``disk_eigenvalue(j)`` bit for bit, whatever was asked
+    before; for m > 0 it is ``landau_eigenvalue(range(n))``, entry j the single-index call's.
+    All eigenvalues lie in [0, 1] and, for m = 0, decrease strictly in j.
     """
 
     B: float
     R: LocalizationRadius
     m: int = 0
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ModelParams(self.B, self.m)
         if not isinstance(self.R, LocalizationRadius):
             self.R = LocalizationRadius(float(self.R))
-        self._values = np.empty(0)
-        self._values.flags.writeable = False
 
     def values(self, n: int) -> np.ndarray:
         """Eigenvalues j = 0..n-1 as a read-only array."""
         n = check_index("n", n)
         if self.m == 0:
             return reg_inc_beta_table(self.R.R * self.R.R, max(n, 1), 2.0 * self.B - 1.0)[:n]
-        if n > self._values.size:
-            new = [landau_eigenvalue(j, ModelParams(self.B, self.m), self.R) for j in range(self._values.size, n)]
-            self._values = np.concatenate((self._values, new))
-            self._values.flags.writeable = False
-        return self._values[:n]
+        return landau_eigenvalue(range(n), ModelParams(self.B, self.m), self.R)
 
     def table(self, j_max: int) -> list[tuple[int, float]]:
         return list(enumerate(self.values(check_index("j_max", j_max) + 1).tolist()))
@@ -152,10 +145,13 @@ def as_function_of_hamiltonian(n: int, B: float, R) -> float:
     return disk_eigenvalue(check_index("n", n) - 1, B, R)
 
 
-def _log_density_shape(rho: np.ndarray, a: int, b: float) -> np.ndarray:
-    """log(rho^a (1 - rho)^b) on 0 <= rho < 1; -inf where rho = 0 < a."""
+def _log_rho(rho) -> tuple:
+    """log(rho) and log1p(-rho) on 0 <= rho < 1, with log(0) = -inf; DomainError elsewhere."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < 0.0) or np.any(rho >= 1.0):
+        raise DomainError("density defined on 0 <= rho < 1")
     with np.errstate(divide="ignore"):
-        return (a * np.log(rho) if a else 0.0) + b * np.log1p(-rho)
+        return np.log(rho), np.log1p(-rho)
 
 
 def beta_density(j: int, B: float, rho):
@@ -165,74 +161,67 @@ def beta_density(j: int, B: float, rho):
     ``rho`` may be an ndarray.
     """
     j = check_index("j", j)
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0.0) or np.any(rho_arr >= 1.0):
-        raise DomainError("density defined on 0 <= rho < 1")
+    log_rho, log_rest = _log_rho(rho)
     check_strength(B)
     ln_norm = math.log(2.0 * B - 1.0) + log_nb_weights(j + 1, 2.0 * B)[j]
-    vals = np.exp(ln_norm + _log_density_shape(rho_arr, j, 2.0 * B - 2.0))
+    vals = np.exp(ln_norm + ((j * log_rho if j else 0.0) + (2.0 * B - 2.0) * log_rest))
     return vals if isinstance(rho, np.ndarray) else float(vals)
 
 
-def landau_density(j: int, params: ModelParams, rho):
+def landau_density(j: int | range, params: ModelParams, rho):
     """Level-m generalization of ``beta_density``; reduces to it at m = 0.
 
     (2B-2m-1) ((m^j)! / (mvj)!) (Gamma(2B-2m+mvj)/Gamma(2B-2m+m^j))
       (1-rho)^(2B-2m-2) rho^|m-j| [P_{m^j}^(|m-j|, 2(B-m)-1)(1 - 2 rho)]^2
     with m^j = min(m, j), mvj = max(m, j), all but the squared polynomial formed
     in logs; ``ModelParams`` holds m < B - 1/2, where the weight is normalizable.
+    ``j`` may be a range: a row per index, shape (len(j), *np.shape(rho)), each its own call's
+    bit for bit, from one ``log_nb_weights`` table (a prefix is the short table) and one log pass.
     """
-    (vals,) = _level_densities([check_index("j", j)], params, rho)
-    return vals if isinstance(rho, np.ndarray) else float(vals)
-
-
-def landau_density_table(j_max: int, params: ModelParams, rho) -> np.ndarray:
-    """Rows ``landau_density(j, params, rho)``, j = 0..j_max, bit for bit, in O(j_max) work."""
-    return np.array(_level_densities(range(check_index("j_max", j_max) + 1), params, rho))
-
-
-def _level_densities(js, params: ModelParams, rho) -> list[np.ndarray]:
-    """The level-m densities at the nondecreasing indices ``js``, from one weight table.
-
-    ``log_nb_weights`` is a sequential cumulative sum, so a prefix of the long
-    table equals, bit for bit, the short table a single index would build.
-    """
+    js = check_indices("j", j)
     B, m = params.B, params.m
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0.0) or np.any(rho_arr >= 1.0):
-        raise DomainError("density defined on 0 <= rho < 1")
-    log_w = log_nb_weights(max(m, js[-1]) + 1, 2.0 * B - 2.0 * m)
-    out = []
-    for j in js:
-        lo, hi = min(m, j), max(m, j)
+    log_rho, log_rest = _log_rho(rho)
+    x = 1.0 - 2.0 * np.asarray(rho, dtype=float)
+    log_w = log_nb_weights(max([m, *js]) + 1, 2.0 * B - 2.0 * m)
+    rows = np.empty((len(js), *np.shape(x)))
+    for i, k in enumerate(js):
+        lo, hi = min(m, k), max(m, k)
         ln_norm = math.log(2.0 * B - 2.0 * m - 1.0) + log_w[hi] - log_w[lo]
-        poly = jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, 1.0 - 2.0 * rho_arr)
-        shape = _log_density_shape(rho_arr, hi - lo, 2.0 * B - 2.0 * m - 2.0)
-        out.append(np.exp(ln_norm + shape) * poly * poly)
-    return out
+        shape = ((hi - lo) * log_rho if hi > lo else 0.0) + (2.0 * B - 2.0 * m - 2.0) * log_rest
+        poly = jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, x)
+        rows[i] = np.exp(ln_norm + shape) * poly * poly
+    return rows if isinstance(j, range) else rows[0] if isinstance(rho, np.ndarray) else float(rows[0])
 
 
-def landau_eigenvalue(j: int, params: ModelParams, R) -> float:
+def landau_eigenvalue(j: int | range, params: ModelParams, R):
     """Level-m eigenvalue: mass of the level-m density on [0, R^2].
 
     Gauss-Legendre with LANDAU_NODES nodes on [0, R^2]; the weight factor
     is smooth there because its singularity sits at rho = 1, outside the
-    interval.  The same rule on each half of [0, R^2] gives the refined
-    value, returned unless the two differ by more than LANDAU_REFINE_TOL
-    relatively or either is not finite (AccuracyError).  The density is
-    evaluated once, on the nodes of all three rules.
+    interval.  The same rule on each half gives the refined value, returned
+    unless either is not finite or the two differ by more than the larger of
+    LANDAU_REFINE_TOL relatively and 3 LANDAU_NODES math.ulp(0.0), one
+    subnormal rounding per term summed (AccuracyError).  ``j`` may be a range:
+    a read-only array, each entry its own call's bit for bit, from one density
+    evaluation on the nodes of all three rules for every index.
     """
     R = as_radius(R)
     s = R * R
     rules = [mapped_legendre(LANDAU_NODES, lo, hi) for lo, hi in ((0.0, s), (0.0, 0.5 * s), (0.5 * s, s))]
+    floor = 3 * LANDAU_NODES * math.ulp(0.0)
+    values = []
     with np.errstate(all="ignore"):  # an overflow leaves a non-finite mass, refused below
-        density = landau_density(j, params, np.concatenate([nodes for nodes, _ in rules])).reshape(3, -1)
-        coarse, low, high = (float(weights @ part) for (_, weights), part in zip(rules, density))
-        fine = low + high
-    if not abs(fine - coarse) <= LANDAU_REFINE_TOL * abs(fine) < math.inf:  # false for NaN or inf
-        raise AccuracyError(f"level-m eigenvalue did not converge: refinement moved {fine:.6e} "
-                            f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")
-    return fine
+        density = landau_density(j, params, np.concatenate([nodes for nodes, _ in rules]))
+        for parts in density.reshape(-1, 3, LANDAU_NODES):
+            coarse, low, high = (float(weights @ part) for (_, weights), part in zip(rules, parts))
+            fine = low + high
+            if not abs(fine - coarse) <= max(LANDAU_REFINE_TOL * abs(fine), floor) < math.inf:  # false for NaN or inf
+                raise AccuracyError(f"level-m eigenvalue did not converge: refinement moved {fine:.6e} "
+                                    f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")
+            values.append(fine)
+    table = np.array(values)
+    table.flags.writeable = False
+    return table if isinstance(j, range) else values[0]
 
 
 def mc_eigenvalue(j: int, params: ModelParams, R, n_samples: int, seed: int) -> tuple[float, float]:

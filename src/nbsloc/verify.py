@@ -102,7 +102,12 @@ def check_gauss_theorem() -> CheckResult:
 
 
 def check_appell_reductions() -> CheckResult:
-    """Diagonal reduction, both Euler-type transformations, and index symmetry."""
+    """Diagonal reduction, both Euler-type transformations, and index symmetry.
+
+    Budget, relative: F1 stops after three anti-diagonals below SERIES_REL_TOL of its sum, at arguments up to
+    0.82, so its tail is about 1e-12 * 0.82 / 0.18 = 4.6e-12 (2F1 at |z| <= 0.45: 0.8e-12); up to 140 rounded
+    anti-diagonals at sum |term| / |sum| <= 91 add 1.4e-12.  Two sums per comparison: 1.2e-11.  Tolerance 2e-11.
+    """
     rng = _rng(202)
     worst = 0.0
     exact_symmetry = True
@@ -128,7 +133,7 @@ def check_appell_reductions() -> CheckResult:
 
         swapped = specfun.appell_f1(a, b2, b1, c, v, u).value
         exact_symmetry = exact_symmetry and (swapped == lhs)
-    return _result("appell_f1_reductions", worst, 1e-9,
+    return _result("appell_f1_reductions", worst, 2e-11,
                    detail=f"index symmetry bit-exact: {exact_symmetry}",
                    ok=exact_symmetry)
 
@@ -431,7 +436,12 @@ def check_leakage() -> CheckResult:
 
 
 def check_kernel_equivalence() -> CheckResult:
-    """Eigenvalue series against the Appell closed form across the parameter grid."""
+    """Eigenvalue series against the Appell closed form across the parameter grid.
+
+    Budget, relative: the series is cut where its tail bound falls below SERIES_REL_TOL of sum |c_k x^k|, at
+    most 13.5 times the value here: 1.4e-11.  F1's arguments reach 0.87, so its tail is about 1e-12 * 0.87 /
+    0.13 = 6.7e-12; up to 115 rounded anti-diagonals at sum |term| / |F1| <= 209 add 2.7e-12: 2.3e-11.  Tolerance 5e-11.
+    """
     rng = _rng(808)
     worst = 0.0
     for B in (0.75, 1.0, 1.5, 2.5):
@@ -442,7 +452,7 @@ def check_kernel_equivalence() -> CheckResult:
                 series = bergman.kernel_series(z, w, B, s)
                 closed = bergman.kernel_closed(z, w, B, s)
                 worst = max(worst, abs(series - closed) / abs(series))
-    return _result("kernel_series_closed_equivalence", worst, 1e-8)
+    return _result("kernel_series_closed_equivalence", worst, 5e-11)
 
 
 def check_kernel_limit() -> CheckResult:

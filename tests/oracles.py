@@ -389,6 +389,27 @@ def landau_eigenvalue_three_pass(j: int, params, R: float, locop, quadrature):
     return mass(0.0, s), mass(0.0, 0.5 * s) + mass(0.5 * s, s)
 
 
+def landau_eigenvalue_mpmath(j: int, B: float, m: int, R: float, dps: int = 40):
+    """The level-m eigenvalue, the mass of the level-m density on [0, s], in ``dps`` digits (an mpf).
+
+    With lo = min(m, j), hi = max(m, j) and beta = 2B - 2m - 1, the polynomial is in Bernstein form,
+    P_lo^(hi-lo, beta)(1 - 2 rho) = sum_k binom(hi, lo-k) binom(lo+beta, k) (-rho)^k (1-rho)^(lo-k)
+    (DLMF 18.5.8).  So the density is its norm times sum_q C_q rho^(hi-lo+q) (1-rho)^(beta-1+2lo-q),
+    and each term integrates to an incomplete Beta value, with no large binomials of (1-rho)^(beta-1)
+    to cancel.  s is the double R * R, as the package forms it.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s, lo, hi, beta = mpmath.mpf(R * R), min(m, j), max(m, j), 2 * mpmath.mpf(B) - 2 * m - 1
+        bern = [mpmath.binomial(hi, lo - k) * mpmath.binomial(lo + beta, k) * (-1) ** k for k in range(lo + 1)]
+        squared = [mpmath.fsum(bern[k] * bern[q - k] for k in range(max(0, q - lo), min(q, lo) + 1))
+                   for q in range(2 * lo + 1)]
+        norm = beta * mpmath.gammaprod([lo + 1, beta + 1 + hi], [hi + 1, beta + 1 + lo])
+        return norm * mpmath.fsum(c * mpmath.betainc(hi - lo + q + 1, beta + 2 * lo - q, 0, s)
+                                  for q, c in enumerate(squared))
+
+
 def quantization_matrix_element_pointwise(F, j: int, k: int, B: float, grid, states) -> complex:
     """One matrix element by the per-element formula, conj(basis_j) basis_k F at the nodes times the weights.
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nbsloc import cli
-from nbsloc.locop import disk_eigenvalue, landau_density, leakage_bound
+from nbsloc.locop import SpectralData, disk_eigenvalue, landau_density, leakage_bound
 from nbsloc.states import ModelParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -78,6 +78,15 @@ class TestEigvals:
         assert code == 0
         doc = json.loads(out)
         assert all(0.0 <= row["lambda"] <= 1.0 for row in doc["data"])
+
+    def test_subnormal_level_entries_exit_zero(self, capsys):
+        # lambda_j for j = 3,513 to 3,628 is subnormal here; its refinement test refused them and this exited 2
+        code, out, err = run_cli(["eigvals", "--B", "3", "--R", "0.9", "--m", "1", "--j-max", "5000",
+                                  "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        got = [row["lambda"] for row in json.loads(out)["data"]]
+        assert got == SpectralData(3.0, 0.9, 1).values(5001).tolist()
+        assert 0.0 < got[3513] < sys.float_info.min and got[3628] > 0.0 and got[5000] == 0.0
 
     def test_inadmissible_level_exit_code(self, capsys):
         code, _, err = run_cli(["eigvals", "--B", "1.5", "--m", "2"], capsys)

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -186,6 +187,16 @@ class TestSpectralData:
         assert spec == SpectralData(1.5, LocalizationRadius(0.6))
         assert repr(spec) == text and "values" not in text
 
+    def test_instance_holds_only_its_parameters(self):
+        # the m > 0 route appended to a private array on the instance
+        spec = SpectralData(2.5, 0.6, 1)
+        assert set(vars(spec)) == {"B", "R", "m"}
+        for n in (0, 1, 40, 7):
+            got = spec.values(n)
+            assert got.shape == (n,) and not got.flags.writeable
+            assert got.tolist() == landau_eigenvalue(range(n), ModelParams(2.5, 1), 0.6).tolist()
+        assert set(vars(spec)) == {"B", "R", "m"}
+
     def test_negative_sizes_rejected(self):
         # table(-2) returned []
         spec = SpectralData(1.5, LocalizationRadius(0.6))
@@ -356,6 +367,52 @@ class TestLandauEigenvalue:
                 coarse, fine = oracles.landau_eigenvalue_three_pass(j, params, R, locop, quadrature)
                 assert abs(coarse - fine) <= locop.LANDAU_REFINE_TOL * abs(fine)
                 assert abs(landau_eigenvalue(j, params, R) - fine) <= 1e-15 * abs(fine)
+
+    def test_subnormal_band_is_not_refused(self):
+        # at B = 3, m = 1, R = 0.9 the entries j = 3,513 to 3,628 are subnormal and the two rules differ by up
+        # to 539 math.ulp(0.0); the relative test alone refused each, so `nbsloc eigvals --j-max 5000` exited 2
+        pytest.importorskip("mpmath")
+        floor = 3 * locop.LANDAU_NODES * math.ulp(0.0)
+        for j in range(3513, 3629):
+            got = landau_eigenvalue(j, ModelParams(3.0, 1), 0.9)
+            assert 0.0 < got < sys.float_info.min
+            assert abs(got - float(oracles.landau_eigenvalue_mpmath(j, 3.0, 1, 0.9))) <= floor
+
+    @pytest.mark.parametrize("B, m, R, n", [
+        (3.0, 1, 0.9, 5001), (2.5, 1, 0.6, 1001), (10.5, 4, 0.99, 2001),
+        pytest.param(4.5, 3, 0.6, 1001, marks=pytest.mark.xfail(
+            raises=AccuracyError, strict=True,
+            reason="ROADMAP item 13: at m >= 2 the entries just above the underflow are refused (j = 719 to 742)")),
+    ])
+    def test_table_against_mpmath(self, B, m, R, n):
+        # normal entries within 1e-12 relative, subnormal ones within the refinement floor, zero past underflow
+        pytest.importorskip("mpmath")
+        values = landau_eigenvalue(range(n), ModelParams(B, m), R)
+        floor = 3 * locop.LANDAU_NODES * math.ulp(0.0)
+        tiny = np.nonzero(values < 1e-300)[0]
+        start = int(tiny[0]) - 20 if tiny.size else n
+        for j in sorted({*range(0, n, 25), *range(max(start, 0), min(start + 300, n))}):
+            want = oracles.landau_eigenvalue_mpmath(j, B, m, R)
+            if want >= sys.float_info.min:
+                assert abs(values[j] - want) <= 1e-12 * want, j
+            else:
+                assert abs(values[j] - want) <= floor, j
+
+    @pytest.mark.parametrize("B, m", [(2.5, 1), (4.5, 3), (10.5, 4)])
+    @pytest.mark.parametrize("indices", [range(0, 60), range(59, -1, -1), range(7, 90, 9), range(30, 30)])
+    def test_range_entries_are_the_single_index_calls(self, B, m, indices):
+        params, rho = ModelParams(B, m), np.linspace(0.0, 0.99, 23)
+        for R in (0.3, 0.9):
+            got = landau_eigenvalue(indices, params, R)
+            assert got.shape == (len(indices),) and not got.flags.writeable
+            want = np.array([landau_eigenvalue(j, params, R) for j in indices])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        rows = landau_density(indices, params, rho)
+        assert rows.shape == (len(indices), rho.size)
+        want = np.array([landau_density(j, params, rho) for j in indices]).reshape(rows.shape)
+        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+        scalar = landau_density(indices, params, 0.37)
+        assert scalar.tolist() == [landau_density(j, params, 0.37) for j in indices]
 
     def test_table_loop_builds_no_rule_after_its_first_call(self):
         params, R = ModelParams(4.5, 2), LocalizationRadius(0.6)

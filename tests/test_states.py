@@ -65,8 +65,8 @@ INDEX_CALLS = {
     "project": lambda j: BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(j).coefficients,
 }
 # the INDEX_CALLS entries that also take a range of indices: an array with an entry per index
-RANGE_INDEX_CALLS = ("laguerre", "bergman_basis", "laguerre_function", "radial_eigenvalue",
-                     "quantization_matrix_element_j", "quantization_matrix_element_k")
+RANGE_INDEX_CALLS = ("laguerre", "bergman_basis", "laguerre_function", "radial_eigenvalue", "landau_density",
+                     "landau_eigenvalue", "quantization_matrix_element_j", "quantization_matrix_element_k")
 
 
 class TestDomainTypes:
