@@ -16,6 +16,7 @@ module constants (RADIAL_NODES, LANDAU_NODES, DISK_RULE), not arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -51,6 +52,7 @@ LANDAU_REFINE_TOL = 1e-10  # relative agreement landau_eigenvalue's refinement m
 LEAKAGE_TAIL_TOL = 1e-14  # bound on the photon-count tail leakage_bound neglects, relative to the sum
 LANDAU_NODES = 320  # landau_eigenvalue's Gauss-Legendre rule on [0, R^2] and on each half
 RADIAL_NODES = 160  # radial_eigenvalue's Gauss-Jacobi rule
+LANDAU_BLOCK = 64  # indices whose densities a landau_eigenvalue range call holds at once, so its memory is bounded
 
 
 def disk_eigenvalue(j: int, B: float, R) -> float:
@@ -168,13 +170,43 @@ def beta_density(j: int, B: float, rho):
     return vals if isinstance(rho, np.ndarray) else float(vals)
 
 
+def _density_rows(js: list[int], params: ModelParams, log_w: np.ndarray, x: np.ndarray, log_rho: np.ndarray,
+                  log_rest: np.ndarray) -> np.ndarray:
+    """Level-m density rows, shape (len(js), *x.shape), at the points with 1 - 2 rho = x, log rho and log1p(-rho).
+
+    ``log_w`` is ``log_nb_weights`` at b = 2B - 2m up to the largest index.  An entry is exp(ln_norm + shape) P P,
+    or, where ln_norm + shape is below log(sys.float_info.min) and its exponential would keep only a
+    subnormal's few bits, exp(ln_norm + shape + 2 log|P|).
+    """
+    B, m = params.B, params.m
+    exponents, polys = np.empty((2, len(js), *x.shape))
+    for i, k in enumerate(js):
+        lo, hi = min(m, k), max(m, k)
+        ln_norm = math.log(2.0 * B - 2.0 * m - 1.0) + log_w[hi] - log_w[lo]
+        shape = ((hi - lo) * log_rho if hi > lo else 0.0) + (2.0 * B - 2.0 * m - 2.0) * log_rest
+        exponents[i] = ln_norm + shape
+        polys[i] = jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, x)
+    rows = np.exp(exponents)
+    rows *= polys
+    rows *= polys
+    low = exponents < math.log(sys.float_info.min)
+    if low.any():
+        # with top = max(1, |P|), both forms round to 0 (or give the same NaN) below log(ulp(0)) - 1 - 2 log(top)
+        top = np.fmax.reduce(np.abs(polys), None, initial=1.0)  # fmax passes over a NaN
+        low &= exponents > math.log(math.ulp(0.0)) - 1.0 - 2.0 * math.log(top)
+        with np.errstate(divide="ignore"):  # log|P| = -inf at a root gives 0
+            rows[low] = np.exp(exponents[low] + 2.0 * np.log(np.abs(polys[low])))
+    return rows
+
+
 def landau_density(j: int | range, params: ModelParams, rho):
     """Level-m generalization of ``beta_density``; reduces to it at m = 0.
 
     (2B-2m-1) ((m^j)! / (mvj)!) (Gamma(2B-2m+mvj)/Gamma(2B-2m+m^j))
       (1-rho)^(2B-2m-2) rho^|m-j| [P_{m^j}^(|m-j|, 2(B-m)-1)(1 - 2 rho)]^2
     with m^j = min(m, j), mvj = max(m, j), all but the squared polynomial formed
-    in logs; ``ModelParams`` holds m < B - 1/2, where the weight is normalizable.
+    in logs, and that square too where the rest alone falls below the normal range;
+    ``ModelParams`` holds m < B - 1/2, where the weight is normalizable.
     ``j`` may be a range: a row per index, shape (len(j), *np.shape(rho)), each its own call's
     bit for bit, from one ``log_nb_weights`` table (a prefix is the short table) and one log pass.
     """
@@ -183,14 +215,23 @@ def landau_density(j: int | range, params: ModelParams, rho):
     log_rho, log_rest = _log_rho(rho)
     x = 1.0 - 2.0 * np.asarray(rho, dtype=float)
     log_w = log_nb_weights(max([m, *js]) + 1, 2.0 * B - 2.0 * m)
-    rows = np.empty((len(js), *np.shape(x)))
-    for i, k in enumerate(js):
-        lo, hi = min(m, k), max(m, k)
-        ln_norm = math.log(2.0 * B - 2.0 * m - 1.0) + log_w[hi] - log_w[lo]
-        shape = ((hi - lo) * log_rho if hi > lo else 0.0) + (2.0 * B - 2.0 * m - 2.0) * log_rest
-        poly = jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, x)
-        rows[i] = np.exp(ln_norm + shape) * poly * poly
+    rows = _density_rows(js, params, log_w, *map(np.atleast_1d, (x, log_rho, log_rest))).reshape(len(js), *x.shape)
     return rows if isinstance(j, range) else rows[0] if isinstance(rho, np.ndarray) else float(rows[0])
+
+
+@functools.lru_cache(maxsize=quadrature.RULE_CACHE_SIZE)
+def _landau_rule(s: float, n: int) -> tuple:
+    """``landau_eigenvalue``'s n-node Gauss-Legendre rules on [0, s], [0, s/2] and [s/2, s], built once per (s, n).
+
+    (weights, x, log_rho, log_rest): the three rules' weights, and 1 - 2 rho, log rho and log1p(-rho) on
+    their 3n nodes in that order, all read-only.
+    """
+    rules = [mapped_legendre(n, lo, hi) for lo, hi in ((0.0, s), (0.0, 0.5 * s), (0.5 * s, s))]
+    nodes = np.concatenate([nodes for nodes, _ in rules])
+    weights, node_values = tuple(weights for _, weights in rules), (1.0 - 2.0 * nodes, *_log_rho(nodes))
+    for array in (*weights, *node_values):
+        array.flags.writeable = False
+    return weights, *node_values
 
 
 def landau_eigenvalue(j: int | range, params: ModelParams, R):
@@ -201,24 +242,28 @@ def landau_eigenvalue(j: int | range, params: ModelParams, R):
     interval.  The same rule on each half gives the refined value, returned
     unless either is not finite or the two differ by more than the larger of
     LANDAU_REFINE_TOL relatively and 3 LANDAU_NODES math.ulp(0.0), one
-    subnormal rounding per term summed (AccuracyError).  ``j`` may be a range:
-    a read-only array, each entry its own call's bit for bit, from one density
-    evaluation on the nodes of all three rules for every index.
+    subnormal rounding per term summed (AccuracyError).  The three rules and
+    1 - 2 rho, log rho and log1p(-rho) on their nodes are one cached
+    ``_landau_rule`` per R^2, built by the first call.  ``j`` may be a range:
+    a read-only array, each entry its own call's bit for bit, the density
+    evaluated on the nodes of all three rules for LANDAU_BLOCK indices at a time.
     """
     R = as_radius(R)
-    s = R * R
-    rules = [mapped_legendre(LANDAU_NODES, lo, hi) for lo, hi in ((0.0, s), (0.0, 0.5 * s), (0.5 * s, s))]
+    js = check_indices("j", j)
+    weights, *node_values = _landau_rule(R * R, LANDAU_NODES)
+    log_w = log_nb_weights(max([params.m, *js]) + 1, 2.0 * params.B - 2.0 * params.m)
     floor = 3 * LANDAU_NODES * math.ulp(0.0)
     values = []
     with np.errstate(all="ignore"):  # an overflow leaves a non-finite mass, refused below
-        density = landau_density(j, params, np.concatenate([nodes for nodes, _ in rules]))
-        for parts in density.reshape(-1, 3, LANDAU_NODES):
-            coarse, low, high = (float(weights @ part) for (_, weights), part in zip(rules, parts))
-            fine = low + high
-            if not abs(fine - coarse) <= max(LANDAU_REFINE_TOL * abs(fine), floor) < math.inf:  # false for NaN or inf
-                raise AccuracyError(f"level-m eigenvalue did not converge: refinement moved {fine:.6e} "
-                                    f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")
-            values.append(fine)
+        for start in range(0, len(js), LANDAU_BLOCK):
+            density = _density_rows(js[start:start + LANDAU_BLOCK], params, log_w, *node_values)
+            for parts in density.reshape(-1, 3, LANDAU_NODES):
+                coarse, low, high = (float(w @ part) for w, part in zip(weights, parts))
+                fine = low + high
+                if not abs(fine - coarse) <= max(LANDAU_REFINE_TOL * abs(fine), floor) < math.inf:  # false for NaN
+                    raise AccuracyError(f"level-m eigenvalue did not converge: refinement moved {fine:.6e} "
+                                        f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")
+                values.append(fine)
     table = np.array(values)
     table.flags.writeable = False
     return table if isinstance(j, range) else values[0]

@@ -357,22 +357,25 @@ def hypergeometric_partial_sum_exact(a: float, b: float, c: float, z: float, ter
 def project_all_bins(F, j_max: int, bergman, quadrature):
     """``F.project(j_max)``'s coefficients with every FFT bin phase-shifted and F's norm from the bins.
 
-    The same radial rule, refinement walk and tolerance as ``project``, with the angles' phasors
-    rebuilt per rule and all n_theta bins kept; None where no two rules agree.
+    The same radial rule, refinement walk and tolerance as ``project``: F sampled once per rule, on
+    n_theta = 256 to 4,096 angles, its coefficients compared with those of the even-indexed n_theta / 2
+    angles (a uniform rule offset by a quarter of its spacing), with the angles' phasors rebuilt per rule
+    and all bins of both rules kept; None where no rule agrees with its half.
     """
-    radial, last = quadrature.radial_jacobi_grid(max(2, j_max // 2 + 1), F.B), None
+    radial = quadrature.radial_jacobi_grid(max(2, j_max // 2 + 1), F.B)
     r, j = np.sqrt(radial.nodes), np.arange(j_max + 1)
     norms = np.exp(0.5 * (math.log(2.0 * F.B - 1.0) + bergman.log_nb_weights(j_max + 1, 2.0 * F.B)))
-    for n_theta in (quadrature.DISK_RULE[1] << i for i in range(bergman.PROJECT_RULES)):
+    for n_theta in (quadrature.DISK_RULE[1] << i for i in range(1, bergman.PROJECT_RULES)):
         k = np.arange(max(n_theta, j_max + 1))
         theta = 2.0 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
-        spectrum = np.fft.fft(F.values(r[:, None] * np.exp(1j * theta)), axis=1)
-        a = spectrum[:, k % n_theta] * (np.exp(-1j * math.pi * k / n_theta) / n_theta)
-        coeffs = norms * (radial.weights @ (r[:, None] ** j * a[:, :j_max + 1]))
+        values = F.values(r[:, None] * np.exp(1j * theta))
+        phase = np.exp(-1j * math.pi * k / n_theta) / n_theta
+        a = np.fft.fft(values, axis=1)[:, k % n_theta] * phase
+        half = np.fft.fft(values[:, ::2], axis=1)[:, k % (n_theta // 2)] * (2 * phase)
+        coeffs, coarse = (norms * (radial.weights @ (r[:, None] ** j * bins[:, :j_max + 1])) for bins in (a, half))
         norm = math.sqrt(radial.weights @ np.sum(np.abs(a[:, :n_theta]) ** 2, axis=1))
-        if last is not None and np.max(np.abs(coeffs - last), initial=0.0) <= bergman.PROJECT_REFINE_TOL * norm:
+        if np.max(np.abs(coeffs - coarse), initial=0.0) <= bergman.PROJECT_REFINE_TOL * norm:
             return coeffs
-        last = coeffs
     return None
 
 

@@ -69,7 +69,7 @@ class TestBergmanFunction:
             BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(-3)
 
     def test_projection_refines_near_the_rim(self):
-        # the first rule, 6 radii x 128 angles, alone misses these coefficients by 2.2e-7: its angles alias
+        # a rule of 6 radii x 128 angles alone misses these coefficients by 2.2e-7: its angles alias
         B, w0 = 4.5, 0.88j
         F = BergmanFunction(B, evaluator=lambda z: kernel_limit(w0, z, B))
         want = np.conj([bergman_basis(j, B, w0) for j in range(11)])
@@ -103,6 +103,17 @@ class TestBergmanFunction:
 
         BergmanFunction(B, evaluator=recorded).project(10)
         assert shapes and all(shape[0] == 6 for shape in shapes)
+
+    def test_projection_samples_each_rule_once(self):
+        # each rule's coarser half is its even-indexed angles; F was also sampled on the 128-angle rule
+        B, shapes = 1.5, []
+
+        def recorded(z):
+            shapes.append(z.shape)
+            return 1.0 / (1.5 - z)
+
+        BergmanFunction(B, evaluator=recorded).project(10)
+        assert shapes == [(6, 256)]
 
     @pytest.mark.parametrize("B, tol", [(0.51, 1e-13), (0.75, 1e-13), (1.5, 1e-13), (4.5, 1e-13),
                                         (10.0, 1e-12), (20.0, 1e-12), (40.0, 1e-12), (50.0, 1e-12)])
@@ -144,10 +155,10 @@ class TestBergmanFunction:
 
     @pytest.mark.parametrize("B, w0, j_max", [
         (1.5, 0.5 + 0.2j, 10),
-        (4.5, 0.88j, 10),  # settles on the third rule
+        (4.5, 0.88j, 10),  # settles on the 512-angle rule
         (0.75, -0.3 + 0.0j, 3),
         (20.0, -0.9666267387823954 + 0.08082541599590305j, 10),
-        (1.25, 0.4 - 0.1j, 140),  # more coefficients than the first rule's 128 angles: aliased bins
+        (1.25, 0.4 - 0.1j, 140),  # more coefficients than the first rule's coarse half of 128 angles: aliased bins
         (1.5, 0.9999 + 0.0j, 100),  # refused
     ])
     def test_projection_is_the_all_bins_formula(self, B, w0, j_max):

@@ -24,6 +24,7 @@ EXAMPLES = {
     "quadrature.radial_jacobi_grid": (9, 1.5),
     "quadrature.angular_grid": (16,),
     "quadrature.angular_phasors": (16,),
+    "locop._landau_rule": (0.36, 16),
     "specfun._inc_beta_blocks": (0.49, 512, 2.0),
     "states.basis_norms": (12, 1.5),
 }

@@ -378,11 +378,34 @@ class TestLandauEigenvalue:
             assert 0.0 < got < sys.float_info.min
             assert abs(got - float(oracles.landau_eigenvalue_mpmath(j, 3.0, 1, 0.9))) <= floor
 
+    @pytest.mark.parametrize("B, m, R, js", [
+        (4.5, 3, 0.6, range(719, 743)), (10.5, 4, 0.6, range(761, 783)), (4.5, 3, 0.9, range(3481, 3598)),
+    ])
+    def test_band_above_the_underflow_is_not_refused(self, B, m, R, js):
+        # exp(ln_norm + shape) is subnormal on some nodes while P^2 is large, so its few bits times P^2 made the
+        # two rules differ far past the floor, and each entry was refused; `eigvals --m 3 --j-max 1000` exited 2
+        pytest.importorskip("mpmath")
+        params, floor = ModelParams(B, m), 3 * locop.LANDAU_NODES * math.ulp(0.0)
+        table = landau_eigenvalue(js, params, R)
+        for j, got in zip(js, table):
+            want = float(oracles.landau_eigenvalue_mpmath(j, B, m, R))
+            assert abs(got - want) <= (1e-12 * want if want >= sys.float_info.min else floor), j
+            assert landau_eigenvalue(j, params, R) == got
+
+    def test_density_joins_the_square_in_logs_below_the_normal_range(self):
+        # at j = 730, rho = 0.36 the density is 2.6e-304 and exp(ln_norm + shape) alone about 1e-318: it was 1.3e-7 off
+        mpmath = pytest.importorskip("mpmath")
+        B, m, j, rho = 4.5, 3, 730, 0.36
+        with mpmath.workdps(40):
+            beta, lo, hi = 2 * mpmath.mpf(B) - 2 * m - 1, m, j
+            norm = beta * mpmath.gammaprod([lo + 1, beta + 1 + hi], [hi + 1, beta + 1 + lo])
+            poly = mpmath.jacobi(lo, hi - lo, beta, 1 - 2 * mpmath.mpf(rho))
+            want = float(norm * (1 - mpmath.mpf(rho)) ** (beta - 1) * mpmath.mpf(rho) ** (hi - lo) * poly ** 2)
+        assert sys.float_info.min <= want < 1e-300
+        assert landau_density(j, ModelParams(B, m), rho) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("B, m, R, n", [
-        (3.0, 1, 0.9, 5001), (2.5, 1, 0.6, 1001), (10.5, 4, 0.99, 2001),
-        pytest.param(4.5, 3, 0.6, 1001, marks=pytest.mark.xfail(
-            raises=AccuracyError, strict=True,
-            reason="ROADMAP item 13: at m >= 2 the entries just above the underflow are refused (j = 719 to 742)")),
+        (3.0, 1, 0.9, 5001), (2.5, 1, 0.6, 1001), (10.5, 4, 0.99, 2001), (4.5, 3, 0.6, 1001),
     ])
     def test_table_against_mpmath(self, B, m, R, n):
         # normal entries within 1e-12 relative, subnormal ones within the refinement floor, zero past underflow
@@ -399,7 +422,8 @@ class TestLandauEigenvalue:
                 assert abs(values[j] - want) <= floor, j
 
     @pytest.mark.parametrize("B, m", [(2.5, 1), (4.5, 3), (10.5, 4)])
-    @pytest.mark.parametrize("indices", [range(0, 60), range(59, -1, -1), range(7, 90, 9), range(30, 30)])
+    @pytest.mark.parametrize("indices", [range(0, 60), range(59, -1, -1), range(7, 90, 9), range(30, 30),
+                                         range(0, 2 * locop.LANDAU_BLOCK + 5)])
     def test_range_entries_are_the_single_index_calls(self, B, m, indices):
         params, rho = ModelParams(B, m), np.linspace(0.0, 0.99, 23)
         for R in (0.3, 0.9):
@@ -413,6 +437,37 @@ class TestLandauEigenvalue:
         assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
         scalar = landau_density(indices, params, 0.37)
         assert scalar.tolist() == [landau_density(j, params, 0.37) for j in indices]
+
+    def test_range_call_holds_a_bounded_block_of_densities(self):
+        # the whole len(j) x 960 density block took 31 MB here, 7.7 KB per index
+        import tracemalloc
+
+        params = ModelParams(3.0, 1)
+        landau_eigenvalue(0, params, 0.9)
+        tracemalloc.start()
+        try:
+            values = landau_eigenvalue(range(4000), params, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (4000,) and peak <= 4e6, peak
+
+    def test_int_calls_build_the_rule_once(self, monkeypatch):
+        # each call built three mapped Legendre rules and took the logs on their 960 nodes
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mapped_legendre(*args)
+
+        monkeypatch.setattr(locop, "mapped_legendre", counted)
+        locop._landau_rule.cache_clear()
+        params, R = ModelParams(4.5, 2), LocalizationRadius(0.6)
+        first = landau_eigenvalue(0, params, R)
+        assert len(calls) == 3
+        values = [landau_eigenvalue(j, params, R) for j in range(11)]
+        assert len(calls) == 3 and values[0] == first
+        assert landau_eigenvalue(range(11), params, R).tolist() == values and len(calls) == 3
 
     def test_table_loop_builds_no_rule_after_its_first_call(self):
         params, R = ModelParams(4.5, 2), LocalizationRadius(0.6)
