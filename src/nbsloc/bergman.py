@@ -77,6 +77,8 @@ class BergmanFunction:
             raise DomainError("provide coefficients or an evaluator")
         if self.coefficients is not None:
             self.coefficients = np.asarray(self.coefficients, dtype=complex)
+            if self.coefficients.ndim != 1:
+                raise DomainError(f"coefficients must be a 1-D vector, got shape {self.coefficients.shape}")
             if not all(map(cmath.isfinite, self.coefficients.tolist())):  # cheaper than a numpy reduction here
                 raise DomainError("coefficients must be finite")
         check_strength(self.B)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
 from . import quadrature, specfun
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
-from .specfun import (check_index, check_indices, log_beta, log_inc_beta_steps, log_nb_weights,
+from .specfun import (check_index, check_indices, log_inc_beta_steps, log_nb_weights,
                       reg_inc_beta, reg_inc_beta_table, sample_beta)
 from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
                      check_strength, jacobi)
@@ -109,11 +109,11 @@ def radial_eigenvalue(F: RadialSymbol, j: int | range, B: float):
     """Eigenvalue of the quantized radial symbol F.
 
     (1 / B(j+1, 2B-1)) int_0^1 rho^j (1 - rho)^(2B-2) F(rho) drho, by the
-    weighted radial rule of RADIAL_NODES nodes, ``F.func`` called once per
-    node.  ``j`` may be a range: an array with an eigenvalue per index.  Each
-    integral is summed over the nodes in a fixed order, so the same call gives
-    the same bits.  Discontinuous symbols converge slowly here; the disk
-    indicator has the exact closed form ``disk_eigenvalue``.
+    weighted radial rule of RADIAL_NODES nodes, ``F.func`` called once per node, times
+    1 / B(j+1, 2B-1) = (2B-1) Gamma(2B+j) / (j! Gamma(2B)) from one ``log_nb_weights`` table, as in
+    ``beta_density``.  ``j`` may be a range: an array with an eigenvalue per index.  Each integral is
+    summed over the nodes in a fixed order, so the same call gives the same bits.  Discontinuous
+    symbols converge slowly here; the disk indicator has the exact closed form ``disk_eigenvalue``.
     """
     js = check_indices("j", j)
     grid = radial_jacobi_grid(RADIAL_NODES, B)
@@ -122,7 +122,7 @@ def radial_eigenvalue(F: RadialSymbol, j: int | range, B: float):
         raise DomainError("symbol exceeds its declared bound on the integration nodes")
     powers = np.array([grid.nodes ** k for k in js]).reshape(len(js), grid.nodes.size)
     integrals = (powers * (grid.weights * fvals)).sum(axis=1)
-    values = integrals * np.array([math.exp(-log_beta(k + 1.0, 2.0 * B - 1.0)) for k in js])
+    values = integrals * np.exp(math.log(2.0 * B - 1.0) + log_nb_weights(max(js, default=0) + 1, 2.0 * B))[js]
     return values if isinstance(j, range) else float(values[0])
 
 
@@ -142,9 +142,10 @@ def as_function_of_hamiltonian(n: int, B: float, R) -> float:
 
     n -> I_{R^2}(n, 2B - 1) for n >= 1, which is ``disk_eigenvalue(n - 1, B, R)``.
     """
+    n = check_index("n", n)
     if n < 1:
         raise DomainError(f"oscillator eigenvalues start at 1, got n={n}")
-    return disk_eigenvalue(check_index("n", n) - 1, B, R)
+    return disk_eigenvalue(n - 1, B, R)
 
 
 def _log_rho(rho) -> tuple:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .specfun import log_beta, log_gamma
 
 DISK_RULE = (64, 128)  # (radii, angles) of the polar rule every disk integral starts from
 RESIDUAL_NODES = 64  # Chebyshev points of hamiltonian_residual's differentiation matrix
@@ -96,7 +97,7 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     u, w = _christoffel(x, diag, off, 1.0, float(x[-1]))
     with np.errstate(divide="ignore", over="ignore"):
-        weights = np.exp(np.log(w) + u - (alpha + 0.5) * np.log(u) + (math.lgamma(alpha + 1.0) - math.log(2.0)))
+        weights = np.exp(np.log(w) + u - (alpha + 0.5) * np.log(u) + (log_gamma(alpha + 1.0) - math.log(2.0)))
     if not (np.all(np.isfinite(weights)) and np.min(w) >= np.finfo(float).tiny and np.min(weights) > 0.0):
         raise DomainError(f"the {n}-node half-line rule at B={B} has weights past the double range")
     return QuadratureGrid(np.sqrt(u), weights)
@@ -111,7 +112,8 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     eigenvalues of the floor(n/2)-square tridiagonal C^T C (odd n adds the node 0), and the rule is
     built at the nonnegative nodes and mirrored, exactly symmetric.  One run of the orthonormal
     recurrence q_0 = 1, ..., q_n at every node gives a Newton step -q_n / q_n' and the sums of q_k^2
-    and q_k q_k' over k < n, hence the Christoffel weight mu_0 / sum_k q_k^2 at the stepped node to
+    and q_k q_k' over k < n, hence the Christoffel weight mu_0 / sum_k q_k^2, with the mass
+    mu_0 = 2^(alpha+beta+1) exp(specfun.log_beta(alpha+1, beta+1)), at the stepped node to
     first order: accurate relative to itself, where Golub-Welsch eigenvector weights are off by eps
     times the largest.
     Once a bound on the recurrence passes 1e100, each node's values are divided by the power of two
@@ -123,11 +125,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     if not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"Jacobi weight needs alpha, beta > -1, got {alpha}, {beta}")
     ab = alpha + beta
-    # mu_0 = 2^(ab+1) B(alpha+1, beta+1), alpha's integer part m taken out of the log-gammas, where it would cancel
-    f, m = math.modf(alpha)
-    mu0 = math.inf if not ab < 1023.0 else 2.0 ** (ab + 1.0) * math.exp(
-        math.lgamma(f + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(f + beta + 2.0)
-        + np.log1p(-(beta + 1.0) / (f + beta + 2.0 + np.arange(m))).sum())
+    mu0 = math.inf if not ab < 1023.0 else 2.0 ** (ab + 1.0) * math.exp(log_beta(alpha + 1.0, beta + 1.0))
     if mu0 == math.inf:
         raise DomainError(f"the rule's mass 2^(alpha+beta+1) B(alpha+1, beta+1) is past the double range, "
                           f"as for every alpha + beta >= 1023; got alpha={alpha}, beta={beta}")

@@ -10,10 +10,14 @@ one anti-diagonal driver), and Beta random variates from numpy's Beta
 generator.
 
 Conventions:
-  * every Gamma ratio is formed in logs, never from raw Gamma values, so
-    large parameters do not overflow; the weights Gamma(b+a)/(a! Gamma(b))
-    behind every basis norm, pmf, density and kernel coefficient come from
-    one table, ``log_nb_weights``, a compensated cumulative sum;
+  * every Gamma and Beta factor of the package is formed here, in logs,
+    never from raw Gamma values, so large parameters do not overflow; no
+    other module forms a Gamma ratio.  There are two sources: the table
+    ``log_nb_weights`` of the weights Gamma(b+a)/(a! Gamma(b)), a compensated
+    cumulative sum, gives 1/B(j+1, b) = b Gamma(b+1+j)/(j! Gamma(b+1)) behind
+    every basis norm, pmf, density, radial eigenvalue and kernel coefficient;
+    ``log_beta`` gives every other Beta factor (the incomplete Beta
+    prefactor, the Gauss-Jacobi mass);
   * accuracy is fixed, not a parameter: a series term counts as small
     below SERIES_REL_TOL of the sum (SERIES_ABS_TOL near zero), and past
     SERIES_MAX_TERMS the series raises ConvergenceError, it never returns

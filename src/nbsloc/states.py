@@ -262,7 +262,7 @@ def laguerre_function(j: int | range, B: float, xi):
     x = np.minimum(x, 1e154)  # xi^2 stays finite; the value has underflowed to 0 long before
     b2, x2, top = 2.0 * B, x * x, max(rows, default=0)
     x2_max = float(np.max(x2, initial=0.0))
-    log_phi0 = 0.5 * (math.log(2.0) - math.lgamma(b2)) + (b2 - 0.5) * np.log(x) - 0.5 * x2
+    log_phi0 = 0.5 * (math.log(2.0) - log_gamma(b2)) + (b2 - 0.5) * np.log(x) - 0.5 * x2
     prev, cur, c_prev, bound, shift = 0.0, 1.0, 0.0, 1.0, 0  # bound >= |prev|, |cur| everywhere
     for k in range(top + 1):
         if k in rows:

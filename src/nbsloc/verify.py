@@ -342,8 +342,9 @@ def check_matrix_elements() -> CheckResult:
     Budget: F = 1/(1 + rho) has its pole at rho = -1, on the Bernstein ellipse of radius 3 + sqrt(8) = 5.8 about
     [0, 1], so the 48 radii are off by about 5.8^-96 ~ 1e-73 and the 160 nodes of ``radial_eigenvalue`` by less;
     the 48 angles sum the off-diagonal phases, 0 < |k - j| < 48, to zero.  Rounding: 74 eps in the block, as in
-    ``disk_rule_delta_structure``; in an eigenvalue, 20 eps from the 160 positive terms and 42 eps from
-    exp(-log B(j + 1, 2B - 1)), a difference of log-gammas up to 14: 136 eps ~ 3e-14.  Tolerance 1e-13.
+    ``disk_rule_delta_structure``; in an eigenvalue, 20 eps from the 160 positive terms and 8 eps from
+    1 / B(j + 1, 2B - 1) = (2B - 1) exp(``log_nb_weights``), a compensated sum of log1p terms adding to at most
+    3.1: 102 eps ~ 2.3e-14.  Tolerance 1e-13.
     """
     B = 1.25
     symbol = lambda z: 1.0 / (1.0 + abs(z) ** 2)
@@ -511,22 +512,32 @@ def _transfer_integral(B: float, R: float, ws: np.ndarray, fvals) -> np.ndarray:
 def check_transfer_spectral_action() -> CheckResult:
     """The transferred operator multiplies each basis element by its eigenvalue.
 
-    Integrated by ``_transfer_integral``, the five basis elements in one call; at B = 1.5, R = 0.6,
-    |w| = 0.36 and j_max = 4 the aliasing budget is 1.1e-21.
+    Integrated by ``_transfer_integral``, the five basis elements in one call, at B = 1.5, R = 0.6 and
+    |w| = 0.36.  Budget: ``kernel_series`` cuts its tail below SERIES_REL_TOL of sum_k |c_k| |x|^k at the
+    rule's largest |conj(z) w|, 0.36, so a kernel value is off by at most 2.1e-12, and an integral by that
+    times (1/pi) int |basis_j| (1 - |z|^2)^(2B-2) dA <= (2B - 1)^(-1/2) = 0.71 (Cauchy-Schwarz): 1.5e-12.
+    The aliasing budget at j_max = 4 is 1.1e-21, times n_j / (2B - 1) <= 2.7.  Rounding: the 34 Horner
+    steps and the 512-node sum, 546 eps times 2.1 * 0.71 ~ 1.8e-13.  In all 1.7e-12.  Tolerance 1e-11.
     """
     B, R, w = 1.5, 0.6, 0.3 + 0.2j
     got = _transfer_integral(B, R, np.full(5, w),
                              lambda z: np.hstack([states.bergman_basis(j, B, z) for j in range(5)]))
     want = [locop.disk_eigenvalue(j, B, R) * states.bergman_basis(j, B, w) for j in range(5)]
-    return _result("transfer_spectral_action", np.max(np.abs(got - want)), 1e-7)
+    return _result("transfer_spectral_action", np.max(np.abs(got - want)), 1e-11)
 
 
 def check_intertwining() -> CheckResult:
     """Transform, localize, invert: both operator orders agree.
 
     The localized coefficients, transformed, against ``_transfer_integral`` of the transformed
-    function, the ten draws in one call; at B = 1.25, R = 0.6, |w| <= 0.6 and j_max = 5 the aliasing
-    budget is 4.2e-16.
+    function, the ten draws in one call, at B = 1.25, R = 0.6 and |w| <= 0.52; each error is relative to
+    |direct|, at least 0.25 over the fixed draws.  Budget: the kernel series' tail is below SERIES_REL_TOL
+    of sum_k |c_k| |x|^k at the rule's largest |conj(z) w|, 0.52, so a kernel value is off by at most
+    1.4e-12, and an integral by that times (1/pi) int |F| (1 - |z|^2)^(2B-2) dA <= |f| (2B - 1)^(-1/2),
+    at most 3.3 over the draws (Cauchy-Schwarz): 4.5e-12, 1.8e-11 relative to 0.25.  The aliasing budget
+    at j_max = 5 is 4.2e-16, times sum_j n_j |f_j| / (2B - 1) <= 18: 3e-14 relative.  Rounding: the 52
+    Horner steps and the 512-node sum, 564 eps times 1.4 * 3.3, 2.3e-12 relative.  In all 2.0e-11.
+    Tolerance 1e-10.
     """
     B, R = 1.25, 0.6
     spec_data = locop.SpectralData(B, states.LocalizationRadius(R))
@@ -540,7 +551,7 @@ def check_intertwining() -> CheckResult:
     for (ci, w), got in zip(draws, transferred):
         direct = bergman.bargmann_transform(locop.spectral_apply(ci, spec_data), w, B)
         worst = max(worst, abs(direct - got) / max(abs(direct), 1e-12))
-    return _result("intertwining", worst, 1e-7)
+    return _result("intertwining", worst, 1e-10)
 
 
 _CHECKS = {

@@ -279,16 +279,16 @@ def kernel_series_coefficients_unmemoized(B: float, s: float, x_max: float, spec
         n *= 2
 
 
-def gauss_jacobi_dense(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def gauss_jacobi_dense(n: int, alpha: float, beta: float, specfun) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule from the eigenvalues of the whole n-square Jacobi matrix, symmetric weight or not.
 
     The nodes are eigenvalues of the dense tridiagonal matrix; one run of the orthonormal recurrence at
     every node gives a Newton step and the Christoffel weight, rescaled by powers of two on the way.
+    What is checked is that eigen-build, so the mass 2^(alpha+beta+1) B(alpha+1, beta+1) is the
+    library's ``log_beta``.
     """
     ab = alpha + beta
-    f, m = math.modf(alpha)
-    mu0 = 2.0 ** (ab + 1.0) * math.exp(math.lgamma(f + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(f + beta + 2.0)
-                                       + np.log1p(-(beta + 1.0) / (f + beta + 2.0 + np.arange(m))).sum())
+    mu0 = 2.0 ** (ab + 1.0) * math.exp(specfun.log_beta(alpha + 1.0, beta + 1.0))
     i = np.arange(1.0, n)
     diag = np.concatenate(([(beta - alpha) / (ab + 2.0)],
                            (beta * beta - alpha * alpha) / ((2.0 * i + ab) * (2.0 * i + ab + 2.0))))
@@ -427,8 +427,9 @@ def radial_eigenvalue_pointwise(F, j: int, B: float, nodes: int, quadrature, spe
     """One radial-symbol eigenvalue by the per-element formula: ``F.func`` at each node of the radial rule.
 
     The terms are summed exactly (``math.fsum``), free of the rounding of a library reduction; what is
-    checked is that node sum, so the normalization 1 / B(j+1, 2B-1) is the library's ``log_beta``.
+    checked is that node sum, so the normalization 1 / B(j+1, 2B-1) is the library's ``log_nb_weights``.
     """
     grid = quadrature.radial_jacobi_grid(nodes, B)
     fvals = np.asarray([F.func(r) for r in grid.nodes], dtype=float)
-    return math.fsum(grid.weights * grid.nodes ** j * fvals) * math.exp(-specfun.log_beta(j + 1.0, 2.0 * B - 1.0))
+    norm = math.exp(math.log(2.0 * B - 1.0) + specfun.log_nb_weights(j + 1, 2.0 * B)[j])
+    return math.fsum(grid.weights * grid.nodes ** j * fvals) * norm

@@ -39,6 +39,16 @@ class TestBergmanFunction:
         with pytest.raises(DomainError):
             BergmanFunction(1.5, [bad, 1.0])
 
+    @pytest.mark.parametrize("bad", [5.0, [[1.0, 2.0]], np.zeros((2, 0))])
+    def test_coefficients_must_be_a_vector(self, bad):
+        # a 0-d value or a 2-D array reached the finiteness check and raised TypeError
+        with pytest.raises(DomainError, match="1-D"):
+            BergmanFunction(1.5, coefficients=bad)
+
+    def test_empty_coefficient_vector_is_the_zero_function(self):
+        F = BergmanFunction(1.5, coefficients=[])
+        assert F.coefficients.shape == (0,) and F(0.3 + 0.1j) == 0.0
+
     def test_coefficient_evaluation(self):
         f = BergmanFunction(1.5, coefficients=[1.0, 2.0])
         z = 0.3 + 0.1j

@@ -44,6 +44,16 @@ class TestRadialEigenvalue:
                 (j + 1.0) / (j + 2.0 * B), abs=1e-12
             )
 
+    @pytest.mark.parametrize("B", [20.0, 50.0, 300.0])
+    def test_normalization_over_a_range(self, B):
+        # the rule integrates rho^(j+1) exactly, so what is left is 1 / B(j+1, 2B-1); formed index by index as
+        # exp(-log_beta) it was 1.9e-13 off at B = 50 and 2.6e-13 at B = 300
+        j = np.arange(160)
+        one = radial_eigenvalue(RadialSymbol(lambda r: 1.0, bound=1.0), range(160), B)
+        mean = radial_eigenvalue(RadialSymbol(lambda r: r, bound=1.0), range(160), B)
+        assert np.max(np.abs(one - 1.0)) <= 1e-13
+        assert np.max(np.abs(mean / ((j + 1.0) / (j + 2.0 * B)) - 1.0)) <= 1e-13
+
     def test_strength_past_the_radial_rule_refused(self):
         # its rule's Jacobi mass leaves the double range; it used to end in a bare OverflowError
         one = RadialSymbol(lambda r: 1.0, bound=1.0)
@@ -241,6 +251,12 @@ class TestFunctionOfHamiltonian:
     def test_domain(self):
         with pytest.raises(DomainError):
             as_function_of_hamiltonian(0, 1.5, 0.6)
+
+    @pytest.mark.parametrize("n", ["3", None])
+    def test_index_checked_before_its_range(self, n):
+        # "3" and None raised TypeError from n < 1, before check_index saw them
+        with pytest.raises(DomainError, match=">= 0"):
+            as_function_of_hamiltonian(n, 1.5, 0.5)
 
 
 class TestBetaDensity:
