@@ -113,7 +113,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     built at the nonnegative nodes and mirrored, exactly symmetric.  One run of the orthonormal
     recurrence q_0 = 1, ..., q_n at every node gives a Newton step -q_n / q_n' and the sums of q_k^2
     and q_k q_k' over k < n, hence the Christoffel weight mu_0 / sum_k q_k^2, with the mass
-    mu_0 = 2^(alpha+beta+1) exp(specfun.log_beta(alpha+1, beta+1)), at the stepped node to
+    mu_0 = 2^(alpha+1) 2^beta exp(specfun.log_beta(alpha+1, beta+1)), at the stepped node to
     first order: accurate relative to itself, where Golub-Welsch eigenvector weights are off by eps
     times the largest.
     Once a bound on the recurrence passes 1e100, each node's values are divided by the power of two
@@ -125,7 +125,9 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     if not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"Jacobi weight needs alpha, beta > -1, got {alpha}, {beta}")
     ab = alpha + beta
-    mu0 = math.inf if not ab < 1023.0 else 2.0 ** (ab + 1.0) * math.exp(log_beta(alpha + 1.0, beta + 1.0))
+    big = float(alpha >= 1023.0)  # where 2^(alpha+1) overflows (beta < 0): 2^alpha 2^(beta+1), beta + 1 exact
+    mu0 = math.inf if not ab < 1023.0 else (  # 2^(alpha+1) 2^beta: no power at alpha + beta rounded
+        2.0 ** (alpha + (1.0 - big)) * 2.0 ** (beta + big) * math.exp(log_beta(alpha + 1.0, beta + 1.0)))
     if mu0 == math.inf:
         raise DomainError(f"the rule's mass 2^(alpha+beta+1) B(alpha+1, beta+1) is past the double range, "
                           f"as for every alpha + beta >= 1023; got alpha={alpha}, beta={beta}")

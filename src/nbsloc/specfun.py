@@ -6,7 +6,7 @@ incomplete Beta function (continued fraction, and whole tables in its
 first parameter by the downward recurrence), generalized Laguerre and
 Jacobi polynomials (three-term recurrences), the Gauss hypergeometric
 series 2F1, the two-variable double series F1 and F3 (both summed by
-one anti-diagonal driver), and Beta random variates from numpy's Beta
+one Cauchy-product driver), and Beta random variates from numpy's Beta
 generator.
 
 Conventions:
@@ -25,8 +25,9 @@ Conventions:
     too; 2F1 is summed in array blocks (a cumulative product of the term
     ratios, then a cumulative sum, in blocks of 64 terms doubling to
     4,096), stopping at the same term as a sum taken one term at a time;
-    double series are summed over anti-diagonals j + k = n, declaring
-    convergence only after three consecutive blocks are small;
+    double series are summed over anti-diagonals j + k = n, each block a
+    Cauchy product of row and column terms, 64 blocks doubling per pass,
+    declaring convergence only after three consecutive blocks are small;
   * every index argument passes ``check_index``: integral and >= 0;
   * randomness comes from numpy's PCG64 generator (128-bit state),
     seeded explicitly, so every sampling call is reproducible.
@@ -34,10 +35,8 @@ Conventions:
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +68,6 @@ SERIES_REL_TOL = 1e-12  # relative size below which a term or block counts as co
 SERIES_ABS_TOL = 1e-300  # absolute underflow guard, for sums near zero
 SERIES_MAX_TERMS = 100_000  # cap per summation index; past it a series raises ConvergenceError
 INC_BETA_MAX_ITER = 500  # incomplete Beta continued-fraction steps before ConvergenceError
-
-_REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 @dataclass(frozen=True)
@@ -401,12 +398,9 @@ def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
     )
 
 
-def _rising_step(params):
-    """n -> prod (p + n - 1) over ``params``, the ratio (p)_n / (p)_(n-1) of their Pochhammer products."""
-    if len(params) == 1:
-        (p,) = params
-        return lambda n: p + n - 1.0  # exactly what math.prod([p + n - 1.0]) returns
-    return lambda n: math.prod([p + n - 1.0 for p in params])
+def _rising(params, j):
+    """prod (p + j) over ``params`` at each j, the ratios (p)_(j+1) / (p)_j of their Pochhammer products."""
+    return math.prod([p + j for p in params])
 
 
 def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, u: complex,
@@ -414,42 +408,42 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
     """sum front_{j+k} row_j col_k over anti-diagonals j + k = n, up to ``n_stop`` unless it is None.
 
     row_j = prod (row_params)_j u^j / j!, col_k likewise in v, front_n = prod (front_num)_n / prod (front_den)_n.
-    A block whose products leave the float range raises ConvergenceError.
+    Per pass of N = 64 anti-diagonals, doubling, row, col and front are cumulative products of their ratios and
+    the blocks the Cauchy product ``np.convolve(row, col)``.  (row_params, u) and (col_params, v) are put in a
+    fixed order first, so swapping the indices runs the same operations, bit for bit.  A block whose products
+    leave the float range raises ConvergenceError.
     """
-    row_step, col_step, num_step, den_step = map(_rising_step, (row_params, col_params, front_num, front_den))
-    row = [complex(1.0)]
-    col = [complex(1.0)]
-    front = 1.0
-    total = complex(1.0)
-    terms = 1
-    small = 0
-    for n in range(1, SERIES_MAX_TERMS + 1):
-        if n_stop is not None and n > n_stop:
-            # returning here also avoids the 0/0 front update when n_stop == -c
-            return HypergeomResult(total, terms)
-        row.append(row[-1] * row_step(n) / n * u)
-        col.append(col[-1] * col_step(n) / n * v)
-        front = front * num_step(n) / den_step(n)
-        # the products row_j col_(n-j), j = 0..n, and their real and imaginary parts, each by one C-level
-        # map; math.fsum makes each block exact, hence invariant under swapping the two summation indices
-        products = list(map(operator.mul, row, reversed(col)))
-        try:
-            block = front * complex(math.fsum(map(_REAL, products)), math.fsum(map(_IMAG, products)))
-        except (OverflowError, ValueError):  # F3's rows grow like j! u^j: partial sums overflow, or inf - inf
-            block = complex(math.nan)
-        if not cmath.isfinite(block):
-            raise ConvergenceError(f"{name} terms left the float range at anti-diagonal {n}", terms_used=terms)
-        total += block
-        terms += n + 1
-        if abs(block) <= max(SERIES_REL_TOL * abs(total), SERIES_ABS_TOL):
-            small += 1
-            if small >= 3:
-                return HypergeomResult(total, terms)
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"{name} did not converge within {SERIES_MAX_TERMS} anti-diagonals", terms_used=terms
-    )
+    if ([float(p).hex() for p in (*col_params, v.real, v.imag)]
+            < [float(p).hex() for p in (*row_params, u.real, u.imag)]):  # hex: -0.0 sorts apart from 0.0
+        row_params, col_params, u, v = col_params, row_params, v, u
+    cap = SERIES_MAX_TERMS if n_stop is None else min(n_stop, SERIES_MAX_TERMS)  # n_stop == -c: no 0/0 ratio
+    size = 64
+    while True:
+        size = min(size, cap)
+        k0 = np.arange(float(size))  # n - 1 and n at anti-diagonals n = 1..size
+        k1 = k0 + 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # F3's rows grow like j! u^j: products overflow
+            row = np.concatenate(([1.0], _rising(row_params, k0) / k1 * u)).cumprod()
+            col = np.concatenate(([1.0], _rising(col_params, k0) / k1 * v)).cumprod()
+            blocks = (_rising(front_num, k0) / _rising(front_den, k0)).cumprod() * np.convolve(row, col)[1:size + 1]
+            totals = np.concatenate(([complex(1.0)], blocks)).cumsum()
+            small = np.abs(blocks) <= np.maximum(SERIES_REL_TOL * np.abs(totals[1:]), SERIES_ABS_TOL)
+        bad = ~np.isfinite(blocks)
+        runs = np.concatenate(([False, False], small))
+        done = runs[2:] & runs[1:-1] & runs[:-2]  # the third of three consecutive small blocks
+        hit = np.flatnonzero(bad | done)
+        if hit.size:
+            n = int(hit[0]) + 1
+            if bad[n - 1]:
+                raise ConvergenceError(f"{name} terms left the float range at anti-diagonal {n}",
+                                       terms_used=n * (n + 1) // 2)
+            return HypergeomResult(complex(totals[n]), (n + 1) * (n + 2) // 2)
+        if size == cap:
+            if n_stop is not None and n_stop < SERIES_MAX_TERMS:
+                return HypergeomResult(complex(totals[-1]), (size + 1) * (size + 2) // 2)
+            raise ConvergenceError(f"{name} did not converge within {SERIES_MAX_TERMS} anti-diagonals",
+                                   terms_used=(cap + 1) * (cap + 2) // 2)
+        size *= 2
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, u, v) -> HypergeomResult:

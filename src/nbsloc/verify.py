@@ -105,8 +105,9 @@ def check_appell_reductions() -> CheckResult:
     """Diagonal reduction, both Euler-type transformations, and index symmetry.
 
     Budget, relative: F1 stops after three anti-diagonals below SERIES_REL_TOL of its sum, at arguments up to
-    0.82, so its tail is about 1e-12 * 0.82 / 0.18 = 4.6e-12 (2F1 at |z| <= 0.45: 0.8e-12); up to 140 rounded
-    anti-diagonals at sum |term| / |sum| <= 91 add 1.4e-12.  Two sums per comparison: 1.2e-11.  Tolerance 2e-11.
+    0.82, so its tail is about 1e-12 * 0.82 / 0.18 = 4.6e-12 (2F1 at |z| <= 0.45: 0.8e-12); n <= 140 blocks, each
+    rounded in n steps and once more in the sum, add gamma_2n = 3.1e-14 of sum |term| <= 91 |sum|: 2.8e-12.  Two
+    sums per comparison: 1.5e-11.  Tolerance 2e-11.
     """
     rng = _rng(202)
     worst = 0.0
@@ -441,7 +442,8 @@ def check_kernel_equivalence() -> CheckResult:
 
     Budget, relative: the series is cut where its tail bound falls below SERIES_REL_TOL of sum |c_k x^k|, at
     most 13.5 times the value here: 1.4e-11.  F1's arguments reach 0.87, so its tail is about 1e-12 * 0.87 /
-    0.13 = 6.7e-12; up to 115 rounded anti-diagonals at sum |term| / |F1| <= 209 add 2.7e-12: 2.3e-11.  Tolerance 5e-11.
+    0.13 = 6.7e-12; n <= 115 blocks, each rounded in n steps and once more in the sum, add gamma_2n = 2.6e-14
+    of sum |term| <= 209 |F1|: 5.3e-12.  In all 2.6e-11.  Tolerance 5e-11.
     """
     rng = _rng(808)
     worst = 0.0

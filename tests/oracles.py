@@ -4,9 +4,10 @@ Each routine here deliberately avoids the implementation path it is used
 to check: integrals come from adaptive Simpson, Laguerre values from the
 generating-function power series, Jacobi values and negative binomial
 weights from exact rational arithmetic, and long series from brute-force
-partial sums.  Where a routine pins a rewrite bit for bit, it keeps the
-package's earlier scalar loop (the F1/F3 anti-diagonal driver, 2F1 term by
-term).
+partial sums.  Where a routine pins a rewrite, it keeps the package's
+earlier scalar loop: 2F1 term by term, bit for bit, and the F1/F3
+anti-diagonal loop, whose values the Cauchy-product driver meets within a
+rounding budget.
 """
 
 from __future__ import annotations
@@ -139,11 +140,29 @@ def appell_f3_rowwise(a, a2, b1, b2, c, u, v, rows: int = 300) -> complex:
     return total
 
 
-def anti_diagonal_sum_loop(specfun, name, row_params, col_params, front_num, front_den, u, v, n_stop):
-    """``specfun._anti_diagonal_sum`` as one list comprehension and two generator sums per anti-diagonal.
+def appell_f1_mpmath(a, b1, b2, c, u, v, anti_diagonals: int = 400, dps: int = 30) -> complex:
+    """F1(a; b1, b2; c; u, v) summed over a fixed number of anti-diagonals in ``dps``-digit mpmath.
 
-    The same operations in the same order as the package's C-level maps, so the value, ``terms_used``
-    and each ConvergenceError (message and ``terms_used``) must come out the same bit for bit.
+    The caller picks ``anti_diagonals`` past the point where the neglected tail matters.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b1, b2, c, u, v = map(mpmath.mpmathify, (a, b1, b2, c, u, v))
+        row, col, front, total = [mpmath.mpf(1)], [mpmath.mpf(1)], mpmath.mpf(1), mpmath.mpf(1)
+        for n in range(1, anti_diagonals + 1):
+            row.append(row[-1] * (b1 + n - 1) / n * u)
+            col.append(col[-1] * (b2 + n - 1) / n * v)
+            front *= (a + n - 1) / (c + n - 1)
+            total += front * mpmath.fdot(row, col[::-1])
+        return complex(total)
+
+
+def anti_diagonal_sum_loop(specfun, name, row_params, col_params, front_num, front_den, u, v, n_stop):
+    """The package's former F1/F3 driver: one list of products and two exact sums per anti-diagonal.
+
+    Each block is summed exactly (math.fsum) and rounded once into the running total; row_n is formed
+    as row_(n-1) (p + n - 1) / n u, so F3's rows overflow one anti-diagonal before row_n itself does.
     """
     row = [complex(1.0)]
     col = [complex(1.0)]
@@ -284,11 +303,11 @@ def gauss_jacobi_dense(n: int, alpha: float, beta: float, specfun) -> tuple[np.n
 
     The nodes are eigenvalues of the dense tridiagonal matrix; one run of the orthonormal recurrence at
     every node gives a Newton step and the Christoffel weight, rescaled by powers of two on the way.
-    What is checked is that eigen-build, so the mass 2^(alpha+beta+1) B(alpha+1, beta+1) is the
-    library's ``log_beta``.
+    What is checked is that eigen-build, so the mass 2^(alpha+1) 2^beta B(alpha+1, beta+1) is formed as
+    the library forms it, from its ``log_beta``.
     """
     ab = alpha + beta
-    mu0 = 2.0 ** (ab + 1.0) * math.exp(specfun.log_beta(alpha + 1.0, beta + 1.0))
+    mu0 = 2.0 ** (alpha + 1.0) * 2.0 ** beta * math.exp(specfun.log_beta(alpha + 1.0, beta + 1.0))
     i = np.arange(1.0, n)
     diag = np.concatenate(([(beta - alpha) / (ab + 2.0)],
                            (beta * beta - alpha * alpha) / ((2.0 * i + ab) * (2.0 * i + ab + 2.0))))
