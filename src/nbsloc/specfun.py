@@ -408,10 +408,10 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
     """sum front_{j+k} row_j col_k over anti-diagonals j + k = n, up to ``n_stop`` unless it is None.
 
     row_j = prod (row_params)_j u^j / j!, col_k likewise in v, front_n = prod (front_num)_n / prod (front_den)_n.
-    Per pass of N = 64 anti-diagonals, doubling, row, col and front are cumulative products of their ratios and
-    the blocks the Cauchy product ``np.convolve(row, col)``.  (row_params, u) and (col_params, v) are put in a
-    fixed order first, so swapping the indices runs the same operations, bit for bit.  A block whose products
-    leave the float range raises ConvergenceError.
+    In passes over N = 64, 128, ... anti-diagonals, row, col and front are cumulative products of their ratios,
+    the blocks the Cauchy product ``np.convolve(row, col)`` and the totals one cumulative sum.  (row_params, u)
+    and (col_params, v) are put in a fixed order first, so swapping the indices runs the same operations, bit
+    for bit.  A block whose products leave the float range raises ConvergenceError.
     """
     if ([float(p).hex() for p in (*col_params, v.real, v.imag)]
             < [float(p).hex() for p in (*row_params, u.real, u.imag)]):  # hex: -0.0 sorts apart from 0.0
@@ -440,7 +440,7 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
             return HypergeomResult(complex(totals[n]), (n + 1) * (n + 2) // 2)
         if size == cap:
             if n_stop is not None and n_stop < SERIES_MAX_TERMS:
-                return HypergeomResult(complex(totals[-1]), (size + 1) * (size + 2) // 2)
+                return HypergeomResult(complex(totals[-1]), (cap + 1) * (cap + 2) // 2)
             raise ConvergenceError(f"{name} did not converge within {SERIES_MAX_TERMS} anti-diagonals",
                                    terms_used=(cap + 1) * (cap + 2) // 2)
         size *= 2
