@@ -109,10 +109,11 @@ def radial_eigenvalue(F: RadialSymbol, j: int | range, B: float):
     """Eigenvalue of the quantized radial symbol F.
 
     (1 / B(j+1, 2B-1)) int_0^1 rho^j (1 - rho)^(2B-2) F(rho) drho, by the
-    weighted radial rule of RADIAL_NODES nodes, ``F.func`` called once per node, times
-    1 / B(j+1, 2B-1) = (2B-1) Gamma(2B+j) / (j! Gamma(2B)) from one ``log_nb_weights`` table, as in
-    ``beta_density``.  ``j`` may be a range: an array with an eigenvalue per index.  Each integral is
-    summed over the nodes in a fixed order, so the same call gives the same bits.  Discontinuous
+    weighted radial rule of RADIAL_NODES nodes, ``F.func`` called once per node, each term w_i rho_i^j /
+    B(j+1, 2B-1) formed in logs (at large B the normalization alone overflows where the node sum underflows),
+    1 / B(j+1, 2B-1) = (2B-1) Gamma(2B+j) / (j! Gamma(2B)) from one ``log_nb_weights`` table as in
+    ``beta_density``.  ``j`` may be a range: an array with an eigenvalue per index.  Each integral is summed
+    over the nodes in a fixed order, so the same call gives the same bits.  Discontinuous
     symbols converge slowly here; the disk indicator has the exact closed form ``disk_eigenvalue``.
     """
     js = check_indices("j", j)
@@ -120,9 +121,9 @@ def radial_eigenvalue(F: RadialSymbol, j: int | range, B: float):
     fvals = np.asarray([F.func(r) for r in grid.nodes], dtype=float)
     if np.any(np.abs(fvals) > F.bound * (1.0 + 1e-12) + 1e-300):
         raise DomainError("symbol exceeds its declared bound on the integration nodes")
-    powers = np.array([grid.nodes ** k for k in js]).reshape(len(js), grid.nodes.size)
-    integrals = (powers * (grid.weights * fvals)).sum(axis=1)
-    values = integrals * np.exp(math.log(2.0 * B - 1.0) + log_nb_weights(max(js, default=0) + 1, 2.0 * B))[js]
+    log_norm = math.log(2.0 * B - 1.0) + log_nb_weights(max(js, default=0) + 1, 2.0 * B)[js]
+    terms = np.exp(np.multiply.outer(js, np.log(grid.nodes)) + (np.log(grid.weights) + log_norm[:, None]))
+    values = (terms * fvals).sum(axis=1)
     return values if isinstance(j, range) else float(values[0])
 
 

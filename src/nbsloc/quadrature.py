@@ -10,13 +10,13 @@ Three families cover every integral in the package:
   * ``disk_grid``        -- the tensor product of the radial rule with a
     uniform (spectrally accurate) angular rule for weighted disk integrals.
 
-Every Gauss rule has its weights from ``_christoffel``.  A symmetric Jacobi weight (alpha = beta,
-every Legendre rule) takes its nodes from an eigenproblem of half the size and mirrors exactly;
-any other weight, and the Laguerre rule, from the whole Jacobi matrix.
+Every Gauss rule has its weights from ``_christoffel``.  A Legendre rule (Jacobi, alpha = 0) takes
+its nodes from an eigenproblem of half the size and mirrors exactly about 1/2; any other alpha,
+and the Laguerre rule, from the whole Jacobi matrix.
 Values derived from a rule are built once and shared, each in an LRU cache of
 RULE_CACHE_SIZE entries:
 
-  * ``gauss_jacobi(n, alpha, beta)`` -- the rule on [-1, 1];
+  * ``gauss_jacobi(n, alpha)`` -- the rule on [0, 1];
   * ``half_line_grid(n, B)``, ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each;
   * ``angular_phasors(n)`` -- the angular rule's points exp(i theta_m) on the unit circle.
 
@@ -34,13 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import log_beta, log_gamma
+from .specfun import log_gamma
 
 DISK_RULE = (64, 128)  # (radii, angles) of the polar rule every disk integral starts from
 RESIDUAL_NODES = 64  # Chebyshev points of hamiltonian_residual's differentiation matrix
 RESIDUAL_WINDOW = (0.5, 8.0)  # hamiltonian_residual's interval, away from the x = 0 singularity
 RULE_CACHE_SIZE = 64  # entries kept by each rule and grid cache; a 600-node rule takes 10 kB
-RADIAL_MAX_B = 512.0  # past it the radial rule's Jacobi mass 2^(2B-1) / (2B-1) leaves the double range
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,11 @@ class QuadratureGrid:
 
 
 def mapped_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [lo, hi]: ``gauss_jacobi(n, 0.0, 0.0)`` moved affinely."""
+    """Gauss-Legendre nodes and weights on [lo, hi]: ``gauss_jacobi(n, 0.0)`` scaled by hi - lo and moved to lo."""
     if not hi > lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
-    x, w = gauss_jacobi(n, 0.0, 0.0)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+    x, w = gauss_jacobi(n, 0.0)
+    return lo + (hi - lo) * x, (hi - lo) * w
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
@@ -104,50 +102,38 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
-def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule on [-1, 1] for the weight (1-x)^alpha (1+x)^beta.
+def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule on [0, 1] for the weight (1-x)^alpha, the one family any integral here needs.
 
-    Nodes are the Jacobi matrix's eigenvalues.  For alpha == beta its diagonal is zero: ordered by
-    even and odd index it is [[0, C], [C^T, 0]], so the positive nodes are the square roots of the
-    eigenvalues of the floor(n/2)-square tridiagonal C^T C (odd n adds the node 0), and the rule is
-    built at the nonnegative nodes and mirrored, exactly symmetric.  One run of the orthonormal
-    recurrence q_0 = 1, ..., q_n at every node gives a Newton step -q_n / q_n' and the sums of q_k^2
-    and q_k q_k' over k < n, hence the Christoffel weight mu_0 / sum_k q_k^2, with the mass
-    mu_0 = 2^(alpha+1) 2^beta exp(specfun.log_beta(alpha+1, beta+1)), at the stepped node to
-    first order: accurate relative to itself, where Golub-Welsch eigenvector weights are off by eps
-    times the largest.
+    Nodes are the eigenvalues of the Jacobi matrix: with s = 2k + alpha, diagonal (2k (k + alpha + 1) + alpha)
+    / (s (s + 2)) (first entry 1 / (alpha + 2)) and off-diagonal k (k + alpha) / (s sqrt(s^2 - 1)).  For
+    alpha == 0 the diagonal is exactly 1/2: ordered by even and odd index J - I/2 is [[0, C], [C^T, 0]], so
+    the nodes above 1/2 are 1/2 plus the square roots of the eigenvalues of the floor(n/2)-square tridiagonal
+    C^T C (odd n adds the node 1/2), and the rule is built there and mirrored as 1 - x, exactly symmetric.
+    One run of the orthonormal recurrence q_0 = 1, ..., q_n at every node gives a Newton step -q_n / q_n'
+    and the sums of q_k^2 and q_k q_k' over k < n, hence the Christoffel weight mu_0 / sum_k q_k^2, with the
+    mass mu_0 = 1 / (alpha + 1), at the stepped node to first order: accurate relative to itself, where
+    Golub-Welsch eigenvector weights are off by eps times the largest.
     Once a bound on the recurrence passes 1e100, each node's values are divided by the power of two
     just above its larger last value, which is exact.  Exact for polynomials of degree <= 2n - 1.
     Memoized; the arrays are read-only.
     """
     if n < 2:
         raise DomainError(f"need at least 2 nodes, got {n}")
-    if not (alpha > -1.0 and beta > -1.0):
-        raise DomainError(f"Jacobi weight needs alpha, beta > -1, got {alpha}, {beta}")
-    ab = alpha + beta
-    big = float(alpha >= 1023.0)  # where 2^(alpha+1) overflows (beta < 0): 2^alpha 2^(beta+1), beta + 1 exact
-    mu0 = math.inf if not ab < 1023.0 else (  # 2^(alpha+1) 2^beta: no power at alpha + beta rounded
-        2.0 ** (alpha + (1.0 - big)) * 2.0 ** (beta + big) * math.exp(log_beta(alpha + 1.0, beta + 1.0)))
-    if mu0 == math.inf:
-        raise DomainError(f"the rule's mass 2^(alpha+beta+1) B(alpha+1, beta+1) is past the double range, "
-                          f"as for every alpha + beta >= 1023; got alpha={alpha}, beta={beta}")
-    diag = np.empty(n)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    ii = np.arange(1.0, n)
-    diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * ii + ab) * (2.0 * ii + ab + 2.0))
-    off = np.empty(n - 1)
-    off[0] = math.sqrt(4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0)))
-    if n > 2:
-        k = np.arange(2.0, n)
-        s = 2.0 * k + ab
-        off[1:] = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0)))
-    if alpha == beta:  # C[i, i] = off[2i], C[i, i-1] = off[2i-1]; C^T C has diagonal off[2i]^2 + off[2i+1]^2
+    if not -1.0 < alpha < math.inf:
+        raise DomainError(f"Jacobi weight needs a finite alpha > -1, got {alpha}")
+    k = np.arange(1.0, n)
+    s = 2.0 * k + alpha
+    diag = np.concatenate(([1.0 / (alpha + 2.0)], (2.0 * k * (k + alpha + 1.0) + alpha) / (s * (s + 2.0))))
+    off = k * (k + alpha) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    mu0 = 1.0 / (alpha + 1.0)
+    if alpha == 0.0:  # C[i, i] = off[2i], C[i, i-1] = off[2i-1]; C^T C has diagonal off[2i]^2 + off[2i+1]^2
         ext = np.append(off, 0.0)
         even, odd = ext[0:n - n % 2:2], ext[1:n - n % 2:2]
         cross = odd[:-1] * even[1:]
         lam = np.linalg.eigvalsh(np.diag(even * even + odd * odd) + np.diag(cross, 1) + np.diag(cross, -1))
-        half, half_w = _christoffel(np.concatenate((np.zeros(n % 2), np.sqrt(lam))), diag, off, mu0, 1.0)
-        nodes = np.concatenate((-half[::-1][:n // 2], half))
+        half, half_w = _christoffel(0.5 + np.concatenate((np.zeros(n % 2), np.sqrt(lam))), diag, off, mu0, 1.0)
+        nodes = np.concatenate((1.0 - half[::-1][:n // 2], half))
         weights = np.concatenate((half_w[::-1][:n // 2], half_w))
     else:
         x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
@@ -180,21 +166,16 @@ def _christoffel(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mu0: float,
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
-    """Rule for integrals over rho in [0, 1] against the weight (1 - rho)^(2B - 2).
+    """Rule for integrals over rho in [0, 1] against the weight (1 - rho)^(2B - 2): ``gauss_jacobi(n, 2B - 2)``.
 
-    The weight is absorbed: ``grid.integrate(f)`` returns
-    int_0^1 f(rho) (1-rho)^(2B-2) drho, exactly for polynomial f of degree
-    <= 2n - 1.  Requires 1/2 < B < RADIAL_MAX_B; on (1/2, 1) the endpoint
-    singularity is integrable and handled by the Jacobi weight itself, and
-    past RADIAL_MAX_B the rule on [-1, 1] has weights beyond the double range.
-    Memoized by (n, B).
+    The weight is absorbed: ``grid.integrate(f)`` returns int_0^1 f(rho) (1-rho)^(2B-2) drho, exactly for
+    polynomial f of degree <= 2n - 1.  Any finite B > 1/2; on (1/2, 1) the endpoint singularity is integrable
+    and handled by the Jacobi weight itself.  DomainError where a weight underflows (from 576 nodes at
+    B = 100, 227 at B = 600 and about 190 past B = 1e5).  Memoized by (n, B).
     """
-    if not 0.5 < B < RADIAL_MAX_B:
-        raise DomainError(f"radial rule needs 1/2 < B < {RADIAL_MAX_B:g} (an integrable weight, and "
-                          f"Jacobi weights within the double range), got B={B}")
-    exponent = 2.0 * B - 2.0
-    x, w = gauss_jacobi(n, exponent, 0.0)
-    return QuadratureGrid(0.5 * (x + 1.0), w * 0.5 ** (exponent + 1.0))
+    if not 0.5 < B < math.inf:
+        raise DomainError(f"radial rule needs a finite B > 1/2 (an integrable weight), got B={B}")
+    return QuadratureGrid(*gauss_jacobi(n, 2.0 * B - 2.0))
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)

@@ -16,8 +16,8 @@ Conventions:
     ``log_nb_weights`` of the weights Gamma(b+a)/(a! Gamma(b)), a compensated
     cumulative sum, gives 1/B(j+1, b) = b Gamma(b+1+j)/(j! Gamma(b+1)) behind
     every basis norm, pmf, density, radial eigenvalue and kernel coefficient;
-    ``log_beta`` gives every other Beta factor (the incomplete Beta
-    prefactor, the Gauss-Jacobi mass);
+    ``log_beta`` gives the other Beta factor, the incomplete Beta
+    prefactor;
   * accuracy is fixed, not a parameter: a series term counts as small
     below SERIES_REL_TOL of the sum (SERIES_ABS_TOL near zero), and past
     SERIES_MAX_TERMS the series raises ConvergenceError, it never returns
@@ -28,6 +28,8 @@ Conventions:
     double series are summed over anti-diagonals j + k = n, each block a
     Cauchy product of row and column terms, 64 blocks doubling per pass,
     declaring convergence only after three consecutive blocks are small;
+    a series with a NaN or infinite parameter or argument raises
+    DomainError before it sums anything;
   * every index argument passes ``check_index``: integral and >= 0;
   * randomness comes from numpy's PCG64 generator (128-bit state),
     seeded explicitly, so every sampling call is reproducible.
@@ -35,6 +37,7 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -347,6 +350,12 @@ def _stop(*params):
     return min((s for s in map(_nonpositive_int, params) if s is not None), default=None)
 
 
+def _check_finite(name: str, *values) -> None:
+    """DomainError unless every parameter and argument is finite: a NaN passes every domain comparison."""
+    if not all(map(cmath.isfinite, values)):
+        raise DomainError(f"{name} needs finite parameters and arguments, got {values}")
+
+
 def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
     """Gauss hypergeometric 2F1(a, b, c; z) on the closed unit disk.
 
@@ -357,6 +366,7 @@ def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
     max(SERIES_REL_TOL |sum|, SERIES_ABS_TOL).
     """
     z = complex(z)
+    _check_finite("2F1", a, b, c, z)
     stop = _stop(a, b)
     c_pole = _nonpositive_int(c)
     if c_pole is not None and (stop is None or stop > c_pole):
@@ -454,8 +464,8 @@ def appell_f1(a: float, b1: float, b2: float, c: float, u, v) -> HypergeomResult
     corresponding index terminates through a non-positive integer
     parameter.
     """
-    u = complex(u)
-    v = complex(v)
+    u, v = complex(u), complex(v)
+    _check_finite("F1", a, b1, b2, c, u, v)
     if abs(u) >= 1.0 and _stop(a, b1) is None:
         raise DomainError(f"F1 needs |u| < 1 (or a terminating index), got |u|={abs(u)}")
     if abs(v) >= 1.0 and _stop(a, b2) is None:
@@ -475,8 +485,8 @@ def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v) -> Hype
     Sum of (a)_j (a2)_k (b1)_j (b2)_k / (j! k! (c)_{j+k}) u^j v^k, with the
     same anti-diagonal scheme and termination rules as ``appell_f1``.
     """
-    u = complex(u)
-    v = complex(v)
+    u, v = complex(u), complex(v)
+    _check_finite("F3", a, a2, b1, b2, c, u, v)
     j_stop = _stop(a, b1)
     k_stop = _stop(a2, b2)
     if abs(u) >= 1.0 and j_stop is None:

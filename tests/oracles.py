@@ -298,23 +298,18 @@ def kernel_series_coefficients_unmemoized(B: float, s: float, x_max: float, spec
         n *= 2
 
 
-def gauss_jacobi_dense(n: int, alpha: float, beta: float, specfun) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule from the eigenvalues of the whole n-square Jacobi matrix, symmetric weight or not.
+def gauss_jacobi_dense(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule on [0, 1] for (1-x)^alpha from the eigenvalues of the whole n-square Jacobi matrix.
 
-    The nodes are eigenvalues of the dense tridiagonal matrix; one run of the orthonormal recurrence at
-    every node gives a Newton step and the Christoffel weight, rescaled by powers of two on the way.
-    What is checked is that eigen-build, so the mass 2^(alpha+1) 2^beta B(alpha+1, beta+1) is formed as
-    the library forms it, from its ``log_beta``.
+    The nodes are eigenvalues of the dense tridiagonal matrix, Legendre (alpha = 0) or not; one run of the
+    orthonormal recurrence at every node gives a Newton step and the Christoffel weight, rescaled by powers
+    of two on the way, with the mass 1 / (alpha + 1).
     """
-    ab = alpha + beta
-    mu0 = 2.0 ** (alpha + 1.0) * 2.0 ** beta * math.exp(specfun.log_beta(alpha + 1.0, beta + 1.0))
-    i = np.arange(1.0, n)
-    diag = np.concatenate(([(beta - alpha) / (ab + 2.0)],
-                           (beta * beta - alpha * alpha) / ((2.0 * i + ab) * (2.0 * i + ab + 2.0))))
-    k = np.arange(2.0, n)
-    s = 2.0 * k + ab
-    off = np.concatenate(([math.sqrt(4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0)))],
-                          np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0)))))
+    mu0 = 1.0 / (alpha + 1.0)
+    k = np.arange(1.0, n)
+    s = 2.0 * k + alpha
+    diag = np.concatenate(([1.0 / (alpha + 2.0)], (2.0 * k * (k + alpha + 1.0) + alpha) / (s * (s + 2.0))))
+    off = k * (k + alpha) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     q_prev, q, dq_prev, dq = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
     sum_qq, sum_qdq, shift = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)

@@ -67,11 +67,12 @@ class TestBergmanFunction:
         assert np.allclose(projected.coefficients[:4], coeffs, atol=1e-10)
         assert np.allclose(projected.coefficients[4:], 0.0, atol=1e-10)
 
-    def test_projection_past_the_radial_rule_refused(self):
-        # its rule's Jacobi mass leaves the double range; it used to end in a bare OverflowError
-        for _ in range(2):
-            with pytest.raises(DomainError, match="512"):
-                BergmanFunction(600.0, coefficients=[1.0]).project(4)
+    @pytest.mark.parametrize("B", [600.0, 5000.0])
+    def test_projection_at_large_strength(self, B):
+        # reads 3.5e-15 and 1.3e-14
+        coeffs = np.array([0.5, -1.0 + 0.5j, 0.25, 2.0j, -0.75])
+        projected = BergmanFunction(B, evaluator=BergmanFunction(B, coefficients=coeffs)).project(8).coefficients
+        assert np.max(np.abs(projected - np.r_[coeffs, np.zeros(4)])) <= 1e-12
 
     def test_projection_rejects_negative_index(self):
         # used to return a function with no coefficients

@@ -19,7 +19,7 @@ from nbsloc.quadrature import QuadratureGrid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLES = {
-    "quadrature.gauss_jacobi": (9, 1.0, 0.0),
+    "quadrature.gauss_jacobi": (9, 1.0),
     "quadrature.half_line_grid": (9, 1.5),
     "quadrature.radial_jacobi_grid": (9, 1.5),
     "quadrature.angular_grid": (16,),

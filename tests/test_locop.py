@@ -54,12 +54,14 @@ class TestRadialEigenvalue:
         assert np.max(np.abs(one - 1.0)) <= 1e-13
         assert np.max(np.abs(mean / ((j + 1.0) / (j + 2.0 * B)) - 1.0)) <= 1e-13
 
-    def test_strength_past_the_radial_rule_refused(self):
-        # its rule's Jacobi mass leaves the double range; it used to end in a bare OverflowError
-        one = RadialSymbol(lambda r: 1.0, bound=1.0)
-        for _ in range(2):
-            with pytest.raises(DomainError, match="512"):
-                radial_eigenvalue(one, 0, 600.0)
+    @pytest.mark.parametrize("B", [600.0, 5000.0])
+    def test_values_at_large_strength(self, B):
+        # at B = 5000 the normalization alone overflows where the node sum underflows; reads 5.7e-14 and 1.2e-13
+        j = np.arange(160)
+        one = radial_eigenvalue(RadialSymbol(lambda r: 1.0, bound=1.0), range(160), B)
+        mean = radial_eigenvalue(RadialSymbol(lambda r: r, bound=1.0), range(160), B)
+        assert np.max(np.abs(one - 1.0)) <= 1e-12
+        assert np.max(np.abs(mean / ((j + 1.0) / (j + 2.0 * B)) - 1.0)) <= 1e-12
 
     def test_indicator_converges_to_disk_eigenvalue(self, monkeypatch):
         j, B, R = 1, 1.25, 0.6
@@ -703,6 +705,12 @@ class TestMatrixElements:
         assert diagonal.real == pytest.approx(radial_eigenvalue(radial, range(9), B), abs=1e-13)
         assert np.max(np.abs(diagonal.imag)) <= 1e-13
         assert np.max(np.abs(block - np.diag(diagonal))) <= 1e-13
+
+    @pytest.mark.parametrize("B", [600.0, 5000.0])
+    def test_constant_symbol_is_the_identity_at_large_strength(self, B):
+        # on DISK_RULE; reads 6.2e-15 and 6.7e-15
+        block = quantization_matrix_element(lambda z: np.ones(z.shape), range(8), range(8), B)
+        assert np.max(np.abs(block - np.eye(8))) <= 1e-12
 
     @pytest.mark.parametrize("symbol, B, rule, n", BLOCK_CASES)
     def test_block_matches_the_pointwise_formula(self, symbol, B, rule, n):

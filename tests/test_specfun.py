@@ -252,6 +252,13 @@ class TestGauss2F1:
         with pytest.raises(DomainError):
             gauss_2f1(0.5, 0.5, -2.0, 0.3)  # c a non-positive integer, no termination
 
+    @pytest.mark.parametrize("args", [(0.5, 1.0, math.nan, 0.3), (math.nan, 1.0, 2.0, 0.3), (0.5, math.inf, 2.0, 0.3),
+                                      (0.5, 1.0, 2.0, complex(0.3, math.nan))])
+    def test_non_finite_input_is_a_domain_error(self, args):
+        # a NaN passes |z| > 1 and the pole tests; it used to end in ConvergenceError "at term 1"
+        with pytest.raises(DomainError, match="finite"):
+            gauss_2f1(*args)
+
     def test_terminating_with_negative_c_offset(self):
         # a = -2 terminates before the c = -3 pole is reached
         res = gauss_2f1(-2.0, 1.0, -3.0, 0.7)
@@ -393,6 +400,11 @@ class TestAppellF1:
             appell_f1(0.5, 0.5, 0.5, 2.0, 1.2, 0.1)
         with pytest.raises(DomainError):
             appell_f1(0.5, 0.5, 0.5, -1.0, 0.1, 0.1)
+        for args in ((0.5, 0.5, 0.5, 2.0, math.nan, 0.1), (0.5, 0.5, 0.5, 2.0, 0.1, complex(math.nan, 0.2)),
+                     (math.nan, 0.5, 0.5, 2.0, 0.1, 0.1), (0.5, 0.5, -math.inf, 2.0, 0.1, 0.1)):
+            # it used to end in ConvergenceError "terms left the float range at anti-diagonal 1"
+            with pytest.raises(DomainError, match="finite"):
+                appell_f1(*args)
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError) as err:
             appell_f1(0.5, 0.5, 0.5, 2.0, 0.95, 0.9)
@@ -421,6 +433,10 @@ class TestAppellF3:
     def test_domain(self):
         with pytest.raises(DomainError):
             appell_f3(0.5, 0.5, 0.5, 0.5, 2.0, 1.1, 0.2)
+        for args in ((0.5, 0.5, 0.5, 0.5, 2.0, 0.1, math.nan), (0.5, 0.5, 0.5, 0.5, math.nan, 0.1, 0.2),
+                     (0.5, math.inf, 0.5, 0.5, 2.0, 0.1, 0.2)):
+            with pytest.raises(DomainError, match="finite"):
+                appell_f3(*args)
 
     def test_rowwise_oracle_complex(self):
         u, v = 0.3 + 0.1j, -0.2 + 0.05j
