@@ -79,11 +79,22 @@ class TestGaussJacobi:
         assert np.max(np.abs(x - want_x)) <= 1e-15
         assert np.max(np.abs(w / want_w - 1.0)) <= 1e-12
 
-    @pytest.mark.parametrize("n, alpha", [(64, 0.5), (128, 2.0), (33, -0.3), (600, 39.0), (160, 1198.0), (40, 9998.0)])
+    @pytest.mark.parametrize("n, alpha", [(64, 0.5), (128, 2.0), (33, -0.3), (600, 39.0), (160, 1198.0), (40, 9998.0),
+                                          *[(n, a) for a in (-0.5, 0.5, 3.0) for n in (2, 3, 40, 41, 600, 601)]])
     def test_other_rules_are_the_whole_matrix_build(self, n, alpha):
         x, w = gauss_jacobi(n, alpha)
         want_x, want_w = oracles.gauss_jacobi_dense(n, alpha)
         assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 40, 41])
+    def test_moments_to_the_declared_degree(self, n, alpha):
+        # int_0^1 x^k (1-x)^alpha dx = B(k + 1, alpha + 1) for k <= 2n - 1, exact at the double alpha; reads 3.7e-15
+        x, w = gauss_jacobi(n, alpha)
+        b = Fraction(alpha) + 1
+        for k in range(2 * n):
+            want = float(math.factorial(k) / math.prod(b + i for i in range(k + 1)))
+            assert abs(math.fsum(w * x ** k) / want - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("n, every", [(400, 1), (600, 6)])
     def test_legendre_weights_match_mpmath(self, n, every):
