@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from nbsloc.locop import SpectralData, mc_eigenvalue  # noqa: E402
+from nbsloc.locop import landau_eigenvalue, mc_eigenvalue  # noqa: E402
 from nbsloc.states import ModelParams  # noqa: E402
 
 
@@ -33,8 +33,8 @@ def main() -> int:
     lines = ["B,R,j,lambda,mc_estimate,mc_sigmas"]
     for B in (0.75, 1.0, 1.5, 2.5):
         for R in (0.3, 0.6, 0.9):
-            for j, lam in enumerate(SpectralData(B, R).values(args.j_max + 1).tolist()):
-                est, _ = mc_eigenvalue(j, ModelParams(B), R, args.samples, args.seed + j)
+            for j, lam in enumerate(landau_eigenvalue(range(args.j_max + 1), ModelParams(B), R).tolist()):
+                est, _ = mc_eigenvalue(j, B, R, args.samples, args.seed + j)
                 sigma = math.sqrt(max(lam * (1.0 - lam), 1e-300) / args.samples)
                 lines.append(f"{B!r},{R!r},{j},{lam!r},{est!r},{abs(est - lam) / sigma:.3f}")
     text = "\n".join(lines) + "\n"

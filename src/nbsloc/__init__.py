@@ -12,7 +12,6 @@ from .errors import (
     AccuracyError,
     ConvergenceError,
     DomainError,
-    UnsupportedLevelError,
     UnsupportedRepresentationError,
 )
 from .specfun import (
@@ -50,7 +49,6 @@ from .states import (
 )
 from .locop import (
     RadialSymbol,
-    SpectralData,
     as_function_of_hamiltonian,
     beta_density,
     disk_eigenvalue,

@@ -136,7 +136,8 @@ def _params_dict(args, extra: dict | None = None) -> dict:
 
 
 def cmd_eigvals(args) -> int:
-    rows = locop.SpectralData(args.B, args.R, args.m).table(args.j_max)
+    values = locop.landau_eigenvalue(range(args.j_max + 1), ModelParams(args.B, args.m), args.R)
+    rows = list(enumerate(values.tolist()))
     _write(_render(_params_dict(args), ["j", "lambda"], rows, args.format), args.out)
     return 0
 
@@ -173,10 +174,9 @@ def cmd_density(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    params = ModelParams(args.B)
-    radius = LocalizationRadius(args.R)
-    exact = locop.SpectralData(args.B, radius).values(args.j_max + 1).tolist()  # the eigvals table
-    draws = [locop.mc_eigenvalue(j, params, radius, args.samples, args.seed + j) for j in range(len(exact))]
+    params, radius = ModelParams(args.B), LocalizationRadius(args.R)
+    exact = locop.landau_eigenvalue(range(args.j_max + 1), params, radius).tolist()  # the eigvals table
+    draws = [locop.mc_eigenvalue(j, args.B, radius, args.samples, args.seed + j) for j in range(len(exact))]
     rows = [[j, est, se, lam, abs(est - lam)] for j, ((est, se), lam) in enumerate(zip(draws, exact))]
     columns = ["j", "estimate", "std_error", "exact", "abs_error"]
     _write(_render(_params_dict(args), columns, rows, args.format), args.out)

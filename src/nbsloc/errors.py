@@ -21,9 +21,5 @@ class AccuracyError(ArithmeticError):
     """A quadrature refinement check detected insufficient grid resolution."""
 
 
-class UnsupportedLevelError(DomainError):
-    """The requested operation only exists for the lowest level (m = 0)."""
-
-
 class UnsupportedRepresentationError(ValueError):
     """The operation needs a coefficient representation; project first."""

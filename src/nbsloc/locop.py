@@ -8,8 +8,10 @@ I_{R^2}(j + 1, 2B - 1), which is simultaneously the CDF of a Beta random
 variable (giving Monte-Carlo cross-checks) and a function of the
 pseudo-harmonic oscillator through its eigenvalue j + 1.  The module also
 carries the generalized level-m densities and eigenvalues, and the
-photon-counting bound on the operator's content outside the disk.  The
-radial and level-m quantities take an index or a range of indices; no call
+photon-counting bound on the operator's content outside the disk.  The one
+eigenvalue function of every level m is ``landau_eigenvalue``; functions
+defined only at m = 0 take the strength B, level functions ``ModelParams``.
+The radial and level-m quantities take an index or a range of indices; no call
 keeps state but the shared read-only rules and tables.  Rule sizes are
 module constants (RADIAL_NODES, LANDAU_NODES, DISK_RULE), not arguments.
 """
@@ -24,16 +26,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
+from .errors import AccuracyError, ConvergenceError, DomainError
 from . import quadrature, specfun
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
 from .specfun import (check_index, check_indices, log_inc_beta_steps, log_nb_weights,
                       reg_inc_beta, reg_inc_beta_table, sample_beta)
-from .states import (LocalizationRadius, ModelParams, as_disk, as_radius, basis_series, bergman_basis,
-                     check_strength, jacobi)
+from .states import ModelParams, as_disk, as_radius, basis_series, bergman_basis, check_strength, jacobi
 
 __all__ = [
-    "SpectralData",
     "RadialSymbol",
     "radial_eigenvalue",
     "disk_eigenvalue",
@@ -50,9 +50,9 @@ __all__ = [
 
 LANDAU_REFINE_TOL = 1e-10  # relative agreement landau_eigenvalue's refinement must reach
 LEAKAGE_TAIL_TOL = 1e-14  # bound on the photon-count tail leakage_bound neglects, relative to the sum
-LANDAU_NODES = 320  # landau_eigenvalue's Gauss-Legendre rule on [0, R^2] and on each half
+LANDAU_NODES = 320  # landau_eigenvalue's Gauss-Legendre rule on [0, R^2] and on each half, at m >= 1
 RADIAL_NODES = 160  # radial_eigenvalue's Gauss-Jacobi rule
-LANDAU_BLOCK = 64  # indices whose densities a landau_eigenvalue range call holds at once, so its memory is bounded
+LANDAU_BLOCK = 64  # indices whose densities an m >= 1 landau_eigenvalue range call holds at once: bounded memory
 
 
 def disk_eigenvalue(j: int, B: float, R) -> float:
@@ -61,36 +61,6 @@ def disk_eigenvalue(j: int, B: float, R) -> float:
     check_strength(B)
     R = as_radius(R)
     return float(reg_inc_beta_table(R * R, j + 1, 2.0 * B - 1.0)[j])
-
-
-@dataclass
-class SpectralData:
-    """Eigenvalue table of the localization operator, as a read-only array.
-
-    The instance holds only B, R and m.  For m = 0 ``values(n)`` is a view of the shared
-    ``reg_inc_beta_table``, so entry j is ``disk_eigenvalue(j)`` bit for bit, whatever was asked
-    before; for m > 0 it is ``landau_eigenvalue(range(n))``, entry j the single-index call's.
-    All eigenvalues lie in [0, 1] and, for m = 0, decrease strictly in j.
-    """
-
-    B: float
-    R: LocalizationRadius
-    m: int = 0
-
-    def __post_init__(self):
-        ModelParams(self.B, self.m)
-        if not isinstance(self.R, LocalizationRadius):
-            self.R = LocalizationRadius(float(self.R))
-
-    def values(self, n: int) -> np.ndarray:
-        """Eigenvalues j = 0..n-1 as a read-only array."""
-        n = check_index("n", n)
-        if self.m == 0:
-            return reg_inc_beta_table(self.R.R * self.R.R, max(n, 1), 2.0 * self.B - 1.0)[:n]
-        return landau_eigenvalue(range(n), ModelParams(self.B, self.m), self.R)
-
-    def table(self, j_max: int) -> list[tuple[int, float]]:
-        return list(enumerate(self.values(check_index("j_max", j_max) + 1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -127,15 +97,17 @@ def radial_eigenvalue(F: RadialSymbol, j: int | range, B: float):
     return values if isinstance(j, range) else float(values[0])
 
 
-def spectral_apply(coeffs, spectrum: SpectralData) -> np.ndarray:
-    """Apply the localization operator to Laguerre-basis coefficients.
+def spectral_apply(coeffs, params: ModelParams, R) -> np.ndarray:
+    """Apply the level-m localization operator to a vector of Laguerre-basis coefficients.
 
-    Component-wise multiplication by the eigenvalue table, extended on
-    demand.  The operator is not a projection: applying twice multiplies by
-    the squared eigenvalues.
+    Component-wise multiplication by ``landau_eigenvalue(range(n), params, R)``, n = len(coeffs); any
+    other shape than a 1-D vector raises DomainError.  The operator is not a projection: applying twice
+    multiplies by the squared eigenvalues.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    return spectrum.values(coeffs.size) * coeffs
+    if coeffs.ndim != 1:
+        raise DomainError(f"coefficients must be a 1-D vector, got shape {coeffs.shape}")
+    return landau_eigenvalue(range(coeffs.size), params, R) * coeffs
 
 
 def as_function_of_hamiltonian(n: int, B: float, R) -> float:
@@ -239,19 +211,28 @@ def _landau_rule(s: float, n: int) -> tuple:
 def landau_eigenvalue(j: int | range, params: ModelParams, R):
     """Level-m eigenvalue: mass of the level-m density on [0, R^2].
 
-    Gauss-Legendre with LANDAU_NODES nodes on [0, R^2]; the weight factor
+    ``j`` may be a range: a read-only array, each entry its own call's bit for bit.  At m = 0 the mass
+    is I_{R^2}(j+1, 2B-1), an entry of the shared ``reg_inc_beta_table``, so it is ``disk_eigenvalue``
+    bit for bit; range(n) gives a view of the table's first n entries, any other range a copy.
+    At m >= 1, Gauss-Legendre with LANDAU_NODES nodes on [0, R^2]; the weight factor
     is smooth there because its singularity sits at rho = 1, outside the
     interval.  The same rule on each half gives the refined value, returned
     unless either is not finite or the two differ by more than the larger of
     LANDAU_REFINE_TOL relatively and 3 LANDAU_NODES math.ulp(0.0), one
     subnormal rounding per term summed (AccuracyError).  The three rules and
     1 - 2 rho, log rho and log1p(-rho) on their nodes are one cached
-    ``_landau_rule`` per R^2, built by the first call.  ``j`` may be a range:
-    a read-only array, each entry its own call's bit for bit, the density
-    evaluated on the nodes of all three rules for LANDAU_BLOCK indices at a time.
+    ``_landau_rule`` per R^2, built by the first call.  A range call evaluates
+    the density on the nodes of all three rules for LANDAU_BLOCK indices at a time.
     """
     R = as_radius(R)
     js = check_indices("j", j)
+    if params.m == 0:
+        table = reg_inc_beta_table(R * R, max(js[0], js[-1]) + 1 if js else 1, 2.0 * params.B - 1.0)
+        if not isinstance(j, range):
+            return float(table[js[0]])
+        values = table[:len(js)] if js == range(len(js)) else table[js]
+        values.flags.writeable = False
+        return values
     weights, *node_values = _landau_rule(R * R, LANDAU_NODES)
     log_w = log_nb_weights(max([params.m, *js]) + 1, 2.0 * params.B - 2.0 * params.m)
     floor = 3 * LANDAU_NODES * math.ulp(0.0)
@@ -271,22 +252,19 @@ def landau_eigenvalue(j: int | range, params: ModelParams, R):
     return table if isinstance(j, range) else values[0]
 
 
-def mc_eigenvalue(j: int, params: ModelParams, R, n_samples: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate of the eigenvalue as Pr(Y <= R^2), Y ~ Beta(j+1, 2B-1).
+def mc_eigenvalue(j: int, B: float, R, n_samples: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo estimate of the m = 0 eigenvalue as Pr(Y <= R^2), Y ~ Beta(j+1, 2B-1).
 
     Returns (estimate, standard error).  Only the lowest level has a Beta
-    sampling route; higher levels are certified by quadrature instead.
+    sampling route, so it takes the strength B, not a level.
     """
     j = check_index("j", j)
-    if params.m != 0:
-        raise UnsupportedLevelError(
-            f"sampling route exists only for m = 0, got m={params.m}; use landau_eigenvalue"
-        )
+    check_strength(B)
     n_samples = check_index("n_samples", n_samples)
     if n_samples < 100:
         raise DomainError(f"needs n_samples >= 100, got {n_samples}")
     R = as_radius(R)
-    draws = sample_beta(j + 1.0, 2.0 * params.B - 1.0, n_samples, seed)
+    draws = sample_beta(j + 1.0, 2.0 * B - 1.0, n_samples, seed)
     estimate = float(np.mean(draws <= R * R))
     return estimate, math.sqrt(estimate * (1.0 - estimate) / n_samples)
 
@@ -355,7 +333,7 @@ def leakage_bound(z0, B: float, R) -> float:
 
 
 def localized_overlap(z0, B: float, R, coeffs) -> float:
-    """|<state at z0, localized f>| for f given by Laguerre-basis coefficients.
+    """|<state at z0, localized f>| for f given by a vector of Laguerre-basis coefficients (DomainError otherwise).
 
     Closed form |sum_j lambda_j (1-|z0|^2)^B sqrt(Gamma(2B+j)/(j! Gamma(2B)))
     conj(z0)^j c_j|; bounded by ``leakage_bound`` times the norm of f.
@@ -363,6 +341,8 @@ def localized_overlap(z0, B: float, R, coeffs) -> float:
     z0, R = as_disk(z0), as_radius(R)
     check_strength(B)
     coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim != 1:
+        raise DomainError(f"coefficients must be a 1-D vector, got shape {coeffs.shape}")
     if coeffs.size == 0:
         return 0.0
     lam = reg_inc_beta_table(R * R, coeffs.size, 2.0 * B - 1.0)
@@ -387,9 +367,10 @@ def quantization_matrix_element(F, j: int | range, k: int | range, B: float, gri
     if grid is None:
         grid = disk_grid(*quadrature.DISK_RULE, B)
     z = grid.nodes
-    lo = min(js + ks, default=0)  # the table's rows run from lo to the largest index of either range
+    indices = [*js, *ks]
+    lo = min(indices, default=0)  # the table's rows run from lo to the largest index of either range
     # the prefactor is that of conj(basis_j) basis_k: Gamma(2B) / Gamma(2B-1) = 2B - 1
-    table = bergman_basis(range(lo, max(js + ks, default=lo - 1) + 1), B, z)
+    table = bergman_basis(range(lo, max(indices, default=lo - 1) + 1), B, z)
     right = table[[i - lo for i in ks]] * (grid.weights * F(z) / math.pi)
     block = np.empty((len(js), len(ks)), dtype=complex)
     for row, left in zip(block, np.conjugate(table[[i - lo for i in js]])):

@@ -30,7 +30,8 @@ Conventions:
     declaring convergence only after three consecutive blocks are small;
     a series with a NaN or infinite parameter or argument raises
     DomainError before it sums anything;
-  * every index argument passes ``check_index``: integral and >= 0;
+  * every index argument passes ``check_index``: integral and >= 0; a
+    range of indices passes ``check_indices``, which checks its two ends;
   * randomness comes from numpy's PCG64 generator (128-bit state),
     seeded explicitly, so every sampling call is reproducible.
 """
@@ -92,9 +93,13 @@ def check_index(name: str, value) -> int:
     return int(value)
 
 
-def check_indices(name: str, value) -> list[int]:
-    """``check_index`` of every index of a range, or of one index, as a list."""
-    return [check_index(name, k) for k in (value if isinstance(value, range) else (value,))]
+def check_indices(name: str, value) -> range | list[int]:
+    """A range as it is, checked in O(1) at its ends (it holds ints, least at an end), or [check_index(name, value)]."""
+    if not isinstance(value, range):
+        return [check_index(name, value)]
+    if value and min(value[0], value[-1]) < 0:  # name the first negative index; past value[0] >= 0 the step is < 0
+        check_index(name, value[0] if value[0] < 0 else value[value[0] // -value.step + 1])
+    return value
 
 
 def log_gamma(x: float) -> float:

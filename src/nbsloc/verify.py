@@ -325,8 +325,15 @@ def check_spectrum() -> CheckResult:
 def check_eigenvalue_norm_identity() -> CheckResult:
     """Eigenvalues as squared norms of basis elements over the subdisk.
 
-    Two-dimensional quadrature over |z| < R (radial rule mapped to [0, R^2]
-    with the weight in the integrand, times the angular rule).
+    Two-dimensional quadrature over |z| < R (radial rule mapped to [0, R^2] with the weight in the
+    integrand, times the angular rule), j < 9 at B = 1.25, R = 0.6.  Budget: |z^j|^2 does not depend on
+    the angle, so the 32 angles are exact.  In rho the integrand n_j^2 rho^j (1 - rho)^(1/2), n_j^2 =
+    1/B(j+1, 2B-1) <= 32, is analytic and at most 21 inside the Bernstein ellipse of parameter 8 about
+    [0, R^2], which reaches rho = 0.91 < 1; so the 160-node Gauss-Legendre rule is off by less than
+    (R^2 / 2) 21 (64/15) 8^(-320) / 63 ~ 3e-290 (Trefethen, ATAP Thm 19.3).  Rounding: the 5,120 positive
+    terms summed in any order, 5,128 u of the norm (at most 1), u = 2^-53: 5.7e-13; the basis norms,
+    3.1e-14 each (``log_nb_weights``), twice: 6.2e-14; the eigenvalue table, within 1.3e-13 of mpmath
+    for a <= 300.  In all 7.6e-13.  Tolerance 1e-11.
     """
     B, R = 1.25, 0.6
     rho, w_rho = quadrature.mapped_legendre(160, 0.0, R * R)
@@ -338,7 +345,7 @@ def check_eigenvalue_norm_identity() -> CheckResult:
         basis_vals = states.bergman_basis(j, B, z)
         norm_sq = float(np.sum(wts * np.abs(basis_vals) ** 2) / math.pi)
         worst = max(worst, abs(norm_sq - locop.disk_eigenvalue(j, B, R)))
-    return _result("eigenvalue_norm_identity", worst, 1e-8)
+    return _result("eigenvalue_norm_identity", worst, 1e-11)
 
 
 def check_matrix_elements() -> CheckResult:
@@ -404,12 +411,12 @@ def check_mc_spectrum() -> CheckResult:
     n = 250_000
     worst_sigmas = 0.0
     for i, (j, B, R) in enumerate(mc_comparison_draws(_rng(606), 4)):
-        est, _ = locop.mc_eigenvalue(j, ModelParams(B), R, n, seed=900 + i)
+        est, _ = locop.mc_eigenvalue(j, B, R, n, seed=900 + i)
         exact = locop.disk_eigenvalue(j, B, R)
         sigma = math.sqrt(exact * (1.0 - exact) / n)
         worst_sigmas = max(worst_sigmas, abs(est - exact) / sigma)
-    est_n, se_n = locop.mc_eigenvalue(2, ModelParams(1.25), 0.6, 100_000, seed=77)
-    est_4n, se_4n = locop.mc_eigenvalue(2, ModelParams(1.25), 0.6, 400_000, seed=77)
+    est_n, se_n = locop.mc_eigenvalue(2, 1.25, 0.6, 100_000, seed=77)
+    est_4n, se_4n = locop.mc_eigenvalue(2, 1.25, 0.6, 400_000, seed=77)
     rate_ok = abs(se_4n / se_n - 0.5) < 0.05
     return _result("mc_spectrum", worst_sigmas, 4.0,
                    detail=f"std-error ratio at 4x samples: {se_4n / se_n:.3f}",
@@ -486,7 +493,17 @@ def check_kernel_positivity() -> CheckResult:
 
 
 def check_reproducing_property() -> CheckResult:
-    """Disk quadrature against the limit kernel reproduces the basis elements."""
+    """Disk quadrature against the limit kernel reproduces the basis elements.
+
+    (1/pi) int K(z, w) e_k(z) (1 - |z|^2)^(2B-2) dA = e_k(w) for k < 6 at B in {1, 1.5}, |w| = 0.47, on the
+    64 x 64 disk rule.  Budget: with K(z, w) = sum_n e_n(w) conj(e_n(z)), the 64 angles keep only n = k
+    (mod 64) and the 64 radii integrate n = k exactly, so the rule is off by the aliased terms n = k + 64 l,
+    l >= 1, each at most |e_n(w)| n_n n_k B(k + 32 l + 1, 2B - 1) (a Gauss rule underestimates a monomial's
+    integral): 7.0e-21 summed.  Rounding: the 4,096 terms, summed in any order, 4,106 u times their
+    absolute sum, u = 2^-53, which is at most K(w, w)^(1/2) <= 2.07 (Cauchy-Schwarz; the rule holds
+    |e_k|^2 exactly): 9.4e-13; the kernel and basis values, 3.2e-14 relative each, on 2.07 and on
+    |e_k(w)| <= 1.42: 1.1e-13.  In all 1.1e-12.  Tolerance 2e-11.
+    """
     worst = 0.0
     for B in (1.0, 1.5):
         grid = quadrature.disk_grid(64, 64, B)
@@ -496,7 +513,7 @@ def check_reproducing_property() -> CheckResult:
             cvals = states.bergman_basis(k, B, grid.nodes)
             got = complex(grid.weights @ (kvals * cvals) / math.pi)
             worst = max(worst, abs(got - states.bergman_basis(k, B, w)))
-    return _result("reproducing_property", worst, 1e-7)
+    return _result("reproducing_property", worst, 2e-11)
 
 
 def _transfer_integral(B: float, R: float, ws: np.ndarray, fvals) -> np.ndarray:
@@ -546,7 +563,6 @@ def check_intertwining() -> CheckResult:
     Tolerance 1e-10.
     """
     B, R = 1.25, 0.6
-    spec_data = locop.SpectralData(B, states.LocalizationRadius(R))
     rng = _rng(111)
     draws = [(rng.standard_normal(6) + 1j * rng.standard_normal(6), _random_disk_point(rng, 0.6))
              for _ in range(10)]
@@ -555,7 +571,7 @@ def check_intertwining() -> CheckResult:
                                      lambda z: sum(states.bergman_basis(j, B, z) * cs[:, j] for j in range(6)))
     worst = 0.0
     for (ci, w), got in zip(draws, transferred):
-        direct = bergman.bargmann_transform(locop.spectral_apply(ci, spec_data), w, B)
+        direct = bergman.bargmann_transform(locop.spectral_apply(ci, ModelParams(B), R), w, B)
         worst = max(worst, abs(direct - got) / max(abs(direct), 1e-12))
     return _result("intertwining", worst, 1e-10)
 

@@ -20,7 +20,6 @@ from nbsloc.bergman import (
     transferred_apply,
 )
 from nbsloc.locop import (
-    SpectralData,
     disk_eigenvalue,
     landau_density,
     leakage_bound,
@@ -129,7 +128,7 @@ def test_c4_spectral_suite():
     worst_sigma = 0.0
     draws = verify.mc_comparison_draws(np.random.Generator(np.random.PCG64(2028)), 10)
     for i, (j, B, R) in enumerate(draws):
-        est, _ = mc_eigenvalue(j, ModelParams(B), R, n, seed=3000 + i)
+        est, _ = mc_eigenvalue(j, B, R, n, seed=3000 + i)
         exact = disk_eigenvalue(j, B, R)
         sigma = math.sqrt(exact * (1.0 - exact) / n)
         worst_sigma = max(worst_sigma, abs(est - exact) / sigma)
@@ -160,13 +159,12 @@ def test_c5_basis_and_operator_suite():
         worst_transfer = max(worst_transfer, abs(got - want))
 
     B2, R2 = 1.25, 0.6
-    spec_data = SpectralData(B2, LocalizationRadius(R2))
     rng = np.random.default_rng(2029)
     worst_intertwine = 0.0
     for _ in range(10):
         c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         point = _disk_draw(rng, 0.6)
-        direct = bargmann_transform(spectral_apply(c, spec_data), point, B2)
+        direct = bargmann_transform(spectral_apply(c, ModelParams(B2), LocalizationRadius(R2)), point, B2)
         via_kernel = transferred_apply(BergmanFunction(B2, coefficients=c), point, B2, R2)
         worst_intertwine = max(worst_intertwine, abs(direct - via_kernel))
 

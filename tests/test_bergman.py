@@ -22,10 +22,10 @@ from nbsloc.errors import (
     DomainError,
     UnsupportedRepresentationError,
 )
-from nbsloc.locop import SpectralData, disk_eigenvalue, spectral_apply
+from nbsloc.locop import disk_eigenvalue, spectral_apply
 from nbsloc.quadrature import disk_grid, radial_jacobi_grid
 from nbsloc.specfun import reg_inc_beta, reg_inc_beta_table
-from nbsloc.states import LocalizationRadius, basis_series, bergman_basis, laguerre_function
+from nbsloc.states import LocalizationRadius, ModelParams, basis_series, bergman_basis, laguerre_function
 
 
 class TestBergmanFunction:
@@ -525,12 +525,11 @@ class TestTransferredApply:
 class TestIntertwining:
     def test_operator_orders_agree(self):
         B, R = 1.25, 0.6
-        spec_data = SpectralData(B, LocalizationRadius(R))
         rng = np.random.default_rng(63)
         for _ in range(10):
             c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             w = complex(*rng.uniform(-0.45, 0.45, 2))
-            direct = bargmann_transform(spectral_apply(c, spec_data), w, B)
+            direct = bargmann_transform(spectral_apply(c, ModelParams(B), LocalizationRadius(R)), w, B)
             via_kernel = transferred_apply(BergmanFunction(B, coefficients=c), w, B, R)
             assert abs(direct - via_kernel) <= 1e-7 * max(1.0, abs(direct))
 

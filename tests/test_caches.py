@@ -16,6 +16,7 @@ import numpy as np
 import nbsloc
 from nbsloc import bergman, locop, specfun
 from nbsloc.quadrature import QuadratureGrid
+from nbsloc.states import ModelParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLES = {
@@ -80,13 +81,13 @@ def test_every_eigenvalue_route_reads_the_one_table():
     B, R = 1.5, 0.7
     f = np.linspace(1.0, 2.0, 20) + 0.5j
     routes = [
-        lambda: locop.SpectralData(B, R).values(40),
+        lambda: locop.landau_eigenvalue(range(40), ModelParams(B), R),
         lambda: locop.disk_eigenvalue(3, B, R),
         lambda: bergman.transferred_apply(bergman.BergmanFunction(B, f), 0.3 + 0.1j, B, R),
         lambda: bergman.kernel_series(0.5, 0.6j, B, R * R),
         lambda: locop.leakage_bound(0.4 + 0.2j, B, R),
         lambda: locop.localized_overlap(0.4 + 0.2j, B, R, f),
-        lambda: locop.SpectralData(B, R).values(600),  # a second size: 1,024 entries
+        lambda: locop.landau_eigenvalue(range(600), ModelParams(B), R),  # a second size: 1,024 entries
         lambda: locop.disk_eigenvalue(700, B, R),
     ]
     cache = specfun._inc_beta_blocks

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nbsloc import cli
-from nbsloc.locop import SpectralData, disk_eigenvalue, landau_density, leakage_bound
+from nbsloc.locop import disk_eigenvalue, landau_density, landau_eigenvalue, leakage_bound
 from nbsloc.states import ModelParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -85,7 +85,7 @@ class TestEigvals:
                                   "--format", "json"], capsys)
         assert code == 0 and err == ""
         got = [row["lambda"] for row in json.loads(out)["data"]]
-        assert got == SpectralData(3.0, 0.9, 1).values(5001).tolist()
+        assert got == landau_eigenvalue(range(5001), ModelParams(3.0, 1), 0.9).tolist()
         assert 0.0 < got[3513] < sys.float_info.min and got[3628] > 0.0 and got[5000] == 0.0
 
     def test_inadmissible_level_exit_code(self, capsys):

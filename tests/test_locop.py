@@ -9,10 +9,9 @@ import pytest
 
 import oracles
 from nbsloc import locop, quadrature, specfun, states
-from nbsloc.errors import AccuracyError, ConvergenceError, DomainError, UnsupportedLevelError
+from nbsloc.errors import AccuracyError, ConvergenceError, DomainError
 from nbsloc.locop import (
     RadialSymbol,
-    SpectralData,
     as_function_of_hamiltonian,
     beta_density,
     disk_eigenvalue,
@@ -123,119 +122,122 @@ class TestDiskEigenvalue:
             disk_eigenvalue(1, math.inf, 0.5)
 
 
-class TestSpectralData:
-    def test_lazy_table(self):
-        spec = SpectralData(1.5, LocalizationRadius(0.6))
-        lam3 = spec.values(4)[3]
-        table = spec.table(5)
-        assert [j for j, _ in table] == list(range(6))
-        assert all(0.0 <= v <= 1.0 for _, v in table)
-        assert table[3] == (3, lam3)
+class TestLandauEigenvalueTable:
+    """``landau_eigenvalue(range(n), ...)``, the table ``nbsloc eigvals`` prints: at m = 0 the Beta table."""
+
+    def test_table_entries(self):
+        lam3 = landau_eigenvalue(range(4), ModelParams(1.5), LocalizationRadius(0.6))[3]
+        table = landau_eigenvalue(range(6), ModelParams(1.5), LocalizationRadius(0.6)).tolist()
+        assert len(table) == 6 and all(0.0 <= v <= 1.0 for v in table)
+        assert table[3] == lam3
 
     def test_monotone_decreasing(self):
         for B in (0.8, 1.0, 1.5, 3.0):
             for R in (0.3, 0.6, 0.9):
-                spec = SpectralData(B, LocalizationRadius(R))
-                lam = spec.values(51).tolist()
+                lam = landau_eigenvalue(range(51), ModelParams(B), LocalizationRadius(R)).tolist()
                 assert all(b < a for a, b in zip(lam, lam[1:]))
 
     def test_values_match_per_index_eigenvalues(self):
-        spec = SpectralData(0.8, LocalizationRadius(0.9))
-        got = spec.values(120)
+        got = landau_eigenvalue(range(120), ModelParams(0.8), LocalizationRadius(0.9))
         want = np.array([disk_eigenvalue(j, 0.8, 0.9) for j in range(120)])
         assert np.all(np.abs(got - want) <= 1e-12 * want)
         # entries already computed are kept as they are
-        assert spec.values(200)[:120].tolist() == got.tolist()
+        assert landau_eigenvalue(range(200), ModelParams(0.8), 0.9)[:120].tolist() == got.tolist()
 
     def test_higher_level_route(self):
-        spec = SpectralData(2.5, LocalizationRadius(0.6), m=1)
-        assert 0.0 <= spec.values(3)[2] <= 1.0
+        assert 0.0 <= landau_eigenvalue(range(3), ModelParams(2.5, 1), LocalizationRadius(0.6))[2] <= 1.0
 
     def test_values_read_only_and_prefix_kept_as_it_grows(self):
-        spec = SpectralData(1.5, LocalizationRadius(0.6))
-        first = spec.values(10)
+        params, R = ModelParams(1.5), LocalizationRadius(0.6)
+        first = landau_eigenvalue(range(10), params, R)
         kept = first.tolist()
         for n in (0, 4, 10, 30, 300):
-            got = spec.values(n)
+            got = landau_eigenvalue(range(n), params, R)
             assert got.shape == (n,) and not got.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 got[:1] = 0.5
             assert got[:10].tolist() == kept[:n]
         assert first.tolist() == kept
 
+    @pytest.mark.parametrize("B, R", [(1.5, 0.6), (0.51, 0.9), (20.5, 0.99)])
+    def test_lowest_level_range_is_a_view_of_the_shared_table(self, B, R):
+        for n in (0, 1, 40, 513, 5000):
+            got = landau_eigenvalue(range(n), ModelParams(B), R)
+            table = specfun.reg_inc_beta_table(R * R, max(n, 1), 2.0 * B - 1.0)
+            assert got.shape == (n,) and not got.flags.writeable
+            assert n == 0 or np.shares_memory(got, table)
+
+    @pytest.mark.parametrize("indices", [range(59, -1, -1), range(7, 900, 9), range(30, 30), range(600, 601)])
+    def test_lowest_level_other_ranges_are_read_only_copies(self, indices):
+        params, R = ModelParams(1.5), 0.6
+        got = landau_eigenvalue(indices, params, R)
+        assert got.shape == (len(indices),) and not got.flags.writeable
+        table = specfun.reg_inc_beta_table(R * R, max(indices, default=0) + 1, 2.0)
+        assert not np.shares_memory(got, table)
+        assert got.tolist() == [landau_eigenvalue(j, params, R) for j in indices]
+
     @pytest.mark.parametrize("B, R, m", [(1.5, 0.6, 0), (0.51, 0.9, 0), (2.5, 0.6, 1)])
     def test_entries_do_not_depend_on_the_length_asked(self, B, R, m):
-        grown = SpectralData(B, LocalizationRadius(R), m)
-        grown.values(12)
+        params = ModelParams(B, m)
+        landau_eigenvalue(range(12), params, LocalizationRadius(R))
         for j in (0, 5, 11, 20):
             specfun._inc_beta_blocks.cache_clear()
-            fresh = SpectralData(B, LocalizationRadius(R), m)
-            lam = fresh.values(j + 1)[j]
-            assert lam == grown.values(j + 1)[j] == SpectralData(B, R, m).values(j + 30)[j]
+            lam = landau_eigenvalue(range(j + 1), params, LocalizationRadius(R))[j]
+            assert lam == landau_eigenvalue(range(j + 30), params, R)[j] == landau_eigenvalue(j, params, R)
 
     @pytest.mark.parametrize("B", [0.75, 1.5, 5.5, 20.5])
     @pytest.mark.parametrize("R", [0.3, 0.6, 0.9, 0.99])
     def test_grown_table_is_the_fresh_table(self, B, R):
         # the table grown to 7, 64 and then 500 entries differed from a fresh one in 520 of 8,000 entries
-        grown = SpectralData(B, LocalizationRadius(R))
-        early = [grown.values(n).tolist() for n in (7, 64)]
+        early = [landau_eigenvalue(range(n), ModelParams(B), R).tolist() for n in (7, 64)]
         specfun._inc_beta_blocks.cache_clear()
-        fresh = SpectralData(B, LocalizationRadius(R)).values(500).tolist()
-        assert grown.values(500).tolist() == fresh
+        fresh = landau_eigenvalue(range(500), ModelParams(B), R).tolist()
         assert [fresh[:7], fresh[:64]] == early
 
-    @pytest.mark.parametrize("B, R", [(1.5, 0.9), (0.51, 0.6), (20.5, 0.99)])
+    @pytest.mark.parametrize("B, R", [(1.5, 0.9), (0.51, 0.6), (20.5, 0.99), (0.6, 0.9999)])
     def test_disk_eigenvalue_is_the_values_entry(self, B, R):
         # the single-index continued fraction differed from the table entry in 7,190 of 8,000 cases
         for j in (0, 1, 9, 200, 511, 600):
             for n in (j + 2, 700, 5000):
                 specfun._inc_beta_blocks.cache_clear()
-                assert disk_eigenvalue(j, B, R) == SpectralData(B, R).values(n)[j]
+                assert disk_eigenvalue(j, B, R) == landau_eigenvalue(range(n), ModelParams(B), R)[j]
 
-    def test_table_is_no_part_of_equality_or_repr(self):
-        spec = SpectralData(1.5, LocalizationRadius(0.6))
-        text = repr(spec)
-        spec.values(40)
-        assert spec == SpectralData(1.5, LocalizationRadius(0.6))
-        assert repr(spec) == text and "values" not in text
-
-    def test_instance_holds_only_its_parameters(self):
-        # the m > 0 route appended to a private array on the instance
-        spec = SpectralData(2.5, 0.6, 1)
-        assert set(vars(spec)) == {"B", "R", "m"}
-        for n in (0, 1, 40, 7):
-            got = spec.values(n)
-            assert got.shape == (n,) and not got.flags.writeable
-            assert got.tolist() == landau_eigenvalue(range(n), ModelParams(2.5, 1), 0.6).tolist()
-        assert set(vars(spec)) == {"B", "R", "m"}
-
-    def test_negative_sizes_rejected(self):
-        # table(-2) returned []
-        spec = SpectralData(1.5, LocalizationRadius(0.6))
-        for call in (lambda: spec.table(-2), lambda: spec.values(-1)):
+    def test_negative_indices_rejected(self):
+        for call in (lambda: landau_eigenvalue(range(-2, 3), ModelParams(1.5), 0.6),
+                     lambda: landau_eigenvalue(-1, ModelParams(1.5), 0.6)):
             with pytest.raises(DomainError, match=">= 0"):
                 call()
 
 
 class TestSpectralApply:
     def test_eigenvector_action(self):
-        spec = SpectralData(1.5, LocalizationRadius(0.6))
         e3 = np.zeros(4, dtype=complex)
         e3[3] = 1.0
-        out = spectral_apply(e3, spec)
-        assert out[3] == pytest.approx(spec.values(4)[3], rel=1e-15)
+        out = spectral_apply(e3, ModelParams(1.5), LocalizationRadius(0.6))
+        assert out[3] == pytest.approx(disk_eigenvalue(3, 1.5, 0.6), rel=1e-15)
         assert np.all(out[:3] == 0.0)
 
     def test_zero_vector(self):
-        spec = SpectralData(1.5, LocalizationRadius(0.6))
-        assert np.all(spectral_apply(np.zeros(5), spec) == 0.0)
+        assert np.all(spectral_apply(np.zeros(5), ModelParams(1.5), 0.6) == 0.0)
 
     def test_not_a_projection(self):
-        spec = SpectralData(1.5, LocalizationRadius(0.6))
         c = np.ones(6, dtype=complex)
-        once = spectral_apply(c, spec)
-        twice = spectral_apply(once, spec)
+        once = spectral_apply(c, ModelParams(1.5), 0.6)
+        twice = spectral_apply(once, ModelParams(1.5), 0.6)
         assert np.all(np.abs(twice) < np.abs(once))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_multiplies_by_the_level_table(self, m):
+        c = np.arange(1.0, 8.0) + 0.5j
+        got = spectral_apply(c, ModelParams(2.5, m), 0.6)
+        assert got.tolist() == (landau_eigenvalue(range(7), ModelParams(2.5, m), 0.6) * c).tolist()
+        assert spectral_apply([], ModelParams(2.5, m), 0.6).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (2, 2), ()])
+    def test_coefficients_must_be_a_vector(self, shape):
+        # a (3, 1) column broadcast against the 3 eigenvalues into a 3 x 3 outer product
+        with pytest.raises(DomainError, match="1-D vector"):
+            spectral_apply(np.ones(shape), ModelParams(1.5), 0.6)
 
 
 class TestFunctionOfHamiltonian:
@@ -332,8 +334,34 @@ class TestLandauDensity:
 class TestLandauEigenvalue:
     def test_reduces_at_lowest_level(self):
         for j, B, R in ((0, 1.5, 0.6), (3, 1.25, 0.6), (5, 2.0, 0.4)):
-            got = landau_eigenvalue(j, ModelParams(B, 0), R)
-            assert got == pytest.approx(disk_eigenvalue(j, B, R), abs=1e-10)
+            assert landau_eigenvalue(j, ModelParams(B, 0), R) == disk_eigenvalue(j, B, R)
+
+    @pytest.mark.parametrize("B, R", [(0.6, 0.9999), (0.51, 0.99), (1.5, 0.6), (10.5, 0.9), (50.0, 0.999)])
+    def test_lowest_level_is_the_beta_table_bit_for_bit(self, B, R):
+        # the 320-node rule was 4.5e-15 off the table at (10.5, 0.9, 40), and at (0.6, 0.9999) its
+        # refinement moved 1.65e-9, so it raised AccuracyError for a value the table computes
+        js = [0, 1, 3, 40, 511, 512, 513, 4000]
+        want = [disk_eigenvalue(j, B, R) for j in js]
+        assert [landau_eigenvalue(j, ModelParams(B), R) for j in js] == want
+        table = landau_eigenvalue(range(4001), ModelParams(B), R)
+        assert [table[j] for j in js] == want
+        assert landau_eigenvalue(range(4000, -1, -1), ModelParams(B), R).tolist() == table[::-1].tolist()
+
+    @pytest.mark.parametrize("B, R", [(0.51, 0.99), (50.0, 0.999)])
+    def test_lowest_level_table_sums_to_the_mean_photon_count(self, B, R):
+        # sum_j lambda_j = sum_j P(N > j) = E[N] = (2B - 1) s / (1 - s), N negative binomial of shape 2B - 1 at s = R^2.
+        # Budget: the entries are positive, so the sum's relative error is at most the worst entry's, which the table
+        # holds to about 1.5e-14 at these sizes (ROADMAP item 4), plus fsum's half ulp.  The tail past n = 2^21 is
+        # at most lambda_{n-1} / (1 - q), q < 1 a bound on the ratios of later entries (``_log_tail_bound``), and
+        # lambda_{n-1} underflows to 0 here.  Measured: 2.3e-16 and 1.1e-14 relative.
+        s, n = R * R, 2 ** 21
+        try:
+            values = landau_eigenvalue(range(n), ModelParams(B), R)
+            assert values[-1] == 0.0
+            want = (2.0 * B - 1.0) * s / (1.0 - s)
+            assert abs(math.fsum(values.tolist()) - want) <= 1e-13 * want
+        finally:
+            specfun._inc_beta_blocks.cache_clear()  # the 16 MB table
 
     def test_full_disk_mass(self, monkeypatch):
         monkeypatch.setattr(locop, "LANDAU_NODES", 600)
@@ -362,11 +390,11 @@ class TestLandauEigenvalue:
             val = landau_eigenvalue(j, ModelParams(2.5, 1), 0.7)
             assert -1e-12 <= val <= 1.0 + 1e-12
 
-    def test_unresolved_rule_raises(self):
-        # near the rim at B = 0.6 the 320-node rule is 2e-9 off the exact
-        # value, and the refinement moves it by as much
-        with pytest.raises(AccuracyError):
-            landau_eigenvalue(0, ModelParams(0.6, 0), 0.9999)
+    @pytest.mark.parametrize("j", [20_000, 30_000])
+    def test_unresolved_rule_raises(self, j):
+        # deep in j at R = 0.999 the halves' refinement moves the 320-node value by 3.6e-22 of 1.2e-12 (j = 20,000)
+        with pytest.raises(AccuracyError, match="did not converge"):
+            landau_eigenvalue(j, ModelParams(3.0, 1), 0.999)
 
     def test_overflowing_density_refused_without_warnings(self):
         # the Jacobi recurrence meets inf - inf on 503 of the 2,001 nodes; this returned
@@ -376,7 +404,7 @@ class TestLandauEigenvalue:
             with pytest.raises(AccuracyError, match="nan"):
                 landau_eigenvalue(1500, ModelParams(2000.5, 1500), 0.9)
 
-    @pytest.mark.parametrize("B, m", [(0.6, 0), (1.5, 0), (2.5, 1), (4.5, 3), (10.5, 4)])
+    @pytest.mark.parametrize("B, m", [(2.5, 1), (4.5, 3), (10.5, 4)])
     def test_one_density_pass_matches_three(self, B, m):
         # the density is evaluated once on the 3 x LANDAU_NODES nodes, not once per rule
         params = ModelParams(B, m)
@@ -499,35 +527,35 @@ class TestLandauEigenvalue:
         for B in (0.6, 0.75, 1.5, 4.5, 10.5):
             for R in (0.3, 0.6, 0.9):
                 for j in (0, 3, 10, 40):
-                    got = landau_eigenvalue(j, ModelParams(B, 0), R)
-                    assert got == pytest.approx(disk_eigenvalue(j, B, R), rel=1e-11)
+                    assert landau_eigenvalue(j, ModelParams(B, 0), R) == disk_eigenvalue(j, B, R)
 
 
 class TestMcEigenvalue:
     def test_matches_closed_form(self):
         j, B, R = 2, 1.25, 0.6
         n = 1_000_000
-        est, se = mc_eigenvalue(j, ModelParams(B), R, n, seed=21)
+        est, se = mc_eigenvalue(j, B, R, n, seed=21)
         exact = disk_eigenvalue(j, B, R)
         assert abs(est - exact) <= 4.0 * max(se, math.sqrt(exact * (1 - exact) / n))
 
     def test_near_full_disk(self):
-        est, se = mc_eigenvalue(0, ModelParams(1.5), 0.999, 10_000, seed=5)
+        est, se = mc_eigenvalue(0, 1.5, 0.999, 10_000, seed=5)
         assert est > 0.99
         assert se < 1e-3
 
     def test_deterministic(self):
-        a = mc_eigenvalue(1, ModelParams(1.5), 0.6, 10_000, seed=8)
-        b = mc_eigenvalue(1, ModelParams(1.5), 0.6, 10_000, seed=8)
+        a = mc_eigenvalue(1, 1.5, 0.6, 10_000, seed=8)
+        b = mc_eigenvalue(1, 1.5, 0.6, 10_000, seed=8)
         assert a == b
 
-    def test_higher_level_unsupported(self):
-        with pytest.raises(UnsupportedLevelError):
-            mc_eigenvalue(0, ModelParams(2.5, 1), 0.6, 1000, seed=1)
+    @pytest.mark.parametrize("B", [0.5, math.nan, math.inf])
+    def test_strength_checked(self, B):
+        with pytest.raises(DomainError, match="2B > 1"):
+            mc_eigenvalue(0, B, 0.6, 1000, seed=1)
 
     def test_sample_floor(self):
         with pytest.raises(DomainError):
-            mc_eigenvalue(0, ModelParams(1.5), 0.6, 99, seed=1)
+            mc_eigenvalue(0, 1.5, 0.6, 99, seed=1)
 
 
 class TestLeakageBound:
@@ -653,6 +681,12 @@ class TestLocalizedOverlap:
 
     def test_zero_function(self):
         assert localized_overlap(0.5j, 1.25, 0.6, np.zeros(4)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (0, 2), ()])
+    def test_coefficients_must_be_a_vector(self, shape):
+        # a (1, 3) row raised TypeError and a (3, 1) column ValueError
+        with pytest.raises(DomainError, match="1-D vector"):
+            localized_overlap(0.3, 1.5, 0.6, np.ones(shape))
 
     @pytest.mark.parametrize("B", [math.nan, 0.4])
     def test_strength_checked_before_empty_coefficients(self, B):

@@ -10,7 +10,7 @@ import oracles
 from nbsloc import states, verify
 from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit
 from nbsloc.errors import DomainError
-from nbsloc.locop import (RadialSymbol, SpectralData, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
+from nbsloc.locop import (RadialSymbol, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
                           landau_density, landau_eigenvalue, mc_eigenvalue, quantization_matrix_element,
                           radial_eigenvalue)
 from nbsloc.specfun import jacobi, laguerre, sample_beta
@@ -55,18 +55,18 @@ INDEX_CALLS = {
     "beta_density": lambda j: beta_density(j, 1.5, 0.3),
     "landau_density": lambda j: landau_density(j, ModelParams(2.5, 1), 0.3),
     "landau_eigenvalue": lambda j: landau_eigenvalue(j, ModelParams(2.5, 1), 0.6),
-    "mc_eigenvalue": lambda j: mc_eigenvalue(j, ModelParams(1.5), 0.6, 1000, 1),
-    "mc_eigenvalue_n_samples": lambda n: mc_eigenvalue(0, ModelParams(1.5), 0.6, 147 + n, 1),
+    "landau_eigenvalue_lowest_level": lambda j: landau_eigenvalue(j, ModelParams(1.5), 0.6),
+    "mc_eigenvalue": lambda j: mc_eigenvalue(j, 1.5, 0.6, 1000, 1),
+    "mc_eigenvalue_n_samples": lambda n: mc_eigenvalue(0, 1.5, 0.6, 147 + n, 1),
     "sample_beta": lambda n: sample_beta(1.0, 2.0, 997 + n, 1),
-    "values": lambda j: SpectralData(1.5, 0.6).values(j),
-    "table": lambda j: SpectralData(1.5, 0.6).table(j),
     "quantization_matrix_element_j": lambda j: quantization_matrix_element(lambda z: 1.0, j, 0, 1.5),
     "quantization_matrix_element_k": lambda j: quantization_matrix_element(lambda z: 1.0, 0, j, 1.5),
     "project": lambda j: BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(j).coefficients,
 }
 # the INDEX_CALLS entries that also take a range of indices: an array with an entry per index
 RANGE_INDEX_CALLS = ("laguerre", "bergman_basis", "laguerre_function", "radial_eigenvalue", "landau_density",
-                     "landau_eigenvalue", "quantization_matrix_element_j", "quantization_matrix_element_k")
+                     "landau_eigenvalue", "landau_eigenvalue_lowest_level", "quantization_matrix_element_j",
+                     "quantization_matrix_element_k")
 
 
 class TestDomainTypes:
@@ -114,7 +114,6 @@ class TestDomainTypes:
     @pytest.mark.parametrize("name", list(INDEX_CALLS))
     def test_index_rule_everywhere(self, name):
         # 1.5 gave a value (disk_eigenvalue, as_function_of_hamiltonian, radial_eigenvalue, mc_eigenvalue)
-        # or a TypeError (SpectralData.values and table)
         call = INDEX_CALLS[name]
         with pytest.raises(DomainError, match=">= 0"):
             call(1.5)
