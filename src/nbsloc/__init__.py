@@ -12,7 +12,6 @@ from .errors import (
     AccuracyError,
     ConvergenceError,
     DomainError,
-    UnsupportedRepresentationError,
 )
 from .specfun import (
     HypergeomResult,
@@ -33,8 +32,6 @@ from .quadrature import (
     radial_jacobi_grid,
 )
 from .states import (
-    DiskPoint,
-    HalfPlanePoint,
     LocalizationRadius,
     ModelParams,
     affine_coherent_state,
@@ -48,7 +45,6 @@ from .states import (
     nbs_wavefunction,
 )
 from .locop import (
-    RadialSymbol,
     as_function_of_hamiltonian,
     beta_density,
     disk_eigenvalue,

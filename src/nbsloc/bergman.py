@@ -7,9 +7,11 @@ three equivalent descriptions implemented here: the eigenvalue series and
 two independent checks of it, a closed form through the first Appell double
 series and the s -> 1 limit, the reproducing kernel of the space itself.
 The operator is diagonal in the monomials, z^j -> I_s(j+1, 2B-1) z^j, so
-``transferred_apply`` applies it to a coefficient function through one
-eigenvalue table and refuses a function held only as an evaluator, which
-``BergmanFunction.project`` turns into coefficients.
+``transferred_apply`` applies it to a coefficient function of its own strength
+through one eigenvalue table and refuses (DomainError) a function held only as
+an evaluator, which ``BergmanFunction.project`` turns into coefficients.  A
+``BergmanFunction`` holds exactly one of the two, its coefficients checked by
+``states.as_coefficients`` like every coefficient vector of the package.
 
 Accuracy and rule sizes are a fixed contract, not arguments: the kernel
 series is cut where its tail falls below specfun's SERIES_REL_TOL;
@@ -28,19 +30,18 @@ operator that localizes on the disk of radius R corresponds to s = R^2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, ConvergenceError, DomainError, UnsupportedRepresentationError
+from .errors import AccuracyError, ConvergenceError, DomainError
 from . import quadrature, specfun
 from .quadrature import angular_phasors, radial_jacobi_grid
 from .specfun import appell_f1, check_index, horner, log_nb_weights, reg_inc_beta_table
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
-from .states import (as_disk, as_radius, basis_norms, basis_series, bergman_basis,  # noqa: F401
+from .states import (as_coefficients, as_disk, as_radius, basis_norms, basis_series, bergman_basis,  # noqa: F401
                      check_strength, laguerre_function, principal_power)
 
 __all__ = [
@@ -60,12 +61,12 @@ PROJECT_RULES = 6  # project's angular rule sizes, DISK_RULE's angle count doubl
 
 @dataclass
 class BergmanFunction:
-    """Element of the weighted Bergman space.
+    """Element of the weighted Bergman space, held in exactly one representation.
 
-    Either a finite coefficient vector against the orthonormal monomial basis, or an
-    analytic evaluator on the disk (or both, when a projection has been attached),
-    evaluated at a point or over an ndarray of points, which an evaluator receives
-    whole (a scalar return is broadcast).
+    Either a finite coefficient vector against the orthonormal monomial basis (``as_coefficients``) or an
+    analytic evaluator on the disk, evaluated at a point or over an ndarray of points, which an evaluator
+    receives whole (a scalar return is broadcast).  Giving both or neither raises DomainError;
+    ``project`` turns an evaluator into coefficients.
     """
 
     B: float
@@ -73,14 +74,10 @@ class BergmanFunction:
     evaluator: Callable | None = None
 
     def __post_init__(self):
-        if self.coefficients is None and self.evaluator is None:
-            raise DomainError("provide coefficients or an evaluator")
+        if (self.coefficients is None) == (self.evaluator is None):
+            raise DomainError("provide either coefficients or an evaluator")
         if self.coefficients is not None:
-            self.coefficients = np.asarray(self.coefficients, dtype=complex)
-            if self.coefficients.ndim != 1:
-                raise DomainError(f"coefficients must be a 1-D vector, got shape {self.coefficients.shape}")
-            if not all(map(cmath.isfinite, self.coefficients.tolist())):  # cheaper than a numpy reduction here
-                raise DomainError("coefficients must be finite")
+            self.coefficients = as_coefficients(self.coefficients)
         check_strength(self.B)
 
     def __call__(self, z):
@@ -95,13 +92,6 @@ class BergmanFunction:
     def values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on an array of disk points."""
         return self(np.asarray(points))
-
-    def coefficients_or_raise(self) -> np.ndarray:
-        if self.coefficients is None:
-            raise UnsupportedRepresentationError(
-                "coefficient representation required; use project() first"
-            )
-        return self.coefficients
 
     def project(self, j_max: int) -> "BergmanFunction":
         """Disk-quadrature projection onto the first j_max + 1 basis elements.
@@ -127,7 +117,7 @@ class BergmanFunction:
                               for step in (1, 2))
             delta = float(np.max(np.abs(coeffs - coarse), initial=0.0))
             if delta <= PROJECT_REFINE_TOL * norm:
-                return BergmanFunction(self.B, coefficients=coeffs, evaluator=self.evaluator)
+                return BergmanFunction(self.B, coefficients=coeffs)
         raise AccuracyError(f"projection not converged at {n_theta} angular nodes: moved {delta:.3e}, |F| {norm:.3e}")
 
 
@@ -145,10 +135,11 @@ def bargmann_inverse(F: BergmanFunction, xi: float) -> complex:
     """Inverse transform back to the half-line, sum_j c_j laguerre_j(xi) over every coefficient.
 
     Exact two-sided inverse of ``bargmann_transform`` on coefficient
-    vectors; requires the coefficient representation.
+    vectors; a function held only as an evaluator raises DomainError.
     """
-    coefficients = F.coefficients_or_raise()
-    return coefficients @ laguerre_function(range(coefficients.size), F.B, xi)
+    if F.coefficients is None:
+        raise DomainError("bargmann_inverse needs coefficients; F.project(j_max) gives them")
+    return F.coefficients @ laguerre_function(range(F.coefficients.size), F.B, xi)
 
 
 def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
@@ -248,13 +239,17 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
 
     (1/pi) int_D P_s(z, w) F(z) (1 - |z|^2)^(2B-2) dA(z) with s = R^2.  The
     operator sends z^j to I_s(j+1, 2B-1) z^j, so a coefficient function
-    F = sum_j f_j basis_j at strength F.B returns sum_j I_s(j+1, 2B-1) f_j
-    basis_j(w), from the shared eigenvalue table ``reg_inc_beta_table`` and Horner's
-    rule: no quadrature and no AccuracyError.  A function held only as an
-    evaluator raises UnsupportedRepresentationError; ``F.project(j_max)`` gives
-    its coefficients.
+    F = sum_j f_j basis_j returns sum_j I_s(j+1, 2B-1) f_j basis_j(w), from the
+    shared eigenvalue table ``reg_inc_beta_table`` and Horner's rule: no
+    quadrature and no AccuracyError.  The operator acts on functions of its own
+    strength, so B other than F.B raises DomainError, as does a function held
+    only as an evaluator; ``F.project(j_max)`` gives its coefficients.
     """
     w, R = as_disk(w), as_radius(R)
     check_strength(B)
-    f = F.coefficients_or_raise()
+    if B != F.B:
+        raise DomainError(f"the operator at B={B} acts on functions of strength B, got F.B={F.B}")
+    if F.coefficients is None:
+        raise DomainError("transferred_apply needs coefficients; F.project(j_max) gives them")
+    f = F.coefficients
     return basis_series(reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j

@@ -19,7 +19,3 @@ class ConvergenceError(ArithmeticError):
 
 class AccuracyError(ArithmeticError):
     """A quadrature refinement check detected insufficient grid resolution."""
-
-
-class UnsupportedRepresentationError(ValueError):
-    """The operation needs a coefficient representation; project first."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,10 +30,10 @@ from . import quadrature, specfun
 from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
 from .specfun import (check_index, check_indices, log_inc_beta_steps, log_nb_weights,
                       reg_inc_beta, reg_inc_beta_table, sample_beta)
-from .states import ModelParams, as_disk, as_radius, basis_series, bergman_basis, check_strength, jacobi
+from .states import (ModelParams, as_coefficients, as_disk, as_radius, basis_series, bergman_basis, check_strength,
+                     jacobi)
 
 __all__ = [
-    "RadialSymbol",
     "radial_eigenvalue",
     "disk_eigenvalue",
     "spectral_apply",
@@ -63,34 +62,23 @@ def disk_eigenvalue(j: int, B: float, R) -> float:
     return float(reg_inc_beta_table(R * R, j + 1, 2.0 * B - 1.0)[j])
 
 
-@dataclass(frozen=True)
-class RadialSymbol:
-    """Bounded radial classical observable rho = |z|^2 -> F(rho)."""
+def radial_eigenvalue(F: Callable, j: int | range, B: float):
+    """Eigenvalue of the quantized radial symbol rho = |z|^2 -> F(rho).
 
-    func: Callable[[float], float]
-    bound: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.bound) and self.bound >= 0.0):
-            raise DomainError(f"symbol bound must be finite and nonnegative, got {self.bound}")
-
-
-def radial_eigenvalue(F: RadialSymbol, j: int | range, B: float):
-    """Eigenvalue of the quantized radial symbol F.
-
-    (1 / B(j+1, 2B-1)) int_0^1 rho^j (1 - rho)^(2B-2) F(rho) drho, by the
-    weighted radial rule of RADIAL_NODES nodes, ``F.func`` called once per node, each term w_i rho_i^j /
-    B(j+1, 2B-1) formed in logs (at large B the normalization alone overflows where the node sum underflows),
-    1 / B(j+1, 2B-1) = (2B-1) Gamma(2B+j) / (j! Gamma(2B)) from one ``log_nb_weights`` table as in
-    ``beta_density``.  ``j`` may be a range: an array with an eigenvalue per index.  Each integral is summed
-    over the nodes in a fixed order, so the same call gives the same bits.  Discontinuous
-    symbols converge slowly here; the disk indicator has the exact closed form ``disk_eigenvalue``.
+    (1 / B(j+1, 2B-1)) int_0^1 rho^j (1 - rho)^(2B-2) F(rho) drho, by the weighted radial rule of
+    RADIAL_NODES nodes.  F is called once, on the array of nodes, and a scalar return is broadcast; values
+    that are not real and finite on the nodes raise DomainError.  Each term w_i rho_i^j / B(j+1, 2B-1) is formed in
+    logs (at large B the normalization alone overflows where the node sum underflows), 1 / B(j+1, 2B-1) =
+    (2B-1) Gamma(2B+j) / (j! Gamma(2B)) from one ``log_nb_weights`` table as in ``beta_density``.  ``j`` may
+    be a range: an array with an eigenvalue per index.  Each integral is summed over the nodes in a fixed
+    order, so the same call gives the same bits.  Discontinuous symbols converge slowly here; the disk
+    indicator has the exact closed form ``disk_eigenvalue``.
     """
     js = check_indices("j", j)
     grid = radial_jacobi_grid(RADIAL_NODES, B)
-    fvals = np.asarray([F.func(r) for r in grid.nodes], dtype=float)
-    if np.any(np.abs(fvals) > F.bound * (1.0 + 1e-12) + 1e-300):
-        raise DomainError("symbol exceeds its declared bound on the integration nodes")
+    fvals = np.broadcast_to(F(grid.nodes), grid.nodes.shape)
+    if not (np.isrealobj(fvals) and np.all(np.isfinite(fvals))):
+        raise DomainError("symbol values must be real and finite on the integration nodes")
     log_norm = math.log(2.0 * B - 1.0) + log_nb_weights(max(js, default=0) + 1, 2.0 * B)[js]
     terms = np.exp(np.multiply.outer(js, np.log(grid.nodes)) + (np.log(grid.weights) + log_norm[:, None]))
     values = (terms * fvals).sum(axis=1)
@@ -100,13 +88,11 @@ def radial_eigenvalue(F: RadialSymbol, j: int | range, B: float):
 def spectral_apply(coeffs, params: ModelParams, R) -> np.ndarray:
     """Apply the level-m localization operator to a vector of Laguerre-basis coefficients.
 
-    Component-wise multiplication by ``landau_eigenvalue(range(n), params, R)``, n = len(coeffs); any
-    other shape than a 1-D vector raises DomainError.  The operator is not a projection: applying twice
-    multiplies by the squared eigenvalues.
+    Component-wise multiplication by ``landau_eigenvalue(range(n), params, R)``, n = len(coeffs); anything
+    but a finite 1-D vector raises DomainError (``as_coefficients``).  The operator is not a projection:
+    applying twice multiplies by the squared eigenvalues.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1:
-        raise DomainError(f"coefficients must be a 1-D vector, got shape {coeffs.shape}")
+    coeffs = as_coefficients(coeffs)
     return landau_eigenvalue(range(coeffs.size), params, R) * coeffs
 
 
@@ -333,16 +319,15 @@ def leakage_bound(z0, B: float, R) -> float:
 
 
 def localized_overlap(z0, B: float, R, coeffs) -> float:
-    """|<state at z0, localized f>| for f given by a vector of Laguerre-basis coefficients (DomainError otherwise).
+    """|<state at z0, localized f>| for f given by a finite vector of Laguerre-basis coefficients.
 
     Closed form |sum_j lambda_j (1-|z0|^2)^B sqrt(Gamma(2B+j)/(j! Gamma(2B)))
-    conj(z0)^j c_j|; bounded by ``leakage_bound`` times the norm of f.
+    conj(z0)^j c_j|; bounded by ``leakage_bound`` times the norm of f.  Anything but a finite 1-D
+    vector raises DomainError (``as_coefficients``).
     """
     z0, R = as_disk(z0), as_radius(R)
     check_strength(B)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1:
-        raise DomainError(f"coefficients must be a 1-D vector, got shape {coeffs.shape}")
+    coeffs = as_coefficients(coeffs)
     if coeffs.size == 0:
         return 0.0
     lam = reg_inc_beta_table(R * R, coeffs.size, 2.0 * B - 1.0)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import log_gamma
+from .specfun import check_strength, log_gamma
 
 DISK_RULE = (64, 128)  # (radii, angles) of the polar rule every disk integral starts from
 RESIDUAL_NODES = 64  # Chebyshev points of hamiltonian_residual's differentiation matrix
@@ -88,8 +88,9 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     exp(u_i) u_i^(-(2B - 1/2)) Gamma(2B) / 2, in logs.  phi_j phi_k is exact from ceil((j + k + 1) / 2)
     nodes.  DomainError where a w_i or a weight leaves the double range (from about 200 nodes at B = 1.5).
     """
-    if not (n >= 1 and 2.0 * B > 1.0 and math.isfinite(B)):
-        raise DomainError(f"needs n >= 1 nodes and a finite B with 2B > 1, got n={n}, B={B}")
+    if n < 1:
+        raise DomainError(f"needs n >= 1 nodes, got n={n}")
+    check_strength(B)
     alpha, k = 2.0 * B - 1.0, np.arange(n)
     diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
@@ -173,8 +174,7 @@ def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
     and handled by the Jacobi weight itself.  DomainError where a weight underflows (from 576 nodes at
     B = 100, 227 at B = 600 and about 190 past B = 1e5).  Memoized by (n, B).
     """
-    if not 0.5 < B < math.inf:
-        raise DomainError(f"radial rule needs a finite B > 1/2 (an integrable weight), got B={B}")
+    check_strength(B)
     return QuadratureGrid(*gauss_jacobi(n, 2.0 * B - 2.0))
 
 

@@ -32,6 +32,7 @@ Conventions:
     DomainError before it sums anything;
   * every index argument passes ``check_index``: integral and >= 0; a
     range of indices passes ``check_indices``, which checks its two ends;
+    every strength B passes ``check_strength``: finite with 2B > 1;
   * randomness comes from numpy's PCG64 generator (128-bit state),
     seeded explicitly, so every sampling call is reproducible.
 """
@@ -51,6 +52,7 @@ __all__ = [
     "HypergeomResult",
     "check_index",
     "check_indices",
+    "check_strength",
     "log_gamma",
     "log_beta",
     "log_nb_weights",
@@ -100,6 +102,12 @@ def check_indices(name: str, value) -> range | list[int]:
     if value and min(value[0], value[-1]) < 0:  # name the first negative index; past value[0] >= 0 the step is < 0
         check_index(name, value[0] if value[0] < 0 else value[value[0] // -value.step + 1])
     return value
+
+
+def check_strength(B: float) -> None:
+    """Raise DomainError unless the strength parameter B is finite with 2B > 1."""
+    if not (2.0 * B > 1.0 and math.isfinite(B)):
+        raise DomainError(f"requires finite B with 2B > 1, got B={B}")
 
 
 def log_gamma(x: float) -> float:
@@ -352,7 +360,8 @@ def _gauss_theorem_value(a: float, b: float, c: float) -> float:
 
 def _stop(*params):
     """Last surviving index of a product of Pochhammer symbols of ``params``, or None."""
-    return min((s for s in map(_nonpositive_int, params) if s is not None), default=None)
+    stops = [s for s in map(_nonpositive_int, params) if s is not None]
+    return min(stops) if stops else None
 
 
 def _check_finite(name: str, *values) -> None:
@@ -419,15 +428,27 @@ def _rising(params, j):
 
 
 def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, u: complex,
-                       v: complex, n_stop) -> HypergeomResult:
-    """sum front_{j+k} row_j col_k over anti-diagonals j + k = n, up to ``n_stop`` unless it is None.
+                       v: complex) -> HypergeomResult:
+    """sum front_{j+k} row_j col_k over anti-diagonals j + k = n, up to the last surviving one.
 
     row_j = prod (row_params)_j u^j / j!, col_k likewise in v, front_n = prod (front_num)_n / prod (front_den)_n.
+    The domain is decided here, from the parameter lists: |u| >= 1 needs the row index to terminate through
+    ``front_num`` or ``row_params`` (likewise v), the sum stops at n_stop, the smaller of the front's stop and
+    the row stop plus the column stop, and a pole of ``front_den`` at or below n_stop raises DomainError.
     In passes over N = 64, 128, ... anti-diagonals, row, col and front are cumulative products of their ratios,
     the blocks the Cauchy product ``np.convolve(row, col)`` and the totals one cumulative sum.  (row_params, u)
     and (col_params, v) are put in a fixed order first, so swapping the indices runs the same operations, bit
     for bit.  A block whose products leave the float range raises ConvergenceError.
     """
+    front_stop, row_stop, col_stop = _stop(*front_num), _stop(*row_params), _stop(*col_params)
+    for arg, label, stop in ((u, "u", row_stop), (v, "v", col_stop)):
+        if abs(arg) >= 1.0 and stop is None and front_stop is None:
+            raise DomainError(f"{name} needs |{label}| < 1 (or a terminating index), got |{label}|={abs(arg)}")
+    joint = None if row_stop is None or col_stop is None else row_stop + col_stop
+    n_stop = joint if front_stop is None else front_stop if joint is None else min(front_stop, joint)
+    c_pole = _stop(*front_den)
+    if c_pole is not None and (n_stop is None or n_stop > c_pole):
+        raise DomainError(f"{name} undefined: c={', '.join(map(str, front_den))} is a non-positive integer")
     if ([float(p).hex() for p in (*col_params, v.real, v.imag)]
             < [float(p).hex() for p in (*row_params, u.real, u.imag)]):  # hex: -0.0 sorts apart from 0.0
         row_params, col_params, u, v = col_params, row_params, v, u
@@ -471,17 +492,7 @@ def appell_f1(a: float, b1: float, b2: float, c: float, u, v) -> HypergeomResult
     """
     u, v = complex(u), complex(v)
     _check_finite("F1", a, b1, b2, c, u, v)
-    if abs(u) >= 1.0 and _stop(a, b1) is None:
-        raise DomainError(f"F1 needs |u| < 1 (or a terminating index), got |u|={abs(u)}")
-    if abs(v) >= 1.0 and _stop(a, b2) is None:
-        raise DomainError(f"F1 needs |v| < 1 (or a terminating index), got |v|={abs(v)}")
-    b1_stop, b2_stop = _nonpositive_int(b1), _nonpositive_int(b2)
-    joint = None if b1_stop is None or b2_stop is None else b1_stop + b2_stop
-    n_stop = min((t for t in (_nonpositive_int(a), joint) if t is not None), default=None)
-    c_pole = _nonpositive_int(c)
-    if c_pole is not None and (n_stop is None or n_stop > c_pole):
-        raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
-    return _anti_diagonal_sum("F1", (b1,), (b2,), (a,), (c,), u, v, n_stop)
+    return _anti_diagonal_sum("F1", (b1,), (b2,), (a,), (c,), u, v)
 
 
 def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v) -> HypergeomResult:
@@ -492,17 +503,7 @@ def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v) -> Hype
     """
     u, v = complex(u), complex(v)
     _check_finite("F3", a, a2, b1, b2, c, u, v)
-    j_stop = _stop(a, b1)
-    k_stop = _stop(a2, b2)
-    if abs(u) >= 1.0 and j_stop is None:
-        raise DomainError(f"F3 needs |u| < 1 (or a terminating j index), got |u|={abs(u)}")
-    if abs(v) >= 1.0 and k_stop is None:
-        raise DomainError(f"F3 needs |v| < 1 (or a terminating k index), got |v|={abs(v)}")
-    n_stop = None if j_stop is None or k_stop is None else j_stop + k_stop
-    c_pole = _nonpositive_int(c)
-    if c_pole is not None and (n_stop is None or n_stop > c_pole):
-        raise DomainError(f"F3 undefined: c={c} is a non-positive integer")
-    return _anti_diagonal_sum("F3", (a, b1), (a2, b2), (), (c,), u, v, n_stop)
+    return _anti_diagonal_sum("F3", (a, b1), (a2, b2), (), (c,), u, v)
 
 
 def sample_beta(a: float, b: float, n: int, seed: int) -> np.ndarray:

@@ -12,6 +12,12 @@ levels, and the negative binomial photon-count law.
 All complex powers are principal branch; every base occurring here stays
 off the negative real axis for points strictly inside the domains, which
 is asserted at runtime.
+
+Each kind of argument has one check, shared by the package: ``as_disk``
+(|z| < 1, a number or an ndarray of them), ``as_halfplane`` (Im w > 0),
+``as_radius`` (0 < R < 1), ``as_coefficients`` (a finite complex 1-D
+vector) and, from specfun, ``check_strength`` and ``check_index``.  Points
+and coefficients are plain numbers and arrays; there are no wrapper types.
 """
 
 from __future__ import annotations
@@ -24,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import check_index, check_indices, horner, inc_beta_steps, jacobi, log_gamma, log_nb_weights
+from .specfun import (check_index, check_indices, check_strength, horner, inc_beta_steps, jacobi, log_gamma,
+                      log_nb_weights)
 
 __all__ = [
     "ModelParams",
     "check_strength",
-    "DiskPoint",
-    "HalfPlanePoint",
     "LocalizationRadius",
     "affine_coherent_state",
     "cayley_inverse",
@@ -48,12 +53,6 @@ __all__ = [
 ]
 
 NORMS_CACHE_SIZE = 64  # basis_norms tables kept
-
-
-def check_strength(B: float) -> None:
-    """Raise DomainError unless the strength parameter B is finite with 2B > 1."""
-    if not (2.0 * B > 1.0 and math.isfinite(B)):
-        raise DomainError(f"requires finite B with 2B > 1, got B={B}")
 
 
 def max_landau_index(B: float) -> int:
@@ -77,28 +76,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class DiskPoint:
-    """Phase-space label strictly inside the unit disk."""
-
-    z: complex
-
-    def __post_init__(self):
-        if not abs(self.z) < 1.0:
-            raise DomainError(f"disk point needs |z| < 1, got |z|={abs(self.z)}")
-
-
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """Point strictly inside the upper half-plane."""
-
-    w: complex
-
-    def __post_init__(self):
-        if not self.w.imag > 0.0:
-            raise DomainError(f"half-plane point needs Im w > 0, got Im w={self.w.imag}")
-
-
-@dataclass(frozen=True)
 class LocalizationRadius:
     """Radius of the localization disk, 0 < R < 1."""
 
@@ -110,22 +87,38 @@ class LocalizationRadius:
 
 
 def as_disk(z):
-    """Accept a DiskPoint, a complex number or an ndarray of them; validate |z| < 1.
+    """Validate |z| < 1 for a complex number or an ndarray of them.
 
-    An ndarray is checked once as a whole and returned as a complex array.
+    A number is returned as a builtin complex; an ndarray is checked once as a whole and returned as a
+    complex array.
     """
-    if isinstance(z, DiskPoint):
-        return z.z
     if isinstance(z, np.ndarray):
         z = z.astype(complex, copy=False)
         if z.size and not np.max(np.abs(z)) < 1.0:
             raise DomainError(f"disk points need |z| < 1, got max |z|={np.max(np.abs(z))}")
         return z
-    return DiskPoint(complex(z)).z
+    z = complex(z)
+    if not abs(z) < 1.0:
+        raise DomainError(f"disk point needs |z| < 1, got |z|={abs(z)}")
+    return z
 
 
 def as_halfplane(w) -> complex:
-    return w.w if isinstance(w, HalfPlanePoint) else HalfPlanePoint(complex(w)).w
+    """Validate Im w > 0 for a complex number, returned as a builtin complex."""
+    w = complex(w)
+    if not w.imag > 0.0:
+        raise DomainError(f"half-plane point needs Im w > 0, got Im w={w.imag}")
+    return w
+
+
+def as_coefficients(coeffs) -> np.ndarray:
+    """A finite complex 1-D vector of basis coefficients, possibly empty, as an ndarray; DomainError otherwise."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim != 1:
+        raise DomainError(f"coefficients must be a 1-D vector, got shape {coeffs.shape}")
+    if not all(map(cmath.isfinite, coeffs.tolist())):  # cheaper than a numpy reduction at these sizes
+        raise DomainError("coefficients must be finite")
+    return coeffs
 
 
 def as_radius(R) -> float:

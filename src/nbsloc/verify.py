@@ -250,7 +250,14 @@ def check_state_quadrature_coefficients() -> CheckResult:
 
 
 def check_resolution_of_identity() -> CheckResult:
-    """Frame property of the disk states over the invariant measure."""
+    """Frame property of the disk states over the invariant measure.
+
+    Budget: the integrand is (1/pi) conj(f) g on the weighted disk, with f and g of degree 6, so the rule is
+    exact (degree 6 in rho on 48 radii, phases |j - k| <= 6 on 32 angles) and only rounding is left.  A term
+    takes about 30 eps (the norms, z^k, two 7-term dot products, and the powers of 1 - rho, which cancel
+    from one rounded rho); summing 1536 terms adds at most 1536 eps.  Both are relative to sum |terms| <=
+    |cf| |cg| (Cauchy-Schwarz, exact on this rule), 5.7 |want| for these draws: 1566 eps 5.7 ~ 2e-12 of
+    |want|.  Tolerance 2e-11."""
     B = 1.25
     rng = _rng(404)
     cf = rng.standard_normal(7) + 1j * rng.standard_normal(7)
@@ -263,17 +270,24 @@ def check_resolution_of_identity() -> CheckResult:
     measure = (2.0 * B - 1.0) / (math.pi * (1.0 - rho) ** (2.0 * B))
     got = complex(grid.weights @ (f_side * g_side * measure))
     want = complex(np.conjugate(cf) @ cg)
-    return _result("resolution_of_identity", abs(got - want) / abs(want), 1e-8)
+    return _result("resolution_of_identity", abs(got - want) / abs(want), 2e-11)
 
 
 def check_expansion_convergence() -> CheckResult:
-    """Truncated number-state expansion converges to the closed form."""
+    """Truncated number-state expansion converges to the closed form.
+
+    Budget at J = 80: the tail is below (1 - |z|^2)^B / sqrt(2B - 1) basis_81(|z|) ~ 7e-24.  The 81
+    Laguerre values come from a recurrence that oscillates rather than grows past k = 0, where xi^2 = 2.89 <
+    2k + 2B, so each step adds a few eps of the largest value, below 1: 80 x 4 eps ~ 7e-14 per value, weighed by
+    (1 - |z|^2)^B / sqrt(2B - 1) sum_j basis_j(|z|) = 2.1, ~ 1.5e-13; Horner's rule adds 2 x 81 eps of that
+    sum, 8e-14; the closed form is one exponential, good to about 10 eps of its modulus 0.18.  Total ~ 2.3e-13.
+    Tolerance 5e-12."""
     B, z, xi = 1.25, 0.5, 1.7
     closed = states.nbs_wavefunction(z, B, xi)
     err80 = abs(states.nbs_expansion(z, B, xi, 80) - closed)
     errs = [abs(states.nbs_expansion(z, B, xi, J) - closed) for J in range(20, 45, 4)]
     monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    return _result("expansion_convergence", err80, 1e-8,
+    return _result("expansion_convergence", err80, 5e-12,
                    detail=f"tail envelope decreasing: {monotone}",
                    ok=monotone)
 
@@ -360,9 +374,8 @@ def check_matrix_elements() -> CheckResult:
     """
     B = 1.25
     symbol = lambda z: 1.0 / (1.0 + abs(z) ** 2)
-    radial = locop.RadialSymbol(lambda r: 1.0 / (1.0 + r), bound=1.0)
     block = locop.quantization_matrix_element(symbol, range(9), range(9), B, quadrature.disk_grid(48, 48, B))
-    want = np.diag(locop.radial_eigenvalue(radial, range(9), B))
+    want = np.diag(locop.radial_eigenvalue(lambda rho: 1.0 / (1.0 + rho), range(9), B))
     return _result("matrix_elements_radial_diagonal", float(np.max(np.abs(block - want))), 1e-13)
 
 

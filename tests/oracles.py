@@ -158,12 +158,32 @@ def appell_f1_mpmath(a, b1, b2, c, u, v, anti_diagonals: int = 400, dps: int = 3
         return complex(total)
 
 
-def anti_diagonal_sum_loop(specfun, name, row_params, col_params, front_num, front_den, u, v, n_stop):
+def anti_diagonal_sum_loop(specfun, name, row_params, col_params, front_num, front_den, u, v):
     """The package's former F1/F3 driver: one list of products and two exact sums per anti-diagonal.
 
     Each block is summed exactly (math.fsum) and rounded once into the running total; row_n is formed
     as row_(n-1) (p + n - 1) / n u, so F3's rows overflow one anti-diagonal before row_n itself does.
+    The domain is decided first by the former rules, one per series: F1(a; b1, b2; c) lets |u| >= 1 where
+    a or b1 terminates, |v| where a or b2 does, and stops at a's stop or b1's plus b2's; F3(a, a2; b1, b2; c)
+    lets |u| >= 1 where a or b1 terminates, |v| where a2 or b2 does, and stops at the sum of the two.
     """
+    if name == "F1":
+        (b1,), (b2,), (a,) = row_params, col_params, front_num
+        u_stop, v_stop = specfun._stop(a, b1), specfun._stop(a, b2)
+        b1_stop, b2_stop = specfun._nonpositive_int(b1), specfun._nonpositive_int(b2)
+        joint = None if b1_stop is None or b2_stop is None else b1_stop + b2_stop
+        n_stop = min((t for t in (specfun._nonpositive_int(a), joint) if t is not None), default=None)
+    else:
+        (a, b1), (a2, b2) = row_params, col_params
+        u_stop, v_stop = specfun._stop(a, b1), specfun._stop(a2, b2)
+        n_stop = None if u_stop is None or v_stop is None else u_stop + v_stop
+    for z, label, stop in ((u, "u", u_stop), (v, "v", v_stop)):
+        if abs(z) >= 1.0 and stop is None:
+            raise specfun.DomainError(f"{name} needs |{label}| < 1 (or a terminating index), got |{label}|={abs(z)}")
+    (c,) = front_den
+    c_pole = specfun._nonpositive_int(c)
+    if c_pole is not None and (n_stop is None or n_stop > c_pole):
+        raise specfun.DomainError(f"{name} undefined: c={c} is a non-positive integer")
     row = [complex(1.0)]
     col = [complex(1.0)]
     front = 1.0
@@ -438,12 +458,12 @@ def quantization_matrix_element_pointwise(F, j: int, k: int, B: float, grid, sta
 
 
 def radial_eigenvalue_pointwise(F, j: int, B: float, nodes: int, quadrature, specfun) -> float:
-    """One radial-symbol eigenvalue by the per-element formula: ``F.func`` at each node of the radial rule.
+    """One radial-symbol eigenvalue by the per-element formula: F at each node of the radial rule, one call each.
 
     The terms are summed exactly (``math.fsum``), free of the rounding of a library reduction; what is
     checked is that node sum, so the normalization 1 / B(j+1, 2B-1) is the library's ``log_nb_weights``.
     """
     grid = quadrature.radial_jacobi_grid(nodes, B)
-    fvals = np.asarray([F.func(r) for r in grid.nodes], dtype=float)
+    fvals = np.asarray([F(r) for r in grid.nodes], dtype=float)
     norm = math.exp(math.log(2.0 * B - 1.0) + specfun.log_nb_weights(j + 1, 2.0 * B)[j])
     return math.fsum(grid.weights * grid.nodes ** j * fvals) * norm

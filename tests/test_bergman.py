@@ -16,12 +16,7 @@ from nbsloc.bergman import (
     kernel_series_coefficients,
     transferred_apply,
 )
-from nbsloc.errors import (
-    AccuracyError,
-    ConvergenceError,
-    DomainError,
-    UnsupportedRepresentationError,
-)
+from nbsloc.errors import AccuracyError, ConvergenceError, DomainError
 from nbsloc.locop import disk_eigenvalue, spectral_apply
 from nbsloc.quadrature import disk_grid, radial_jacobi_grid
 from nbsloc.specfun import reg_inc_beta, reg_inc_beta_table
@@ -32,6 +27,13 @@ class TestBergmanFunction:
     def test_requires_some_representation(self):
         with pytest.raises(DomainError):
             BergmanFunction(1.5)
+
+    def test_holds_exactly_one_representation(self):
+        # both were accepted, and __call__ silently ignored the evaluator
+        with pytest.raises(DomainError, match="either"):
+            BergmanFunction(1.5, coefficients=[1.0, 0.5], evaluator=lambda z: 1.0 + 0.5 * z)
+        projected = BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(3)
+        assert projected.evaluator is None and projected.coefficients.shape == (4,)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_coefficients_refused(self, bad):
@@ -250,7 +252,7 @@ class TestBargmannTransform:
 
     def test_inverse_needs_coefficients(self):
         F = BergmanFunction(1.5, evaluator=lambda z: 1.0 + 0j)
-        with pytest.raises(UnsupportedRepresentationError):
+        with pytest.raises(DomainError, match="needs coefficients"):
             bargmann_inverse(F, 1.0)
 
 
@@ -389,10 +391,18 @@ class TestTransferredApply:
         with pytest.raises(DomainError):
             transferred_apply(BergmanFunction(1.5, [1.0]), 0.3, math.inf, 0.6)
 
+    @pytest.mark.parametrize("B", [4.0, 1.25, 1.5 + 1e-15])
+    def test_strength_other_than_the_functions_refused(self, B):
+        # B = 4 returned 1.716, the B = 4 operator on the B = 1.5 coefficients; the B = 1.5 operator gives 0.954
+        F = BergmanFunction(1.5, [1.0, 0.5, 0.25])
+        assert transferred_apply(F, 0.3, 1.5, 0.6) == pytest.approx(0.954, abs=5e-4)
+        with pytest.raises(DomainError, match="F.B=1.5"):
+            transferred_apply(F, 0.3, B, 0.6)
+
     def test_non_finite_values_refused(self):
         # an evaluator is never sampled by the apply, so its NaNs near the rim cannot reach a value
         F = BergmanFunction(1.5, evaluator=lambda z: np.where(abs(z) > 0.99, np.nan, 1.0))
-        with pytest.raises(UnsupportedRepresentationError):
+        with pytest.raises(DomainError, match="needs coefficients"):
             transferred_apply(F, 0.3, 1.5, 0.6)
         calls = []
         with pytest.raises(AccuracyError, match="not finite"):

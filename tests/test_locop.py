@@ -11,7 +11,6 @@ import oracles
 from nbsloc import locop, quadrature, specfun, states
 from nbsloc.errors import AccuracyError, ConvergenceError, DomainError
 from nbsloc.locop import (
-    RadialSymbol,
     as_function_of_hamiltonian,
     beta_density,
     disk_eigenvalue,
@@ -31,12 +30,12 @@ from nbsloc.states import LocalizationRadius, ModelParams, photon_weight
 
 class TestRadialEigenvalue:
     def test_constant_symbol(self):
-        one = RadialSymbol(lambda r: 1.0, bound=1.0)
+        one = lambda rho: 1.0
         for j in (0, 3, 11):
             assert radial_eigenvalue(one, j, 1.25) == pytest.approx(1.0, abs=1e-13)
 
     def test_linear_symbol_beta_mean(self):
-        lin = RadialSymbol(lambda r: r, bound=1.0)
+        lin = lambda rho: rho
         assert radial_eigenvalue(lin, 2, 1.5) == pytest.approx(3.0 / 5.0, abs=1e-13)
         for j, B in ((0, 0.8), (5, 2.2)):
             assert radial_eigenvalue(lin, j, B) == pytest.approx(
@@ -48,8 +47,8 @@ class TestRadialEigenvalue:
         # the rule integrates rho^(j+1) exactly, so what is left is 1 / B(j+1, 2B-1); formed index by index as
         # exp(-log_beta) it was 1.9e-13 off at B = 50 and 2.6e-13 at B = 300
         j = np.arange(160)
-        one = radial_eigenvalue(RadialSymbol(lambda r: 1.0, bound=1.0), range(160), B)
-        mean = radial_eigenvalue(RadialSymbol(lambda r: r, bound=1.0), range(160), B)
+        one = radial_eigenvalue(lambda rho: 1.0, range(160), B)
+        mean = radial_eigenvalue(lambda rho: rho, range(160), B)
         assert np.max(np.abs(one - 1.0)) <= 1e-13
         assert np.max(np.abs(mean / ((j + 1.0) / (j + 2.0 * B)) - 1.0)) <= 1e-13
 
@@ -57,14 +56,14 @@ class TestRadialEigenvalue:
     def test_values_at_large_strength(self, B):
         # at B = 5000 the normalization alone overflows where the node sum underflows; reads 5.7e-14 and 1.2e-13
         j = np.arange(160)
-        one = radial_eigenvalue(RadialSymbol(lambda r: 1.0, bound=1.0), range(160), B)
-        mean = radial_eigenvalue(RadialSymbol(lambda r: r, bound=1.0), range(160), B)
+        one = radial_eigenvalue(lambda rho: 1.0, range(160), B)
+        mean = radial_eigenvalue(lambda rho: rho, range(160), B)
         assert np.max(np.abs(one - 1.0)) <= 1e-12
         assert np.max(np.abs(mean / ((j + 1.0) / (j + 2.0 * B)) - 1.0)) <= 1e-12
 
     def test_indicator_converges_to_disk_eigenvalue(self, monkeypatch):
         j, B, R = 1, 1.25, 0.6
-        ind = RadialSymbol(lambda r: 1.0 if r < R * R else 0.0, bound=1.0)
+        ind = lambda rho: np.where(rho < R * R, 1.0, 0.0)
         monkeypatch.setattr(locop, "RADIAL_NODES", 200)
         coarse = abs(radial_eigenvalue(ind, j, B) - disk_eigenvalue(j, B, R))
         monkeypatch.setattr(locop, "RADIAL_NODES", 3200)
@@ -72,10 +71,10 @@ class TestRadialEigenvalue:
         assert fine < coarse
         assert fine < 5e-4
 
-    @pytest.mark.parametrize("func, B", [(lambda r: 1.0 / (1.0 + r), 1.25), (lambda r: r, 0.8),
-                                         (lambda r: math.cos(5.0 * r), 3.0)])
-    def test_range_table_matches_the_pointwise_formula(self, func, B):
-        symbol, indices = RadialSymbol(func, bound=1.0), range(30)
+    @pytest.mark.parametrize("symbol, B", [(lambda rho: 1.0 / (1.0 + rho), 1.25), (lambda rho: rho, 0.8),
+                                           (lambda rho: np.cos(5.0 * rho), 3.0)])
+    def test_range_table_matches_the_pointwise_formula(self, symbol, B):
+        indices = range(30)
         table = radial_eigenvalue(symbol, indices, B)
         want = np.array([oracles.radial_eigenvalue_pointwise(symbol, j, B, locop.RADIAL_NODES, quadrature, specfun)
                          for j in indices])
@@ -83,18 +82,18 @@ class TestRadialEigenvalue:
         assert np.max(np.abs(table - want)) <= 1e-15 * np.max(np.abs(want))
         assert table.tolist() == [radial_eigenvalue(symbol, j, B) for j in indices]
 
-    def test_range_calls_the_symbol_once_per_node(self):
+    def test_range_calls_the_symbol_once_on_the_nodes(self):
         calls = []
-        symbol = RadialSymbol(lambda r: calls.append(r) or 1.0, bound=1.0)
+        symbol = lambda rho: calls.append(rho) or 1.0
         assert radial_eigenvalue(symbol, range(9), 1.25) == pytest.approx(np.ones(9), abs=1e-13)
-        assert len(calls) == locop.RADIAL_NODES
+        assert len(calls) == 1 and calls[0].shape == (locop.RADIAL_NODES,)
 
-    def test_unbounded_symbol_rejected(self):
-        with pytest.raises(DomainError):
-            RadialSymbol(lambda r: 1.0 / (1.0 - r), bound=math.inf)
-        lying = RadialSymbol(lambda r: 10.0, bound=1.0)
-        with pytest.raises(DomainError):
-            radial_eigenvalue(lying, 0, 1.5)
+    @pytest.mark.parametrize("symbol", [lambda rho: math.nan, lambda rho: np.where(rho > 0.5, math.inf, 1.0),
+                                        lambda rho: -math.inf, lambda rho: rho + 1j * rho])
+    def test_complex_or_non_finite_symbol_values_rejected(self, symbol):
+        # a NaN value on the nodes reached the eigenvalue; a complex one would lose its imaginary part
+        with pytest.raises(DomainError, match="real and finite"):
+            radial_eigenvalue(symbol, 0, 1.5)
 
 
 class TestDiskEigenvalue:
@@ -238,6 +237,13 @@ class TestSpectralApply:
         # a (3, 1) column broadcast against the 3 eigenvalues into a 3 x 3 outer product
         with pytest.raises(DomainError, match="1-D vector"):
             spectral_apply(np.ones(shape), ModelParams(1.5), 0.6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_non_finite_coefficients_refused(self, bad, m):
+        # a NaN or infinite coefficient came back as a NaN or infinite component
+        with pytest.raises(DomainError, match="finite"):
+            spectral_apply([1.0, bad], ModelParams(2.5, m), 0.6)
 
 
 class TestFunctionOfHamiltonian:
@@ -688,6 +694,12 @@ class TestLocalizedOverlap:
         with pytest.raises(DomainError, match="1-D vector"):
             localized_overlap(0.3, 1.5, 0.6, np.ones(shape))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_coefficients_refused(self, bad):
+        # localized_overlap(0.1, 1.5, 0.6, [nan, 1]) returned nan
+        with pytest.raises(DomainError, match="finite"):
+            localized_overlap(0.1, 1.5, 0.6, [bad, 1.0])
+
     @pytest.mark.parametrize("B", [math.nan, 0.4])
     def test_strength_checked_before_empty_coefficients(self, B):
         with pytest.raises(DomainError, match="2B > 1"):
@@ -733,7 +745,7 @@ class TestMatrixElements:
         B = 1.25
         grid = disk_grid(48, 48, B)
         symbol = lambda z: 1.0 / (1.0 + abs(z) ** 2)
-        radial = RadialSymbol(lambda r: 1.0 / (1.0 + r), bound=1.0)
+        radial = lambda rho: 1.0 / (1.0 + rho)
         block = quantization_matrix_element(symbol, range(9), range(9), B, grid)
         diagonal = np.diagonal(block)
         assert diagonal.real == pytest.approx(radial_eigenvalue(radial, range(9), B), abs=1e-13)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from nbsloc import specfun
-from nbsloc.errors import ConvergenceError, DomainError
+from nbsloc.errors import AccuracyError, ConvergenceError, DomainError
 from nbsloc.specfun import (
     appell_f1,
     appell_f3,
@@ -478,6 +478,21 @@ class TestAppellF3:
             return
         assert got == pytest.approx(oracles.appell_f3_rowwise(*args, rows=1000), rel=1e-10)
 
+    @pytest.mark.xfail(strict=True, reason="the terms cancel (their moduli sum to 1.4e13) and no stop rule measures "
+                                           "that: 1.2e-3 off without raising (ROADMAP items 1 and 20)")
+    def test_cancelling_terms_meet_the_series_tolerance_or_refuse(self):
+        # kernel_closed-style parameters near B = 9; the value was 3.6e-4 off before the Cauchy-product driver
+        mpmath = pytest.importorskip("mpmath")
+        args = (-17.607366513125747, -18.607366513125747, 19.607366513125747, -17.307366513125746, 2.0,
+                0.5870160122129761, 0.6643502700165451 + 0.033459594085376076j)
+        try:
+            got = appell_f3(*args).value
+        except (ConvergenceError, AccuracyError):
+            return
+        with mpmath.workdps(60):
+            want = complex(mpmath.appellf3(*args))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_convergence_error(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError) as err:
@@ -548,7 +563,7 @@ class TestAntiDiagonalDriver:
             assert type(got.value) is complex and type(got.terms_used) is int, args
             assert got.terms_used == want.terms_used, args
             n = (math.isqrt(8 * want.terms_used + 1) - 3) // 2  # terms_used = (n + 1)(n + 2) / 2
-            budget = (n + 2) * np.finfo(float).eps * _absolute_terms(*calls[0][:-1], n)
+            budget = (n + 2) * np.finfo(float).eps * _absolute_terms(*calls[0], n)
             assert abs(got.value - want.value) <= budget, (args, abs(got.value - want.value), budget)
         return kinds, shifts
 

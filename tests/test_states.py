@@ -8,20 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from nbsloc import states, verify
-from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit
+from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit, transferred_apply
 from nbsloc.errors import DomainError
-from nbsloc.locop import (RadialSymbol, as_function_of_hamiltonian, beta_density, disk_eigenvalue,
+from nbsloc.locop import (as_function_of_hamiltonian, beta_density, disk_eigenvalue,
                           landau_density, landau_eigenvalue, mc_eigenvalue, quantization_matrix_element,
                           radial_eigenvalue)
 from nbsloc.specfun import jacobi, laguerre, sample_beta
-from nbsloc.quadrature import half_line_grid
+from nbsloc.quadrature import half_line_grid, radial_jacobi_grid
 from nbsloc.states import (
-    DiskPoint,
-    HalfPlanePoint,
     LocalizationRadius,
     ModelParams,
     affine_coherent_state,
     as_disk,
+    as_halfplane,
     basis_norms,
     basis_series,
     bergman_basis,
@@ -50,7 +49,7 @@ INDEX_CALLS = {
     "nbs_expansion": lambda j: nbs_expansion(0.3, 1.5, 1.0, j),
     "nb_pmf": lambda j: nb_pmf(j, 1.5, 0.4),
     "disk_eigenvalue": lambda j: disk_eigenvalue(j, 1.5, 0.6),
-    "radial_eigenvalue": lambda j: radial_eigenvalue(RadialSymbol(lambda r: r, 1.0), j, 1.5),
+    "radial_eigenvalue": lambda j: radial_eigenvalue(lambda rho: rho, j, 1.5),
     "as_function_of_hamiltonian": lambda j: as_function_of_hamiltonian(j + 1, 1.5, 0.6),
     "beta_density": lambda j: beta_density(j, 1.5, 0.3),
     "landau_density": lambda j: landau_density(j, ModelParams(2.5, 1), 0.3),
@@ -106,6 +105,10 @@ class TestDomainTypes:
             lambda: kernel_limit(0.3, 0.2, B),
             lambda: kernel_closed(0.3, 0.2, B, 0.5),
             lambda: ModelParams(B),
+            lambda: transferred_apply(BergmanFunction(1.5, [1.0]), 0.3, B, 0.6),  # before the F.B comparison
+            lambda: radial_eigenvalue(lambda rho: rho, 0, B),
+            lambda: radial_jacobi_grid(4, B),
+            lambda: half_line_grid(4, B),
         ]
         for call in calls:
             with pytest.raises(DomainError, match="2B > 1"):
@@ -131,12 +134,12 @@ class TestDomainTypes:
         assert np.array_equal(call(indices), [call(j) for j in indices])
 
     def test_point_types(self):
-        DiskPoint(0.5 + 0.2j)
-        with pytest.raises(DomainError):
-            DiskPoint(1.0 + 0.0j)
-        HalfPlanePoint(0.3 + 1.0j)
-        with pytest.raises(DomainError):
-            HalfPlanePoint(0.3 - 1.0j)
+        assert as_disk(0.5 + 0.2j) == 0.5 + 0.2j and type(as_disk(np.float64(0.5))) is complex
+        with pytest.raises(DomainError, match=r"disk point needs \|z\| < 1, got \|z\|=1.0"):
+            as_disk(1.0 + 0.0j)
+        assert as_halfplane(0.3 + 1.0j) == 0.3 + 1.0j
+        with pytest.raises(DomainError, match="half-plane point needs Im w > 0"):
+            as_halfplane(0.3 - 1.0j)
         LocalizationRadius(0.6)
         for bad in (0.0, 1.0, 1.4):
             with pytest.raises(DomainError):
