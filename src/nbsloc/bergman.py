@@ -15,10 +15,10 @@ an evaluator, which ``BergmanFunction.project`` turns into coefficients.  A
 
 Accuracy and rule sizes are a fixed contract, not arguments: the kernel
 series is cut where its tail falls below specfun's SERIES_REL_TOL;
-``BergmanFunction.project`` samples F once per angular rule, from twice
-quadrature's DISK_RULE angles, on the fewest radii exact for the coefficients
-it returns, compares them with those of the rule's even-indexed half and
-raises AccuracyError past PROJECT_REFINE_TOL.
+``BergmanFunction.project`` samples F once per angular rule of PROJECT_ANGLES,
+on the fewest radii exact for the coefficients it returns, compares them with
+those of the rule's even-indexed half and raises AccuracyError past
+PROJECT_REFINE_TOL.
 
 Everything that does not depend on the point or the function is read from
 bounded LRU caches of read-only arrays: specfun's eigenvalue table, the grids
@@ -37,11 +37,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
-from . import quadrature, specfun
+from . import specfun
 from .quadrature import angular_phasors, radial_jacobi_grid
 from .specfun import appell_f1, check_index, horner, log_nb_weights, reg_inc_beta_table
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
-from .states import (as_coefficients, as_disk, as_radius, basis_norms, basis_series, bergman_basis,  # noqa: F401
+from .states import (_basis_series, as_coefficients, as_disk, as_radius, basis_norms, bergman_basis,  # noqa: F401
                      check_strength, laguerre_function, principal_power)
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 PROJECT_REFINE_TOL = 1e-10  # agreement of project's angular rule with its even-indexed half, relative to |F|
-PROJECT_RULES = 6  # project's angular rule sizes, DISK_RULE's angle count doubled up to 5 times: 128 to 4096
+PROJECT_ANGLES = (256, 512, 1024, 2048, 4096)  # project's angular rules, in the order it tries them
 
 
 @dataclass
@@ -84,7 +84,7 @@ class BergmanFunction:
         """Value at a disk point, or at every point of an ndarray of them."""
         z = as_disk(z)
         if self.coefficients is not None:
-            return basis_series(self.coefficients, self.B, z)
+            return _basis_series(self.coefficients, self.B, z)
         if isinstance(z, np.ndarray):
             return np.broadcast_to(self.evaluator(z), z.shape).astype(complex)
         return self.evaluator(z)
@@ -98,17 +98,16 @@ class BergmanFunction:
 
         c_j = sum_i W_i basis_j(r_i) a_j(r_i) from F's angular Fourier coefficients a_j.  For analytic
         F, r^j a_j(r) has degree j in rho = r^2, so max(2, j_max // 2 + 1) Gauss-Jacobi radii, the fewest
-        exact for every j <= j_max, suffice.  F is sampled once per rule, on n_theta = 2, 4, ... times
-        DISK_RULE's angles up to the last of PROJECT_RULES sizes; the coefficients of all n_theta angles
-        are returned once they agree to PROJECT_REFINE_TOL times F's norm on the rule with those of the
-        even-indexed n_theta / 2, a uniform rule offset by a quarter of its spacing; else, as for a pole
-        just outside, AccuracyError, at once where that norm is not finite.
+        exact for every j <= j_max, suffice.  F is sampled once per rule, on each n_theta of PROJECT_ANGLES in
+        turn; the coefficients of all n_theta angles are returned once they agree to PROJECT_REFINE_TOL times
+        F's norm on the rule with those of the even-indexed n_theta / 2, a uniform rule offset by a quarter of
+        its spacing; else, as for a pole just outside, AccuracyError, at once where that norm is not finite.
         """
         j_max = check_index("j_max", j_max)
         radial = radial_jacobi_grid(max(2, j_max // 2 + 1), self.B)
         r = np.sqrt(radial.nodes)[:, None]
         norms, r_j = basis_norms(j_max + 1, self.B), r ** np.arange(j_max + 1)
-        for n_theta in (quadrature.DISK_RULE[1] << i for i in range(1, PROJECT_RULES)):
+        for n_theta in PROJECT_ANGLES:
             values = self.values(r * angular_phasors(n_theta))
             norm = math.sqrt(radial.weights @ np.mean(np.abs(values) ** 2, axis=1))  # Parseval: sum_k |a_k|^2
             if not math.isfinite(norm):
@@ -252,4 +251,4 @@ def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:
     if F.coefficients is None:
         raise DomainError("transferred_apply needs coefficients; F.project(j_max) gives them")
     f = F.coefficients
-    return basis_series(reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j
+    return _basis_series(reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f, F.B, w) if f.size else 0j

@@ -11,7 +11,7 @@ The argparse tree is built once per process, on the first ``main`` call
 An argv whose first word names a subcommand goes straight to that
 subcommand's parser, the one the top-level parser would delegate it to,
 into ``Namespace(command=...)``; any other argv (``--help``, ``--version``,
-none, an unknown command) takes the top-level parse.  JSON documents are
+none, an unknown command or flag) takes the top-level parse.  JSON documents are
 filled in from one row template per call, with every cell encoded by one
 call of json's C encoder, and are exactly ``json.dumps(doc, indent=2,
 sort_keys=True)`` plus a newline.
@@ -63,16 +63,6 @@ _POINT = {"type": _complex_arg, "required": True,
           "help": "point of the unit disk; a leading minus needs the = form, as in --w=-0.3+0.4j"}
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser: it reports a flag it does not take itself, under its own usage line."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -81,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for dest, spec in flags.items():

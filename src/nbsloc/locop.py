@@ -12,8 +12,8 @@ photon-counting bound on the operator's content outside the disk.  The one
 eigenvalue function of every level m is ``landau_eigenvalue``; functions
 defined only at m = 0 take the strength B, level functions ``ModelParams``.
 The radial and level-m quantities take an index or a range of indices; no call
-keeps state but the shared read-only rules and tables.  Rule sizes are
-module constants (RADIAL_NODES, LANDAU_NODES, DISK_RULE), not arguments.
+keeps state but the shared read-only rules and tables.  Rule sizes are module
+constants (RADIAL_NODES, LANDAU_NODES), not arguments; a disk grid is an argument.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from . import quadrature, specfun
-from .quadrature import disk_grid, mapped_legendre, radial_jacobi_grid
+from .quadrature import mapped_legendre, radial_jacobi_grid
 from .specfun import (check_index, check_indices, log_inc_beta_steps, log_nb_weights,
                       reg_inc_beta, reg_inc_beta_table, sample_beta)
-from .states import (ModelParams, as_coefficients, as_disk, as_radius, basis_series, bergman_basis, check_strength,
+from .states import (ModelParams, _basis_series, as_coefficients, as_disk, as_radius, bergman_basis, check_strength,
                      jacobi)
 
 __all__ = [
@@ -332,16 +332,16 @@ def localized_overlap(z0, B: float, R, coeffs) -> float:
         return 0.0
     lam = reg_inc_beta_table(R * R, coeffs.size, 2.0 * B - 1.0)
     pref = (1.0 - abs(z0) ** 2) ** B / math.sqrt(2.0 * B - 1.0)
-    return abs(pref * basis_series(lam * coeffs, B, z0.conjugate()))
+    return abs(pref * _basis_series(lam * coeffs, B, z0.conjugate()))
 
 
-def quantization_matrix_element(F, j: int | range, k: int | range, B: float, grid=None):
+def quantization_matrix_element(F, j: int | range, k: int | range, B: float, grid):
     """Matrix element of the quantized (not necessarily radial) symbol F.
 
     (pi Gamma(2B-1))^(-1) sqrt(Gamma(2B+j) Gamma(2B+k) / (j! k!))
       int_D conj(z)^j z^k (1-|z|^2)^(2B-2) F(z) dA(z)
-    by disk quadrature on ``grid``, DISK_RULE by default, F called once on
-    all nodes.  ``j`` and ``k`` may be ranges: the block of shape
+    by disk quadrature on ``grid`` (a ``disk_grid``), F called once on all
+    nodes.  ``j`` and ``k`` may be ranges: the block of shape
     (len(j), len(k)), from one ``bergman_basis`` table spanning both; two ints
     give a complex scalar.  Each entry is summed over the nodes in a fixed
     order (no matrix product, whose last bits depend on operand layout), so
@@ -349,8 +349,6 @@ def quantization_matrix_element(F, j: int | range, k: int | range, B: float, gri
     vanish and the diagonal reproduces ``radial_eigenvalue``.
     """
     js, ks = check_indices("j", j), check_indices("k", k)
-    if grid is None:
-        grid = disk_grid(*quadrature.DISK_RULE, B)
     z = grid.nodes
     indices = [*js, *ks]
     lo = min(indices, default=0)  # the table's rows run from lo to the largest index of either range

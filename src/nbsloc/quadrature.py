@@ -22,7 +22,7 @@ RULE_CACHE_SIZE entries:
 
 Rule, grid and phasor arrays are read-only and integration is a dot product,
 so all of it is thread-safe; a call that raises caches nothing.
-Fixed rule sizes are module constants, DISK_RULE and RESIDUAL_*, not arguments.
+Fixed rule sizes are module constants, RESIDUAL_*, not arguments.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import check_strength, log_gamma
+from .specfun import check_index, check_strength, log_gamma
 
-DISK_RULE = (64, 128)  # (radii, angles) of the polar rule every disk integral starts from
 RESIDUAL_NODES = 64  # Chebyshev points of hamiltonian_residual's differentiation matrix
 RESIDUAL_WINDOW = (0.5, 8.0)  # hamiltonian_residual's interval, away from the x = 0 singularity
 RULE_CACHE_SIZE = 64  # entries kept by each rule and grid cache; a 600-node rule takes 10 kB
@@ -88,6 +87,7 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     exp(u_i) u_i^(-(2B - 1/2)) Gamma(2B) / 2, in logs.  phi_j phi_k is exact from ceil((j + k + 1) / 2)
     nodes.  DomainError where a w_i or a weight leaves the double range (from about 200 nodes at B = 1.5).
     """
+    n = check_index("n", n)
     if n < 1:
         raise DomainError(f"needs n >= 1 nodes, got n={n}")
     check_strength(B)
@@ -119,6 +119,7 @@ def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     just above its larger last value, which is exact.  Exact for polynomials of degree <= 2n - 1.
     Memoized; the arrays are read-only.
     """
+    n = check_index("n", n)
     if n < 2:
         raise DomainError(f"need at least 2 nodes, got {n}")
     if not -1.0 < alpha < math.inf:
@@ -181,6 +182,7 @@ def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def angular_grid(n: int) -> QuadratureGrid:
     """Uniform midpoint rule on (0, 2 pi); spectrally accurate for trigonometric integrands.  Memoized by n."""
+    n = check_index("n", n)
     if n < 2:
         raise DomainError(f"need at least 2 angular nodes, got {n}")
     theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n

@@ -219,6 +219,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 def log_inc_beta_steps(x: float, n: int, b: float) -> np.ndarray:
     """log(x^a (1-x)^b Gamma(a+b) / (Gamma(a+1) Gamma(b))), a = 0..n-1; -inf for a >= 1 at x = 0."""
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"the negative binomial steps require 0 <= x < 1, got x={x}")
     if x == 0.0:
         return np.where(np.arange(n) == 0, 0.0, -np.inf)
     return log_nb_weights(n, b) + np.arange(float(n)) * math.log(x) + b * math.log1p(-x)

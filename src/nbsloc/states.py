@@ -41,7 +41,6 @@ __all__ = [
     "cayley_inverse",
     "nbs_wavefunction",
     "bergman_basis",
-    "basis_series",
     "laguerre_function",
     "nbs_expansion",
     "halfplane_kernel",
@@ -226,8 +225,8 @@ def bergman_basis(j: int | range, B: float, z):
     return float(norms[j]) * z ** j
 
 
-def basis_series(coeffs, B: float, z):
-    """sum_j coeffs[j] bergman_basis(j, B, z) by Horner's rule; ``z`` may be an ndarray."""
+def _basis_series(coeffs, B: float, z):
+    """sum_j coeffs[j] bergman_basis(j, B, z) by Horner's rule, ``z`` may be an ndarray; ``coeffs`` unchecked."""
     coeffs = np.asarray(coeffs, dtype=complex)
     return horner(coeffs * basis_norms(coeffs.size, B), as_disk(z))
 
@@ -282,8 +281,8 @@ def nbs_expansion(z, B: float, xi: float, J: int) -> complex:
     """
     z = as_disk(z)
     J = check_index("J", J)
-    pref = (1.0 - abs(z) ** 2) ** B / math.sqrt(2.0 * B - 1.0)
-    return pref * basis_series(laguerre_function(range(J + 1), B, xi), B, z)
+    series = _basis_series(laguerre_function(range(J + 1), B, xi), B, z)  # laguerre_function refuses a bad B
+    return (1.0 - abs(z) ** 2) ** B / math.sqrt(2.0 * B - 1.0) * series
 
 
 def halfplane_kernel(w, zeta, B: float) -> complex:

@@ -20,7 +20,7 @@ from nbsloc.errors import AccuracyError, ConvergenceError, DomainError
 from nbsloc.locop import disk_eigenvalue, spectral_apply
 from nbsloc.quadrature import disk_grid, radial_jacobi_grid
 from nbsloc.specfun import reg_inc_beta, reg_inc_beta_table
-from nbsloc.states import LocalizationRadius, ModelParams, basis_series, bergman_basis, laguerre_function
+from nbsloc.states import LocalizationRadius, ModelParams, bergman_basis, laguerre_function
 
 
 class TestBergmanFunction:
@@ -116,6 +116,17 @@ class TestBergmanFunction:
 
         BergmanFunction(B, evaluator=recorded).project(10)
         assert shapes and all(shape[0] == 6 for shape in shapes)
+
+    def test_projection_samples_on_the_project_angles_in_order(self, monkeypatch):
+        # the pole at 0.9999 is refused at j_max = 100 after every rule; a pole at 1.5 settles on the first
+        B, sizes, exact = 1.5, [], bergman.angular_phasors
+        monkeypatch.setattr(bergman, "angular_phasors", lambda n: sizes.append(n) or exact(n))
+        with pytest.raises(AccuracyError):
+            BergmanFunction(B, evaluator=lambda z: kernel_limit(0.9999, z, B)).project(100)
+        assert sizes == list(bergman.PROJECT_ANGLES)
+        sizes.clear()
+        BergmanFunction(B, evaluator=lambda z: 1.0 / (1.5 - z)).project(10)
+        assert sizes == [bergman.PROJECT_ANGLES[0]]
 
     def test_projection_samples_each_rule_once(self):
         # each rule's coarser half is its even-indexed angles; F was also sampled on the 128-angle rule
@@ -410,7 +421,8 @@ class TestTransferredApply:
         assert len(calls) == 1  # refused on the first rule; it was sampled on all six
 
     def test_coefficient_apply_is_the_uncached_table_expression(self):
-        # bit for bit basis_series(reg_inc_beta_table(R^2, n, 2B - 1) * f, B, w), whatever was cached before
+        # bit for bit the value at w of the coefficients reg_inc_beta_table(R^2, n, 2B - 1) * f, whatever was
+        # cached before
         rng = np.random.default_rng(22)
         calls = [(B, R, n) for B in (0.51, 1.5, 20.0) for R in (0.3, 0.81) for n in (1, 4, 12, 17, 600)]
         calls += [(1.5, 0.3 + 0.02 * i, 5) for i in range(20)]  # more keys than the cache keeps
@@ -419,7 +431,7 @@ class TestTransferredApply:
         specfun._inc_beta_blocks.cache_clear()
         for order in (cases, cases[::-1], cases[::3] + cases, cases):
             for B, R, f, w in order:
-                want = basis_series(reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f, B, w)
+                want = BergmanFunction(B, reg_inc_beta_table(R * R, f.size, 2.0 * B - 1.0) * f)(w)
                 assert transferred_apply(BergmanFunction(B, f), w, B, R) == want
 
     def test_kernel_table_built_once_per_strength_and_radius(self):
@@ -449,15 +461,10 @@ class TestTransferredApply:
         assert np.array_equal(coeffs, reg_inc_beta_table(R * R, coeffs.size, 2.0 * B - 1.0) * weights)
 
     @pytest.mark.parametrize("B", [0.75, 1.5, 4.5, 10.0])
-    @pytest.mark.parametrize("w, n_r, n_theta", [
-        (0.3 + 0.2j, 64, 128),
-        (0.9 * np.exp(2.1j), 64, 128),
-        (-0.6 + 0.62j, 12, 7),  # odd n_theta, and 7 angles alias the kernel's modes past 7 at |w| R = 0.6
-    ])
-    def test_matches_dense_disk_rule_sum(self, B, w, n_r, n_theta, monkeypatch):
+    @pytest.mark.parametrize("w", [0.3 + 0.2j, 0.9 * np.exp(2.1j), -0.6 + 0.62j])
+    def test_matches_dense_disk_rule_sum(self, B, w):
         # The operator's definition, the reproducing kernel integrated against F over |z| < R, summed
-        # on a dense rule; the coefficient apply reads no disk rule, so DISK_RULE cannot move it.
-        monkeypatch.setattr(quadrature, "DISK_RULE", (n_r, n_theta))
+        # on a dense rule; the coefficient apply reads no disk rule.
         rng = np.random.default_rng(64)
         F = BergmanFunction(B, rng.standard_normal(8) + 1j * rng.standard_normal(8))
         R = 0.7
@@ -466,23 +473,23 @@ class TestTransferredApply:
         assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("B", [0.51, 0.75, 1.5, 4.5, 10.0])
-    @pytest.mark.parametrize("w, n_r, n_theta, d", [
-        (0.3 + 0.2j, 64, 128, 8),
-        (0.9 * np.exp(2.1j), 64, 128, 12),
+    @pytest.mark.parametrize("w, n_theta, d", [
+        (0.3 + 0.2j, 128, 8),
+        (0.9 * np.exp(2.1j), 128, 12),
         # 20 coefficients on 7 and 14 angles alias, so project refines past them
-        (-0.6 + 0.62j, 12, 7, 20),
+        (-0.6 + 0.62j, 7, 20),
     ])
-    def test_coefficient_route_matches_evaluator_route(self, B, w, n_r, n_theta, d, monkeypatch):
+    def test_coefficient_route_matches_evaluator_route(self, B, w, n_theta, d, monkeypatch):
         # Coefficients take the eigenvalue table, whatever the rule; the same F as an evaluator is
-        # projected, starting from the rule's angles, and the projection's apply agrees.
-        monkeypatch.setattr(quadrature, "DISK_RULE", (n_r, n_theta))
+        # projected on angular rules from twice n_theta up, and the projection's apply agrees.
+        monkeypatch.setattr(bergman, "PROJECT_ANGLES", tuple(n_theta << i for i in range(1, 6)))
         rng = np.random.default_rng(65)
         c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         R = 0.7
         got = transferred_apply(BergmanFunction(B, c), w, B, R)
         exact = sum(c[j] * disk_eigenvalue(j, B, R) * bergman_basis(j, B, w) for j in range(d))
         assert abs(got - exact) <= 1e-13 * abs(exact)
-        sampled = BergmanFunction(B, evaluator=lambda z: basis_series(c, B, z))
+        sampled = BergmanFunction(B, evaluator=BergmanFunction(B, c))
         assert abs(transferred_apply(sampled.project(d - 1), w, B, R) - got) <= 1e-13 * abs(got)
 
     @pytest.mark.parametrize("B", [0.51, 1.5, 4.5, 20.0])
@@ -611,9 +618,10 @@ class TestAccuracyConstantsHaveOneHome:
         with pytest.raises(ConvergenceError):
             locop.leakage_bound(0.99, B, 0.9)
 
-    def test_disk_rule_reaches_matrix_elements(self, monkeypatch):
-        # a 2-radius rule is exact only up to degree 3 in |z|^2, so |z|^10 is off on it
-        B = 1.5
-        assert abs(locop.quantization_matrix_element(lambda z: 1.0, 5, 5, B) - 1.0) <= 1e-12
-        monkeypatch.setattr(quadrature, "DISK_RULE", (2, 3))
-        assert abs(locop.quantization_matrix_element(lambda z: 1.0, 5, 5, B) - 1.0) > 1e-6
+    def test_project_angles_reach_project(self, monkeypatch):
+        # F settles on the first default rule; 4 and 8 angles alias its modes past 4 at radius 0.9 / 1.5
+        F = BergmanFunction(1.5, evaluator=lambda z: 1.0 / (1.5 - z))
+        F.project(10)
+        monkeypatch.setattr(bergman, "PROJECT_ANGLES", (4, 8))
+        with pytest.raises(AccuracyError, match="at 8 angular nodes"):
+            F.project(10)

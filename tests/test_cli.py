@@ -338,6 +338,25 @@ def test_unknown_flag_is_reported_under_the_subcommand_usage(command, capsys):
     assert err.endswith(f"nbsloc {command}: error: unrecognized arguments: --no-such-flag 1\n")
 
 
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGS))
+def test_invalid_format_is_reported_under_the_subcommand_usage(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *ROUND_TRIP_ARGS[command], "--format", "xml"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: nbsloc {command} ")
+    assert f"\nnbsloc {command}: error: argument --format: invalid choice: 'xml'" in err
+
+
+def test_missing_required_flag_is_reported_under_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel", "--B", "1.5", "--z", "0.1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: nbsloc kernel ")
+    assert err.endswith("\nnbsloc kernel: error: the following arguments are required: --w\n")
+
+
 def test_no_flag_is_accepted_abbreviated(capsys):
     # argparse took any unambiguous prefix: "eigvals --j 3" set --j-max
     def accepted(argv, prefix):

@@ -730,13 +730,13 @@ class TestLocalizedOverlap:
         assert got == pytest.approx(bound, rel=1e-6)
 
 
-# (symbol, B, disk rule or None for DISK_RULE, number of indices)
+# (symbol, B, disk rule (radii, angles), number of indices)
 BLOCK_CASES = [
     (lambda z: 1.0, 1.5, (48, 64), 13),
     (lambda z: 1.0 / (1.0 + abs(z) ** 2), 1.25, (48, 48), 9),
     (lambda z: z, 1.5, (32, 48), 6),
     (lambda z: np.exp(1j * z.real) * (1.0 + z * z), 0.8, (24, 30), 8),
-    (lambda z: np.cos(3.0 * z.imag), 1.5, None, 12),
+    (lambda z: np.cos(3.0 * z.imag), 1.5, (64, 128), 12),
 ]
 
 
@@ -754,13 +754,13 @@ class TestMatrixElements:
 
     @pytest.mark.parametrize("B", [600.0, 5000.0])
     def test_constant_symbol_is_the_identity_at_large_strength(self, B):
-        # on DISK_RULE; reads 6.2e-15 and 6.7e-15
-        block = quantization_matrix_element(lambda z: np.ones(z.shape), range(8), range(8), B)
+        # on a 64 x 128 rule; reads 6.2e-15 and 6.7e-15
+        block = quantization_matrix_element(lambda z: np.ones(z.shape), range(8), range(8), B, disk_grid(64, 128, B))
         assert np.max(np.abs(block - np.eye(8))) <= 1e-12
 
     @pytest.mark.parametrize("symbol, B, rule, n", BLOCK_CASES)
     def test_block_matches_the_pointwise_formula(self, symbol, B, rule, n):
-        grid = disk_grid(*(rule or quadrature.DISK_RULE), B)
+        grid = disk_grid(*rule, B)
         block = quantization_matrix_element(symbol, range(n), range(n), B, grid)
         want = np.array([[oracles.quantization_matrix_element_pointwise(symbol, j, k, B, grid, states)
                           for k in range(n)] for j in range(n)])

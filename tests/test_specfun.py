@@ -21,6 +21,7 @@ from nbsloc.specfun import (
     laguerre,
     log_beta,
     log_gamma,
+    log_inc_beta_steps,
     log_nb_weights,
     horner,
     inc_beta_steps,
@@ -843,6 +844,13 @@ class TestIncBetaSteps:
         want = [oracles.nb_pmf_direct(j, B, p) for j in range(60)]
         assert np.allclose(steps, want, rtol=1e-13, atol=0.0)
         assert inc_beta_steps(0.0, 4, 2.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("x", [-0.2, 1.0, 1.5, math.nan])
+    def test_refuses_x_outside_the_unit_interval(self, x):
+        # each raised a bare ValueError: math domain error
+        for steps in (log_inc_beta_steps, inc_beta_steps):
+            with pytest.raises(DomainError, match=f"x={x}"):
+                steps(x, 4, 2.0)
 
     def test_steps_are_table_differences(self):
         x, b = 0.49, 3.0

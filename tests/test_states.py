@@ -14,7 +14,7 @@ from nbsloc.locop import (as_function_of_hamiltonian, beta_density, disk_eigenva
                           landau_density, landau_eigenvalue, mc_eigenvalue, quantization_matrix_element,
                           radial_eigenvalue)
 from nbsloc.specfun import jacobi, laguerre, sample_beta
-from nbsloc.quadrature import half_line_grid, radial_jacobi_grid
+from nbsloc.quadrature import angular_grid, disk_grid, gauss_jacobi, half_line_grid, mapped_legendre, radial_jacobi_grid
 from nbsloc.states import (
     LocalizationRadius,
     ModelParams,
@@ -22,7 +22,6 @@ from nbsloc.states import (
     as_disk,
     as_halfplane,
     basis_norms,
-    basis_series,
     bergman_basis,
     cayley_inverse,
     disk_kernel,
@@ -58,9 +57,18 @@ INDEX_CALLS = {
     "mc_eigenvalue": lambda j: mc_eigenvalue(j, 1.5, 0.6, 1000, 1),
     "mc_eigenvalue_n_samples": lambda n: mc_eigenvalue(0, 1.5, 0.6, 147 + n, 1),
     "sample_beta": lambda n: sample_beta(1.0, 2.0, 997 + n, 1),
-    "quantization_matrix_element_j": lambda j: quantization_matrix_element(lambda z: 1.0, j, 0, 1.5),
-    "quantization_matrix_element_k": lambda j: quantization_matrix_element(lambda z: 1.0, 0, j, 1.5),
+    "quantization_matrix_element_j": lambda j: quantization_matrix_element(lambda z: 1.0, j, 0, 1.5,
+                                                                           disk_grid(8, 16, 1.5)),
+    "quantization_matrix_element_k": lambda j: quantization_matrix_element(lambda z: 1.0, 0, j, 1.5,
+                                                                           disk_grid(8, 16, 1.5)),
     "project": lambda j: BergmanFunction(1.5, evaluator=lambda z: 1.0 + z).project(j).coefficients,
+    # rule sizes: a fractional n gave a rule of ceil(n) nodes, or a bare TypeError
+    "gauss_jacobi": lambda n: gauss_jacobi(n, 0.5)[0],
+    "mapped_legendre": lambda n: mapped_legendre(n, 0.0, 1.0)[0],
+    "half_line_grid": lambda n: half_line_grid(n, 1.5).nodes,
+    "radial_jacobi_grid": lambda n: radial_jacobi_grid(n, 1.5).nodes,
+    "angular_grid": lambda n: angular_grid(n).nodes,
+    "disk_grid": lambda n: disk_grid(n, 4, 1.5).nodes,
 }
 # the INDEX_CALLS entries that also take a range of indices: an array with an entry per index
 RANGE_INDEX_CALLS = ("laguerre", "bergman_basis", "laguerre_function", "radial_eigenvalue", "landau_density",
@@ -96,7 +104,7 @@ class TestDomainTypes:
             lambda: affine_coherent_state(0.1, 1.0, B, 1.0),
             lambda: nbs_wavefunction(0.3, B, 1.0),
             lambda: bergman_basis(1, B, 0.3),
-            lambda: basis_series([1.0], B, 0.3),
+            lambda: nbs_expansion(0.3, B, 1.0, 2),  # a bare ValueError at B = 0.4
             lambda: photon_weight(1, B),
             lambda: nb_pmf(1, B, 0.3),
             lambda: beta_density(1, B, 0.3),
