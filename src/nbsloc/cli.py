@@ -7,14 +7,21 @@ produce byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage or domain error.
 
 The argparse tree is built once per process, on the first ``main`` call
-(``build_parser`` is memoized); each call parses into a fresh namespace.
-An argv whose first word names a subcommand goes straight to that
-subcommand's parser, the one the top-level parser would delegate it to,
-into ``Namespace(command=...)``; any other argv (``--help``, ``--version``,
-none, an unknown command or flag) takes the top-level parse.  JSON documents are
-filled in from one row template per call, with every cell encoded by one
-call of json's C encoder, and are exactly ``json.dumps(doc, indent=2,
-sort_keys=True)`` plus a newline.
+(``build_parser`` is memoized from the COMMANDS table); each call parses
+into a fresh namespace.  An argv whose first word names a subcommand is
+read straight from that table when the rest is distinct, fully spelled
+``--flag value`` or ``--flag=value`` pairs of the command's own flags,
+with valid values and every required flag: into the
+``Namespace(command=...)`` that the command's parser would build.  Any
+other such argv (help, an unknown, abbreviated or repeated flag, a value
+that is empty, invalid or starts with '-', a missing required flag) goes
+to that subcommand's parser, the one the top-level parser would delegate
+it to, so argparse alone writes help, usage errors and their exit codes;
+an argv that names no subcommand (``--help``, ``--version``, none, an
+unknown command) takes the top-level parse.  JSON documents are exactly
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline: one call of
+json's C encoder writes every key, cell and params value, the rows fill
+one row template and params its own object.
 """
 
 from __future__ import annotations
@@ -61,6 +68,9 @@ _M = {"type": int, "default": 0, "help": "level index, 0 <= m < B - 1/2"}
 _J_MAX = {"type": _count_arg, "default": 20}
 _POINT = {"type": _complex_arg, "required": True,
           "help": "point of the unit disk; a leading minus needs the = form, as in --w=-0.3+0.4j"}
+# the flags every subcommand takes after its own
+_OUTPUT = {"format": {"choices": ("csv", "json"), "default": "csv"},
+           "out": {"default": None, "help": "output path (default stdout)"}}
 
 
 @functools.cache
@@ -74,10 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        for dest, spec in flags.items():
+        for dest, spec in {**flags, **_OUTPUT}.items():
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, **spec)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
     parser.commands = sub.choices  # each subcommand's parser by name, for main's dispatch
     return parser
 
@@ -90,25 +98,30 @@ def _write(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+def _object(keys: list[str], values: list[str], indent: str) -> str:
+    """One JSON object from its encoded keys and values, laid out as indent=2 lays it out at ``indent``."""
+    fields = ",\n".join(f"{indent}  {key}: {value}" for key, value in zip(keys, values))
+    return f"{{\n{fields}\n{indent}}}" if keys else "{}"
+
+
 def _render(params: dict, columns: list[str], rows: list[list], fmt: str) -> str:
     """The document: JSON exactly as json.dumps({"params": params, "data": [one dict per row]},
     indent=2, sort_keys=True) plus a newline, or CSV.  Each row holds one cell per column."""
     if fmt == "json":
-        # indent=2 would run json's pure-Python encoder over every row; one row template,
-        # its keys sorted and encoded once, gives the same bytes.  A repeated column name
-        # keeps its last cell, as dict(zip(columns, row)) does.
+        # indent=2 would run json's pure-Python encoder over every row and over params.  One call
+        # of json's C encoder writes every key and cell as indent=2 does (float.__repr__, NaN, true,
+        # null, ASCII-escaped strings, so no newline inside one); the newline separator splits them.
+        # A repeated column name keeps its last cell, as dict(zip(columns, row)) does.
         index = {name: i for i, name in enumerate(columns)}
-        keys = sorted(index)
-        picks = [index[key] for key in keys]
-        fields = ",\n".join("      " + json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
-        template = f"    {{\n{fields}\n    }}" if keys else "    {}"
-        cells = [row[i] for row in rows for i in picks]
-        # json's C encoder writes each cell as indent=2 does (float.__repr__, NaN, true, null,
-        # ASCII-escaped strings, so no newline inside one); the newline separator splits them.
-        texts = json.JSONEncoder(separators=("\n", ":")).encode(cells)[1:-1].split("\n") if cells else []
-        body = ",\n".join([template] * len(rows)) % tuple(texts)
+        keys, names = sorted(index), sorted(params)
+        k, n, picks = len(keys), len(names), [index[key] for key in keys]
+        items = [*keys, *names, *(row[i] for row in rows for i in picks), *(params[name] for name in names)]
+        texts = json.JSONEncoder(separators=("\n", ":")).encode(items)[1:-1].split("\n") if items else []
+        # every row fills one %-template, its keys sorted and encoded once
+        row = "    " + _object([text.replace("%", "%%") for text in texts[:k]], ["%s"] * k, "    ")
+        body = ",\n".join([row] * len(rows)) % tuple(texts[k + n:len(texts) - n])
         data = f"[\n{body}\n  ]" if rows else "[]"
-        params_text = json.dumps(params, indent=2, sort_keys=True).replace("\n", "\n  ")
+        params_text = _object(texts[k:k + n], texts[len(texts) - n:], "  ")
         return f'{{\n  "data": {data},\n  "params": {params_text}\n}}\n'
     out = io.StringIO()
     out.writelines(f"# {key} = {value!r}\n" for key, value in sorted(params.items()))
@@ -209,11 +222,48 @@ COMMANDS = {
 }
 
 
+def _plain_read(command: str, words: list[str]) -> argparse.Namespace | None:
+    """The namespace the command's parser builds from ``words``, read straight from COMMANDS, or None.
+
+    Read only when the words are distinct, fully spelled ``--flag value`` or ``--flag=value`` pairs of
+    the command's own flags, with every required flag given, and each value is nonempty, does not start
+    with '-' (where argparse's rules for flags, negative numbers and '--' differ between Python versions)
+    and is valid for its flag's type and choices.  Any other argv is argparse's to read.
+    """
+    specs = {**COMMANDS[command][2], **_OUTPUT}
+    given = {}
+    words = iter(words)
+    for word in words:
+        flag, sep, text = word.partition("=")
+        if not sep:
+            text = next(words, "")
+        dest = flag[2:].replace("-", "_")
+        if (dest not in specs or dest in given or flag != "--" + dest.replace("_", "-")
+                or not text or text[0] == "-"):
+            return None
+        spec = specs[dest]
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse reports as a usage error
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[dest] = value
+    values = {"command": command}
+    for dest, spec in specs.items():
+        if dest not in given and spec.get("required"):
+            return None
+        values[dest] = given.get(dest, spec.get("default"))
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:  # the subcommand's parser, which the top-level parse delegates to
-        args = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if argv and argv[0] in COMMANDS:
+        args = _plain_read(argv[0], argv[1:])
+        if args is None:  # the subcommand's parser, which the top-level parse delegates to
+            args = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     else:
         args = parser.parse_args(argv)
     try:

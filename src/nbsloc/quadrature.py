@@ -72,6 +72,8 @@ class QuadratureGrid:
 
 def mapped_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [lo, hi]: ``gauss_jacobi(n, 0.0)`` scaled by hi - lo and moved to lo."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"needs a finite interval, got [{lo}, {hi}]")
     if not hi > lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
     x, w = gauss_jacobi(n, 0.0)

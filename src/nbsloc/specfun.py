@@ -137,6 +137,12 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(small) - rise
 
 
+def _check_shape(b: float) -> None:
+    """Raise DomainError unless the negative binomial shape b is finite and > 0."""
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"the negative binomial shape requires finite b > 0, got b={b}")
+
+
 def log_nb_weights(n: int, b: float) -> np.ndarray:
     """log(Gamma(b+a) / (a! Gamma(b))), a = 0..n-1, the log negative binomial weights of shape b.
 
@@ -146,9 +152,9 @@ def log_nb_weights(n: int, b: float) -> np.ndarray:
     those errors keeps exp(entry a) within 3.1e-14 of the exact rational for a <= 2000 and
     0 < b <= 101 (69 shapes measured), where the plain sum reaches 1.7e-12.
     """
-    if not 0.0 < b < math.inf:
-        raise DomainError(f"log_nb_weights requires finite b > 0, got b={b}")
-    t = np.zeros(max(n, 0))
+    n = check_index("n", n)
+    _check_shape(b)
+    t = np.zeros(n)
     t[1:] = np.log1p((b - 1.0) / np.arange(1.0, n))
     s = t.cumsum()
     t[1:] -= s[1:] - s[:-1]  # now the rounding error of each partial sum
@@ -221,7 +227,9 @@ def log_inc_beta_steps(x: float, n: int, b: float) -> np.ndarray:
     """log(x^a (1-x)^b Gamma(a+b) / (Gamma(a+1) Gamma(b))), a = 0..n-1; -inf for a >= 1 at x = 0."""
     if not 0.0 <= x < 1.0:
         raise DomainError(f"the negative binomial steps require 0 <= x < 1, got x={x}")
+    n = check_index("n", n)
     if x == 0.0:
+        _check_shape(b)  # log_nb_weights checks it on the other route
         return np.where(np.arange(n) == 0, 0.0, -np.inf)
     return log_nb_weights(n, b) + np.arange(float(n)) * math.log(x) + b * math.log1p(-x)
 

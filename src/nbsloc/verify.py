@@ -445,7 +445,19 @@ def check_mc_spectrum() -> CheckResult:
 
 
 def check_leakage() -> CheckResult:
-    """Photon-counting estimate dominates the localized overlap on random states."""
+    """Photon-counting estimate dominates the localized overlap on random states.
+
+    Budget, absolute: at z0 = 0 the pmf is exactly [1, 0, ...] and the bound is sqrt(lambda_0^2), with
+    lambda_0 = I_x(1, 2) = 7/16, x = 1/4, the table's sum of the steps (a+1) x^a (1-x)^2: each is exp of a
+    log of size <= 1.39 a + 0.6 + log(a + 1) off by that plus 2 eps, about 5 eps at their mean a = 1.5, and
+    the partial sums round twice more; the square and the root add 1.5 eps: 10 eps * 7/16 = 1e-15 against
+    the exact 1 - 0.75^2.  The pmf mass at (p, 2B) = (0.4, 3) and the mean at (0.3, 2.5), 400 terms each:
+    log_nb_weights is off by at most 3.1e-14 relative, the logs a log p + 2B log1p(-p) add about 10 eps at
+    the mean a <= 2, the products j q 0.5 eps, and the plain sum rounds each partial sum, at most 1 and
+    1.07, once: 400 eps / 2 = 4.4e-14 and 4.8e-14.  The tails past a = 400 are below 1e-150 and the
+    reference mean 2B p / (1 - p) rounds three times, 4e-16.  The mean's 3.3e-14 + 2.4e-15 + 5e-16 +
+    4.8e-14 + 4e-16 = 8.5e-14 is the largest.  Tolerance 1e-12.
+    """
     B, R, z0 = 1.25, 0.6, 0.5 + 0.3j
     bound = locop.leakage_bound(z0, B, R)
     rng = _rng(707)
@@ -460,7 +472,7 @@ def check_leakage() -> CheckResult:
     mass = sum(specfun.inc_beta_steps(0.4, 400, 2.0 * 1.5).tolist())
     mean = sum(j * q for j, q in enumerate(specfun.inc_beta_steps(0.3, 400, 2.0 * 1.25).tolist()))
     worst = max(closed0, abs(mass - 1.0), abs(mean - 2.0 * 1.25 * 0.3 / 0.7))
-    return _result("leakage_inequality", worst, 1e-10,
+    return _result("leakage_inequality", worst, 1e-12,
                    detail=f"bound dominates all draws: {margin_ok}",
                    ok=margin_ok)
 

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -8,8 +10,11 @@ import re
 import subprocess
 import sys
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbsloc import cli
 from nbsloc.locop import disk_eigenvalue, landau_density, landau_eigenvalue, leakage_bound
@@ -437,6 +442,9 @@ DISPATCH_ARGV = {
     "top-level flag after a command": ["eigvals", "--version"],
     "unknown flag": ["leakage", "--z", "0.5", "--no-such-flag"],
     "bad value": ["density", "--samples", "1"],
+    # accepted by argparse, which main's plain read hands them to
+    "repeated flag run": ["eigvals", "--B", "2", "--B", "1.5"],
+    "separate negative value run": ["kernel", "--z", "-0.3", "--w", "0.2"],
 }
 
 
@@ -463,6 +471,70 @@ def test_dispatch_is_the_top_level_parse(case, capsys, monkeypatch):
         assert code == 0 and seen == [cli.build_parser().parse_args(argv)]
     else:
         assert code == (0 if case.endswith("--help") or case == "--version" else 2) and seen == []
+
+
+def _outcome(call):
+    """(result, exit code, stdout, stderr) of call(); the exit code is None unless it raised SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result, code = call(), None
+        except SystemExit as exc:
+            result, code = None, exc.code
+    return result, code, out.getvalue(), err.getvalue()
+
+
+FUZZ_VALUES = ["1.5", "0.6", "2", "0", "20", "1e-3", "nan", "-inf", "-0.3", "-1", "-.5", "", " ", "nope",
+               "0.1+0.2j", "-0.3+0.4j", "(0.1-0.2j)", "0.3 j", "json", "csv", "xml", "out.csv", "-", "--",
+               "=", "1=2", "--B", "-h", "1_000", "\u0661.5"]
+
+
+@st.composite
+def subcommand_argv(draw):
+    """A command, then flag/value words: full, abbreviated, unknown and repeated flags, in both forms."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    flags = ["--" + dest.replace("_", "-") for dest in cli.COMMANDS[command][2]] + ["--format", "--out"]
+    flag = st.sampled_from(flags * 6 + [f[:-1] for f in flags] + ["--no-such-flag", "--j_max", "-B", "--help",
+                                                                   "-h", "--version", "--"])
+    value = st.sampled_from(FUZZ_VALUES) | st.text(max_size=4)
+    words = draw(st.sampled_from([[], ROUND_TRIP_ARGS[command]]))
+    for name, joined, text in draw(st.lists(st.tuples(flag, st.booleans(), value), max_size=4)):
+        words = words + ([f"{name}={text}"] if joined else [name, text])
+    if words and draw(st.booleans()):
+        words = draw(st.permutations(words))[:draw(st.integers(len(words) - 1, len(words)))]
+    return [command, *words]
+
+
+@given(argv=subcommand_argv())
+@settings(max_examples=400, deadline=None)
+def test_main_reads_every_argv_as_argparse_does(argv):
+    # main reads a well-formed argv itself; it must dispatch exactly the namespace argparse builds,
+    # or leave the argv to argparse, which exits with its code, stdout and stderr
+    seen = []
+    recorders = {command: (lambda args: seen.append(args) or 0, help_text, flags)
+                 for command, (_, help_text, flags) in cli.COMMANDS.items()}
+    parser = cli.build_parser()
+    with mock.patch.dict(cli.COMMANDS, recorders):
+        got = _outcome(lambda: cli.main(argv))
+    want = _outcome(lambda: parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0])))
+    if want[1] is None:
+        # repr tells 1 from 1.0 and matches nan, and compares the attribute order
+        assert got == (0, None, "", "") and len(seen) == 1
+        assert repr(vars(seen[0])) == repr(vars(want[0])) == repr(vars(parser.parse_args(argv)))
+    else:
+        assert got == want and seen == []
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGS))
+def test_well_formed_argv_takes_the_plain_read(command, monkeypatch, capsys):
+    # spectra's argv are all of this form; argparse is not reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a well-formed argv")
+
+    for sub in cli.build_parser().commands.values():
+        monkeypatch.setattr(sub, "parse_args", refuse)
+    code, out, _ = run_cli([command, *ROUND_TRIP_ARGS[command], "--format=json"], capsys)
+    assert code == 0 and json.loads(out)["params"]["command"] == command
 
 
 class TestParserReuse:
@@ -512,5 +584,7 @@ RENDER_CASES = {
 def test_json_document_is_json_dumps_indent_2(case):
     columns, rows = RENDER_CASES[case]
     params = {"command": "eigvals", "B": 1.5, "R": np.float64(0.6), "m": 0, "note": DETAIL, "j_max": 20}
-    assert cli._render(params, columns, rows, "json") == _reference_json(params, columns, rows)
-    assert cli._render({}, columns, rows, "json") == _reference_json({}, columns, rows)
+    odd_params = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "np": np.float64(-0.0), "none": None,
+                  "yes": True, "no": False, "text": "\u00e9\u03bb \U0001d49c", 'per%cent "q"': 1e-300, "%s": "%d"}
+    for given in (params, odd_params, {}):
+        assert cli._render(given, columns, rows, "json") == _reference_json(given, columns, rows)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,13 @@ class TestRuleCache:
             nodes, weights = mapped_legendre(n, 0.25, 0.81)
             assert np.array_equal(nodes, 0.25 + (0.81 - 0.25) * x)
             assert np.array_equal(weights, (0.81 - 0.25) * w)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf),
+                                        (math.nan, 1.0), (0.0, math.nan)])
+    def test_legendre_refuses_a_non_finite_end(self, lo, hi):
+        # (0, inf) gave nodes and weights [inf, inf, inf]; a NaN end was called an empty interval
+        with pytest.raises(DomainError, match=re.escape(f"needs a finite interval, got [{lo}, {hi}]")):
+            mapped_legendre(3, lo, hi)
 
     def test_repeated_call_shares_read_only_arrays(self):
         first = gauss_jacobi(24, 0.5)

@@ -852,6 +852,24 @@ class TestIncBetaSteps:
             with pytest.raises(DomainError, match=f"x={x}"):
                 steps(x, 4, 2.0)
 
+    @pytest.mark.parametrize("n", [-3, 2.5, math.nan, "3"])
+    def test_steps_and_weights_pass_the_index_rule(self, n):
+        # (0.5, -3, 2.0) gave [], (0.5, 2.5, 2.0) raised a bare TypeError and log_nb_weights(-2, 1.5) gave []
+        for x in (0.0, 0.5):
+            for steps in (log_inc_beta_steps, inc_beta_steps):
+                with pytest.raises(DomainError, match=f"needs n >= 0 and integral, got n={n}"):
+                    steps(x, n, 2.0)
+        with pytest.raises(DomainError, match=f"needs n >= 0 and integral, got n={n}"):
+            log_nb_weights(n, 1.5)
+        assert inc_beta_steps(0.5, np.int64(3), 2.0).tolist() == inc_beta_steps(0.5, 3.0, 2.0).tolist()
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.inf, math.nan])
+    def test_steps_at_zero_check_the_shape(self, b):
+        # inc_beta_steps(0.0, 3, -1.0) gave [1, 0, 0]
+        for steps in (log_inc_beta_steps, inc_beta_steps):
+            with pytest.raises(DomainError, match=f"requires finite b > 0, got b={b}"):
+                steps(0.0, 3, b)
+
     def test_steps_are_table_differences(self):
         x, b = 0.49, 3.0
         table = reg_inc_beta_table(x, 30, b)

@@ -26,7 +26,7 @@ TOLERANCE_CEILINGS = {
     "matrix_elements_radial_diagonal": 1e-13,
     "probabilistic_densities": 1e-13,
     "mc_spectrum": 4.0,
-    "leakage_inequality": 1e-10,
+    "leakage_inequality": 1e-12,
     "kernel_series_closed_equivalence": 5e-11,
     "kernel_limit_monotone": 1e-2,
     "kernel_positivity": 1e-10,
@@ -67,6 +67,7 @@ class TestFaultInjection:
         (states, "nbs_wavefunction", "expansion_convergence"),
         (locop, "landau_density", "probabilistic_densities"),
         (specfun, "reg_inc_beta_table", "leakage_inequality"),
+        (specfun, "inc_beta_steps", "leakage_inequality"),
         (locop, "disk_eigenvalue", "spectrum_bounds_monotone"),
         (locop, "disk_eigenvalue", "eigenvalue_norm_identity"),
         (bergman, "kernel_limit", "reproducing_property"),
