@@ -9,7 +9,6 @@ import pathlib
 import re
 import subprocess
 import sys
-
 from unittest import mock
 
 import numpy as np
@@ -586,5 +585,5 @@ def test_json_document_is_json_dumps_indent_2(case):
     params = {"command": "eigvals", "B": 1.5, "R": np.float64(0.6), "m": 0, "note": DETAIL, "j_max": 20}
     odd_params = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "np": np.float64(-0.0), "none": None,
                   "yes": True, "no": False, "text": "\u00e9\u03bb \U0001d49c", 'per%cent "q"': 1e-300, "%s": "%d"}
-    for given in (params, odd_params, {}):
-        assert cli._render(given, columns, rows, "json") == _reference_json(given, columns, rows)
+    for doc_params in (params, odd_params, {}):
+        assert cli._render(doc_params, columns, rows, "json") == _reference_json(doc_params, columns, rows)
