@@ -18,10 +18,11 @@ that is empty, invalid or starts with '-', a missing required flag) goes
 to that subcommand's parser, the one the top-level parser would delegate
 it to, so argparse alone writes help, usage errors and their exit codes;
 an argv that names no subcommand (``--help``, ``--version``, none, an
-unknown command) takes the top-level parse.  JSON documents are exactly
-``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline: one call of
-json's C encoder writes every key, cell and params value, the rows fill
-one row template and params its own object.
+unknown command) takes the top-level parse.  A value argparse read from an
+explicit '--' (``--B=--``) is refused as a usage error, as ``--B --`` is.
+JSON documents are exactly ``json.dumps(doc, indent=2, sort_keys=True)``
+plus a newline: one call of json's C encoder writes every key, cell and
+params value, the rows fill one row template and params its own object.
 """
 
 from __future__ import annotations
@@ -260,12 +261,17 @@ def _plain_read(command: str, words: list[str]) -> argparse.Namespace | None:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        args = _plain_read(argv[0], argv[1:])
-        if args is None:  # the subcommand's parser, which the top-level parse delegates to
-            args = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-    else:
-        args = parser.parse_args(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _plain_read(command, argv[1:]) if command else None
+    if args is None:  # argparse: the subcommand's parser, which the top-level parse delegates to, or the top level
+        if command:
+            args = parser.commands[command].parse_args(argv[1:], argparse.Namespace(command=command))
+        else:
+            args = parser.parse_args(argv)
+        for dest, value in vars(args).items():
+            # an explicit '--' value (--B=--): Python 3.11's argparse reads it as [], a later one as '--'
+            if value in ([], "--"):
+                parser.commands[args.command].error(f"argument --{dest.replace('_', '-')}: expected one argument")
     try:
         return COMMANDS[args.command][0](args)
     except (DomainError, ConvergenceError, AccuracyError, ValueError, OSError) as exc:

@@ -12,8 +12,9 @@ photon-counting bound on the operator's content outside the disk.  The one
 eigenvalue function of every level m is ``landau_eigenvalue``; functions
 defined only at m = 0 take the strength B, level functions ``ModelParams``.
 The radial and level-m quantities take an index or a range of indices; no call
-keeps state but the shared read-only rules and tables.  Rule sizes are module
-constants (RADIAL_NODES, LANDAU_NODES), not arguments; a disk grid is an argument.
+keeps state but the shared read-only rules and tables.  Rule and block sizes are module
+constants (RADIAL_NODES, LANDAU_NODES, LANDAU_BLOCK, MC_BLOCK), not arguments; a disk
+grid is an argument.  ``mc_eigenvalue`` counts its Beta draws in blocks of one stream.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ LEAKAGE_TAIL_TOL = 1e-14  # bound on the photon-count tail leakage_bound neglect
 LANDAU_NODES = 320  # landau_eigenvalue's Gauss-Legendre rule on [0, R^2] and on each half, at m >= 1
 RADIAL_NODES = 160  # radial_eigenvalue's Gauss-Jacobi rule
 LANDAU_BLOCK = 64  # indices whose densities an m >= 1 landau_eigenvalue range call holds at once: bounded memory
+MC_BLOCK = 65_536  # Beta draws mc_eigenvalue holds at once (512 kB): bounded memory
 
 
 def disk_eigenvalue(j: int, B: float, R) -> float:
@@ -242,7 +244,12 @@ def mc_eigenvalue(j: int, B: float, R, n_samples: int, seed: int) -> tuple[float
     """Monte-Carlo estimate of the m = 0 eigenvalue as Pr(Y <= R^2), Y ~ Beta(j+1, 2B-1).
 
     Returns (estimate, standard error).  Only the lowest level has a Beta
-    sampling route, so it takes the strength B, not a level.
+    sampling route, so it takes the strength B, not a level.  The draws are
+    counted MC_BLOCK at a time, taken in order from one PCG64 stream seeded
+    with ``seed``, so memory stays one block whatever n_samples is.  They are
+    the draws of ``sample_beta(j + 1, 2B - 1, n_samples, seed)``, and the
+    exact count of Y <= R^2 over n_samples, one rounded division, is their
+    mean bit for bit.
     """
     j = check_index("j", j)
     check_strength(B)
@@ -250,8 +257,11 @@ def mc_eigenvalue(j: int, B: float, R, n_samples: int, seed: int) -> tuple[float
     if n_samples < 100:
         raise DomainError(f"needs n_samples >= 100, got {n_samples}")
     R = as_radius(R)
-    draws = sample_beta(j + 1.0, 2.0 * B - 1.0, n_samples, seed)
-    estimate = float(np.mean(draws <= R * R))
+    rng, a, b = np.random.Generator(np.random.PCG64(seed)), j + 1.0, 2.0 * B - 1.0
+    hits = 0
+    for start in range(0, n_samples, MC_BLOCK):  # no name holds a block while the next one is drawn
+        hits += int(np.count_nonzero(sample_beta(a, b, min(MC_BLOCK, n_samples - start), rng) <= R * R))
+    estimate = hits / n_samples
     return estimate, math.sqrt(estimate * (1.0 - estimate) / n_samples)
 
 

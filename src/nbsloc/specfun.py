@@ -34,7 +34,8 @@ Conventions:
     range of indices passes ``check_indices``, which checks its two ends;
     every strength B passes ``check_strength``: finite with 2B > 1;
   * randomness comes from numpy's PCG64 generator (128-bit state),
-    seeded explicitly, so every sampling call is reproducible.
+    seeded explicitly, so every sampling call is reproducible; a caller
+    that holds the Generator draws one stream in blocks.
 """
 
 from __future__ import annotations
@@ -516,14 +517,17 @@ def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v) -> Hype
     return _anti_diagonal_sum("F3", (a, b1), (a2, b2), (), (c,), u, v)
 
 
-def sample_beta(a: float, b: float, n: int, seed: int) -> np.ndarray:
+def sample_beta(a: float, b: float, n: int, seed: int | np.random.Generator) -> np.ndarray:
     """n i.i.d. Beta(a, b) variates, reproducible for a fixed seed.
 
-    Drawn by numpy's Beta generator on a PCG64 stream seeded with ``seed``.
+    Drawn by numpy's Beta generator, which fills its output one draw after another: on a fresh PCG64
+    stream seeded with an int ``seed``, or from a ``Generator`` where it stands, advancing it.  So n
+    draws from a Generator seeded with s, taken in blocks of any sizes, are the n draws of seed s.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"sample_beta requires positive shapes, got a={a}, b={b}")
     n = check_index("n", n)
     if n < 1:
         raise DomainError(f"sample_beta requires n >= 1, got {n}")
-    return np.random.Generator(np.random.PCG64(seed)).beta(a, b, n)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
+    return rng.beta(a, b, n)

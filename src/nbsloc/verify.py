@@ -297,7 +297,16 @@ def check_expansion_convergence() -> CheckResult:
 
 
 def check_halfplane_kernel() -> CheckResult:
-    """Hermitian symmetry, unit diagonal, and strict boundedness."""
+    """Hermitian symmetry, unit diagonal, and strict boundedness.
+
+    Budget, absolute (|K| <= 1): on the diagonal w - conj(w) = 2i Im w exactly, so the scale
+    (2 Im w)^2 / (4 Im w Im w) and the phase (2i Im w) / (2i Im w) are exactly 1, and so are their powers: 0.
+    Off it, the two orders give the same |w - conj(zeta)| (hypot) and the same 4 Im w Im zeta (4 x is exact),
+    so one scale, and Smith's complex quotient gives phases that are exact conjugates, also where a product is
+    fused into an FMA.  The phase's power is exact conjugates too where atan2 and sin are odd and cos even; a
+    libm where they are not adds 1 ulp of each atan2, times B <= 3, and B arg <= 9.5 rounded on each side:
+    3 x 8.9e-16 + 2 x 1.1e-16 x 9.5 = 4.8e-15 in angle, and 1 ulp of each sin and cos: 5.3e-15.  Tolerance 1e-13.
+    """
     rng = _rng(505)
     worst = 0.0
     bounded = True
@@ -310,7 +319,7 @@ def check_halfplane_kernel() -> CheckResult:
             worst = max(worst, abs(k_wz - k_zw.conjugate()))
             worst = max(worst, abs(states.halfplane_kernel(w, w, B) - 1.0))
             bounded = bounded and abs(k_wz) <= 1.0 + 1e-14 and (w == zeta or abs(k_wz) < 1.0)
-    return _result("halfplane_kernel_bounds", worst, 1e-12,
+    return _result("halfplane_kernel_bounds", worst, 1e-13,
                    detail=f"modulus bounded by one: {bounded}",
                    ok=bounded)
 
@@ -514,14 +523,25 @@ def check_kernel_limit() -> CheckResult:
 
 
 def check_kernel_positivity() -> CheckResult:
-    """The kernel matrix at random points is Hermitian positive semidefinite."""
+    """The kernel matrix at random points is Hermitian positive semidefinite.
+
+    Budget, absolute, against max |M| = 2.0 and ||M||_2 = 5.9: the entries (j, i) and (i, j) are the series at
+    x' = conj(z_j) z_i and x = conj(z_i) z_j.  Unfused, x' = conj(x) exactly, both cut the table at the same
+    |x|, and Horner's rule with real coefficients gives exact conjugates, fused or not: 0.  Where a complex
+    product is fused into an FMA, |x' - conj(x)| <= 2u |z_i z_j| = 1.0e-16 moves the sum by |K'| <= 3.8 times
+    that, 3.8e-16; each side's Horner sum, at most 43 steps of a complex product and a sum, is off by (sqrt(5) +
+    1) 43 u sum |c_k x^k| <= 3.1e-14, the envelope being 2.0; and a table cut at another k moves a side by at
+    most I_s(k+2, 2B-1) <= 7.5e-5 times SERIES_REL_TOL of the envelope, 1.5e-16.  In all 6.3e-14.  The smallest
+    eigenvalue, 1.08e-3, is far above the 6 x 3.1e-14 the entry errors and eigvalsh's backward error
+    (about 6 n u ||M||_2 = 2.4e-14) can move it, so the negative part reads 0.  Tolerance 1e-12.
+    """
     rng = _rng(909)
     B, s = 1.25, 0.49
     pts = [_random_disk_point(rng, 0.7) for _ in range(6)]
     mat = np.array([[bergman.kernel_series(zi, zj, B, s) for zj in pts] for zi in pts])
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
-    return _result("kernel_positivity", max(herm, max(0.0, -eigmin)), 1e-10,
+    return _result("kernel_positivity", max(herm, max(0.0, -eigmin)), 1e-12,
                    detail=f"min eigenvalue {eigmin:.3e}")
 
 

@@ -688,6 +688,15 @@ class TestSampleBeta:
         b = sample_beta(2.5, 0.9, 5000, 99)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("a, b", [(0.4, 0.7), (2.5, 0.9)])
+    def test_generator_draws_one_stream_in_blocks(self, a, b):
+        # a held Generator advances: its blocks, in order, are the draws of one int-seeded call
+        rng = np.random.Generator(np.random.PCG64(99))
+        blocks = [sample_beta(a, b, n, rng) for n in (1, 999, 4000)]
+        assert np.array_equal(np.concatenate(blocks), sample_beta(a, b, 5000, 99))
+        with pytest.raises(DomainError):
+            sample_beta(a, b, 0, rng)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_beta(0.0, 1.0, 10, 1)

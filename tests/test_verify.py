@@ -20,7 +20,7 @@ TOLERANCE_CEILINGS = {
     "state_quadrature_coefficients": 1e-12,
     "resolution_of_identity": 2e-11,
     "expansion_convergence": 5e-12,
-    "halfplane_kernel_bounds": 1e-12,
+    "halfplane_kernel_bounds": 1e-13,
     "spectrum_bounds_monotone": 5e-15,
     "eigenvalue_norm_identity": 1e-11,
     "matrix_elements_radial_diagonal": 1e-13,
@@ -29,7 +29,7 @@ TOLERANCE_CEILINGS = {
     "leakage_inequality": 1e-12,
     "kernel_series_closed_equivalence": 5e-11,
     "kernel_limit_monotone": 1e-2,
-    "kernel_positivity": 1e-10,
+    "kernel_positivity": 1e-12,
     "reproducing_property": 2e-11,
     "transfer_spectral_action": 1e-11,
     "intertwining": 1e-10,
@@ -94,6 +94,18 @@ class TestFaultInjection:
                 monkeypatch.setattr(module, name, perturbed)
         broken = verify.run_check(check)
         assert not broken.passed and broken.max_error > 1e-10
+
+    @pytest.mark.parametrize("home, name, factor, check, old_gate", [
+        (states, "halfplane_kernel", 1.0 + 5e-13, "halfplane_kernel_bounds", 1e-12),  # the diagonal reads 5e-13
+        (bergman, "kernel_series", 1.0 + 2e-11j, "kernel_positivity", 1e-10),  # Hermitian defect 4e-11 |K|
+    ])
+    def test_budgeted_gate_fails_what_the_old_gate_passed(self, home, name, factor, check, old_gate, monkeypatch):
+        exact = getattr(home, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("nbsloc.")]:
+            if getattr(module, name, None) is exact:
+                monkeypatch.setattr(module, name, lambda *args: exact(*args) * factor)
+        broken = verify.run_check(check)
+        assert not broken.passed and broken.max_error <= old_gate, broken
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-9])
     def test_perturbed_laguerre_function_fails_orthonormality(self, delta, monkeypatch):
