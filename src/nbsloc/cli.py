@@ -60,6 +60,7 @@ _complex_arg = _checked(lambda text: complex(text.replace(" ", "")), lambda v: T
 _finite_arg = _checked(float, math.isfinite, "a finite number")
 _count_arg = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _grid_arg = _checked(int, lambda v: 2 <= v <= 10_000, "an integer in 2..10000")
+_draws_arg = _checked(int, lambda v: v >= 100, "an integer >= 100")
 
 # add_argument specs of the flags several subcommands read (the table is COMMANDS, below).
 # --B stays a plain float: ModelParams rejects a non-finite B with the "2B > 1" domain message.
@@ -217,8 +218,8 @@ COMMANDS = {
         "B": _B, "m": _M, "j_max": _J_MAX,
         "samples": {"type": _grid_arg, "default": 101, "help": "rho grid points, 2..10000"}}),
     "mc": (cmd_mc, "Monte-Carlo eigenvalue estimates vs the closed form", {
-        "B": _B, "R": _R, "j_max": _J_MAX, "seed": {"type": int, "default": 42},
-        "samples": {"type": int, "default": 1_000_000, "help": "Beta draws per index"}}),
+        "B": _B, "R": _R, "j_max": _J_MAX, "seed": {"type": _count_arg, "default": 42},
+        "samples": {"type": _draws_arg, "default": 1_000_000, "help": "Beta draws per index, at least 100"}}),
     "verify": (cmd_verify, "run the full verification suite", {}),
 }
 

@@ -251,18 +251,30 @@ def mc_eigenvalue(j: int, B: float, R, n_samples: int, seed: int) -> tuple[float
     exact count of Y <= R^2 over n_samples, one rounded division, is their
     mean bit for bit.
     """
+    return _mc_estimates(j, B, R, (n_samples,), seed)[0]
+
+
+def _mc_estimates(j: int, B: float, R, sample_counts, seed: int) -> list[tuple[float, float]]:
+    """``mc_eigenvalue``'s (estimate, standard error) at each of the increasing ``sample_counts``, from one stream.
+
+    The first n draws of the stream are the draws of ``mc_eigenvalue(j, B, R, n, seed)`` whatever the blocks, so
+    the hits are counted once, up to the largest count, in blocks that end at every count: each pair is that
+    call's bit for bit.
+    """
     j = check_index("j", j)
     check_strength(B)
-    n_samples = check_index("n_samples", n_samples)
-    if n_samples < 100:
-        raise DomainError(f"needs n_samples >= 100, got {n_samples}")
+    counts = [check_index("n_samples", n) for n in sample_counts]
+    if min(counts) < 100:
+        raise DomainError(f"needs n_samples >= 100, got {min(counts)}")
     R = as_radius(R)
     rng, a, b = np.random.Generator(np.random.PCG64(seed)), j + 1.0, 2.0 * B - 1.0
-    hits = 0
-    for start in range(0, n_samples, MC_BLOCK):  # no name holds a block while the next one is drawn
-        hits += int(np.count_nonzero(sample_beta(a, b, min(MC_BLOCK, n_samples - start), rng) <= R * R))
-    estimate = hits / n_samples
-    return estimate, math.sqrt(estimate * (1.0 - estimate) / n_samples)
+    hits, drawn, estimates = 0, 0, []
+    for n in counts:
+        for start in range(drawn, n, MC_BLOCK):  # no name holds a block while the next one is drawn
+            hits += int(np.count_nonzero(sample_beta(a, b, min(MC_BLOCK, n - start), rng) <= R * R))
+        drawn, estimate = n, hits / n
+        estimates.append((estimate, math.sqrt(estimate * (1.0 - estimate) / n)))
+    return estimates
 
 
 def _log_tail_bound(lam, log_pmf, tail_p: float, s: float, p: float, B: float) -> float:
@@ -352,20 +364,26 @@ def quantization_matrix_element(F, j: int | range, k: int | range, B: float, gri
       int_D conj(z)^j z^k (1-|z|^2)^(2B-2) F(z) dA(z)
     by disk quadrature on ``grid`` (a ``disk_grid``), F called once on all
     nodes.  ``j`` and ``k`` may be ranges: the block of shape
-    (len(j), len(k)), from one ``bergman_basis`` table spanning both; two ints
-    give a complex scalar.  Each entry is summed over the nodes in a fixed
-    order (no matrix product, whose last bits depend on operand layout), so
-    the same call gives the same bits.  For radial F the off-diagonal entries
-    vanish and the diagonal reproduces ``radial_eigenvalue``.
+    (len(j), len(k)); two ints give a complex scalar.  The rows
+    ``bergman_basis(k, B, z)`` w F / pi fill one array; each entry is then
+    conj(``bergman_basis(j, B, z)``) times one such row, summed over the
+    nodes in a fixed order (no matrix product, whose last bits depend on
+    operand layout), so the same call gives the same bits and the call holds
+    those rows, one basis row and one product, never a table of the block.
+    For radial F the off-diagonal entries vanish and the diagonal reproduces
+    ``radial_eigenvalue``.
     """
     js, ks = check_indices("j", j), check_indices("k", k)
-    z = grid.nodes
-    indices = [*js, *ks]
-    lo = min(indices, default=0)  # the table's rows run from lo to the largest index of either range
+    check_strength(B)
+    z = as_disk(grid.nodes)
     # the prefactor is that of conj(basis_j) basis_k: Gamma(2B) / Gamma(2B-1) = 2B - 1
-    table = bergman_basis(range(lo, max(indices, default=lo - 1) + 1), B, z)
-    right = table[[i - lo for i in ks]] * (grid.weights * F(z) / math.pi)
-    block = np.empty((len(js), len(ks)), dtype=complex)
-    for row, left in zip(block, np.conjugate(table[[i - lo for i in js]])):
-        row[:] = (left * right).sum(axis=1)
+    weighted = grid.weights * F(z) / math.pi
+    right = np.empty((len(ks), z.size), dtype=complex)
+    for row, index in zip(right, ks):
+        np.multiply(bergman_basis(index, B, z), weighted, out=row)
+    block, product = np.empty((len(js), len(ks)), dtype=complex), np.empty(z.size, dtype=complex)
+    for entries, index in zip(block, js):
+        left = np.conjugate(bergman_basis(index, B, z))
+        for column, row in enumerate(right):
+            entries[column] = np.multiply(left, row, out=product).sum()
     return block[tuple(slice(None) if isinstance(idx, range) else 0 for idx in (j, k))]

@@ -87,7 +87,9 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     In u = xi^2 that is int_0^inf u^(2B-1) exp(-u) p(u) du / 2: Gauss-Laguerre with alpha = 2B - 1 (diagonal
     2k + alpha + 1, off-diagonal sqrt(k (k + alpha))) at xi_i = sqrt(u_i), its unit-mass weights w_i times
     exp(u_i) u_i^(-(2B - 1/2)) Gamma(2B) / 2, in logs.  phi_j phi_k is exact from ceil((j + k + 1) / 2)
-    nodes.  DomainError where a w_i or a weight leaves the double range (from about 200 nodes at B = 1.5).
+    nodes.  The u_i are the eigenvalues of that Jacobi matrix from ``_tridiagonal_eigvalsh``, which holds it as
+    one n x n array.  DomainError where a w_i or a weight leaves the double range (from about 200 nodes at
+    B = 1.5).
     """
     n = check_index("n", n)
     if n < 1:
@@ -95,7 +97,7 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     check_strength(B)
     alpha, k = 2.0 * B - 1.0, np.arange(n)
     diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x = _tridiagonal_eigvalsh(diag, off)
     u, w = _christoffel(x, diag, off, 1.0, float(x[-1]))
     with np.errstate(divide="ignore", over="ignore"):
         weights = np.exp(np.log(w) + u - (alpha + 0.5) * np.log(u) + (log_gamma(alpha + 1.0) - math.log(2.0)))
@@ -119,7 +121,8 @@ def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch eigenvector weights are off by eps times the largest.
     Once a bound on the recurrence passes 1e100, each node's values are divided by the power of two
     just above its larger last value, which is exact.  Exact for polynomials of degree <= 2n - 1.
-    Memoized; the arrays are read-only.
+    Either eigenproblem is solved by ``_tridiagonal_eigvalsh``, so a build holds one matrix of its size
+    (2.9 MB at n = 601).  Memoized; the arrays are read-only.
     """
     n = check_index("n", n)
     if n < 2:
@@ -135,15 +138,28 @@ def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         ext = np.append(off, 0.0)
         even, odd = ext[0:n - n % 2:2], ext[1:n - n % 2:2]
         cross = odd[:-1] * even[1:]
-        lam = np.linalg.eigvalsh(np.diag(even * even + odd * odd) + np.diag(cross, 1) + np.diag(cross, -1))
+        lam = _tridiagonal_eigvalsh(even * even + odd * odd, cross)
         half, half_w = _christoffel(0.5 + np.concatenate((np.zeros(n % 2), np.sqrt(lam))), diag, off, mu0, 1.0)
         nodes = np.concatenate((1.0 - half[::-1][:n // 2], half))
         weights = np.concatenate((half_w[::-1][:n // 2], half_w))
     else:
-        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        x = _tridiagonal_eigvalsh(diag, off)
         nodes, weights = _christoffel(x, diag, off, mu0, 1.0)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off``.
+
+    ``eigvalsh`` reads only the lower triangle, so one n x n array holding the diagonal and the subdiagonal
+    is its whole input: the eigenvalues of the full symmetric matrix bit for bit, from one array.
+    """
+    n = diag.size
+    matrix = np.zeros((n, n))
+    matrix.flat[::n + 1] = diag
+    matrix.flat[n::n + 1] = off
+    return np.linalg.eigvalsh(matrix)
 
 
 def _christoffel(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mu0: float,

@@ -74,6 +74,7 @@ __all__ = [
 SERIES_REL_TOL = 1e-12  # relative size below which a term or block counts as converged
 SERIES_ABS_TOL = 1e-300  # absolute underflow guard, for sums near zero
 SERIES_MAX_TERMS = 100_000  # cap per summation index; past it a series raises ConvergenceError
+INC_BETA_TABLE_CACHED = 1 << 17  # largest eigenvalue table kept (1 MB): SERIES_MAX_TERMS rounded up
 INC_BETA_MAX_ITER = 500  # incomplete Beta continued-fraction steps before ConvergenceError
 
 
@@ -245,20 +246,25 @@ def inc_beta_steps(x: float, n: int, b: float) -> np.ndarray:
 
 
 def reg_inc_beta_table(x: float, n: int, b: float) -> np.ndarray:
-    """[I_x(1, b), ..., I_x(n, b)], n >= 1: a read-only view of one table cached by (x, size, b).
+    """[I_x(1, b), ..., I_x(n, b)], n >= 1: a read-only view of one table of size entries, keyed by (x, size, b).
 
     size = max(512, the least power of two >= n).  Entries a <= 512 recur down from ``reg_inc_beta`` at
     a = 512, entries 2^(k-1) < a <= 2^k from it at a = 2^k, by I_x(a, b) = I_x(a+1, b) + x^a (1-x)^b /
     (a B(a, b)), stable as its steps are positive (Gil, Segura & Temme, SIAM 2007, ch. 4).  So an entry
-    depends on (x, a, b) alone: a prefix of a long table is the short table bit for bit.
+    depends on (x, a, b) alone: a prefix of a long table is the short table bit for bit.  Tables of up to
+    INC_BETA_TABLE_CACHED entries, the most ``leakage_bound`` asks for, are cached and shared; a larger one,
+    which only an index or length the caller picks asks for, is built for the call, with the same bits, and
+    freed with its last view.
     """
     n = check_index("n", n)
     if n < 1:
         raise DomainError(f"reg_inc_beta_table requires n >= 1, got n={n}")
-    return _inc_beta_blocks(x, max(512, 1 << (n - 1).bit_length()), b)[:n]
+    size = max(512, 1 << (n - 1).bit_length())
+    build = _inc_beta_blocks if size <= INC_BETA_TABLE_CACHED else _inc_beta_blocks.__wrapped__
+    return build(x, size, b)[:n]
 
 
-# Every eigenvalue route reads it; worst case 16 x 1 MB, at 131,072 entries, unless one index asks for more.
+# Every eigenvalue route reads it; at most 16 tables of at most INC_BETA_TABLE_CACHED entries, 16 MB in all.
 @functools.lru_cache(maxsize=16)
 def _inc_beta_blocks(x: float, size: int, b: float) -> np.ndarray:
     """I_x(a, b), a = 1..size, for a power of two size >= 512: the table of ``reg_inc_beta_table``."""

@@ -51,7 +51,26 @@ def _random_disk_point(rng: np.random.Generator, radius: float) -> complex:
 
 
 def check_incbeta_reflection() -> CheckResult:
-    """I_x(a,b) + I_{1-x}(b,a) = 1."""
+    """I_x(a,b) + I_{1-x}(b,a) = 1 at 200 draws of x in (0, 1) and a, b in [0.05, 20].
+
+    Budget, absolute, with u = 2^-53: no draw lies within 1.9e-3 of its switch point (a + 1) / (a + b + 2),
+    so one call sums the continued fraction directly to a value t and the other takes the complement route
+    to 1 - t', both from the same fraction: at x and at 1 - fl(1 - x), the same double for x >= 1/2 and
+    at most 2^-54 apart below, or both at fl(1 - x).  Both prefactors subtract the same ``log_beta`` bits,
+    whose error cancels.  What is left:
+      * the prefactors exp(ln_front): each of a log x and b log1p(-x) is off by 3u of itself and the two
+        sums by u of theirs, 4u S + u |ln_front| with S = |a ln x| + |b ln(1 - x)|, and exp (2u), the
+        product with the fraction and the division add 4u; over a, b <= 20, t (S + |ln_front| / 4) <= 13.9
+        (at a = b = 20, x = 1/2), so two prefactors give (8 x 13.9 + 8) u = 1.3e-14;
+      * the continued fraction, only where its two arguments differ (x < 1/2 on the direct side, where t
+        <= 0.58 here): a factor within 1e-16 of one stops it, and its at most 40 steps over a, b <= 20
+        round by at most 4u each (40-digit runs of the same steps show 2.9u), 1e-16 + 160u relative,
+        twice: 2.1e-14;
+      * the complement route's rounding of 1 - x, which moves its argument by at most 2^-54 below x = 1/2:
+        that times the Beta(a, b) density there, at most 5.05 at these draws, 2.8e-16;
+      * 1 - t' and the sum: 2u = 2.2e-16.
+    In all 3.5e-14.  Tolerance 5e-13.
+    """
     rng = _rng(101)
     worst = 0.0
     for _ in range(200):
@@ -60,7 +79,7 @@ def check_incbeta_reflection() -> CheckResult:
         b = rng.uniform(0.05, 20.0)
         err = abs(specfun.reg_inc_beta(x, a, b) + specfun.reg_inc_beta(1.0 - x, b, a) - 1.0)
         worst = max(worst, err)
-    return _result("incbeta_reflection", worst, 1e-12)
+    return _result("incbeta_reflection", worst, 5e-13)
 
 
 def check_laguerre_generating_function() -> CheckResult:
@@ -445,8 +464,7 @@ def check_mc_spectrum() -> CheckResult:
         exact = locop.disk_eigenvalue(j, B, R)
         sigma = math.sqrt(exact * (1.0 - exact) / n)
         worst_sigmas = max(worst_sigmas, abs(est - exact) / sigma)
-    est_n, se_n = locop.mc_eigenvalue(2, 1.25, 0.6, 100_000, seed=77)
-    est_4n, se_4n = locop.mc_eigenvalue(2, 1.25, 0.6, 400_000, seed=77)
+    (_, se_n), (_, se_4n) = locop._mc_estimates(2, 1.25, 0.6, (100_000, 400_000), seed=77)  # one stream's prefixes
     rate_ok = abs(se_4n / se_n - 0.5) < 0.05
     return _result("mc_spectrum", worst_sigmas, 4.0,
                    detail=f"std-error ratio at 4x samples: {se_4n / se_n:.3f}",

@@ -318,6 +318,18 @@ def kernel_series_coefficients_unmemoized(B: float, s: float, x_max: float, spec
         n *= 2
 
 
+def jacobi_matrix_dense(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-square Jacobi matrix of (1-x)^alpha on [0, 1]: its diagonal, off-diagonal and eigenvalues.
+
+    The eigenvalues are those of the dense symmetric matrix, the sum of three ``np.diag`` matrices.
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + alpha
+    diag = np.concatenate(([1.0 / (alpha + 2.0)], (2.0 * k * (k + alpha + 1.0) + alpha) / (s * (s + 2.0))))
+    off = k * (k + alpha) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    return diag, off, np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
 def gauss_jacobi_dense(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule on [0, 1] for (1-x)^alpha from the eigenvalues of the whole n-square Jacobi matrix.
 
@@ -326,11 +338,7 @@ def gauss_jacobi_dense(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     of two on the way, with the mass 1 / (alpha + 1).
     """
     mu0 = 1.0 / (alpha + 1.0)
-    k = np.arange(1.0, n)
-    s = 2.0 * k + alpha
-    diag = np.concatenate(([1.0 / (alpha + 2.0)], (2.0 * k * (k + alpha + 1.0) + alpha) / (s * (s + 2.0))))
-    off = k * (k + alpha) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    diag, off, x = jacobi_matrix_dense(n, alpha)
     q_prev, q, dq_prev, dq = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
     sum_qq, sum_qdq, shift = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
     c_prev = 0.0

@@ -98,3 +98,30 @@ def test_every_eigenvalue_route_reads_the_one_table():
         after = cache.cache_info()
         assert after.hits + after.misses > before.hits + before.misses, route
     assert cache.cache_info().misses == 2 and cache.cache_info().currsize == 2
+
+
+def test_tables_past_the_largest_library_size_are_built_uncached():
+    # three 2^20-entry tables stayed in the cache, 24 MB held; the values are the ones they gave
+    import tracemalloc
+
+    locop.disk_eigenvalue(3, 1.5, 0.5)
+    tracemalloc.start()
+    try:
+        values = [locop.disk_eigenvalue(1_000_000, 1.5, R) for R in (0.9999995, 0.99999975, 0.9999999)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2e6, held
+    assert [value.hex() for value in values] == ["0x1.78b54dc90835dp-1", "0x1.d1d0bf65b4d4fp-1",
+                                                 "0x1.f70734c0fa950p-1"]
+
+
+def test_the_largest_library_table_is_cached_and_a_prefix_of_a_larger_one():
+    # leakage_bound asks for up to SERIES_MAX_TERMS = 100,000 entries, a table of 2^17
+    cache, size = specfun._inc_beta_blocks, specfun.INC_BETA_TABLE_CACHED
+    assert size == 1 << (specfun.SERIES_MAX_TERMS - 1).bit_length()
+    cache.cache_clear()
+    kept = specfun.reg_inc_beta_table(0.81, size, 2.0)
+    larger = specfun.reg_inc_beta_table(0.81, size + 1, 2.0)
+    assert cache.cache_info().currsize == 1 and specfun.reg_inc_beta_table(0.81, size, 2.0).base is kept.base
+    assert np.array_equal(larger[:size], kept) and not larger.flags.writeable

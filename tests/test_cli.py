@@ -348,6 +348,26 @@ def test_a_dashdash_value_exits_two_without_traceback(args, tmp_path):
     assert proc.stdout == b"" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, flag, message", [
+    (["mc", "--seed", "-1"], "--seed", "expected a nonnegative integer, got '-1'"),
+    (["mc", "--seed=-1"], "--seed", "expected a nonnegative integer, got '-1'"),
+    (["mc", "--samples", "50"], "--samples", "expected an integer >= 100, got '50'"),
+])
+def test_mc_seed_and_samples_are_refused_while_parsing(args, flag, message, capsys, monkeypatch):
+    # a negative seed exited 2 with numpy's bare "expected non-negative integer", and 50 samples with the
+    # n_samples domain error, both after the exact table was built
+    def refuse(*args):
+        raise AssertionError("the exact table was built")
+
+    monkeypatch.setattr(cli.locop, "landau_eigenvalue", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: nbsloc mc ")
+    assert err.endswith(f"\nnbsloc mc: error: argument {flag}: {message}\n")
+
+
 @pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGS))
 def test_unknown_flag_is_reported_under_the_subcommand_usage(command, capsys):
     # the top-level parser reported it, under "usage: nbsloc [-h] [--version] {eigvals,...}"

@@ -587,6 +587,20 @@ class TestMcEigenvalue:
         assert peak < 2e6, peak
 
 
+    def test_prefixes_of_one_stream_are_their_own_calls(self, monkeypatch):
+        # verify's rate check drew its 100,000 draws again as the start of its 400,000
+        counts, drawn = (100, locop.MC_BLOCK + 1, 3 * locop.MC_BLOCK + 7), []
+
+        def counted(a, b, n, seed):
+            drawn.append(n)
+            return specfun.sample_beta(a, b, n, seed)
+
+        want = [mc_eigenvalue(2, 1.5, 0.6, n, 31) for n in counts]
+        monkeypatch.setattr(locop, "sample_beta", counted)
+        assert locop._mc_estimates(2, 1.5, 0.6, counts, 31) == want
+        assert sum(drawn) == counts[-1] and max(drawn) <= locop.MC_BLOCK
+
+
 class TestLeakageBound:
     def test_full_disk_limit(self):
         assert leakage_bound(0.3 + 0.2j, 1.5, 0.9999999) == pytest.approx(1.0, abs=1e-4)
@@ -815,6 +829,21 @@ class TestMatrixElements:
         nodes[:], weights[:] = grid.nodes, grid.weights
         moved = quantization_matrix_element(symbol, range(n), range(n), B, quadrature.QuadratureGrid(nodes, weights))
         assert first.tobytes() == again.tobytes() == moved.tobytes()
+
+    def test_block_holds_its_right_hand_rows_and_one_row(self):
+        # a basis table, its indexed and conjugate copies and a whole row of products peaked at 2.66 MB
+        import tracemalloc
+
+        B = 1.5
+        grid = disk_grid(48, 64, B)
+        quantization_matrix_element(lambda z: 1.0, 0, 0, B, grid)
+        tracemalloc.start()
+        try:
+            block = quantization_matrix_element(lambda z: 1.0, range(13), range(13), B, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (13, 13) and peak < 1.0e6, peak
 
     def test_symbol_evaluated_once_on_the_nodes(self):
         B, grid, calls = 1.5, disk_grid(16, 24, 1.5), []

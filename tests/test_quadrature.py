@@ -79,6 +79,9 @@ class TestGaussJacobi:
         want_x, want_w = oracles.gauss_jacobi_dense(n, 0.0)
         assert np.max(np.abs(x - want_x)) <= 1e-15
         assert np.max(np.abs(w / want_w - 1.0)) <= 1e-12
+        # the one-array eigenproblem is the dense matrix's bit for bit
+        diag, off, eigenvalues = oracles.jacobi_matrix_dense(n, 0.0)
+        assert np.array_equal(quadrature._tridiagonal_eigvalsh(diag, off), eigenvalues)
 
     @pytest.mark.parametrize("n, alpha", [(64, 0.5), (128, 2.0), (33, -0.3), (600, 39.0), (160, 1198.0), (40, 9998.0),
                                           *[(n, a) for a in (-0.5, 0.5, 3.0) for n in (2, 3, 40, 41, 600, 601)]])
@@ -86,6 +89,22 @@ class TestGaussJacobi:
         x, w = gauss_jacobi(n, alpha)
         want_x, want_w = oracles.gauss_jacobi_dense(n, alpha)
         assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        diag, off, eigenvalues = oracles.jacobi_matrix_dense(n, alpha)
+        assert np.array_equal(quadrature._tridiagonal_eigvalsh(diag, off), eigenvalues)
+
+    def test_build_holds_one_jacobi_matrix(self):
+        # the sum of three dense np.diag matrices peaked at 2.0 n^2 doubles
+        import tracemalloc
+
+        n = 601
+        gauss_jacobi.cache_clear()
+        tracemalloc.start()
+        try:
+            gauss_jacobi(n, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8, peak
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.0])
     @pytest.mark.parametrize("n", [2, 3, 40, 41])

@@ -8,7 +8,7 @@ from nbsloc.errors import DomainError
 
 # the highest tolerance each check may gate at; a budget may lower one, never raise it
 TOLERANCE_CEILINGS = {
-    "incbeta_reflection": 1e-12,
+    "incbeta_reflection": 5e-13,
     "laguerre_generating_function": 1e-13,
     "gauss_theorem": 5e-13,
     "appell_f1_reductions": 2e-11,
@@ -98,6 +98,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("home, name, factor, check, old_gate", [
         (states, "halfplane_kernel", 1.0 + 5e-13, "halfplane_kernel_bounds", 1e-12),  # the diagonal reads 5e-13
         (bergman, "kernel_series", 1.0 + 2e-11j, "kernel_positivity", 1e-10),  # Hermitian defect 4e-11 |K|
+        (specfun, "reg_inc_beta", 1.0 + 7e-13, "incbeta_reflection", 1e-12),  # the two values add to 1: reads 7e-13
     ])
     def test_budgeted_gate_fails_what_the_old_gate_passed(self, home, name, factor, check, old_gate, monkeypatch):
         exact = getattr(home, name)
