@@ -311,7 +311,8 @@ def leakage_bound(z0, B: float, R) -> float:
     LEAKAGE_TAIL_TOL, which needs no sum, then until the smaller of it and
     a geometric bound (``_log_tail_bound``) is at most LEAKAGE_TAIL_TOL
     times the sum.  A sum below the normal range, whose terms underflow, is
-    summed from the logs of its terms; the comparison is made in logs.
+    summed from the logs of its terms; the comparison is made in logs.  The
+    bound is at most one, and a rounded sum above one is returned as one.
     """
     z0, R = as_disk(z0), as_radius(R)
     check_strength(B)
@@ -333,7 +334,7 @@ def leakage_bound(z0, B: float, R) -> float:
                 log_total = top + math.log(np.exp(terms - top).sum()) if top > -math.inf else -math.inf
                 bound = math.exp(0.5 * log_total)
             if _log_tail_bound(lam, log_pmf, tail_p, s, p, B) <= math.log(LEAKAGE_TAIL_TOL) + log_total:
-                return bound
+                return min(bound, 1.0)  # at most one by Cauchy-Schwarz; rounding must not push it past
         if n >= specfun.SERIES_MAX_TERMS:
             raise ConvergenceError(f"photon-count tail above {LEAKAGE_TAIL_TOL} of the sum after {n} terms "
                                    f"at p={p}", terms_used=n)

@@ -588,7 +588,7 @@ class TestMcEigenvalue:
 
 
     def test_prefixes_of_one_stream_are_their_own_calls(self, monkeypatch):
-        # verify's rate check drew its 100,000 draws again as the start of its 400,000
+        # verify's mc_spectrum reads each stream at n / 4 and at n draws from one count
         counts, drawn = (100, locop.MC_BLOCK + 1, 3 * locop.MC_BLOCK + 7), []
 
         def counted(a, b, n, seed):
@@ -604,6 +604,11 @@ class TestMcEigenvalue:
 class TestLeakageBound:
     def test_full_disk_limit(self):
         assert leakage_bound(0.3 + 0.2j, 1.5, 0.9999999) == pytest.approx(1.0, abs=1e-4)
+
+    def test_rounding_never_lifts_the_bound_past_one(self):
+        # the 131,072-entry photon-count law at B = 1e5 sums to 1 + 5.5e-12, and the bound read 1.000000000002766
+        got = leakage_bound(0.5, 1e5, 0.99)
+        assert got <= 1.0 and got == pytest.approx(1.0, abs=1e-11)
 
     def test_center_closed_form(self):
         B, R = 1.5, 0.5

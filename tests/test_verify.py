@@ -1,9 +1,14 @@
 import dataclasses
+import json
+import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
-from nbsloc import bergman, locop, specfun, states, verify
+from nbsloc import bergman, locop, quadrature, specfun, states, verify
 from nbsloc.errors import DomainError
 
 # the highest tolerance each check may gate at; a budget may lower one, never raise it
@@ -59,7 +64,76 @@ class TestToleranceCeilings:
             assert result.passed and result.tolerance <= TOLERANCE_CEILINGS[result.name], result
 
 
+# one verify pass in a fresh interpreter: its Beta draws (through locop.sample_beta, the name locop calls) and
+# its Gauss-Jacobi builds by (n, alpha), each a miss of the rule cache seen at its call
+WORK_OF_A_PASS = """
+import collections, json
+from nbsloc import locop, quadrature, specfun, verify
+cached, builds, drawn = quadrature.gauss_jacobi, collections.Counter(), []
+def counted_rule(n, alpha):
+    before = cached.cache_info().misses
+    rule = cached(n, alpha)
+    builds[f"{n}, {alpha}"] += cached.cache_info().misses - before
+    return rule
+def counted_draws(a, b, n, rng):
+    drawn.append(n)
+    return specfun.sample_beta(a, b, n, rng)
+quadrature.gauss_jacobi, locop.sample_beta = counted_rule, counted_draws
+passed = all(result.passed for result in verify.run_all())
+print(json.dumps({"passed": passed, "draws": sum(drawn), "builds": builds, "misses": cached.cache_info().misses}))
+"""
+
+
+class TestWorkBudget:
+    def test_a_pass_draws_each_stream_once_and_builds_each_rule_once(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", WORK_OF_A_PASS], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120).stdout
+        work = json.loads(out)
+        assert work["passed"]
+        # four streams of 250,000, each counted once at n / 4 and n; no fifth stream for the rate clause
+        assert work["draws"] == 1_000_000
+        # every build went through the counter, none twice, and the radial reference is the 160-node rule
+        assert sum(work["builds"].values()) == work["misses"]
+        assert max(work["builds"].values()) == 1, work["builds"]
+        assert not [key for key in work["builds"] if key.startswith("200,")]
+        assert f"{locop.RADIAL_NODES}, 0.5" in work["builds"]
+
+
 class TestFaultInjection:
+    def test_biased_draws_fail_mc_spectrum(self, monkeypatch):
+        # Beta(a + 1, b) draws sit to the right of the eigenvalue's law: far past 4 sigma at 250,000 draws
+        assert verify.run_check("mc_spectrum").passed
+        exact = locop.sample_beta
+        monkeypatch.setattr(locop, "sample_beta", lambda a, b, n, rng: exact(a + 1.0, b, n, rng))
+        broken = verify.run_check("mc_spectrum")
+        assert not broken.passed and broken.max_error > 4.0
+
+    def test_mc_spectrum_reads_the_four_mc_eigenvalue_calls(self):
+        # each stream counted once at n / 4 and n: the estimate at n is mc_eigenvalue's, so max_error is the
+        # value the four separate calls gave, bit for bit
+        result = verify.run_check("mc_spectrum")
+        n, sigmas = 250_000, []
+        for i, (j, B, R) in enumerate(verify.mc_comparison_draws(verify._rng(606), 4)):
+            exact = locop.disk_eigenvalue(j, B, R)
+            sigmas.append(abs(locop.mc_eigenvalue(j, B, R, n, 900 + i)[0] - exact) / math.sqrt(exact * (1.0 - exact) / n))
+        assert result.max_error == max(sigmas) == 0.4236112936963384
+        assert result.detail.count(",") == 3  # one standard-error ratio per stream
+
+    def test_radial_reference_off_by_1e_9_fails(self, monkeypatch):
+        # the reference integral times 1 + 1e-9: the 12-node error (rounding) becomes larger than the 6-node one
+        assert verify.run_check("radial_rule_beta_integrals").passed
+        exact = quadrature.radial_jacobi_grid
+
+        def perturbed(n, B):
+            grid = exact(n, B)
+            if n != locop.RADIAL_NODES:
+                return grid
+            return quadrature.QuadratureGrid(grid.nodes, grid.weights * (1.0 + 1e-9))
+
+        monkeypatch.setattr(quadrature, "radial_jacobi_grid", perturbed)
+        assert not verify.run_check("radial_rule_beta_integrals").passed
+
     @pytest.mark.parametrize("home, name, check", [
         (specfun, "laguerre", "laguerre_generating_function"),
         (states, "bergman_basis", "disk_rule_delta_structure"),
