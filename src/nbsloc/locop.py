@@ -9,8 +9,8 @@ variable (giving Monte-Carlo cross-checks) and a function of the
 pseudo-harmonic oscillator through its eigenvalue j + 1.  The module also
 carries the generalized level-m densities and eigenvalues, and the
 photon-counting bound on the operator's content outside the disk.  The one
-eigenvalue function of every level m is ``landau_eigenvalue``; functions
-defined only at m = 0 take the strength B, level functions ``ModelParams``.
+eigenvalue function of every level m is ``landau_eigenvalue``.  Functions of the lowest level take the strength B,
+level functions ``ModelParams``; ``disk_eigenvalue`` and ``beta_density`` are the level functions at m = 0.
 The radial and level-m quantities take an index or a range of indices; no call
 keeps state but the shared read-only rules and tables.  Rule and block sizes are module
 constants (RADIAL_NODES, LANDAU_NODES, LANDAU_BLOCK, MC_BLOCK), not arguments; a disk
@@ -56,12 +56,9 @@ LANDAU_BLOCK = 64  # indices whose densities an m >= 1 landau_eigenvalue range c
 MC_BLOCK = 65_536  # Beta draws mc_eigenvalue holds at once (512 kB): bounded memory
 
 
-def disk_eigenvalue(j: int, B: float, R) -> float:
-    """Eigenvalue of the disk-indicator localization operator: I_{R^2}(j+1, 2B-1), a ``reg_inc_beta_table`` entry."""
-    j = check_index("j", j)
-    check_strength(B)
-    R = as_radius(R)
-    return float(reg_inc_beta_table(R * R, j + 1, 2.0 * B - 1.0)[j])
+def disk_eigenvalue(j: int | range, B: float, R):
+    """Eigenvalue of the disk-indicator localization operator, I_{R^2}(j+1, 2B-1): ``landau_eigenvalue`` at m = 0."""
+    return landau_eigenvalue(j, ModelParams(B), R)
 
 
 def radial_eigenvalue(F: Callable, j: int | range, B: float):
@@ -71,7 +68,7 @@ def radial_eigenvalue(F: Callable, j: int | range, B: float):
     RADIAL_NODES nodes.  F is called once, on the array of nodes, and a scalar return is broadcast; values
     that are not real and finite on the nodes raise DomainError.  Each term w_i rho_i^j / B(j+1, 2B-1) is formed in
     logs (at large B the normalization alone overflows where the node sum underflows), 1 / B(j+1, 2B-1) =
-    (2B-1) Gamma(2B+j) / (j! Gamma(2B)) from one ``log_nb_weights`` table as in ``beta_density``.  ``j`` may
+    (2B-1) Gamma(2B+j) / (j! Gamma(2B)) from one ``log_nb_weights`` table as in ``landau_density``.  ``j`` may
     be a range: an array with an eigenvalue per index.  Each integral is summed over the nodes in a fixed
     order, so the same call gives the same bits.  Discontinuous symbols converge slowly here; the disk
     indicator has the exact closed form ``disk_eigenvalue``.
@@ -118,18 +115,13 @@ def _log_rho(rho) -> tuple:
         return np.log(rho), np.log1p(-rho)
 
 
-def beta_density(j: int, B: float, rho):
-    """Density of the Beta(j+1, 2B-1) law behind the eigenvalues.
+def beta_density(j: int | range, B: float, rho):
+    """Density of the Beta(j+1, 2B-1) law behind the eigenvalues: ``landau_density`` at m = 0.
 
     Gamma(2B+j) / (Gamma(2B-1) j!) (1 - rho)^(2B-2) rho^j on [0, 1), formed in logs;
     ``rho`` may be an ndarray.
     """
-    j = check_index("j", j)
-    log_rho, log_rest = _log_rho(rho)
-    check_strength(B)
-    ln_norm = math.log(2.0 * B - 1.0) + log_nb_weights(j + 1, 2.0 * B)[j]
-    vals = np.exp(ln_norm + ((j * log_rho if j else 0.0) + (2.0 * B - 2.0) * log_rest))
-    return vals if isinstance(rho, np.ndarray) else float(vals)
+    return landau_density(j, ModelParams(B), rho)
 
 
 def _density_rows(js: list[int], params: ModelParams, log_w: np.ndarray, x: np.ndarray, log_rho: np.ndarray,
@@ -162,7 +154,7 @@ def _density_rows(js: list[int], params: ModelParams, log_w: np.ndarray, x: np.n
 
 
 def landau_density(j: int | range, params: ModelParams, rho):
-    """Level-m generalization of ``beta_density``; reduces to it at m = 0.
+    """Level-m generalization of the Beta density; ``beta_density`` is its m = 0 case.
 
     (2B-2m-1) ((m^j)! / (mvj)!) (Gamma(2B-2m+mvj)/Gamma(2B-2m+m^j))
       (1-rho)^(2B-2m-2) rho^|m-j| [P_{m^j}^(|m-j|, 2(B-m)-1)(1 - 2 rho)]^2
@@ -200,8 +192,8 @@ def landau_eigenvalue(j: int | range, params: ModelParams, R):
     """Level-m eigenvalue: mass of the level-m density on [0, R^2].
 
     ``j`` may be a range: a read-only array, each entry its own call's bit for bit.  At m = 0 the mass
-    is I_{R^2}(j+1, 2B-1), an entry of the shared ``reg_inc_beta_table``, so it is ``disk_eigenvalue``
-    bit for bit; range(n) gives a view of the table's first n entries, any other range a copy.
+    is I_{R^2}(j+1, 2B-1), an entry of the shared ``reg_inc_beta_table``, and ``disk_eigenvalue`` is this
+    case; range(n) gives a view of the table's first n entries, any other range a copy.
     At m >= 1, Gauss-Legendre with LANDAU_NODES nodes on [0, R^2]; the weight factor
     is smooth there because its singularity sits at rho = 1, outside the
     interval.  The same rule on each half gives the refined value, returned

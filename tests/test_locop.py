@@ -299,11 +299,26 @@ class TestBetaDensity:
             beta_density(0, 1.5, 1.0)
 
 
+class TestLowestLevel:
+    @pytest.mark.parametrize("function, args, text", [
+        (disk_eigenvalue, (-1, 1.5, 0.6), "needs j >= 0 and integral, got j=-1"),
+        (disk_eigenvalue, (3, 0.4, 0.6), "requires finite B with 2B > 1, got B=0.4"),
+        (disk_eigenvalue, (3, 1.5, 1.0), "localization radius needs 0 < R < 1, got R=1.0"),
+        (beta_density, (-1, 1.5, 0.3), "needs j >= 0 and integral, got j=-1"),
+        (beta_density, (3, 0.4, 0.3), "requires finite B with 2B > 1, got B=0.4"),
+        (beta_density, (3, 1.5, 1.0), "density defined on 0 <= rho < 1"),
+    ], ids=["disk_eigenvalue-j", "disk_eigenvalue-B", "disk_eigenvalue-R", "beta_density-j", "beta_density-B",
+            "beta_density-rho"])
+    def test_each_bad_argument_alone_keeps_its_text(self, function, args, text):
+        # the m = 0 level functions check B first, then R and j or j and rho; a bad argument alone has its rule's text
+        with pytest.raises(DomainError) as err:
+            function(*args)
+        assert str(err.value) == text
+
+
 class TestLandauDensity:
     def test_reduces_to_beta_density(self):
-        assert landau_density(3, ModelParams(1.5, 0), 0.4) == pytest.approx(
-            beta_density(3, 1.5, 0.4), abs=1e-12
-        )
+        assert landau_density(3, ModelParams(1.5, 0), 0.4) == beta_density(3, 1.5, 0.4)
 
     @pytest.mark.parametrize("B, m", [(0.51, 0), (1.51, 0), (1.51, 1), (3.65, 1), (3.65, 2),
                                       (10.1, 2), (50.5, 0), (51.3, 1)])

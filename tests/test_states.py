@@ -71,9 +71,9 @@ INDEX_CALLS = {
     "disk_grid": lambda n: disk_grid(n, 4, 1.5).nodes,
 }
 # the INDEX_CALLS entries that also take a range of indices: an array with an entry per index
-RANGE_INDEX_CALLS = ("laguerre", "bergman_basis", "laguerre_function", "radial_eigenvalue", "landau_density",
-                     "landau_eigenvalue", "landau_eigenvalue_lowest_level", "quantization_matrix_element_j",
-                     "quantization_matrix_element_k")
+RANGE_INDEX_CALLS = ("laguerre", "bergman_basis", "laguerre_function", "radial_eigenvalue", "disk_eigenvalue",
+                     "beta_density", "landau_density", "landau_eigenvalue", "landau_eigenvalue_lowest_level",
+                     "quantization_matrix_element_j", "quantization_matrix_element_k")
 
 
 class TestDomainTypes:

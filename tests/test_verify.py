@@ -120,19 +120,40 @@ class TestFaultInjection:
         assert result.max_error == max(sigmas) == 0.4236112936963384
         assert result.detail.count(",") == 3  # one standard-error ratio per stream
 
-    def test_radial_reference_off_by_1e_9_fails(self, monkeypatch):
-        # the reference integral times 1 + 1e-9: the 12-node error (rounding) becomes larger than the 6-node one
-        assert verify.run_check("radial_rule_beta_integrals").passed
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.0 - 1e-9], ids=["high", "low"])
+    def test_radial_reference_off_by_1e_9_fails(self, factor, monkeypatch):
+        # the reference integral times 1 +- 1e-9 moves the 12-node error to 1.2e-10, past its 3e-13 gate; 1e-9 low,
+        # the 6-node error grew more, so a gate comparing the two errors passed it
+        clean = verify.run_check("radial_rule_beta_integrals")
+        assert clean.passed
         exact = quadrature.radial_jacobi_grid
 
         def perturbed(n, B):
             grid = exact(n, B)
             if n != locop.RADIAL_NODES:
                 return grid
-            return quadrature.QuadratureGrid(grid.nodes, grid.weights * (1.0 + 1e-9))
+            return quadrature.QuadratureGrid(grid.nodes, grid.weights * factor)
 
         monkeypatch.setattr(quadrature, "radial_jacobi_grid", perturbed)
-        assert not verify.run_check("radial_rule_beta_integrals").passed
+        broken = verify.run_check("radial_rule_beta_integrals")
+        assert not broken.passed and broken.max_error == clean.max_error
+
+    def test_eigenvalue_table_off_by_1e_12_fails_spectrum(self, monkeypatch):
+        # every table entry but the B = 1 ones (b = 1) times 1 + 1e-12: the closed form and max_error stay, and the
+        # oscillator function, read from the table, leaves the continued fraction by 1e-12, past its 3e-13 gate
+        clean = verify.run_check("spectrum_bounds_monotone")
+        assert clean.passed
+        exact = specfun.reg_inc_beta_table
+
+        def perturbed(x, n, b):
+            table = exact(x, n, b)
+            return table if b == 1.0 else table * (1.0 + 1e-12)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("nbsloc.")]:
+            if getattr(module, "reg_inc_beta_table", None) is exact:
+                monkeypatch.setattr(module, "reg_inc_beta_table", perturbed)
+        broken = verify.run_check("spectrum_bounds_monotone")
+        assert not broken.passed and broken.max_error == clean.max_error
 
     @pytest.mark.parametrize("home, name, check", [
         (specfun, "laguerre", "laguerre_generating_function"),
