@@ -238,35 +238,22 @@ def mc_eigenvalue(j: int, B: float, R, n_samples: int, seed: int) -> tuple[float
     Returns (estimate, standard error).  Only the lowest level has a Beta
     sampling route, so it takes the strength B, not a level.  The draws are
     counted MC_BLOCK at a time, taken in order from one PCG64 stream seeded
-    with ``seed``, so memory stays one block whatever n_samples is.  They are
-    the draws of ``sample_beta(j + 1, 2B - 1, n_samples, seed)``, and the
-    exact count of Y <= R^2 over n_samples, one rounded division, is their
-    mean bit for bit.
-    """
-    return _mc_estimates(j, B, R, (n_samples,), seed)[0]
-
-
-def _mc_estimates(j: int, B: float, R, sample_counts, seed: int) -> list[tuple[float, float]]:
-    """``mc_eigenvalue``'s (estimate, standard error) at each of the increasing ``sample_counts``, from one stream.
-
-    The first n draws of the stream are the draws of ``mc_eigenvalue(j, B, R, n, seed)`` whatever the blocks, so
-    the hits are counted once, up to the largest count, in blocks that end at every count: each pair is that
-    call's bit for bit.
+    with ``seed``, an integer >= 0, so memory stays one block whatever
+    n_samples is.  They are the draws of ``sample_beta(j + 1, 2B - 1,
+    n_samples, seed)``, and the exact count of Y <= R^2 over n_samples, one
+    rounded division, is their mean bit for bit.
     """
     j = check_index("j", j)
     check_strength(B)
-    counts = [check_index("n_samples", n) for n in sample_counts]
-    if min(counts) < 100:
-        raise DomainError(f"needs n_samples >= 100, got {min(counts)}")
+    n = check_index("n_samples", n_samples)
+    if n < 100:
+        raise DomainError(f"needs n_samples >= 100, got {n}")
     R = as_radius(R)
-    rng, a, b = np.random.Generator(np.random.PCG64(seed)), j + 1.0, 2.0 * B - 1.0
-    hits, drawn, estimates = 0, 0, []
-    for n in counts:
-        for start in range(drawn, n, MC_BLOCK):  # no name holds a block while the next one is drawn
-            hits += int(np.count_nonzero(sample_beta(a, b, min(MC_BLOCK, n - start), rng) <= R * R))
-        drawn, estimate = n, hits / n
-        estimates.append((estimate, math.sqrt(estimate * (1.0 - estimate) / n)))
-    return estimates
+    rng, a, b, hits = np.random.Generator(np.random.PCG64(check_index("seed", seed))), j + 1.0, 2.0 * B - 1.0, 0
+    for start in range(0, n, MC_BLOCK):  # no name holds a block while the next one is drawn
+        hits += int(np.count_nonzero(sample_beta(a, b, min(MC_BLOCK, n - start), rng) <= R * R))
+    estimate = hits / n
+    return estimate, math.sqrt(estimate * (1.0 - estimate) / n)
 
 
 def _log_tail_bound(lam, log_pmf, tail_p: float, s: float, p: float, B: float) -> float:

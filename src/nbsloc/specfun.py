@@ -74,7 +74,6 @@ __all__ = [
 SERIES_REL_TOL = 1e-12  # relative size below which a term or block counts as converged
 SERIES_ABS_TOL = 1e-300  # absolute underflow guard, for sums near zero
 SERIES_MAX_TERMS = 100_000  # cap per summation index; past it a series raises ConvergenceError
-INC_BETA_TABLE_CACHED = 1 << 17  # largest eigenvalue table kept (1 MB): SERIES_MAX_TERMS rounded up
 INC_BETA_MAX_ITER = 500  # incomplete Beta continued-fraction steps before ConvergenceError
 
 
@@ -252,19 +251,19 @@ def reg_inc_beta_table(x: float, n: int, b: float) -> np.ndarray:
     a = 512, entries 2^(k-1) < a <= 2^k from it at a = 2^k, by I_x(a, b) = I_x(a+1, b) + x^a (1-x)^b /
     (a B(a, b)), stable as its steps are positive (Gil, Segura & Temme, SIAM 2007, ch. 4).  So an entry
     depends on (x, a, b) alone: a prefix of a long table is the short table bit for bit.  Tables of up to
-    INC_BETA_TABLE_CACHED entries, the most ``leakage_bound`` asks for, are cached and shared; a larger one,
-    which only an index or length the caller picks asks for, is built for the call, with the same bits, and
-    freed with its last view.
+    SERIES_MAX_TERMS entries rounded up to a power of two (2^17, 1 MB, at its default), the most
+    ``leakage_bound`` asks for, are cached and shared; a larger one, which only an index or length the
+    caller picks asks for, is built for the call, with the same bits, and freed with its last view.
     """
     n = check_index("n", n)
     if n < 1:
         raise DomainError(f"reg_inc_beta_table requires n >= 1, got n={n}")
     size = max(512, 1 << (n - 1).bit_length())
-    build = _inc_beta_blocks if size <= INC_BETA_TABLE_CACHED else _inc_beta_blocks.__wrapped__
+    build = _inc_beta_blocks if size <= 1 << (SERIES_MAX_TERMS - 1).bit_length() else _inc_beta_blocks.__wrapped__
     return build(x, size, b)[:n]
 
 
-# Every eigenvalue route reads it; at most 16 tables of at most INC_BETA_TABLE_CACHED entries, 16 MB in all.
+# Every eigenvalue route reads it; at most 16 tables of at most 2^17 entries at the default, 16 MB in all.
 @functools.lru_cache(maxsize=16)
 def _inc_beta_blocks(x: float, size: int, b: float) -> np.ndarray:
     """I_x(a, b), a = 1..size, for a power of two size >= 512: the table of ``reg_inc_beta_table``."""
@@ -527,7 +526,7 @@ def sample_beta(a: float, b: float, n: int, seed: int | np.random.Generator) -> 
     """n i.i.d. Beta(a, b) variates, reproducible for a fixed seed.
 
     Drawn by numpy's Beta generator, which fills its output one draw after another: on a fresh PCG64
-    stream seeded with an int ``seed``, or from a ``Generator`` where it stands, advancing it.  So n
+    stream seeded with an integer ``seed`` >= 0, or from a ``Generator`` where it stands, advancing it.  So n
     draws from a Generator seeded with s, taken in blocks of any sizes, are the n draws of seed s.
     """
     if not (a > 0.0 and b > 0.0):
@@ -535,5 +534,6 @@ def sample_beta(a: float, b: float, n: int, seed: int | np.random.Generator) -> 
     n = check_index("n", n)
     if n < 1:
         raise DomainError(f"sample_beta requires n >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
-    return rng.beta(a, b, n)
+    if not isinstance(seed, np.random.Generator):
+        seed = np.random.Generator(np.random.PCG64(check_index("seed", seed)))
+    return seed.beta(a, b, n)

@@ -471,23 +471,21 @@ def mc_comparison_draws(rng: np.random.Generator, count: int) -> list[tuple[int,
 
 
 def check_mc_spectrum() -> CheckResult:
-    """Monte-Carlo route agrees with the closed form at the 4-sigma level, and its error falls as 1/sqrt(n).
+    """Monte-Carlo route agrees with the closed form at the 4-sigma level, stream by stream and jointly.
 
-    Each of the four streams is counted once, at n / 4 and at n draws; the estimate at n is
-    ``mc_eigenvalue(j, B, R, n, seed)`` bit for bit.  The rate clause asks every stream's standard error to
-    halve at four times the draws: |se_n / se_(n/4) - 0.5| < 0.05.
+    Four streams of n = 250,000 draws, each one ``mc_eigenvalue(j, B, R, n, seed)`` call, each read as
+    z = (est - exact) / sqrt(exact (1 - exact) / n), about standard normal.  Budget: each |z| is gated at 4,
+    a two-sided tail of 6.3e-5 per stream, and the sum of the four z^2 at 23.5, the chi-square point of four
+    degrees of freedom with upper tail 1.0e-4.  A bias common to the streams adds up in the sum: 3 standard
+    errors in each passes every per-stream gate, but moves the sum from 0.558 to 30.6 (high) or 42.4 (low).
     """
-    n = 250_000
-    worst_sigmas, ratios = 0.0, []
+    n, z = 250_000, []
     for i, (j, B, R) in enumerate(mc_comparison_draws(_rng(606), 4)):
-        (_, se_quarter), (est, se_n) = locop._mc_estimates(j, B, R, (n // 4, n), seed=900 + i)
         exact = locop.disk_eigenvalue(j, B, R)
-        sigma = math.sqrt(exact * (1.0 - exact) / n)
-        worst_sigmas = max(worst_sigmas, abs(est - exact) / sigma)
-        ratios.append(se_n / se_quarter)
-    return _result("mc_spectrum", worst_sigmas, 4.0,
-                   detail="std-error ratios at 4x samples: " + ", ".join(f"{r:.3f}" for r in ratios),
-                   ok=all(abs(r - 0.5) < 0.05 for r in ratios))
+        z.append((locop.mc_eigenvalue(j, B, R, n, 900 + i)[0] - exact) / math.sqrt(exact * (1.0 - exact) / n))
+    joint = sum(v * v for v in z)
+    return _result("mc_spectrum", max(abs(v) for v in z), 4.0,
+                   detail=f"sum of squared z-scores {joint:.3f} (chi-square 4 dof, tol 23.5)", ok=joint <= 23.5)
 
 
 def check_leakage() -> CheckResult:

@@ -12,6 +12,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nbsloc
 from nbsloc import bergman, locop, specfun
@@ -118,10 +119,19 @@ def test_tables_past_the_largest_library_size_are_built_uncached():
 
 def test_the_largest_library_table_is_cached_and_a_prefix_of_a_larger_one():
     # leakage_bound asks for up to SERIES_MAX_TERMS = 100,000 entries, a table of 2^17
-    cache, size = specfun._inc_beta_blocks, specfun.INC_BETA_TABLE_CACHED
-    assert size == 1 << (specfun.SERIES_MAX_TERMS - 1).bit_length()
+    cache, size = specfun._inc_beta_blocks, 1 << 17
     cache.cache_clear()
     kept = specfun.reg_inc_beta_table(0.81, size, 2.0)
     larger = specfun.reg_inc_beta_table(0.81, size + 1, 2.0)
     assert cache.cache_info().currsize == 1 and specfun.reg_inc_beta_table(0.81, size, 2.0).base is kept.base
     assert np.array_equal(larger[:size], kept) and not larger.flags.writeable
+
+
+@pytest.mark.parametrize("cap, cached", [(1024, 1024), (1025, 2048)])
+def test_the_cached_table_size_is_series_max_terms_rounded_up_at_call_time(cap, cached, monkeypatch):
+    monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", cap)
+    cache = specfun._inc_beta_blocks
+    cache.cache_clear()
+    specfun.reg_inc_beta_table(0.81, cached, 2.0)
+    specfun.reg_inc_beta_table(0.81, cached + 1, 2.0)
+    assert cache.cache_info().currsize == 1 and cache.cache_info().misses == 1

@@ -433,6 +433,29 @@ def test_readme_flag_table_is_the_parser():
     assert rows == want
 
 
+def output_formats_table(heading):
+    """Each row's first code span in the table under ``heading`` in docs/output_formats.md, split at its commas."""
+    section = (ROOT / "docs" / "output_formats.md").read_text().split(f"\n## {heading}\n", 1)[1]
+    table = re.search(r"^\| command \| \w+ \|\n\|[-|]+\|\n((?:\|.*\n)+)", section, re.M).group(1)
+    rows = {}
+    for line in table.splitlines():
+        command, cell = (part.strip() for part in line.strip("|").split("|"))
+        rows[command] = sorted(re.match(r"`([^`]*)`", cell).group(1).split(", "))
+    return rows
+
+
+def test_output_formats_tables_are_the_json_documents(capsys):
+    # a param or column that a command gains must be listed in docs/output_formats.md
+    params = output_formats_table("Parameters per subcommand")
+    columns = output_formats_table("Columns per subcommand")
+    assert list(params) == list(columns) == list(cli.COMMANDS)
+    for command in cli.COMMANDS:
+        code, text, _ = run_cli([command, *ROUND_TRIP_ARGS[command], "--format", "json"], capsys)
+        doc = json.loads(text)
+        assert code == 0 and sorted(doc["params"]) == params[command], command
+        assert doc["data"] and all(sorted(row) == columns[command] for row in doc["data"]), command
+
+
 @pytest.mark.parametrize("target", ["missing/report.csv", "."])
 def test_unwritable_out_exits_two_without_traceback(target, tmp_path):
     # open() raised through main: a traceback and exit 1, the code of a failed verify check

@@ -354,8 +354,10 @@ class TestLandauDensity:
 
 class TestLandauEigenvalue:
     def test_reduces_at_lowest_level(self):
+        pytest.importorskip("mpmath")
         for j, B, R in ((0, 1.5, 0.6), (3, 1.25, 0.6), (5, 2.0, 0.4)):
-            assert landau_eigenvalue(j, ModelParams(B, 0), R) == disk_eigenvalue(j, B, R)
+            want = float(oracles.landau_eigenvalue_mpmath(j, B, 0, R))
+            assert landau_eigenvalue(j, ModelParams(B, 0), R) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("B, R", [(0.6, 0.9999), (0.51, 0.99), (1.5, 0.6), (10.5, 0.9), (50.0, 0.999)])
     def test_lowest_level_is_the_beta_table_bit_for_bit(self, B, R):
@@ -545,10 +547,13 @@ class TestLandauEigenvalue:
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_refined_value_relative_accuracy(self):
+        # the m = 0 table is within 1.3e-14 relative of the 40-digit value on these cases, worst at (40, 0.75, 0.3)
+        pytest.importorskip("mpmath")
         for B in (0.6, 0.75, 1.5, 4.5, 10.5):
             for R in (0.3, 0.6, 0.9):
                 for j in (0, 3, 10, 40):
-                    assert landau_eigenvalue(j, ModelParams(B, 0), R) == disk_eigenvalue(j, B, R)
+                    want = float(oracles.landau_eigenvalue_mpmath(j, B, 0, R))
+                    assert landau_eigenvalue(j, ModelParams(B, 0), R) == pytest.approx(want, rel=1e-13), (j, B, R)
 
 
 class TestMcEigenvalue:
@@ -601,19 +606,15 @@ class TestMcEigenvalue:
             tracemalloc.stop()
         assert peak < 2e6, peak
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3"])
+    def test_seed_checked(self, seed):
+        # None drew from OS entropy, a new value each run; -1 and 1.5 or "3" raised numpy's ValueError, TypeError
+        with pytest.raises(DomainError, match="seed"):
+            mc_eigenvalue(0, 1.5, 0.5, 1000, seed)
 
-    def test_prefixes_of_one_stream_are_their_own_calls(self, monkeypatch):
-        # verify's mc_spectrum reads each stream at n / 4 and at n draws from one count
-        counts, drawn = (100, locop.MC_BLOCK + 1, 3 * locop.MC_BLOCK + 7), []
-
-        def counted(a, b, n, seed):
-            drawn.append(n)
-            return specfun.sample_beta(a, b, n, seed)
-
-        want = [mc_eigenvalue(2, 1.5, 0.6, n, 31) for n in counts]
-        monkeypatch.setattr(locop, "sample_beta", counted)
-        assert locop._mc_estimates(2, 1.5, 0.6, counts, 31) == want
-        assert sum(drawn) == counts[-1] and max(drawn) <= locop.MC_BLOCK
+    @pytest.mark.parametrize("seed", [np.int64(7), 7.0])
+    def test_integral_seed_is_its_int(self, seed):
+        assert mc_eigenvalue(1, 1.5, 0.6, 1000, seed) == mc_eigenvalue(1, 1.5, 0.6, 1000, 7)
 
 
 class TestLeakageBound:

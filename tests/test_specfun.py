@@ -703,6 +703,16 @@ class TestSampleBeta:
         with pytest.raises(DomainError):
             sample_beta(1.0, 1.0, 0, 1)
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3"])
+    def test_seed_checked(self, seed):
+        # None drew from OS entropy, a new value each run; -1 and 1.5 or "3" raised numpy's ValueError, TypeError
+        with pytest.raises(DomainError, match="seed"):
+            sample_beta(1.0, 2.0, 10, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), 7.0])
+    def test_integral_seed_is_its_int(self, seed):
+        assert np.array_equal(sample_beta(1.0, 2.0, 10, seed), sample_beta(1.0, 2.0, 10, 7))
+
 
 class TestSeriesControl:
     """The fixed series accuracy: module constants, read at call time."""

@@ -91,7 +91,7 @@ class TestWorkBudget:
                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120).stdout
         work = json.loads(out)
         assert work["passed"]
-        # four streams of 250,000, each counted once at n / 4 and n; no fifth stream for the rate clause
+        # four mc_eigenvalue streams of 250,000, each drawn once
         assert work["draws"] == 1_000_000
         # every build went through the counter, none twice, and the radial reference is the 160-node rule
         assert sum(work["builds"].values()) == work["misses"]
@@ -110,15 +110,28 @@ class TestFaultInjection:
         assert not broken.passed and broken.max_error > 4.0
 
     def test_mc_spectrum_reads_the_four_mc_eigenvalue_calls(self):
-        # each stream counted once at n / 4 and n: the estimate at n is mc_eigenvalue's, so max_error is the
-        # value the four separate calls gave, bit for bit
+        # max_error is the largest |z| of the four calls and the joint clause reads the sum of their z^2, bit for bit
         result = verify.run_check("mc_spectrum")
-        n, sigmas = 250_000, []
+        n, z = 250_000, []
         for i, (j, B, R) in enumerate(verify.mc_comparison_draws(verify._rng(606), 4)):
             exact = locop.disk_eigenvalue(j, B, R)
-            sigmas.append(abs(locop.mc_eigenvalue(j, B, R, n, 900 + i)[0] - exact) / math.sqrt(exact * (1.0 - exact) / n))
-        assert result.max_error == max(sigmas) == 0.4236112936963384
-        assert result.detail.count(",") == 3  # one standard-error ratio per stream
+            z.append((locop.mc_eigenvalue(j, B, R, n, 900 + i)[0] - exact) / math.sqrt(exact * (1.0 - exact) / n))
+        assert result.max_error == max(map(abs, z)) == 0.4236112936963384
+        assert result.detail == f"sum of squared z-scores {sum(v * v for v in z):.3f} (chi-square 4 dof, tol 23.5)"
+
+    @pytest.mark.parametrize("shift", [3.0, -3.0], ids=["high", "low"])
+    def test_common_3_sigma_bias_fails_mc_spectrum_jointly(self, shift, monkeypatch):
+        # every stream's estimate moved by 3 of its standard errors passes each 4-sigma gate, but the
+        # squared z-scores add up past the chi-square point: 30.6 high and 42.4 low, against 23.5
+        exact = locop.mc_eigenvalue
+
+        def biased(j, B, R, n_samples, seed):
+            est, se = exact(j, B, R, n_samples, seed)
+            return est + shift * se, se
+
+        monkeypatch.setattr(locop, "mc_eigenvalue", biased)
+        broken = verify.run_check("mc_spectrum")
+        assert not broken.passed and 3.0 < broken.max_error < 4.0
 
     @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.0 - 1e-9], ids=["high", "low"])
     def test_radial_reference_off_by_1e_9_fails(self, factor, monkeypatch):
