@@ -323,18 +323,12 @@ def leakage_bound(z0, B: float, R) -> float:
 def localized_overlap(z0, B: float, R, coeffs) -> float:
     """|<state at z0, localized f>| for f given by a finite vector of Laguerre-basis coefficients.
 
-    Closed form |sum_j lambda_j (1-|z0|^2)^B sqrt(Gamma(2B+j)/(j! Gamma(2B)))
-    conj(z0)^j c_j|; bounded by ``leakage_bound`` times the norm of f.  Anything but a finite 1-D
-    vector raises DomainError (``as_coefficients``).
+    The coherent-state transform of ``spectral_apply(coeffs)`` read at conj(z0), |sum_j lambda_j c_j a_j| with |a_j|^2
+    the pmf at |z0|^2: by Cauchy-Schwarz at most ``leakage_bound`` times |f|, equal at c ~ conj(lambda_j a_j).
     """
     z0, R = as_disk(z0), as_radius(R)
-    check_strength(B)
-    coeffs = as_coefficients(coeffs)
-    if coeffs.size == 0:
-        return 0.0
-    lam = reg_inc_beta_table(R * R, coeffs.size, 2.0 * B - 1.0)
-    pref = (1.0 - abs(z0) ** 2) ** B / math.sqrt(2.0 * B - 1.0)
-    return abs(pref * _basis_series(lam * coeffs, B, z0.conjugate()))
+    localized = spectral_apply(coeffs, ModelParams(B), R)
+    return abs((1.0 - abs(z0) ** 2) ** B / math.sqrt(2.0 * B - 1.0) * _basis_series(localized, B, z0.conjugate()))
 
 
 def quantization_matrix_element(F, j: int | range, k: int | range, B: float, grid):

@@ -106,8 +106,12 @@ def check_indices(name: str, value) -> range | list[int]:
 
 
 def check_strength(B: float) -> None:
-    """Raise DomainError unless the strength parameter B is finite with 2B > 1."""
-    if not (2.0 * B > 1.0 and math.isfinite(B)):
+    """Raise DomainError unless the strength parameter B is a finite number with 2B > 1."""
+    try:
+        ok = 2.0 * B > 1.0 and math.isfinite(B)
+    except TypeError:
+        ok = False
+    if not ok:
         raise DomainError(f"requires finite B with 2B > 1, got B={B}")
 
 

@@ -68,7 +68,7 @@ class ModelParams:
 
     def __post_init__(self):
         check_strength(self.B)
-        check_index("m", self.m)
+        object.__setattr__(self, "m", check_index("m", self.m))
         if self.m > max_landau_index(self.B):
             raise DomainError(f"inadmissible level: m={self.m} violates m < B - 1/2, m <= "
                               f"{max_landau_index(self.B)} at B={self.B}")
@@ -222,7 +222,7 @@ def bergman_basis(j: int | range, B: float, z):
     norms = basis_norms(max(rows, default=0) + 1, B)
     if isinstance(j, range):
         return np.array([float(norms[k]) * z ** k for k in rows], dtype=complex).reshape(len(rows), *np.shape(z))
-    return float(norms[j]) * z ** j
+    return float(norms[rows[0]]) * z ** rows[0]
 
 
 def _basis_series(coeffs, B: float, z):

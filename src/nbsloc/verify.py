@@ -489,36 +489,37 @@ def check_mc_spectrum() -> CheckResult:
 
 
 def check_leakage() -> CheckResult:
-    """Photon-counting estimate dominates the localized overlap on random states.
+    """Photon-counting bound is the norm of the localized overlap: the overlap meets it at its maximizer.
 
-    Budget, absolute: at z0 = 0 the pmf is exactly [1, 0, ...] and the bound is sqrt(lambda_0^2), with
-    lambda_0 = I_x(1, 2) = 7/16, x = 1/4, the table's sum of the steps (a+1) x^a (1-x)^2: each is exp of a
-    log of size <= 1.39 a + 0.6 + log(a + 1) off by that plus 2 eps, about 5 eps at their mean a = 1.5, and
-    the partial sums round twice more; the square and the root add 1.5 eps: 10 eps * 7/16 = 1e-15 against
-    the exact 1 - 0.75^2.  The pmf mass at (p, 2B) = (0.4, 3) and the mean at (0.3, 2.5), 400 terms each:
-    log_nb_weights is off by at most 3.1e-14 relative, the logs a log p + 2B log1p(-p) add about 10 eps at
-    the mean a <= 2, the products j q 0.5 eps, and the plain sum rounds each partial sum, at most 1 and
-    1.07, once: 400 eps / 2 = 4.4e-14 and 4.8e-14.  The tails past a = 400 are below 1e-150 and the
-    reference mean 2B p / (1 - p) rounds three times, 4e-16.  The mean's 3.3e-14 + 2.4e-15 + 5e-16 +
-    4.8e-14 + 4e-16 = 8.5e-14 is the largest.  Tolerance 1e-12.
+    The overlap |sum_j lambda_j c_j a_j|, |a_j|^2 the pmf at |z0|^2, is linear in c, so the bound is its largest value
+    over unit c, at c = conj(lambda a) / |lambda a|: equality there certifies the inequality for every c.  Budget,
+    relative, u = 2^-53, three (B, R, z0), 256 terms: at c they are positive, so two products and a Horner step per
+    term add 258 (sqrt(5) + 1) u = 9.3e-14; c's norm 256 u, its other rounding only to second order; the pmf against
+    the basis norms (one log_nb_weights table, exps of logs of mean size <= 11.7) 1.9e-15; leakage_bound's sum of
+    <= 256 positive terms and tail <= 1e-14, 2e-14; the truncation past 256 terms < 1e-33: in all 1.5e-13.
+    Budget, absolute: at z0 = 0 the pmf is exactly [1, 0, ...] and the bound is sqrt(lambda_0^2), with lambda_0 =
+    I_x(1, 2) = 7/16, x = 1/4, the table's sum of the steps (a+1) x^a (1-x)^2: each is exp of a log of size <= 1.39 a
+    + 0.6 + log(a + 1) off by that plus 2 eps, about 5 eps at their mean a = 1.5, and the partial sums round twice
+    more; the square and the root add 1.5 eps: 10 eps * 7/16 = 1e-15 against the exact 1 - 0.75^2.  The pmf mass
+    at (p, 2B) = (0.4, 3) and the mean at (0.3, 2.5), 400 terms each: log_nb_weights is off by at most 3.1e-14
+    relative, the logs a log p + 2B log1p(-p) add about 10 eps at the mean a <= 2, the products j q 0.5 eps, and
+    the plain sum rounds each partial sum, at most 1 and 1.07, once: 400 eps / 2 = 4.4e-14 and 4.8e-14.  The tails
+    past a = 400 are below 1e-150 and the reference mean 2B p / (1 - p) rounds three times, 4e-16.  The mean's
+    3.3e-14 + 2.4e-15 + 5e-16 + 4.8e-14 + 4e-16 = 8.5e-14 is the largest.  Tolerance 1e-12.
     """
-    B, R, z0 = 1.25, 0.6, 0.5 + 0.3j
-    bound = locop.leakage_bound(z0, B, R)
-    rng = _rng(707)
-    margin_ok = True
-    for _ in range(50):
-        c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        c /= np.linalg.norm(c)
-        lhs = locop.localized_overlap(z0, B, R, c)
-        margin_ok = margin_ok and lhs <= bound * (1.0 + 1e-12)
+    gaps = []
+    for B, R, z0 in ((1.25, 0.6, 0.5 + 0.3j), (0.51, 0.9, -0.99), (20.5, 0.8, -0.9 + 0.1j)):
+        a = (1.0 - abs(z0) ** 2) ** B / math.sqrt(2.0 * B - 1.0) * states.bergman_basis(range(256), B, z0.conjugate())
+        extremal = np.conjugate(locop.disk_eigenvalue(range(256), B, R) * a)
+        extremal /= np.linalg.norm(extremal)
+        gaps.append(abs(locop.localized_overlap(z0, B, R, extremal) / locop.leakage_bound(z0, B, R) - 1.0))
     closed0 = abs(locop.leakage_bound(0.0, 1.5, 0.5) - (1.0 - (1.0 - 0.25) ** 2.0))
     # the negative binomial pmf j < 400 at (B, p) = (1.5, 0.4) and (1.25, 0.3), one table each
     mass = sum(specfun.inc_beta_steps(0.4, 400, 2.0 * 1.5).tolist())
     mean = sum(j * q for j, q in enumerate(specfun.inc_beta_steps(0.3, 400, 2.0 * 1.25).tolist()))
-    worst = max(closed0, abs(mass - 1.0), abs(mean - 2.0 * 1.25 * 0.3 / 0.7))
+    worst = max(*gaps, closed0, abs(mass - 1.0), abs(mean - 2.0 * 1.25 * 0.3 / 0.7))
     return _result("leakage_inequality", worst, 1e-12,
-                   detail=f"bound dominates all draws: {margin_ok}",
-                   ok=margin_ok)
+                   detail=f"|overlap at the maximizer / bound - 1|: {', '.join(f'{gap:.1e}' for gap in gaps)}")
 
 
 # --------------------------------------------------------------------------
@@ -623,17 +624,17 @@ def _transfer_integral(B: float, R: float, ws: np.ndarray, fvals) -> np.ndarray:
 def check_transfer_spectral_action() -> CheckResult:
     """The transferred operator multiplies each basis element by its eigenvalue.
 
-    Integrated by ``_transfer_integral``, the five basis elements in one call, at B = 1.5, R = 0.6 and
-    |w| = 0.36.  Budget: ``kernel_series`` cuts its tail below SERIES_REL_TOL of sum_k |c_k| |x|^k at the
-    rule's largest |conj(z) w|, 0.36, so a kernel value is off by at most 2.1e-12, and an integral by that
-    times (1/pi) int |basis_j| (1 - |z|^2)^(2B-2) dA <= (2B - 1)^(-1/2) = 0.71 (Cauchy-Schwarz): 1.5e-12.
-    The aliasing budget at j_max = 4 is 1.1e-21, times n_j / (2B - 1) <= 2.7.  Rounding: the 34 Horner
-    steps and the 512-node sum, 546 eps times 2.1 * 0.71 ~ 1.8e-13.  In all 1.7e-12.  Tolerance 1e-11.
+    ``_transfer_integral`` of the five basis elements in one call against ``transferred_apply`` of each, at B = 1.5,
+    R = 0.6 and |w| = 0.36.  Budget: ``kernel_series`` cuts its tail below SERIES_REL_TOL of sum_k |c_k| |x|^k at
+    the rule's largest |conj(z) w|, 0.36, so a kernel value is off by at most 2.1e-12, and an integral by that times
+    (1/pi) int |basis_j| (1 - |z|^2)^(2B-2) dA <= (2B - 1)^(-1/2) = 0.71: 1.5e-12.  The aliasing budget at j_max = 4
+    is 1.1e-21, times n_j / (2B - 1) <= 2.7.  Rounding: the 34 Horner steps and the 512-node sum, 546 eps times
+    2.1 * 0.71, and the apply's 20 eps of |value| <= 0.84: 1.8e-13.  In all 1.7e-12.  Tolerance 1e-11.
     """
     B, R, w = 1.5, 0.6, 0.3 + 0.2j
     got = _transfer_integral(B, R, np.full(5, w),
                              lambda z: np.hstack([states.bergman_basis(j, B, z) for j in range(5)]))
-    want = [locop.disk_eigenvalue(j, B, R) * states.bergman_basis(j, B, w) for j in range(5)]
+    want = [bergman.transferred_apply(bergman.BergmanFunction(B, coefficients=e_j), w, B, R) for e_j in np.eye(5)]
     return _result("transfer_spectral_action", np.max(np.abs(got - want)), 1e-11)
 
 

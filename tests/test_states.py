@@ -11,8 +11,8 @@ from nbsloc import states, verify
 from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit, transferred_apply
 from nbsloc.errors import DomainError
 from nbsloc.locop import (as_function_of_hamiltonian, beta_density, disk_eigenvalue,
-                          landau_density, landau_eigenvalue, mc_eigenvalue, quantization_matrix_element,
-                          radial_eigenvalue)
+                          landau_density, landau_eigenvalue, leakage_bound, localized_overlap, mc_eigenvalue,
+                          quantization_matrix_element, radial_eigenvalue)
 from nbsloc.specfun import jacobi, laguerre, sample_beta
 from nbsloc.quadrature import angular_grid, disk_grid, gauss_jacobi, half_line_grid, mapped_legendre, radial_jacobi_grid
 from nbsloc.states import (
@@ -54,6 +54,8 @@ INDEX_CALLS = {
     "landau_density": lambda j: landau_density(j, ModelParams(2.5, 1), 0.3),
     "landau_eigenvalue": lambda j: landau_eigenvalue(j, ModelParams(2.5, 1), 0.6),
     "landau_eigenvalue_lowest_level": lambda j: landau_eigenvalue(j, ModelParams(1.5), 0.6),
+    "landau_eigenvalue_level": lambda m: landau_eigenvalue(3, ModelParams(4.5, m), 0.5),
+    "landau_density_level": lambda m: landau_density(3, ModelParams(4.5, m), 0.3),
     "mc_eigenvalue": lambda j: mc_eigenvalue(j, 1.5, 0.6, 1000, 1),
     "mc_eigenvalue_n_samples": lambda n: mc_eigenvalue(0, 1.5, 0.6, 147 + n, 1),
     "sample_beta": lambda n: sample_beta(1.0, 2.0, 997 + n, 1),
@@ -81,6 +83,7 @@ class TestDomainTypes:
         ModelParams(1.5, 0)
         ModelParams(1.6, 1)
         ModelParams(0.51, 0)
+        assert type(ModelParams(2.5, 1.0).m) is int  # the checked index, as README promises for 1.0
         with pytest.raises(DomainError):
             ModelParams(0.5, 0)
         for B, m in ((1.5, 1), (1.5, 2), (2.5, 2)):  # m >= B - 1/2; at equality the level weight degenerates
@@ -96,9 +99,10 @@ class TestDomainTypes:
             with pytest.raises(DomainError, match="2B > 1"):
                 ModelParams(B)
 
-    @pytest.mark.parametrize("B", [math.inf, math.nan, 0.4])
+    @pytest.mark.parametrize("B", [math.inf, math.nan, 0.4, "1.5", None])
     def test_strength_rule_everywhere(self, B):
-        # each of these returned a value (0.0, 0j, nan or a negative density) or a bare ValueError
+        # each of these returned a value (0.0, 0j, nan or a negative density) or a bare ValueError; a non-number
+        # ended in a bare TypeError
         calls = [
             lambda: laguerre_function(0, B, 1.0),
             lambda: affine_coherent_state(0.1, 1.0, B, 1.0),
@@ -115,6 +119,9 @@ class TestDomainTypes:
             lambda: ModelParams(B),
             lambda: transferred_apply(BergmanFunction(1.5, [1.0]), 0.3, B, 0.6),  # before the F.B comparison
             lambda: radial_eigenvalue(lambda rho: rho, 0, B),
+            lambda: disk_eigenvalue(3, B, 0.5),
+            lambda: leakage_bound(0.3, B, 0.5),
+            lambda: localized_overlap(0.3, B, 0.5, [1.0]),
             lambda: radial_jacobi_grid(4, B),
             lambda: half_line_grid(4, B),
         ]
@@ -124,11 +131,13 @@ class TestDomainTypes:
 
     @pytest.mark.parametrize("name", list(INDEX_CALLS))
     def test_index_rule_everywhere(self, name):
-        # 1.5 gave a value (disk_eigenvalue, as_function_of_hamiltonian, radial_eigenvalue, mc_eigenvalue)
+        # 1.5 gave a value (disk_eigenvalue, as_function_of_hamiltonian, radial_eigenvalue, mc_eigenvalue); a level
+        # m = 3.0 was kept as a float and ended in a bare IndexError
         call = INDEX_CALLS[name]
         with pytest.raises(DomainError, match=">= 0"):
             call(1.5)
         assert call(np.int64(3)) == pytest.approx(call(3), rel=0, abs=0)
+        assert call(3.0) == pytest.approx(call(3), rel=0, abs=0)
 
     @pytest.mark.parametrize("name", RANGE_INDEX_CALLS)
     def test_index_rule_for_every_index_of_a_range(self, name):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -54,6 +55,18 @@ class TestCheckRegistry:
     def test_result_names_match_registry(self):
         for name in ("incbeta_reflection", "spectrum_bounds_monotone", "intertwining"):
             assert verify.run_check(name).name == name
+
+    def test_verify_reads_no_private_library_name(self):
+        # the checks hold the library to account through its public names: a private one (bergman._x, ...)
+        # could change with the code it is meant to check
+        tree = ast.parse(pathlib.Path(verify.__file__).read_text())
+        modules = {"bergman", "locop", "quadrature", "specfun", "states"}
+        private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules and node.attr.startswith("_")]
+        private += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name.startswith("_")]
+        assert not private
 
 
 class TestToleranceCeilings:
@@ -176,6 +189,9 @@ class TestFaultInjection:
         (locop, "landau_density", "probabilistic_densities"),
         (specfun, "reg_inc_beta_table", "leakage_inequality"),
         (specfun, "inc_beta_steps", "leakage_inequality"),
+        (locop, "localized_overlap", "leakage_inequality"),
+        (locop, "spectral_apply", "leakage_inequality"),
+        (locop, "leakage_bound", "leakage_inequality"),
         (locop, "disk_eigenvalue", "spectrum_bounds_monotone"),
         (locop, "disk_eigenvalue", "eigenvalue_norm_identity"),
         (bergman, "kernel_limit", "reproducing_property"),
@@ -184,6 +200,7 @@ class TestFaultInjection:
         (bergman, "kernel_series", "kernel_series_closed_equivalence"),
         (bergman, "kernel_series", "transfer_spectral_action"),
         (bergman, "kernel_series", "intertwining"),
+        (bergman, "transferred_apply", "transfer_spectral_action"),
     ])
     def test_relative_error_of_1e_9_fails_a_check(self, home, name, check, monkeypatch):
         # the function times 1 + 1e-9, in every nbsloc module that holds it: where verify and the library read it;
@@ -233,12 +250,23 @@ class TestFaultInjection:
         assert verify.run_check("laguerre_orthonormality").passed
 
     @pytest.mark.parametrize("name", ["transfer_spectral_action", "intertwining"])
-    def test_transfer_checks_do_not_call_transferred_apply(self, name, monkeypatch):
-        # the checks integrate the kernel series themselves, so they still hold the apply to account
-        def refuse(*args):
-            raise AssertionError("transferred_apply called")
+    def test_transfer_integral_does_not_call_transferred_apply(self, name, monkeypatch):
+        # the integral side integrates the kernel series itself, so it holds the apply to account
+        exact_apply, exact_integral, inside = bergman.transferred_apply, verify._transfer_integral, []
 
-        monkeypatch.setattr(bergman, "transferred_apply", refuse)
+        def apply(*args):
+            assert not inside, "transferred_apply called by _transfer_integral"
+            return exact_apply(*args)
+
+        def integral(*args):
+            inside.append(True)
+            try:
+                return exact_integral(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(bergman, "transferred_apply", apply)
+        monkeypatch.setattr(verify, "_transfer_integral", integral)
         result = verify.run_check(name)
         assert result.passed and result.max_error <= 1e-13
 
