@@ -16,9 +16,9 @@ an evaluator, which ``BergmanFunction.project`` turns into coefficients.  A
 Accuracy and rule sizes are a fixed contract, not arguments: the kernel
 series is cut where its tail falls below specfun's SERIES_REL_TOL;
 ``BergmanFunction.project`` samples F once per angular rule of PROJECT_ANGLES,
-on the fewest radii exact for the coefficients it returns, compares them with
-those of the rule's even-indexed half and raises AccuracyError past
-PROJECT_REFINE_TOL.
+on the fewest radii exact for the coefficients it returns, reads them from
+plain FFT bins, compares them with those of the nested half-size rule (the
+samples' even-indexed half) and raises AccuracyError past PROJECT_REFINE_TOL.
 
 Everything that does not depend on the point or the function is read from
 bounded LRU caches of read-only arrays: specfun's eigenvalue table, the grids
@@ -55,7 +55,7 @@ __all__ = [
     "transferred_apply",
 ]
 
-PROJECT_REFINE_TOL = 1e-10  # agreement of project's angular rule with its even-indexed half, relative to |F|
+PROJECT_REFINE_TOL = 1e-10  # agreement of project's angular rule with the nested half-size rule, relative to |F|
 PROJECT_ANGLES = (256, 512, 1024, 2048, 4096)  # project's angular rules, in the order it tries them
 
 
@@ -100,8 +100,8 @@ class BergmanFunction:
         F, r^j a_j(r) has degree j in rho = r^2, so max(2, j_max // 2 + 1) Gauss-Jacobi radii, the fewest
         exact for every j <= j_max, suffice.  F is sampled once per rule, on each n_theta of PROJECT_ANGLES in
         turn; the coefficients of all n_theta angles are returned once they agree to PROJECT_REFINE_TOL times
-        F's norm on the rule with those of the even-indexed n_theta / 2, a uniform rule offset by a quarter of
-        its spacing; else, as for a pole just outside, AccuracyError, at once where that norm is not finite.
+        F's norm on the rule with those of the n_theta / 2 rule, the samples' even-indexed half; else, as for
+        a pole just outside, AccuracyError, at once where that norm is not finite.
         """
         j_max = check_index("j_max", j_max)
         radial = radial_jacobi_grid(max(2, j_max // 2 + 1), self.B)
@@ -112,8 +112,8 @@ class BergmanFunction:
             norm = math.sqrt(radial.weights @ np.mean(np.abs(values) ** 2, axis=1))  # Parseval: sum_k |a_k|^2
             if not math.isfinite(norm):
                 raise AccuracyError(f"F is not finite on the {n_theta}-angle rule: |F| {norm}")
-            coeffs, coarse = (norms * (radial.weights @ (r_j * _angular_coefficients(values[:, ::step], j_max + 1, step)))
-                              for step in (1, 2))
+            coeffs, coarse = (norms * (radial.weights @ (r_j * _angular_coefficients(v, j_max + 1)))
+                              for v in (values, values[:, ::2]))
             delta = float(np.max(np.abs(coeffs - coarse), initial=0.0))
             if delta <= PROJECT_REFINE_TOL * norm:
                 return BergmanFunction(self.B, coefficients=coeffs)
@@ -218,19 +218,13 @@ def kernel_limit(z, w, B: float):
     return (2.0 * B - 1.0) * principal_power(1.0 - as_disk(z).conjugate() * as_disk(w), -2.0 * B)
 
 
-def _angular_coefficients(values: np.ndarray, n_k: int, step: int = 1) -> np.ndarray:
-    """a[i, k] = mean_m exp(-i k theta_m) values[i, m], k < n_k, from one FFT per row.
+def _angular_coefficients(values: np.ndarray, n_k: int) -> np.ndarray:
+    """a[i, k] = mean_m exp(-i k theta_m) values[i, m], k < n_k: FFT bin k mod n over n, one FFT per row.
 
-    values[i, m] = F(r_i exp(i theta_m)) samples F on the polar rule's ring i at every ``step``-th node
-    theta_m = 2 pi (step m + 1/2) / n_theta of ``angular_grid(n_theta)``, n_theta = step values.shape[1]:
-    a uniform rule of values.shape[1] angles, offset by (step - 1) / 2 of the n_theta rule's spacing.  a[i, k]
-    is FFT bin k mod values.shape[1] times step exp(-i pi k / n_theta) / n_theta, for k past the bins too,
-    and only those bins are read.  On the polar rule with radial weights W_i, (1/pi) int conj(z)^k F(z)
-    (1-|z|^2)^(2B-2) dA is then sum_i W_i r_i^k a[i, k].
+    values[i, m] = F(r_i exp(i theta_m)) on ring i, at the n = values.shape[1] nodes of ``angular_grid(n)``.
     """
-    n_cols, k = values.shape[1], np.arange(n_k)
-    phase = np.exp(-1j * math.pi * k / (step * n_cols)) / (step * n_cols)
-    return np.fft.fft(values, axis=1)[:, k % n_cols] * (step * phase if step > 1 else phase)
+    n = values.shape[1]
+    return np.fft.fft(values, axis=1)[:, np.arange(n_k) % n] / n
 
 
 def transferred_apply(F: BergmanFunction, w, B: float, R) -> complex:

@@ -7,8 +7,9 @@ Three families cover every integral in the package:
   * ``radial_jacobi_grid`` -- Gauss-Jacobi on [0, 1] with the endpoint weight
     (1 - rho)^(2B - 2) absorbed into the weights, so that B in (1/2, 1) (an
     integrable singularity) needs no special casing;
-  * ``disk_grid``        -- the tensor product of the radial rule with a
-    uniform (spectrally accurate) angular rule for weighted disk integrals.
+  * ``disk_grid``        -- the tensor product of the radial rule with the uniform angular rule on the
+    FFT's grid, theta_m = 2 pi m / n, for weighted disk integrals; for even n the angular rule's
+    even-indexed nodes are the n / 2 rule's, bit for bit.
 
 Every Gauss rule has its weights from ``_christoffel``.  A Legendre rule (Jacobi, alpha = 0) takes
 its nodes from an eigenproblem of half the size and mirrors exactly about 1/2; any other alpha,
@@ -18,7 +19,7 @@ RULE_CACHE_SIZE entries:
 
   * ``gauss_jacobi(n, alpha)`` -- the rule on [0, 1];
   * ``half_line_grid(n, B)``, ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each;
-  * ``angular_phasors(n)`` -- the angular rule's points exp(i theta_m) on the unit circle.
+  * ``angular_phasors(n)`` -- the angular rule's points exp(i theta_m), the n-th roots of unity.
 
 Rule, grid and phasor arrays are read-only and integration is a dot product,
 so all of it is thread-safe; a call that raises caches nothing.
@@ -45,10 +46,9 @@ RULE_CACHE_SIZE = 64  # entries kept by each rule and grid cache; a 600-node rul
 class QuadratureGrid:
     """Nodes and strictly positive weights for one integration rule.
 
-    For a one-dimensional rule ``nodes`` is a float array strictly inside
-    the open integration domain; for a ``disk_grid`` it is a complex array of
-    points strictly inside the unit disk and the weights absorb both the
-    radial weight function and the angular step.
+    For a Gauss rule ``nodes`` is a float array strictly inside the open integration domain (the periodic
+    ``angular_grid`` starts at theta = 0); for a ``disk_grid`` it is a complex array of points strictly
+    inside the unit disk and the weights absorb both the radial weight function and the angular step.
     """
 
     nodes: np.ndarray
@@ -199,21 +199,18 @@ def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def angular_grid(n: int) -> QuadratureGrid:
-    """Uniform midpoint rule on (0, 2 pi); spectrally accurate for trigonometric integrands.  Memoized by n."""
+    """Uniform rule on the FFT's grid theta_m = 2 pi m / n, m < n; exact for e^(i k theta), |k| < n.  Memoized."""
     n = check_index("n", n)
     if n < 2:
         raise DomainError(f"need at least 2 angular nodes, got {n}")
-    theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    theta = 2.0 * math.pi * np.arange(n) / n
     weights = np.full(n, 2.0 * math.pi / n)
     return QuadratureGrid(theta, weights)
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def angular_phasors(n: int) -> np.ndarray:
-    """exp(i theta_m) at the nodes theta_m of ``angular_grid(n)``: the rule's points on the unit circle.
-
-    Memoized by n; the array is read-only.
-    """
+    """The n-th roots of unity exp(i theta_m), theta_m the nodes of ``angular_grid(n)``; memoized, read-only."""
     phasors = np.exp(1j * angular_grid(n).nodes)
     phasors.flags.writeable = False
     return phasors

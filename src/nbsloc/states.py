@@ -226,9 +226,9 @@ def bergman_basis(j: int | range, B: float, z):
 
 
 def _basis_series(coeffs, B: float, z):
-    """sum_j coeffs[j] bergman_basis(j, B, z) by Horner's rule, ``z`` may be an ndarray; ``coeffs`` unchecked."""
+    """sum_j coeffs[j] bergman_basis(j, B, z) by Horner's rule at an ``as_disk`` output z; not checked."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    return horner(coeffs * basis_norms(coeffs.size, B), as_disk(z))
+    return horner(coeffs * basis_norms(coeffs.size, B), z)
 
 
 def laguerre_function(j: int | range, B: float, xi):

@@ -202,7 +202,7 @@ def check_radial_rule() -> CheckResult:
 def check_disk_rule_delta() -> CheckResult:
     """Angular orthogonality: the quantized constant symbol is the identity matrix, as one 13 x 13 block.
 
-    Budget: conj(z)^j z^k is r^(j+k) e^(i (k-j) theta); the 64 midpoint angles sum e^(i m theta) to zero for
+    Budget: conj(z)^j z^k is r^(j+k) e^(i (k-j) theta); the 64 uniform angles sum e^(i m theta) to zero for
     0 < |m| < 64 and the 48 radii integrate rho^j, j <= 12, exactly, so only rounding is left.  By
     Cauchy-Schwarz an entry's terms have moduli adding to at most 1.  Against that: the basis norms
     (8 eps), the powers z^k (20 eps), node rounding carried through rho^j and the phases (24 eps), the rule's
@@ -591,17 +591,24 @@ def check_reproducing_property() -> CheckResult:
     integral): 7.0e-21 summed.  Rounding: the 4,096 terms, summed in any order, 4,106 u times their
     absolute sum, u = 2^-53, which is at most K(w, w)^(1/2) <= 2.07 (Cauchy-Schwarz; the rule holds
     |e_k|^2 exactly): 9.4e-13; the kernel and basis values, 3.2e-14 relative each, on 2.07 and on
-    |e_k(w)| <= 1.42: 1.1e-13.  In all 1.1e-12.  Tolerance 2e-11.
+    |e_k(w)| <= 1.42: 1.1e-13.  In all 1.1e-12.
+
+    ``BergmanFunction(B, evaluator=K(w0, .)).project(j_max)`` gives conj(e_j(w0)), j <= j_max, relative to max_j
+    |c_j|, at (B, w0, j_max) = (1.5, 0.54 e^(0.3i), 20) and (10, 0.6 e^(1.9i), 30).  Budget: 256 angles alias
+    c_(j + 256 l), l >= 1, below 1e-53, and the radii are exact.  Rounding, on A_j = n_j sum_i W_i r_i^j rms_i
+    <= 3.2 max_j |c_j| (rms_i: F's RMS on ring i): log2(n) 10.7 u from the FFT (Higham, ASNA 2nd ed., Thm 24.2),
+    (4B + 4) u from the kernel values, 56 u from the powers, norms, weights and radial sum and 38 u from the
+    reference: 224 u x 3.2 ~ 8e-14.  Tolerance 2e-11.
     """
-    worst = 0.0
+    worst, w = 0.0, 0.4 + 0.25j
     for B in (1.0, 1.5):
         grid = quadrature.disk_grid(64, 64, B)
-        w = 0.4 + 0.25j
-        kvals = bergman.kernel_limit(grid.nodes, w, B)
-        for k in range(6):
-            cvals = states.bergman_basis(k, B, grid.nodes)
-            got = complex(grid.weights @ (kvals * cvals) / math.pi)
-            worst = max(worst, abs(got - states.bergman_basis(k, B, w)))
+        rows = states.bergman_basis(range(6), B, grid.nodes) * bergman.kernel_limit(grid.nodes, w, B)
+        worst = max(worst, float(np.max(np.abs(rows @ grid.weights / math.pi - states.bergman_basis(range(6), B, w)))))
+    for B, w0, j_max in ((1.5, 0.54 * cmath.exp(0.3j), 20), (10.0, 0.6 * cmath.exp(1.9j), 30)):
+        F = bergman.BergmanFunction(B, evaluator=lambda z: bergman.kernel_limit(w0, z, B))
+        want = np.conj(states.bergman_basis(range(j_max + 1), B, w0))
+        worst = max(worst, float(np.max(np.abs(F.project(j_max).coefficients - want)) / np.max(np.abs(want))))
     return _result("reproducing_property", worst, 2e-11)
 
 
@@ -611,7 +618,7 @@ def _transfer_integral(B: float, R: float, ws: np.ndarray, fvals) -> np.ndarray:
     The transferred operator as the paper's integral, apart from ``transferred_apply``: the kernel
     series sum_k c_k (conj(z) w)^k against F's values ``fvals(nodes)`` (a column per w) on the fixed
     16 x 32 disk rule.  For F = sum_{j <= j_max} f_j n_j z^j, n_j the basis norms and j_max < 32, the
-    16 radii integrate each term k = j exactly; the 32 midpoint angles add term k only where
+    16 radii integrate each term k = j exactly; the 32 uniform angles add term k only where
     k = j (mod 32), so k >= 32 - j_max, each with a radial sum of at most 1/(2B - 1).  The rule is
     therefore off by at most sum_j n_j |f_j| / (2B - 1) times the aliasing budget
     sum_{k >= 32 - j_max} |c_k| |w|^k.

@@ -397,23 +397,22 @@ def hypergeometric_partial_sum_exact(a: float, b: float, c: float, z: float, ter
 
 
 def project_all_bins(F, j_max: int, bergman, quadrature):
-    """``F.project(j_max)``'s coefficients with every FFT bin phase-shifted and F's norm from the bins.
+    """``F.project(j_max)``'s coefficients with every FFT bin kept and F's norm from the bins.
 
     The same radial rule, refinement walk and tolerance as ``project``: F sampled once per rule, on each
-    n_theta of PROJECT_ANGLES, its coefficients compared with those of the even-indexed n_theta / 2
-    angles (a uniform rule offset by a quarter of its spacing), with the angles' phasors rebuilt per rule
-    and all bins of both rules kept; None where no rule agrees with its half.
+    n_theta of PROJECT_ANGLES at theta_m = 2 pi m / n_theta, its coefficients compared with those of the
+    even-indexed n_theta / 2 angles (the half-size rule), with the angles' phasors rebuilt per rule and all
+    bins of both rules kept; None where no rule agrees with its half.
     """
     radial = quadrature.radial_jacobi_grid(max(2, j_max // 2 + 1), F.B)
     r, j = np.sqrt(radial.nodes), np.arange(j_max + 1)
     norms = np.exp(0.5 * (math.log(2.0 * F.B - 1.0) + bergman.log_nb_weights(j_max + 1, 2.0 * F.B)))
     for n_theta in bergman.PROJECT_ANGLES:
         k = np.arange(max(n_theta, j_max + 1))
-        theta = 2.0 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
+        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
         values = F.values(r[:, None] * np.exp(1j * theta))
-        phase = np.exp(-1j * math.pi * k / n_theta) / n_theta
-        a = np.fft.fft(values, axis=1)[:, k % n_theta] * phase
-        half = np.fft.fft(values[:, ::2], axis=1)[:, k % (n_theta // 2)] * (2 * phase)
+        a = np.fft.fft(values, axis=1)[:, k % n_theta] / n_theta
+        half = np.fft.fft(values[:, ::2], axis=1)[:, k % (n_theta // 2)] / (n_theta // 2)
         coeffs, coarse = (norms * (radial.weights @ (r[:, None] ** j * bins[:, :j_max + 1])) for bins in (a, half))
         norm = math.sqrt(radial.weights @ np.sum(np.abs(a[:, :n_theta]) ** 2, axis=1))
         if np.max(np.abs(coeffs - coarse), initial=0.0) <= bergman.PROJECT_REFINE_TOL * norm:

@@ -1,11 +1,12 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
-from nbsloc import bergman, locop, quadrature, specfun
+from nbsloc import bergman, locop, quadrature, specfun, states
 from nbsloc.bergman import (
     BergmanFunction,
     bargmann_inverse,
@@ -196,13 +197,13 @@ class TestBergmanFunction:
             assert np.array_equal(F.project(j_max).coefficients, want)
 
     def test_angular_coefficients_match_direct_sum(self):
-        # odd n_theta, and bins past n_theta read aliased, sign-flipped FFT entries
+        # odd n_theta, and bins past n_theta read the periodic FFT entries
         from nbsloc.bergman import _angular_coefficients
 
         B, n_r, n_theta, n_k = 1.5, 5, 7, 30
         F = BergmanFunction(B, evaluator=lambda z: 1.0 / (1.3 - z) + z.conjugate() ** 2)
         r = np.sqrt(radial_jacobi_grid(n_r, B).nodes)
-        theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
         a = _angular_coefficients(F.values(r[:, None] * np.exp(1j * theta)), n_k)
         for i in range(n_r):
             values = F.values(r[i] * np.exp(1j * theta))
@@ -380,7 +381,7 @@ class TestTransferredApply:
             coeffs[k] = 1.0
             got = transferred_apply(BergmanFunction(B, coeffs), w, B, R)
             want = disk_eigenvalue(k, B, R) * bergman_basis(k, B, w)
-            assert abs(got - want) <= 1e-7
+            assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_zero_function(self):
         for coefficients in (np.zeros(3), []):
@@ -396,7 +397,7 @@ class TestTransferredApply:
         combined = transferred_apply(BergmanFunction(B, a + 2.0 * b), w, B, R)
         separate = (transferred_apply(BergmanFunction(B, a), w, B, R)
                     + 2.0 * transferred_apply(BergmanFunction(B, b), w, B, R))
-        assert combined == pytest.approx(separate, rel=1e-9)
+        assert combined == pytest.approx(separate, rel=1e-13, abs=0.0)
 
     def test_non_finite_strength_rejected(self):
         with pytest.raises(DomainError):
@@ -548,7 +549,7 @@ class TestIntertwining:
             w = complex(*rng.uniform(-0.45, 0.45, 2))
             direct = bargmann_transform(spectral_apply(c, ModelParams(B), LocalizationRadius(R)), w, B)
             via_kernel = transferred_apply(BergmanFunction(B, coefficients=c), w, B, R)
-            assert abs(direct - via_kernel) <= 1e-7 * max(1.0, abs(direct))
+            assert abs(direct - via_kernel) <= 1e-13 * abs(direct)
 
 
 EPS = np.finfo(float).eps
@@ -577,6 +578,21 @@ class TestCoefficientPath:
             assert abs(bargmann_transform(coeffs, z, B) - want) <= tol
             for got in arrays:
                 assert abs(got[i] - want) <= tol
+
+    def test_array_points_checked_once(self, monkeypatch):
+        # __call__ checks the points and the Horner sum reads them as they are: one max-|z| pass per evaluation
+        exact, calls = states.as_disk, []
+
+        def counted(z):
+            calls.append(np.shape(z))
+            return exact(z)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("nbsloc.")]:
+            if getattr(module, "as_disk", None) is exact:
+                monkeypatch.setattr(module, "as_disk", counted)
+        points = np.array([[0.1, -0.5j], [0.3 + 0.4j, 0.0]])
+        F = BergmanFunction(1.5, coefficients=[1.0, 2.0, -0.5j])
+        assert F(points).shape == points.shape and calls == [points.shape]
 
     def test_array_outside_disk_rejected_once(self):
         F = BergmanFunction(1.5, coefficients=[1.0, 2.0])

@@ -120,6 +120,21 @@ class TestDiskEigenvalue:
         with pytest.raises(DomainError):
             disk_eigenvalue(1, math.inf, 0.5)
 
+    # against 40-digit mpmath at the doubles b = 2B - 1 and s = R * R that the library sees
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="at b = 2B - 1 = 2e-6 the complement route 1 - front cf / b cancels: "
+                              "6.4e-10 off, silently (ROADMAP item 26)")
+    def test_relative_accuracy_near_the_lower_edge(self):
+        j, B, R = 1000, 0.5 + 1e-6, 0.9999
+        assert abs(disk_eigenvalue(j, B, R) / float(oracles.landau_eigenvalue_mpmath(j, B, 0, R)) - 1.0) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the continued fraction is ill-conditioned near its switch point at a >> b, and "
+                              "the entry just below its anchor is 9.2e-12 off (ROADMAP item 4)")
+    def test_relative_accuracy_below_a_large_anchor_near_the_rim(self):
+        j, B, R = 1_048_575, 3.0, 0.99999
+        assert abs(disk_eigenvalue(j, B, R) / float(oracles.landau_eigenvalue_mpmath(j, B, 0, R)) - 1.0) <= 1e-12
+
 
 class TestLandauEigenvalueTable:
     """``landau_eigenvalue(range(n), ...)``, the table ``nbsloc eigvals`` prints: at m = 0 the Beta table."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from nbsloc import quadrature, states
+from nbsloc.bergman import PROJECT_ANGLES
 from nbsloc.errors import DomainError
 from nbsloc.quadrature import (
     QuadratureGrid,
@@ -327,6 +328,19 @@ class TestRadialJacobiGrid:
             with pytest.raises(DomainError, match="strictly positive"):
                 radial_jacobi_grid(n, B)
         assert radial_jacobi_grid.cache_info().currsize == before
+
+
+class TestAngularGrid:
+    @pytest.mark.parametrize("n", PROJECT_ANGLES)
+    def test_even_indexed_half_is_the_half_size_rule(self, n):
+        # the FFT's grid theta_m = 2 pi m / n nests: project's refinement reads the n / 2 rule off the n samples
+        assert np.array_equal(angular_grid(n).nodes[::2], angular_grid(n // 2).nodes)
+        assert np.array_equal(quadrature.angular_phasors(n)[::2], quadrature.angular_phasors(n // 2))
+
+    def test_phasors_are_the_roots_of_unity_in_fft_order(self):
+        n = 12
+        assert angular_grid(n).nodes[0] == 0.0 and quadrature.angular_phasors(n)[0] == 1.0
+        assert np.allclose(np.fft.fft(quadrature.angular_phasors(n)), np.eye(n)[1] * n, rtol=0.0, atol=1e-13)
 
 
 class TestDiskGrid:

@@ -93,6 +93,15 @@ class TestRegIncBeta:
         direct = oracles.adaptive_simpson(lambda t: t * math.sqrt(1.0 - t), 0.0, 0.3) / beta_const
         assert reg_inc_beta(0.3, 2.0, 1.5) == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="at small b the complement route 1 - front cf / b cancels: "
+                              "3.6e-8 off at b = 2e-8, silently (ROADMAP item 26)")
+    def test_relative_accuracy_at_small_b(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.betainc(1, 2e-8, 0, 0.81, regularized=True))
+        assert abs(reg_inc_beta(0.81, 1.0, 2e-8) / want - 1.0) <= 1e-12
+
     def test_domain(self):
         with pytest.raises(DomainError):
             reg_inc_beta(-0.1, 1.0, 1.0)

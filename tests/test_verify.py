@@ -113,6 +113,26 @@ class TestWorkBudget:
         assert f"{locop.RADIAL_NODES}, 0.5" in work["builds"]
 
 
+def _scale_everywhere(monkeypatch, home, name, factor):
+    """Replace home.name, in home and wherever an nbsloc module holds it, by its result times ``factor``.
+
+    A HypergeomResult keeps its term count and has its value scaled; a BergmanFunction its coefficients.
+    """
+    exact = getattr(home, name)
+
+    def perturbed(*args):
+        result = exact(*args)
+        if isinstance(result, specfun.HypergeomResult):
+            return dataclasses.replace(result, value=result.value * factor)
+        if isinstance(result, bergman.BergmanFunction):
+            return dataclasses.replace(result, coefficients=result.coefficients * factor)
+        return result * factor
+
+    for holder in [home] + [m for key, m in sys.modules.items() if key.startswith("nbsloc.")]:
+        if getattr(holder, name, None) is exact:
+            monkeypatch.setattr(holder, name, perturbed)
+
+
 class TestFaultInjection:
     def test_biased_draws_fail_mc_spectrum(self, monkeypatch):
         # Beta(a + 1, b) draws sit to the right of the eigenvalue's law: far past 4 sigma at 250,000 draws
@@ -195,6 +215,8 @@ class TestFaultInjection:
         (locop, "disk_eigenvalue", "spectrum_bounds_monotone"),
         (locop, "disk_eigenvalue", "eigenvalue_norm_identity"),
         (bergman, "kernel_limit", "reproducing_property"),
+        (bergman, "_angular_coefficients", "reproducing_property"),
+        (bergman.BergmanFunction, "project", "reproducing_property"),
         (specfun, "appell_f1", "appell_f1_reductions"),
         (specfun, "gauss_2f1", "gauss_theorem"),
         (bergman, "kernel_series", "kernel_series_closed_equivalence"),
@@ -203,21 +225,17 @@ class TestFaultInjection:
         (bergman, "transferred_apply", "transfer_spectral_action"),
     ])
     def test_relative_error_of_1e_9_fails_a_check(self, home, name, check, monkeypatch):
-        # the function times 1 + 1e-9, in every nbsloc module that holds it: where verify and the library read it;
-        # a HypergeomResult keeps its term count and has its value scaled
+        # the function times 1 + 1e-9, in its home and every nbsloc module that holds it: where verify and the
+        # library read it
         assert verify.run_check(check).passed
-        exact = getattr(home, name)
-
-        def perturbed(*args):
-            result = exact(*args)
-            if isinstance(result, specfun.HypergeomResult):
-                return dataclasses.replace(result, value=result.value * (1.0 + 1e-9))
-            return result * (1.0 + 1e-9)
-
-        for module in [m for key, m in sys.modules.items() if key.startswith("nbsloc.")]:
-            if getattr(module, name, None) is exact:
-                monkeypatch.setattr(module, name, perturbed)
+        _scale_everywhere(monkeypatch, home, name, 1.0 + 1e-9)
         broken = verify.run_check(check)
+        assert not broken.passed and broken.max_error > 1e-10
+
+    @pytest.mark.parametrize("home, name", [(bergman, "_angular_coefficients"), (bergman.BergmanFunction, "project")])
+    def test_projection_low_by_1e_9_fails_reproducing_property(self, home, name, monkeypatch):
+        _scale_everywhere(monkeypatch, home, name, 1.0 - 1e-9)
+        broken = verify.run_check("reproducing_property")
         assert not broken.passed and broken.max_error > 1e-10
 
     @pytest.mark.parametrize("home, name, factor, check, old_gate", [
