@@ -283,14 +283,10 @@ def leakage_bound(z0, B: float, R) -> float:
 
     sqrt(sum_j I_{R^2}(j+1, 2B-1)^2 pmf(j)) with the negative binomial law
     at p = |z0|^2, summed over j < n.  n doubles from 32 until the terms
-    past index n - 1 are at most LEAKAGE_TAIL_TOL times the sum, or raises
-    ConvergenceError past SERIES_MAX_TERMS.  The eigenvalues decrease, so
-    those terms add at most I_{R^2}(n, 2B-1)^2 P(N >= n), with P(N >= n) =
-    I_p(n, 2B) exactly: n first doubles until that is at most
-    LEAKAGE_TAIL_TOL, which needs no sum, then until the smaller of it and
-    a geometric bound (``_log_tail_bound``) is at most LEAKAGE_TAIL_TOL
-    times the sum.  A sum below the normal range, whose terms underflow, is
-    summed from the logs of its terms; the comparison is made in logs.  The
+    past index n - 1 (``_log_tail_bound``) are at most LEAKAGE_TAIL_TOL times
+    the sum, or raises ConvergenceError past SERIES_MAX_TERMS.  The sum is
+    the log-sum-exp of its terms' logs 2 log lambda_j + log pmf_j, and the
+    stop test compares logs, so a sum below the normal range is kept.  The
     bound is at most one, and a rounded sum above one is returned as one.
     """
     z0, R = as_disk(z0), as_radius(R)
@@ -299,21 +295,15 @@ def leakage_bound(z0, B: float, R) -> float:
     s, b = R * R, 2.0 * B - 1.0
     n = 32
     while True:
-        tail_p = reg_inc_beta(p, float(n), 2.0 * B)
-        if reg_inc_beta(s, float(n), b) ** 2 * tail_p <= LEAKAGE_TAIL_TOL:
-            lam = reg_inc_beta_table(s, n, b)
-            log_pmf = log_inc_beta_steps(p, n, 2.0 * B)
-            total = float(lam * lam @ np.exp(log_pmf))
-            if total >= sys.float_info.min:
-                log_total, bound = math.log(total), math.sqrt(total)
-            else:
-                with np.errstate(divide="ignore"):  # log(0) = -inf where an eigenvalue underflows
-                    terms = 2.0 * np.log(lam) + log_pmf
-                top = terms.max()
-                log_total = top + math.log(np.exp(terms - top).sum()) if top > -math.inf else -math.inf
-                bound = math.exp(0.5 * log_total)
-            if _log_tail_bound(lam, log_pmf, tail_p, s, p, B) <= math.log(LEAKAGE_TAIL_TOL) + log_total:
-                return min(bound, 1.0)  # at most one by Cauchy-Schwarz; rounding must not push it past
+        lam = reg_inc_beta_table(s, n, b)
+        log_pmf = log_inc_beta_steps(p, n, 2.0 * B)
+        with np.errstate(divide="ignore"):  # log(0) = -inf where an eigenvalue underflows
+            terms = 2.0 * np.log(lam) + log_pmf
+        top = terms.max()
+        log_total = top + math.log(np.exp(terms - top).sum()) if top > -math.inf else -math.inf
+        tail = _log_tail_bound(lam, log_pmf, reg_inc_beta(p, float(n), 2.0 * B), s, p, B)
+        if tail <= math.log(LEAKAGE_TAIL_TOL) + log_total:
+            return min(math.exp(0.5 * log_total), 1.0)  # at most one by Cauchy-Schwarz; rounding must not push it past
         if n >= specfun.SERIES_MAX_TERMS:
             raise ConvergenceError(f"photon-count tail above {LEAKAGE_TAIL_TOL} of the sum after {n} terms "
                                    f"at p={p}", terms_used=n)

@@ -86,10 +86,10 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
 
     In u = xi^2 that is int_0^inf u^(2B-1) exp(-u) p(u) du / 2: Gauss-Laguerre with alpha = 2B - 1 (diagonal
     2k + alpha + 1, off-diagonal sqrt(k (k + alpha))) at xi_i = sqrt(u_i), its unit-mass weights w_i times
-    exp(u_i) u_i^(-(2B - 1/2)) Gamma(2B) / 2, in logs.  phi_j phi_k is exact from ceil((j + k + 1) / 2)
-    nodes.  The u_i are the eigenvalues of that Jacobi matrix from ``_tridiagonal_eigvalsh``, which holds it as
-    one n x n array.  DomainError where a w_i or a weight leaves the double range (from about 200 nodes at
-    B = 1.5).
+    exp(u_i) u_i^(-(2B - 1/2)) Gamma(2B) / 2, in logs, with w_i's power of two, so a w_i below the double range
+    (from 190 nodes at B <= 1.5) still gives its weight.  phi_j phi_k is exact from ceil((j + k + 1) / 2) nodes.
+    The u_i are the eigenvalues of that Jacobi matrix from ``_tridiagonal_eigvalsh``, which holds it as one n x n
+    array.  DomainError where a weight leaves the double range.
     """
     n = check_index("n", n)
     if n < 1:
@@ -98,9 +98,10 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     alpha, k = 2.0 * B - 1.0, np.arange(n)
     diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
     x = _tridiagonal_eigvalsh(diag, off)
-    u, w = _christoffel(x, diag, off, 1.0, float(x[-1]))
+    u, w, shift = _christoffel(x, diag, off, 1.0, float(x[-1]))
     with np.errstate(divide="ignore", over="ignore"):
-        weights = np.exp(np.log(w) + u - (alpha + 0.5) * np.log(u) + (log_gamma(alpha + 1.0) - math.log(2.0)))
+        log_w = np.log(w) - 2.0 * math.log(2.0) * shift
+        weights = np.exp(log_w + u - (alpha + 0.5) * np.log(u) + (log_gamma(alpha + 1.0) - math.log(2.0)))
     if not (np.all(np.isfinite(weights)) and np.min(w) >= np.finfo(float).tiny and np.min(weights) > 0.0):
         raise DomainError(f"the {n}-node half-line rule at B={B} has weights past the double range")
     return QuadratureGrid(np.sqrt(u), weights)
@@ -139,12 +140,13 @@ def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         even, odd = ext[0:n - n % 2:2], ext[1:n - n % 2:2]
         cross = odd[:-1] * even[1:]
         lam = _tridiagonal_eigvalsh(even * even + odd * odd, cross)
-        half, half_w = _christoffel(0.5 + np.concatenate((np.zeros(n % 2), np.sqrt(lam))), diag, off, mu0, 1.0)
+        half, *half_weights = _christoffel(0.5 + np.concatenate((np.zeros(n % 2), np.sqrt(lam))), diag, off, mu0, 1.0)
         nodes = np.concatenate((1.0 - half[::-1][:n // 2], half))
-        weights = np.concatenate((half_w[::-1][:n // 2], half_w))
+        weights, shift = (np.concatenate((v[::-1][:n // 2], v)) for v in half_weights)
     else:
         x = _tridiagonal_eigvalsh(diag, off)
-        nodes, weights = _christoffel(x, diag, off, mu0, 1.0)
+        nodes, weights, shift = _christoffel(x, diag, off, mu0, 1.0)
+    weights = np.ldexp(weights, -2 * shift)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -163,8 +165,9 @@ def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def _christoffel(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mu0: float,
-                 reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Newton step from the eigenvalues x, |x| <= reach, and the Christoffel weight at each stepped node."""
+                 reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Newton step from the eigenvalues x, |x| <= reach, and the Christoffel weight at each stepped node,
+    w 2^(-2 shift), as w and the integer shift: a weight below the double range is kept, for the caller's logs."""
     m = x.size
     q_prev, q, dq_prev, dq = np.zeros(m), np.ones(m), np.zeros(m), np.zeros(m)
     sum_qq, sum_qdq, shift = np.zeros(m), np.zeros(m), np.zeros(m, dtype=int)
@@ -181,7 +184,7 @@ def _christoffel(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mu0: float,
             q_prev, q, dq_prev, dq = (np.ldexp(v, -e) for v in (q_prev, q, dq_prev, dq))
             sum_qq, sum_qdq, shift, bound = np.ldexp(sum_qq, -2 * e), np.ldexp(sum_qdq, -2 * e), shift + e, 1.0
     step = -q / dq
-    return x + step, np.ldexp(mu0 / (sum_qq + 2.0 * step * sum_qdq), -2 * shift)
+    return x + step, mu0 / (sum_qq + 2.0 * step * sum_qdq), shift
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)

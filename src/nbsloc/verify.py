@@ -495,17 +495,20 @@ def check_leakage() -> CheckResult:
     over unit c, at c = conj(lambda a) / |lambda a|: equality there certifies the inequality for every c.  Budget,
     relative, u = 2^-53, three (B, R, z0), 256 terms: at c they are positive, so two products and a Horner step per
     term add 258 (sqrt(5) + 1) u = 9.3e-14; c's norm 256 u, its other rounding only to second order; the pmf against
-    the basis norms (one log_nb_weights table, exps of logs of mean size <= 11.7) 1.9e-15; leakage_bound's sum of
-    <= 256 positive terms and tail <= 1e-14, 2e-14; the truncation past 256 terms < 1e-33: in all 1.5e-13.
+    the basis norms (one log_nb_weights table, exps of logs of mean size <= 11.7) 1.9e-15; leakage_bound's log-sum-exp
+    of n <= 256 terms t_j: log t_j = 2 log lambda_j + log pmf_j off by (|log t_j| + 4) u, on average over t_j / total
+    at most log n + |log total| + 4 = 21.4 u (Gibbs; |log total| <= 11.9), the exps and sum 257 u, the log 12 u, half
+    of it in the root, 3.2e-14, the tail <= 1e-14 5e-15; the truncation past 256 terms < 1e-33: in all 1.4e-13.
     Budget, absolute: at z0 = 0 the pmf is exactly [1, 0, ...] and the bound is sqrt(lambda_0^2), with lambda_0 =
     I_x(1, 2) = 7/16, x = 1/4, the table's sum of the steps (a+1) x^a (1-x)^2: each is exp of a log of size <= 1.39 a
     + 0.6 + log(a + 1) off by that plus 2 eps, about 5 eps at their mean a = 1.5, and the partial sums round twice
-    more; the square and the root add 1.5 eps: 10 eps * 7/16 = 1e-15 against the exact 1 - 0.75^2.  The pmf mass
-    at (p, 2B) = (0.4, 3) and the mean at (0.3, 2.5), 400 terms each: log_nb_weights is off by at most 3.1e-14
-    relative, the logs a log p + 2B log1p(-p) add about 10 eps at the mean a <= 2, the products j q 0.5 eps, and
-    the plain sum rounds each partial sum, at most 1 and 1.07, once: 400 eps / 2 = 4.4e-14 and 4.8e-14.  The tails
-    past a = 400 are below 1e-150 and the reference mean 2B p / (1 - p) rounds three times, 4e-16.  The mean's
-    3.3e-14 + 2.4e-15 + 5e-16 + 4.8e-14 + 4e-16 = 8.5e-14 is the largest.  Tolerance 1e-12.
+    more; exp(log(lambda_0^2) / 2), |log lambda_0| < 1, adds 3 eps: 11 eps * 7/16 = 1.1e-15 against the exact
+    1 - 0.75^2.  The pmf mass at (p, 2B) = (0.4, 3) and the mean at (0.3, 2.5), 400 terms each: log_nb_weights is
+    off by at most 3.1e-14 relative, the logs a log p + 2B log1p(-p) add about 10 eps at the mean a <= 2, the
+    products j q 0.5 eps, and the plain sum rounds each partial sum, at most 1 and 1.07, once: 400 eps / 2 =
+    4.4e-14 and 4.8e-14.  The tails past a = 400 are below 1e-150 and the reference mean 2B p / (1 - p) rounds
+    three times, 4e-16.  The mean's 3.3e-14 + 2.4e-15 + 5e-16 + 4.8e-14 + 4e-16 = 8.5e-14 is the largest.
+    Tolerance 1e-12.
     """
     gaps = []
     for B, R, z0 in ((1.25, 0.6, 0.5 + 0.3j), (0.51, 0.9, -0.99), (20.5, 0.8, -0.9 + 0.1j)):

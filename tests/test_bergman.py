@@ -56,10 +56,10 @@ class TestBergmanFunction:
         f = BergmanFunction(1.5, coefficients=[1.0, 2.0])
         z = 0.3 + 0.1j
         want = bergman_basis(0, 1.5, z) + 2.0 * bergman_basis(1, 1.5, z)
-        assert f(z) == pytest.approx(want, rel=1e-14)
+        assert f(z) == pytest.approx(want, rel=1e-14, abs=0.0)
         pts = np.array([0.1 + 0.0j, 0.2 - 0.3j])
         vals = f.values(pts)
-        assert vals[1] == pytest.approx(f(pts[1]), rel=1e-14)
+        assert vals[1] == pytest.approx(f(pts[1]), rel=1e-14, abs=0.0)
 
     def test_projection_recovers_coefficients(self):
         B = 1.25
@@ -220,7 +220,7 @@ class TestBargmannTransform:
             coeffs = np.zeros(k + 1)
             coeffs[k] = 1.0
             assert bargmann_transform(coeffs, z, B) == pytest.approx(
-                bergman_basis(k, B, z), rel=1e-14
+                bergman_basis(k, B, z), rel=1e-14, abs=0.0
             )
 
     def test_zero(self):
@@ -234,7 +234,7 @@ class TestBargmannTransform:
             F = BergmanFunction(B, coefficients=coeffs)
             for xi in (0.4, 1.3):
                 assert bargmann_inverse(F, xi) == pytest.approx(
-                    laguerre_function(k, B, xi), rel=1e-13
+                    laguerre_function(k, B, xi), rel=1e-13, abs=0.0
                 )
 
     def test_round_trip_exact(self):
@@ -255,7 +255,7 @@ class TestBargmannTransform:
         got = bargmann_inverse(BergmanFunction(1.25, coefficients=coeffs), 0.9)
         assert calls == [range(4)]
         want = sum(c * exact(j, 1.25, 0.9) for j, c in enumerate(coeffs))
-        assert got == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_inverse_at_infinity_rejected(self):
         # inf passed the xi > 0 check and came back as nan+nanj
@@ -273,13 +273,13 @@ class TestKernelSeries:
         B, s = 1.5, 0.36
         got = kernel_series(0.0j, 0.37 + 0.1j, B, s)
         want = (2.0 * B - 1.0) * (1.0 - (1.0 - s) ** (2.0 * B - 1.0))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_hermitian(self):
         B, s = 1.25, 0.49
         z, w = 0.5 + 0.2j, -0.3 + 0.4j
         assert kernel_series(z, w, B, s) == pytest.approx(
-            kernel_series(w, z, B, s).conjugate(), rel=1e-12
+            kernel_series(w, z, B, s).conjugate(), rel=1e-12, abs=0.0
         )
 
     def test_series_exhaustion_raises(self, monkeypatch):
@@ -302,13 +302,13 @@ class TestKernelSeries:
 class TestKernelClosed:
     def test_center_unit_strength(self):
         got = kernel_closed(0.0j, 0.3 + 0.0j, 1.0, 0.25)
-        assert got == pytest.approx(0.25, rel=1e-12)
+        assert got == pytest.approx(0.25, rel=1e-12, abs=0.0)
 
     def test_center_general_strength(self):
         B, s = 1.25, 0.36
         got = kernel_closed(0.0j, 0.2 - 0.4j, B, s)
         want = (2.0 * B - 1.0) * (1.0 - (1.0 - s) ** (2.0 * B - 1.0))
-        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_agreement_with_series(self):
         got = kernel_closed(0.5 + 0.0j, 0.3 + 0.4j, 1.25, 0.36)
@@ -330,7 +330,7 @@ class TestKernelClosed:
 
 class TestKernelLimit:
     def test_center(self):
-        assert kernel_limit(0.0j, 0.5j, 1.5) == pytest.approx(2.0, rel=1e-14)
+        assert kernel_limit(0.0j, 0.5j, 1.5) == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
     def test_diagonal_real_and_bounded_below(self):
         for z in (0.0j, 0.3 + 0.4j, -0.7j):

@@ -118,7 +118,7 @@ class TestKernel:
         rec = doc["data"][0]
         assert doc["params"]["s"] == 0.25
         assert "note" not in rec
-        assert rec["closed_re"] == pytest.approx(0.25, rel=1e-10)
+        assert rec["closed_re"] == pytest.approx(0.25, rel=1e-10, abs=0.0)
         assert rec["rel_discrepancy"] <= 1e-8
 
     def test_outside_disk_rejected(self, capsys):
@@ -139,7 +139,7 @@ class TestLeakage:
         assert code == 0
         doc = json.loads(out)
         assert doc["data"][0]["bound"] == pytest.approx(
-            leakage_bound(0.7, 1.5, 0.5), rel=1e-12)
+            leakage_bound(0.7, 1.5, 0.5), rel=1e-12, abs=0.0)
         assert doc["data"][0]["p"] == pytest.approx(0.49)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])

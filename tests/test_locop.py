@@ -228,7 +228,7 @@ class TestSpectralApply:
         e3 = np.zeros(4, dtype=complex)
         e3[3] = 1.0
         out = spectral_apply(e3, ModelParams(1.5), LocalizationRadius(0.6))
-        assert out[3] == pytest.approx(disk_eigenvalue(3, 1.5, 0.6), rel=1e-15)
+        assert out[3] == pytest.approx(disk_eigenvalue(3, 1.5, 0.6), rel=1e-15, abs=0.0)
         assert np.all(out[:3] == 0.0)
 
     def test_zero_vector(self):
@@ -372,7 +372,7 @@ class TestLandauEigenvalue:
         pytest.importorskip("mpmath")
         for j, B, R in ((0, 1.5, 0.6), (3, 1.25, 0.6), (5, 2.0, 0.4)):
             want = float(oracles.landau_eigenvalue_mpmath(j, B, 0, R))
-            assert landau_eigenvalue(j, ModelParams(B, 0), R) == pytest.approx(want, rel=1e-13)
+            assert landau_eigenvalue(j, ModelParams(B, 0), R) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("B, R", [(0.6, 0.9999), (0.51, 0.99), (1.5, 0.6), (10.5, 0.9), (50.0, 0.999)])
     def test_lowest_level_is_the_beta_table_bit_for_bit(self, B, R):
@@ -420,7 +420,7 @@ class TestLandauEigenvalue:
             * eval_jacobi(min(m, j), abs(m - j), 2 * (B - m) - 1, 1.0 - 2.0 * nodes) ** 2
         )
         assert landau_eigenvalue(j, ModelParams(B, m), R) == pytest.approx(
-            float(weights @ direct), rel=1e-12
+            float(weights @ direct), rel=1e-12, abs=0.0
         )
 
     def test_range(self):
@@ -568,7 +568,8 @@ class TestLandauEigenvalue:
             for R in (0.3, 0.6, 0.9):
                 for j in (0, 3, 10, 40):
                     want = float(oracles.landau_eigenvalue_mpmath(j, B, 0, R))
-                    assert landau_eigenvalue(j, ModelParams(B, 0), R) == pytest.approx(want, rel=1e-13), (j, B, R)
+                    got = landau_eigenvalue(j, ModelParams(B, 0), R)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (j, B, R)
 
 
 class TestMcEigenvalue:
@@ -669,11 +670,12 @@ class TestLeakageBound:
         assert lam[-1] ** 2 < 1e-300
         ref = math.sqrt(float(np.sum(lam * lam * np.exp(log_pmf))))
         # both sides carry 1e-10 relative eigenvalues and 1e-12 relative pmf
-        assert leakage_bound(z0, B, R) == pytest.approx(ref, rel=1e-9)
+        assert leakage_bound(z0, B, R) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("z0, B, R, n", [
         (math.sqrt(0.99), 150.0, 0.9, 8192),  # returned 7.534e-126, 1.8% below the sum, with an absolute tail rule
         (0.5 + 0.3j, 1.25, 0.6, 512),
+        (0.95, 40.0, 0.2, 2048),  # 1.07e-37: the squared eigenvalues underflow in this sum
     ])
     def test_bound_meets_mpmath_and_is_attained(self, z0, B, R, n):
         pytest.importorskip("mpmath")
@@ -705,6 +707,20 @@ class TestLeakageBound:
                 slack.append(bound - tail)
         if B == 1.0:
             assert min(slack) < 1e-3
+
+    @pytest.mark.parametrize("z0, B, R", [(0.95, 40.0, 0.2), (0.5 + 0.3j, 1.25, 0.6), (math.sqrt(0.99), 150.0, 0.9)])
+    def test_eigenvalues_come_only_from_the_table(self, monkeypatch, z0, B, R):
+        # the stop test also read lambda_{n-1} as a scalar reg_inc_beta(R^2, n, 2B - 1), which below n = 512
+        # differs from the table's entry in its last bits; the one scalar left is P(N >= n) = I_p(n, 2B)
+        seen = []
+
+        def spy(x, a, b):
+            seen.append(x)
+            return reg_inc_beta(x, a, b)
+
+        monkeypatch.setattr(locop, "reg_inc_beta", spy)
+        leakage_bound(z0, B, R)
+        assert seen and set(seen) == {abs(z0) ** 2}
 
     def test_tail_bound_holds_for_tolerances(self, monkeypatch):
         B, R, z0 = 1.25, 0.6, 0.95 + 0.2j
@@ -756,7 +772,7 @@ class TestLocalizedOverlap:
                 * math.sqrt(photon_weight(k, B))
                 * abs(z0) ** k
             )
-            assert localized_overlap(z0, B, R, coeffs) == pytest.approx(want, rel=1e-12)
+            assert localized_overlap(z0, B, R, coeffs) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_zero_function(self):
         assert localized_overlap(0.5j, 1.25, 0.6, np.zeros(4)) == 0.0
@@ -801,7 +817,7 @@ class TestLocalizedOverlap:
         aligned = lam * np.sqrt(weights * p ** j)
         aligned = aligned / np.linalg.norm(aligned) * np.exp(1j * np.angle(z0) * j)
         got = localized_overlap(z0, B, R, aligned.astype(complex))
-        assert got == pytest.approx(bound, rel=1e-13)
+        assert got == pytest.approx(bound, rel=1e-13, abs=0.0)
 
 
 # (symbol, B, disk rule (radii, angles), number of indices)

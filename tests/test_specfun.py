@@ -163,9 +163,9 @@ class TestLaguerre:
 
     def test_derived_value(self):
         # frozen from the generating-function power series oracle
-        assert laguerre(5, 1.5, 2.0) == pytest.approx(-1.3330729166666657, rel=1e-12)
+        assert laguerre(5, 1.5, 2.0) == pytest.approx(-1.3330729166666657, rel=1e-12, abs=0.0)
         assert laguerre(5, 1.5, 2.0) == pytest.approx(
-            oracles.laguerre_from_generating_series(5, 1.5, 2.0), rel=1e-12
+            oracles.laguerre_from_generating_series(5, 1.5, 2.0), rel=1e-12, abs=0.0
         )
 
     def test_generating_function_grid(self):
@@ -175,7 +175,7 @@ class TestLaguerre:
                 for t in (0.1, 0.4):
                     partial = sum(t ** j * value for j, value in enumerate(table.tolist()))
                     closed = (1.0 - t) ** (-alpha - 1.0) * math.exp(-t * x / (1.0 - t))
-                    assert partial == pytest.approx(closed, rel=1e-13)
+                    assert partial == pytest.approx(closed, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("indices", [range(0, 61), range(0, 1), range(1, 2), range(7, 40, 4), range(30, 2, -3)])
     @pytest.mark.parametrize("x", [0.5, 2.0, np.linspace(0.01, 60.0, 23), np.array([[0.3, 7.0], [19.0, 0.0]])])
@@ -190,7 +190,7 @@ class TestLaguerre:
         xs = np.linspace(0.1, 4.0, 7)
         vals = laguerre(4, 0.8, xs)
         assert vals.shape == xs.shape
-        assert vals[3] == pytest.approx(laguerre(4, 0.8, float(xs[3])), rel=1e-14)
+        assert vals[3] == pytest.approx(laguerre(4, 0.8, float(xs[3])), rel=1e-14, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -219,7 +219,7 @@ class TestJacobi:
         for k in range(6):
             for alpha in (0.0, 1.3):
                 want = math.prod((alpha + i) / i for i in range(1, k + 1)) if k else 1.0
-                assert jacobi(k, alpha, 2.2, 1.0) == pytest.approx(want, rel=1e-12)
+                assert jacobi(k, alpha, 2.2, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -242,9 +242,9 @@ class TestGauss2F1:
         B, z = 1.25, 0.4
         want = (1.0 - (1.0 - z) ** (2.0 * B - 1.0)) / ((2.0 * B - 1.0) * z)
         got = gauss_2f1(1.0, 2.0 - 2.0 * B, 2.0, z)
-        assert got.value.real == pytest.approx(want, rel=1e-12)
+        assert got.value.real == pytest.approx(want, rel=1e-12, abs=0.0)
         series = oracles.hypergeometric_series(1.0, 2.0 - 2.0 * B, 2.0, z)
-        assert got.value.real == pytest.approx(series.real, rel=1e-12)
+        assert got.value.real == pytest.approx(series.real, rel=1e-12, abs=0.0)
 
     def test_monotone_approach_to_one(self):
         B = 1.25
@@ -274,14 +274,14 @@ class TestGauss2F1:
         # a = -2 terminates before the c = -3 pole is reached
         res = gauss_2f1(-2.0, 1.0, -3.0, 0.7)
         want = 1.0 + (-2.0) * 1.0 / (-3.0) * 0.7 + ((-2.0) * (-1.0) * 1.0 * 2.0) / ((-3.0) * (-2.0) * 2.0) * 0.49
-        assert res.value.real == pytest.approx(want, rel=1e-14)
+        assert res.value.real == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_terminating_exactly_at_c_pole(self):
         # a == c non-positive integer: Pochhammer ratios cancel term by term
         b, z = 0.8, 0.5
         res = gauss_2f1(-2.0, b, -2.0, z)
         want = 1.0 + b * z + b * (b + 1.0) / 2.0 * z * z
-        assert res.value.real == pytest.approx(want, rel=1e-14)
+        assert res.value.real == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("z", [0.99, 0.6 + 0.7j, -0.98])
     def test_overflowing_terms_refused_at_once(self, z):
@@ -356,18 +356,18 @@ class TestAppellF1:
     def test_collapse_to_2f1(self):
         got = appell_f1(0.4, 0.0, 1.3, 2.2, 0.5, 0.25)
         want = gauss_2f1(0.4, 1.3, 2.2, 0.25)
-        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
 
     def test_diagonal_identity(self):
         got = appell_f1(-0.5, -1.5, 2.5, 2.0, 0.3, 0.3)
         want = gauss_2f1(-0.5, 1.0, 2.0, 0.3)
-        assert got.value == pytest.approx(want.value, rel=1e-9)
+        assert got.value == pytest.approx(want.value, rel=1e-9, abs=0.0)
 
     def test_rowwise_oracle_complex(self):
         u, v = 0.3 + 0.1j, -0.2 + 0.05j
         got = appell_f1(0.7, -1.3, 0.9, 2.4, u, v).value
         want = oracles.appell_f1_rowwise(0.7, -1.3, 0.9, 2.4, u, v)
-        assert got == pytest.approx(want, rel=1e-11)
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_index_symmetry_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -398,13 +398,13 @@ class TestAppellF1:
         # j <= 1: F1 = 2F1(a, b2; c; v) + b1 u (a/c) 2F1(a+1, b2; c+1; v)
         hyp2f1 = pytest.importorskip("scipy.special").hyp2f1
         want = hyp2f1(0.5, 0.7, 2.0, 0.2) - 3.0 * 0.5 / 2.0 * hyp2f1(1.5, 0.7, 3.0, 0.2)
-        assert got.value == pytest.approx(want, rel=1e-12)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_whole_termination_at_c_pole(self):
         # a == c == -1: only anti-diagonals n <= 1 survive, with unit ratios
         u, v, b1, b2 = 0.3, 0.2, 0.7, 1.1
         res = appell_f1(-1.0, b1, b2, -1.0, u, v)
-        assert res.value == pytest.approx(1.0 + b1 * u + b2 * v, rel=1e-14)
+        assert res.value == pytest.approx(1.0 + b1 * u + b2 * v, rel=1e-14, abs=0.0)
 
     def test_domain_and_convergence_errors(self, monkeypatch):
         with pytest.raises(DomainError):
@@ -432,14 +432,14 @@ class TestAppellF3:
         w, z = 0.2, 0.3
         lhs = appell_f3(a, a2, b, b2, a + a2, w, z).value
         rhs = (1 - z) ** (-b2) * appell_f1(a, b, b2, a + a2, w, z / (z - 1)).value
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
 
     def test_transfer_chain_parameters(self):
         alpha, R, omega = 2.5, 0.4, 0.3
         lhs = appell_f3(2 - alpha, alpha, 1.0, alpha, 2.0, R / (R - 1), omega * R).value
         rhs = (1 - omega * R) ** (-alpha) * appell_f1(
             2 - alpha, 1.0, alpha, 2.0, R / (R - 1), R * omega / (R * omega - 1)).value
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -453,7 +453,7 @@ class TestAppellF3:
         u, v = 0.3 + 0.1j, -0.2 + 0.05j
         got = appell_f3(0.7, -1.3, 0.9, 1.6, 2.4, u, v).value
         want = oracles.appell_f3_rowwise(0.7, -1.3, 0.9, 1.6, 2.4, u, v)
-        assert got == pytest.approx(want, rel=1e-11)
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
     @staticmethod
     def _terminating(b1, b2, c, u, v):
@@ -466,14 +466,14 @@ class TestAppellF3:
         # both indices terminate, so |u|, |v| > 1 is fine
         b1, b2, c, u, v = 0.7, 1.3, 2.5, 1.5, -2.0
         res = appell_f3(-1.0, -2.0, b1, b2, c, u, v)
-        assert res.value == pytest.approx(self._terminating(b1, b2, c, u, v), rel=1e-14)
+        assert res.value == pytest.approx(self._terminating(b1, b2, c, u, v), rel=1e-14, abs=0.0)
 
     def test_c_pole_beyond_last_anti_diagonal(self):
         # the last nonzero anti-diagonal is 3, so (c)_n never vanishes for c = -3
         b1, b2, u, v = 0.7, 1.3, 0.4, 0.3
         res = appell_f3(-1.0, -2.0, b1, b2, -3.0, u, v)
         assert math.isfinite(abs(res.value))
-        assert res.value == pytest.approx(self._terminating(b1, b2, -3.0, u, v), rel=1e-14)
+        assert res.value == pytest.approx(self._terminating(b1, b2, -3.0, u, v), rel=1e-14, abs=0.0)
         with pytest.raises(DomainError):
             appell_f3(-1.0, -2.0, b1, b2, -2.0, u, v)
 
@@ -486,7 +486,7 @@ class TestAppellF3:
             got = appell_f3(*args).value
         except ConvergenceError:
             return
-        assert got == pytest.approx(oracles.appell_f3_rowwise(*args, rows=1000), rel=1e-10)
+        assert got == pytest.approx(oracles.appell_f3_rowwise(*args, rows=1000), rel=1e-10, abs=0.0)
 
     @pytest.mark.xfail(strict=True, reason="the terms cancel (their moduli sum to 1.4e13) and no stop rule measures "
                                            "that: 1.2e-3 off without raising (ROADMAP items 1 and 20)")
@@ -732,7 +732,7 @@ class TestSeriesControl:
         res = gauss_2f1(0.5, 0.7, 1.9, 0.3)
         assert res.terms_used > 0
         assert res.terms_used < default.terms_used
-        assert res.value == pytest.approx(default.value, rel=1e-9)
+        assert res.value == pytest.approx(default.value, rel=1e-9, abs=0.0)
 
 
 class TestCheckIndex:
@@ -911,5 +911,5 @@ class TestHorner:
         x = np.array([0.3 - 0.1j, -0.7 + 0.2j, 0.0])
         want = np.array([sum(c * p ** k for k, c in enumerate(coeffs)) for p in x])
         assert np.allclose(horner(coeffs, x), want, rtol=1e-15, atol=1e-15)
-        assert horner(coeffs, complex(x[1])) == pytest.approx(want[1], rel=1e-15)
+        assert horner(coeffs, complex(x[1])) == pytest.approx(want[1], rel=1e-15, abs=0.0)
         assert horner([], 0.5) == 0.0

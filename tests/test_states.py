@@ -185,7 +185,7 @@ class TestAffineState:
     def test_modulus_independent_of_x(self, x, y, B, xi):
         with_phase = abs(affine_coherent_state(x, y, B, xi))
         without = abs(affine_coherent_state(0.0, y, B, xi))
-        assert with_phase == pytest.approx(without, rel=1e-12)
+        assert with_phase == pytest.approx(without, rel=1e-12, abs=0.0)
 
     def test_group_action_rescales_fiducial(self):
         # at x = 0 the label only rescales the argument of the fiducial vector
@@ -193,7 +193,7 @@ class TestAffineState:
         for y in (0.5, 2.0):
             for xi in (0.7, 1.9):
                 assert affine_coherent_state(0.0, y, B, xi / y) == pytest.approx(
-                    affine_coherent_state(0.0, 1.0, B, xi), rel=1e-12
+                    affine_coherent_state(0.0, 1.0, B, xi), rel=1e-12, abs=0.0
                 )
 
     def test_domain(self):
@@ -235,8 +235,8 @@ class TestNbsWavefunction:
         B = 1.25
         for xi in (0.3, 1.1, 2.4):
             want = math.sqrt(2.0 / math.gamma(2.0 * B)) * xi ** (2.0 * B - 0.5) * math.exp(-xi * xi / 2.0)
-            assert nbs_wavefunction(0.0j, B, xi) == pytest.approx(want, rel=1e-13)
-            assert laguerre_function(0, B, xi) == pytest.approx(want, rel=1e-13)
+            assert nbs_wavefunction(0.0j, B, xi) == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert laguerre_function(0, B, xi) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("z, B, xi, want", [
         (0.1, 90.0, 13.0, 0.37157295788394774),  # Gamma(180) and 13^179.5 overflow
@@ -244,7 +244,7 @@ class TestNbsWavefunction:
     ])
     def test_large_strength_formed_in_logs(self, z, B, xi, want):
         # want: the same closed form in 40-digit mpmath at the same double inputs
-        assert nbs_wavefunction(z, B, xi) == pytest.approx(want, rel=1e-11)
+        assert nbs_wavefunction(z, B, xi) == pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_unit_norm(self):
         # |v_z|^2 is xi^(4B-1) exp(-Re c xi^2) times a constant, c = (1 + z)/(1 - z): exact on the rule scaled by Re c
@@ -270,7 +270,7 @@ class TestNbsWavefunction:
                 normalize * math.sqrt(2.0 / xi) * prefactor
                 * affine_coherent_state(x, y, B, xi * xi)
             )
-            assert via_group == pytest.approx(nbs_wavefunction(z, B, xi), rel=1e-11)
+            assert via_group == pytest.approx(nbs_wavefunction(z, B, xi), rel=1e-11, abs=0.0)
 
     def test_overlap_closed_form(self):
         # the rule scaled by the real part of the product's Gaussian exponent (conj(c_z) + c_w) / 2
@@ -308,17 +308,17 @@ class TestNbsWavefunction:
 
 class TestBergmanBasis:
     def test_constant_element(self):
-        assert bergman_basis(0, 1.5, 0.4 + 0.1j) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert bergman_basis(0, 1.5, 0.4 + 0.1j) == pytest.approx(math.sqrt(2.0), rel=1e-14, abs=0.0)
 
     def test_first_element(self):
         got = bergman_basis(1, 1.0, 0.5 + 0.0j)
-        assert got == pytest.approx(math.sqrt(2.0) * 0.5, rel=1e-13)
+        assert got == pytest.approx(math.sqrt(2.0) * 0.5, rel=1e-13, abs=0.0)
 
     def test_diagonal_sum_binomial(self):
         B, z = 1.5, 0.6
         total = sum(abs(bergman_basis(j, B, z)) ** 2 for j in range(130))
         want = (2.0 * B - 1.0) * (1.0 - z * z) ** (-2.0 * B)
-        assert total == pytest.approx(want, rel=1e-12)
+        assert total == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("B", [0.51, 1.5, 20.0])
     @pytest.mark.parametrize("indices", [range(0, 13), range(40, 3, -9), range(290, 300)])
@@ -439,7 +439,7 @@ class TestLaguerreFunction:
         rows = laguerre_function(range(2, 9, 2), 1.5, 1.3)
         assert rows.shape == (4,)
         for row, j in zip(rows, range(2, 9, 2)):
-            assert row == pytest.approx(laguerre_function(j, 1.5, 1.3), rel=1e-14)
+            assert row == pytest.approx(laguerre_function(j, 1.5, 1.3), rel=1e-14, abs=0.0)
 
     def test_empty_range(self):
         assert laguerre_function(range(0), 1.5, np.ones((2, 3))).shape == (0, 2, 3)
@@ -466,7 +466,7 @@ class TestNbsExpansion:
         B, xi = 1.4, 0.9
         for J in (0, 3, 15):
             assert nbs_expansion(0.0j, B, xi, J) == pytest.approx(
-                laguerre_function(0, B, xi), rel=1e-13
+                laguerre_function(0, B, xi), rel=1e-13, abs=0.0
             )
 
     def test_converges_to_closed_form(self):
@@ -519,7 +519,7 @@ class TestDiskKernel:
         params = ModelParams(B, 0)
         z, w = 0.3 + 0.2j, -0.1 + 0.4j
         want = math.pi * (2.0 * B - 1.0) * (1.0 - z * w.conjugate()) ** (-2.0 * B)
-        assert disk_kernel(z, w, params) == pytest.approx(want, rel=1e-13)
+        assert disk_kernel(z, w, params) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_hermitian(self):
         params = ModelParams(2.5, 1)
@@ -528,18 +528,18 @@ class TestDiskKernel:
             z = complex(*rng.uniform(-0.6, 0.6, 2))
             w = complex(*rng.uniform(-0.6, 0.6, 2))
             assert disk_kernel(z, w, params) == pytest.approx(
-                disk_kernel(w, z, params).conjugate(), rel=1e-12
+                disk_kernel(w, z, params).conjugate(), rel=1e-12, abs=0.0
             )
 
     def test_center_value_first_level(self):
         params = ModelParams(2.0, 1)
         got = disk_kernel(0.0j, 0.0j, params)
-        assert got == pytest.approx(math.pi, rel=1e-13)
+        assert got == pytest.approx(math.pi, rel=1e-13, abs=0.0)
 
 
 class TestNbPmf:
     def test_zero_count(self):
-        assert nb_pmf(0, 1.5, 0.3) == pytest.approx(0.7 ** 3.0, rel=1e-14)
+        assert nb_pmf(0, 1.5, 0.3) == pytest.approx(0.7 ** 3.0, rel=1e-14, abs=0.0)
 
     def test_normalization(self):
         total = sum(nb_pmf(j, 1.5, 0.4) for j in range(300))
@@ -553,7 +553,7 @@ class TestNbPmf:
     def test_against_product_oracle(self):
         for j in (0, 1, 7, 23):
             assert nb_pmf(j, 1.3, 0.45) == pytest.approx(
-                oracles.nb_pmf_direct(j, 1.3, 0.45), rel=1e-12
+                oracles.nb_pmf_direct(j, 1.3, 0.45), rel=1e-12, abs=0.0
             )
 
     def test_large_strength_formed_in_logs(self):
