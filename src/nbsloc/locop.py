@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from typing import Callable
 
 import numpy as np
@@ -107,9 +106,9 @@ def as_function_of_hamiltonian(n: int, B: float, R) -> float:
 
 
 def _log_rho(rho) -> tuple:
-    """log(rho) and log1p(-rho) on 0 <= rho < 1, with log(0) = -inf; DomainError elsewhere."""
+    """log(rho) and log1p(-rho) on 0 <= rho < 1, with log(0) = -inf; DomainError elsewhere, NaN included."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0) or np.any(rho >= 1.0):
+    if not (np.all(rho >= 0.0) and np.all(rho < 1.0)):
         raise DomainError("density defined on 0 <= rho < 1")
     with np.errstate(divide="ignore"):
         return np.log(rho), np.log1p(-rho)
@@ -128,29 +127,19 @@ def _density_rows(js: list[int], params: ModelParams, log_w: np.ndarray, x: np.n
                   log_rest: np.ndarray) -> np.ndarray:
     """Level-m density rows, shape (len(js), *x.shape), at the points with 1 - 2 rho = x, log rho and log1p(-rho).
 
-    ``log_w`` is ``log_nb_weights`` at b = 2B - 2m up to the largest index.  An entry is exp(ln_norm + shape) P P,
-    or, where ln_norm + shape is below log(sys.float_info.min) and its exponential would keep only a
-    subnormal's few bits, exp(ln_norm + shape + 2 log|P|).
+    ``log_w`` is ``log_nb_weights`` at b = 2B - 2m up to the largest index.  Every entry is
+    exp(ln_norm + shape + 2 log|P|), one exponential of one sum, so an entry whose exp(ln_norm + shape) alone
+    would be subnormal keeps its bits; a root of P gives log 0 = -inf and the entry 0.  The rows are one array.
     """
     B, m = params.B, params.m
-    exponents, polys = np.empty((2, len(js), *x.shape))
-    for i, k in enumerate(js):
-        lo, hi = min(m, k), max(m, k)
-        ln_norm = math.log(2.0 * B - 2.0 * m - 1.0) + log_w[hi] - log_w[lo]
-        shape = ((hi - lo) * log_rho if hi > lo else 0.0) + (2.0 * B - 2.0 * m - 2.0) * log_rest
-        exponents[i] = ln_norm + shape
-        polys[i] = jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, x)
-    rows = np.exp(exponents)
-    rows *= polys
-    rows *= polys
-    low = exponents < math.log(sys.float_info.min)
-    if low.any():
-        # with top = max(1, |P|), both forms round to 0 (or give the same NaN) below log(ulp(0)) - 1 - 2 log(top)
-        top = np.fmax.reduce(np.abs(polys), None, initial=1.0)  # fmax passes over a NaN
-        low &= exponents > math.log(math.ulp(0.0)) - 1.0 - 2.0 * math.log(top)
-        with np.errstate(divide="ignore"):  # log|P| = -inf at a root gives 0
-            rows[low] = np.exp(exponents[low] + 2.0 * np.log(np.abs(polys[low])))
-    return rows
+    rows = np.empty((len(js), *x.shape))
+    with np.errstate(divide="ignore"):
+        for row, k in zip(rows, js):
+            lo, hi = min(m, k), max(m, k)
+            ln_norm = math.log(2.0 * B - 2.0 * m - 1.0) + log_w[hi] - log_w[lo]
+            shape = ((hi - lo) * log_rho if hi > lo else 0.0) + (2.0 * B - 2.0 * m - 2.0) * log_rest
+            row[...] = ln_norm + shape + 2.0 * np.log(np.abs(jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, x)))
+    return np.exp(rows, out=rows)
 
 
 def landau_density(j: int | range, params: ModelParams, rho):
@@ -158,8 +147,8 @@ def landau_density(j: int | range, params: ModelParams, rho):
 
     (2B-2m-1) ((m^j)! / (mvj)!) (Gamma(2B-2m+mvj)/Gamma(2B-2m+m^j))
       (1-rho)^(2B-2m-2) rho^|m-j| [P_{m^j}^(|m-j|, 2(B-m)-1)(1 - 2 rho)]^2
-    with m^j = min(m, j), mvj = max(m, j), all but the squared polynomial formed
-    in logs, and that square too where the rest alone falls below the normal range;
+    with m^j = min(m, j), mvj = max(m, j), every factor formed in logs, the square as 2 log|P|,
+    and the entry one exponential of their sum (``_density_rows``);
     ``ModelParams`` holds m < B - 1/2, where the weight is normalizable.
     ``j`` may be a range: a row per index, shape (len(j), *np.shape(rho)), each its own call's
     bit for bit, from one ``log_nb_weights`` table (a prefix is the short table) and one log pass.

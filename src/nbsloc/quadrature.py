@@ -89,7 +89,8 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     exp(u_i) u_i^(-(2B - 1/2)) Gamma(2B) / 2, in logs, with w_i's power of two, so a w_i below the double range
     (from 190 nodes at B <= 1.5) still gives its weight.  phi_j phi_k is exact from ceil((j + k + 1) / 2) nodes.
     The u_i are the eigenvalues of that Jacobi matrix from ``_tridiagonal_eigvalsh``, which holds it as one n x n
-    array.  DomainError where a weight leaves the double range.
+    array.  DomainError where two of them round together (from B = 1e150 at five nodes) or a weight leaves the
+    double range.
     """
     n = check_index("n", n)
     if n < 1:
@@ -98,6 +99,8 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     alpha, k = 2.0 * B - 1.0, np.arange(n)
     diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
     x = _tridiagonal_eigvalsh(diag, off)
+    if not np.all(np.diff(x) > 0.0):
+        raise DomainError(f"the {n}-node half-line rule at B={B} has nodes that round together")
     u, w, shift = _christoffel(x, diag, off, 1.0, float(x[-1]))
     with np.errstate(divide="ignore", over="ignore"):
         log_w = np.log(w) - 2.0 * math.log(2.0) * shift

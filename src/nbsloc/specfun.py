@@ -29,7 +29,8 @@ Conventions:
     Cauchy product of row and column terms, 64 blocks doubling per pass,
     declaring convergence only after three consecutive blocks are small;
     a series with a NaN or infinite parameter or argument raises
-    DomainError before it sums anything;
+    DomainError before it sums anything, as do the orthogonal polynomials
+    for an infinite alpha or beta and ``sample_beta`` for an infinite shape;
   * every index argument passes ``check_index``: integral and >= 0; a
     range of indices passes ``check_indices``, which checks its two ends;
     every strength B passes ``check_strength``: finite with 2B > 1;
@@ -168,7 +169,7 @@ def log_nb_weights(n: int, b: float) -> np.ndarray:
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete Beta, by the modified Lentz method."""
+    """Continued fraction for the incomplete Beta, by the modified Lentz method, one half-step per numerator."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -179,25 +180,16 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, INC_BETA_MAX_ITER + 1):
         m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for num in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + num * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + num / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-16:
             return h
     raise ConvergenceError("incomplete Beta continued fraction stalled", terms_used=INC_BETA_MAX_ITER)
@@ -302,8 +294,8 @@ def laguerre(j: int | range, alpha: float, x):
     returns a row per index, shape (len(j), *np.shape(x)), each equal bit for bit to its own call.
     """
     rows = dict.fromkeys(check_indices("j", j))
-    if not alpha > -1.0:
-        raise DomainError(f"laguerre requires alpha > -1, got {alpha}")
+    if not -1.0 < alpha < math.inf:
+        raise DomainError(f"laguerre requires finite alpha > -1, got {alpha}")
     ones = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     top = max(rows, default=0)
     p_prev, p_cur = ones, (1.0 + alpha) * ones - x  # L_k and L_(k+1) at the top of step k
@@ -327,8 +319,8 @@ def jacobi(k: int, alpha: float, beta: float, x):
     ``x`` may be a float or an ndarray.
     """
     k = check_index("k", k)
-    if not (alpha > -1.0 and beta > -1.0):
-        raise DomainError(f"jacobi requires alpha, beta > -1, got {alpha}, {beta}")
+    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise DomainError(f"jacobi requires finite alpha, beta > -1, got {alpha}, {beta}")
     ones = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     p_prev = ones
     if k == 0:
@@ -533,8 +525,8 @@ def sample_beta(a: float, b: float, n: int, seed: int | np.random.Generator) -> 
     stream seeded with an integer ``seed`` >= 0, or from a ``Generator`` where it stands, advancing it.  So n
     draws from a Generator seeded with s, taken in blocks of any sizes, are the n draws of seed s.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"sample_beta requires positive shapes, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"sample_beta requires finite positive shapes, got a={a}, b={b}")
     n = check_index("n", n)
     if n < 1:
         raise DomainError(f"sample_beta requires n >= 1, got {n}")

@@ -103,10 +103,10 @@ def as_disk(z):
 
 
 def as_halfplane(w) -> complex:
-    """Validate Im w > 0 for a complex number, returned as a builtin complex."""
+    """Validate a finite w with Im w > 0 for a complex number, returned as a builtin complex."""
     w = complex(w)
-    if not w.imag > 0.0:
-        raise DomainError(f"half-plane point needs Im w > 0, got Im w={w.imag}")
+    if not (w.imag > 0.0 and cmath.isfinite(w)):
+        raise DomainError(f"half-plane point needs Im w > 0 and a finite w, got w={w}")
     return w
 
 
@@ -148,10 +148,10 @@ def affine_coherent_state(x: float, y: float, B: float, xi: float) -> complex:
     (2B)^(-1/2) (xi y)^B exp(-xi (y - i x) / 2); the modulus is independent
     of x, which only contributes a phase.
     """
-    if not y > 0.0:
-        raise DomainError(f"affine label needs y > 0, got {y}")
-    if not xi > 0.0:
-        raise DomainError(f"needs xi > 0, got {xi}")
+    if not (math.isfinite(x) and 0.0 < y < math.inf):
+        raise DomainError(f"affine label needs finite x and y > 0, got ({x}, {y})")
+    if not 0.0 < xi < math.inf:
+        raise DomainError(f"needs finite xi > 0, got {xi}")
     check_strength(B)
     return (xi * y) ** B / math.sqrt(2.0 * B) * cmath.exp(-0.5 * xi * (y - 1j * x))
 

@@ -536,6 +536,24 @@ class TestLandauEigenvalue:
             tracemalloc.stop()
         assert values.shape == (4000,) and peak <= 4e6, peak
 
+    def test_a_block_holds_one_density_array(self):
+        # the exponents, the polynomials, their product and the repair's mask held about four arrays (4.15x, 4.19x)
+        import tracemalloc
+
+        params, rho = ModelParams(2.5, 1), np.linspace(0.0, 0.99, 4096)
+        calls = [(lambda: landau_eigenvalue(range(locop.LANDAU_BLOCK), params, 0.6),
+                  locop.LANDAU_BLOCK * 3 * locop.LANDAU_NODES * 8),
+                 (lambda: landau_density(range(64), params, rho), 64 * rho.nbytes)]
+        for call, block in calls:
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * block, peak / block
+
     def test_int_calls_build_the_rule_once(self, monkeypatch):
         # each call built three mapped Legendre rules and took the logs on their 960 nodes
         calls = []

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,15 @@ class TestHalfLineGrid:
     def test_domain(self, n, B):
         with pytest.raises(DomainError):
             half_line_grid(n, B)
+
+    @pytest.mark.parametrize("n, B", [(5, 1e150), (2, 1e300)])
+    def test_rules_whose_nodes_round_together_refused(self, n, B):
+        # five equal nodes 1.414e75 with weights 1.0 were returned at B = 1e150; at B = 1e300 the Newton step
+        # divided by zero and warned before any refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="round together"):
+                half_line_grid(n, B)
 
     @pytest.mark.parametrize("n, B", [(200, 1.5), (400, 0.8), (400, 1.5), (600, 5.0)])
     def test_rules_whose_unit_mass_weights_underflow_build(self, n, B):

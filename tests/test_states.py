@@ -129,6 +129,28 @@ class TestDomainTypes:
             with pytest.raises(DomainError, match="2B > 1"):
                 call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: landau_density(1, ModelParams(2.5, 1), math.nan),
+        lambda: landau_density(range(2), ModelParams(2.5, 1), np.array([0.3, math.nan])),
+        lambda: laguerre(2, math.inf, 0.5),
+        lambda: jacobi(2, math.inf, 1.0, 0.5),
+        lambda: jacobi(2, 1.0, math.inf, 0.5),
+        lambda: sample_beta(math.inf, 1.0, 5, 1),
+        lambda: sample_beta(1.0, math.inf, 3, 1),
+        lambda: halfplane_kernel(complex(math.nan, 1.0), 2j, 1.5),
+        lambda: halfplane_kernel(1j, complex(math.inf, 2.0), 1.5),
+        lambda: halfplane_kernel(complex(0.0, math.inf), 2j, 1.5),
+        lambda: affine_coherent_state(math.inf, 1.0, 1.5, 1.0),
+        lambda: affine_coherent_state(0.0, math.inf, 1.5, 1.0),
+        lambda: affine_coherent_state(0.0, 1.0, 1.5, math.inf),
+    ], ids=["landau_density-rho", "landau_density-rho-array", "laguerre-alpha", "jacobi-alpha", "jacobi-beta",
+            "sample_beta-a", "sample_beta-b", "halfplane_kernel-w", "halfplane_kernel-zeta", "halfplane_kernel-im-w",
+            "affine_coherent_state-x", "affine_coherent_state-y", "affine_coherent_state-xi"])
+    def test_non_finite_arguments_refused(self, call):
+        # each returned nan, nan+nanj, NaN draws or zeros: NaN passed the domain comparisons and inf the one-sided ones
+        with pytest.raises(DomainError):
+            call()
+
     @pytest.mark.parametrize("name", list(INDEX_CALLS))
     def test_index_rule_everywhere(self, name):
         # 1.5 gave a value (disk_eigenvalue, as_function_of_hamiltonian, radial_eigenvalue, mc_eigenvalue); a level
