@@ -21,8 +21,8 @@ plain FFT bins, compares them with those of the nested half-size rule (the
 samples' even-indexed half) and raises AccuracyError past PROJECT_REFINE_TOL.
 
 Everything that does not depend on the point or the function is read from
-bounded LRU caches of read-only arrays: specfun's eigenvalue table, the grids
-and angular phasors of quadrature, and the basis norms of states.
+bounded LRU caches of read-only arrays: specfun's eigenvalue table, the rules
+of quadrature and the basis norms of states.
 
 Kernels are parameterized by the Beta upper limit s in (0, 1); the
 operator that localizes on the disk of radius R corresponds to s = R^2.
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from . import specfun
-from .quadrature import angular_phasors, radial_jacobi_grid
+from .quadrature import angular_grid, radial_jacobi_grid
 from .specfun import appell_f1, check_index, horner, log_nb_weights, reg_inc_beta_table
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
 from .states import (_basis_series, as_coefficients, as_disk, as_radius, basis_norms, bergman_basis,  # noqa: F401
@@ -108,7 +108,7 @@ class BergmanFunction:
         r = np.sqrt(radial.nodes)[:, None]
         norms, r_j = basis_norms(j_max + 1, self.B), r ** np.arange(j_max + 1)
         for n_theta in PROJECT_ANGLES:
-            values = self.values(r * angular_phasors(n_theta))
+            values = self.values(r * angular_grid(n_theta).nodes)
             norm = math.sqrt(radial.weights @ np.mean(np.abs(values) ** 2, axis=1))  # Parseval: sum_k |a_k|^2
             if not math.isfinite(norm):
                 raise AccuracyError(f"F is not finite on the {n_theta}-angle rule: |F| {norm}")

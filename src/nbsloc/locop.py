@@ -170,11 +170,11 @@ def _landau_rule(s: float, n: int) -> tuple:
     their 3n nodes in that order, all read-only.
     """
     rules = [mapped_legendre(n, lo, hi) for lo, hi in ((0.0, s), (0.0, 0.5 * s), (0.5 * s, s))]
-    nodes = np.concatenate([nodes for nodes, _ in rules])
-    weights, node_values = tuple(weights for _, weights in rules), (1.0 - 2.0 * nodes, *_log_rho(nodes))
-    for array in (*weights, *node_values):
+    nodes = np.concatenate([rule.nodes for rule in rules])
+    node_values = (1.0 - 2.0 * nodes, *_log_rho(nodes))
+    for array in node_values:  # the rules' weights are read-only already
         array.flags.writeable = False
-    return weights, *node_values
+    return tuple(rule.weights for rule in rules), *node_values
 
 
 def landau_eigenvalue(j: int | range, params: ModelParams, R):

@@ -7,30 +7,25 @@ Three families cover every integral in the package:
   * ``radial_jacobi_grid`` -- Gauss-Jacobi on [0, 1] with the endpoint weight
     (1 - rho)^(2B - 2) absorbed into the weights, so that B in (1/2, 1) (an
     integrable singularity) needs no special casing;
-  * ``disk_grid``        -- the tensor product of the radial rule with the uniform angular rule on the
-    FFT's grid, theta_m = 2 pi m / n, for weighted disk integrals; for even n the angular rule's
-    even-indexed nodes are the n / 2 rule's, bit for bit.
+  * ``disk_grid``        -- the tensor product of the radial rule with the uniform angular rule, whose
+    nodes are the n-th roots of unity exp(2 pi i m / n) in the FFT's order, for weighted disk integrals;
+    for even n the angular rule's even-indexed nodes are the n / 2 rule's, bit for bit.
 
 Every Gauss rule has its weights from ``_christoffel``.  A Legendre rule (Jacobi, alpha = 0) takes
 its nodes from an eigenproblem of half the size and mirrors exactly about 1/2; any other alpha,
 and the Laguerre rule, from the whole Jacobi matrix.
-Values derived from a rule are built once and shared, each in an LRU cache of
-RULE_CACHE_SIZE entries:
-
-  * ``gauss_jacobi(n, alpha)`` -- the rule on [0, 1];
-  * ``half_line_grid(n, B)``, ``radial_jacobi_grid(n, B)`` and ``angular_grid(n)`` -- one grid each;
-  * ``angular_phasors(n)`` -- the angular rule's points exp(i theta_m), the n-th roots of unity.
-
-Rule, grid and phasor arrays are read-only and integration is a dot product,
-so all of it is thread-safe; a call that raises caches nothing.
-Fixed rule sizes are module constants, RESIDUAL_*, not arguments.
+Every rule is a ``QuadratureGrid``, a read-only (nodes, weights) pair.  Each is built once and
+shared from one LRU cache of RULE_CACHE_SIZE entries: ``gauss_jacobi(n, alpha)``, the rule on
+[0, 1] that ``radial_jacobi_grid`` and ``mapped_legendre`` read, ``half_line_grid(n, B)`` and
+``angular_grid(n)``.  Integration is a dot product, so all of it is thread-safe; a call that
+raises caches nothing.  Fixed rule sizes are module constants, RESIDUAL_*, not arguments.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -39,30 +34,35 @@ from .specfun import check_index, check_strength, log_gamma
 
 RESIDUAL_NODES = 64  # Chebyshev points of hamiltonian_residual's differentiation matrix
 RESIDUAL_WINDOW = (0.5, 8.0)  # hamiltonian_residual's interval, away from the x = 0 singularity
-RULE_CACHE_SIZE = 64  # entries kept by each rule and grid cache; a 600-node rule takes 10 kB
+RULE_CACHE_SIZE = 64  # entries kept by each rule cache; a 600-node rule takes 10 kB
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Nodes and strictly positive weights for one integration rule.
+class QuadratureGrid(tuple):
+    """Nodes and strictly positive weights for one integration rule: a read-only (nodes, weights) pair.
 
-    For a Gauss rule ``nodes`` is a float array strictly inside the open integration domain (the periodic
-    ``angular_grid`` starts at theta = 0); for a ``disk_grid`` it is a complex array of points strictly
-    inside the unit disk and the weights absorb both the radial weight function and the angular step.
+    A tuple, so ``x, w = rule`` unpacks it; the constructor checks it and keeps read-only views, leaving the
+    caller's arrays' flags alone.  For a Gauss rule ``nodes`` is a float array strictly inside the open integration
+    domain; for ``angular_grid`` they are points on the unit circle; for a ``disk_grid`` a complex array of points
+    strictly inside the unit disk, and the weights absorb both the radial weight function and the angular step.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nodes.shape != self.weights.shape:
+    def __new__(cls, nodes: np.ndarray, weights: np.ndarray):
+        if nodes.shape != weights.shape:
             raise DomainError("nodes and weights must have matching shapes")
-        if not np.all(self.weights > 0.0):
+        if not np.all(weights > 0.0):
             raise DomainError("quadrature weights must be strictly positive")
-        for name in ("nodes", "weights"):  # read-only views; the caller's arrays keep their flags
-            view = getattr(self, name).view()
+        views = nodes.view(), weights.view()
+        for view in views:
             view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        return super().__new__(cls, views)
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    nodes = property(operator.itemgetter(0))
+    weights = property(operator.itemgetter(1))
 
     def integrate(self, f) -> complex:
         """Apply the rule to a callable or to precomputed node values."""
@@ -70,14 +70,14 @@ class QuadratureGrid:
         return self.weights @ values
 
 
-def mapped_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def mapped_legendre(n: int, lo: float, hi: float) -> QuadratureGrid:
     """Gauss-Legendre nodes and weights on [lo, hi]: ``gauss_jacobi(n, 0.0)`` scaled by hi - lo and moved to lo."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"needs a finite interval, got [{lo}, {hi}]")
     if not hi > lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
     x, w = gauss_jacobi(n, 0.0)
-    return lo + (hi - lo) * x, (hi - lo) * w
+    return QuadratureGrid(lo + (hi - lo) * x, (hi - lo) * w)
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
@@ -90,7 +90,10 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     (from 190 nodes at B <= 1.5) still gives its weight.  phi_j phi_k is exact from ceil((j + k + 1) / 2) nodes.
     The u_i are the eigenvalues of that Jacobi matrix from ``_tridiagonal_eigvalsh``, which holds it as one n x n
     array.  DomainError where two of them round together (from B = 1e150 at five nodes) or a weight leaves the
-    double range.
+    double range.  The exponent log w_i + u_i - (alpha + 1/2) log u_i + log(Gamma(2B) / 2) is rounded by less than
+    eps times the sum of its terms' sizes (up to 0.7 of that against 40-digit mpmath); DomainError where that bound
+    times the weight passes 1e-10 of the largest weight.  It reads 3e-14 to 1.7e-13 on verify's rules and 1.3e-12
+    at B = 50, n = 600; the tolerance refuses from B = 1.1e4 at any n <= 600.
     """
     n = check_index("n", n)
     if n < 1:
@@ -104,14 +107,19 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     u, w, shift = _christoffel(x, diag, off, 1.0, float(x[-1]))
     with np.errstate(divide="ignore", over="ignore"):
         log_w = np.log(w) - 2.0 * math.log(2.0) * shift
-        weights = np.exp(log_w + u - (alpha + 0.5) * np.log(u) + (log_gamma(alpha + 1.0) - math.log(2.0)))
-    if not (np.all(np.isfinite(weights)) and np.min(w) >= np.finfo(float).tiny and np.min(weights) > 0.0):
+        power, log_mass = (alpha + 0.5) * np.log(u), log_gamma(alpha + 1.0) - math.log(2.0)
+        weights = np.exp(log_w + u - power + log_mass)
+    if not (np.all(np.isfinite(weights)) and np.min(w) >= np.finfo(float).tiny):
         raise DomainError(f"the {n}-node half-line rule at B={B} has weights past the double range")
+    lost = np.max(weights * np.finfo(float).eps * (np.abs(log_w) + u + np.abs(power) + abs(log_mass)))
+    if lost > 1e-10 * np.max(weights):
+        raise DomainError(f"the {n}-node half-line rule at B={B} has weights lost to rounding: up to "
+                          f"{lost / np.max(weights):.3g} of the largest")
     return QuadratureGrid(np.sqrt(u), weights)
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
-def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def gauss_jacobi(n: int, alpha: float) -> QuadratureGrid:
     """Gauss-Jacobi rule on [0, 1] for the weight (1-x)^alpha, the one family any integral here needs.
 
     Nodes are the eigenvalues of the Jacobi matrix: with s = 2k + alpha, diagonal (2k (k + alpha + 1) + alpha)
@@ -126,7 +134,7 @@ def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     Once a bound on the recurrence passes 1e100, each node's values are divided by the power of two
     just above its larger last value, which is exact.  Exact for polynomials of degree <= 2n - 1.
     Either eigenproblem is solved by ``_tridiagonal_eigvalsh``, so a build holds one matrix of its size
-    (2.9 MB at n = 601).  Memoized; the arrays are read-only.
+    (2.9 MB at n = 601).  DomainError where a weight underflows.  Memoized.
     """
     n = check_index("n", n)
     if n < 2:
@@ -149,9 +157,7 @@ def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     else:
         x = _tridiagonal_eigvalsh(diag, off)
         nodes, weights, shift = _christoffel(x, diag, off, mu0, 1.0)
-    weights = np.ldexp(weights, -2 * shift)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return QuadratureGrid(nodes, np.ldexp(weights, -2 * shift))
 
 
 def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -190,36 +196,26 @@ def _christoffel(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mu0: float,
     return x + step, mu0 / (sum_qq + 2.0 * step * sum_qdq), shift
 
 
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
     """Rule for integrals over rho in [0, 1] against the weight (1 - rho)^(2B - 2): ``gauss_jacobi(n, 2B - 2)``.
 
     The weight is absorbed: ``grid.integrate(f)`` returns int_0^1 f(rho) (1-rho)^(2B-2) drho, exactly for
     polynomial f of degree <= 2n - 1.  Any finite B > 1/2; on (1/2, 1) the endpoint singularity is integrable
     and handled by the Jacobi weight itself.  DomainError where a weight underflows (from 576 nodes at
-    B = 100, 227 at B = 600 and about 190 past B = 1e5).  Memoized by (n, B).
+    B = 100, 227 at B = 600 and about 190 past B = 1e5).  The rule is ``gauss_jacobi``'s cached one.
     """
     check_strength(B)
-    return QuadratureGrid(*gauss_jacobi(n, 2.0 * B - 2.0))
+    return gauss_jacobi(n, 2.0 * B - 2.0)
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def angular_grid(n: int) -> QuadratureGrid:
-    """Uniform rule on the FFT's grid theta_m = 2 pi m / n, m < n; exact for e^(i k theta), |k| < n.  Memoized."""
+    """Uniform rule on the n-th roots of unity exp(2 pi i m / n) in FFT order; exact for e^(i k theta), |k| < n."""
     n = check_index("n", n)
     if n < 2:
         raise DomainError(f"need at least 2 angular nodes, got {n}")
     theta = 2.0 * math.pi * np.arange(n) / n
-    weights = np.full(n, 2.0 * math.pi / n)
-    return QuadratureGrid(theta, weights)
-
-
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
-def angular_phasors(n: int) -> np.ndarray:
-    """The n-th roots of unity exp(i theta_m), theta_m the nodes of ``angular_grid(n)``; memoized, read-only."""
-    phasors = np.exp(1j * angular_grid(n).nodes)
-    phasors.flags.writeable = False
-    return phasors
+    return QuadratureGrid(np.exp(1j * theta), np.full(n, 2.0 * math.pi / n))
 
 
 def disk_grid(n_r: int, n_theta: int, B: float) -> QuadratureGrid:
@@ -229,7 +225,7 @@ def disk_grid(n_r: int, n_theta: int, B: float) -> QuadratureGrid:
     contributes the factor 1/2 drho dtheta that is folded into the weights.
     """
     radial, angular = radial_jacobi_grid(n_r, B), angular_grid(n_theta)
-    z = np.sqrt(radial.nodes)[:, None] * angular_phasors(n_theta)
+    z = np.sqrt(radial.nodes)[:, None] * angular.nodes
     w = 0.5 * radial.weights[:, None] * angular.weights[None, :]
     return QuadratureGrid(z.ravel(), w.ravel())
 

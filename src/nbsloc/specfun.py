@@ -415,7 +415,7 @@ def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
             terms = np.cumprod(np.concatenate(([term], (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)))[1:]
             sums = np.cumsum(np.concatenate(([total], terms)))[1:]
             smalls = np.abs(terms) <= np.maximum(SERIES_REL_TOL * np.abs(sums), SERIES_ABS_TOL)
-        bad = ~(np.isfinite(terms) & np.isfinite(sums))
+        bad = ~np.isfinite(sums)  # a non-finite term makes its partial sum non-finite
         done = (terms == 0.0) | (smalls & np.concatenate(([small], smalls[:-1])))
         hit = np.flatnonzero(bad | done)
         if hit.size:

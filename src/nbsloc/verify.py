@@ -403,7 +403,7 @@ def check_eigenvalue_norm_identity() -> CheckResult:
     B, R = 1.25, 0.6
     rho, w_rho = quadrature.mapped_legendre(160, 0.0, R * R)
     theta = quadrature.angular_grid(32)
-    z = np.sqrt(rho)[:, None] * np.exp(1j * theta.nodes)[None, :]
+    z = np.sqrt(rho)[:, None] * theta.nodes[None, :]
     wts = 0.5 * (w_rho * (1.0 - rho) ** (2.0 * B - 2.0))[:, None] * theta.weights[None, :]
     worst = 0.0
     for j in range(9):

@@ -120,8 +120,8 @@ class TestBergmanFunction:
 
     def test_projection_samples_on_the_project_angles_in_order(self, monkeypatch):
         # the pole at 0.9999 is refused at j_max = 100 after every rule; a pole at 1.5 settles on the first
-        B, sizes, exact = 1.5, [], bergman.angular_phasors
-        monkeypatch.setattr(bergman, "angular_phasors", lambda n: sizes.append(n) or exact(n))
+        B, sizes, exact = 1.5, [], bergman.angular_grid
+        monkeypatch.setattr(bergman, "angular_grid", lambda n: sizes.append(n) or exact(n))
         with pytest.raises(AccuracyError):
             BergmanFunction(B, evaluator=lambda z: kernel_limit(0.9999, z, B)).project(100)
         assert sizes == list(bergman.PROJECT_ANGLES)

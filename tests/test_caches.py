@@ -16,16 +16,13 @@ import pytest
 
 import nbsloc
 from nbsloc import bergman, locop, specfun
-from nbsloc.quadrature import QuadratureGrid
 from nbsloc.states import ModelParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLES = {
-    "quadrature.gauss_jacobi": (9, 1.0),
+    "quadrature.gauss_jacobi": (9, 1.0),  # radial_jacobi_grid(9, 1.5) hands out this rule
     "quadrature.half_line_grid": (9, 1.5),
-    "quadrature.radial_jacobi_grid": (9, 1.5),
     "quadrature.angular_grid": (16,),
-    "quadrature.angular_phasors": (16,),
     "locop._landau_rule": (0.36, 16),
     "specfun._inc_beta_blocks": (0.49, 512, 2.0),
     "states.basis_norms": (12, 1.5),
@@ -47,9 +44,7 @@ def _caches() -> dict:
 def _arrays(value):
     if isinstance(value, np.ndarray):
         yield value
-    elif isinstance(value, QuadratureGrid):
-        yield from (value.nodes, value.weights)
-    elif isinstance(value, tuple):
+    elif isinstance(value, tuple):  # a QuadratureGrid too
         for item in value:
             yield from _arrays(item)
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import warnings
 from fractions import Fraction
@@ -59,6 +60,18 @@ class TestHalfLineGrid:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="round together"):
                 half_line_grid(n, B)
+
+    @pytest.mark.parametrize("n, B", [(5, 1e15), (5, 1e6), (1, 1.2e4), (600, 1.2e4)])
+    def test_rules_whose_weights_are_lost_to_rounding_refused(self, n, B):
+        # the weight exponent subtracts terms near 7e16 at B = 1e15: weights [3.35e-4, ..., 1.0] were returned
+        with pytest.raises(DomainError, match="lost to rounding"):
+            half_line_grid(n, B)
+
+    @pytest.mark.parametrize("n, B", [(600, 50.0), (5, 1e4)])
+    def test_rules_inside_the_rounding_tolerance_build(self, n, B):
+        # the exponents' rounding bound reads 1.3e-12 and 8.8e-11 of the largest weight
+        grid = half_line_grid(n, B)
+        assert np.all(np.isfinite(grid.weights)) and np.all(grid.weights > 0.0)
 
     @pytest.mark.parametrize("n, B", [(200, 1.5), (400, 0.8), (400, 1.5), (600, 5.0)])
     def test_rules_whose_unit_mass_weights_underflow_build(self, n, B):
@@ -219,23 +232,28 @@ class TestRuleCache:
 class TestDerivedRuleCaches:
     """The grids: built once, shared, read-only, bounded, and never a cached failure."""
 
+    def test_radial_rule_is_the_cached_jacobi_rule(self):
+        # radial_jacobi_grid keeps no cache of its own: it hands out gauss_jacobi's cached grid
+        assert not hasattr(radial_jacobi_grid, "cache_info")
+        for n, B in ((6, 0.51), (64, 1.5), (128, 20.0)):
+            grid = radial_jacobi_grid(n, B)
+            assert grid is gauss_jacobi(n, 2.0 * B - 2.0) and radial_jacobi_grid(n, B) is grid
+            fresh = gauss_jacobi.__wrapped__(n, 2.0 * B - 2.0)
+            assert np.array_equal(grid.nodes, fresh.nodes) and np.array_equal(grid.weights, fresh.weights)
+
     def test_repeated_calls_share_read_only_grids(self):
-        for build, args in ((radial_jacobi_grid, (24, 1.5)), (angular_grid, (24,))):
-            first = build(*args)
-            assert build(*args) is first
-            for array in (first.nodes, first.weights):
-                with pytest.raises(ValueError):
-                    array[0] = 0.0
+        first = angular_grid(24)
+        assert angular_grid(24) is first
+        for array in first:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_cached_grids_equal_fresh_builds(self):
-        for n, B in ((6, 0.51), (64, 1.5), (128, 20.0)):
-            cached, fresh = radial_jacobi_grid(n, B), radial_jacobi_grid.__wrapped__(n, B)
-            assert np.array_equal(cached.nodes, fresh.nodes) and np.array_equal(cached.weights, fresh.weights)
         cached, fresh = angular_grid(128), angular_grid.__wrapped__(128)
         assert np.array_equal(cached.nodes, fresh.nodes) and np.array_equal(cached.weights, fresh.weights)
 
     def test_invalid_calls_raise_every_time(self):
-        caches = (radial_jacobi_grid, angular_grid)
+        caches = (gauss_jacobi, angular_grid)
         before = [cache.cache_info().currsize for cache in caches]
         for _ in range(2):
             for bad in (lambda: radial_jacobi_grid(10, 0.5), lambda: radial_jacobi_grid(1, 1.5),
@@ -245,8 +263,34 @@ class TestDerivedRuleCaches:
         assert [cache.cache_info().currsize for cache in caches] == before
 
     def test_caches_are_bounded(self):
-        for cache in (radial_jacobi_grid, angular_grid):
-            assert cache.cache_info().maxsize == quadrature.RULE_CACHE_SIZE  # None if unbounded
+        assert angular_grid.cache_info().maxsize == quadrature.RULE_CACHE_SIZE  # None if unbounded
+
+
+RULE_BUILDS = {
+    "gauss_jacobi": lambda: gauss_jacobi(12, 0.5),
+    "mapped_legendre": lambda: mapped_legendre(12, 0.25, 0.81),
+    "radial_jacobi_grid": lambda: radial_jacobi_grid(12, 1.5),
+    "half_line_grid": lambda: half_line_grid(12, 1.5),
+    "angular_grid": lambda: angular_grid(12),
+    "disk_grid": lambda: disk_grid(6, 12, 1.5),
+}
+
+
+@pytest.mark.parametrize("name", RULE_BUILDS)
+def test_every_rule_is_a_read_only_grid_that_unpacks(name):
+    grid = RULE_BUILDS[name]()
+    assert isinstance(grid, QuadratureGrid) and isinstance(grid, tuple)
+    nodes, weights = grid
+    assert nodes is grid.nodes and weights is grid.weights and nodes.shape == weights.shape
+    for array in grid:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(AttributeError):
+        grid.nodes = nodes
+    copied = pickle.loads(pickle.dumps(grid))
+    assert isinstance(copied, QuadratureGrid) and not copied.weights.flags.writeable
+    assert np.array_equal(copied.nodes, nodes) and np.array_equal(copied.weights, weights)
 
 
 class TestQuadratureGridFrozen:
@@ -259,11 +303,6 @@ class TestQuadratureGridFrozen:
             grid.weights *= 2.0
         assert nodes.flags.writeable and weights.flags.writeable
         assert np.array_equal(grid.weights, weights)
-
-    def test_built_grids_read_only(self):
-        for grid in (half_line_grid(16, 1.5), radial_jacobi_grid(16, 1.5), disk_grid(8, 8, 1.5)):
-            with pytest.raises(ValueError):
-                grid.weights[0] = 1.0
 
 
 class TestRadialJacobiGrid:
@@ -336,11 +375,11 @@ class TestRadialJacobiGrid:
     @pytest.mark.parametrize("n, B", [(400, 5000.0), (600, 1e5)])
     def test_underflowing_weights_refused_every_time(self, n, B):
         # the outermost weights fall below the double range
-        before = radial_jacobi_grid.cache_info().currsize
+        before = gauss_jacobi.cache_info().currsize
         for _ in range(2):
             with pytest.raises(DomainError, match="strictly positive"):
                 radial_jacobi_grid(n, B)
-        assert radial_jacobi_grid.cache_info().currsize == before
+        assert gauss_jacobi.cache_info().currsize == before
 
 
 class TestAngularGrid:
@@ -348,12 +387,12 @@ class TestAngularGrid:
     def test_even_indexed_half_is_the_half_size_rule(self, n):
         # the FFT's grid theta_m = 2 pi m / n nests: project's refinement reads the n / 2 rule off the n samples
         assert np.array_equal(angular_grid(n).nodes[::2], angular_grid(n // 2).nodes)
-        assert np.array_equal(quadrature.angular_phasors(n)[::2], quadrature.angular_phasors(n // 2))
 
-    def test_phasors_are_the_roots_of_unity_in_fft_order(self):
+    def test_nodes_are_the_roots_of_unity_in_fft_order(self):
         n = 12
-        assert angular_grid(n).nodes[0] == 0.0 and quadrature.angular_phasors(n)[0] == 1.0
-        assert np.allclose(np.fft.fft(quadrature.angular_phasors(n)), np.eye(n)[1] * n, rtol=0.0, atol=1e-13)
+        nodes = angular_grid(n).nodes
+        assert nodes[0] == 1.0 and np.allclose(np.abs(nodes), 1.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(np.fft.fft(nodes), np.eye(n)[1] * n, rtol=0.0, atol=1e-13)
 
 
 class TestDiskGrid:
