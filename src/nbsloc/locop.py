@@ -13,8 +13,8 @@ eigenvalue function of every level m is ``landau_eigenvalue``.  Functions of the
 level functions ``ModelParams``; ``disk_eigenvalue`` and ``beta_density`` are the level functions at m = 0.
 The radial and level-m quantities take an index or a range of indices; no call
 keeps state but the shared read-only rules and tables.  Rule and block sizes are module
-constants (RADIAL_NODES, LANDAU_NODES, LANDAU_BLOCK, MC_BLOCK), not arguments; a disk
-grid is an argument.  ``mc_eigenvalue`` counts its Beta draws in blocks of one stream.
+constants (RADIAL_NODES, LANDAU_NODES, MC_BLOCK), not arguments; a disk grid is an argument.  A level-m
+call takes one density row per index, and ``mc_eigenvalue`` counts its Beta draws in blocks of one stream.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ LANDAU_REFINE_TOL = 1e-10  # relative agreement landau_eigenvalue's refinement m
 LEAKAGE_TAIL_TOL = 1e-14  # bound on the photon-count tail leakage_bound neglects, relative to the sum
 LANDAU_NODES = 320  # landau_eigenvalue's Gauss-Legendre rule on [0, R^2] and on each half, at m >= 1
 RADIAL_NODES = 160  # radial_eigenvalue's Gauss-Jacobi rule
-LANDAU_BLOCK = 64  # indices whose densities an m >= 1 landau_eigenvalue range call holds at once: bounded memory
 MC_BLOCK = 65_536  # Beta draws mc_eigenvalue holds at once (512 kB): bounded memory
 
 
@@ -106,40 +105,39 @@ def as_function_of_hamiltonian(n: int, B: float, R) -> float:
 
 
 def _log_rho(rho) -> tuple:
-    """log(rho) and log1p(-rho) on 0 <= rho < 1, with log(0) = -inf; DomainError elsewhere, NaN included."""
+    """(1 - 2 rho, log rho, log1p(-rho)) on 0 <= rho < 1, log 0 = -inf: ``_density_rows``'s points; else DomainError."""
     rho = np.asarray(rho, dtype=float)
     if not (np.all(rho >= 0.0) and np.all(rho < 1.0)):
         raise DomainError("density defined on 0 <= rho < 1")
     with np.errstate(divide="ignore"):
-        return np.log(rho), np.log1p(-rho)
+        return 1.0 - 2.0 * rho, np.log(rho), np.log1p(-rho)
 
 
 def beta_density(j: int | range, B: float, rho):
     """Density of the Beta(j+1, 2B-1) law behind the eigenvalues: ``landau_density`` at m = 0.
 
     Gamma(2B+j) / (Gamma(2B-1) j!) (1 - rho)^(2B-2) rho^j on [0, 1), formed in logs;
-    ``rho`` may be an ndarray.
+    ``rho`` may be a number or array-like.
     """
     return landau_density(j, ModelParams(B), rho)
 
 
-def _density_rows(js: list[int], params: ModelParams, log_w: np.ndarray, x: np.ndarray, log_rho: np.ndarray,
-                  log_rest: np.ndarray) -> np.ndarray:
-    """Level-m density rows, shape (len(js), *x.shape), at the points with 1 - 2 rho = x, log rho and log1p(-rho).
+def _density_rows(js: range | list[int], params: ModelParams, x, log_rho, log_rest):
+    """Yield the level-m density row of each index in ``js``, at the points ``_log_rho`` gives, shape x.shape.
 
-    ``log_w`` is ``log_nb_weights`` at b = 2B - 2m up to the largest index.  Every entry is
-    exp(ln_norm + shape + 2 log|P|), one exponential of one sum, so an entry whose exp(ln_norm + shape) alone
-    would be subnormal keeps its bits; a root of P gives log 0 = -inf and the entry 0.  The rows are one array.
+    The one table is ``log_nb_weights`` at b = 2B - 2m, sized from the ends of ``js`` (a prefix is the short
+    table).  Every entry is exp(ln_norm + shape + 2 log|P|), one exponential of one sum, so an entry whose
+    exp(ln_norm + shape) alone would be subnormal keeps its bits; a root of P gives log 0 = -inf and the entry 0.
     """
     B, m = params.B, params.m
-    rows = np.empty((len(js), *x.shape))
-    with np.errstate(divide="ignore"):
-        for row, k in zip(rows, js):
-            lo, hi = min(m, k), max(m, k)
+    log_w = log_nb_weights(max(m, js[0], js[-1]) + 1 if js else m + 1, 2.0 * B - 2.0 * m)
+    for k in js:
+        lo, hi = min(m, k), max(m, k)
+        with np.errstate(divide="ignore"):  # closed before the yield: held open, it would set the caller's state
             ln_norm = math.log(2.0 * B - 2.0 * m - 1.0) + log_w[hi] - log_w[lo]
             shape = ((hi - lo) * log_rho if hi > lo else 0.0) + (2.0 * B - 2.0 * m - 2.0) * log_rest
-            row[...] = ln_norm + shape + 2.0 * np.log(np.abs(jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, x)))
-    return np.exp(rows, out=rows)
+            row = np.exp(ln_norm + shape + 2.0 * np.log(np.abs(jacobi(lo, float(hi - lo), 2.0 * (B - m) - 1.0, x))))
+        yield row
 
 
 def landau_density(j: int | range, params: ModelParams, rho):
@@ -149,17 +147,15 @@ def landau_density(j: int | range, params: ModelParams, rho):
       (1-rho)^(2B-2m-2) rho^|m-j| [P_{m^j}^(|m-j|, 2(B-m)-1)(1 - 2 rho)]^2
     with m^j = min(m, j), mvj = max(m, j), every factor formed in logs, the square as 2 log|P|,
     and the entry one exponential of their sum (``_density_rows``);
-    ``ModelParams`` holds m < B - 1/2, where the weight is normalizable.
-    ``j`` may be a range: a row per index, shape (len(j), *np.shape(rho)), each its own call's
-    bit for bit, from one ``log_nb_weights`` table (a prefix is the short table) and one log pass.
+    ``ModelParams`` holds m < B - 1/2, where the weight is normalizable.  A number ``rho`` gives a float,
+    an array-like one an array of its shape.  ``j`` may be a range: a row per index, shape (len(j),
+    *np.shape(rho)), each its own call's bit for bit, from one log pass into one array filled row by row.
     """
     js = check_indices("j", j)
-    B, m = params.B, params.m
-    log_rho, log_rest = _log_rho(rho)
-    x = 1.0 - 2.0 * np.asarray(rho, dtype=float)
-    log_w = log_nb_weights(max([m, *js]) + 1, 2.0 * B - 2.0 * m)
-    rows = _density_rows(js, params, log_w, *map(np.atleast_1d, (x, log_rho, log_rest))).reshape(len(js), *x.shape)
-    return rows if isinstance(j, range) else rows[0] if isinstance(rho, np.ndarray) else float(rows[0])
+    rows = np.empty((len(js), *np.shape(rho)))
+    for i, row in enumerate(_density_rows(js, params, *_log_rho(rho))):
+        rows[i] = row
+    return rows if isinstance(j, range) else rows[0] if np.ndim(rho) else float(rows[0])
 
 
 @functools.lru_cache(maxsize=quadrature.RULE_CACHE_SIZE)
@@ -170,11 +166,10 @@ def _landau_rule(s: float, n: int) -> tuple:
     their 3n nodes in that order, all read-only.
     """
     rules = [mapped_legendre(n, lo, hi) for lo, hi in ((0.0, s), (0.0, 0.5 * s), (0.5 * s, s))]
-    nodes = np.concatenate([rule.nodes for rule in rules])
-    node_values = (1.0 - 2.0 * nodes, *_log_rho(nodes))
-    for array in node_values:  # the rules' weights are read-only already
+    points = _log_rho(np.concatenate([rule.nodes for rule in rules]))
+    for array in points:  # the rules' weights are read-only already
         array.flags.writeable = False
-    return tuple(rule.weights for rule in rules), *node_values
+    return tuple(rule.weights for rule in rules), *points
 
 
 def landau_eigenvalue(j: int | range, params: ModelParams, R):
@@ -190,8 +185,8 @@ def landau_eigenvalue(j: int | range, params: ModelParams, R):
     LANDAU_REFINE_TOL relatively and 3 LANDAU_NODES math.ulp(0.0), one
     subnormal rounding per term summed (AccuracyError).  The three rules and
     1 - 2 rho, log rho and log1p(-rho) on their nodes are one cached
-    ``_landau_rule`` per R^2, built by the first call.  A range call evaluates
-    the density on the nodes of all three rules for LANDAU_BLOCK indices at a time.
+    ``_landau_rule`` per R^2, built by the first call.  A range call integrates
+    one index's density row on the nodes of all three rules at a time.
     """
     R = as_radius(R)
     js = check_indices("j", j)
@@ -202,23 +197,19 @@ def landau_eigenvalue(j: int | range, params: ModelParams, R):
         values = table[:len(js)] if js == range(len(js)) else table[js]
         values.flags.writeable = False
         return values
-    weights, *node_values = _landau_rule(R * R, LANDAU_NODES)
-    log_w = log_nb_weights(max([params.m, *js]) + 1, 2.0 * params.B - 2.0 * params.m)
+    weights, *points = _landau_rule(R * R, LANDAU_NODES)
     floor = 3 * LANDAU_NODES * math.ulp(0.0)
-    values = []
+    values = np.empty(len(js))
     with np.errstate(all="ignore"):  # an overflow leaves a non-finite mass, refused below
-        for start in range(0, len(js), LANDAU_BLOCK):
-            density = _density_rows(js[start:start + LANDAU_BLOCK], params, log_w, *node_values)
-            for parts in density.reshape(-1, 3, LANDAU_NODES):
-                coarse, low, high = (float(w @ part) for w, part in zip(weights, parts))
-                fine = low + high
-                if not abs(fine - coarse) <= max(LANDAU_REFINE_TOL * abs(fine), floor) < math.inf:  # false for NaN
-                    raise AccuracyError(f"level-m eigenvalue did not converge: refinement moved {fine:.6e} "
-                                        f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")
-                values.append(fine)
-    table = np.array(values)
-    table.flags.writeable = False
-    return table if isinstance(j, range) else values[0]
+        for i, row in enumerate(_density_rows(js, params, *points)):
+            coarse, low, high = (float(w @ part) for w, part in zip(weights, row.reshape(3, LANDAU_NODES)))
+            fine = low + high
+            if not abs(fine - coarse) <= max(LANDAU_REFINE_TOL * abs(fine), floor) < math.inf:  # false for NaN
+                raise AccuracyError(f"level-m eigenvalue did not converge: refinement moved {fine:.6e} "
+                                    f"by {abs(fine - coarse):.3e} (relative tol {LANDAU_REFINE_TOL:.0e})")
+            values[i] = fine
+    values.flags.writeable = False
+    return values if isinstance(j, range) else float(values[0])
 
 
 def mc_eigenvalue(j: int, B: float, R, n_samples: int, seed: int) -> tuple[float, float]:

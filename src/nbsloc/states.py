@@ -76,13 +76,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LocalizationRadius:
-    """Radius of the localization disk, 0 < R < 1."""
+    """Radius of the localization disk, 0 < R < 1, held as the float ``as_radius`` returns."""
 
     R: float
 
     def __post_init__(self):
-        if not 0.0 < self.R < 1.0:
-            raise DomainError(f"localization radius needs 0 < R < 1, got R={self.R}")
+        object.__setattr__(self, "R", as_radius(self.R))
 
 
 def as_disk(z):
@@ -121,7 +120,16 @@ def as_coefficients(coeffs) -> np.ndarray:
 
 
 def as_radius(R) -> float:
-    return R.R if isinstance(R, LocalizationRadius) else LocalizationRadius(float(R)).R
+    """A ``LocalizationRadius``'s R, or a real R with 0 < R < 1 as a float; DomainError otherwise, complex R too."""
+    if isinstance(R, LocalizationRadius):
+        return R.R
+    try:  # numpy orders a complex by its real part; an array of several has no truth value
+        ok = 0.0 < R < 1.0 and not isinstance(R, (np.complexfloating, np.ndarray))
+    except (TypeError, ValueError, ArithmeticError):  # no order against a float: a str, None, complex, Decimal NaN
+        ok = False
+    if not ok:
+        raise DomainError(f"localization radius needs 0 < R < 1, got R={R!r}")
+    return float(R)
 
 
 def principal_power(base, exponent: float):

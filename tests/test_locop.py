@@ -313,6 +313,14 @@ class TestBetaDensity:
         with pytest.raises(DomainError):
             beta_density(0, 1.5, 1.0)
 
+    @pytest.mark.parametrize("rho", [[0.1, 0.2], (0.1, 0.2), [[0.1], [0.2]], [0.3]])
+    def test_array_like_rho_for_one_index_is_a_row_of_the_range_call(self, rho):
+        # a list or tuple rho for a single index raised TypeError while a range of indices took it
+        for call in (lambda j: beta_density(j, 1.5, rho), lambda j: landau_density(j, ModelParams(2.5, 1), rho)):
+            row = call(1)
+            assert isinstance(row, np.ndarray) and row.shape == np.shape(rho)
+            assert np.array_equal(row.view(np.uint64), call(range(3))[1].view(np.uint64))
+
 
 class TestLowestLevel:
     @pytest.mark.parametrize("function, args, text", [
@@ -507,7 +515,7 @@ class TestLandauEigenvalue:
 
     @pytest.mark.parametrize("B, m", [(2.5, 1), (4.5, 3), (10.5, 4)])
     @pytest.mark.parametrize("indices", [range(0, 60), range(59, -1, -1), range(7, 90, 9), range(30, 30),
-                                         range(0, 2 * locop.LANDAU_BLOCK + 5)])
+                                         range(0, 133), range(140, 3, -1)])
     def test_range_entries_are_the_single_index_calls(self, B, m, indices):
         params, rho = ModelParams(B, m), np.linspace(0.0, 0.99, 23)
         for R in (0.3, 0.9):
@@ -522,37 +530,34 @@ class TestLandauEigenvalue:
         scalar = landau_density(indices, params, 0.37)
         assert scalar.tolist() == [landau_density(j, params, 0.37) for j in indices]
 
-    def test_range_call_holds_a_bounded_block_of_densities(self):
-        # the whole len(j) x 960 density block took 31 MB here, 7.7 KB per index
+    @pytest.mark.parametrize("indices, bound", [(range(64), 128e3), (range(4000), 0.5e6)])
+    def test_range_call_holds_one_density_row(self, indices, bound):
+        # the whole len(j) x 960 density block took 31 MB here; 64 rows of it at a time peaked at 528 kB and 1.16 MB
         import tracemalloc
 
         params = ModelParams(3.0, 1)
         landau_eigenvalue(0, params, 0.9)
         tracemalloc.start()
         try:
-            values = landau_eigenvalue(range(4000), params, 0.9)
+            values = landau_eigenvalue(indices, params, 0.9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert values.shape == (4000,) and peak <= 4e6, peak
+        assert values.shape == (len(indices),) and peak <= bound, peak
 
-    def test_a_block_holds_one_density_array(self):
+    def test_density_rows_fill_one_output_array(self):
         # the exponents, the polynomials, their product and the repair's mask held about four arrays (4.15x, 4.19x)
         import tracemalloc
 
         params, rho = ModelParams(2.5, 1), np.linspace(0.0, 0.99, 4096)
-        calls = [(lambda: landau_eigenvalue(range(locop.LANDAU_BLOCK), params, 0.6),
-                  locop.LANDAU_BLOCK * 3 * locop.LANDAU_NODES * 8),
-                 (lambda: landau_density(range(64), params, rho), 64 * rho.nbytes)]
-        for call, block in calls:
-            call()
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.5 * block, peak / block
+        landau_density(range(64), params, rho)
+        tracemalloc.start()
+        try:
+            rows = landau_density(range(64), params, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * rows.nbytes, peak / rows.nbytes
 
     def test_int_calls_build_the_rule_once(self, monkeypatch):
         # each call built three mapped Legendre rules and took the logs on their 960 nodes

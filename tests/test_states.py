@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import sys
 
@@ -183,6 +184,25 @@ class TestDomainTypes:
         for bad in (0.0, 1.0, 1.4):
             with pytest.raises(DomainError):
                 LocalizationRadius(bad)
+
+    @pytest.mark.parametrize("bad", ["0.5", b"0.5", None, 0.5 + 0j, np.complex128(0.5), np.str_("0.5"), math.nan,
+                                     decimal.Decimal("NaN"), np.array([0.5, 0.6]), np.array(0.5), True])
+    def test_radius_rule_refuses_what_is_not_a_real_number(self, bad):
+        # "0.5" passed float() and gave a value; None and the complex radii ended in a bare TypeError, and a
+        # numpy complex compares as a real, so its imaginary part would have been dropped; a Decimal NaN
+        # raises decimal.InvalidOperation when compared
+        text = f"localization radius needs 0 < R < 1, got R={bad!r}"
+        for call in (states.as_radius, LocalizationRadius, lambda R: disk_eigenvalue(0, 1.5, R),
+                     lambda R: transferred_apply(BergmanFunction(1.5, coefficients=[1.0]), 0.5j, 1.5, R)):
+            with pytest.raises(DomainError) as err:
+                call(bad)
+            assert str(err.value) == text
+
+    @pytest.mark.parametrize("good", [0.6, np.float64(0.6), np.float32(0.5)])
+    def test_radius_is_held_as_a_float(self, good):
+        radius = LocalizationRadius(good)
+        assert type(radius.R) is float and radius.R == float(good) == states.as_radius(good)
+        assert states.as_radius(radius) is radius.R
 
     def test_max_landau_index(self):
         assert max_landau_index(1.5) == 0
