@@ -290,27 +290,34 @@ def horner(coeffs, x):
 def laguerre(j: int | range, alpha: float, x):
     """Generalized Laguerre polynomial L_j^(alpha)(x) by three-term recurrence.
 
-    ``x`` may be a float or an ndarray, and ``j`` a range: one pass up to its largest index
-    returns a row per index, shape (len(j), *np.shape(x)), each equal bit for bit to its own call.
+    ``x`` may be a number or an array-like, read through ``np.asarray``; a NaN raises DomainError.
+    ``j`` may be a range: one pass up to its largest index writes a row per index into one
+    preallocated array, shape (len(j), *np.shape(x)), each row equal bit for bit to its own call.
+    With an int j it returns a float at a number x, else an array of x's shape (a numpy float at a 0-d array).
     """
-    rows = dict.fromkeys(check_indices("j", j))
+    rows = check_indices("j", j)
     if not -1.0 < alpha < math.inf:
         raise DomainError(f"laguerre requires finite alpha > -1, got {alpha}")
-    ones = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    top = max(rows, default=0)
-    p_prev, p_cur = ones, (1.0 + alpha) * ones - x  # L_k and L_(k+1) at the top of step k
+    xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise DomainError("laguerre requires x that is not NaN")
+    table = np.empty((len(rows), *xs.shape))
+    if not xs.ndim:
+        xs = float(xs)  # builtin float arithmetic rounds as numpy's does, at less cost per step
+    top = max(rows[0], rows[-1]) if rows else 0
+    p_prev, p_cur = 1.0, (1.0 + alpha) - xs  # L_k and L_(k+1) at the top of step k
     for k in range(top + 1):
         if k in rows:
-            rows[k] = p_prev
+            table[rows.index(k)] = p_prev
         if k + 1 < top:  # L_(k+2), never past the largest index
             p_prev, p_cur = p_cur, (
-                (2.0 * k + 3.0 + alpha - x) * p_cur - (k + 1.0 + alpha) * p_prev
+                (2.0 * k + 3.0 + alpha - xs) * p_cur - (k + 1.0 + alpha) * p_prev
             ) / (k + 2.0)
         else:
             p_prev = p_cur
     if isinstance(j, range):
-        return np.array(list(rows.values())).reshape(len(rows), *np.shape(x))
-    return rows[top]
+        return table
+    return table[0] if table.ndim > 1 or isinstance(x, np.ndarray) else float(table[0])
 
 
 def jacobi(k: int, alpha: float, beta: float, x):

@@ -222,15 +222,19 @@ def bergman_basis(j: int | range, B: float, z):
 
     sqrt(2B - 1) sqrt(Gamma(2B + j)/(j! Gamma(2B))) z^j, orthonormal for the
     inner product (1/pi) int conj(f) g (1 - |z|^2)^(2B - 2) dA; ``z`` may be
-    an ndarray, and ``j`` a range: a row per index, shape (len(j), *np.shape(z)),
-    each equal bit for bit to its own call, from one norm table.
+    an ndarray, and ``j`` a range: a row per index, written into one preallocated
+    array of shape (len(j), *np.shape(z)), each equal bit for bit to its own call,
+    from one norm table.
     """
     z = as_disk(z)
     rows = check_indices("j", j)
     norms = basis_norms(max(rows, default=0) + 1, B)
-    if isinstance(j, range):
-        return np.array([float(norms[k]) * z ** k for k in rows], dtype=complex).reshape(len(rows), *np.shape(z))
-    return float(norms[rows[0]]) * z ** rows[0]
+    if not isinstance(j, range):
+        return float(norms[rows[0]]) * z ** rows[0]
+    table = np.empty((len(rows), *np.shape(z)), dtype=complex)
+    for i, k in enumerate(rows):
+        table[i] = float(norms[k]) * z ** k
+    return table
 
 
 def _basis_series(coeffs, B: float, z):
@@ -248,37 +252,59 @@ def laguerre_function(j: int | range, B: float, xi):
     norm nor exp(-xi^2/2) is formed alone, as both leave the float range at large j, B or xi.
     Once a bound on the scaled values passes 1e100, each point's last two values are divided
     by the power of two just above the larger, which is exact, so a point's value does not
-    depend on the other points of the array.  A range of indices takes one pass up to its
-    largest and returns a row per index, shape (len(j), *xi.shape), each equal bit for bit to
-    its own call.  A number xi runs as a 0-d array; with an int j it returns a float.
+    depend on the other points of the array.  One pass up to the largest index writes each
+    kept row's scaled value into the output table as it is reached, and notes the summed
+    power-of-two shift once per rescale that a kept row follows; after the pass the table is
+    turned into values in place, mantissa times exp(log phi_0 + exponent log 2), a slice of
+    rows at a time, so a call holds one table.  A range of indices returns a row per index,
+    shape (len(j), *xi.shape), each equal bit for bit to its own call.  A number xi runs as a
+    0-d array; with an int j it returns a float.
     Past xi = 1e154, where xi^2 overflows, it returns 0, the underflowed value.
     Accurate to 1e-11 absolute for j <= 2000 and B <= 50.
     """
-    rows = dict.fromkeys(check_indices("j", j))
+    rows = check_indices("j", j)
     check_strength(B)
     x = np.asarray(xi, dtype=float)
     if not np.all((x > 0.0) & (x < math.inf)):
         raise DomainError("Laguerre functions are defined for 0 < xi < inf")
     x = np.minimum(x, 1e154)  # xi^2 stays finite; the value has underflowed to 0 long before
-    b2, x2, top = 2.0 * B, x * x, max(rows, default=0)
+    n, descending = len(rows), len(rows) > 1 and rows[0] > rows[-1]
+    kept = rows[::-1] if descending else rows  # ascending; the table's rows run the other way if descending
+    table = np.empty((n, *x.shape))
+    scaled = table[::-1] if descending else table
+    b2, x2, top = 2.0 * B, x * x, kept[-1] if n else 0
     x2_max = float(np.max(x2, initial=0.0))
     log_phi0 = 0.5 * (math.log(2.0) - log_gamma(b2)) + (b2 - 0.5) * np.log(x) - 0.5 * x2
     prev, cur, c_prev, bound, shift = 0.0, 1.0, 0.0, 1.0, 0  # bound >= |prev|, |cur| everywhere
+    i, want, runs = 0, kept[0] if n else -1, []  # runs: (first kept row, shift) per shift the kept rows see
     for k in range(top + 1):
-        if k in rows:
-            mantissa, e = np.frexp(cur)
-            rows[k] = mantissa * np.exp(log_phi0 + (e + shift) * math.log(2.0))
+        if k == want:
+            if not runs or runs[-1][1] is not shift:
+                runs.append((i, shift))
+            scaled[i] = cur
+            i += 1
+            want = kept[i] if i < n else -1
         if k == top:
             break
         c = math.sqrt((k + 1) * (k + b2))
         bound *= (max(2 * k + b2, x2_max) + c_prev) / c  # |2k + 2B - xi^2| <= max(2k + 2B, xi^2)
         prev, cur, c_prev = cur, ((2 * k + b2 - x2) * cur - c_prev * prev) / c, c
-        if bound > 1e100:
+        if bound > 1e100:  # shift is rebound to a new array, never changed in place: runs keeps the old one
             e = np.frexp(np.maximum(abs(prev), abs(cur)))[1]
             prev, cur, shift, bound = np.ldexp(prev, -e), np.ldexp(cur, -e), shift + e, 1.0
+    per = max(1, (1 << 16) // max(x.size, 1))  # rows per slice: the exponents of at most 2^16 entries at once
+    for (first, offset), end in zip(runs, [r[0] for r in runs[1:]] + [n]):
+        for lo in range(first, end, per):
+            hi = min(lo + per, end)
+            block = table[n - hi:n - lo] if descending else table[lo:hi]
+            e = np.empty(block.shape, dtype=np.intc)
+            np.frexp(block, out=(block, e))
+            expo = np.multiply(np.add(e, offset, out=e), math.log(2.0))
+            np.exp(np.add(log_phi0, expo, out=expo), out=expo)
+            np.multiply(block, expo, out=block)
     if isinstance(j, range):
-        return np.array(list(rows.values())).reshape(len(rows), *x.shape)
-    return rows[top] if isinstance(xi, np.ndarray) else float(rows[top])
+        return table
+    return table[0] if isinstance(xi, np.ndarray) else float(table[0])
 
 
 def nbs_expansion(z, B: float, xi: float, J: int) -> complex:

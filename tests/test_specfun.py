@@ -198,6 +198,34 @@ class TestLaguerre:
         with pytest.raises(DomainError):
             laguerre(2, -1.0, 1.0)
 
+    def test_list_points_read_as_an_array(self):
+        # a list ended in a bare TypeError, while laguerre_function takes one
+        want = laguerre(3, 0.5, np.array([0.1, 0.2]))
+        assert np.array_equal(laguerre(3, 0.5, [0.1, 0.2]), want)
+        assert np.array_equal(laguerre(range(4), 0.5, (0.1, 0.2))[3], want)
+        assert laguerre(3, 0.5, 0.1) == want[0] and isinstance(laguerre(3, 0.5, 0.1), float)
+
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan]), [[1.0], [math.nan]]])
+    def test_nan_point_refused(self, x):
+        # a NaN x came back as NaN rows without an error
+        for j in (0, 3, range(5)):
+            with pytest.raises(DomainError, match="NaN"):
+                laguerre(j, 0.5, x)
+
+    def test_range_table_is_held_once(self):
+        # the rows were kept in a list and then copied by np.array: twice the table (2.0x)
+        import tracemalloc
+
+        x = np.linspace(0.0, 50.0, 200_000)
+        laguerre(range(20), 0.5, x)
+        tracemalloc.start()
+        try:
+            table = laguerre(range(20), 0.5, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes, peak / table.nbytes
+
 
 class TestJacobi:
     def test_order_zero_and_one(self):

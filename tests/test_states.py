@@ -372,6 +372,20 @@ class TestBergmanBasis:
         assert np.array_equal(rows, np.stack([bergman_basis(j, B, z) for j in indices]))
         assert np.array_equal(bergman_basis(indices, B, 0.3 + 0.4j), [bergman_basis(j, B, 0.3 + 0.4j) for j in indices])
 
+    def test_range_table_is_held_once(self):
+        # the rows were kept in a list and then copied by np.array: twice the table (2.0x)
+        import tracemalloc
+
+        z = np.linspace(-0.7, 0.7, 200_000) * (0.6 + 0.5j)
+        bergman_basis(range(20), 1.5, z)
+        tracemalloc.start()
+        try:
+            table = bergman_basis(range(20), 1.5, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes, peak / table.nbytes
+
 
 class TestBasisNorms:
     def test_repeated_call_shares_a_read_only_array(self):
@@ -470,12 +484,42 @@ class TestLaguerreFunction:
             assert np.array_equal(whole, parts)
 
     @pytest.mark.parametrize("B", [0.51, 1.5, 50.0])
-    @pytest.mark.parametrize("indices", [range(0, 21), range(5, 40, 3), range(1990, 2001)])
+    @pytest.mark.parametrize("indices", [range(0, 21), range(5, 40, 3), range(1990, 2001), range(2000, 1700, -60)])
     def test_range_rows_equal_their_index_calls(self, indices, B):
-        # one pass up to max(indices); at j ~ 2000 it rescales by powers of two on the way
-        xi = np.linspace(0.05, 90.0, 37)
+        # one pass up to max(indices); it rescales by powers of two on the way, and with points up to 1e3 several
+        # times between kept rows, so the rows of one table carry different shifts
+        xi = np.concatenate([np.linspace(0.05, 90.0, 37), np.geomspace(100.0, 1e3, 6)])
         rows = laguerre_function(indices, B, xi)
         assert np.array_equal(rows, np.stack([laguerre_function(j, B, xi) for j in indices]))
+
+    def test_range_table_is_held_once(self):
+        # each kept row was converted in the loop, kept in a dict and then stacked into a second array (2.0x)
+        import tracemalloc
+
+        xi = np.linspace(0.01, 60.0, 2000)
+        laguerre_function(range(3), 1.5, xi)
+        tracemalloc.start()
+        try:
+            table = laguerre_function(range(2000), 1.5, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes, peak / table.nbytes
+
+    def test_index_call_holds_no_shift_per_rescale(self):
+        # an int j keeps one row and the one shift it needs; keeping each rescale's shift array read 0.28 MB,
+        # against 0.154 MB when each kept row was converted in the loop
+        import tracemalloc
+
+        xi = np.linspace(0.01, 60.0, 2000)
+        laguerre_function(3, 1.5, xi)
+        tracemalloc.start()
+        try:
+            laguerre_function(2000, 1.5, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 0.154e6, peak
 
     def test_range_at_a_number_gives_one_value_per_index(self):
         rows = laguerre_function(range(2, 9, 2), 1.5, 1.3)
