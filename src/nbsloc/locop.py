@@ -48,9 +48,10 @@ __all__ = [
 ]
 
 LANDAU_REFINE_TOL = 1e-10  # relative agreement landau_eigenvalue's refinement must reach
+RADIAL_REFINE_TOL = 1e-13  # agreement radial_eigenvalue's successive rules must reach, relative to the mass of |F|
 LEAKAGE_TAIL_TOL = 1e-14  # bound on the photon-count tail leakage_bound neglects, relative to the sum
 LANDAU_NODES = 320  # landau_eigenvalue's Gauss-Legendre rule on [0, R^2] and on each half, at m >= 1
-RADIAL_NODES = 160  # radial_eigenvalue's Gauss-Jacobi rule
+RADIAL_NODES = (24, 48, 96, 192, 384, 768, 1536)  # radial_eigenvalue's Gauss-Jacobi rules, in the order it tries them
 MC_BLOCK = 65_536  # Beta draws mc_eigenvalue holds at once (512 kB): bounded memory
 
 
@@ -62,24 +63,41 @@ def disk_eigenvalue(j: int | range, B: float, R):
 def radial_eigenvalue(F: Callable, j: int | range, B: float):
     """Eigenvalue of the quantized radial symbol rho = |z|^2 -> F(rho).
 
-    (1 / B(j+1, 2B-1)) int_0^1 rho^j (1 - rho)^(2B-2) F(rho) drho, by the weighted radial rule of
-    RADIAL_NODES nodes.  F is called once, on the array of nodes, and a scalar return is broadcast; values
-    that are not real and finite on the nodes raise DomainError.  Each term w_i rho_i^j / B(j+1, 2B-1) is formed in
-    logs (at large B the normalization alone overflows where the node sum underflows), 1 / B(j+1, 2B-1) =
-    (2B-1) Gamma(2B+j) / (j! Gamma(2B)) from one ``log_nb_weights`` table as in ``landau_density``.  ``j`` may
-    be a range: an array with an eigenvalue per index.  Each integral is summed over the nodes in a fixed
-    order, so the same call gives the same bits.  Discontinuous symbols converge slowly here; the disk
-    indicator has the exact closed form ``disk_eigenvalue``.
+    (1 / B(j+1, 2B-1)) int_0^1 rho^j (1 - rho)^(2B-2) F(rho) drho, by the weighted radial rules of
+    RADIAL_NODES in turn.  F is called once per rule, on its array of nodes, and a scalar return is
+    broadcast; values that are not real and finite on the nodes raise DomainError.  An index's value is the
+    finer of the first two successive rules that agree on it: their difference at most the larger of
+    RADIAL_REFINE_TOL times the same sum with |F| (the eigenvalue of |F|, the scale its rounding is relative
+    to) and (n / 2 + n) math.ulp(0.0), one subnormal rounding per term summed.  An index still unsettled
+    past the last rule raises AccuracyError, as a discontinuous symbol's does (the disk indicator has the
+    exact closed form ``disk_eigenvalue``); a rule whose weights underflow raises its DomainError.  Each term
+    w_i rho_i^j / B(j+1, 2B-1) is formed in logs (at large B the normalization alone overflows where the node
+    sum underflows), 1 / B(j+1, 2B-1) = (2B-1) Gamma(2B+j) / (j! Gamma(2B)) from one ``log_nb_weights`` table
+    as in ``landau_density``.  ``j`` may be a range: an array with an eigenvalue per index, each its own
+    call's bit for bit, since each integral is summed over the nodes of its own rules in a fixed order.
     """
     js = check_indices("j", j)
-    grid = radial_jacobi_grid(RADIAL_NODES, B)
-    fvals = np.broadcast_to(F(grid.nodes), grid.nodes.shape)
-    if not (np.isrealobj(fvals) and np.all(np.isfinite(fvals))):
-        raise DomainError("symbol values must be real and finite on the integration nodes")
+    check_strength(B)
     log_norm = math.log(2.0 * B - 1.0) + log_nb_weights(max(js, default=0) + 1, 2.0 * B)[js]
-    terms = np.exp(np.multiply.outer(js, np.log(grid.nodes)) + (np.log(grid.weights) + log_norm[:, None]))
-    values = (terms * fvals).sum(axis=1)
-    return values if isinstance(j, range) else float(values[0])
+    values, pending, coarse, coarse_n = np.empty(len(js)), np.arange(len(js)), None, 0
+    for n in RADIAL_NODES:
+        grid = radial_jacobi_grid(n, B)
+        fvals = np.broadcast_to(F(grid.nodes), grid.nodes.shape)
+        if not (np.isrealobj(fvals) and np.all(np.isfinite(fvals))):
+            raise DomainError("symbol values must be real and finite on the integration nodes")
+        terms = np.exp(np.multiply.outer(np.asarray(js)[pending], np.log(grid.nodes))
+                       + (np.log(grid.weights) + log_norm[pending, None]))
+        fine = (terms * fvals).sum(axis=1)
+        if coarse is not None:
+            gap, tol = np.abs(fine - coarse), RADIAL_REFINE_TOL * (terms @ np.abs(fvals))
+            settled = (gap <= np.maximum(tol, (coarse_n + n) * math.ulp(0.0))) & (tol < math.inf)  # false for NaN
+            values[pending[settled]] = fine[settled]
+            pending, fine, gap = pending[~settled], fine[~settled], gap[~settled]
+        if not pending.size:
+            return values if isinstance(j, range) else float(values[0])
+        coarse, coarse_n = fine, n
+    raise AccuracyError(f"radial eigenvalue did not converge at j={js[pending[0]]}: {n} nodes moved {fine[0]:.6e} "
+                        f"by {gap[0]:.3e} (relative tol {RADIAL_REFINE_TOL:.0e})")
 
 
 def spectral_apply(coeffs, params: ModelParams, R) -> np.ndarray:

@@ -290,7 +290,7 @@ def horner(coeffs, x):
 def laguerre(j: int | range, alpha: float, x):
     """Generalized Laguerre polynomial L_j^(alpha)(x) by three-term recurrence.
 
-    ``x`` may be a number or an array-like, read through ``np.asarray``; a NaN raises DomainError.
+    ``x`` may be a number or an array-like, read through ``np.asarray``; a NaN or infinite x raises DomainError.
     ``j`` may be a range: one pass up to its largest index writes a row per index into one
     preallocated array, shape (len(j), *np.shape(x)), each row equal bit for bit to its own call.
     With an int j it returns a float at a number x, else an array of x's shape (a numpy float at a 0-d array).
@@ -299,8 +299,8 @@ def laguerre(j: int | range, alpha: float, x):
     if not -1.0 < alpha < math.inf:
         raise DomainError(f"laguerre requires finite alpha > -1, got {alpha}")
     xs = np.asarray(x, dtype=float)
-    if np.isnan(xs).any():
-        raise DomainError("laguerre requires x that is not NaN")
+    if not np.isfinite(xs).all():
+        raise DomainError("laguerre requires finite x, not NaN or infinite")
     table = np.empty((len(rows), *xs.shape))
     if not xs.ndim:
         xs = float(xs)  # builtin float arithmetic rounds as numpy's does, at less cost per step
@@ -441,9 +441,18 @@ def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
     )
 
 
-def _rising(params, j):
-    """prod (p + j) over ``params`` at each j, the ratios (p)_(j+1) / (p)_j of their Pochhammer products."""
-    return math.prod([p + j for p in params])
+def _rising(params, j: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """prod (p + j) over ``params`` into ``out``, the ratios (p)_(j+1) / (p)_j of their Pochhammer products.
+
+    The factors are multiplied in order into ``out``, which holds 1 for no parameter.
+    """
+    if params:
+        np.add(j, params[0], out=out)
+    else:
+        out.fill(1.0)
+    for p in params[1:]:
+        np.multiply(out, j + p, out=out)
+    return out
 
 
 def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, u: complex,
@@ -454,10 +463,12 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
     The domain is decided here, from the parameter lists: |u| >= 1 needs the row index to terminate through
     ``front_num`` or ``row_params`` (likewise v), the sum stops at n_stop, the smaller of the front's stop and
     the row stop plus the column stop, and a pole of ``front_den`` at or below n_stop raises DomainError.
-    In passes over N = 64, 128, ... anti-diagonals, row, col and front are cumulative products of their ratios,
-    the blocks the Cauchy product ``np.convolve(row, col)`` and the totals one cumulative sum.  (row_params, u)
-    and (col_params, v) are put in a fixed order first, so swapping the indices runs the same operations, bit
-    for bit.  A block whose products leave the float range raises ConvergenceError.
+    In passes over N = 64, 128, ... anti-diagonals, row and col are one (2, N + 1) array's cumulative products of
+    their ratios along its rows, front the cumulative product of its ratios, the blocks front times the Cauchy
+    product ``np.convolve(row, col)``, written into the totals array and summed there in place once their sizes
+    and finiteness are read.  (row_params, u) and (col_params, v) are put in a fixed order first, by the hex of
+    the first entry that differs, so swapping the indices runs the same operations, bit for bit.  A block whose
+    products leave the float range raises ConvergenceError.
     """
     front_stop, row_stop, col_stop = _stop(*front_num), _stop(*row_params), _stop(*col_params)
     for arg, label, stop in ((u, "u", row_stop), (v, "v", col_stop)):
@@ -468,31 +479,36 @@ def _anti_diagonal_sum(name: str, row_params, col_params, front_num, front_den, 
     c_pole = _stop(*front_den)
     if c_pole is not None and (n_stop is None or n_stop > c_pole):
         raise DomainError(f"{name} undefined: c={', '.join(map(str, front_den))} is a non-positive integer")
-    if ([float(p).hex() for p in (*col_params, v.real, v.imag)]
-            < [float(p).hex() for p in (*row_params, u.real, u.imag)]):  # hex: -0.0 sorts apart from 0.0
-        row_params, col_params, u, v = col_params, row_params, v, u
+    for col_hex, row_hex in zip(map(float.hex, map(float, (*col_params, v.real, v.imag))),
+                                map(float.hex, map(float, (*row_params, u.real, u.imag)))):
+        if col_hex != row_hex:  # hex: -0.0 sorts apart from 0.0
+            if col_hex < row_hex:
+                row_params, col_params, u, v = col_params, row_params, v, u
+            break
     cap = SERIES_MAX_TERMS if n_stop is None else min(n_stop, SERIES_MAX_TERMS)  # n_stop == -c: no 0/0 ratio
     size = 64
     while True:
         size = min(size, cap)
         k0 = np.arange(float(size))  # n - 1 and n at anti-diagonals n = 1..size
-        k1 = k0 + 1.0
+        k1, ratio, den = k0 + 1.0, np.empty(size), np.empty(size)
+        series, totals = np.empty((2, size + 1), dtype=complex), np.empty(size + 1, dtype=complex)
+        series[:, 0] = totals[0] = 1.0
+        blocks = totals[1:]
         with np.errstate(over="ignore", invalid="ignore"):  # F3's rows grow like j! u^j: products overflow
-            row = np.concatenate(([1.0], _rising(row_params, k0) / k1 * u)).cumprod()
-            col = np.concatenate(([1.0], _rising(col_params, k0) / k1 * v)).cumprod()
-            blocks = (_rising(front_num, k0) / _rising(front_den, k0)).cumprod() * np.convolve(row, col)[1:size + 1]
-            totals = np.concatenate(([complex(1.0)], blocks)).cumsum()
-            small = np.abs(blocks) <= np.maximum(SERIES_REL_TOL * np.abs(totals[1:]), SERIES_ABS_TOL)
-        bad = ~np.isfinite(blocks)
-        runs = np.concatenate(([False, False], small))
-        done = runs[2:] & runs[1:-1] & runs[:-2]  # the third of three consecutive small blocks
-        hit = np.flatnonzero(bad | done)
-        if hit.size:
-            n = int(hit[0]) + 1
-            if bad[n - 1]:
-                raise ConvergenceError(f"{name} terms left the float range at anti-diagonal {n}",
-                                       terms_used=n * (n + 1) // 2)
-            return HypergeomResult(complex(totals[n]), (n + 1) * (n + 2) // 2)
+            for out, params, arg in ((series[0, 1:], row_params, u), (series[1, 1:], col_params, v)):
+                np.multiply(np.divide(_rising(params, k0, ratio), k1, out=ratio), arg, out=out)
+            series.cumprod(axis=1, out=series)
+            np.divide(_rising(front_num, k0, ratio), _rising(front_den, k0, den), out=ratio)
+            np.multiply(ratio.cumprod(out=ratio), np.convolve(*series)[1:size + 1], out=blocks)
+            magnitude, hit = np.abs(blocks), ~np.isfinite(blocks)
+            totals.cumsum(out=totals)
+            small = magnitude <= np.maximum(SERIES_REL_TOL * np.abs(blocks), SERIES_ABS_TOL)  # blocks: now the totals
+        hit[2:] |= small[2:] & small[1:-1] & small[:-2]  # a non-finite block, or the third of three small ones
+        if size and hit[n := int(hit.argmax())]:
+            if not np.isfinite(magnitude[n]):
+                raise ConvergenceError(f"{name} terms left the float range at anti-diagonal {n + 1}",
+                                       terms_used=(n + 1) * (n + 2) // 2)
+            return HypergeomResult(complex(totals[n + 1]), (n + 2) * (n + 3) // 2)
         if size == cap:
             if n_stop is not None and n_stop < SERIES_MAX_TERMS:
                 return HypergeomResult(complex(totals[-1]), (cap + 1) * (cap + 2) // 2)

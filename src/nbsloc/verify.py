@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -171,27 +170,30 @@ def check_radial_rule() -> CheckResult:
     integrate rho^j, j <= 18, exactly and every term w_i rho_i^j is positive, so only rounding is left.  The
     weights are off by at most 17 eps and the node powers (j times a node's error, plus pow's ulp) by 7 eps,
     each averaged over the terms it enters (40-digit mpmath, these eight B); the 40-term sum adds at most
-    39 eps and the rounded exact value 1: 64 eps ~ 1.4e-14.  Tolerance 1e-13.
+    39 eps and the rounded exact value 1: 64 eps ~ 1.4e-14.  Tolerance 1e-13.  The exact value
+    B(j + 1, b) = j! / prod_(i <= j) (b + i) is one correctly rounded division of integers, with b = p / q
+    exactly: j! q^(j + 1) / prod_(i <= j) (p + i q).
 
     The doubling clause integrates cos(3r) e^r, an entire function, by 6 and 12 nodes against the
-    RADIAL_NODES-node rule at B = 1.25, the rule ``matrix_elements_radial_diagonal`` builds, so a pass builds
-    it once.  An n-node Gauss rule is off by f^(2n)(xi) / (2n)! times the weighted square norm of the monic
-    orthogonal polynomial, which is at most that of the monic Chebyshev polynomial of [0, 1], 4 * 16^-n times
-    the mass 2/3 of (1 - r)^(1/2).  With |f^(2n)| <= 10^n e (f is the real part of exp((1 + 3i) r)) the error
-    is at most (8e/3) (5/8)^n / (2n)!: 9.0e-10 at 6 nodes, 4.2e-26 at 12 and 1e-696 at 160, so the reference
-    is exact but for the rounding of its sum.  Budget of the 12-node error: 4.2e-26 plus each rule's rounding,
-    (n + 11) eps of sum_i w_i |f(r_i)| = 0.61 (weights 7 eps and nodes 1 eps weighed by |f|, 40-digit mpmath; f 3
-    eps, w_i f(r_i) 1 eps, the sum n - 1 eps), for the two rules 194 eps * 0.61 ~ 2.6e-14.  Tolerance 3e-13."""
+    RADIAL_NODES[0]-node rule at B = 1.25, the first rule ``matrix_elements_radial_diagonal``'s
+    ``radial_eigenvalue`` reads, so a pass builds it once.  An n-node Gauss rule is off by f^(2n)(xi) / (2n)!
+    times the weighted square norm of the monic orthogonal polynomial, which is at most that of the monic
+    Chebyshev polynomial of [0, 1], 4 * 16^-n times the mass 2/3 of (1 - r)^(1/2).  With |f^(2n)| <= 10^n e
+    (f is the real part of exp((1 + 3i) r)) the error is at most (8e/3) (5/8)^n / (2n)!: 9.0e-10 at 6 nodes,
+    4.2e-26 at 12 and 7e-66 at 24, so the reference is exact but for the rounding of its sum.  Budget of the
+    12-node error: 4.2e-26 plus each rule's rounding, (n + 11) eps of sum_i w_i |f(r_i)| = 0.61 (weights 7 eps
+    and nodes 1 eps weighed by |f|, 40-digit mpmath; f 3 eps, w_i f(r_i) 1 eps, the sum n - 1 eps), for the two
+    rules 194 eps * 0.61 ~ 2.6e-14.  Tolerance 3e-13."""
     worst = 0.0
     for B in (0.75, 1.0, 1.5, 3.0, 20.0, 50.0, 600.0, 5000.0):
         grid = quadrature.radial_jacobi_grid(40, B)
-        b = Fraction(2.0 * B - 1.0)
+        p, q = (2.0 * B - 1.0).as_integer_ratio()
         for j in range(0, 20, 3):
             got = float(grid.integrate(grid.nodes ** j))
-            want = float(math.factorial(j) / math.prod(b + i for i in range(j + 1)))  # B(j + 1, b), rounded once
+            want = math.factorial(j) * q ** (j + 1) / math.prod(p + i * q for i in range(j + 1))  # rounded once
             worst = max(worst, abs(got - want) / want)
     smooth = lambda r: np.cos(3.0 * r) * np.exp(r)
-    exact = float(quadrature.radial_jacobi_grid(locop.RADIAL_NODES, 1.25).integrate(smooth))
+    exact = float(quadrature.radial_jacobi_grid(locop.RADIAL_NODES[0], 1.25).integrate(smooth))
     err_n = abs(float(quadrature.radial_jacobi_grid(6, 1.25).integrate(smooth)) - exact)
     err_2n = abs(float(quadrature.radial_jacobi_grid(12, 1.25).integrate(smooth)) - exact)
     return _result("radial_rule_beta_integrals", worst, 1e-13,
@@ -417,9 +419,10 @@ def check_matrix_elements() -> CheckResult:
     """Radial symbols quantize to diagonal matrices matching the eigenvalue rule: a 9 x 9 block, 9 eigenvalues.
 
     Budget: F = 1/(1 + rho) has its pole at rho = -1, on the Bernstein ellipse of radius 3 + sqrt(8) = 5.8 about
-    [0, 1], so the 48 radii are off by about 5.8^-96 ~ 1e-73 and the 160 nodes of ``radial_eigenvalue`` by less;
-    the 48 angles sum the off-diagonal phases, 0 < |k - j| < 48, to zero.  Rounding: 74 eps in the block, as in
-    ``disk_rule_delta_structure``; in an eigenvalue, 20 eps from the 160 positive terms and 8 eps from
+    [0, 1], so the 48 radii are off by about 5.8^-96 ~ 1e-73, and ``radial_eigenvalue`` returns its 48-node value,
+    where its 24 nodes agree to rounding (off by 5.8^-48 ~ 1e-37); the 48 angles sum the off-diagonal phases,
+    0 < |k - j| < 48, to zero.  Rounding: 74 eps in the block, as in ``disk_rule_delta_structure``; in an
+    eigenvalue, 20 eps from the 48 positive terms and 8 eps from
     1 / B(j + 1, 2B - 1) = (2B - 1) exp(``log_nb_weights``), a compensated sum of log1p terms adding to at most
     3.1: 102 eps ~ 2.3e-14.  Tolerance 1e-13.
     """

@@ -61,32 +61,80 @@ class TestRadialEigenvalue:
         assert np.max(np.abs(one - 1.0)) <= 1e-12
         assert np.max(np.abs(mean / ((j + 1.0) / (j + 2.0 * B)) - 1.0)) <= 1e-12
 
-    def test_indicator_converges_to_disk_eigenvalue(self, monkeypatch):
+    def test_indicator_symbol_is_refused(self):
+        # the fixed 160-node rule returned the indicator's eigenvalue 1.1e-3 off, silently; no two rules
+        # agree on a jump, so the walk ends past its last rule
         j, B, R = 1, 1.25, 0.6
         ind = lambda rho: np.where(rho < R * R, 1.0, 0.0)
-        monkeypatch.setattr(locop, "RADIAL_NODES", 200)
-        coarse = abs(radial_eigenvalue(ind, j, B) - disk_eigenvalue(j, B, R))
-        monkeypatch.setattr(locop, "RADIAL_NODES", 3200)
-        fine = abs(radial_eigenvalue(ind, j, B) - disk_eigenvalue(j, B, R))
-        assert fine < coarse
-        assert fine < 5e-4
+        with pytest.raises(AccuracyError, match="did not converge"):
+            radial_eigenvalue(ind, j, B)
+        with pytest.raises(AccuracyError, match=f"{locop.RADIAL_NODES[-1]} nodes"):
+            radial_eigenvalue(ind, range(3), B)
+
+    def test_analytic_symbol_stops_at_48_nodes(self):
+        # 1 / (1 + rho) has its pole on the Bernstein ellipse of radius 5.8: 24 nodes are exact to about 1e-37,
+        # so the 48-node rule agrees with them to rounding and the walk builds nothing larger
+        sizes = []
+        symbol = lambda rho: sizes.append(rho.size) or 1.0 / (1.0 + rho)
+        radial_eigenvalue(symbol, range(9), 1.25)
+        assert sizes == [24, 48] == list(locop.RADIAL_NODES[:2])
+
+    @pytest.mark.parametrize("symbol, B, indices", [(lambda rho: 1.0, 1.25, range(9)),
+                                                    (lambda rho: np.cos(5.0 * rho), 3.0, range(30)),
+                                                    (lambda rho: 1.0 / (1.0 + 100.0 * rho), 1.5, range(12)),
+                                                    (lambda rho: rho, 600.0, range(160))])
+    def test_symbol_is_called_once_per_rule_walked(self, symbol, B, indices):
+        calls = []
+        radial_eigenvalue(lambda rho: calls.append(rho) or symbol(rho), indices, B)
+        assert [rho.shape for rho in calls] == [(n,) for n in locop.RADIAL_NODES[:len(calls)]]
+        assert len(calls) >= 2
+
+    def test_each_index_stops_at_its_own_pair_of_rules(self):
+        # 1 / (1 + 100 rho) has its pole at rho = -0.01, which rho^j weighs less the larger j: j = 0 walks to
+        # 192 nodes, j = 11 stops at 48.  A range call returns each entry from the first pair of rules that
+        # agrees on it, so it equals that index's own call bit for bit
+        symbol = lambda rho: 1.0 / (1.0 + 100.0 * rho)
+        last = []
+        for j in (0, 11):
+            sizes = []
+            radial_eigenvalue(lambda rho: sizes.append(rho.size) or symbol(rho), j, 1.5)
+            last.append(sizes[-1])
+        assert last == [192, 48]
+        table = radial_eigenvalue(symbol, range(12), 1.5)
+        assert table.tolist() == [radial_eigenvalue(symbol, j, 1.5) for j in range(12)]
+
+    def test_a_vanishing_eigenvalue_of_a_sign_changing_symbol_is_returned(self):
+        # rho - 1/2 has eigenvalue (j + 1) / (j + 2B) - 1/2 = 0 at j = 1, B = 1.5, and both rules are exact;
+        # agreement is read against the eigenvalue of |F|, the scale of the rounding, so zero is not refused
+        assert radial_eigenvalue(lambda rho: rho - 0.5, 1, 1.5) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("symbol, B", [(lambda rho: 1.0 / (1.0 + rho), 1.25), (lambda rho: rho, 0.8),
                                            (lambda rho: np.cos(5.0 * rho), 3.0)])
     def test_range_table_matches_the_pointwise_formula(self, symbol, B):
-        indices = range(30)
-        table = radial_eigenvalue(symbol, indices, B)
-        want = np.array([oracles.radial_eigenvalue_pointwise(symbol, j, B, locop.RADIAL_NODES, quadrature, specfun)
+        # each entry is the node sum of the last rule the walk built, here the same for every index
+        indices, sizes = range(30), []
+        table = radial_eigenvalue(lambda rho: sizes.append(rho.size) or symbol(rho), indices, B)
+        want = np.array([oracles.radial_eigenvalue_pointwise(symbol, j, B, sizes[-1], quadrature, specfun)
                          for j in indices])
         assert table.shape == (30,)
         assert np.max(np.abs(table - want)) <= 1e-15 * np.max(np.abs(want))
         assert table.tolist() == [radial_eigenvalue(symbol, j, B) for j in indices]
 
-    def test_range_calls_the_symbol_once_on_the_nodes(self):
+    def test_range_calls_the_symbol_once_per_rule_on_its_nodes(self):
         calls = []
         symbol = lambda rho: calls.append(rho) or 1.0
         assert radial_eigenvalue(symbol, range(9), 1.25) == pytest.approx(np.ones(9), abs=1e-13)
-        assert len(calls) == 1 and calls[0].shape == (locop.RADIAL_NODES,)
+        assert [rho.tolist() for rho in calls] == [radial_jacobi_grid(n, 1.25).nodes.tolist()
+                                                   for n in locop.RADIAL_NODES[:2]]
+
+    def test_underflowing_weights_pass_their_domain_error_through(self):
+        # at B = 600 the weights of rules past 227 nodes underflow; a symbol the smaller rules cannot settle
+        # reaches one, and its DomainError is raised as the rule raised it
+        with pytest.raises(DomainError) as got:
+            radial_eigenvalue(lambda rho: np.where(rho < 1e-3, 1.0, 0.0), 0, 600.0)
+        with pytest.raises(DomainError) as want:
+            radial_jacobi_grid(384, 600.0)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("symbol", [lambda rho: math.nan, lambda rho: np.where(rho > 0.5, math.inf, 1.0),
                                         lambda rho: -math.inf, lambda rho: rho + 1j * rho])

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import re
@@ -210,6 +211,14 @@ class TestLaguerre:
         # a NaN x came back as NaN rows without an error
         for j in (0, 3, range(5)):
             with pytest.raises(DomainError, match="NaN"):
+                laguerre(j, 0.5, x)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, np.array([0.5, math.inf]), [[1.0], [-math.inf]]])
+    def test_infinite_point_refused(self, x):
+        # an infinite x gave NaN at j = 5 (inf - inf in the recurrence), and an array holding one ended in a
+        # RuntimeWarning under -W error
+        for j in (0, 5, range(6)):
+            with pytest.raises(DomainError, match="finite"):
                 laguerre(j, 0.5, x)
 
     def test_range_table_is_held_once(self):
@@ -671,6 +680,60 @@ class TestAntiDiagonalDriver:
                 u, v = (complex(x, 0.0), complex(x, -0.0)) if i % 10 == 0 else (complex(0.0, x), complex(-0.0, x))
             assert bits(appell_f1(a, b1, b2, c, u, v)) == bits(appell_f1(a, b2, b1, c, v, u)), i
             assert bits(appell_f3(a, a2, b1, b2, c, u, v)) == bits(appell_f3(a2, a, b2, b1, c, v, u)), i
+
+    def test_golden_digest_of_value_bits_stops_and_errors(self):
+        # 171 outcomes, each value's bits and terms_used or an error's type, text and terms_used, hashed: the
+        # driver's in-place pass keeps every bit of the concatenating one it replaced.  Among them, rows that
+        # leave the float range at anti-diagonals 1-3, the stop test's earliest hit (u = v = 0, three small
+        # blocks), terminations at n_stop 0-3, poles of c, |u| = 1, signed-zero ties and the 210-anti-diagonal
+        # kernel F1.  The digest reads numpy's complex convolution, which goes through BLAS's zdotu, so a BLAS
+        # build whose dot sums in another order may move a last bit of a value
+        rng = np.random.default_rng(5401)
+        f1 = [(1e200, 1.0, 1.0, 1e-200, 0.5, 0.5), (1.0, 1e200, 1e200, 2.0, 0.5, 0.5), (1.0, 1e154, 1.0, 2.0, 0.9, 0.1),
+              (0.5, 0.5, 0.5, 2.0, 0.0, 0.0), (0.5, 0.5, 0.5, 2.0, 1e-7, 1e-8), (0.5, 0.0, 0.0, 2.0, 3.0, 3.0),
+              (-1.0, 0.7, 1.1, 2.0, 1.5, 0.3), (0.7, -1.0, -1.0, 2.0, 4.0, -4.0), (-3.0, 0.2, 0.4, 1.5, 2.0, 2.0),
+              (-2.0, 0.7, 1.1, -3.0, 0.3 + 0.1j, 0.2), (-1.0, 0.7, 1.1, -1.0, 0.3, 0.2),
+              (0.5, 0.7, 1.1, -1.0, 0.3, 0.2), (0.5, 0.7, 1.1, 2.0, 1.0, 0.2), (0.5, 0.7, 1.1, 2.0, 0.3, -1j),
+              (0.5, 0.7, 0.7, 2.0, complex(0.3, 0.0), complex(0.3, -0.0)),
+              (0.5, 0.7, 0.7, 2.0, complex(-0.0, 0.2), 0.2j),
+              (2.0 - 3.4, 1.0 - 3.4, 3.4, 2.0, 0.9025, 0.9025 * (1.0 - 0.72j) / (1.0 - 0.9025 * 0.72j))]
+        for _ in range(60):
+            a, b1, b2 = rng.uniform(-4.0, 4.0, 3)
+            f1.append((a, b1, b2, rng.uniform(0.3, 5.0), self._point(rng, 0.65), self._point(rng, 0.65)))
+        for _ in range(20):  # the kernel's parameters
+            B, s = rng.uniform(0.51, 6.0), rng.uniform(0.05, 0.95)
+            f1.append((2.0 - 2.0 * B, 1.0 - 2.0 * B, 2.0 * B, 2.0, s, s * self._point(rng, 0.6)))
+        for _ in range(20):  # terminating indices
+            a, b1, b2 = (float(-rng.integers(0, 6)) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+                         for _ in range(3))
+            f1.append((a, b1, b2, rng.uniform(0.5, 4.0), self._point(rng, 1.5), self._point(rng, 0.6)))
+        f3 = [(1e200, 1.0, 1e200, 1.0, 2.0, 0.5, 0.5), (1e154, 1.0, 1e154, 1.0, 1.0, 0.5, 0.1),
+              (1e60, 1.0, 1e60, 1.0, 1.0, 0.5, 0.1), (0.5, 0.5, 0.5, 0.5, 2.0, 0.0, 0.0),
+              (0.5, 0.5, 0.5, 0.5, 2.0, 0.95, 0.9), (-1.0, -2.0, 0.7, 1.3, 2.5, 1.5, -2.0),
+              (-1.0, -2.0, 0.7, 1.3, -3.0, 0.4, 0.3), (0.5, 0.5, 0.5, 0.5, -2.0, 0.4, 0.3)]
+        for _ in range(40):
+            a, a2, b1, b2 = rng.uniform(-3.0, 3.0, 4)
+            f3.append((a, a2, b1, b2, rng.uniform(0.3, 5.0), self._point(rng, 0.6), self._point(rng, 0.6)))
+        for _ in range(6):  # rows that grow like j! u^j past the float range
+            u, v = rng.uniform(0.9, 0.97, 2)
+            f3.append((*rng.uniform(0.4, 0.6, 4), 2.0, u, v))
+
+        def line(call):
+            got = _outcome(call)
+            if isinstance(got, tuple):
+                return f"{got[0]}: {got[1]} ({got[2]})"
+            return f"{got.value.real.hex()} {got.value.imag.hex()} {got.terms_used}"
+
+        lines = ([line(lambda: appell_f1(*args)) for args in f1]
+                 + [line(lambda: appell_f3(*args)) for args in f3])
+        for function, cases, offset in (("F1", f1, 0), ("F3", f3, len(f1))):
+            assert [lines[offset + n - 1] for n in (1, 2, 3)] == [
+                f"ConvergenceError: {function} terms left the float range at anti-diagonal {n} ({n * (n + 1) // 2})"
+                for n in (1, 2, 3)]
+        assert lines[3] == lines[len(f1) + 3] == "0x1.0000000000000p+0 0x0.0p+0 10"
+        assert len(lines) == 171
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "fa96fa531bd22f247313d1e5933a21a04e2fa55c1c211468b03eceffb763f633"
 
     def test_doubling_past_128_anti_diagonals_matches_mpmath(self):
         # the F1 of kernel_closed at B = 1.7, R = 0.95, z = 0.6+0.6j, w = -0.6+0.6j: 210 anti-diagonals, so
