@@ -141,6 +141,13 @@ def bargmann_inverse(F: BergmanFunction, xi: float) -> complex:
     return F.coefficients @ laguerre_function(range(F.coefficients.size), F.B, xi)
 
 
+def _check_kernel(B: float, s: float) -> None:
+    """DomainError unless the strength B passes ``check_strength`` and the Beta upper limit s lies in (0, 1)."""
+    check_strength(B)
+    if not 0.0 < s < 1.0:
+        raise DomainError(f"needs 0 < s < 1, got s={s}")
+
+
 def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     """Coefficients c_k of the kernel series sum_k c_k (conj(z) w)^k.
 
@@ -152,9 +159,7 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     help the bound.  The candidate table, ``reg_inc_beta_table`` times the weights,
     doubles until it holds that k, or raises ConvergenceError past SERIES_MAX_TERMS.
     """
-    check_strength(B)
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"needs 0 < s < 1, got s={s}")
+    _check_kernel(B, s)
     if not 0.0 <= x_max < 1.0:
         raise DomainError(f"needs 0 <= x_max < 1, got {x_max}")
     n = 64
@@ -199,9 +204,7 @@ def kernel_closed(z, w, B: float, s: float) -> complex:
     """
     z = as_disk(z)
     w = as_disk(w)
-    check_strength(B)
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"needs 0 < s < 1, got s={s}")
+    _check_kernel(B, s)
     x = z.conjugate() * w
     base = 1.0 - s * x
     second = s * (1.0 - x) / base

@@ -327,7 +327,7 @@ def quantization_matrix_element(F, j: int | range, k: int | range, B: float, gri
     by disk quadrature on ``grid`` (a ``disk_grid``), F called once on all
     nodes.  ``j`` and ``k`` may be ranges: the block of shape
     (len(j), len(k)); two ints give a complex scalar.  The rows
-    ``bergman_basis(k, B, z)`` w F / pi fill one array; each entry is then
+    ``bergman_basis(k, B, z)``, one range call, are scaled by w F / pi in place; each entry is then
     conj(``bergman_basis(j, B, z)``) times one such row, summed over the
     nodes in a fixed order (no matrix product, whose last bits depend on
     operand layout), so the same call gives the same bits and the call holds
@@ -340,9 +340,8 @@ def quantization_matrix_element(F, j: int | range, k: int | range, B: float, gri
     z = as_disk(grid.nodes)
     # the prefactor is that of conj(basis_j) basis_k: Gamma(2B) / Gamma(2B-1) = 2B - 1
     weighted = grid.weights * F(z) / math.pi
-    right = np.empty((len(ks), z.size), dtype=complex)
-    for row, index in zip(right, ks):
-        np.multiply(bergman_basis(index, B, z), weighted, out=row)
+    right = bergman_basis(k if isinstance(k, range) else range(ks[0], ks[0] + 1), B, z)
+    right *= weighted
     block, product = np.empty((len(js), len(ks)), dtype=complex), np.empty(z.size, dtype=complex)
     for entries, index in zip(block, js):
         left = np.conjugate(bergman_basis(index, B, z))

@@ -32,6 +32,17 @@ import numpy as np
 from .errors import DomainError
 from .specfun import check_index, check_strength, log_gamma
 
+__all__ = [
+    "QuadratureGrid",
+    "mapped_legendre",
+    "half_line_grid",
+    "gauss_jacobi",
+    "radial_jacobi_grid",
+    "angular_grid",
+    "disk_grid",
+    "hamiltonian_residual",
+]
+
 RESIDUAL_NODES = 64  # Chebyshev points of hamiltonian_residual's differentiation matrix
 RESIDUAL_WINDOW = (0.5, 8.0)  # hamiltonian_residual's interval, away from the x = 0 singularity
 RULE_CACHE_SIZE = 64  # entries kept by each rule cache; a 600-node rule takes 10 kB

@@ -14,10 +14,11 @@ off the negative real axis for points strictly inside the domains, which
 is asserted at runtime.
 
 Each kind of argument has one check, shared by the package: ``as_disk``
-(|z| < 1, a number or an ndarray of them), ``as_halfplane`` (Im w > 0),
-``as_radius`` (0 < R < 1), ``as_coefficients`` (a finite complex 1-D
-vector) and, from specfun, ``check_strength`` and ``check_index``.  Points
-and coefficients are plain numbers and arrays; there are no wrapper types.
+(|z| < 1, a number or an array-like of them), ``as_halfline`` (0 < xi < inf,
+likewise), ``as_halfplane`` (Im w > 0), ``as_radius`` (0 < R < 1, or a
+``LocalizationRadius``), ``as_coefficients`` (a finite complex 1-D vector)
+and, from specfun, ``check_strength`` and ``check_index``.  Points and
+coefficients are plain numbers and arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .specfun import (check_index, check_indices, check_strength, horner, inc_be
 
 __all__ = [
     "ModelParams",
-    "check_strength",
     "LocalizationRadius",
     "affine_coherent_state",
     "cayley_inverse",
@@ -85,20 +85,39 @@ class LocalizationRadius:
 
 
 def as_disk(z):
-    """Validate |z| < 1 for a complex number or an ndarray of them.
+    """Validate |z| < 1 for a complex number or an array-like of them.
 
-    A number is returned as a builtin complex; an ndarray is checked once as a whole and returned as a
-    complex array.
+    A number is returned as a builtin complex; anything else is read through ``np.asarray``, checked once as a
+    whole and returned as a complex array.  DomainError for what is neither.
     """
-    if isinstance(z, np.ndarray):
-        z = z.astype(complex, copy=False)
-        if z.size and not np.max(np.abs(z)) < 1.0:
-            raise DomainError(f"disk points need |z| < 1, got max |z|={np.max(np.abs(z))}")
-        return z
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise DomainError(f"disk point needs |z| < 1, got |z|={abs(z)}")
+    if not isinstance(z, np.ndarray):
+        try:
+            z = complex(z)
+        except (TypeError, ValueError):  # not a number: read as an array
+            pass
+        else:
+            if not abs(z) < 1.0:
+                raise DomainError(f"disk point needs |z| < 1, got |z|={abs(z)}")
+            return z
+    try:
+        z = np.asarray(z, dtype=complex)
+    except (TypeError, ValueError):
+        raise DomainError(f"disk points must be complex numbers, got {z!r}") from None
+    if z.size and not np.max(np.abs(z)) < 1.0:
+        raise DomainError(f"disk points need |z| < 1, got max |z|={np.max(np.abs(z))}")
     return z
+
+
+def as_halfline(xi) -> np.ndarray:
+    """Validate 0 < xi < inf for a number or an array-like of them, read as a float array and capped at 1e140.
+
+    Past the cap every half-line function here has underflowed to 0, while xi^2 and ((1 + z)/(1 - z)) xi^2,
+    as |(1 + z)/(1 - z)| < 2e16 for |z| < 1, stay finite.
+    """
+    x = np.asarray(xi, dtype=float)
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise DomainError("half-line points need 0 < xi < inf")
+    return np.minimum(x, 1e140)
 
 
 def as_halfplane(w) -> complex:
@@ -179,23 +198,19 @@ def nbs_wavefunction(z, B: float, xi):
     """Unit-norm negative binomial state on the half-line, evaluated at 0 < xi < inf.
 
     sqrt(2 / Gamma(2B)) xi^(2B - 1/2) ((1 - |z|^2)/(1 - z)^2)^B
-      exp(-((1 + z)/(1 - z)) xi^2 / 2); ``xi`` may be an ndarray.
-    Past xi = 1e140 it returns 0, the underflowed value: xi is capped there, where ((1 + z)/(1 - z)) xi^2
-    stays finite, as |(1 + z)/(1 - z)| < 2e16 for |z| < 1, and its real part, at least 5e-17 xi^2, has
-    sent the exponential below the smallest float long before.
+      exp(-((1 + z)/(1 - z)) xi^2 / 2); an array-like ``xi`` gives an array of its shape.
+    Past xi = 1e140 it returns 0, the underflowed value: the real part of ((1 + z)/(1 - z)) xi^2 is at
+    least 5e-17 xi^2, so the exponential is below the smallest float long before.
     """
     z = as_disk(z)
-    xi_arr = np.asarray(xi, dtype=float)
-    if not np.all((xi_arr > 0.0) & (xi_arr < math.inf)):
-        raise DomainError("negative binomial states are evaluated at 0 < xi < inf")
+    xi_arr = as_halfline(xi)
     check_strength(B)
-    xi_arr = np.minimum(xi_arr, 1e140)
     base = (1.0 - abs(z) ** 2) / (1.0 - z) ** 2
     # one exponent, because Gamma(2B), xi^(2B - 1/2) and base^B overflow on their own; arg base =
     # -2 arg(1 - z) lies in (-pi, pi), so B log(base) is the principal power's logarithm
     log_front = 0.5 * (math.log(2.0) - log_gamma(2.0 * B)) + B * cmath.log(base)
     vals = np.exp(log_front + (2.0 * B - 0.5) * np.log(xi_arr) - 0.5 * ((1.0 + z) / (1.0 - z)) * xi_arr * xi_arr)
-    return vals if isinstance(xi, np.ndarray) else complex(vals)
+    return vals if xi_arr.ndim or isinstance(xi, np.ndarray) else complex(vals)
 
 
 def photon_weight(j: int, B: float) -> float:
@@ -257,17 +272,14 @@ def laguerre_function(j: int | range, B: float, xi):
     power-of-two shift once per rescale that a kept row follows; after the pass the table is
     turned into values in place, mantissa times exp(log phi_0 + exponent log 2), a slice of
     rows at a time, so a call holds one table.  A range of indices returns a row per index,
-    shape (len(j), *xi.shape), each equal bit for bit to its own call.  A number xi runs as a
-    0-d array; with an int j it returns a float.
-    Past xi = 1e154, where xi^2 overflows, it returns 0, the underflowed value.
+    shape (len(j), *np.shape(xi)), each equal bit for bit to its own call.  A number xi runs as a
+    0-d array; with an int j it returns a float, and at an array-like xi an array of its shape.
+    Past xi = 1e140 it returns 0, the underflowed value.
     Accurate to 1e-11 absolute for j <= 2000 and B <= 50.
     """
     rows = check_indices("j", j)
     check_strength(B)
-    x = np.asarray(xi, dtype=float)
-    if not np.all((x > 0.0) & (x < math.inf)):
-        raise DomainError("Laguerre functions are defined for 0 < xi < inf")
-    x = np.minimum(x, 1e154)  # xi^2 stays finite; the value has underflowed to 0 long before
+    x = as_halfline(xi)
     n, descending = len(rows), len(rows) > 1 and rows[0] > rows[-1]
     kept = rows[::-1] if descending else rows  # ascending; the table's rows run the other way if descending
     table = np.empty((n, *x.shape))
@@ -304,7 +316,7 @@ def laguerre_function(j: int | range, B: float, xi):
             np.multiply(block, expo, out=block)
     if isinstance(j, range):
         return table
-    return table[0] if isinstance(xi, np.ndarray) else float(table[0])
+    return table[0] if x.ndim or isinstance(xi, np.ndarray) else float(table[0])
 
 
 def nbs_expansion(z, B: float, xi: float, J: int) -> complex:
@@ -315,6 +327,8 @@ def nbs_expansion(z, B: float, xi: float, J: int) -> complex:
     """
     z = as_disk(z)
     J = check_index("J", J)
+    if np.ndim(xi):
+        raise DomainError(f"the expansion is taken at one point xi, got shape {np.shape(xi)}")
     series = _basis_series(laguerre_function(range(J + 1), B, xi), B, z)  # laguerre_function refuses a bad B
     return (1.0 - abs(z) ** 2) ** B / math.sqrt(2.0 * B - 1.0) * series
 
@@ -354,8 +368,6 @@ def disk_kernel(z, w, params: ModelParams):
 def nb_pmf(j: int, B: float, p: float) -> float:
     """Negative binomial photon-count law: Gamma(2B+j)/(j! Gamma(2B)) p^j (1-p)^(2B)."""
     j = check_index("j", j)
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"needs 0 <= p < 1, got p={p}")
     check_strength(B)
-    return float(inc_beta_steps(p, j + 1, 2.0 * B)[j])
+    return float(inc_beta_steps(p, j + 1, 2.0 * B)[j])  # which refuses p outside [0, 1)
 

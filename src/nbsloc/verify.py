@@ -1,16 +1,18 @@
 """Named verification checks certifying every identity the library relies on.
 
-Each check is deterministic (fixed seeds, fixed grids), returns a
-CheckResult with the worst measured error and its pinned tolerance, and
-runs in at most a few seconds.  ``run_all`` executes the whole battery;
-the CLI command ``verify`` reports it and exits nonzero on any failure.
+The battery is the tuple of its check functions, each named as its check.
+Each is deterministic (fixed seeds, fixed grids), returns a CheckResult
+with the worst measured error and its pinned tolerance, and runs in at
+most a few seconds.  ``run_check`` runs one by name and names its result;
+``run_all`` runs the whole battery through it, and the CLI command
+``verify`` reports it and exits nonzero on any failure.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .states import ModelParams
 __all__ = ["CheckResult", "run_all", "run_check", "check_names"]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -30,9 +32,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, max_error: float, tolerance: float, detail: str = "", ok: bool = True) -> CheckResult:
-    """A check passes when ``max_error <= tolerance`` and its side condition ``ok`` holds."""
-    return CheckResult(name, bool(ok and max_error <= tolerance), float(max_error), float(tolerance), detail)
+def _result(max_error: float, tolerance: float, detail: str = "", ok: bool = True) -> CheckResult:
+    """A check passes when ``max_error <= tolerance`` and its side condition ``ok`` holds; ``run_check`` names it."""
+    return CheckResult("", bool(ok and max_error <= tolerance), float(max_error), float(tolerance), detail)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -49,7 +51,7 @@ def _random_disk_point(rng: np.random.Generator, radius: float) -> complex:
 # special functions
 
 
-def check_incbeta_reflection() -> CheckResult:
+def incbeta_reflection() -> CheckResult:
     """I_x(a,b) + I_{1-x}(b,a) = 1 at 200 draws of x in (0, 1) and a, b in [0.05, 20].
 
     Budget, absolute, with u = 2^-53: no draw lies within 1.9e-3 of its switch point (a + 1) / (a + b + 2),
@@ -78,10 +80,10 @@ def check_incbeta_reflection() -> CheckResult:
         b = rng.uniform(0.05, 20.0)
         err = abs(specfun.reg_inc_beta(x, a, b) + specfun.reg_inc_beta(1.0 - x, b, a) - 1.0)
         worst = max(worst, err)
-    return _result("incbeta_reflection", worst, 5e-13)
+    return _result(worst, 5e-13)
 
 
-def check_laguerre_generating_function() -> CheckResult:
+def laguerre_generating_function() -> CheckResult:
     """Partial sums of t^j L_j^(alpha)(x) against (1-t)^(-alpha-1) exp(-t x/(1-t)), one table per (alpha, x).
 
     Budget, relative to the closed form: the tail past j = 60 is below 1e-22 (Szego's bound
@@ -98,10 +100,10 @@ def check_laguerre_generating_function() -> CheckResult:
                 partial = sum(t ** j * value for j, value in enumerate(table))
                 closed = (1.0 - t) ** (-alpha - 1.0) * math.exp(-t * x / (1.0 - t))
                 worst = max(worst, abs(partial - closed) / abs(closed))
-    return _result("laguerre_generating_function", worst, 1e-13)
+    return _result(worst, 1e-13)
 
 
-def check_gauss_theorem() -> CheckResult:
+def gauss_theorem() -> CheckResult:
     """Value at z = 1 and the monotone approach along the real axis.
 
     Budget, absolute: at z = 1 the value 1 / (2B-1) <= 2 is exp of a sum of four lgamma values at exact
@@ -118,12 +120,10 @@ def check_gauss_theorem() -> CheckResult:
     gaps = [abs(specfun.gauss_2f1(2.0 - 2.0 * B, 1.0, 2.0, 1.0 - 10.0 ** (-k)).value.real - at_one)
             for k in range(2, 6)]
     monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-    return _result("gauss_theorem", worst, 5e-13,
-                   detail=f"approach gaps {['%.3e' % g for g in gaps]}",
-                   ok=monotone)
+    return _result(worst, 5e-13, detail=f"approach gaps {['%.3e' % g for g in gaps]}", ok=monotone)
 
 
-def check_appell_reductions() -> CheckResult:
+def appell_f1_reductions() -> CheckResult:
     """Diagonal reduction, both Euler-type transformations, and index symmetry.
 
     Budget, relative: F1 stops after three anti-diagonals below SERIES_REL_TOL of its sum, at arguments up to
@@ -156,16 +156,14 @@ def check_appell_reductions() -> CheckResult:
 
         swapped = specfun.appell_f1(a, b2, b1, c, v, u).value
         exact_symmetry = exact_symmetry and (swapped == lhs)
-    return _result("appell_f1_reductions", worst, 2e-11,
-                   detail=f"index symmetry bit-exact: {exact_symmetry}",
-                   ok=exact_symmetry)
+    return _result(worst, 2e-11, detail=f"index symmetry bit-exact: {exact_symmetry}", ok=exact_symmetry)
 
 
 # --------------------------------------------------------------------------
 # quadrature
 
 
-def check_radial_rule() -> CheckResult:
+def radial_rule_beta_integrals() -> CheckResult:
     """Weighted moments against exact Beta values, plus error decay under doubling.  Budget, relative: 40 nodes
     integrate rho^j, j <= 18, exactly and every term w_i rho_i^j is positive, so only rounding is left.  The
     weights are off by at most 17 eps and the node powers (j times a node's error, plus pow's ulp) by 7 eps,
@@ -196,12 +194,12 @@ def check_radial_rule() -> CheckResult:
     exact = float(quadrature.radial_jacobi_grid(locop.RADIAL_NODES[0], 1.25).integrate(smooth))
     err_n = abs(float(quadrature.radial_jacobi_grid(6, 1.25).integrate(smooth)) - exact)
     err_2n = abs(float(quadrature.radial_jacobi_grid(12, 1.25).integrate(smooth)) - exact)
-    return _result("radial_rule_beta_integrals", worst, 1e-13,
+    return _result(worst, 1e-13,
                    detail=f"doubling err {err_n:.2e} -> {err_2n:.2e}",
                    ok=err_2n < err_n and err_2n <= 3e-13)
 
 
-def check_disk_rule_delta() -> CheckResult:
+def disk_rule_delta_structure() -> CheckResult:
     """Angular orthogonality: the quantized constant symbol is the identity matrix, as one 13 x 13 block.
 
     Budget: conj(z)^j z^k is r^(j+k) e^(i (k-j) theta); the 64 uniform angles sum e^(i m theta) to zero for
@@ -214,10 +212,10 @@ def check_disk_rule_delta() -> CheckResult:
     B = 1.5
     block = locop.quantization_matrix_element(lambda z: 1.0, range(13), range(13), B,
                                               quadrature.disk_grid(48, 64, B))
-    return _result("disk_rule_delta_structure", float(np.max(np.abs(block - np.eye(13)))), 1e-13)
+    return _result(float(np.max(np.abs(block - np.eye(13)))), 1e-13)
 
 
-def check_oscillator_residual() -> CheckResult:
+def oscillator_eigen_residual() -> CheckResult:
     """Chebyshev eigen-residual of the Laguerre functions.  Budget: the 64-point interpolant is off by
     rho^-63 ~ 1e-14 (rho = 1.67, the ellipse through the branch point xi = 0); |D| has row sums up to
     N^2 2 / (hi - lo) = 1.1e3, so rounding in D^2 / 4 is eps (1.1e3)^2 / 4 ~ 6e-11.  Tolerance 1e-10."""
@@ -225,14 +223,14 @@ def check_oscillator_residual() -> CheckResult:
     for B, js in ((1.5, range(6)), (0.8, (0, 3))):
         for j in js:
             worst = max(worst, quadrature.hamiltonian_residual(j, B))
-    return _result("oscillator_eigen_residual", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 # --------------------------------------------------------------------------
 # states
 
 
-def check_laguerre_orthonormality() -> CheckResult:
+def laguerre_orthonormality() -> CheckResult:
     """Gram matrix of the first 21 Laguerre functions, three strengths.  Budget: 21 nodes are exact for
     phi_j phi_k, j, k <= 20; each entry sums 21 terms whose moduli add to at most 1, of values good to
     about 20 eps: 61 eps ~ 1.4e-14.  Tolerance 1e-12."""
@@ -242,10 +240,10 @@ def check_laguerre_orthonormality() -> CheckResult:
         table = states.laguerre_function(range(21), B, grid.nodes)
         gram = (table * grid.weights) @ table.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(21)))))
-    return _result("laguerre_orthonormality", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_state_normalization() -> CheckResult:
+def state_normalization_overlap() -> CheckResult:
     """Unit norms and the closed-form pairwise overlap of the disk states.
 
     conj(v_z) v_w is a constant times xi^(4B-1) exp(-e xi^2), e = (conj(c_z) + c_w) / 2, c_z = (1 + z)/(1 - z);
@@ -265,10 +263,10 @@ def check_state_normalization() -> CheckResult:
                 want = ((1.0 - abs(z) ** 2) * (1.0 - abs(v) ** 2)) ** B \
                     * states.principal_power(1.0 - z.conjugate() * v, -2.0 * B)
                 worst = max(worst, abs(got - want))
-    return _result("state_normalization_overlap", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_state_quadrature_coefficients() -> CheckResult:
+def state_quadrature_coefficients() -> CheckResult:
     """Half-line quadrature route to the number-state coefficients.  Budget: phi_k v_z is exp(-i tau u),
     tau = 1/3, times what the 20-node rule scaled by s = (1 + Re c_z) / 2 integrates exactly: a Gauss remainder
     below 1e-28; rounding, 40 eps times the rescale 1.5, ~ 1e-14.  Tolerance 1e-12."""
@@ -281,10 +279,10 @@ def check_state_quadrature_coefficients() -> CheckResult:
     for k, phi in enumerate(states.laguerre_function(range(7), B, xi)):
         got = complex(weights @ (phi * vz)) * rescale
         worst = max(worst, abs(got - states.bergman_basis(k, B, z)))
-    return _result("state_quadrature_coefficients", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_resolution_of_identity() -> CheckResult:
+def resolution_of_identity() -> CheckResult:
     """Frame property of the disk states over the invariant measure.
 
     Budget: the integrand is (1/pi) conj(f) g on the weighted disk, with f and g of degree 6, so the rule is
@@ -305,10 +303,10 @@ def check_resolution_of_identity() -> CheckResult:
     measure = (2.0 * B - 1.0) / (math.pi * (1.0 - rho) ** (2.0 * B))
     got = complex(grid.weights @ (f_side * g_side * measure))
     want = complex(np.conjugate(cf) @ cg)
-    return _result("resolution_of_identity", abs(got - want) / abs(want), 2e-11)
+    return _result(abs(got - want) / abs(want), 2e-11)
 
 
-def check_expansion_convergence() -> CheckResult:
+def expansion_convergence() -> CheckResult:
     """Truncated number-state expansion converges to the closed form.
 
     Budget at J = 80: the tail is below (1 - |z|^2)^B / sqrt(2B - 1) basis_81(|z|) ~ 7e-24.  The 81
@@ -322,12 +320,10 @@ def check_expansion_convergence() -> CheckResult:
     err80 = abs(states.nbs_expansion(z, B, xi, 80) - closed)
     errs = [abs(states.nbs_expansion(z, B, xi, J) - closed) for J in range(20, 45, 4)]
     monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    return _result("expansion_convergence", err80, 5e-12,
-                   detail=f"tail envelope decreasing: {monotone}",
-                   ok=monotone)
+    return _result(err80, 5e-12, detail=f"tail envelope decreasing: {monotone}", ok=monotone)
 
 
-def check_halfplane_kernel() -> CheckResult:
+def halfplane_kernel_bounds() -> CheckResult:
     """Hermitian symmetry, unit diagonal, and strict boundedness.
 
     Budget, absolute (|K| <= 1): on the diagonal w - conj(w) = 2i Im w exactly, so the scale
@@ -350,16 +346,14 @@ def check_halfplane_kernel() -> CheckResult:
             worst = max(worst, abs(k_wz - k_zw.conjugate()))
             worst = max(worst, abs(states.halfplane_kernel(w, w, B) - 1.0))
             bounded = bounded and abs(k_wz) <= 1.0 + 1e-14 and (w == zeta or abs(k_wz) < 1.0)
-    return _result("halfplane_kernel_bounds", worst, 1e-13,
-                   detail=f"modulus bounded by one: {bounded}",
-                   ok=bounded)
+    return _result(worst, 1e-13, detail=f"modulus bounded by one: {bounded}", ok=bounded)
 
 
 # --------------------------------------------------------------------------
 # localization operator
 
 
-def check_spectrum() -> CheckResult:
+def spectrum_bounds_monotone() -> CheckResult:
     """Bounds and strict decrease, one ``landau_eigenvalue`` row per (B, R), the B = 1 closed form, and f(n).
 
     Budget of the B = 1 closed form I_x(j+1, 1) = x^(j+1), x = 1/4, absolute: the table sums the steps
@@ -384,12 +378,12 @@ def check_spectrum() -> CheckResult:
     fn = np.array([locop.as_function_of_hamiltonian(n, 1.5, 0.7) for n in range(1, 32)])
     ref = np.array([specfun.reg_inc_beta(0.7 * 0.7, float(n), 2.0) for n in range(1, 32)])
     fn_err = float(np.max(np.abs(fn - ref) / ref))  # a NaN reads NaN and fails
-    return _result("spectrum_bounds_monotone", worst_b1, 5e-15,
+    return _result(worst_b1, 5e-15,
                    detail=f"monotone: {ordered}, in [0,1]: {in_range}, H-function err {fn_err:.2e} (tol 3e-13)",
                    ok=ordered and in_range and fn_err <= 3e-13)
 
 
-def check_eigenvalue_norm_identity() -> CheckResult:
+def eigenvalue_norm_identity() -> CheckResult:
     """Eigenvalues as squared norms of basis elements over the subdisk.
 
     Two-dimensional quadrature over |z| < R (radial rule mapped to [0, R^2] with the weight in the
@@ -412,10 +406,10 @@ def check_eigenvalue_norm_identity() -> CheckResult:
         basis_vals = states.bergman_basis(j, B, z)
         norm_sq = float(np.sum(wts * np.abs(basis_vals) ** 2) / math.pi)
         worst = max(worst, abs(norm_sq - locop.disk_eigenvalue(j, B, R)))
-    return _result("eigenvalue_norm_identity", worst, 1e-11)
+    return _result(worst, 1e-11)
 
 
-def check_matrix_elements() -> CheckResult:
+def matrix_elements_radial_diagonal() -> CheckResult:
     """Radial symbols quantize to diagonal matrices matching the eigenvalue rule: a 9 x 9 block, 9 eigenvalues.
 
     Budget: F = 1/(1 + rho) has its pole at rho = -1, on the Bernstein ellipse of radius 3 + sqrt(8) = 5.8 about
@@ -430,10 +424,10 @@ def check_matrix_elements() -> CheckResult:
     symbol = lambda z: 1.0 / (1.0 + abs(z) ** 2)
     block = locop.quantization_matrix_element(symbol, range(9), range(9), B, quadrature.disk_grid(48, 48, B))
     want = np.diag(locop.radial_eigenvalue(lambda rho: 1.0 / (1.0 + rho), range(9), B))
-    return _result("matrix_elements_radial_diagonal", float(np.max(np.abs(block - want))), 1e-13)
+    return _result(float(np.max(np.abs(block - want))), 1e-13)
 
 
-def check_densities() -> CheckResult:
+def probabilistic_densities() -> CheckResult:
     """Level densities normalize, and at m = 0 the density is the Beta polynomial.
 
     With 2B an integer, the level-m density (1 - rho)^(2B-2m-2) rho^|m-j| P_min(m,j)^2 is a polynomial of
@@ -454,7 +448,7 @@ def check_densities() -> CheckResult:
     rho = np.linspace(0.0, 0.99, 100)
     beta_4_2 = 20.0 * rho ** 3 * (1.0 - rho)
     worst = max(worst, float(np.max(np.abs(locop.landau_density(3, ModelParams(1.5, 0), rho) - beta_4_2))))
-    return _result("probabilistic_densities", worst, 1e-13)
+    return _result(worst, 1e-13)
 
 
 def mc_comparison_draws(rng: np.random.Generator, count: int) -> list[tuple[int, float, float]]:
@@ -473,7 +467,7 @@ def mc_comparison_draws(rng: np.random.Generator, count: int) -> list[tuple[int,
     return draws
 
 
-def check_mc_spectrum() -> CheckResult:
+def mc_spectrum() -> CheckResult:
     """Monte-Carlo route agrees with the closed form at the 4-sigma level, stream by stream and jointly.
 
     Four streams of n = 250,000 draws, each one ``mc_eigenvalue(j, B, R, n, seed)`` call, each read as
@@ -487,11 +481,11 @@ def check_mc_spectrum() -> CheckResult:
         exact = locop.disk_eigenvalue(j, B, R)
         z.append((locop.mc_eigenvalue(j, B, R, n, 900 + i)[0] - exact) / math.sqrt(exact * (1.0 - exact) / n))
     joint = sum(v * v for v in z)
-    return _result("mc_spectrum", max(abs(v) for v in z), 4.0,
+    return _result(max(abs(v) for v in z), 4.0,
                    detail=f"sum of squared z-scores {joint:.3f} (chi-square 4 dof, tol 23.5)", ok=joint <= 23.5)
 
 
-def check_leakage() -> CheckResult:
+def leakage_inequality() -> CheckResult:
     """Photon-counting bound is the norm of the localized overlap: the overlap meets it at its maximizer.
 
     The overlap |sum_j lambda_j c_j a_j|, |a_j|^2 the pmf at |z0|^2, is linear in c, so the bound is its largest value
@@ -524,7 +518,7 @@ def check_leakage() -> CheckResult:
     mass = sum(specfun.inc_beta_steps(0.4, 400, 2.0 * 1.5).tolist())
     mean = sum(j * q for j, q in enumerate(specfun.inc_beta_steps(0.3, 400, 2.0 * 1.25).tolist()))
     worst = max(*gaps, closed0, abs(mass - 1.0), abs(mean - 2.0 * 1.25 * 0.3 / 0.7))
-    return _result("leakage_inequality", worst, 1e-12,
+    return _result(worst, 1e-12,
                    detail=f"|overlap at the maximizer / bound - 1|: {', '.join(f'{gap:.1e}' for gap in gaps)}")
 
 
@@ -532,7 +526,7 @@ def check_leakage() -> CheckResult:
 # Bergman transfer
 
 
-def check_kernel_equivalence() -> CheckResult:
+def kernel_series_closed_equivalence() -> CheckResult:
     """Eigenvalue series against the Appell closed form across the parameter grid.
 
     Budget, relative: the series is cut where its tail bound falls below SERIES_REL_TOL of sum |c_k x^k|, at
@@ -550,21 +544,19 @@ def check_kernel_equivalence() -> CheckResult:
                 series = bergman.kernel_series(z, w, B, s)
                 closed = bergman.kernel_closed(z, w, B, s)
                 worst = max(worst, abs(series - closed) / abs(series))
-    return _result("kernel_series_closed_equivalence", worst, 5e-11)
+    return _result(worst, 5e-11)
 
 
-def check_kernel_limit() -> CheckResult:
+def kernel_limit_monotone() -> CheckResult:
     """Monotone approach of the closed form to the reproducing kernel."""
     B, z, w = 1.5, 0.5, 0.6
     lim = bergman.kernel_limit(z, w, B)
     gaps = [abs(bergman.kernel_closed(z, w, B, s) - lim) / abs(lim) for s in (0.9, 0.99, 0.999)]
     monotone = gaps[0] > gaps[1] > gaps[2]
-    return _result("kernel_limit_monotone", gaps[-1], 1e-2,
-                   detail=f"gaps {['%.3e' % g for g in gaps]}",
-                   ok=monotone)
+    return _result(gaps[-1], 1e-2, detail=f"gaps {['%.3e' % g for g in gaps]}", ok=monotone)
 
 
-def check_kernel_positivity() -> CheckResult:
+def kernel_positivity() -> CheckResult:
     """The kernel matrix at random points is Hermitian positive semidefinite.
 
     Budget, absolute, against max |M| = 2.0 and ||M||_2 = 5.9: the entries (j, i) and (i, j) are the series at
@@ -583,11 +575,10 @@ def check_kernel_positivity() -> CheckResult:
     mat = np.array([[bergman.kernel_series(zi, zj, B, s) for zj in pts] for zi in pts])
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
-    return _result("kernel_positivity", max(herm, max(0.0, -eigmin)), 1e-12,
-                   detail=f"min eigenvalue {eigmin:.3e}")
+    return _result(max(herm, max(0.0, -eigmin)), 1e-12, detail=f"min eigenvalue {eigmin:.3e}")
 
 
-def check_reproducing_property() -> CheckResult:
+def reproducing_property() -> CheckResult:
     """Disk quadrature against the limit kernel reproduces the basis elements.
 
     (1/pi) int K(z, w) e_k(z) (1 - |z|^2)^(2B-2) dA = e_k(w) for k < 6 at B in {1, 1.5}, |w| = 0.47, on the
@@ -615,7 +606,7 @@ def check_reproducing_property() -> CheckResult:
         F = bergman.BergmanFunction(B, evaluator=lambda z: bergman.kernel_limit(w0, z, B))
         want = np.conj(states.bergman_basis(range(j_max + 1), B, w0))
         worst = max(worst, float(np.max(np.abs(F.project(j_max).coefficients - want)) / np.max(np.abs(want))))
-    return _result("reproducing_property", worst, 2e-11)
+    return _result(worst, 2e-11)
 
 
 def _transfer_integral(B: float, R: float, ws: np.ndarray, fvals) -> np.ndarray:
@@ -634,7 +625,7 @@ def _transfer_integral(B: float, R: float, ws: np.ndarray, fvals) -> np.ndarray:
     return grid.weights @ (kvals * fvals(grid.nodes[:, None])) / math.pi
 
 
-def check_transfer_spectral_action() -> CheckResult:
+def transfer_spectral_action() -> CheckResult:
     """The transferred operator multiplies each basis element by its eigenvalue.
 
     ``_transfer_integral`` of the five basis elements in one call against ``transferred_apply`` of each, at B = 1.5,
@@ -648,10 +639,10 @@ def check_transfer_spectral_action() -> CheckResult:
     got = _transfer_integral(B, R, np.full(5, w),
                              lambda z: np.hstack([states.bergman_basis(j, B, z) for j in range(5)]))
     want = [bergman.transferred_apply(bergman.BergmanFunction(B, coefficients=e_j), w, B, R) for e_j in np.eye(5)]
-    return _result("transfer_spectral_action", np.max(np.abs(got - want)), 1e-11)
+    return _result(np.max(np.abs(got - want)), 1e-11)
 
 
-def check_intertwining() -> CheckResult:
+def intertwining() -> CheckResult:
     """Transform, localize, invert: both operator orders agree.
 
     The localized coefficients, transformed, against ``_transfer_integral`` of the transformed
@@ -675,36 +666,17 @@ def check_intertwining() -> CheckResult:
     for (ci, w), got in zip(draws, transferred):
         direct = bergman.bargmann_transform(locop.spectral_apply(ci, ModelParams(B), R), w, B)
         worst = max(worst, abs(direct - got) / max(abs(direct), 1e-12))
-    return _result("intertwining", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-_CHECKS = {
-    "incbeta_reflection": check_incbeta_reflection,
-    "laguerre_generating_function": check_laguerre_generating_function,
-    "gauss_theorem": check_gauss_theorem,
-    "appell_f1_reductions": check_appell_reductions,
-    "radial_rule_beta_integrals": check_radial_rule,
-    "disk_rule_delta_structure": check_disk_rule_delta,
-    "oscillator_eigen_residual": check_oscillator_residual,
-    "laguerre_orthonormality": check_laguerre_orthonormality,
-    "state_normalization_overlap": check_state_normalization,
-    "state_quadrature_coefficients": check_state_quadrature_coefficients,
-    "resolution_of_identity": check_resolution_of_identity,
-    "expansion_convergence": check_expansion_convergence,
-    "halfplane_kernel_bounds": check_halfplane_kernel,
-    "spectrum_bounds_monotone": check_spectrum,
-    "eigenvalue_norm_identity": check_eigenvalue_norm_identity,
-    "matrix_elements_radial_diagonal": check_matrix_elements,
-    "probabilistic_densities": check_densities,
-    "mc_spectrum": check_mc_spectrum,
-    "leakage_inequality": check_leakage,
-    "kernel_series_closed_equivalence": check_kernel_equivalence,
-    "kernel_limit_monotone": check_kernel_limit,
-    "kernel_positivity": check_kernel_positivity,
-    "reproducing_property": check_reproducing_property,
-    "transfer_spectral_action": check_transfer_spectral_action,
-    "intertwining": check_intertwining,
-}
+_CHECKS = {check.__name__: check for check in (
+    incbeta_reflection, laguerre_generating_function, gauss_theorem, appell_f1_reductions,
+    radial_rule_beta_integrals, disk_rule_delta_structure, oscillator_eigen_residual, laguerre_orthonormality,
+    state_normalization_overlap, state_quadrature_coefficients, resolution_of_identity, expansion_convergence,
+    halfplane_kernel_bounds, spectrum_bounds_monotone, eigenvalue_norm_identity, matrix_elements_radial_diagonal,
+    probabilistic_densities, mc_spectrum, leakage_inequality, kernel_series_closed_equivalence,
+    kernel_limit_monotone, kernel_positivity, reproducing_property, transfer_spectral_action, intertwining,
+)}
 
 
 def check_names() -> list[str]:
@@ -714,8 +686,8 @@ def check_names() -> list[str]:
 def run_check(name: str) -> CheckResult:
     if name not in _CHECKS:
         raise DomainError(f"unknown check {name!r}; known: {', '.join(_CHECKS)}")
-    return _CHECKS[name]()
+    return dataclasses.replace(_CHECKS[name](), name=name)
 
 
 def run_all() -> list[CheckResult]:
-    return [fn() for fn in _CHECKS.values()]
+    return [run_check(name) for name in _CHECKS]

@@ -338,6 +338,15 @@ class TestKernelLimit:
             assert abs(val.imag) <= 1e-12
             assert val.real >= 2.0 * 1.25 - 1.0
 
+    def test_list_points_are_read_as_arrays(self):
+        # a list of points ended in a bare TypeError from complex() in as_disk
+        z = [0.1, 0.2]
+        for got, want in ((kernel_limit(z, 0.3, 1.5), kernel_limit(np.array(z), 0.3, 1.5)),
+                          (kernel_limit(0.3, z, 1.5), kernel_limit(0.3, np.array(z), 1.5)),
+                          (kernel_series(z, 0.3, 1.5, 0.36), kernel_series(np.array(z), 0.3, 1.5, 0.36)),
+                          (bargmann_transform([1, 2], z, 1.5), bargmann_transform([1, 2], np.array(z), 1.5))):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
     def test_array_points_match_scalar(self):
         z = np.array([0.0, 0.3 + 0.4j, -0.7j, 0.55 - 0.1j])
         w = 0.4 + 0.25j

@@ -185,6 +185,23 @@ class TestDomainTypes:
             with pytest.raises(DomainError):
                 LocalizationRadius(bad)
 
+    @pytest.mark.parametrize("points", [[0.1, 0.2j], (0.1, -0.3), [[0.1], [0.2 - 0.1j]], range(1)])
+    def test_array_like_disk_points_are_read_as_arrays(self, points):
+        # a list of points ended in a bare TypeError from complex(); an ndarray of them was read
+        want = np.array(points, dtype=complex)
+        got = as_disk(points)
+        assert isinstance(got, np.ndarray) and got.dtype == complex and np.array_equal(got, want)
+        assert np.array_equal(bergman_basis(2, 1.5, points), bergman_basis(2, 1.5, want))
+        assert np.array_equal(bergman_basis(range(3), 1.5, points), bergman_basis(range(3), 1.5, want))
+
+    @pytest.mark.parametrize("bad", [None, "a", [0.1, "a"], [[0.1], [0.1, 0.2]], object(), [0.5, 1.0], (0.2, 1j)])
+    def test_what_is_not_a_disk_point_is_refused(self, bad):
+        # each raised a bare TypeError or ValueError, or (a list outside the disk) was never checked
+        with pytest.raises(DomainError):
+            as_disk(bad)
+        with pytest.raises(DomainError):
+            bergman_basis(1, 1.5, bad)
+
     @pytest.mark.parametrize("bad", ["0.5", b"0.5", None, 0.5 + 0j, np.complex128(0.5), np.str_("0.5"), math.nan,
                                      decimal.Decimal("NaN"), np.array([0.5, 0.6]), np.array(0.5), True])
     def test_radius_rule_refuses_what_is_not_a_real_number(self, bad):
@@ -329,6 +346,14 @@ class TestNbsWavefunction:
             want = ((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)) ** B \
                 * principal_power(1.0 - z.conjugate() * w, -2.0 * B)
             assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("xi", [[0.5, 1.0], (0.5, 1.0), [[0.5], [1.0]], [0.5]])
+    def test_array_like_point_gives_an_array_of_its_shape(self, xi):
+        # an int index at a list of points raised a bare TypeError from complex() of the whole row
+        got = nbs_wavefunction(0.3, 1.5, xi)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(xi)
+        assert np.array_equal(got, nbs_wavefunction(0.3, 1.5, np.array(xi)))
+        assert type(nbs_wavefunction(0.3, 1.5, 0.5)) is complex
 
     def test_infinite_point_rejected(self):
         # inf passed the xi > 0 check and came back as nan+nanj
@@ -521,6 +546,20 @@ class TestLaguerreFunction:
             tracemalloc.stop()
         assert peak <= 1.1 * 0.154e6, peak
 
+    @pytest.mark.parametrize("xi", [[0.5, 1.0], (0.5, 1.0), [[0.5], [1.0]], [0.5]])
+    def test_int_index_at_an_array_like_point_gives_an_array_of_its_shape(self, xi):
+        # a list of points raised a bare TypeError from float() of the whole row; a range of indices gave rows
+        got = laguerre_function(2, 1.5, xi)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(xi)
+        assert np.array_equal(got, laguerre_function(2, 1.5, np.array(xi)))
+        assert np.array_equal(got, laguerre_function(range(2, 3), 1.5, xi)[0])
+
+    def test_point_types(self):
+        assert type(laguerre_function(2, 1.5, 0.5)) is float
+        assert type(laguerre_function(2, 1.5, np.float64(0.5))) is float
+        assert type(laguerre_function(2, 1.5, np.array(0.5))) is np.float64
+        assert laguerre_function(2, 1.5, np.array([0.5, 1.0])).shape == (2,)
+
     def test_range_at_a_number_gives_one_value_per_index(self):
         rows = laguerre_function(range(2, 9, 2), 1.5, 1.3)
         assert rows.shape == (4,)
@@ -567,6 +606,12 @@ class TestNbsExpansion:
             for xi in np.linspace(0.2, 5.0, 25)
         )
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("xi", [np.array([0.5, 1.0]), [0.5, 1.0], np.array([0.5])])
+    def test_array_point_refused(self, xi):
+        # ended in numpy's ValueError: operands could not be broadcast together with shapes (6,2) (12,)
+        with pytest.raises(DomainError):
+            nbs_expansion(0.3, 1.5, xi, 5)
 
     def test_geometric_tail(self):
         z, B, xi = 0.5, 1.25, 1.7
