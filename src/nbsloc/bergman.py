@@ -30,6 +30,7 @@ operator that localizes on the disk of radius R corresponds to s = R^2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,10 +40,10 @@ import numpy as np
 from .errors import AccuracyError, ConvergenceError, DomainError
 from . import specfun
 from .quadrature import angular_grid, radial_jacobi_grid
-from .specfun import appell_f1, check_index, horner, log_nb_weights, reg_inc_beta_table
+from .specfun import _check_unit, appell_f1, check_index, horner, log_nb_weights, reg_inc_beta_table
 # bergman_basis is not called here, but callers and perfbench's span tracer reach it as bergman.bergman_basis
-from .states import (_basis_series, as_coefficients, as_disk, as_radius, basis_norms, bergman_basis,  # noqa: F401
-                     check_strength, laguerre_function, principal_power)
+from .states import (_basis_series, as_coefficients, as_disk, as_disk_point, as_radius, basis_norms,  # noqa: F401
+                     bergman_basis, check_strength, laguerre_function, principal_power)
 
 __all__ = [
     "BergmanFunction",
@@ -141,13 +142,6 @@ def bargmann_inverse(F: BergmanFunction, xi: float) -> complex:
     return F.coefficients @ laguerre_function(range(F.coefficients.size), F.B, xi)
 
 
-def _check_kernel(B: float, s: float) -> None:
-    """DomainError unless the strength B passes ``check_strength`` and the Beta upper limit s lies in (0, 1)."""
-    check_strength(B)
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"needs 0 < s < 1, got s={s}")
-
-
 def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     """Coefficients c_k of the kernel series sum_k c_k (conj(z) w)^k.
 
@@ -157,24 +151,30 @@ def kernel_series_coefficients(B: float, s: float, x_max: float) -> np.ndarray:
     evaluated) falls below SERIES_REL_TOL of the accumulated coefficient
     envelope; the incomplete-Beta factors are at most one, so they only
     help the bound.  The candidate table, ``reg_inc_beta_table`` times the weights,
-    doubles until it holds that k, or raises ConvergenceError past SERIES_MAX_TERMS.
+    doubles until it holds that k, or raises ConvergenceError past SERIES_MAX_TERMS or past the float range.
     """
-    _check_kernel(B, s)
-    if not 0.0 <= x_max < 1.0:
-        raise DomainError(f"needs 0 <= x_max < 1, got {x_max}")
+    check_strength(B)
+    _check_unit("s", s, closed=())
+    _check_unit("x_max", x_max)
     n = 64
     while True:
         n = min(n, specfun.SERIES_MAX_TERMS)
-        g = np.exp(math.log(2.0 * B - 1.0) + log_nb_weights(n + 1, 2.0 * B))
-        coeffs = reg_inc_beta_table(s, n, 2.0 * B - 1.0) * g[:-1]
+        log_g = math.log(2.0 * B - 1.0) + log_nb_weights(n + 1, 2.0 * B)
+        table = reg_inc_beta_table(s, n, 2.0 * B - 1.0)
         k = np.arange(n + 1.0)
         powers = x_max ** k
-        envelope = np.cumsum(coeffs * powers[:-1])
-        ratio = x_max * (2.0 * B + k[1:]) / (k[1:] + 1.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite entries are refused below
+            g = np.exp(log_g)
+            coeffs = table * g[:-1]
+            envelope = np.cumsum(coeffs * powers[:-1])  # nondecreasing: non-finite from its first non-finite term on
+            ratio = x_max * (2.0 * B + k[1:]) / (k[1:] + 1.0)
             tail = g[1:] * powers[1:] / (1.0 - ratio)
-        cut = np.maximum(specfun.SERIES_REL_TOL * envelope, specfun.SERIES_ABS_TOL)
+            cut = np.maximum(specfun.SERIES_REL_TOL * envelope, specfun.SERIES_ABS_TOL)
         done = np.flatnonzero((ratio < 1.0) & (tail <= cut))
+        if not math.isfinite(envelope[done[0] if done.size else -1]):
+            bad = int(np.argmin(np.isfinite(envelope)))
+            raise ConvergenceError(f"kernel series coefficients left the float range at k={bad} at B={B}, s={s}",
+                                   terms_used=bad)
         if done.size:
             return coeffs[:done[0] + 1]
         if n == specfun.SERIES_MAX_TERMS:
@@ -188,11 +188,15 @@ def kernel_series(z, w, B: float, s: float):
 
     sum_k I_s(k+1, 2B-1) conj(basis_k(z)) basis_k(w); Hermitian in (z, w).
     ``z`` and ``w`` may be broadcasting ndarrays, served by one coefficient
-    table cut for the largest |conj(z) w|.
+    table cut for the largest |conj(z) w|.  A value past the float range raises ConvergenceError.
     """
     x = np.conjugate(as_disk(z)) * as_disk(w)
     coeffs = kernel_series_coefficients(B, s, float(np.max(np.abs(x), initial=0.0)))
-    return horner(coeffs, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = horner(coeffs, x)
+    if not (cmath.isfinite(value) if isinstance(value, complex) else np.isfinite(value).all()):
+        raise ConvergenceError(f"kernel series value left the float range at B={B}, s={s}", terms_used=coeffs.size)
+    return value
 
 
 def kernel_closed(z, w, B: float, s: float) -> complex:
@@ -200,16 +204,21 @@ def kernel_closed(z, w, B: float, s: float) -> complex:
 
     (2B-1)^2 s (1 - s conj(z) w)^(-2B)
       F1(2-2B, 1-2B, 2B; 2; s, s (1 - conj(z) w) / (1 - s conj(z) w)).
-    Agrees with ``kernel_series`` for all admissible arguments.
+    Agrees with ``kernel_series`` for all admissible arguments; ``z`` and ``w`` are one point each.  A value
+    past the float range raises ConvergenceError.
     """
-    z = as_disk(z)
-    w = as_disk(w)
-    _check_kernel(B, s)
+    z = as_disk_point(z)
+    w = as_disk_point(w)
+    check_strength(B)
+    _check_unit("s", s, closed=())
     x = z.conjugate() * w
     base = 1.0 - s * x
     second = s * (1.0 - x) / base
     f1 = appell_f1(2.0 - 2.0 * B, 1.0 - 2.0 * B, 2.0 * B, 2.0, s, second)
-    return (2.0 * B - 1.0) ** 2 * s * principal_power(base, -2.0 * B) * f1.value
+    value = (2.0 * B - 1.0) ** 2 * s * principal_power(base, -2.0 * B) * f1.value
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"closed-form kernel left the float range at B={B}, s={s}", terms_used=f1.terms_used)
+    return value
 
 
 def kernel_limit(z, w, B: float):

@@ -30,8 +30,8 @@ from . import quadrature, specfun
 from .quadrature import mapped_legendre, radial_jacobi_grid
 from .specfun import (check_index, check_indices, log_inc_beta_steps, log_nb_weights,
                       reg_inc_beta, reg_inc_beta_table, sample_beta)
-from .states import (ModelParams, _basis_series, as_coefficients, as_disk, as_radius, bergman_basis, check_strength,
-                     jacobi)
+from .states import (ModelParams, _basis_series, as_coefficients, as_disk, as_disk_point, as_radius, bergman_basis,
+                     check_strength, jacobi)
 
 __all__ = [
     "radial_eigenvalue",
@@ -116,16 +116,17 @@ def as_function_of_hamiltonian(n: int, B: float, R) -> float:
 
     n -> I_{R^2}(n, 2B - 1) for n >= 1, which is ``disk_eigenvalue(n - 1, B, R)``.
     """
-    n = check_index("n", n)
-    if n < 1:
-        raise DomainError(f"oscillator eigenvalues start at 1, got n={n}")
-    return disk_eigenvalue(n - 1, B, R)
+    return disk_eigenvalue(check_index("n", n, 1) - 1, B, R)
 
 
 def _log_rho(rho) -> tuple:
     """(1 - 2 rho, log rho, log1p(-rho)) on 0 <= rho < 1, log 0 = -inf: ``_density_rows``'s points; else DomainError."""
-    rho = np.asarray(rho, dtype=float)
-    if not (np.all(rho >= 0.0) and np.all(rho < 1.0)):
+    try:
+        rho = np.asarray(rho, dtype=float)
+        ok = np.all(rho >= 0.0) and np.all(rho < 1.0)
+    except (TypeError, ValueError):  # not real numbers
+        ok = False
+    if not ok:
         raise DomainError("density defined on 0 <= rho < 1")
     with np.errstate(divide="ignore"):
         return 1.0 - 2.0 * rho, np.log(rho), np.log1p(-rho)
@@ -243,9 +244,7 @@ def mc_eigenvalue(j: int, B: float, R, n_samples: int, seed: int) -> tuple[float
     """
     j = check_index("j", j)
     check_strength(B)
-    n = check_index("n_samples", n_samples)
-    if n < 100:
-        raise DomainError(f"needs n_samples >= 100, got {n}")
+    n = check_index("n_samples", n_samples, 100)
     R = as_radius(R)
     rng, a, b, hits = np.random.Generator(np.random.PCG64(check_index("seed", seed))), j + 1.0, 2.0 * B - 1.0, 0
     for start in range(0, n, MC_BLOCK):  # no name holds a block while the next one is drawn
@@ -287,7 +286,7 @@ def leakage_bound(z0, B: float, R) -> float:
     stop test compares logs, so a sum below the normal range is kept.  The
     bound is at most one, and a rounded sum above one is returned as one.
     """
-    z0, R = as_disk(z0), as_radius(R)
+    z0, R = as_disk_point(z0), as_radius(R)
     check_strength(B)
     p = abs(z0) ** 2
     s, b = R * R, 2.0 * B - 1.0
@@ -314,7 +313,7 @@ def localized_overlap(z0, B: float, R, coeffs) -> float:
     The coherent-state transform of ``spectral_apply(coeffs)`` read at conj(z0), |sum_j lambda_j c_j a_j| with |a_j|^2
     the pmf at |z0|^2: by Cauchy-Schwarz at most ``leakage_bound`` times |f|, equal at c ~ conj(lambda_j a_j).
     """
-    z0, R = as_disk(z0), as_radius(R)
+    z0, R = as_disk_point(z0), as_radius(R)
     localized = spectral_apply(coeffs, ModelParams(B), R)
     return abs((1.0 - abs(z0) ** 2) ** B / math.sqrt(2.0 * B - 1.0) * _basis_series(localized, B, z0.conjugate()))
 

@@ -30,7 +30,7 @@ import operator
 import numpy as np
 
 from .errors import DomainError
-from .specfun import check_index, check_strength, log_gamma
+from .specfun import _check_above, _check_finite, check_index, check_strength, log_gamma
 
 __all__ = [
     "QuadratureGrid",
@@ -83,8 +83,7 @@ class QuadratureGrid(tuple):
 
 def mapped_legendre(n: int, lo: float, hi: float) -> QuadratureGrid:
     """Gauss-Legendre nodes and weights on [lo, hi]: ``gauss_jacobi(n, 0.0)`` scaled by hi - lo and moved to lo."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"needs a finite interval, got [{lo}, {hi}]")
+    _check_finite("interval", lo, hi)
     if not hi > lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
     x, w = gauss_jacobi(n, 0.0)
@@ -106,9 +105,7 @@ def half_line_grid(n: int, B: float) -> QuadratureGrid:
     times the weight passes 1e-10 of the largest weight.  It reads 3e-14 to 1.7e-13 on verify's rules and 1.3e-12
     at B = 50, n = 600; the tolerance refuses from B = 1.1e4 at any n <= 600.
     """
-    n = check_index("n", n)
-    if n < 1:
-        raise DomainError(f"needs n >= 1 nodes, got n={n}")
+    n = check_index("n", n, 1)
     check_strength(B)
     alpha, k = 2.0 * B - 1.0, np.arange(n)
     diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
@@ -147,11 +144,8 @@ def gauss_jacobi(n: int, alpha: float) -> QuadratureGrid:
     Either eigenproblem is solved by ``_tridiagonal_eigvalsh``, so a build holds one matrix of its size
     (2.9 MB at n = 601).  DomainError where a weight underflows.  Memoized.
     """
-    n = check_index("n", n)
-    if n < 2:
-        raise DomainError(f"need at least 2 nodes, got {n}")
-    if not -1.0 < alpha < math.inf:
-        raise DomainError(f"Jacobi weight needs a finite alpha > -1, got {alpha}")
+    n = check_index("n", n, 2)
+    _check_above(-1, alpha=alpha)
     k = np.arange(1.0, n)
     s = 2.0 * k + alpha
     diag = np.concatenate(([1.0 / (alpha + 2.0)], (2.0 * k * (k + alpha + 1.0) + alpha) / (s * (s + 2.0))))
@@ -222,9 +216,7 @@ def radial_jacobi_grid(n: int, B: float) -> QuadratureGrid:
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def angular_grid(n: int) -> QuadratureGrid:
     """Uniform rule on the n-th roots of unity exp(2 pi i m / n) in FFT order; exact for e^(i k theta), |k| < n."""
-    n = check_index("n", n)
-    if n < 2:
-        raise DomainError(f"need at least 2 angular nodes, got {n}")
+    n = check_index("n", n, 2)
     theta = 2.0 * math.pi * np.arange(n) / n
     return QuadratureGrid(np.exp(1j * theta), np.full(n, 2.0 * math.pi / n))
 

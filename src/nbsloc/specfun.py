@@ -28,12 +28,15 @@ Conventions:
     double series are summed over anti-diagonals j + k = n, each block a
     Cauchy product of row and column terms, 64 blocks doubling per pass,
     declaring convergence only after three consecutive blocks are small;
-    a series with a NaN or infinite parameter or argument raises
-    DomainError before it sums anything, as do the orthogonal polynomials
-    for an infinite alpha or beta and ``sample_beta`` for an infinite shape;
-  * every index argument passes ``check_index``: integral and >= 0; a
-    range of indices passes ``check_indices``, which checks its two ends;
-    every strength B passes ``check_strength``: finite with 2B > 1;
+  * each kind of argument has one reader here, which refuses with
+    DomainError a value outside its kind and anything it cannot compare (a
+    0-d array counts as a number): an index or a count passes
+    ``check_index`` (integral and >= its least value, 0 for an index), a
+    range of indices ``check_indices`` (at its two ends), a strength B
+    ``check_strength`` (finite with 2B > 1), a shape ``_check_above(0, ...)``,
+    an exponent ``_check_above(-1, ...)``, a point of the unit interval
+    ``_check_unit`` (each end open or closed) and the parameters and
+    arguments of a series ``_check_finite``, before it sums anything;
   * randomness comes from numpy's PCG64 generator (128-bit state),
     seeded explicitly, so every sampling call is reproducible; a caller
     that holds the Generator draws one stream in blocks.
@@ -86,14 +89,14 @@ class HypergeomResult:
     terms_used: int
 
 
-def check_index(name: str, value) -> int:
-    """int(value) for an integral value >= 0 (an np.int64 or 3.0 too); DomainError otherwise."""
+def check_index(name: str, value, least: int = 0) -> int:
+    """int(value) for an integral value >= least (an np.int64 or 3.0 too), an index or a count; else DomainError."""
     try:
-        ok = value >= 0 and value == int(value)
+        ok = value >= least and value == int(value)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise DomainError(f"needs {name} >= 0 and integral, got {name}={value}")
+        raise DomainError(f"needs {name} >= {least} and integral, got {name}={value}")
     return int(value)
 
 
@@ -116,10 +119,33 @@ def check_strength(B: float) -> None:
         raise DomainError(f"requires finite B with 2B > 1, got B={B}")
 
 
+def _check_above(least: float, **values) -> None:
+    """DomainError unless each value is a finite real number > least (a 0-d array too, not a str or a complex)."""
+    ok = True
+    try:  # a loop, at half the cost of all() over a generator
+        for value in values.values():
+            ok = ok and math.isfinite(value) and value > least
+    except (TypeError, ValueError, OverflowError):  # a str, a complex, a list or an array of several
+        ok = False
+    if not ok:
+        got = ", ".join(f"{name}={value}" for name, value in values.items())
+        raise DomainError(f"requires finite {', '.join(values)} > {least}, got {got}")
+
+
+def _check_unit(name: str, value, closed: tuple = (0.0,)) -> None:
+    """DomainError unless value is a real number (a 0-d array too) in (0, 1) or at one of its ``closed`` ends."""
+    try:
+        ok = math.isfinite(value) and (0.0 < value < 1.0 or value in closed)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        low, high = ("<=" if end in closed else "<" for end in (0.0, 1.0))
+        raise DomainError(f"needs 0 {low} {name} {high} 1, got {name}={value}")
+
+
 def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
+    """Natural log of Gamma(x) for a finite x > 0."""
+    _check_above(0, x=x)
     return math.lgamma(x)
 
 
@@ -135,33 +161,29 @@ def log_beta(a: float, b: float) -> float:
     There log Gamma(big + small) - log Gamma(big) comes from Stirling's series as (big - 1/2)
     log1p(small/big) + small log(big + small) - small + the corrections' difference (DiDonato & Morris).
     """
+    _check_above(0, a=a, b=b)
     small, big = (a, b) if a <= b else (b, a)
-    if not big >= 10.0:  # NaN too: log_gamma refuses it
-        return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    if not big >= 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     rise = ((big - 0.5) * math.log1p(small / big) + small * math.log(big + small) - small
             + _stirling_correction(big + small) - _stirling_correction(big))
-    return log_gamma(small) - rise
-
-
-def _check_shape(b: float) -> None:
-    """Raise DomainError unless the negative binomial shape b is finite and > 0."""
-    if not 0.0 < b < math.inf:
-        raise DomainError(f"the negative binomial shape requires finite b > 0, got b={b}")
+    return math.lgamma(small) - rise
 
 
 def log_nb_weights(n: int, b: float) -> np.ndarray:
     """log(Gamma(b+a) / (a! Gamma(b))), a = 0..n-1, the log negative binomial weights of shape b.
 
-    One cumulative sum of t_a = log1p((b-1)/a), with no large log-gamma values to cancel.  The
+    One cumulative sum of t_1 = log b and t_a = log1p((b-1)/a), with no large log-gamma values to cancel.  The
     t_a share one sign and shrink in size, so every partial sum outweighs the next term and its
     rounding error is exactly t_a - (s_a - s_{a-1}) (Fast2Sum).  Adding back the running sum of
     those errors keeps exp(entry a) within 3.1e-14 of the exact rational for a <= 2000 and
     0 < b <= 101 (69 shapes measured), where the plain sum reaches 1.7e-12.
     """
     n = check_index("n", n)
-    _check_shape(b)
+    _check_above(0, b=b)
     t = np.zeros(n)
-    t[1:] = np.log1p((b - 1.0) / np.arange(1.0, n))
+    t[1:2] = np.log(b)  # not log1p(b - 1), which rounds b - 1 first
+    t[2:] = np.log1p((b - 1.0) / np.arange(2.0, n))
     s = t.cumsum()
     t[1:] -= s[1:] - s[:-1]  # now the rounding error of each partial sum
     s += t.cumsum()
@@ -200,10 +222,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     Monotone nondecreasing in x with values in [0, 1].
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise DomainError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
+    _check_above(0, a=a, b=b)
+    _check_unit("x", x, closed=(0.0, 1.0))
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -222,11 +242,10 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 def log_inc_beta_steps(x: float, n: int, b: float) -> np.ndarray:
     """log(x^a (1-x)^b Gamma(a+b) / (Gamma(a+1) Gamma(b))), a = 0..n-1; -inf for a >= 1 at x = 0."""
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"the negative binomial steps require 0 <= x < 1, got x={x}")
+    _check_unit("x", x)
     n = check_index("n", n)
     if x == 0.0:
-        _check_shape(b)  # log_nb_weights checks it on the other route
+        _check_above(0, b=b)  # log_nb_weights checks it on the other route
         return np.where(np.arange(n) == 0, 0.0, -np.inf)
     return log_nb_weights(n, b) + np.arange(float(n)) * math.log(x) + b * math.log1p(-x)
 
@@ -251,12 +270,15 @@ def reg_inc_beta_table(x: float, n: int, b: float) -> np.ndarray:
     ``leakage_bound`` asks for, are cached and shared; a larger one, which only an index or length the
     caller picks asks for, is built for the call, with the same bits, and freed with its last view.
     """
-    n = check_index("n", n)
-    if n < 1:
-        raise DomainError(f"reg_inc_beta_table requires n >= 1, got n={n}")
+    n = check_index("n", n, 1)
     size = max(512, 1 << (n - 1).bit_length())
     build = _inc_beta_blocks if size <= 1 << (SERIES_MAX_TERMS - 1).bit_length() else _inc_beta_blocks.__wrapped__
-    return build(x, size, b)[:n]
+    try:
+        return build(x, size, b)[:n]
+    except TypeError:  # an x or b that does not hash or compare: refused, or a 0-d array read as its float
+        _check_unit("x", x, closed=(0.0, 1.0))
+        _check_above(0, b=b)
+        return build(float(x), size, float(b))[:n]
 
 
 # Every eigenvalue route reads it; at most 16 tables of at most 2^17 entries at the default, 16 MB in all.
@@ -279,8 +301,10 @@ def _inc_beta_blocks(x: float, size: int, b: float) -> np.ndarray:
 
 def horner(coeffs, x):
     """sum_k coeffs[k] x^k by Horner's rule; ``x`` may be a number or an ndarray."""
-    # builtin complex arithmetic for a number, in-place array updates otherwise
-    x, total = (complex(x), 0j) if np.ndim(x) == 0 else (x, np.zeros(np.shape(x), dtype=complex))
+    try:  # builtin complex arithmetic for a number, in-place array updates otherwise
+        x, total = (complex(x), 0j) if np.ndim(x) == 0 else (x, np.zeros(np.shape(x), dtype=complex))
+    except (TypeError, ValueError):  # not a number: a number costs nothing more
+        raise DomainError(f"horner needs a number or an ndarray x, got x={x!r}") from None
     for c in reversed(np.asarray(coeffs).tolist()):
         total *= x
         total += c
@@ -296,8 +320,7 @@ def laguerre(j: int | range, alpha: float, x):
     With an int j it returns a float at a number x, else an array of x's shape (a numpy float at a 0-d array).
     """
     rows = check_indices("j", j)
-    if not -1.0 < alpha < math.inf:
-        raise DomainError(f"laguerre requires finite alpha > -1, got {alpha}")
+    _check_above(-1, alpha=alpha)
     xs = np.asarray(x, dtype=float)
     if not np.isfinite(xs).all():
         raise DomainError("laguerre requires finite x, not NaN or infinite")
@@ -326,8 +349,7 @@ def jacobi(k: int, alpha: float, beta: float, x):
     ``x`` may be a float or an ndarray.
     """
     k = check_index("k", k)
-    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
-        raise DomainError(f"jacobi requires finite alpha, beta > -1, got {alpha}, {beta}")
+    _check_above(-1, alpha=alpha, beta=beta)
     ones = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     p_prev = ones
     if k == 0:
@@ -383,10 +405,14 @@ def _stop(*params):
     return min(stops) if stops else None
 
 
-def _check_finite(name: str, *values) -> None:
-    """DomainError unless every parameter and argument is finite: a NaN passes every domain comparison."""
-    if not all(map(cmath.isfinite, values)):
-        raise DomainError(f"{name} needs finite parameters and arguments, got {values}")
+def _check_finite(what: str, *values) -> None:
+    """DomainError unless every value is a finite real or complex number: a NaN passes every domain comparison."""
+    try:
+        ok = all(map(cmath.isfinite, values))
+    except (TypeError, ValueError, OverflowError):  # a str, a list or an array of several
+        ok = False
+    if not ok:
+        raise DomainError(f"needs a finite {what}, got [{', '.join(map(str, values))}]")
 
 
 def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
@@ -398,8 +424,8 @@ def gauss_2f1(a: float, b: float, c: float, z) -> HypergeomResult:
     that is exactly zero, or after two consecutive terms at most
     max(SERIES_REL_TOL |sum|, SERIES_ABS_TOL).
     """
+    _check_finite("2F1 argument list", a, b, c, z)
     z = complex(z)
-    _check_finite("2F1", a, b, c, z)
     stop = _stop(a, b)
     c_pole = _nonpositive_int(c)
     if c_pole is not None and (stop is None or stop > c_pole):
@@ -525,8 +551,8 @@ def appell_f1(a: float, b1: float, b2: float, c: float, u, v) -> HypergeomResult
     corresponding index terminates through a non-positive integer
     parameter.
     """
+    _check_finite("F1 argument list", a, b1, b2, c, u, v)
     u, v = complex(u), complex(v)
-    _check_finite("F1", a, b1, b2, c, u, v)
     return _anti_diagonal_sum("F1", (b1,), (b2,), (a,), (c,), u, v)
 
 
@@ -536,8 +562,8 @@ def appell_f3(a: float, a2: float, b1: float, b2: float, c: float, u, v) -> Hype
     Sum of (a)_j (a2)_k (b1)_j (b2)_k / (j! k! (c)_{j+k}) u^j v^k, with the
     same anti-diagonal scheme and termination rules as ``appell_f1``.
     """
+    _check_finite("F3 argument list", a, a2, b1, b2, c, u, v)
     u, v = complex(u), complex(v)
-    _check_finite("F3", a, a2, b1, b2, c, u, v)
     return _anti_diagonal_sum("F3", (a, b1), (a2, b2), (), (c,), u, v)
 
 
@@ -548,11 +574,8 @@ def sample_beta(a: float, b: float, n: int, seed: int | np.random.Generator) -> 
     stream seeded with an integer ``seed`` >= 0, or from a ``Generator`` where it stands, advancing it.  So n
     draws from a Generator seeded with s, taken in blocks of any sizes, are the n draws of seed s.
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise DomainError(f"sample_beta requires finite positive shapes, got a={a}, b={b}")
-    n = check_index("n", n)
-    if n < 1:
-        raise DomainError(f"sample_beta requires n >= 1, got {n}")
+    _check_above(0, a=a, b=b)
+    n = check_index("n", n, 1)
     if not isinstance(seed, np.random.Generator):
         seed = np.random.Generator(np.random.PCG64(check_index("seed", seed)))
     return seed.beta(a, b, n)

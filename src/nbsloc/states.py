@@ -13,12 +13,14 @@ All complex powers are principal branch; every base occurring here stays
 off the negative real axis for points strictly inside the domains, which
 is asserted at runtime.
 
-Each kind of argument has one check, shared by the package: ``as_disk``
-(|z| < 1, a number or an array-like of them), ``as_halfline`` (0 < xi < inf,
-likewise), ``as_halfplane`` (Im w > 0), ``as_radius`` (0 < R < 1, or a
+Each kind of argument has one reader, shared by the package, which refuses
+with DomainError what it cannot compare: ``as_disk`` (|z| < 1, a number or an
+array-like of them), ``as_disk_point`` (one such point, a 0-d array too),
+``as_halfline`` (0 < xi < inf, a number or an array-like of them),
+``as_halfplane`` (a finite w with Im w > 0), ``as_radius`` (0 < R < 1, or a
 ``LocalizationRadius``), ``as_coefficients`` (a finite complex 1-D vector)
-and, from specfun, ``check_strength`` and ``check_index``.  Points and
-coefficients are plain numbers and arrays.
+and, from specfun, ``check_strength``, ``check_index`` and the shape rule
+``_check_above``.  Points and coefficients are plain numbers and arrays.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import (check_index, check_indices, check_strength, horner, inc_beta_steps, jacobi, log_gamma,
-                      log_nb_weights)
+from .specfun import (_check_above, check_index, check_indices, check_strength, horner, inc_beta_steps, jacobi,
+                      log_gamma, log_nb_weights)
 
 __all__ = [
     "ModelParams",
@@ -108,21 +110,36 @@ def as_disk(z):
     return z
 
 
+def as_disk_point(z):
+    """One disk point: ``as_disk`` of a number or a 0-d array, as it returns them; DomainError for an array of them."""
+    z = as_disk(z)
+    if isinstance(z, np.ndarray) and z.ndim:
+        raise DomainError(f"needs one disk point, got an array of shape {z.shape}")
+    return z
+
+
 def as_halfline(xi) -> np.ndarray:
     """Validate 0 < xi < inf for a number or an array-like of them, read as a float array and capped at 1e140.
 
     Past the cap every half-line function here has underflowed to 0, while xi^2 and ((1 + z)/(1 - z)) xi^2,
     as |(1 + z)/(1 - z)| < 2e16 for |z| < 1, stay finite.
     """
-    x = np.asarray(xi, dtype=float)
-    if not np.all((x > 0.0) & (x < math.inf)):
+    try:
+        x = np.asarray(xi, dtype=float)
+        ok = np.all((x > 0.0) & (x < math.inf))
+    except (TypeError, ValueError):  # not real numbers
+        ok = False
+    if not ok:
         raise DomainError("half-line points need 0 < xi < inf")
     return np.minimum(x, 1e140)
 
 
 def as_halfplane(w) -> complex:
     """Validate a finite w with Im w > 0 for a complex number, returned as a builtin complex."""
-    w = complex(w)
+    try:
+        w = complex(w)
+    except (TypeError, ValueError):  # not a number, or an array of several
+        raise DomainError(f"half-plane point needs Im w > 0 and a finite w, got w={w!r}") from None
     if not (w.imag > 0.0 and cmath.isfinite(w)):
         raise DomainError(f"half-plane point needs Im w > 0 and a finite w, got w={w}")
     return w
@@ -175,10 +192,8 @@ def affine_coherent_state(x: float, y: float, B: float, xi: float) -> complex:
     (2B)^(-1/2) (xi y)^B exp(-xi (y - i x) / 2); the modulus is independent
     of x, which only contributes a phase.
     """
-    if not (math.isfinite(x) and 0.0 < y < math.inf):
-        raise DomainError(f"affine label needs finite x and y > 0, got ({x}, {y})")
-    if not 0.0 < xi < math.inf:
-        raise DomainError(f"needs finite xi > 0, got {xi}")
+    _check_above(-math.inf, x=x)
+    _check_above(0, y=y, xi=xi)
     check_strength(B)
     return (xi * y) ** B / math.sqrt(2.0 * B) * cmath.exp(-0.5 * xi * (y - 1j * x))
 
@@ -202,7 +217,7 @@ def nbs_wavefunction(z, B: float, xi):
     Past xi = 1e140 it returns 0, the underflowed value: the real part of ((1 + z)/(1 - z)) xi^2 is at
     least 5e-17 xi^2, so the exponential is below the smallest float long before.
     """
-    z = as_disk(z)
+    z = as_disk_point(z)
     xi_arr = as_halfline(xi)
     check_strength(B)
     base = (1.0 - abs(z) ** 2) / (1.0 - z) ** 2

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,17 @@ class TestKernelSeries:
         with pytest.raises(DomainError):
             kernel_series(0.3, 0.2, math.inf, 0.5)
 
+    @pytest.mark.parametrize("z, w, B, s", [(0.9, 0.9, 150.0, 0.81), (0.5, 0.5, 1e3, 1e-16)])
+    def test_coefficients_past_the_float_range_raise(self, z, w, B, s):
+        # the weights (2B)_k / k! overflowed before they met the eigenvalues: nan+nanj, or a ConvergenceError
+        # past SERIES_MAX_TERMS, each after an overflow RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="float range"):
+                kernel_series(z, w, B, s)
+            with pytest.raises(ConvergenceError, match="float range"):
+                kernel_series_coefficients(B, s, abs(z * w))
+
     def test_empty_array_gives_empty_result(self):
         # as kernel_limit does: no points, no largest |conj(z) w| to cut the series at
         z = np.array([], dtype=complex)
@@ -326,6 +338,13 @@ class TestKernelClosed:
     def test_domain(self):
         with pytest.raises(DomainError):
             kernel_closed(0.1, 0.1, 1.5, 1.0)
+
+    def test_value_past_the_float_range_raises(self):
+        # it returned inf+0j without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="float range"):
+                kernel_closed(0.9, 0.9, 150.0, 0.81)
 
 
 class TestKernelLimit:

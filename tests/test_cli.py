@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -601,6 +603,56 @@ def test_well_formed_argv_takes_the_plain_read(command, monkeypatch, capsys):
         monkeypatch.setattr(sub, "parse_args", refuse)
     code, out, _ = run_cli([command, *ROUND_TRIP_ARGS[command], "--format=json"], capsys)
     assert code == 0 and json.loads(out)["params"]["command"] == command
+
+
+# values per flag for the argv grid; "x" is not a number.  Every R here is below 0.9999, where the kernel's
+# Appell column takes seconds near B = 1/2
+GRID_VALUES = {
+    "B": ["0.5000000000001", "0.75", "1.5", "150", "1e3", "1e200", "nan", "x"],
+    "R": ["1e-300", "1e-8", "0.5", "0.99", "x"],
+    "z": ["0", "0.9", "0.9999999", "-0.6+0.6j", "x"],
+    "w": ["0.9", "0.5j"],
+    "m": ["0", "1"],
+    "j_max": ["0", "20"],
+    "samples": ["9"],
+    "seed": ["1"],
+}
+GRID_SAMPLES = {"mc": ["100"]}  # a command's own values, where they differ
+
+
+def _cells(doc):
+    yield from doc["params"].values()
+    for row in doc["data"]:
+        yield from row.values()
+
+
+def test_argv_grid_exits_0_or_2_with_finite_cells():
+    # kernel --B 150 --R 0.9 --z 0.9 --w 0.9 printed nan, nan and inf cells and exited 0, after an overflow
+    # RuntimeWarning that -W error turned into a traceback
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, (_, _, flags) in cli.COMMANDS.items():
+            if command == "verify":
+                continue
+            choices = [GRID_SAMPLES.get(command, GRID_VALUES[dest]) if dest == "samples" else GRID_VALUES[dest]
+                       for dest in flags]
+            for values in itertools.product(*choices):
+                argv = [command, *(f"--{dest.replace('_', '-')}={value}" for dest, value in zip(flags, values)),
+                        "--format", "json"]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:  # argparse's usage error
+                        code = exc.code
+                outcomes.append(code)
+                assert code in (0, 2), argv
+                if code == 0:
+                    bad = [cell for cell in _cells(json.loads(out.getvalue()))
+                           if isinstance(cell, float) and not math.isfinite(cell)]
+                    assert not bad, (argv, bad)
+    assert outcomes.count(0) > 100 and outcomes.count(2) > 100
 
 
 class TestParserReuse:

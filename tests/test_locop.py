@@ -323,7 +323,7 @@ class TestFunctionOfHamiltonian:
     @pytest.mark.parametrize("n", ["3", None])
     def test_index_checked_before_its_range(self, n):
         # "3" and None raised TypeError from n < 1, before check_index saw them
-        with pytest.raises(DomainError, match=">= 0"):
+        with pytest.raises(DomainError, match=">= 1"):
             as_function_of_hamiltonian(n, 1.5, 0.5)
 
 

@@ -948,6 +948,14 @@ class TestLogNbWeights:
         want = np.array(oracles.nb_weights_exact(2000, b))
         assert np.allclose(np.exp(log_nb_weights(2001, b)), want, rtol=1.5e-12, atol=0.0)
 
+    def test_relative_accuracy_at_small_shape(self):
+        # the first term was log1p((b - 1) / 1), which rounds b - 1: 5.3e-10 off at b = 2e-8
+        mpmath = pytest.importorskip("mpmath")
+        b = 2e-8
+        with mpmath.workdps(40):
+            want = [float(mpmath.rf(b, a) / mpmath.factorial(a)) for a in range(50)]
+        assert np.allclose(np.exp(log_nb_weights(50, b)), want, rtol=1e-14, atol=0.0)
+
     def test_short_tables_and_domain(self):
         assert log_nb_weights(0, 2.0).size == 0
         assert log_nb_weights(1, 2.0).tolist() == [0.0]

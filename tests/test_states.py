@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from nbsloc import states, verify
-from nbsloc.bergman import BergmanFunction, kernel_closed, kernel_limit, transferred_apply
+from nbsloc.bergman import (BergmanFunction, kernel_closed, kernel_limit, kernel_series, kernel_series_coefficients,
+                            transferred_apply)
 from nbsloc.errors import DomainError
 from nbsloc.locop import (as_function_of_hamiltonian, beta_density, disk_eigenvalue,
                           landau_density, landau_eigenvalue, leakage_bound, localized_overlap, mc_eigenvalue,
                           quantization_matrix_element, radial_eigenvalue)
-from nbsloc.specfun import jacobi, laguerre, sample_beta
+from nbsloc.specfun import (appell_f1, gauss_2f1, horner, inc_beta_steps, jacobi, laguerre, log_beta, log_gamma,
+                            log_nb_weights, reg_inc_beta, reg_inc_beta_table, sample_beta)
 from nbsloc.quadrature import angular_grid, disk_grid, gauss_jacobi, half_line_grid, mapped_legendre, radial_jacobi_grid
 from nbsloc.states import (
     LocalizationRadius,
@@ -77,6 +79,42 @@ INDEX_CALLS = {
 RANGE_INDEX_CALLS = ("laguerre", "bergman_basis", "laguerre_function", "radial_eigenvalue", "disk_eigenvalue",
                      "beta_density", "landau_density", "landau_eigenvalue", "landau_eigenvalue_lowest_level",
                      "quantization_matrix_element_j", "quantization_matrix_element_k")
+
+# calls given a non-number, or an array where one point is documented: each ended in a bare TypeError or
+# ValueError, or (localized_overlap) returned an array
+NOT_A_NUMBER_CALLS = {
+    "halfplane_kernel": lambda: halfplane_kernel([0.1 + 1j], 0.2 + 1j, 1.5),
+    "affine_coherent_state": lambda: affine_coherent_state(0.1, 1.0, 1.5, [0.5, 1.0]),
+    "nb_pmf": lambda: nb_pmf(2, 1.5, [0.3]),
+    "leakage_bound": lambda: leakage_bound([0.1, 0.2], 1.5, 0.5),
+    "localized_overlap": lambda: localized_overlap([0.1, 0.2], 1.5, 0.5, [1.0]),
+    "laguerre_function": lambda: laguerre_function(2, 1.5, "a"),
+    "landau_density": lambda: landau_density(1, ModelParams(1.5), "a"),
+    "kernel_closed-ndarray": lambda: kernel_closed(np.array([0.1, 0.2]), 0.3, 1.5, 0.36),
+    "kernel_closed-list": lambda: kernel_closed([0.1, 0.2], 0.3, 1.5, 0.36),
+    "nbs_wavefunction": lambda: nbs_wavefunction([0.1, 0.2], 1.5, 1.0),
+    "reg_inc_beta-a": lambda: reg_inc_beta(0.5, "2", 3.0),
+    "reg_inc_beta-x": lambda: reg_inc_beta("0.5", 2.0, 3.0),
+    "sample_beta": lambda: sample_beta("1", 2.0, 5, 1),
+    "log_nb_weights": lambda: log_nb_weights(5, "a"),
+    "inc_beta_steps": lambda: inc_beta_steps([0.3], 5, 2.0),
+    "reg_inc_beta_table": lambda: reg_inc_beta_table([0.3], 5, 2.0),
+    "log_beta": lambda: log_beta([1.0], 2.0),
+    "log_gamma": lambda: log_gamma("a"),
+    "laguerre": lambda: laguerre(2, "a", 0.5),
+    "jacobi": lambda: jacobi(2, "a", 0.5, 0.3),
+    "gauss_jacobi": lambda: gauss_jacobi(5, "a"),
+    "mapped_legendre": lambda: mapped_legendre(5, "a", 1.0),
+    "gauss_2f1": lambda: gauss_2f1("a", 1, 2, 0.5),
+    "appell_f1": lambda: appell_f1(1, 1, 1, 2, [0.1], 0.2),
+    "horner": lambda: horner([1, 2], "a"),
+    "kernel_series_coefficients": lambda: kernel_series_coefficients(1.5, "a", 0.3),
+    "kernel_series": lambda: kernel_series(0.1, 0.2, 1.5, "a"),
+}
+# the count rules: the least value each INDEX_CALLS entry takes, where it is not 0
+INDEX_LEAST = {"as_function_of_hamiltonian": 1, "mc_eigenvalue_n_samples": 100, "sample_beta": 1, "gauss_jacobi": 2,
+               "mapped_legendre": 2, "half_line_grid": 1, "radial_jacobi_grid": 2, "angular_grid": 2,
+               "disk_grid": 2}
 
 
 class TestDomainTypes:
@@ -157,10 +195,23 @@ class TestDomainTypes:
         # 1.5 gave a value (disk_eigenvalue, as_function_of_hamiltonian, radial_eigenvalue, mc_eigenvalue); a level
         # m = 3.0 was kept as a float and ended in a bare IndexError
         call = INDEX_CALLS[name]
-        with pytest.raises(DomainError, match=">= 0"):
+        with pytest.raises(DomainError, match=f">= {INDEX_LEAST.get(name, 0)}"):
             call(1.5)
         assert call(np.int64(3)) == pytest.approx(call(3), rel=0, abs=0)
         assert call(3.0) == pytest.approx(call(3), rel=0, abs=0)
+
+    @pytest.mark.parametrize("name", list(NOT_A_NUMBER_CALLS))
+    def test_what_is_not_a_number_is_refused(self, name):
+        with pytest.raises(DomainError):
+            NOT_A_NUMBER_CALLS[name]()
+
+    def test_one_point_functions_take_a_0d_array(self):
+        # a 0-d array is one point, as it was before the array refusal
+        z0, at = 0.3 + 0.1j, np.array(0.3 + 0.1j)
+        assert leakage_bound(at, 1.5, 0.5) == leakage_bound(z0, 1.5, 0.5)
+        assert localized_overlap(at, 1.5, 0.5, [1.0, 0.5]) == localized_overlap(z0, 1.5, 0.5, [1.0, 0.5])
+        assert kernel_closed(at, 0.3, 1.5, 0.36) == kernel_closed(z0, 0.3, 1.5, 0.36)
+        assert nbs_wavefunction(at, 1.5, 1.0) == pytest.approx(nbs_wavefunction(z0, 1.5, 1.0), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("name", RANGE_INDEX_CALLS)
     def test_index_rule_for_every_index_of_a_range(self, name):
